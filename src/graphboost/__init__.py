@@ -13,11 +13,10 @@ from .boost import (BoostConfig, BoostState, Ensemble, WeakRound,
 from .config import RunConfig, load_config, parse_config
 from .data import (Dataset, EncodingMeta, RawTable, apply_encoder,
                    fit_encoder, gen_synthetic, load_csv, split_rows)
-from .errors import (ConfigError, DataError, DenseGraphError, GraphBoostError,
+from .errors import (ConfigError, DataError, GraphBoostError,
                      ModelFormatError, NoWeakLearnability, TrainingDiverged)
 from .graph import (CandidateGraph, SparseAdjacency, ThresholdSet,
-                    build_adjacency, enumerate_candidates,
-                    normalize_adjacency, quantile_thresholds)
+                    build_adjacency, enumerate_candidates, quantile_thresholds)
 from .metrics import EvalReport, auroc_binary, evaluate_scores, weighted_auroc
 from .model_io import load_ensemble, save_ensemble
 

@@ -9,8 +9,9 @@ probability:
     Z(0) = H0
     Z(l+1) = (1 - a) * Ahat @ Z(l) + a * H0,  l = 0..k-1
 
-Gradients are computed by hand in double precision; Ahat is constant, so
-the backward pass through the propagation is k more sparse multiplies.
+Gradients are computed by hand in double precision; Ahat is constant and
+symmetric, so the backward pass through the propagation is the same
+propagation applied to the gradient.
 """
 
 import math
@@ -101,13 +102,18 @@ def init_model(config: AppnpConfig, n_features: int, n_classes: int) -> AppnpMod
 
 def propagate(h0: np.ndarray, adjacency: SparseAdjacency, teleport: float,
               steps: int) -> np.ndarray:
-    """k steps of the personalized PageRank recurrence."""
+    """k steps of the personalized PageRank recurrence, run in the graph's
+    sorted frame so that rows are gathered and scattered once, not per
+    step."""
     if teleport == 1.0 or steps == 0:
         return h0.copy()
-    z = h0
+    z = adjacency.to_sorted(h0)
+    restart = teleport * z
     for _ in range(steps):
-        z = (1.0 - teleport) * adjacency.matmul(z) + teleport * h0
-    return z
+        z = adjacency.matmul(z, sorted_frame=True)
+        z *= 1.0 - teleport
+        z += restart
+    return adjacency.from_sorted(z)
 
 
 def propagation_limit(h0: np.ndarray, adjacency: SparseAdjacency,
@@ -180,16 +186,10 @@ def backward(cache: ForwardCache, y: np.ndarray, w: np.ndarray,
     probs[np.arange(probs.shape[0]), y[mask]] -= 1.0
     g[mask] = probs * (w_masked / total)[:, None]
 
-    # Reverse the propagation recurrence: H0 feeds every step plus Z(0).
-    if cfg.teleport == 1.0 or cfg.prop_steps == 0:
-        dh0 = g
-    else:
-        dh0 = np.zeros_like(g)
-        u = g
-        for _ in range(cfg.prop_steps):
-            dh0 = dh0 + cfg.teleport * u
-            u = (1.0 - cfg.teleport) * cache.adjacency.matmul(u)
-        dh0 = dh0 + u
+    # Z(k) = P @ H0 with P = a * sum_{l<k} ((1-a) Ahat)^l + ((1-a) Ahat)^k.
+    # P is a polynomial in the symmetric Ahat, so it is symmetric too and
+    # dH0 = P @ dZ is the forward propagation applied to the gradient.
+    dh0 = propagate(g, cache.adjacency, cfg.teleport, cfg.prop_steps)
 
     dw2 = dh0.T @ cache.hd + 2.0 * weight_decay * model.w2
     db2 = dh0.sum(axis=0)

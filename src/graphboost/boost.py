@@ -23,8 +23,8 @@ from . import appnp
 from .appnp import AppnpConfig, AppnpModel, train_weak
 from .data import Dataset, EncodingMeta, TRAIN, VAL
 from .errors import DataError, NoWeakLearnability, TrainingDiverged
-from .graph import (DEFAULT_EDGE_CAP, DEFAULT_PAIR_CAP, CandidateGraph,
-                    build_adjacency, enumerate_candidates)
+from .graph import (DEFAULT_PAIR_CAP, CandidateGraph, build_adjacency,
+                    enumerate_candidates)
 from .rng import derive_seed
 
 log = logging.getLogger("graphboost.boost")
@@ -39,7 +39,6 @@ class BoostConfig:
     workers: int = 0
     seed: int = 0
     pair_cap: int = DEFAULT_PAIR_CAP
-    edge_cap: int = DEFAULT_EDGE_CAP
 
     def __post_init__(self):
         if self.n_rounds < 1:
@@ -105,7 +104,8 @@ def update_weights(w: np.ndarray, predictions: np.ndarray, y: np.ndarray,
     wrong = mask & (predictions != y)
     out[wrong] *= math.exp(alpha)
     total = out[mask].sum()
-    assert total > 0.0, "all masked weights vanished"
+    if not total > 0.0:
+        raise DataError("masked sample weights sum to zero")
     out[mask] /= total
     return out
 
@@ -139,12 +139,11 @@ _WORKER: dict = {}
 
 
 def _worker_init(x, y, train_mask, val_mask, n_classes, expert_edges,
-                 feature_names, feature_scales, pair_cap, edge_cap, graph_seed):
+                 feature_names, feature_scales, pair_cap, graph_seed):
     _WORKER.update(x=x, y=y, train_mask=train_mask, val_mask=val_mask,
                    n_classes=n_classes, expert_edges=expert_edges,
                    feature_names=feature_names, feature_scales=feature_scales,
-                   pair_cap=pair_cap, edge_cap=edge_cap,
-                   graph_seed=graph_seed, candidates=None)
+                   pair_cap=pair_cap, graph_seed=graph_seed, candidates=None)
 
 
 def _worker_run(args):
@@ -153,7 +152,7 @@ def _worker_run(args):
         _WORKER["candidates"] = enumerate_candidates(
             _WORKER["x"], _WORKER["expert_edges"], _WORKER["feature_names"],
             _WORKER["feature_scales"], pair_cap=_WORKER["pair_cap"],
-            edge_cap=_WORKER["edge_cap"], seed=_WORKER["graph_seed"])
+            seed=_WORKER["graph_seed"])
     cand = _WORKER["candidates"][idx]
     res = _train_candidate(cand, _WORKER["x"], _WORKER["y"], w_eval,
                            _WORKER["train_mask"], _WORKER["val_mask"],
@@ -170,13 +169,12 @@ class _CandidatePool:
 
     def __init__(self, workers: int, x, y, train_mask, val_mask, n_classes,
                  expert_edges, feature_names, feature_scales, pair_cap,
-                 edge_cap, graph_seed):
+                 graph_seed):
         ctx = multiprocessing.get_context("spawn")
         self._executor = ProcessPoolExecutor(
             max_workers=workers, mp_context=ctx, initializer=_worker_init,
             initargs=(x, y, train_mask, val_mask, n_classes, expert_edges,
-                      feature_names, feature_scales, pair_cap, edge_cap,
-                      graph_seed))
+                      feature_names, feature_scales, pair_cap, graph_seed))
 
     def run_all(self, n_candidates: int, w_eval: np.ndarray,
                 weak_config: AppnpConfig) -> list:
@@ -266,10 +264,7 @@ def fit(config: BoostConfig, dataset: Dataset) -> Ensemble:
     graph_seed = derive_seed(config.seed, "graphs")
     candidates = enumerate_candidates(x, config.expert_edges, names, scales,
                                       pair_cap=config.pair_cap,
-                                      edge_cap=config.edge_cap,
                                       seed=graph_seed)
-    if not candidates:
-        raise DataError("no candidate graphs survived the edge cap")
 
     weights = np.zeros(len(y), dtype=np.float64)
     weights[train_mask] = 1.0 / train_mask.sum()
@@ -279,7 +274,7 @@ def fit(config: BoostConfig, dataset: Dataset) -> Ensemble:
     if config.workers and config.workers > 1:
         pool = _CandidatePool(config.workers, x, y, train_mask, val_mask, k,
                               config.expert_edges, names, scales,
-                              config.pair_cap, config.edge_cap, graph_seed)
+                              config.pair_cap, graph_seed)
 
     gate = (k - 1) / k
     rounds: list[WeakRound] = []

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields
 from .appnp import AppnpConfig
 from .boost import BoostConfig
 from .errors import ConfigError
-from .graph import DEFAULT_EDGE_CAP, DEFAULT_PAIR_CAP
+from .graph import DEFAULT_PAIR_CAP
 
 # Keys whose values may be grids (searched by ``sweep``).
 GRID_KEYS = ("rounds", "boost_learning_rate", "hidden_dim", "prop_steps",
@@ -39,7 +39,6 @@ class RunConfig:
     workers: int = 0
     expert_edges: tuple = ()  # (feature name, raw threshold)
     pair_cap: int = DEFAULT_PAIR_CAP
-    edge_cap: int = DEFAULT_EDGE_CAP
     sweep_cap: int = 64
     model_out: str | None = None
     report_out: str | None = None
@@ -105,8 +104,7 @@ class RunConfig:
             expert_edges=self.expert_edges,
             workers=self.workers,
             seed=self.seed,
-            pair_cap=self.pair_cap,
-            edge_cap=self.edge_cap)
+            pair_cap=self.pair_cap)
 
     def schema_hints(self) -> dict:
         hints = {name: "categorical" for name in self.categorical}
@@ -131,7 +129,7 @@ def _parse_expert(text: str) -> tuple:
 
 _SCALAR_KEYS = {
     "data": str, "label": str, "split_seed": _parse_int, "seed": _parse_int,
-    "workers": _parse_int, "pair_cap": _parse_int, "edge_cap": _parse_int,
+    "workers": _parse_int, "pair_cap": _parse_int,
     "sweep_cap": _parse_int, "model_out": str, "report_out": str,
 }
 _LIST_KEYS = {

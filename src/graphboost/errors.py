@@ -17,10 +17,6 @@ class ModelFormatError(GraphBoostError):
     """Model file is corrupt, truncated, or of an unsupported version."""
 
 
-class DenseGraphError(GraphBoostError):
-    """A candidate graph would exceed the configured edge cap."""
-
-
 class TrainingDiverged(GraphBoostError):
     """Non-finite loss or activations encountered while training."""
 

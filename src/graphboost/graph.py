@@ -3,24 +3,30 @@
 Each candidate links samples whose values in one feature differ by at most
 a threshold gamma, with gamma taken from the 1/16, 1/8, and 1/4 quantiles
 of the pairwise absolute differences of that feature. Adjacency matrices
-are stored sparse and symmetrically normalized with self-loops:
+are symmetrically normalized with self-loops:
 (D+I)^{-1/2} (A+I) (D+I)^{-1/2}.
+
+Such a graph is an interval structure: sorted by the feature, the
+neighbours of each row, itself included, form one contiguous window of
+sorted positions [lo, hi). A graph is therefore stored as the sort order,
+the two window bounds and dinv = (D+I)^{-1/2} per row, O(N) memory however
+dense, and multiplied with prefix sums: with C the cumulative sum of
+dinv * Z in sorted order (C[0] = 0),
+
+    (Ahat @ Z)[p] = dinv[p] * (C[hi[p]] - C[lo[p]]),
+
+O(N K) per multiply instead of O(E K).
 """
 
-import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
-from .errors import DataError, DenseGraphError
+from .errors import DataError
 from .rng import derive_seed, substream
-
-log = logging.getLogger("graphboost.graph")
 
 QUANTILE_PS = (1 / 16, 1 / 8, 1 / 4)
 DEFAULT_PAIR_CAP = 100_000
-DEFAULT_EDGE_CAP = 50_000_000
 
 
 @dataclass(frozen=True)
@@ -33,34 +39,58 @@ class ThresholdSet:
 
 @dataclass
 class SparseAdjacency:
-    """Normalized adjacency in CSR form, self-loops included.
+    """Normalized adjacency as sorted windows, self-loops included.
 
+    ``order[p]`` is the row at sorted position p. Its neighbours, itself
+    included, are the rows at sorted positions ``lo[p]`` to ``hi[p] - 1``,
+    and ``values[p]`` is 1 / sqrt(hi[p] - lo[p]), so that
+    Ahat[order[p], order[q]] = values[p] * values[q] inside the window.
     Immutable after construction; safe to share across threads/processes.
     """
 
     n: int
-    indptr: np.ndarray  # int32, length n+1
-    indices: np.ndarray  # int32, sorted within each row
-    values: np.ndarray  # float64
-    _csr: scipy.sparse.csr_matrix | None = field(default=None, repr=False,
-                                                 compare=False)
+    order: np.ndarray  # int64, sorted position -> row
+    lo: np.ndarray  # int64, first sorted position of each window
+    hi: np.ndarray  # int64, one past the last
+    values: np.ndarray  # float64, (D+I)^{-1/2} in sorted order
 
-    def matmul(self, dense: np.ndarray) -> np.ndarray:
-        if self._csr is None:
-            self._csr = scipy.sparse.csr_matrix(
-                (self.values, self.indices, self.indptr),
-                shape=(self.n, self.n), copy=False)
-        return self._csr @ dense
+    def to_sorted(self, dense: np.ndarray) -> np.ndarray:
+        """Rows of ``dense`` in sorted order."""
+        return dense[self.order]
+
+    def from_sorted(self, dense_sorted: np.ndarray) -> np.ndarray:
+        """Inverse of ``to_sorted``."""
+        out = np.empty_like(dense_sorted)
+        out[self.order] = dense_sorted
+        return out
+
+    def matmul(self, dense: np.ndarray, sorted_frame: bool = False) -> np.ndarray:
+        """Ahat @ dense for a length-N vector or an N x K matrix.
+
+        With ``sorted_frame`` the operand and the result are both in sorted
+        order, which lets repeated multiplies skip the gather and scatter.
+        """
+        z = dense if sorted_frame else self.to_sorted(dense)
+        d = self.values if z.ndim == 1 else self.values[:, None]
+        prefix = np.zeros((self.n + 1,) + z.shape[1:], dtype=np.float64)
+        np.cumsum(d * z, axis=0, out=prefix[1:])
+        # np.take gathers rows about twice as fast as fancy indexing here
+        out = np.take(prefix, self.hi, axis=0)
+        out -= np.take(prefix, self.lo, axis=0)
+        out *= d
+        return out if sorted_frame else self.from_sorted(out)
 
     def degrees(self) -> np.ndarray:
         """Edge degree per node, self-loop excluded."""
-        return np.diff(self.indptr) - 1
+        return self.from_sorted(self.hi - self.lo - 1)
 
     def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.n, self.n), dtype=np.float64)
-        for i in range(self.n):
-            out[i, self.indices[self.indptr[i]:self.indptr[i + 1]]] = \
-                self.values[self.indptr[i]:self.indptr[i + 1]]
+        """The N x N matrix; a test oracle for small N."""
+        pos = np.arange(self.n)
+        inside = (pos >= self.lo[:, None]) & (pos < self.hi[:, None])
+        sorted_dense = np.where(inside, np.outer(self.values, self.values), 0.0)
+        out = np.empty((self.n, self.n), dtype=np.float64)
+        out[np.ix_(self.order, self.order)] = sorted_dense
         return out
 
 
@@ -108,103 +138,80 @@ def quantile_thresholds(values: np.ndarray, pair_cap: int = DEFAULT_PAIR_CAP,
     return ThresholdSet(feature, tuple(gammas))
 
 
-def _window_bounds(v_sorted: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+def _window_bounds(v_sorted: np.ndarray, gamma: float) -> tuple:
+    """Brackets (lo_out, lo_in, hi_in, hi_out) of each row's exact window
+    [lo, hi): lo_out <= lo <= lo_in and hi_in <= hi <= hi_out."""
     # The edge predicate compares the ROUNDED difference fl(|v_i - v_j|)
-    # against gamma, which admits pairs whose true gap exceeds gamma by up
-    # to half an ulp of the difference. Widen gamma by a few relative ulps
-    # and the computed bounds by 2 absolute ulps; the exact filter
-    # afterwards trims the superset back, so the result still equals the
-    # O(N^2) definition.
-    gamma_wide = gamma * (1.0 + 4.0 * np.finfo(np.float64).eps)
-    lo_bound = v_sorted - gamma_wide
-    lo_bound = np.nextafter(np.nextafter(lo_bound, -np.inf), -np.inf)
-    hi_bound = v_sorted + gamma_wide
-    hi_bound = np.nextafter(np.nextafter(hi_bound, np.inf), np.inf)
-    lo = np.searchsorted(v_sorted, lo_bound, side="left")
-    hi = np.searchsorted(v_sorted, hi_bound, side="right")
-    return lo, hi
+    # against gamma, which can admit or reject a pair whose true gap is
+    # within half an ulp of gamma. Searching for v -+ gamma, widened (or
+    # narrowed) by a few relative ulps of gamma and 2 absolute ulps of the
+    # bound, gives a superset (or a subset) of the exact window.
+    eps4 = 4.0 * np.finfo(np.float64).eps
+    out = []
+    for scale, step in ((1.0 + eps4, np.inf), (1.0 - eps4, -np.inf)):
+        lo_bound = v_sorted - gamma * scale
+        hi_bound = v_sorted + gamma * scale
+        for _ in range(2):
+            lo_bound = np.nextafter(lo_bound, -step)
+            hi_bound = np.nextafter(hi_bound, step)
+        out.append((np.searchsorted(v_sorted, lo_bound, side="left"),
+                    np.searchsorted(v_sorted, hi_bound, side="right")))
+    (lo_out, hi_out), (lo_in, hi_in) = out
+    return lo_out, lo_in, hi_in, hi_out
 
 
-def build_adjacency(values: np.ndarray, gamma: float,
-                    edge_cap: int | None = None,
-                    feature: int = 0, expert: bool = False) -> CandidateGraph:
+def _bisect(linked, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per sorted position p, the least q in [a[p], b[p]] with
+    ``linked(p, q)`` true, where ``linked`` is false and then true along
+    [a[p], b[p]) and q = b[p] counts as true. Vectorised over p."""
+    a, b = a.copy(), b.copy()
+    active = np.flatnonzero(a < b)
+    while active.size:
+        mid = (a[active] + b[active]) // 2
+        ok = linked(active, mid)
+        b[active] = np.where(ok, mid, b[active])
+        a[active] = np.where(ok, a[active], mid + 1)
+        active = active[a[active] < b[active]]
+    return a
+
+
+def build_adjacency(values: np.ndarray, gamma: float, feature: int = 0,
+                    expert: bool = False) -> CandidateGraph:
     """Graph with an edge wherever |v_i - v_j| <= gamma, i != j.
 
-    Built by sorting and sweeping a window, then filtering with the exact
-    predicate, so the result equals the O(N^2) definition while costing
-    O(N log N + E).
+    The predicate compares the rounded difference fl(|v_i - v_j|), which
+    is monotone along sorted order on each side of a row. So each window
+    bound is found by bisecting between the brackets from
+    ``_window_bounds`` with the exact predicate: the result equals the
+    O(N^2) definition while costing O(N log N) time and O(N) memory.
     """
     v = np.asarray(values, dtype=np.float64).ravel()
     n = v.size
-    if gamma < 0:
-        raise DataError("gamma must be non-negative")
+    if not gamma >= 0:
+        raise DataError(f"gamma must be a non-negative number, got {gamma!r}")
     if not np.all(np.isfinite(v)):
         raise DataError("non-finite feature values")
 
     order = np.argsort(v, kind="stable").astype(np.int64)
     v_sorted = v[order]
-    lo, hi = _window_bounds(v_sorted, gamma)
-    total = int(np.sum(hi - lo))
-    if edge_cap is not None and total - n > edge_cap:
-        raise DenseGraphError(
-            f"feature {feature}: ~{total - n} directed edges at gamma={gamma!r} "
-            f"exceeds cap {edge_cap}")
-
-    lens = hi - lo
-    starts = np.concatenate(([0], np.cumsum(lens)[:-1]))
-    flat = np.arange(total, dtype=np.int64) - np.repeat(starts, lens)
-    cols_sorted = np.repeat(lo, lens) + flat
-    rows_sorted = np.repeat(np.arange(n, dtype=np.int64), lens)
-    keep = (np.abs(v_sorted[rows_sorted] - v_sorted[cols_sorted]) <= gamma) \
-        & (rows_sorted != cols_sorted)
-    rows = order[rows_sorted[keep]]
-    cols = order[cols_sorted[keep]]
-    adjacency = _assemble(rows, cols, n)
-    edge_count = rows.size // 2
+    lo_out, lo_in, hi_in, hi_out = _window_bounds(v_sorted, gamma)
+    pos = np.arange(n, dtype=np.int64)
+    # For q <= p the rounded v_sorted[p] - v_sorted[q] is non-negative and
+    # so equals fl(|v_p - v_q|); likewise v_sorted[q] - v_sorted[p], q >= p.
+    lo = _bisect(lambda p, q: v_sorted[p] - v_sorted[q] <= gamma,
+                 lo_out, np.minimum(lo_in, pos))
+    hi = _bisect(lambda p, q: v_sorted[q] - v_sorted[p] > gamma,
+                 np.maximum(hi_in, pos + 1), hi_out)
+    size = hi - lo
+    adjacency = SparseAdjacency(n, order, lo, hi, 1.0 / np.sqrt(size))
+    edge_count = int(np.sum(size - 1)) // 2
     return CandidateGraph(feature, float(gamma), adjacency, edge_count, expert)
-
-
-def normalize_adjacency(rows: np.ndarray, cols: np.ndarray, n: int,
-                        validate: bool = True) -> SparseAdjacency:
-    """Normalize a symmetric 0/1 edge list (no self-loops) into CSR form."""
-    rows = np.asarray(rows, dtype=np.int64).ravel()
-    cols = np.asarray(cols, dtype=np.int64).ravel()
-    if rows.size != cols.size:
-        raise DataError("edge arrays differ in length")
-    if validate and rows.size:
-        if np.any(rows == cols):
-            raise DataError("self-loops not allowed in the edge list")
-        fwd = np.lexsort((cols, rows))
-        bwd = np.lexsort((rows, cols))
-        if not (np.array_equal(rows[fwd], cols[bwd])
-                and np.array_equal(cols[fwd], rows[bwd])):
-            raise DataError("asymmetric edge list")
-        dup = (np.diff(rows[fwd]) == 0) & (np.diff(cols[fwd]) == 0)
-        if np.any(dup):
-            raise DataError("duplicate edges in the edge list")
-    return _assemble(rows, cols, n)
-
-
-def _assemble(rows: np.ndarray, cols: np.ndarray, n: int) -> SparseAdjacency:
-    """CSR with self-loops and symmetric normalization from directed pairs."""
-    deg = np.bincount(rows, minlength=n).astype(np.int64)
-    all_rows = np.concatenate([rows, np.arange(n, dtype=np.int64)])
-    all_cols = np.concatenate([cols, np.arange(n, dtype=np.int64)])
-    perm = np.lexsort((all_cols, all_rows))
-    all_rows = all_rows[perm]
-    all_cols = all_cols[perm]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(deg + 1, out=indptr[1:])
-    d1 = (deg + 1).astype(np.float64)
-    values = 1.0 / np.sqrt(d1[all_rows] * d1[all_cols])
-    return SparseAdjacency(n, indptr.astype(np.int32),
-                           all_cols.astype(np.int32), values)
 
 
 def identity_adjacency(n: int) -> SparseAdjacency:
     """The edgeless graph: normalization reduces to the identity matrix."""
-    empty = np.empty(0, dtype=np.int64)
-    return _assemble(empty, empty, n)
+    pos = np.arange(n, dtype=np.int64)
+    return SparseAdjacency(n, pos, pos, pos + 1, np.ones(n))
 
 
 def enumerate_candidates(X: np.ndarray,
@@ -212,15 +219,12 @@ def enumerate_candidates(X: np.ndarray,
                          feature_names: list[str] | None = None,
                          feature_scales: np.ndarray | None = None,
                          pair_cap: int = DEFAULT_PAIR_CAP,
-                         edge_cap: int | None = DEFAULT_EDGE_CAP,
                          seed: int = 0) -> list[CandidateGraph]:
     """All 3M quantile candidates plus one per expert edge spec.
 
     Ordering: feature index ascending, then gamma ascending (duplicates
     kept), expert candidates appended last. Expert thresholds are given in
     raw feature units and divided by ``feature_scales`` before use.
-    Candidates whose edge count would exceed ``edge_cap`` are skipped with
-    a warning.
     """
     X = np.asarray(X, dtype=np.float64)
     n, m = X.shape
@@ -231,11 +235,7 @@ def enumerate_candidates(X: np.ndarray,
         ts = quantile_thresholds(X[:, j], pair_cap=pair_cap,
                                  seed=derive_seed(seed, "pairs", j), feature=j)
         for gamma in ts.gammas:
-            try:
-                candidates.append(build_adjacency(X[:, j], gamma,
-                                                  edge_cap=edge_cap, feature=j))
-            except DenseGraphError as exc:
-                log.warning("skipping dense candidate: %s", exc)
+            candidates.append(build_adjacency(X[:, j], gamma, feature=j))
     for spec in expert_edges:
         name, threshold = spec
         if isinstance(name, str):
@@ -248,10 +248,6 @@ def enumerate_candidates(X: np.ndarray,
                 raise DataError(f"expert edge feature index out of range: {j}")
         scale = 1.0 if feature_scales is None else float(feature_scales[j])
         gamma = float(threshold) / (scale if scale > 0 else 1.0)
-        try:
-            candidates.append(build_adjacency(X[:, j], gamma,
-                                              edge_cap=edge_cap, feature=j,
-                                              expert=True))
-        except DenseGraphError as exc:
-            log.warning("skipping dense expert candidate: %s", exc)
+        candidates.append(build_adjacency(X[:, j], gamma, feature=j,
+                                          expert=True))
     return candidates

@@ -4,17 +4,25 @@ A small self-describing binary container: magic and version, one canonical
 JSON metadata block, then the weight tensors (stored fit rows followed by
 each round's layers) as little-endian float64, row-major, each preceded by
 a shape header. Saving a loaded file reproduces it byte for byte.
+
+Loading trusts nothing in the file: every declared size is checked against
+the bytes left before it is read, the metadata is checked key by key and
+type by type, and every tensor shape against the metadata, so a damaged
+file fails with ModelFormatError rather than any other exception.
 """
 
 import json
+import math
+import os
 import struct
+from dataclasses import fields
 
 import numpy as np
 
 from .appnp import AppnpConfig, AppnpModel
 from .boost import Ensemble, WeakRound
-from .data import EncodingMeta
-from .errors import ModelFormatError
+from .data import CATEGORICAL, NUMERIC, EncodingMeta
+from .errors import DataError, ModelFormatError
 
 MAGIC = b"GBEN"
 VERSION = 1
@@ -32,18 +40,95 @@ def _write_tensor(fh, arr: np.ndarray) -> None:
 
 
 def _read_exact(fh, count: int) -> bytes:
+    # Checked before reading, so that a corrupt size cannot ask for more
+    # memory than the file holds.
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if count > left:
+        raise ModelFormatError(f"truncated model file: {count} bytes "
+                               f"declared, {left} left")
     buf = fh.read(count)
     if len(buf) != count:
         raise ModelFormatError("truncated model file")
     return buf
 
 
-def _read_tensor(fh) -> np.ndarray:
+def _read_tensor(fh, shape_want: tuple, what: str) -> np.ndarray:
     ndim = struct.unpack("<B", _read_exact(fh, 1))[0]
     shape = struct.unpack(f"<{ndim}Q", _read_exact(fh, 8 * ndim))
-    count = int(np.prod(shape)) if ndim else 1
-    data = np.frombuffer(_read_exact(fh, 8 * count), dtype="<f8")
+    data = np.frombuffer(_read_exact(fh, 8 * math.prod(shape)), dtype="<f8")
+    if shape != shape_want:
+        raise ModelFormatError(f"{what} has shape {shape}, metadata implies "
+                               f"{shape_want}")
+    if not np.all(np.isfinite(data)):
+        raise ModelFormatError(f"non-finite values in {what}")
     return data.reshape(shape).astype(np.float64)
+
+
+# Metadata schema: a type or tuple of types, a one-item list for a list of
+# that schema, or a dict of required keys. A JSON true is not an int here,
+# and floats must be finite.
+_NUM = (int, float)
+_SCHEMA = {
+    "n_stored_rows": int, "n_features": int, "n_classes": int,
+    "feature_names": [str], "stop_reason": (str, type(None)),
+    "stop_error": (int, float, type(None)),
+    "encoder": {"label_column": str, "label_values": [str],
+                "columns": [dict]},
+    "rounds": [{"feature": int, "feature_name": str, "gamma": _NUM,
+                "alpha": _NUM, "error": _NUM, "expert": bool,
+                "config": {f.name: int if f.type is int else _NUM
+                           for f in fields(AppnpConfig)}}],
+}
+_COLUMNS = {NUMERIC: {"name": str, "impute": _NUM, "mean": _NUM,
+                      "sd": _NUM},
+            CATEGORICAL: {"name": str, "categories": dict,
+                          "missing_code": (int, type(None))}}
+
+
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise ModelFormatError(f"model metadata: {message}")
+
+
+def _check(value, schema, where: str) -> None:
+    if isinstance(schema, dict):
+        _require(type(value) is dict, f"{where} is not an object")
+        for key, sub in schema.items():
+            _require(key in value, f"{where} lacks {key!r}")
+            _check(value[key], sub, f"{where}.{key}")
+    elif isinstance(schema, list):
+        _require(type(value) is list, f"{where} is not a list")
+        for i, item in enumerate(value):
+            _check(item, schema[0], f"{where}[{i}]")
+    else:
+        _require(type(value) in (schema if isinstance(schema, tuple)
+                                 else (schema,))
+                 and (type(value) is not float or math.isfinite(value)),
+                 f"bad {where}: {value!r:.40}")
+
+
+def _check_meta(meta) -> list[AppnpConfig]:
+    """Validate the metadata block; returns each round's learner config."""
+    _check(meta, _SCHEMA, "top level")
+    m, k, enc = meta["n_features"], meta["n_classes"], meta["encoder"]
+    _require(k >= 2 and len(enc["label_values"]) == k
+             and len(meta["feature_names"]) == len(enc["columns"]) == m,
+             "feature, column or class counts disagree")
+    for j, col in enumerate(enc["columns"]):
+        where = f"encoder.columns[{j}]"
+        _require(col.get("kind") in (NUMERIC, CATEGORICAL),
+                 f"{where} has no valid kind")
+        _check(col, _COLUMNS[col["kind"]], where)
+        _require(col["name"] == meta["feature_names"][j],
+                 f"{where} is not feature {j}")
+        if col["kind"] == CATEGORICAL:
+            _check(list(col["categories"].values()), [int], where)
+    _require(all(0 <= r["feature"] < m and r["gamma"] >= 0
+                 for r in meta["rounds"]), "round feature or gamma invalid")
+    try:
+        return [AppnpConfig.from_dict(r["config"]) for r in meta["rounds"]]
+    except (TypeError, DataError) as exc:
+        raise ModelFormatError(f"model metadata: {exc}") from exc
 
 
 def save_ensemble(ensemble: Ensemble, path: str) -> None:
@@ -90,17 +175,21 @@ def load_ensemble(path: str) -> Ensemble:
         blob_len = struct.unpack("<Q", _read_exact(fh, 8))[0]
         try:
             meta = json.loads(_read_exact(fh, blob_len).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError,
+                RecursionError) as exc:
             raise ModelFormatError(f"corrupt metadata block: {exc}") from exc
 
-        train_x = _read_tensor(fh)
+        configs = _check_meta(meta)
+        n_rows, m, k = (meta["n_stored_rows"], meta["n_features"],
+                        meta["n_classes"])
+        train_x = _read_tensor(fh, (n_rows, m), "stored row matrix")
         rounds = []
-        for rec in meta["rounds"]:
-            w1 = _read_tensor(fh)
-            b1 = _read_tensor(fh)
-            w2 = _read_tensor(fh)
-            b2 = _read_tensor(fh)
-            config = AppnpConfig.from_dict(rec["config"])
+        for t, (rec, config) in enumerate(zip(meta["rounds"], configs)):
+            h = config.hidden_dim
+            w1, b1, w2, b2 = (
+                _read_tensor(fh, shape, f"round {t} {name}")
+                for name, shape in (("w1", (h, m)), ("b1", (h,)),
+                                    ("w2", (k, h)), ("b2", (k,))))
             model = AppnpModel(w1, b1, w2, b2, config)
             rounds.append(WeakRound(rec["feature"], rec["feature_name"],
                                     rec["gamma"], model, rec["alpha"],
@@ -109,8 +198,6 @@ def load_ensemble(path: str) -> Ensemble:
         if trailing:
             raise ModelFormatError("trailing bytes after model payload")
 
-    if train_x.shape != (meta["n_stored_rows"], meta["n_features"]):
-        raise ModelFormatError("stored row matrix shape mismatch")
     encoder = EncodingMeta.from_dict(meta["encoder"])
-    return Ensemble(rounds, meta["n_classes"], encoder, meta["feature_names"],
-                    train_x, meta["stop_reason"], meta["stop_error"])
+    return Ensemble(rounds, k, encoder, meta["feature_names"], train_x,
+                    meta["stop_reason"], meta["stop_error"])

@@ -2,12 +2,13 @@
 ensemble prediction."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphboost.appnp import AppnpConfig, AppnpModel
+from graphboost.appnp import AppnpConfig, AppnpModel, init_model
 from graphboost.boost import (BoostConfig, BoostState, Ensemble, WeakRound,
                               compute_alpha, fit, predict_ensemble, run_round,
                               transductive_scores, update_weights,
@@ -15,7 +16,8 @@ from graphboost.boost import (BoostConfig, BoostState, Ensemble, WeakRound,
 from graphboost.data import TEST, TRAIN, VAL, Dataset, EncodingMeta, \
     NumericMeta, fit_encoder, gen_synthetic, split_rows
 from graphboost.errors import DataError, NoWeakLearnability
-from graphboost.graph import build_adjacency, enumerate_candidates
+from graphboost.graph import (build_adjacency, enumerate_candidates,
+                              quantile_thresholds)
 from graphboost.model_io import save_ensemble
 
 
@@ -25,6 +27,23 @@ def make_dataset(n=300, m=4, k=2, rho=1.0, seed=0,
     tags = split_rows(n, fractions, seed, labels)
     ds, _ = fit_encoder(table, labels, tags)
     return ds, table
+
+
+def dense_one_step_logits(x, rows, feature, gamma, model, chunk=128):
+    """One-step APPNP logits of ``rows`` straight from the definition,
+    Ahat = (D+I)^-1/2 (A+I) (D+I)^-1/2, counting degrees a block of rows
+    at a time so that memory stays O(chunk * N)."""
+    assert model.config.prop_steps == 1
+    v = x[:, feature]
+    deg = np.concatenate([
+        np.sum(np.abs(v[i:i + chunk, None] - v[None, :]) <= gamma, axis=1)
+        for i in range(0, v.size, chunk)])
+    dinv = 1.0 / np.sqrt(deg)
+    h0 = np.maximum(x @ model.w1.T + model.b1, 0.0) @ model.w2.T + model.b2
+    linked = (np.abs(v[rows, None] - v[None, :]) <= gamma).astype(float)
+    az = dinv[rows, None] * (linked @ (dinv[:, None] * h0))
+    a = model.config.teleport
+    return (1.0 - a) * az + a * h0[rows]
 
 
 def constant_model(k: int, m: int, winner: int) -> AppnpModel:
@@ -123,6 +142,13 @@ class TestUpdateWeights:
         out = update_weights(w, pred, y, 1.0, mask)
         assert out[2] == 9.0
         assert out[:2].sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_zero_masked_weights_rejected(self):
+        w = np.array([0.0, 0.0, 1.0])
+        mask = np.array([True, True, False])
+        y = np.array([0, 1, 0])
+        with pytest.raises(DataError, match="sum to zero"):
+            update_weights(w, y.copy(), y, 1.0, mask)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=50, deadline=None)
@@ -280,6 +306,42 @@ class TestEnsemblePrediction:
         weak_labels, _ = predict(r.model, ds.X, cand.adjacency)
         np.testing.assert_array_equal(labels, weak_labels)
         np.testing.assert_allclose(scores.sum(axis=1), 1.0, atol=1e-12)
+
+    def test_many_new_rows_in_linear_memory(self):
+        # 200 stored rows, 20000 new ones, gamma at the 1/4 quantile: about
+        # a quarter of the 20200^2 row pairs are linked, which a stored
+        # edge list would need gigabytes for.
+        rng = np.random.default_rng(11)
+        m, k = 3, 2
+        rounds = []
+        for t, (feature, alpha) in enumerate(((0, 0.9), (2, 0.4))):
+            cfg = AppnpConfig(hidden_dim=8, prop_steps=1, teleport=0.2,
+                              seed=t)
+            rounds.append(WeakRound(feature, f"f{feature}", 0.0,
+                                    init_model(cfg, m, k), alpha, 0.3))
+        ens = self._manual_ensemble(rounds, k=k, m=m, n_stored=200)
+        for r in ens.rounds:
+            r.gamma = quantile_thresholds(ens.train_x[:, r.feature]).gammas[2]
+        new_x = rng.normal(size=(20000, m))
+
+        tracemalloc.start()
+        try:
+            labels, scores = predict_ensemble(ens, new_x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
+        x_all = np.vstack([ens.train_x, new_x])
+        check = rng.choice(20000, size=8, replace=False)
+        votes = np.zeros((check.size, k))
+        for r in ens.rounds:
+            z = dense_one_step_logits(x_all, 200 + check, r.feature, r.gamma,
+                                      r.model)
+            votes[np.arange(check.size), np.argmax(z, axis=1)] += r.alpha
+        want = votes / votes.sum(axis=1, keepdims=True)
+        np.testing.assert_allclose(scores[check], want, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(labels[check], np.argmax(want, axis=1))
 
     def test_alpha_weighted_votes(self):
         # two constant learners voting for different classes: the larger

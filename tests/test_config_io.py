@@ -1,13 +1,18 @@
 """Config text format and the binary model container."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from graphboost.boost import BoostConfig, fit
+from graphboost.boost import BoostConfig, fit, predict_ensemble
+from graphboost.cli import main
 from graphboost.config import parse_config, load_config
 from graphboost.appnp import AppnpConfig
 from graphboost.data import fit_encoder, gen_synthetic, split_rows
-from graphboost.errors import ConfigError, ModelFormatError
+from graphboost.errors import ConfigError, GraphBoostError, ModelFormatError
 from graphboost.model_io import MAGIC, load_ensemble, save_ensemble
 
 
@@ -169,3 +174,125 @@ class TestModelFile:
 
     def test_magic_constant(self):
         assert MAGIC == b"GBEN"
+
+    def test_missing_metadata_key(self, small_ensemble, tmp_path):
+        path = tmp_path / "m.gbe"
+        save_ensemble(small_ensemble, str(path))
+        path.write_bytes(_edit_meta(path.read_bytes(),
+                                    lambda meta: meta.pop("stop_reason")))
+        with pytest.raises(ModelFormatError, match="stop_reason"):
+            load_ensemble(str(path))
+        assert _cli_predict(path, tmp_path) == 2
+
+    def test_huge_metadata_length(self, small_ensemble, tmp_path):
+        path = tmp_path / "m.gbe"
+        save_ensemble(small_ensemble, str(path))
+        blob = bytearray(path.read_bytes())
+        blob[8:16] = struct.pack("<Q", 1 << 40)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ModelFormatError, match="truncated"):
+            load_ensemble(str(path))
+        assert _cli_predict(path, tmp_path) == 2
+
+    def test_metadata_disagreeing_with_tensors(self, small_ensemble, tmp_path):
+        path = tmp_path / "m.gbe"
+        save_ensemble(small_ensemble, str(path))
+
+        def widen(meta):
+            meta["rounds"][0]["config"]["hidden_dim"] += 1
+        path.write_bytes(_edit_meta(path.read_bytes(), widen))
+        with pytest.raises(ModelFormatError, match="shape"):
+            load_ensemble(str(path))
+
+
+def _edit_meta(blob: bytes, edit) -> bytes:
+    """Apply ``edit`` to the metadata of a model file and rewrite its
+    length header."""
+    (length,) = struct.unpack("<Q", blob[8:16])
+    meta = json.loads(blob[16:16 + length])
+    edit(meta)
+    text = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
+    return blob[:8] + struct.pack("<Q", len(text)) + text + blob[16 + length:]
+
+
+def _key_paths(obj, prefix=()):
+    """Every (path to a dict, key) pair in a JSON value, except the keys of
+    a categorical column's ``categories``, which are data, not schema."""
+    if isinstance(obj, dict):
+        for key, val in obj.items():
+            if prefix[-1:] != ("categories",):
+                yield prefix, key
+            yield from _key_paths(val, prefix + (key,))
+    elif isinstance(obj, list):
+        for i, val in enumerate(obj):
+            yield from _key_paths(val, prefix + (i,))
+
+
+def _cli_predict(model_path, tmp_path) -> int:
+    data = tmp_path / "rows.csv"
+    data.write_text("x0,x1,x2\n0.1,0.2,0.3\n")
+    return main(["predict", "--model", str(model_path), "--data", str(data),
+                 "--out", str(tmp_path / "preds.csv")])
+
+
+@pytest.fixture(scope="module")
+def model_blob(small_ensemble, tmp_path_factory):
+    path = tmp_path_factory.mktemp("model") / "m.gbe"
+    save_ensemble(small_ensemble, str(path))
+    return path.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "damaged.gbe"
+
+
+class TestModelFileFuzz:
+    """A damaged model file either loads into a usable ensemble or fails
+    with ModelFormatError; nothing else escapes."""
+
+    @staticmethod
+    def _load_or_reject(blob, path, x):
+        path.write_bytes(blob)
+        try:
+            ens = load_ensemble(str(path))
+        except ModelFormatError:
+            return False
+        try:
+            predict_ensemble(ens, x)
+        except GraphBoostError:
+            pass
+        return True
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_truncation(self, model_blob, fuzz_path, small_ensemble, data):
+        cut = data.draw(st.integers(0, len(model_blob) - 1))
+        assert not self._load_or_reject(model_blob[:cut], fuzz_path,
+                                        small_ensemble.train_x[:5])
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_bit_flips(self, model_blob, fuzz_path, small_ensemble, data):
+        blob = bytearray(model_blob)
+        for _ in range(data.draw(st.integers(1, 3))):
+            bit = data.draw(st.integers(0, 8 * len(blob) - 1))
+            blob[bit // 8] ^= 1 << (bit % 8)
+        self._load_or_reject(bytes(blob), fuzz_path,
+                             small_ensemble.train_x[:5])
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_deleted_metadata_key(self, model_blob, fuzz_path, small_ensemble,
+                                  data):
+        (length,) = struct.unpack("<Q", model_blob[8:16])
+        paths = list(_key_paths(json.loads(model_blob[16:16 + length])))
+        prefix, key = data.draw(st.sampled_from(paths))
+
+        def delete(meta):
+            for step in prefix:
+                meta = meta[step]
+            del meta[key]
+        blob = _edit_meta(model_blob, delete)
+        assert not self._load_or_reject(blob, fuzz_path,
+                                        small_ensemble.train_x[:5])

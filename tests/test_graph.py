@@ -1,19 +1,18 @@
-"""Graph module: quantile thresholds, window-sweep adjacency, normalization.
+"""Graph module: quantile thresholds, sorted-window adjacency, normalization.
 
-The window-sweep construction is checked against an O(N^2) brute-force
-edge oracle, and the normalized matrix against dense computation.
+The window construction is checked against an O(N^2) brute-force edge
+oracle, the normalized matrix against dense computation, and the
+prefix-sum multiply against a scipy.sparse matrix built from the windows.
 """
-
-import logging
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
-from graphboost.errors import DataError, DenseGraphError
+from graphboost.errors import DataError
 from graphboost.graph import (build_adjacency, enumerate_candidates,
-                              identity_adjacency, normalize_adjacency,
-                              quantile_thresholds)
+                              identity_adjacency, quantile_thresholds)
 
 
 def brute_force_edges(values, gamma):
@@ -28,13 +27,29 @@ def brute_force_edges(values, gamma):
 
 
 def edges_of(cand):
+    """Undirected edges (i < j) read straight off the sorted windows."""
     adj = cand.adjacency
     edges = set()
-    for i in range(adj.n):
-        for j in adj.indices[adj.indptr[i]:adj.indptr[i + 1]]:
+    for p in range(adj.n):
+        i = int(adj.order[p])
+        for q in range(adj.lo[p], adj.hi[p]):
+            j = int(adj.order[q])
             if i < j:
-                edges.add((i, int(j)))
+                edges.add((i, j))
     return edges
+
+
+def window_csr(adj):
+    """The normalized adjacency as a scipy.sparse matrix, entry by entry
+    from the windows: Ahat[order[p], order[q]] = values[p] * values[q]."""
+    sizes = adj.hi - adj.lo
+    first = np.repeat(adj.lo, sizes)
+    offset = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    p = np.repeat(np.arange(adj.n), sizes)
+    q = first + offset
+    return scipy.sparse.csr_matrix(
+        (adj.values[p] * adj.values[q], (adj.order[p], adj.order[q])),
+        shape=(adj.n, adj.n))
 
 
 def brute_force_normalized(values, gamma):
@@ -122,24 +137,41 @@ class TestBuildAdjacency:
         cand = build_adjacency(v, gamma)
         assert cand.edge_count == 20 * 19 // 2
 
-    def test_edge_cap(self):
-        with pytest.raises(DenseGraphError):
-            build_adjacency(np.zeros(100), 0.0, edge_cap=10)
+    def test_bad_gamma_rejected(self):
+        for gamma in (-0.5, float("nan")):
+            with pytest.raises(DataError, match="gamma"):
+                build_adjacency(np.zeros(3), gamma)
+
+    def test_windows_are_symmetric_and_hold_their_row(self):
+        rng = np.random.default_rng(4)
+        v = np.round(rng.normal(size=200), 1)
+        adj = build_adjacency(v, 0.3).adjacency
+        pos = np.arange(adj.n)
+        assert np.all((adj.lo <= pos) & (pos < adj.hi))
+        assert np.all(np.diff(adj.lo) >= 0) and np.all(np.diff(adj.hi) >= 0)
+        np.testing.assert_array_equal(adj.values, 1.0 / np.sqrt(adj.hi - adj.lo))
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_equals_brute_force(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 60))
-        # mix continuous values with heavy ties
-        if rng.random() < 0.5:
+        # mix continuous values with heavy ties, and z-scored integer
+        # levels, whose equal raw gaps differ in the last bit
+        style = rng.random()
+        if style < 0.4:
             v = rng.normal(size=n)
-        else:
+        elif style < 0.7:
             v = rng.integers(0, 4, size=n).astype(float)
+        else:
+            raw = rng.integers(0, 30, size=n).astype(float)
+            v = (raw - raw.mean()) / (raw.std() + 0.1)
         diffs = np.abs(v[:, None] - v[None, :])
         pool = np.unique(diffs)
         gamma = float(rng.choice(pool)) if rng.random() < 0.7 else \
             float(rng.uniform(0, pool.max() + 0.1))
+        if rng.random() < 0.3:  # one ulp either side of a pair's difference
+            gamma = float(np.nextafter(gamma, rng.choice([0.0, np.inf])))
         cand = build_adjacency(v, gamma)
         assert edges_of(cand) == brute_force_edges(v, gamma)
 
@@ -156,34 +188,23 @@ class TestBuildAdjacency:
 
 class TestNormalization:
     def test_no_edges_identity(self):
-        adj = normalize_adjacency([], [], 2)
+        adj = build_adjacency(np.array([0.0, 1.0]), 0.5).adjacency
         np.testing.assert_array_equal(adj.to_dense(), np.eye(2))
 
     def test_single_edge(self):
-        adj = normalize_adjacency([0, 1], [1, 0], 2)
+        adj = build_adjacency(np.array([0.0, 1.0]), 1.0).adjacency
         np.testing.assert_allclose(adj.to_dense(),
                                    [[0.5, 0.5], [0.5, 0.5]])
 
     def test_path_graph(self):
-        adj = normalize_adjacency([0, 1, 1, 2], [1, 0, 2, 1], 3)
+        # rows given out of order, so the sort permutation is exercised
+        adj = build_adjacency(np.array([1.0, 2.0, 0.0]), 1.0).adjacency
         dense = adj.to_dense()
         s6 = 1.0 / np.sqrt(6.0)
-        expected = np.array([[0.5, s6, 0.0],
-                             [s6, 1 / 3, s6],
-                             [0.0, s6, 0.5]])
+        expected = np.array([[1 / 3, s6, s6],
+                             [s6, 0.5, 0.0],
+                             [s6, 0.0, 0.5]])
         np.testing.assert_allclose(dense, expected, atol=1e-15)
-
-    def test_asymmetric_rejected(self):
-        with pytest.raises(DataError, match="asymmetric"):
-            normalize_adjacency([0], [1], 3)
-
-    def test_self_loop_rejected(self):
-        with pytest.raises(DataError, match="self-loops"):
-            normalize_adjacency([0, 1, 1], [1, 0, 1], 3)
-
-    def test_duplicate_rejected(self):
-        with pytest.raises(DataError, match="duplicate"):
-            normalize_adjacency([0, 0, 1, 1], [1, 1, 0, 0], 2)
 
     def test_identity_helper(self):
         np.testing.assert_array_equal(identity_adjacency(4).to_dense(),
@@ -217,10 +238,25 @@ class TestNormalization:
     def test_matmul_matches_dense(self):
         rng = np.random.default_rng(8)
         v = rng.normal(size=50)
-        cand = build_adjacency(v, 0.5)
-        z = rng.normal(size=(50, 3))
-        np.testing.assert_allclose(cand.adjacency.matmul(z),
-                                   cand.adjacency.to_dense() @ z, atol=1e-12)
+        adj = build_adjacency(v, 0.5).adjacency
+        dense = adj.to_dense()
+        for z in (rng.normal(size=(50, 3)), rng.normal(size=50)):
+            np.testing.assert_allclose(adj.matmul(z), dense @ z, atol=1e-12)
+            zs = adj.to_sorted(z)
+            np.testing.assert_array_equal(
+                adj.from_sorted(adj.matmul(zs, sorted_frame=True)),
+                adj.matmul(z))
+
+    def test_prefix_sums_accurate_at_scale(self):
+        # Offset inputs make the prefix sums large next to each window's
+        # sum, which is where cancellation error would show.
+        rng = np.random.default_rng(9)
+        n = 100_000
+        adj = build_adjacency(rng.normal(size=n), 5e-4).adjacency
+        z = 50.0 + rng.normal(size=(n, 2))
+        ref = window_csr(adj) @ z
+        err = np.max(np.abs(adj.matmul(z) - ref))
+        assert err <= 1e-10 * np.max(np.abs(ref))
 
 
 class TestEnumerateCandidates:
@@ -267,14 +303,6 @@ class TestEnumerateCandidates:
         with pytest.raises(DataError, match="not found"):
             enumerate_candidates(x, expert_edges=[("nope", 1.0)],
                                  feature_names=["v"])
-
-    def test_dense_candidates_skipped_with_warning(self, caplog):
-        x = np.zeros((40, 1))
-        with caplog.at_level(logging.WARNING, logger="graphboost.graph"):
-            cands = enumerate_candidates(x, edge_cap=10)
-        assert cands == []
-        assert any("skipping dense candidate" in r.message
-                   for r in caplog.records)
 
     def test_deterministic_given_seed(self):
         x = np.random.default_rng(3).normal(size=(600, 2))
