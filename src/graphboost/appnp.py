@@ -23,6 +23,10 @@ from .errors import DataError, TrainingDiverged
 from .graph import SparseAdjacency
 from .rng import substream
 
+# Each propagation step costs one multiply per pass; without a bound, a
+# model file claiming 2**70 steps would make predict never finish.
+MAX_PROP_STEPS = 10_000
+
 
 @dataclass(frozen=True)
 class AppnpConfig:
@@ -39,8 +43,8 @@ class AppnpConfig:
     def __post_init__(self):
         if not 0.0 < self.teleport <= 1.0:
             raise DataError("teleport probability must be in (0, 1]")
-        if self.prop_steps < 0:
-            raise DataError("prop_steps must be >= 0")
+        if not 0 <= self.prop_steps <= MAX_PROP_STEPS:
+            raise DataError(f"prop_steps must be in [0, {MAX_PROP_STEPS}]")
         if not 0.0 <= self.dropout < 1.0:
             raise DataError("dropout must be in [0, 1)")
 

@@ -9,13 +9,15 @@ error, weights it by
 then multiplies the weights of misclassified train rows by exp(alpha) and
 renormalizes. The loop stops early when the newest weak error or the
 running ensemble error rate reaches (K - 1) / K.
+
+Candidates train one after another in one process. ``fit`` drops repeated
+(feature, gamma) candidates, which come from tied quantiles or an expert
+edge equal to a quantile, so each distinct graph trains once per round.
 """
 
 import logging
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 import math
-import multiprocessing
 
 import numpy as np
 
@@ -36,7 +38,7 @@ class BoostConfig:
     learning_rate: float = 1.0  # shrinkage on alpha
     weak: AppnpConfig = field(default_factory=AppnpConfig)
     expert_edges: tuple = ()  # (feature name or index, raw threshold)
-    workers: int = 0
+    workers: int = 0  # accepted for compatibility; has no effect
     seed: int = 0
     pair_cap: int = DEFAULT_PAIR_CAP
 
@@ -45,6 +47,8 @@ class BoostConfig:
             raise DataError("need at least one boosting round")
         if not 0.0 < self.learning_rate <= 1.0:
             raise DataError("boost learning rate must be in (0, 1]")
+        if self.pair_cap < 1:
+            raise DataError("pair_cap must be >= 1")
 
 
 @dataclass
@@ -132,74 +136,11 @@ def _train_candidate(cand: CandidateGraph, x: np.ndarray, y: np.ndarray,
     return err, model, labels
 
 
-# Worker-side state for parallel candidate training. Each spawned worker
-# rebuilds the candidate list once from the same inputs the parent used,
-# so results are identical to the serial path.
-_WORKER: dict = {}
-
-
-def _worker_init(x, y, train_mask, val_mask, n_classes, expert_edges,
-                 feature_names, feature_scales, pair_cap, graph_seed):
-    _WORKER.update(x=x, y=y, train_mask=train_mask, val_mask=val_mask,
-                   n_classes=n_classes, expert_edges=expert_edges,
-                   feature_names=feature_names, feature_scales=feature_scales,
-                   pair_cap=pair_cap, graph_seed=graph_seed, candidates=None)
-
-
-def _worker_run(args):
-    idx, w_eval, weak_config = args
-    if _WORKER["candidates"] is None:
-        _WORKER["candidates"] = enumerate_candidates(
-            _WORKER["x"], _WORKER["expert_edges"], _WORKER["feature_names"],
-            _WORKER["feature_scales"], pair_cap=_WORKER["pair_cap"],
-            seed=_WORKER["graph_seed"])
-    cand = _WORKER["candidates"][idx]
-    res = _train_candidate(cand, _WORKER["x"], _WORKER["y"], w_eval,
-                           _WORKER["train_mask"], _WORKER["val_mask"],
-                           _WORKER["n_classes"], weak_config)
-    if res is None:
-        return idx, None
-    err, model, labels = res
-    return idx, (err, (model.w1, model.b1, model.w2, model.b2), labels)
-
-
-class _CandidatePool:
-    """Process pool that trains candidates in parallel with results merged
-    in deterministic candidate order."""
-
-    def __init__(self, workers: int, x, y, train_mask, val_mask, n_classes,
-                 expert_edges, feature_names, feature_scales, pair_cap,
-                 graph_seed):
-        ctx = multiprocessing.get_context("spawn")
-        self._executor = ProcessPoolExecutor(
-            max_workers=workers, mp_context=ctx, initializer=_worker_init,
-            initargs=(x, y, train_mask, val_mask, n_classes, expert_edges,
-                      feature_names, feature_scales, pair_cap, graph_seed))
-
-    def run_all(self, n_candidates: int, w_eval: np.ndarray,
-                weak_config: AppnpConfig) -> list:
-        tasks = [(i, w_eval, weak_config) for i in range(n_candidates)]
-        results: list = [None] * n_candidates
-        for idx, payload in self._executor.map(_worker_run, tasks):
-            if payload is None:
-                results[idx] = None
-                continue
-            err, weights, labels = payload
-            model = AppnpModel(*(np.ascontiguousarray(a) for a in weights),
-                               config=weak_config)
-            results[idx] = (err, model, labels)
-        return results
-
-    def close(self):
-        self._executor.shutdown()
-
-
 def run_round(state: BoostState, candidates: list, x: np.ndarray,
               y: np.ndarray, train_mask: np.ndarray, val_mask: np.ndarray,
               n_classes: int, weak_config: AppnpConfig,
               feature_names: list[str] | None = None,
-              boost_lr: float = 1.0,
-              pool: "_CandidatePool | None" = None) -> tuple[WeakRound, np.ndarray]:
+              boost_lr: float = 1.0) -> tuple[WeakRound, np.ndarray]:
     """Train a weak learner on every candidate and return the round built
     from the lowest-weighted-error one (ties: lower feature index, smaller
     gamma, non-expert first), plus its transductive predictions."""
@@ -214,12 +155,9 @@ def run_round(state: BoostState, candidates: list, x: np.ndarray,
     val_mask = np.asarray(val_mask, dtype=bool)
     w_eval[val_mask] = 1.0 / val_mask.sum()
 
-    if pool is not None:
-        results = pool.run_all(len(candidates), w_eval, weak_config)
-    else:
-        results = [_train_candidate(c, x, y, w_eval, train_mask, val_mask,
-                                    n_classes, weak_config)
-                   for c in candidates]
+    results = [_train_candidate(c, x, y, w_eval, train_mask, val_mask,
+                                n_classes, weak_config)
+               for c in candidates]
 
     best = None
     best_key = None
@@ -261,64 +199,62 @@ def fit(config: BoostConfig, dataset: Dataset) -> Ensemble:
 
     names = dataset.encoder.feature_names()
     scales = dataset.encoder.feature_scales()
-    graph_seed = derive_seed(config.seed, "graphs")
     candidates = enumerate_candidates(x, config.expert_edges, names, scales,
                                       pair_cap=config.pair_cap,
-                                      seed=graph_seed)
+                                      seed=derive_seed(config.seed, "graphs"))
+    # Equal (feature, gamma) means an equal graph, and every candidate of a
+    # round trains under the same seed, so a repeat gives the same learner
+    # and error. run_round's tie-break (non-expert, then lowest index) would
+    # pick the first occurrence, which enumerate_candidates lists before any
+    # expert twin; keeping only that one leaves every model unchanged.
+    distinct: dict = {}
+    for cand in candidates:
+        distinct.setdefault((cand.feature, cand.gamma), cand)
+    candidates = list(distinct.values())
 
     weights = np.zeros(len(y), dtype=np.float64)
     weights[train_mask] = 1.0 / train_mask.sum()
     state = BoostState(weights)
-
-    pool = None
-    if config.workers and config.workers > 1:
-        pool = _CandidatePool(config.workers, x, y, train_mask, val_mask, k,
-                              config.expert_edges, names, scales,
-                              config.pair_cap, graph_seed)
 
     gate = (k - 1) / k
     rounds: list[WeakRound] = []
     votes = np.zeros((len(y), k), dtype=np.float64)
     stop_reason = None
     stop_error = None
-    try:
-        for t in range(1, config.n_rounds + 1):
-            weak_cfg = replace(config.weak,
-                               seed=derive_seed(config.seed, "weak", t))
-            round_, labels = run_round(state, candidates, x, y, train_mask,
-                                       val_mask, k, weak_cfg, names,
-                                       config.learning_rate, pool)
-            state.iteration = t
-            if round_.error >= gate:
-                if not rounds:
-                    raise NoWeakLearnability(
-                        f"first round weak error {round_.error:.4f} >= "
-                        f"{gate:.4f}", error=round_.error)
-                stop_reason = "weak_error"
-                stop_error = round_.error
-                log.info("round %d discarded: weak error %.4f >= %.4f",
-                         t, round_.error, gate)
-                break
+    for t in range(1, config.n_rounds + 1):
+        weak_cfg = replace(config.weak,
+                           seed=derive_seed(config.seed, "weak", t))
+        round_, labels = run_round(state, candidates, x, y, train_mask,
+                                   val_mask, k, weak_cfg, names,
+                                   config.learning_rate)
+        state.iteration = t
+        if round_.error >= gate:
+            if not rounds:
+                raise NoWeakLearnability(
+                    f"first round weak error {round_.error:.4f} >= "
+                    f"{gate:.4f}", error=round_.error)
+            stop_reason = "weak_error"
+            stop_error = round_.error
+            log.info("round %d discarded: weak error %.4f >= %.4f",
+                     t, round_.error, gate)
+            break
 
-            rounds.append(round_)
-            log.info("round %d: feature %d (%s) gamma=%.6g err=%.4f alpha=%.4f%s",
-                     t, round_.feature, round_.feature_name, round_.gamma,
-                     round_.error, round_.alpha,
-                     " [expert]" if round_.expert else "")
-            votes[np.arange(len(y)), labels] += round_.alpha
-            state.weights = update_weights(state.weights, labels, y,
-                                           round_.alpha, train_mask)
-            ens_err = float(np.mean(
-                np.argmax(votes[train_mask], axis=1) != y[train_mask]))
-            if ens_err >= gate:
-                stop_reason = "ensemble_error"
-                stop_error = round_.error
-                log.info("round %d kept, stopping: ensemble train error "
-                         "%.4f >= %.4f", t, ens_err, gate)
-                break
-    finally:
-        if pool is not None:
-            pool.close()
+        rounds.append(round_)
+        log.info("round %d: feature %d (%s) gamma=%.6g err=%.4f alpha=%.4f%s",
+                 t, round_.feature, round_.feature_name, round_.gamma,
+                 round_.error, round_.alpha,
+                 " [expert]" if round_.expert else "")
+        votes[np.arange(len(y)), labels] += round_.alpha
+        state.weights = update_weights(state.weights, labels, y,
+                                       round_.alpha, train_mask)
+        ens_err = float(np.mean(
+            np.argmax(votes[train_mask], axis=1) != y[train_mask]))
+        if ens_err >= gate:
+            stop_reason = "ensemble_error"
+            stop_error = round_.error
+            log.info("round %d kept, stopping: ensemble train error "
+                     "%.4f >= %.4f", t, ens_err, gate)
+            break
     state.terminated = stop_reason is not None
     state.reason = stop_reason
 

@@ -9,9 +9,10 @@ import math
 import numpy as np
 import pytest
 
-from graphboost.appnp import (AppnpConfig, AppnpModel, backward, forward,
-                              init_model, loss, predict, propagate,
-                              propagation_limit, softmax, train_weak)
+from graphboost.appnp import (MAX_PROP_STEPS, AppnpConfig, AppnpModel,
+                              backward, forward, init_model, loss, predict,
+                              propagate, propagation_limit, softmax,
+                              train_weak)
 from graphboost.errors import DataError, TrainingDiverged
 from graphboost.graph import build_adjacency, identity_adjacency
 from graphboost.rng import substream
@@ -342,3 +343,6 @@ class TestConfigValidation:
     def test_bad_steps(self):
         with pytest.raises(DataError):
             AppnpConfig(prop_steps=-1)
+        AppnpConfig(prop_steps=MAX_PROP_STEPS)
+        with pytest.raises(DataError):
+            AppnpConfig(prop_steps=MAX_PROP_STEPS + 1)

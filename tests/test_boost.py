@@ -2,12 +2,20 @@
 ensemble prediction."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import graphboost
+from graphboost import boost
 from graphboost.appnp import AppnpConfig, AppnpModel, init_model
 from graphboost.boost import (BoostConfig, BoostState, Ensemble, WeakRound,
                               compute_alpha, fit, predict_ensemble, run_round,
@@ -19,6 +27,7 @@ from graphboost.errors import DataError, NoWeakLearnability
 from graphboost.graph import (build_adjacency, enumerate_candidates,
                               quantile_thresholds)
 from graphboost.model_io import save_ensemble
+from graphboost.rng import derive_seed
 
 
 def make_dataset(n=300, m=4, k=2, rho=1.0, seed=0,
@@ -260,6 +269,80 @@ class TestFit:
         save_ensemble(e1, str(p1))
         save_ensemble(e2, str(p2))
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_repeated_candidates_train_once_and_pick_the_same_round(
+            self, monkeypatch):
+        # Integer levels 0..4 tie the 1/16 and 1/8 quantile gammas at 0, and
+        # the expert edge repeats that gamma; the unfiltered list must pick
+        # the same round as fit, which trains each (feature, gamma) once.
+        rng = np.random.default_rng(12)
+        n = 160
+        levels = rng.integers(0, 5, size=n).astype(float)
+        x = np.column_stack([levels, rng.normal(size=n)])
+        y = (levels + rng.normal(scale=0.5, size=n) >= 2.0).astype(np.int64)
+        split = np.full(n, TEST, dtype=np.int8)
+        split[:100], split[100:130] = TRAIN, VAL
+        meta = EncodingMeta([NumericMeta("level", 0.0, 0.0, 1.0),
+                             NumericMeta("noise", 0.0, 0.0, 1.0)],
+                            "label", ["c0", "c1"])
+        ds = Dataset(x, y, 2, split, meta)
+        names = meta.feature_names()
+        full = enumerate_candidates(x, [("level", 0.0)], names,
+                                    meta.feature_scales(),
+                                    seed=derive_seed(14, "graphs"))
+        distinct = {(c.feature, c.gamma) for c in full}
+        assert len(distinct) < len(full)
+        assert full[-1].expert and full[-1].gamma == full[0].gamma == 0.0
+
+        calls = []
+        train_weak = boost.train_weak
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return train_weak(*args, **kwargs)
+
+        cfg = replace(self._config(n_rounds=1, seed=14, learning_rate=5e-2),
+                      expert_edges=(("level", 0.0),))
+        monkeypatch.setattr(boost, "train_weak", counting)
+        got = fit(cfg, ds).rounds[0]
+        assert len(calls) == len(distinct)
+
+        w = np.zeros(n)
+        w[split == TRAIN] = 1.0 / 100
+        want, _ = run_round(BoostState(w), full, x, y, ds.mask(TRAIN),
+                            ds.mask(VAL), 2,
+                            replace(cfg.weak, seed=derive_seed(14, "weak", 1)),
+                            names)
+        assert (got.feature, got.gamma, got.expert, got.error, got.alpha) == \
+            (want.feature, want.gamma, want.expert, want.error, want.alpha)
+        for a, b in zip(got.model.copy_weights(), want.model.copy_weights()):
+            np.testing.assert_array_equal(a, b)
+
+    def test_fit_with_workers_needs_no_main_guard(self, tmp_path):
+        # A spawned worker re-runs an unguarded script while bootstrapping;
+        # fitting in one process makes the guard unnecessary.
+        script = tmp_path / "unguarded.py"
+        script.write_text(textwrap.dedent("""
+            from graphboost.appnp import AppnpConfig
+            from graphboost.boost import BoostConfig, fit
+            from graphboost.data import fit_encoder, gen_synthetic, split_rows
+
+            table, labels = gen_synthetic(120, 3, 2, 1.0, 3)
+            ds, _ = fit_encoder(table, labels,
+                                split_rows(120, (0.6, 0.2, 0.2), 3, labels))
+            weak = AppnpConfig(hidden_dim=8, prop_steps=2, dropout=0.0,
+                               learning_rate=0.05, max_epochs=10,
+                               patience=10)
+            fit(BoostConfig(n_rounds=1, weak=weak, workers=2, seed=3), ds)
+            print("fitted")
+        """))
+        src = str(Path(graphboost.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, str(script)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "fitted"
 
     def test_no_weak_learnability_on_hopeless_data(self):
         # constant features force every learner to a constant prediction;

@@ -194,6 +194,18 @@ class TestModelFile:
             load_ensemble(str(path))
         assert _cli_predict(path, tmp_path) == 2
 
+    def test_absurd_prop_steps(self, small_ensemble, tmp_path):
+        # loading such a model used to succeed, and predict never ended
+        path = tmp_path / "m.gbe"
+        save_ensemble(small_ensemble, str(path))
+
+        def lengthen(meta):
+            meta["rounds"][0]["config"]["prop_steps"] = 2**70
+        path.write_bytes(_edit_meta(path.read_bytes(), lengthen))
+        with pytest.raises(ModelFormatError, match="prop_steps"):
+            load_ensemble(str(path))
+        assert _cli_predict(path, tmp_path) == 2
+
     def test_metadata_disagreeing_with_tensors(self, small_ensemble, tmp_path):
         path = tmp_path / "m.gbe"
         save_ensemble(small_ensemble, str(path))

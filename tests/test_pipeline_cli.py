@@ -306,6 +306,23 @@ class TestCliExitCodes:
         cfg.write_text("rounds = banana\n")
         assert main(["train", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("line, message", [
+        ("pair_cap = 0", "pair_cap"), ("pair_cap = -3", "pair_cap"),
+        (f"prop_steps = {2**70}", "prop_steps")])
+    def test_out_of_range_setting_is_two(self, cohort, tmp_path, capsys,
+                                         line, message):
+        text = BASE_CONFIG.format(data=cohort[0], rounds=1,
+                                  model=tmp_path / "m.gbe",
+                                  report=tmp_path / "r.json")
+        key = line.split(" = ")[0]
+        text = "\n".join(row for row in text.splitlines()
+                         if not row.startswith(key + " "))
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(text + f"\n{line}\n")
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "m.gbe").exists()
+
     def test_wrong_model_version_is_two(self, trained, tmp_path, capsys):
         outcome, _ = trained
         blob = bytearray(open(outcome.model_path, "rb").read())
