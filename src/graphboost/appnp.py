@@ -12,6 +12,16 @@ probability:
 Gradients are computed by hand in double precision; Ahat is constant and
 symmetric, so the backward pass through the propagation is the same
 propagation applied to the gradient.
+
+The arithmetic works on stacks of C learners that differ only in their
+graph: weights of C x H x M and C x K x H, hidden activations of C x N x H,
+and one ``GraphStack`` for the graphs. ``np.matmul`` calls BLAS once per
+slice, and every other operation is elementwise or reduces within a slice,
+so each slice holds the bits of a one-graph computation. Learners trained
+under one seed start from the same weights and draw the same dropout
+masks, so ``train_candidates`` trains up to ``BLOCK_SIZE`` graphs at once.
+``forward``, ``backward``, ``propagate`` and ``train_weak`` are the C = 1
+case of the same code.
 """
 
 import math
@@ -20,12 +30,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, TrainingDiverged
-from .graph import SparseAdjacency
+from .graph import GraphStack, SparseAdjacency
 from .rng import substream
 
 # Each propagation step costs one multiply per pass; without a bound, a
 # model file claiming 2**70 steps would make predict never finish.
 MAX_PROP_STEPS = 10_000
+
+# Learners trained together. A block holds two C x N x H activation
+# buffers, so memory grows with it: at 4, a block's traced peak is about
+# 1.5x (H = 64) to 2x (H = 16) that of training one learner alone, e.g.
+# 71 -> 106 MB at N = 20000, H = 64. Past a few learners the per-call
+# overhead it saves is already small.
+BLOCK_SIZE = 4
+
+_PARAMS = ("w1", "b1", "w2", "b2")
 
 
 @dataclass(frozen=True)
@@ -84,7 +103,7 @@ class TrainReport:
 @dataclass
 class ForwardCache:
     x: np.ndarray
-    a1: np.ndarray
+    r: np.ndarray  # relu(x @ w1.T + b1), before dropout
     dmask: np.ndarray | None
     hd: np.ndarray
     h0: np.ndarray
@@ -104,20 +123,94 @@ def init_model(config: AppnpConfig, n_features: int, n_classes: int) -> AppnpMod
     return AppnpModel(w1, np.zeros(h), w2, np.zeros(k), config)
 
 
+def _stacked(model: AppnpModel) -> dict:
+    """The model's parameters as stacks of one learner (views)."""
+    return {name: getattr(model, name)[None] for name in _PARAMS}
+
+
+def _preactivation(p: dict, x: np.ndarray, out=None) -> np.ndarray:
+    """x @ W1^T + b1 for every learner of the stack ``p``: C x N x H."""
+    out = np.matmul(x, p["w1"].transpose(0, 2, 1), out=out)
+    out += p["b1"][:, None, :]
+    return out
+
+
+def _hidden(p: dict, x: np.ndarray, out=None) -> np.ndarray:
+    """relu(x @ W1^T + b1): C x N x H."""
+    out = _preactivation(p, x, out)
+    return np.maximum(out, 0.0, out=out)
+
+
+def _head(p: dict, hd: np.ndarray) -> np.ndarray:
+    """hd @ W2^T + b2: C x N x K."""
+    h0 = np.matmul(hd, p["w2"].transpose(0, 2, 1))
+    h0 += p["b2"][:, None, :]
+    return h0
+
+
+def _dropout_mask(rng: np.random.Generator, shape: tuple,
+                  rate: float) -> np.ndarray:
+    """Inverted-dropout multipliers: 0 or 1 / keep."""
+    keep = 1.0 - rate
+    return (rng.random(shape) < keep) / keep
+
+
+def _losses(z: np.ndarray, y: np.ndarray, w: np.ndarray, mask: np.ndarray,
+            weight_decay: float, p: dict) -> tuple[list[float], np.ndarray]:
+    """``loss`` of every learner of the stack, plus the log-softmax of the
+    masked rows that the gradient reuses."""
+    w_masked = w[mask]
+    total = w_masked.sum()
+    if total <= 0.0:
+        raise DataError("masked sample weights sum to zero")
+    logp = _log_softmax(z[:, mask])
+    # The fancy index comes out column-major; a strided dot would sum in
+    # another order than the one-graph run's contiguous one.
+    ce = np.ascontiguousarray(-logp[:, np.arange(logp.shape[1]), y[mask]])
+    # one dot and one decay term per learner, as in a one-graph run
+    return [float(np.dot(w_masked, ce[c]) / total + weight_decay * (
+        np.sum(p["w1"][c] ** 2) + np.sum(p["w2"][c] ** 2)))
+        for c in range(ce.shape[0])], logp
+
+
+def _logit_grad(logp: np.ndarray, shape: tuple, y: np.ndarray, w: np.ndarray,
+                mask: np.ndarray) -> np.ndarray:
+    """d(loss)/dZ of the cross-entropy term for every learner, of the
+    given C x N x K shape, from the masked rows' log-softmax."""
+    w_masked = w[mask]
+    g = np.zeros(shape)
+    probs = np.exp(logp)
+    probs[:, np.arange(probs.shape[1]), y[mask]] -= 1.0
+    g[:, mask] = probs * (w_masked / w_masked.sum())[:, None]
+    return g
+
+
+def _param_grads(p: dict, x: np.ndarray, r: np.ndarray, hd: np.ndarray,
+                 dmask: np.ndarray | None, dh0: np.ndarray,
+                 weight_decay: float, scratch=None) -> dict:
+    """Exact gradients of ``loss`` for the stacked (w1, b1, w2, b2), given
+    r = relu(a1), the dropped-out hd and dH0. dA1 is built in ``scratch``
+    (C x N x H) when one is given; it may be the buffer that holds hd."""
+    dw2 = np.matmul(dh0.transpose(0, 2, 1), hd)
+    dw2 += 2.0 * weight_decay * p["w2"]
+    db2 = dh0.sum(axis=1)
+    da1 = np.matmul(dh0, p["w2"], out=scratch)
+    if dmask is not None:
+        da1 *= dmask
+    da1 *= r > 0.0  # a1 > 0 exactly where relu(a1) > 0
+    dw1 = np.matmul(da1.transpose(0, 2, 1), x)
+    dw1 += 2.0 * weight_decay * p["w1"]
+    return {"w1": dw1, "b1": da1.sum(axis=1), "w2": dw2, "b2": db2}
+
+
 def propagate(h0: np.ndarray, adjacency: SparseAdjacency, teleport: float,
               steps: int) -> np.ndarray:
-    """k steps of the personalized PageRank recurrence, run in the graph's
-    sorted frame so that rows are gathered and scattered once, not per
-    step."""
-    if teleport == 1.0 or steps == 0:
-        return h0.copy()
-    z = adjacency.to_sorted(h0)
-    restart = teleport * z
-    for _ in range(steps):
-        z = adjacency.matmul(z, sorted_frame=True)
-        z *= 1.0 - teleport
-        z += restart
-    return adjacency.from_sorted(z)
+    """k steps of the personalized PageRank recurrence on one graph, for a
+    length-N vector or an N x K matrix."""
+    stacked = h0.reshape(1, h0.shape[0], -1)
+    z = GraphStack([adjacency], stacked.shape[2]).propagate(
+        stacked, teleport, steps)
+    return z.reshape(h0.shape)
 
 
 def propagation_limit(h0: np.ndarray, adjacency: SparseAdjacency,
@@ -139,23 +232,21 @@ def forward(model: AppnpModel, x: np.ndarray, adjacency: SparseAdjacency,
     if adjacency.n != x.shape[0]:
         raise DataError("adjacency and feature matrix disagree on node count")
     cfg = model.config
-    a1 = x @ model.w1.T + model.b1
-    r = np.maximum(a1, 0.0)
+    p = _stacked(model)
+    r = _hidden(p, x)
     dmask = None
+    hd = r
     if dropout_rng is not None and cfg.dropout > 0.0:
-        keep = 1.0 - cfg.dropout
-        dmask = (dropout_rng.random(r.shape) < keep) / keep
+        dmask = _dropout_mask(dropout_rng, r.shape[1:], cfg.dropout)
         hd = r * dmask
-    else:
-        hd = r
-    h0 = hd @ model.w2.T + model.b2
+    h0 = _head(p, hd)[0]
     z = propagate(h0, adjacency, cfg.teleport, cfg.prop_steps)
-    return z, ForwardCache(x, a1, dmask, hd, h0, z, model, adjacency)
+    return z, ForwardCache(x, r[0], dmask, hd[0], h0, z, model, adjacency)
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = z - z.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -165,44 +256,25 @@ def softmax(z: np.ndarray) -> np.ndarray:
 def loss(z: np.ndarray, y: np.ndarray, w: np.ndarray, mask: np.ndarray,
          weight_decay: float, model: AppnpModel) -> float:
     """Weighted softmax cross-entropy over masked rows plus L2 decay."""
-    w_masked = w[mask]
-    total = w_masked.sum()
-    if total <= 0.0:
-        raise DataError("masked sample weights sum to zero")
-    logp = _log_softmax(z[mask])
-    ce = -logp[np.arange(logp.shape[0]), y[mask]]
-    reg = weight_decay * (np.sum(model.w1 ** 2) + np.sum(model.w2 ** 2))
-    return float(np.dot(w_masked, ce) / total + reg)
+    (value,), _ = _losses(z[None], y, w, mask, weight_decay, _stacked(model))
+    return value
 
 
 def backward(cache: ForwardCache, y: np.ndarray, w: np.ndarray,
              mask: np.ndarray, weight_decay: float) -> dict:
     """Exact gradients of ``loss`` for (w1, b1, w2, b2)."""
-    model = cache.model
-    cfg = model.config
-    w_masked = w[mask]
-    total = w_masked.sum()
-    if total <= 0.0:
-        raise DataError("masked sample weights sum to zero")
-
-    g = np.zeros_like(cache.z)
-    probs = softmax(cache.z[mask])
-    probs[np.arange(probs.shape[0]), y[mask]] -= 1.0
-    g[mask] = probs * (w_masked / total)[:, None]
-
+    cfg = cache.model.config
+    z = cache.z[None]
+    _, logp = _losses(z, y, w, mask, weight_decay, _stacked(cache.model))
+    g = _logit_grad(logp, z.shape, y, w, mask)
     # Z(k) = P @ H0 with P = a * sum_{l<k} ((1-a) Ahat)^l + ((1-a) Ahat)^k.
     # P is a polynomial in the symmetric Ahat, so it is symmetric too and
     # dH0 = P @ dZ is the forward propagation applied to the gradient.
-    dh0 = propagate(g, cache.adjacency, cfg.teleport, cfg.prop_steps)
-
-    dw2 = dh0.T @ cache.hd + 2.0 * weight_decay * model.w2
-    db2 = dh0.sum(axis=0)
-    dhd = dh0 @ model.w2
-    dr = dhd if cache.dmask is None else dhd * cache.dmask
-    da1 = dr * (cache.a1 > 0.0)
-    dw1 = da1.T @ cache.x + 2.0 * weight_decay * model.w1
-    db1 = da1.sum(axis=0)
-    return {"w1": dw1, "b1": db1, "w2": dw2, "b2": db2}
+    dh0 = propagate(g[0], cache.adjacency, cfg.teleport, cfg.prop_steps)
+    grads = _param_grads(_stacked(cache.model), cache.x, cache.r[None],
+                         cache.hd[None], cache.dmask, dh0[None],
+                         weight_decay)
+    return {name: grad[0] for name, grad in grads.items()}
 
 
 def _weighted_label_error(labels: np.ndarray, y: np.ndarray, w: np.ndarray,
@@ -219,80 +291,172 @@ def train_weak(config: AppnpConfig, x: np.ndarray, adjacency: SparseAdjacency,
                val_mask: np.ndarray,
                n_classes: int | None = None) -> tuple[AppnpModel, TrainReport]:
     """Adam with a cosine-annealed learning rate and early stopping on the
-    weighted validation error; returns the best-validation parameters."""
+    weighted validation error; returns the best-validation parameters.
+    Raises TrainingDiverged when the training loss turns non-finite."""
+    (outcome,) = train_candidates(config, x, [adjacency], y, w, train_mask,
+                                  val_mask, n_classes)
+    if isinstance(outcome, TrainingDiverged):
+        raise outcome
+    return outcome
+
+
+def train_candidates(config: AppnpConfig, x: np.ndarray, adjacencies: list,
+                     y: np.ndarray, w: np.ndarray, train_mask: np.ndarray,
+                     val_mask: np.ndarray,
+                     n_classes: int | None = None) -> list:
+    """``train_weak`` on every graph of ``adjacencies``, ``BLOCK_SIZE``
+    graphs at a time.
+
+    Returns one entry per graph, in order: ``(model, report)``, or the
+    ``TrainingDiverged`` that ``train_weak`` raises for that graph. Each
+    entry equals a one-graph ``train_weak`` run bit for bit.
+    """
     train_mask = np.asarray(train_mask, dtype=bool)
     val_mask = np.asarray(val_mask, dtype=bool)
     if np.any(train_mask & val_mask):
         raise DataError("train and validation masks overlap")
     if not val_mask.any():
         raise DataError("validation mask is empty")
-
+    if any(a.n != x.shape[0] for a in adjacencies):
+        raise DataError("adjacency and feature matrix disagree on node count")
     if n_classes is None:
         n_classes = int(y.max()) + 1
-    model = init_model(config, x.shape[1], n_classes)
-    dropout_rng = substream(config.seed, "dropout")
+    outcomes = []
+    for start in range(0, len(adjacencies), BLOCK_SIZE):
+        block = adjacencies[start:start + BLOCK_SIZE]
+        outcomes += _train_block(config, x, block, y, w, train_mask,
+                                 val_mask, n_classes)
+    return outcomes
 
-    def val_error() -> float:
-        z, _ = forward(model, x, adjacency)
-        return _weighted_label_error(np.argmax(z, axis=1), y, w, val_mask)
+
+def _diverged(p: dict, row: int, x: np.ndarray, h0: np.ndarray,
+              z: np.ndarray, epoch: int) -> TrainingDiverged:
+    """The error for learner ``row`` of the stack, naming the first
+    non-finite activation."""
+    culprit = "loss"
+    one = {name: v[row:row + 1] for name, v in p.items()}
+    for name, arr in (("hidden", _preactivation(one, x)), ("head", h0[row]),
+                      ("propagated", z[row])):
+        if not np.all(np.isfinite(arr)):
+            culprit = f"{name} activations"
+            break
+    return TrainingDiverged(f"non-finite {culprit} at epoch {epoch}",
+                            epoch=epoch)
+
+
+def _train_block(config: AppnpConfig, x: np.ndarray, adjacencies: list,
+                 y: np.ndarray, w: np.ndarray, train_mask: np.ndarray,
+                 val_mask: np.ndarray, n_classes: int) -> list:
+    """Train one learner per graph, all at once; see ``train_candidates``.
+
+    Every learner keeps its row of the stacks until the block ends. A
+    learner that stops early or diverges is marked done: it still computes,
+    but nothing of it is recorded any more. Slices are independent, so the
+    other rows get the same bits as without it.
+    """
+    size = len(adjacencies)
+    init = init_model(config, x.shape[1], n_classes)
+    p = {name: np.repeat(getattr(init, name)[None], size, axis=0)
+         for name in _PARAMS}
+    stack = GraphStack(adjacencies, n_classes)
+    # The only C x N x H buffers: r = relu(a1) for the current parameters,
+    # and scratch for the dropped-out hd and then dA1. The validation
+    # forward leaves r ready for the next epoch's training forward.
+    r = _hidden(p, x, out=np.empty((size, x.shape[0], config.hidden_dim)))
+    scratch = np.empty_like(r)
+
+    def logits(hd):
+        return stack.propagate(_head(p, hd), config.teleport,
+                               config.prop_steps)
+
+    def val_errors(z):
+        return [_weighted_label_error(labels, y, w, val_mask)
+                for labels in np.argmax(z, axis=2)]
+
+    def train_losses(z):
+        return _losses(z, y, w, train_mask, config.weight_decay, p)
 
     if config.max_epochs == 0:
-        z0, _ = forward(model, x, adjacency)
-        init_loss = loss(z0, y, w, train_mask, config.weight_decay, model)
-        return model, TrainReport(0, val_error(), init_loss, False)
+        z = logits(r)
+        losses, _ = train_losses(z)
+        errors = val_errors(z)
+        return [(AppnpModel(*init.copy_weights(), config),
+                 TrainReport(0, errors[i], losses[i], False))
+                for i in range(size)]
 
-    params = {"w1": model.w1, "b1": model.b1, "w2": model.w2, "b2": model.b2}
-    adam_m = {k: np.zeros_like(v) for k, v in params.items()}
-    adam_v = {k: np.zeros_like(v) for k, v in params.items()}
+    adam_m = {name: np.zeros_like(v) for name, v in p.items()}
+    adam_v = {name: np.zeros_like(v) for name, v in p.items()}
     beta1, beta2, eps = 0.9, 0.999, 1e-8
+    dropout_rng = substream(config.seed, "dropout")
 
-    best_err = float("inf")
-    best_weights = model.copy_weights()
-    best_epoch = -1
-    final_loss = float("nan")
-    epochs_run = 0
-    early_stopped = False
+    best = {name: v.copy() for name, v in p.items()}
+    best_err = [float("inf")] * size
+    best_epoch = [-1] * size
+    final_loss = [float("nan")] * size
+    epochs_run = [0] * size
+    early_stopped = [False] * size
+    outcomes: list = [None] * size
+    done = [False] * size
 
     for epoch in range(config.max_epochs):
         lr = config.learning_rate * 0.5 * (1.0 + math.cos(
             math.pi * epoch / config.max_epochs))
-        z, cache = forward(model, x, adjacency, dropout_rng=dropout_rng)
-        final_loss = loss(z, y, w, train_mask, config.weight_decay, model)
-        if not math.isfinite(final_loss):
-            culprit = "loss"
-            for name, arr in (("hidden", cache.a1), ("head", cache.h0),
-                              ("propagated", cache.z)):
-                if not np.all(np.isfinite(arr)):
-                    culprit = f"{name} activations"
-                    break
-            raise TrainingDiverged(
-                f"non-finite {culprit} at epoch {epoch}", epoch=epoch)
-        grads = backward(cache, y, w, train_mask, config.weight_decay)
+        dmask = None
+        hd = r
+        if config.dropout > 0.0:
+            dmask = _dropout_mask(dropout_rng, r.shape[1:], config.dropout)
+            hd = np.multiply(r, dmask, out=scratch)
+        h0 = _head(p, hd)
+        z = stack.propagate(h0, config.teleport, config.prop_steps)
+        losses, logp = train_losses(z)
+        for i, v in enumerate(losses):
+            if done[i]:
+                continue
+            if math.isfinite(v):
+                final_loss[i] = v
+            else:
+                outcomes[i] = _diverged(p, i, x, h0, z, epoch)
+                done[i] = True
+        if all(done):
+            break
+
+        dh0 = stack.propagate(_logit_grad(logp, z.shape, y, w, train_mask),
+                              config.teleport, config.prop_steps)
+        grads = _param_grads(p, x, r, hd, dmask, dh0, config.weight_decay,
+                             scratch=scratch)
         t = epoch + 1
-        for k, p in params.items():
-            adam_m[k] = beta1 * adam_m[k] + (1 - beta1) * grads[k]
-            adam_v[k] = beta2 * adam_v[k] + (1 - beta2) * grads[k] ** 2
-            m_hat = adam_m[k] / (1 - beta1 ** t)
-            v_hat = adam_v[k] / (1 - beta2 ** t)
-            p -= lr * m_hat / (np.sqrt(v_hat) + eps)
-        epochs_run = epoch + 1
+        for name, param in p.items():
+            adam_m[name] = beta1 * adam_m[name] + (1 - beta1) * grads[name]
+            adam_v[name] = (beta2 * adam_v[name]
+                            + (1 - beta2) * grads[name] ** 2)
+            m_hat = adam_m[name] / (1 - beta1 ** t)
+            v_hat = adam_v[name] / (1 - beta2 ** t)
+            param -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
-        err = val_error()
-        if err < best_err:
-            best_err = err
-            best_weights = model.copy_weights()
-            best_epoch = epoch
-        else:
-            if err == best_err:
-                # a tie keeps the later, more-converged parameters but does
-                # not reset the patience clock
-                best_weights = model.copy_weights()
-            if epoch - best_epoch >= config.patience:
-                early_stopped = True
-                break
+        r = _hidden(p, x, out=r)
+        for i, err in enumerate(val_errors(logits(r))):
+            if done[i]:
+                continue
+            epochs_run[i] = t
+            if err <= best_err[i]:
+                # a tie keeps the later, more-converged parameters but
+                # does not reset the patience clock
+                for name in _PARAMS:
+                    best[name][i] = p[name][i]
+            if err < best_err[i]:
+                best_err[i], best_epoch[i] = err, epoch
+            elif epoch - best_epoch[i] >= config.patience:
+                early_stopped[i] = done[i] = True
+        if all(done):
+            break
 
-    model.w1, model.b1, model.w2, model.b2 = best_weights
-    return model, TrainReport(epochs_run, best_err, final_loss, early_stopped)
+    for i in range(size):
+        if outcomes[i] is None:
+            weights = (best[name][i].copy() for name in _PARAMS)
+            outcomes[i] = (AppnpModel(*weights, config),
+                           TrainReport(epochs_run[i], best_err[i],
+                                       final_loss[i], early_stopped[i]))
+    return outcomes
 
 
 def predict(model: AppnpModel, x: np.ndarray,

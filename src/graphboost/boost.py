@@ -10,9 +10,12 @@ then multiplies the weights of misclassified train rows by exp(alpha) and
 renormalizes. The loop stops early when the newest weak error or the
 running ensemble error rate reaches (K - 1) / K.
 
-Candidates train one after another in one process. ``fit`` drops repeated
-(feature, gamma) candidates, which come from tied quantiles or an expert
-edge equal to a quantile, so each distinct graph trains once per round.
+Every candidate of a round trains under the same seed, so the learners
+share their initial weights and dropout masks; ``appnp.train_candidates``
+trains them in blocks of stacked weights, each bit-equal to a one-graph
+run. ``fit`` drops repeated (feature, gamma) candidates, which come from
+tied quantiles or an expert edge equal to a quantile, so each distinct
+graph trains once per round.
 """
 
 import logging
@@ -22,7 +25,11 @@ import math
 import numpy as np
 
 from . import appnp
-from .appnp import AppnpConfig, AppnpModel, train_weak
+from .appnp import AppnpConfig, AppnpModel, TrainReport, train_candidates
+# Unused here; kept only because perfbench/tracing.py wraps
+# boost.train_weak. Goes when the tracer wraps train_candidates instead
+# (ROADMAP item 6).
+from .appnp import train_weak  # noqa: F401
 from .data import Dataset, EncodingMeta, TRAIN, VAL
 from .errors import DataError, NoWeakLearnability, TrainingDiverged
 from .graph import (DEFAULT_PAIR_CAP, CandidateGraph, build_adjacency,
@@ -30,6 +37,9 @@ from .graph import (DEFAULT_PAIR_CAP, CandidateGraph, build_adjacency,
 from .rng import derive_seed
 
 log = logging.getLogger("graphboost.boost")
+
+# Candidates listed per round by --verbose.
+LEADERBOARD = 5
 
 
 @dataclass(frozen=True)
@@ -68,6 +78,15 @@ class WeakRound:
     alpha: float
     error: float
     expert: bool = False
+
+
+@dataclass
+class CandidateResult:
+    feature: int
+    gamma: float
+    expert: bool
+    error: float | None  # weighted train error; None if training diverged
+    report: TrainReport | None
 
 
 @dataclass
@@ -118,22 +137,23 @@ def _candidate_sort_key(idx: int, cand: CandidateGraph, err: float) -> tuple:
     return (err, cand.feature, cand.gamma, cand.expert, idx)
 
 
-def _train_candidate(cand: CandidateGraph, x: np.ndarray, y: np.ndarray,
-                     w_eval: np.ndarray, train_mask: np.ndarray,
-                     val_mask: np.ndarray, n_classes: int,
-                     weak_config: AppnpConfig):
-    """Train one weak learner; returns (err, model, labels) or None if the
-    candidate diverged."""
-    try:
-        model, _ = train_weak(weak_config, x, cand.adjacency, y, w_eval,
-                              train_mask, val_mask, n_classes=n_classes)
-    except TrainingDiverged as exc:
-        log.warning("candidate on feature %d (gamma=%g) diverged: %s",
-                    cand.feature, cand.gamma, exc)
-        return None
-    labels, _ = appnp.predict(model, x, cand.adjacency)
-    err = weighted_error(labels, y, w_eval, train_mask)
-    return err, model, labels
+def _log_leaderboard(t: int, board: list, names: list[str] | None) -> None:
+    if not log.isEnabledFor(logging.DEBUG):
+        return
+    lines = []
+    for rank, c in enumerate(board[:LEADERBOARD], start=1):
+        name = names[c.feature] if names else str(c.feature)
+        if c.report is None:
+            lines.append(f"  {rank}. feature {c.feature} ({name}) "
+                         f"gamma={c.gamma:.6g} diverged")
+            continue
+        status = "early stop" if c.report.early_stopped else "max epochs"
+        lines.append(f"  {rank}. feature {c.feature} ({name}) "
+                     f"gamma={c.gamma:.6g}{' [expert]' if c.expert else ''} "
+                     f"err={c.error:.4f} val={c.report.best_val_error:.4f} "
+                     f"epochs={c.report.epochs_run} ({status})")
+    log.debug("round %d leaderboard, top %d of %d:\n%s", t, len(lines),
+              len(board), "\n".join(lines))
 
 
 def run_round(state: BoostState, candidates: list, x: np.ndarray,
@@ -155,29 +175,35 @@ def run_round(state: BoostState, candidates: list, x: np.ndarray,
     val_mask = np.asarray(val_mask, dtype=bool)
     w_eval[val_mask] = 1.0 / val_mask.sum()
 
-    results = [_train_candidate(c, x, y, w_eval, train_mask, val_mask,
-                                n_classes, weak_config)
-               for c in candidates]
-
-    best = None
-    best_key = None
-    for idx, res in enumerate(results):
-        if res is None:
+    outcomes = train_candidates(weak_config, x,
+                                [c.adjacency for c in candidates], y, w_eval,
+                                train_mask, val_mask, n_classes=n_classes)
+    scored, diverged = [], []
+    for idx, (cand, outcome) in enumerate(zip(candidates, outcomes)):
+        if isinstance(outcome, TrainingDiverged):
+            log.warning("candidate on feature %d (gamma=%g) diverged: %s",
+                        cand.feature, cand.gamma, outcome)
+            diverged.append(CandidateResult(cand.feature, cand.gamma,
+                                            cand.expert, None, None))
             continue
-        err = res[0]
-        key = _candidate_sort_key(idx, candidates[idx], err)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = (idx, res)
-    if best is None:
+        model, report = outcome
+        labels, _ = appnp.predict(model, x, cand.adjacency)
+        err = weighted_error(labels, y, w_eval, train_mask)
+        scored.append((_candidate_sort_key(idx, cand, err), model, labels,
+                       CandidateResult(cand.feature, cand.gamma, cand.expert,
+                                       err, report)))
+    if not scored:
         raise DataError("all candidates diverged")
+    board = [s[3] for s in sorted(scored, key=lambda s: s[0])] + diverged
+    _log_leaderboard(state.iteration + 1, board, feature_names)
 
-    idx, (err, model, labels) = best
-    cand = candidates[idx]
+    _, model, labels, best = min(scored, key=lambda s: s[0])
+    err = best.error
     alpha = compute_alpha(err, n_classes, boost_lr)
-    name = feature_names[cand.feature] if feature_names else str(cand.feature)
-    round_ = WeakRound(cand.feature, name, cand.gamma, model, alpha, err,
-                       cand.expert)
+    name = (feature_names[best.feature] if feature_names
+            else str(best.feature))
+    round_ = WeakRound(best.feature, name, best.gamma, model, alpha, err,
+                       best.expert)
     return round_, labels
 
 

@@ -15,7 +15,8 @@ dinv * Z in sorted order (C[0] = 0),
 
     (Ahat @ Z)[p] = dinv[p] * (C[hi[p]] - C[lo[p]]),
 
-O(N K) per multiply instead of O(E K).
+O(N K) per multiply instead of O(E K). ``GraphStack`` runs k such steps
+for several graphs over the same rows at once.
 """
 
 from dataclasses import dataclass
@@ -54,23 +55,16 @@ class SparseAdjacency:
     hi: np.ndarray  # int64, one past the last
     values: np.ndarray  # float64, (D+I)^{-1/2} in sorted order
 
-    def to_sorted(self, dense: np.ndarray) -> np.ndarray:
-        """Rows of ``dense`` in sorted order."""
-        return dense[self.order]
-
     def from_sorted(self, dense_sorted: np.ndarray) -> np.ndarray:
-        """Inverse of ``to_sorted``."""
+        """Rows given in sorted order, put back in row order."""
         out = np.empty_like(dense_sorted)
         out[self.order] = dense_sorted
         return out
 
-    def matmul(self, dense: np.ndarray, sorted_frame: bool = False) -> np.ndarray:
-        """Ahat @ dense for a length-N vector or an N x K matrix.
-
-        With ``sorted_frame`` the operand and the result are both in sorted
-        order, which lets repeated multiplies skip the gather and scatter.
-        """
-        z = dense if sorted_frame else self.to_sorted(dense)
+    def matmul(self, dense: np.ndarray) -> np.ndarray:
+        """Ahat @ dense for a length-N vector or an N x K matrix: one
+        multiply on one graph, the reference for ``GraphStack``."""
+        z = dense[self.order]
         d = self.values if z.ndim == 1 else self.values[:, None]
         prefix = np.zeros((self.n + 1,) + z.shape[1:], dtype=np.float64)
         np.cumsum(d * z, axis=0, out=prefix[1:])
@@ -78,7 +72,7 @@ class SparseAdjacency:
         out = np.take(prefix, self.hi, axis=0)
         out -= np.take(prefix, self.lo, axis=0)
         out *= d
-        return out if sorted_frame else self.from_sorted(out)
+        return self.from_sorted(out)
 
     def degrees(self) -> np.ndarray:
         """Edge degree per node, self-loop excluded."""
@@ -91,6 +85,69 @@ class SparseAdjacency:
         sorted_dense = np.where(inside, np.outer(self.values, self.values), 0.0)
         out = np.empty((self.n, self.n), dtype=np.float64)
         out[np.ix_(self.order, self.order)] = sorted_dense
+        return out
+
+
+class GraphStack:
+    """C window graphs over the same N rows, propagated in one pass.
+
+    Operands are (C, N, K) stacks, one N x K matrix per graph. Inside,
+    propagation runs in class-major (C, K, N) layout, each graph in its own
+    sorted frame: one flat gather, then per step one prefix sum along N and
+    two flat takes, then one flat scatter, each a single numpy call over
+    all C * K rows. Every element sees the arithmetic of
+    ``SparseAdjacency.matmul`` in the same order, so slice c of a result
+    equals the single-graph result bit for bit.
+    """
+
+    def __init__(self, adjacencies: list, width: int):
+        n = adjacencies[0].n
+        if any(a.n != n for a in adjacencies):
+            raise DataError("stacked graphs disagree on node count")
+        c, k = len(adjacencies), width
+        self.shape = (c, k, n)
+        graph = np.arange(c)[:, None, None]
+        cls = np.arange(k)[None, :, None]
+
+        def per_graph(field):  # C x 1 x N
+            return np.stack([getattr(a, field) for a in adjacencies])[:, None]
+
+        # flat position of operand[c, order_c[p], k] in a (C, N, K) array
+        self._frame = ((graph * n + per_graph("order")) * k + cls).ravel()
+        # flat position of prefix[c, k, q] in a (C, K, N + 1) array
+        line = (graph * k + cls) * (n + 1)
+        self._lo = (line + per_graph("lo")).ravel()
+        self._hi = (line + per_graph("hi")).ravel()
+        # repeated over K: a broadcast multiply costs about 3x a flat one
+        self._dinv = np.repeat(per_graph("values"), k, axis=1)
+
+    def propagate(self, h0: np.ndarray, teleport: float,
+                  steps: int) -> np.ndarray:
+        """k steps of Z <- (1 - a) Ahat_c @ Z + a H0 for every graph c,
+        with ``h0`` and the result of shape (C, N, K)."""
+        c, k, n = self.shape
+        if h0.shape != (c, n, k):
+            raise DataError(f"operand of shape {h0.shape} does not fit "
+                            f"{c} graphs over {n} rows with width {k}")
+        if teleport == 1.0 or steps == 0:
+            return h0.copy()
+        z = np.take(h0, self._frame).reshape(c, k, n)
+        restart = teleport * z
+        prefix = np.zeros((c, k, n + 1))
+        scaled, lower = np.empty_like(z), np.empty_like(z)
+        for _ in range(steps):
+            np.multiply(self._dinv, z, out=scaled)
+            np.cumsum(scaled, axis=2, out=prefix[:, :, 1:])
+            # the indices are in range by construction; "clip" skips the
+            # bounds check and the buffering that the default mode adds
+            np.take(prefix, self._hi, out=z.reshape(-1), mode="clip")
+            np.take(prefix, self._lo, out=lower.reshape(-1), mode="clip")
+            z -= lower
+            z *= self._dinv
+            z *= 1.0 - teleport
+            z += restart
+        out = np.empty(h0.shape)
+        out.reshape(-1)[self._frame] = z.reshape(-1)
         return out
 
 
@@ -224,18 +281,30 @@ def enumerate_candidates(X: np.ndarray,
 
     Ordering: feature index ascending, then gamma ascending (duplicates
     kept), expert candidates appended last. Expert thresholds are given in
-    raw feature units and divided by ``feature_scales`` before use.
+    raw feature units and divided by ``feature_scales`` before use. Each
+    distinct (feature, gamma) graph is built once; its repeats share the
+    adjacency.
     """
     X = np.asarray(X, dtype=np.float64)
     n, m = X.shape
     if m < 1:
         raise DataError("need at least one feature")
+    built: dict = {}
+
+    def candidate(j: int, gamma: float, expert: bool) -> CandidateGraph:
+        first = built.get((j, gamma))
+        if first is None:
+            first = built[(j, gamma)] = build_adjacency(X[:, j], gamma,
+                                                        feature=j)
+        return CandidateGraph(j, float(gamma), first.adjacency,
+                              first.edge_count, expert)
+
     candidates = []
     for j in range(m):
         ts = quantile_thresholds(X[:, j], pair_cap=pair_cap,
                                  seed=derive_seed(seed, "pairs", j), feature=j)
         for gamma in ts.gammas:
-            candidates.append(build_adjacency(X[:, j], gamma, feature=j))
+            candidates.append(candidate(j, gamma, False))
     for spec in expert_edges:
         name, threshold = spec
         if isinstance(name, str):
@@ -248,6 +317,5 @@ def enumerate_candidates(X: np.ndarray,
                 raise DataError(f"expert edge feature index out of range: {j}")
         scale = 1.0 if feature_scales is None else float(feature_scales[j])
         gamma = float(threshold) / (scale if scale > 0 else 1.0)
-        candidates.append(build_adjacency(X[:, j], gamma, feature=j,
-                                          expert=True))
+        candidates.append(candidate(j, gamma, True))
     return candidates

@@ -9,12 +9,14 @@ import math
 import numpy as np
 import pytest
 
+from graphboost import appnp
 from graphboost.appnp import (MAX_PROP_STEPS, AppnpConfig, AppnpModel,
-                              backward, forward, init_model, loss, predict,
-                              propagate, propagation_limit, softmax,
-                              train_weak)
+                              TrainReport, backward, forward, init_model,
+                              loss, predict, propagate, propagation_limit,
+                              softmax, train_candidates, train_weak)
 from graphboost.errors import DataError, TrainingDiverged
-from graphboost.graph import build_adjacency, identity_adjacency
+from graphboost.graph import (SparseAdjacency, build_adjacency,
+                              identity_adjacency)
 from graphboost.rng import substream
 
 
@@ -291,6 +293,201 @@ class TestTrainWeak:
         with pytest.raises(DataError):
             train_weak(cfg, x, identity_adjacency(len(y)), y, w, train,
                        train, n_classes=2)
+
+
+def reference_train_weak(config, x, adjacency, y, w, train, val, k):
+    """The one-graph trainer written as a plain loop over 2-D arrays, with
+    propagation by repeated ``SparseAdjacency.matmul``: the slow path that
+    the stacked trainer replaced, kept as its oracle."""
+    model = init_model(config, x.shape[1], k)
+    rng = substream(config.seed, "dropout")
+    a = config.teleport
+
+    def run(dropout):
+        a1 = x @ model.w1.T + model.b1
+        r = np.maximum(a1, 0.0)
+        dmask, hd = None, r
+        if dropout and config.dropout > 0.0:
+            keep = 1.0 - config.dropout
+            dmask = (rng.random(r.shape) < keep) / keep
+            hd = r * dmask
+        h0 = hd @ model.w2.T + model.b2
+        return a1, dmask, hd, h0, prop(h0)
+
+    def prop(h):
+        z = h.copy()
+        if a < 1.0:
+            for _ in range(config.prop_steps):
+                z = adjacency.matmul(z)
+                z *= 1.0 - a
+                z += a * h
+        return z
+
+    def val_error():
+        z = run(False)[-1]
+        wm = w[val]
+        wrong = np.argmax(z, axis=1)[val] != y[val]
+        return float(np.dot(wm / wm.sum(), wrong))
+
+    def train_loss(z):
+        wm = w[train]
+        shifted = z[train] - z[train].max(axis=1, keepdims=True)
+        logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        ce = -logp[np.arange(logp.shape[0]), y[train]]
+        reg = config.weight_decay * (np.sum(model.w1 ** 2)
+                                     + np.sum(model.w2 ** 2))
+        return float(np.dot(wm, ce) / wm.sum() + reg), np.exp(logp)
+
+    if config.max_epochs == 0:
+        first_loss = train_loss(run(False)[-1])[0]
+        return model, TrainReport(0, val_error(), first_loss, False)
+    params = {"w1": model.w1, "b1": model.b1, "w2": model.w2, "b2": model.b2}
+    adam_m = {n: np.zeros_like(v) for n, v in params.items()}
+    adam_v = {n: np.zeros_like(v) for n, v in params.items()}
+    best_err, best, best_epoch = float("inf"), model.copy_weights(), -1
+    epochs_run, stopped, decay = 0, False, 2.0 * config.weight_decay
+    for epoch in range(config.max_epochs):
+        lr = config.learning_rate * 0.5 * (1.0 + math.cos(
+            math.pi * epoch / config.max_epochs))
+        a1, dmask, hd, h0, z = run(True)
+        final_loss, probs = train_loss(z)
+        if not math.isfinite(final_loss):
+            culprit = "loss"
+            for name, arr in (("hidden", a1), ("head", h0),
+                              ("propagated", z)):
+                if not np.all(np.isfinite(arr)):
+                    culprit = f"{name} activations"
+                    break
+            raise TrainingDiverged(f"non-finite {culprit} at epoch {epoch}",
+                                   epoch=epoch)
+        g = np.zeros_like(z)
+        probs[np.arange(probs.shape[0]), y[train]] -= 1.0
+        g[train] = probs * (w[train] / w[train].sum())[:, None]
+        dh0 = prop(g)
+        dr = dh0 @ model.w2 if dmask is None else dh0 @ model.w2 * dmask
+        da1 = dr * (a1 > 0.0)
+        grads = {"w1": da1.T @ x + decay * model.w1, "b1": da1.sum(axis=0),
+                 "w2": dh0.T @ hd + decay * model.w2, "b2": dh0.sum(axis=0)}
+        t = epoch + 1
+        for n, p in params.items():
+            adam_m[n] = 0.9 * adam_m[n] + (1 - 0.9) * grads[n]
+            adam_v[n] = 0.999 * adam_v[n] + (1 - 0.999) * grads[n] ** 2
+            m_hat = adam_m[n] / (1 - 0.9 ** t)
+            v_hat = adam_v[n] / (1 - 0.999 ** t)
+            p -= lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+        epochs_run = t
+        err = val_error()
+        if err < best_err:
+            best_err, best, best_epoch = err, model.copy_weights(), epoch
+        else:
+            if err == best_err:
+                best = model.copy_weights()
+            if epoch - best_epoch >= config.patience:
+                stopped = True
+                break
+    model.w1, model.b1, model.w2, model.b2 = best
+    return model, TrainReport(epochs_run, best_err, final_loss, stopped)
+
+
+class TestTrainCandidates:
+    """The block trainer against one-graph runs: weights and every report
+    field equal bit for bit, and a diverged graph raises the same error."""
+
+    def _problem(self, seed=0, n=70, k=2):
+        rng = np.random.default_rng(seed)
+        y = rng.integers(0, k, size=n)
+        x = np.column_stack([y + rng.normal(0, 0.8, n), rng.normal(size=n),
+                             rng.integers(0, 4, size=n) * 1.0])
+        w = rng.uniform(0.5, 1.5, size=n)
+        split = rng.permutation(n)
+        train = np.isin(np.arange(n), split[:45])
+        val = np.isin(np.arange(n), split[45:60])
+        graphs = [build_adjacency(x[:, j], g).adjacency
+                  for j, g in ((0, 0.2), (1, 0.5), (2, 0.0), (0, 1.0),
+                               (1, 0.1), (2, 1.0))]
+        graphs.append(identity_adjacency(n))
+        return x, y, w, train, val, graphs
+
+    def _check(self, config, x, y, w, train, val, graphs, k=2):
+        got = train_candidates(config, x, graphs, y, w, train, val,
+                               n_classes=k)
+        assert len(got) == len(graphs)
+        for adj, outcome in zip(graphs, got):
+            try:
+                want = reference_train_weak(config, x, adj, y, w, train, val,
+                                            k)
+            except TrainingDiverged as exc:
+                assert isinstance(outcome, TrainingDiverged)
+                assert (str(outcome), outcome.epoch) == (str(exc), exc.epoch)
+                with pytest.raises(TrainingDiverged, match=str(exc)):
+                    train_weak(config, x, adj, y, w, train, val, n_classes=k)
+                continue
+            for solo in (want, train_weak(config, x, adj, y, w, train, val,
+                                          n_classes=k)):
+                model, report = outcome
+                assert report == solo[1]
+                for a, b in zip(model.copy_weights(), solo[0].copy_weights()):
+                    np.testing.assert_array_equal(a, b)
+        return got
+
+    def test_early_stops_at_different_epochs(self):
+        x, y, w, train, val, graphs = self._problem(seed=1)
+        cfg = AppnpConfig(hidden_dim=6, prop_steps=3, teleport=0.2,
+                          dropout=0.3, learning_rate=0.05, max_epochs=60,
+                          patience=4, seed=2)
+        got = self._check(cfg, x, y, w, train, val, graphs)
+        reports = [r for _, r in got]
+        assert any(r.early_stopped for r in reports)
+        assert len({r.epochs_run for r in reports}) > 1
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_one_graph_diverges_mid_block(self):
+        # A hand-built graph whose normalisation factors are 1e200 makes
+        # propagation overflow; the graphs around it must still match.
+        x, y, w, train, val, graphs = self._problem(seed=3)
+        n = len(y)
+        pos = np.arange(n)
+        blowup = SparseAdjacency(n, pos, pos, pos + 1, np.full(n, 1e200))
+        graphs.insert(1, blowup)
+        cfg = AppnpConfig(hidden_dim=5, prop_steps=2, teleport=0.1,
+                          dropout=0.2, learning_rate=0.03, max_epochs=15,
+                          patience=15, seed=4)
+        got = self._check(cfg, x, y, w, train, val, graphs)
+        assert isinstance(got[1], TrainingDiverged)
+        assert "propagated activations at epoch 0" in str(got[1])
+        assert sum(isinstance(o, TrainingDiverged) for o in got) == 1
+
+    def test_without_dropout(self):
+        x, y, w, train, val, graphs = self._problem(seed=5)
+        cfg = AppnpConfig(hidden_dim=4, prop_steps=2, teleport=0.3,
+                          dropout=0.0, learning_rate=0.02, max_epochs=25,
+                          patience=5, seed=6)
+        self._check(cfg, x, y, w, train, val, graphs)
+
+    def test_three_classes(self):
+        x, y, w, train, val, graphs = self._problem(seed=11, n=90, k=3)
+        cfg = AppnpConfig(hidden_dim=7, prop_steps=4, teleport=0.15,
+                          dropout=0.25, learning_rate=0.04, max_epochs=30,
+                          patience=5, seed=12)
+        self._check(cfg, x, y, w, train, val, graphs, k=3)
+
+    def test_zero_epochs(self):
+        x, y, w, train, val, graphs = self._problem(seed=7)
+        cfg = AppnpConfig(hidden_dim=4, prop_steps=2, max_epochs=0, seed=8)
+        got = self._check(cfg, x, y, w, train, val, graphs)
+        assert all(r.epochs_run == 0 for _, r in got)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 100])
+    def test_graph_count_not_a_multiple_of_the_block(self, block,
+                                                     monkeypatch):
+        x, y, w, train, val, graphs = self._problem(seed=9)
+        assert len(graphs) % 2 and len(graphs) % 3
+        monkeypatch.setattr(appnp, "BLOCK_SIZE", block)
+        cfg = AppnpConfig(hidden_dim=4, prop_steps=2, teleport=0.1,
+                          dropout=0.1, learning_rate=0.05, max_epochs=20,
+                          patience=3, seed=10)
+        self._check(cfg, x, y, w, train, val, graphs)
 
 
 class TestPredict:

@@ -1,8 +1,10 @@
 """Boosting loop: error/alpha algebra, weight updates, round selection,
 ensemble prediction."""
 
+import logging
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -227,6 +229,28 @@ class TestRunRound:
                               ds.mask(TRAIN), ds.mask(VAL), 2, cfg)
         assert not round_.expert
 
+    def test_top_five_candidates_logged(self, caplog):
+        ds, state, cfg = self._setup(seed=4)
+        cands = enumerate_candidates(ds.X)
+        with caplog.at_level(logging.DEBUG, logger="graphboost.boost"):
+            round_, _ = run_round(state, cands, ds.X, ds.y, ds.mask(TRAIN),
+                                  ds.mask(VAL), 2, cfg,
+                                  feature_names=["a", "b", "c"])
+        (text,) = [r.getMessage() for r in caplog.records
+                   if r.levelno == logging.DEBUG]
+        header, *lines = text.split("\n")
+        assert header == "round 1 leaderboard, top 5 of 9:"
+        assert [line.split(".")[0] for line in lines] == \
+            [f"  {rank}" for rank in range(1, 6)]
+        errors = [float(re.search(r"err=(\S+)", line).group(1))
+                  for line in lines]
+        assert errors == sorted(errors)
+        assert lines[0].startswith(
+            f"  1. feature {round_.feature} "
+            f"({'abc'[round_.feature]}) gamma={round_.gamma:.6g} ")
+        assert f"err={round_.error:.4f}" in lines[0]
+        assert all("epochs=15 (max epochs)" in line for line in lines)
+
     def test_terminated_state_rejected(self):
         ds, state, cfg = self._setup(seed=2)
         state.terminated = True
@@ -294,18 +318,18 @@ class TestFit:
         assert len(distinct) < len(full)
         assert full[-1].expert and full[-1].gamma == full[0].gamma == 0.0
 
-        calls = []
-        train_weak = boost.train_weak
+        trained = []
+        train_candidates = boost.train_candidates
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return train_weak(*args, **kwargs)
+        def counting(config, x, adjacencies, *args, **kwargs):
+            trained.extend(adjacencies)
+            return train_candidates(config, x, adjacencies, *args, **kwargs)
 
         cfg = replace(self._config(n_rounds=1, seed=14, learning_rate=5e-2),
                       expert_edges=(("level", 0.0),))
-        monkeypatch.setattr(boost, "train_weak", counting)
+        monkeypatch.setattr(boost, "train_candidates", counting)
         got = fit(cfg, ds).rounds[0]
-        assert len(calls) == len(distinct)
+        assert len(trained) == len(distinct)
 
         w = np.zeros(n)
         w[split == TRAIN] = 1.0 / 100

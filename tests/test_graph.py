@@ -10,9 +10,11 @@ import pytest
 import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
+from graphboost import graph
 from graphboost.errors import DataError
-from graphboost.graph import (build_adjacency, enumerate_candidates,
-                              identity_adjacency, quantile_thresholds)
+from graphboost.graph import (GraphStack, build_adjacency,
+                              enumerate_candidates, identity_adjacency,
+                              quantile_thresholds)
 
 
 def brute_force_edges(values, gamma):
@@ -242,10 +244,6 @@ class TestNormalization:
         dense = adj.to_dense()
         for z in (rng.normal(size=(50, 3)), rng.normal(size=50)):
             np.testing.assert_allclose(adj.matmul(z), dense @ z, atol=1e-12)
-            zs = adj.to_sorted(z)
-            np.testing.assert_array_equal(
-                adj.from_sorted(adj.matmul(zs, sorted_frame=True)),
-                adj.matmul(z))
 
     def test_prefix_sums_accurate_at_scale(self):
         # Offset inputs make the prefix sums large next to each window's
@@ -257,6 +255,41 @@ class TestNormalization:
         ref = window_csr(adj) @ z
         err = np.max(np.abs(adj.matmul(z) - ref))
         assert err <= 1e-10 * np.max(np.abs(ref))
+
+
+class TestGraphStack:
+    def test_equals_repeated_matmul_bit_for_bit(self):
+        # Graphs of one row set, with and without edges and out of row
+        # order; each slice must equal k one-graph multiplies exactly.
+        rng = np.random.default_rng(10)
+        n = 40
+        v = rng.normal(size=n)
+        graphs = [build_adjacency(v, g).adjacency for g in (0.0, 0.3, 1.5)]
+        graphs.append(identity_adjacency(n))
+        graphs.append(build_adjacency(rng.integers(0, 3, size=n) * 1.0,
+                                      0.0).adjacency)
+        for width, teleport, steps in ((2, 0.1, 3), (1, 0.5, 1), (3, 0.2, 7),
+                                       (2, 1.0, 4), (2, 0.3, 0)):
+            h0 = rng.normal(size=(len(graphs), n, width))
+            got = GraphStack(graphs, width).propagate(h0, teleport, steps)
+            for adj, h, z in zip(graphs, h0, got):
+                want = h.copy()
+                if teleport < 1.0:
+                    for _ in range(steps):
+                        want = adj.matmul(want)
+                        want *= 1.0 - teleport
+                        want += teleport * h
+                np.testing.assert_array_equal(z, want)
+
+    def test_mismatched_shapes_rejected(self):
+        graphs = [identity_adjacency(5), identity_adjacency(5)]
+        stack = GraphStack(graphs, 2)
+        with pytest.raises(DataError):
+            stack.propagate(np.zeros((2, 5, 3)), 0.1, 2)
+        with pytest.raises(DataError):
+            stack.propagate(np.zeros((1, 5, 2)), 0.1, 2)
+        with pytest.raises(DataError):
+            GraphStack([identity_adjacency(5), identity_adjacency(6)], 2)
 
 
 class TestEnumerateCandidates:
@@ -275,6 +308,30 @@ class TestEnumerateCandidates:
         assert len(cands) == 3
         for c in cands:
             assert c.edge_count == 45
+
+    def test_repeats_built_once_and_share_the_graph(self, monkeypatch):
+        # Integer levels tie the 1/16 and 1/8 quantiles at 0, and the
+        # expert edge repeats gamma 0: 4 of 7 pairs are distinct.
+        rng = np.random.default_rng(4)
+        x = np.column_stack([rng.integers(0, 5, size=80).astype(float),
+                             rng.normal(size=80)])
+        builds = []
+        build = graph.build_adjacency
+
+        def counting(values, gamma, *args, **kwargs):
+            builds.append(gamma)
+            return build(values, gamma, *args, **kwargs)
+
+        monkeypatch.setattr(graph, "build_adjacency", counting)
+        cands = enumerate_candidates(x, expert_edges=[(0, 0.0)])
+        pairs = [(c.feature, c.gamma) for c in cands]
+        assert len(cands) == 7 and len(builds) == len(set(pairs)) < 7
+        assert cands[-1].expert and not cands[0].expert
+        for c in cands:
+            first = cands[pairs.index((c.feature, c.gamma))]
+            assert c.adjacency is first.adjacency
+            assert c.edge_count == first.edge_count
+            assert edges_of(c) == edges_of(build(x[:, c.feature], c.gamma))
 
     def test_expert_threshold_rescaled(self):
         rng = np.random.default_rng(1)
