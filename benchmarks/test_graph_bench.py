@@ -1,5 +1,5 @@
-"""Microbenchmarks of candidate graph construction, propagation and one
-boosting round's weak-learner training.
+"""Microbenchmarks of candidate graph construction, propagation, one
+boosting round's weak-learner training and single-row prediction.
 
 Kept outside the test paths so that the test suite does not run them. Run
 with pytest-benchmark from the repository root:
@@ -10,14 +10,19 @@ Inputs are fixed: standard-normal feature values with gamma at the 1/4
 quantile of their pairwise differences (the densest candidate a fit
 builds), and a K=2 head propagated for the default 10 steps. The round
 trains all 30 candidates of an n=2000, m=10 synthetic cohort with the
-learner shape of the fit benchmark in ``perfbench/``.
+learner shape of the fit benchmark in ``perfbench/``. Single-row
+prediction scores one new row against a hand-built 10-round ensemble over
+the 2000 rows of that cohort, with criterion 08's learner shape and round
+pattern: 8 rounds on one graph and 2 on two others, interleaved, each with
+untrained ``init_model`` weights.
 """
 
 import numpy as np
 import pytest
 
-from graphboost.appnp import AppnpConfig, propagate
-from graphboost.boost import BoostState, run_round
+from graphboost.appnp import AppnpConfig, init_model, propagate
+from graphboost.boost import (BoostState, Ensemble, WeakRound,
+                              predict_ensemble, run_round)
 from graphboost.data import TRAIN, VAL, fit_encoder, gen_synthetic, split_rows
 from graphboost.graph import (build_adjacency, enumerate_candidates,
                               quantile_thresholds)
@@ -47,11 +52,15 @@ def test_propagate(benchmark, n):
     assert z.shape == h0.shape
 
 
-def test_round_of_30_candidates(benchmark):
-    n = 2000
+def _cohort(n=2000):
     table, labels = gen_synthetic(n, 10, 2, 0.9, 0)
     ds, _ = fit_encoder(table, labels,
                         split_rows(n, (0.7, 0.15, 0.15), 0, labels))
+    return ds
+
+
+def test_round_of_30_candidates(benchmark):
+    ds = _cohort()
     candidates = enumerate_candidates(ds.X)
     assert len(candidates) == 30
     train = ds.mask(TRAIN)
@@ -62,3 +71,20 @@ def test_round_of_30_candidates(benchmark):
     round_, _ = benchmark(run_round, BoostState(weights), candidates, ds.X,
                           ds.y, train, ds.mask(VAL), 2, weak)
     assert 0.0 <= round_.error < 0.5
+
+
+def test_predict_one_row(benchmark):
+    ds = _cohort()
+    m = ds.X.shape[1]
+    names = ds.encoder.feature_names()
+    rounds = []
+    for t, feature in enumerate((0, 0, 6, 0, 0, 0, 3, 0, 0, 0)):
+        cfg = AppnpConfig(hidden_dim=16, prop_steps=3, teleport=0.1,
+                          dropout=0.5, seed=t)
+        gamma = quantile_thresholds(ds.X[:, feature]).gammas[2]
+        rounds.append(WeakRound(feature, names[feature], gamma,
+                                init_model(cfg, m, 2), 1.0 / (t + 1), 0.3))
+    ensemble = Ensemble(rounds, 2, ds.encoder, names, ds.X)
+    row = np.random.default_rng(1).normal(size=(1, m))
+    labels, scores = benchmark(predict_ensemble, ensemble, row)
+    assert labels.shape == (1,) and scores.shape == (1, 2)

@@ -21,7 +21,8 @@ so each slice holds the bits of a one-graph computation. Learners trained
 under one seed start from the same weights and draw the same dropout
 masks, so ``train_candidates`` trains up to ``BLOCK_SIZE`` graphs at once.
 ``forward``, ``backward``, ``propagate`` and ``train_weak`` are the C = 1
-case of the same code.
+case of the same code, and ``predict_labels`` labels a stack of trained
+learners with it.
 """
 
 import math
@@ -459,9 +460,39 @@ def _train_block(config: AppnpConfig, x: np.ndarray, adjacencies: list,
     return outcomes
 
 
+def predict_labels(models: list, x: np.ndarray, adjacencies: list) -> np.ndarray:
+    """Hard labels of ``models[c]`` on ``adjacencies[c]`` for every c, as a
+    C x N array; row c equals ``predict(models[c], x, adjacencies[c])[0]``
+    bit for bit.
+
+    The models must share teleport and prop_steps. Each model's MLP head
+    runs on its own, exactly as in ``forward``, so models of different
+    hidden widths can share a block; the heads of ``BLOCK_SIZE`` models at
+    a time are propagated in one ``GraphStack`` pass. No softmax is
+    computed.
+    """
+    if len(models) != len(adjacencies):
+        raise DataError("need one graph per model")
+    if any(a.n != x.shape[0] for a in adjacencies):
+        raise DataError("adjacency and feature matrix disagree on node count")
+    if len({(m.config.teleport, m.config.prop_steps) for m in models}) > 1:
+        raise DataError("stacked models must share teleport and prop_steps")
+    labels = np.empty((len(models), x.shape[0]), dtype=np.int64)
+    for start in range(0, len(models), BLOCK_SIZE):
+        block = models[start:start + BLOCK_SIZE]
+        h0 = np.stack([_head(p, _hidden(p, x))[0]
+                       for p in map(_stacked, block)])
+        stack = GraphStack(adjacencies[start:start + BLOCK_SIZE], h0.shape[2])
+        z = stack.propagate(h0, block[0].config.teleport,
+                            block[0].config.prop_steps)
+        np.argmax(z, axis=2, out=labels[start:start + len(block)])
+    return labels
+
+
 def predict(model: AppnpModel, x: np.ndarray,
             adjacency: SparseAdjacency) -> tuple[np.ndarray, np.ndarray]:
-    """Hard labels (argmax, lowest index on ties) and softmax probabilities."""
+    """Hard labels (argmax, lowest index on ties) and softmax probabilities.
+    The one-learner reference for ``predict_labels``."""
     z, _ = forward(model, x, adjacency)
     probs = softmax(z)
     return np.argmax(z, axis=1), probs

@@ -15,7 +15,9 @@ share their initial weights and dropout masks; ``appnp.train_candidates``
 trains them in blocks of stacked weights, each bit-equal to a one-graph
 run. ``fit`` drops repeated (feature, gamma) candidates, which come from
 tied quantiles or an expert edge equal to a quantile, so each distinct
-graph trains once per round.
+graph trains once per round. Prediction likewise builds each distinct
+(feature, gamma) graph of the ensemble once and labels the rounds that
+chose it together with ``appnp.predict_labels``.
 """
 
 import logging
@@ -24,8 +26,8 @@ import math
 
 import numpy as np
 
-from . import appnp
-from .appnp import AppnpConfig, AppnpModel, TrainReport, train_candidates
+from .appnp import (AppnpConfig, AppnpModel, TrainReport, predict_labels,
+                    train_candidates)
 # Unused here; kept only because perfbench/tracing.py wraps
 # boost.train_weak. Goes when the tracer wraps train_candidates instead
 # (ROADMAP item 6).
@@ -178,22 +180,26 @@ def run_round(state: BoostState, candidates: list, x: np.ndarray,
     outcomes = train_candidates(weak_config, x,
                                 [c.adjacency for c in candidates], y, w_eval,
                                 train_mask, val_mask, n_classes=n_classes)
-    scored, diverged = [], []
+    trained, diverged = [], []
     for idx, (cand, outcome) in enumerate(zip(candidates, outcomes)):
         if isinstance(outcome, TrainingDiverged):
             log.warning("candidate on feature %d (gamma=%g) diverged: %s",
                         cand.feature, cand.gamma, outcome)
             diverged.append(CandidateResult(cand.feature, cand.gamma,
                                             cand.expert, None, None))
-            continue
-        model, report = outcome
-        labels, _ = appnp.predict(model, x, cand.adjacency)
+        else:
+            trained.append((idx, cand) + outcome)
+    if not trained:
+        raise DataError("all candidates diverged")
+    _, trained_cands, models, _ = zip(*trained)
+    all_labels = predict_labels(models, x,
+                                [c.adjacency for c in trained_cands])
+    scored = []
+    for (idx, cand, model, report), labels in zip(trained, all_labels):
         err = weighted_error(labels, y, w_eval, train_mask)
         scored.append((_candidate_sort_key(idx, cand, err), model, labels,
                        CandidateResult(cand.feature, cand.gamma, cand.expert,
                                        err, report)))
-    if not scored:
-        raise DataError("all candidates diverged")
     board = [s[3] for s in sorted(scored, key=lambda s: s[0])] + diverged
     _log_leaderboard(state.iteration + 1, board, feature_names)
 
@@ -290,13 +296,29 @@ def fit(config: BoostConfig, dataset: Dataset) -> Ensemble:
 
 def _vote_scores(ensemble: Ensemble, x_all: np.ndarray,
                  row_start: int) -> tuple[np.ndarray, np.ndarray]:
+    """Votes of every round for the rows from ``row_start`` on, with each
+    distinct (feature, gamma) graph built once over ``x_all`` and its
+    rounds labelled together by ``predict_labels``, one call per shared
+    (teleport, prop_steps). Votes are added in round order, so the sums
+    equal a round-by-round loop bit for bit."""
     n = x_all.shape[0] - row_start
+    groups: dict = {}
+    for t, round_ in enumerate(ensemble.rounds):
+        cfg = round_.model.config
+        groups.setdefault((round_.feature, round_.gamma), {}).setdefault(
+            (cfg.teleport, cfg.prop_steps), []).append(t)
+    round_labels = [None] * len(ensemble.rounds)
+    for (feature, gamma), by_config in groups.items():
+        adjacency = build_adjacency(x_all[:, feature], gamma,
+                                    feature=feature).adjacency
+        for ts in by_config.values():
+            labels = predict_labels([ensemble.rounds[t].model for t in ts],
+                                    x_all, [adjacency] * len(ts))
+            for t, row in zip(ts, labels):
+                round_labels[t] = row[row_start:]
     votes = np.zeros((n, ensemble.n_classes), dtype=np.float64)
-    for round_ in ensemble.rounds:
-        cand = build_adjacency(x_all[:, round_.feature], round_.gamma,
-                               feature=round_.feature)
-        labels, _ = appnp.predict(round_.model, x_all, cand.adjacency)
-        votes[np.arange(n), labels[row_start:]] += round_.alpha
+    for round_, labels in zip(ensemble.rounds, round_labels):
+        votes[np.arange(n), labels] += round_.alpha
     labels = np.argmax(votes, axis=1)
     return labels, votes / votes.sum(axis=1, keepdims=True)
 
@@ -315,8 +337,11 @@ def predict_ensemble(ensemble: Ensemble,
 
     Every round's graph is rebuilt over the stored fit-time rows plus the
     new rows, so new samples propagate from the cohort the model was
-    trained on. Returns hard labels and vote scores normalized to sum 1
-    per row.
+    trained on. The new rows join the graphs together and link to each
+    other too, so a row's scores depend on the other rows of ``new_x``; a
+    single row is scored against the stored rows alone. Rounds that chose
+    the same (feature, gamma) share one graph build. Returns hard labels
+    and vote scores normalized to sum 1 per row.
     """
     if not ensemble.rounds:
         raise DataError("empty ensemble")

@@ -527,6 +527,30 @@ class TestPredict:
         np.testing.assert_array_equal(predict(model, x, g1)[1],
                                       predict(model, x, g2)[1])
 
+    def test_stacked_labels_match_one_learner_predict(self):
+        # more learners than one block, of three hidden widths, each on its
+        # own graph
+        rng = np.random.default_rng(13)
+        n, m, k = 30, 3, 3
+        x = rng.normal(size=(n, m))
+        models = [init_model(AppnpConfig(hidden_dim=2 + t % 3, prop_steps=4,
+                                         teleport=0.15, seed=t), m, k)
+                  for t in range(appnp.BLOCK_SIZE + 2)]
+        graphs = [build_adjacency(x[:, t % m], 0.3 + 0.2 * t).adjacency
+                  for t in range(len(models))]
+        labels = appnp.predict_labels(models, x, graphs)
+        assert labels.shape == (len(models), n)
+        assert len(np.unique(labels)) == k
+        for model, graph, row in zip(models, graphs, labels):
+            np.testing.assert_array_equal(row, predict(model, x, graph)[0])
+
+    def test_stacked_labels_need_shared_propagation(self):
+        model, x, adj, *_ = make_instance(14)
+        cfg = AppnpConfig(**{**model.config.to_dict(), "teleport": 0.5})
+        other = init_model(cfg, x.shape[1], 2)
+        with pytest.raises(DataError):
+            appnp.predict_labels([model, other], x, [adj, adj])
+
 
 class TestConfigValidation:
     def test_bad_teleport(self):

@@ -28,7 +28,7 @@ from graphboost.data import TEST, TRAIN, VAL, Dataset, EncodingMeta, \
 from graphboost.errors import DataError, NoWeakLearnability
 from graphboost.graph import (build_adjacency, enumerate_candidates,
                               quantile_thresholds)
-from graphboost.model_io import save_ensemble
+from graphboost.model_io import load_ensemble, save_ensemble
 from graphboost.rng import derive_seed
 
 
@@ -55,6 +55,20 @@ def dense_one_step_logits(x, rows, feature, gamma, model, chunk=128):
     az = dinv[rows, None] * (linked @ (dinv[:, None] * h0))
     a = model.config.teleport
     return (1.0 - a) * az + a * h0[rows]
+
+
+def reference_votes(ensemble, x_all, row_start):
+    """Ensemble labels and scores from a plain loop over the rounds: each
+    round's graph built and its learner run through ``appnp.predict``,
+    votes added in round order."""
+    from graphboost.appnp import predict
+    n = x_all.shape[0] - row_start
+    votes = np.zeros((n, ensemble.n_classes))
+    for r in ensemble.rounds:
+        cand = build_adjacency(x_all[:, r.feature], r.gamma)
+        labels, _ = predict(r.model, x_all, cand.adjacency)
+        votes[np.arange(n), labels[row_start:]] += r.alpha
+    return np.argmax(votes, axis=1), votes / votes.sum(axis=1, keepdims=True)
 
 
 def constant_model(k: int, m: int, winner: int) -> AppnpModel:
@@ -399,6 +413,67 @@ class TestEnsemblePrediction:
                             [f"c{i}" for i in range(k)])
         return Ensemble(rounds, k, meta, meta.feature_names(),
                         rng.normal(size=(n_stored, m)))
+
+    # Rounds as (feature, gamma quantile index, learner overrides); rounds
+    # with equal feature and index share one graph. Round t gets alpha
+    # 0.1 * (t + 1): sums of such decimals depend on the order of addition
+    # (0.2 + 0.3 + 0.4 != 0.2 + 0.4 + 0.3), so votes added out of round
+    # order show.
+    SHARED_GRAPH_ENSEMBLES = {
+        "interleaved": [(0, 2, {}), (0, 2, {}), (1, 1, {}), (0, 2, {})],
+        "one_graph_past_a_block": [(1, 2, {})] * 6,
+        "mixed_learners": [
+            (0, 1, {}), (0, 1, {"hidden_dim": 3}),
+            (0, 1, {"teleport": 0.5}), (0, 1, {"prop_steps": 1}),
+            (0, 1, {"hidden_dim": 7, "prop_steps": 1}), (1, 0, {})],
+        "single_round": [(1, 0, {})],
+    }
+
+    def _shared_graph_ensemble(self, spec, k=2, m=2, n_stored=40):
+        ens = self._manual_ensemble([], k=k, m=m, n_stored=n_stored)
+        for t, (feature, q, overrides) in enumerate(spec):
+            cfg = AppnpConfig(**{"hidden_dim": 5, "prop_steps": 3,
+                                 "teleport": 0.2, "seed": t, **overrides})
+            gamma = quantile_thresholds(ens.train_x[:, feature]).gammas[q]
+            ens.rounds.append(WeakRound(feature, f"f{feature}", gamma,
+                                        init_model(cfg, m, k),
+                                        0.1 * (t + 1), 0.3))
+        return ens
+
+    @pytest.mark.parametrize("kind", sorted(SHARED_GRAPH_ENSEMBLES))
+    def test_rounds_on_shared_graphs_match_round_by_round_loop(
+            self, kind, tmp_path):
+        ens = self._shared_graph_ensemble(self.SHARED_GRAPH_ENSEMBLES[kind])
+        path = tmp_path / "model.gbe"
+        save_ensemble(ens, str(path))
+        new_x = np.random.default_rng(2).normal(size=(25, 2))
+        for model in (ens, load_ensemble(str(path))):
+            for rows in (new_x, new_x[:1]):
+                want = reference_votes(
+                    model, np.vstack([model.train_x, rows]),
+                    model.train_x.shape[0])
+                got = predict_ensemble(model, rows)
+                np.testing.assert_array_equal(got[0], want[0])
+                np.testing.assert_array_equal(got[1], want[1])
+            want = reference_votes(model, model.train_x, 0)
+            got = transductive_scores(model)
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+
+    def test_each_distinct_graph_built_once_per_call(self, monkeypatch):
+        ens = self._shared_graph_ensemble(
+            self.SHARED_GRAPH_ENSEMBLES["mixed_learners"])
+        built = []
+
+        def counting(values, gamma, **kwargs):
+            built.append(gamma)
+            return build_adjacency(values, gamma, **kwargs)
+
+        monkeypatch.setattr(boost, "build_adjacency", counting)
+        predict_ensemble(ens, np.zeros((3, 2)))
+        assert len(built) == 2
+        transductive_scores(ens)
+        assert len(built) == 4
 
     def test_single_round_matches_weak_prediction(self):
         ds, _ = make_dataset(n=150, m=3, seed=8)
