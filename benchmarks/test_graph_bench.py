@@ -1,5 +1,6 @@
-"""Microbenchmarks of candidate graph construction, propagation, one
-boosting round's weak-learner training and single-row prediction.
+"""Microbenchmarks of candidate graph construction, the merge of new rows
+into a stored graph, propagation, one boosting round's weak-learner
+training and single-row prediction.
 
 Kept outside the test paths so that the test suite does not run them. Run
 with pytest-benchmark from the repository root:
@@ -8,7 +9,9 @@ with pytest-benchmark from the repository root:
 
 Inputs are fixed: standard-normal feature values with gamma at the 1/4
 quantile of their pairwise differences (the densest candidate a fit
-builds), and a K=2 head propagated for the default 10 steps. The round
+builds), and a K=2 head propagated for the default 10 steps. A join
+merges 1 or 2000 new standard-normal rows into the stored graph of such a
+column, the work a prediction call does per distinct round graph. The round
 trains all 30 candidates of an n=2000, m=10 synthetic cohort with the
 learner shape of the fit benchmark in ``perfbench/``. Single-row
 prediction scores one new row against a hand-built 10-round ensemble over
@@ -24,8 +27,8 @@ from graphboost.appnp import AppnpConfig, init_model, propagate
 from graphboost.boost import (BoostState, Ensemble, WeakRound,
                               predict_ensemble, run_round)
 from graphboost.data import TRAIN, VAL, fit_encoder, gen_synthetic, split_rows
-from graphboost.graph import (build_adjacency, enumerate_candidates,
-                              quantile_thresholds)
+from graphboost.graph import (StoredGraph, build_adjacency,
+                              enumerate_candidates, quantile_thresholds)
 
 SIZES = (2_000, 100_000)
 
@@ -42,6 +45,16 @@ def test_build_adjacency(benchmark, n):
     v, gamma, _ = _inputs(n)
     cand = benchmark(build_adjacency, v, gamma)
     assert cand.adjacency.n == n
+
+
+@pytest.mark.parametrize("m", (1, 2_000))
+@pytest.mark.parametrize("n", SIZES)
+def test_join(benchmark, n, m):
+    v, gamma, _ = _inputs(n)
+    stored = StoredGraph.of(build_adjacency(v, gamma), v)
+    new = np.random.default_rng(m).normal(size=m)
+    adj = benchmark(stored.join, new)
+    assert adj.n == n + m
 
 
 @pytest.mark.parametrize("n", SIZES)

@@ -15,14 +15,16 @@ share their initial weights and dropout masks; ``appnp.train_candidates``
 trains them in blocks of stacked weights, each bit-equal to a one-graph
 run. ``fit`` drops repeated (feature, gamma) candidates, which come from
 tied quantiles or an expert edge equal to a quantile, so each distinct
-graph trains once per round. Prediction likewise builds each distinct
-(feature, gamma) graph of the ensemble once and labels the rounds that
-chose it together with ``appnp.predict_labels``.
+graph trains once per round. Prediction labels the rounds that chose one
+(feature, gamma) graph together with ``appnp.predict_labels``. Each such
+graph is built over the stored rows once per ensemble and kept in memory;
+a prediction merges its new rows into that stored graph.
 """
 
 import logging
 from dataclasses import dataclass, field, replace
 import math
+import threading
 
 import numpy as np
 
@@ -34,8 +36,8 @@ from .appnp import (AppnpConfig, AppnpModel, TrainReport, predict_labels,
 from .appnp import train_weak  # noqa: F401
 from .data import Dataset, EncodingMeta, TRAIN, VAL
 from .errors import DataError, NoWeakLearnability, TrainingDiverged
-from .graph import (DEFAULT_PAIR_CAP, CandidateGraph, build_adjacency,
-                    enumerate_candidates)
+from .graph import (DEFAULT_PAIR_CAP, CandidateGraph, StoredGraph,
+                    build_adjacency, enumerate_candidates)
 from .rng import derive_seed
 
 log = logging.getLogger("graphboost.boost")
@@ -91,15 +93,50 @@ class CandidateResult:
     report: TrainReport | None
 
 
+class _StoredGraphs:
+    """Stored-row graphs by (feature, gamma), built on first use and kept
+    with the train_x they came from: a call with another train_x object
+    drops them. Graphs on one feature share its stored sort. Safe to use
+    from several threads."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._rows = None
+        self._graphs: dict = {}
+
+    def get(self, train_x: np.ndarray, feature: int,
+            gamma: float) -> StoredGraph:
+        with self._lock:
+            if self._rows is not train_x:
+                self._rows, self._graphs = train_x, {}
+            graph = self._graphs.get((feature, gamma))
+            if graph is None:
+                column = train_x[:, feature]
+                graph = StoredGraph.of(
+                    build_adjacency(column, gamma, feature=feature), column)
+                twin = next((g for (f, _), g in self._graphs.items()
+                             if f == feature), None)
+                if twin is not None:
+                    graph = replace(graph, order=twin.order,
+                                    v_sorted=twin.v_sorted)
+                self._graphs[(feature, gamma)] = graph
+            return graph
+
+
 @dataclass
 class Ensemble:
     rounds: list
     n_classes: int
     encoder: EncodingMeta
     feature_names: list[str]
-    train_x: np.ndarray  # encoded rows seen at fit time, for graph rebuilds
+    train_x: np.ndarray  # encoded rows seen at fit time, for the graphs
     stop_reason: str | None = None
     stop_error: float | None = None
+    # Never saved. Change train_x by replacing it, not in place: the cache
+    # tells train_x objects apart, not their contents.
+    stored_graphs: _StoredGraphs = field(default_factory=_StoredGraphs,
+                                         init=False, repr=False,
+                                         compare=False)
 
 
 def weighted_error(predictions: np.ndarray, y: np.ndarray, w: np.ndarray,
@@ -294,13 +331,18 @@ def fit(config: BoostConfig, dataset: Dataset) -> Ensemble:
                     stop_reason, stop_error)
 
 
-def _vote_scores(ensemble: Ensemble, x_all: np.ndarray,
-                 row_start: int) -> tuple[np.ndarray, np.ndarray]:
-    """Votes of every round for the rows from ``row_start`` on, with each
-    distinct (feature, gamma) graph built once over ``x_all`` and its
-    rounds labelled together by ``predict_labels``, one call per shared
-    (teleport, prop_steps). Votes are added in round order, so the sums
-    equal a round-by-round loop bit for bit."""
+def _vote_scores(ensemble: Ensemble,
+                 new_x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Votes of every round for the stored rows followed by ``new_x``,
+    returned for the new rows only, or for the stored rows when ``new_x``
+    has none. Each distinct (feature, gamma) graph is the stored graph
+    joined with the new rows, and its rounds are labelled together by
+    ``predict_labels``, one call per shared (teleport, prop_steps). Votes
+    are added in round order, so the sums equal a round-by-round loop bit
+    for bit."""
+    row_start = ensemble.train_x.shape[0] if new_x.shape[0] else 0
+    x_all = (np.vstack([ensemble.train_x, new_x]) if row_start
+             else ensemble.train_x)
     n = x_all.shape[0] - row_start
     groups: dict = {}
     for t, round_ in enumerate(ensemble.rounds):
@@ -309,8 +351,8 @@ def _vote_scores(ensemble: Ensemble, x_all: np.ndarray,
             (cfg.teleport, cfg.prop_steps), []).append(t)
     round_labels = [None] * len(ensemble.rounds)
     for (feature, gamma), by_config in groups.items():
-        adjacency = build_adjacency(x_all[:, feature], gamma,
-                                    feature=feature).adjacency
+        stored = ensemble.stored_graphs.get(ensemble.train_x, feature, gamma)
+        adjacency = stored.join(new_x[:, feature])
         for ts in by_config.values():
             labels = predict_labels([ensemble.rounds[t].model for t in ts],
                                     x_all, [adjacency] * len(ts))
@@ -328,20 +370,21 @@ def transductive_scores(ensemble: Ensemble) -> tuple[np.ndarray, np.ndarray]:
     time, using graphs over those rows alone."""
     if not ensemble.rounds:
         raise DataError("empty ensemble")
-    return _vote_scores(ensemble, ensemble.train_x, 0)
+    return _vote_scores(ensemble, ensemble.train_x[:0])
 
 
 def predict_ensemble(ensemble: Ensemble,
                      new_x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Transductive prediction for new rows.
 
-    Every round's graph is rebuilt over the stored fit-time rows plus the
-    new rows, so new samples propagate from the cohort the model was
-    trained on. The new rows join the graphs together and link to each
-    other too, so a row's scores depend on the other rows of ``new_x``; a
-    single row is scored against the stored rows alone. Rounds that chose
-    the same (feature, gamma) share one graph build. Returns hard labels
-    and vote scores normalized to sum 1 per row.
+    Every round's graph spans the stored fit-time rows plus the new rows,
+    so new samples propagate from the cohort the model was trained on. The
+    new rows join the graphs together and link to each other too, so a
+    row's scores depend on the other rows of ``new_x``; a single row is
+    scored against the stored rows alone. Rounds that chose the same
+    (feature, gamma) share one graph, which merges the new rows into the
+    stored graph that the first call builds. Returns hard labels and vote
+    scores normalized to sum 1 per row.
     """
     if not ensemble.rounds:
         raise DataError("empty ensemble")
@@ -352,5 +395,4 @@ def predict_ensemble(ensemble: Ensemble,
     if n_new == 0:
         return (np.zeros(0, dtype=np.int64),
                 np.zeros((0, ensemble.n_classes), dtype=np.float64))
-    x_all = np.vstack([ensemble.train_x, new_x])
-    return _vote_scores(ensemble, x_all, ensemble.train_x.shape[0])
+    return _vote_scores(ensemble, new_x)

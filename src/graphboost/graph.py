@@ -16,7 +16,8 @@ dinv * Z in sorted order (C[0] = 0),
     (Ahat @ Z)[p] = dinv[p] * (C[hi[p]] - C[lo[p]]),
 
 O(N K) per multiply instead of O(E K). ``GraphStack`` runs k such steps
-for several graphs over the same rows at once.
+for several graphs over the same rows at once. ``StoredGraph`` keeps one
+graph over stored rows and merges new rows into its sort and windows.
 """
 
 from dataclasses import dataclass
@@ -195,9 +196,10 @@ def quantile_thresholds(values: np.ndarray, pair_cap: int = DEFAULT_PAIR_CAP,
     return ThresholdSet(feature, tuple(gammas))
 
 
-def _window_bounds(v_sorted: np.ndarray, gamma: float) -> tuple:
-    """Brackets (lo_out, lo_in, hi_in, hi_out) of each row's exact window
-    [lo, hi): lo_out <= lo <= lo_in and hi_in <= hi <= hi_out."""
+def _window_bounds(v_sorted: np.ndarray, x: np.ndarray, gamma: float) -> tuple:
+    """Brackets (lo_out, lo_in, hi_in, hi_out) of the exact window [lo, hi)
+    in ``v_sorted`` of each query value in ``x``: lo_out <= lo <= lo_in and
+    hi_in <= hi <= hi_out."""
     # The edge predicate compares the ROUNDED difference fl(|v_i - v_j|)
     # against gamma, which can admit or reject a pair whose true gap is
     # within half an ulp of gamma. Searching for v -+ gamma, widened (or
@@ -206,8 +208,8 @@ def _window_bounds(v_sorted: np.ndarray, gamma: float) -> tuple:
     eps4 = 4.0 * np.finfo(np.float64).eps
     out = []
     for scale, step in ((1.0 + eps4, np.inf), (1.0 - eps4, -np.inf)):
-        lo_bound = v_sorted - gamma * scale
-        hi_bound = v_sorted + gamma * scale
+        lo_bound = x - gamma * scale
+        hi_bound = x + gamma * scale
         for _ in range(2):
             lo_bound = np.nextafter(lo_bound, -step)
             hi_bound = np.nextafter(hi_bound, step)
@@ -232,6 +234,36 @@ def _bisect(linked, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a
 
 
+def _exact_windows(v_sorted: np.ndarray, x: np.ndarray, gamma: float,
+                   lo_range: tuple, hi_range: tuple) -> tuple:
+    """Exact windows [lo, hi) in ``v_sorted`` of rows with values ``x``,
+    bisected with lo in ``lo_range`` = (a, b) and hi in ``hi_range``. The
+    lo range must lie at or before each row's own sorted position, the hi
+    range after it."""
+    # For q <= p the rounded v_sorted[p] - v_sorted[q] is non-negative and
+    # so equals fl(|v_p - v_q|); likewise v_sorted[q] - v_sorted[p], q >= p.
+    # Either is monotone in q, so each bound is one bisection.
+    lo = _bisect(lambda i, q: x[i] - v_sorted[q] <= gamma, *lo_range)
+    hi = _bisect(lambda i, q: v_sorted[q] - x[i] > gamma, *hi_range)
+    return lo, hi
+
+
+def _windows(v_sorted: np.ndarray, gamma: float, at: np.ndarray) -> tuple:
+    """Exact windows [lo, hi) of the rows at sorted positions ``at``."""
+    x = v_sorted[at]
+    lo_out, lo_in, hi_in, hi_out = _window_bounds(v_sorted, x, gamma)
+    return _exact_windows(v_sorted, x, gamma,
+                          (lo_out, np.minimum(lo_in, at)),
+                          (np.maximum(hi_in, at + 1), hi_out))
+
+
+def _finite_column(values: np.ndarray) -> np.ndarray:
+    v = np.asarray(values, dtype=np.float64).ravel()
+    if not np.all(np.isfinite(v)):
+        raise DataError("non-finite feature values")
+    return v
+
+
 def build_adjacency(values: np.ndarray, gamma: float, feature: int = 0,
                     expert: bool = False) -> CandidateGraph:
     """Graph with an edge wherever |v_i - v_j| <= gamma, i != j.
@@ -242,27 +274,77 @@ def build_adjacency(values: np.ndarray, gamma: float, feature: int = 0,
     ``_window_bounds`` with the exact predicate: the result equals the
     O(N^2) definition while costing O(N log N) time and O(N) memory.
     """
-    v = np.asarray(values, dtype=np.float64).ravel()
-    n = v.size
     if not gamma >= 0:
         raise DataError(f"gamma must be a non-negative number, got {gamma!r}")
-    if not np.all(np.isfinite(v)):
-        raise DataError("non-finite feature values")
+    v = _finite_column(values)
+    n = v.size
 
     order = np.argsort(v, kind="stable").astype(np.int64)
     v_sorted = v[order]
-    lo_out, lo_in, hi_in, hi_out = _window_bounds(v_sorted, gamma)
-    pos = np.arange(n, dtype=np.int64)
-    # For q <= p the rounded v_sorted[p] - v_sorted[q] is non-negative and
-    # so equals fl(|v_p - v_q|); likewise v_sorted[q] - v_sorted[p], q >= p.
-    lo = _bisect(lambda p, q: v_sorted[p] - v_sorted[q] <= gamma,
-                 lo_out, np.minimum(lo_in, pos))
-    hi = _bisect(lambda p, q: v_sorted[q] - v_sorted[p] > gamma,
-                 np.maximum(hi_in, pos + 1), hi_out)
+    lo, hi = _windows(v_sorted, gamma, np.arange(n, dtype=np.int64))
     size = hi - lo
     adjacency = SparseAdjacency(n, order, lo, hi, 1.0 / np.sqrt(size))
     edge_count = int(np.sum(size - 1)) // 2
     return CandidateGraph(feature, float(gamma), adjacency, edge_count, expert)
+
+
+@dataclass(frozen=True)
+class StoredGraph:
+    """One (feature, gamma) graph over stored rows, ready for new rows.
+
+    Holds the stable sort of the stored column and its exact windows, as
+    ``build_adjacency`` made them. ``join(new)`` returns the adjacency
+    that ``build_adjacency`` gives over the stored column with ``new``
+    appended, bit for bit, in O(N + m log N) rather than the
+    O((N + m) log(N + m)) of sorting and searching all rows again.
+    """
+
+    gamma: float
+    order: np.ndarray  # int64, stable sort order of the stored column
+    v_sorted: np.ndarray  # float64, the stored column in that order
+    lo: np.ndarray  # int64, each stored window, in the stored frame
+    hi: np.ndarray
+
+    @classmethod
+    def of(cls, candidate: CandidateGraph, values: np.ndarray) -> "StoredGraph":
+        """The stored graph of ``build_adjacency(values, gamma)``."""
+        adj = candidate.adjacency
+        v = np.asarray(values, dtype=np.float64).ravel()
+        return cls(candidate.gamma, adj.order, v[adj.order], adj.lo, adj.hi)
+
+    def join(self, new_values: np.ndarray) -> SparseAdjacency:
+        """The graph over the stored rows followed by ``new_values``."""
+        u = _finite_column(new_values)
+        n, m, gamma = self.order.size, u.size, self.gamma
+        new_order = np.argsort(u, kind="stable")
+        u_sorted = u[new_order]
+        # A stable sort of the stacked column puts stored rows before equal
+        # new ones and keeps each part in its own stable order, so new row
+        # j (in u_sorted order) lands after the ins[j] stored values <= it.
+        ins = np.searchsorted(self.v_sorted, u_sorted, side="right")
+        # before[p + 1]: new rows merged in ahead of stored position p, for
+        # p = -1..n (none ahead of -1, all m ahead of the end n).
+        before = np.zeros(n + 2, dtype=np.int64)
+        np.cumsum(np.bincount(ins, minlength=n + 1), out=before[1:])
+        at_stored = np.arange(n, dtype=np.int64) + before[1:-1]
+        at_new = ins + np.arange(m, dtype=np.int64)
+        w = np.empty(n + m)
+        w[at_stored], w[at_new] = self.v_sorted, u_sorted
+        order = np.empty(n + m, dtype=np.int64)
+        order[at_stored], order[at_new] = self.order, n + new_order
+
+        # A stored window keeps its stored rows and takes in the new rows
+        # between them. Its merged bound lies in the gap of new rows just
+        # outside the old bound: lo after the merged position of stored
+        # lo - 1 and at most that of stored lo, hi likewise. _bisect
+        # skips every empty gap.
+        lo, hi = np.empty(n + m, dtype=np.int64), np.empty_like(order)
+        lo[at_stored], hi[at_stored] = _exact_windows(
+            w, self.v_sorted, gamma,
+            (self.lo + before[self.lo], self.lo + before[self.lo + 1]),
+            (self.hi + before[self.hi], self.hi + before[self.hi + 1]))
+        lo[at_new], hi[at_new] = _windows(w, gamma, at_new)
+        return SparseAdjacency(n + m, order, lo, hi, 1.0 / np.sqrt(hi - lo))
 
 
 def identity_adjacency(n: int) -> SparseAdjacency:

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import threading
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -26,8 +27,8 @@ from graphboost.boost import (BoostConfig, BoostState, Ensemble, WeakRound,
 from graphboost.data import TEST, TRAIN, VAL, Dataset, EncodingMeta, \
     NumericMeta, fit_encoder, gen_synthetic, split_rows
 from graphboost.errors import DataError, NoWeakLearnability
-from graphboost.graph import (build_adjacency, enumerate_candidates,
-                              quantile_thresholds)
+from graphboost.graph import (StoredGraph, build_adjacency,
+                              enumerate_candidates, quantile_thresholds)
 from graphboost.model_io import load_ensemble, save_ensemble
 from graphboost.rng import derive_seed
 
@@ -461,19 +462,132 @@ class TestEnsemblePrediction:
             np.testing.assert_array_equal(got[1], want[1])
 
     def test_each_distinct_graph_built_once_per_call(self, monkeypatch):
+        # The first call builds each distinct graph over the stored rows;
+        # every call, that one included, merges its rows into each once.
         ens = self._shared_graph_ensemble(
             self.SHARED_GRAPH_ENSEMBLES["mixed_learners"])
-        built = []
+        built, joined = [], []
+        join = StoredGraph.join
 
-        def counting(values, gamma, **kwargs):
+        def counting_build(values, gamma, **kwargs):
             built.append(gamma)
             return build_adjacency(values, gamma, **kwargs)
 
-        monkeypatch.setattr(boost, "build_adjacency", counting)
+        def counting_join(graph, new_values):
+            joined.append(len(new_values))
+            return join(graph, new_values)
+
+        monkeypatch.setattr(boost, "build_adjacency", counting_build)
+        monkeypatch.setattr(StoredGraph, "join", counting_join)
         predict_ensemble(ens, np.zeros((3, 2)))
-        assert len(built) == 2
+        assert (len(built), joined) == (2, [3, 3])
+        predict_ensemble(ens, np.zeros((1, 2)))
+        assert (len(built), joined[2:]) == (2, [1, 1])
         transductive_scores(ens)
-        assert len(built) == 4
+        assert (len(built), joined[4:]) == (2, [0, 0])
+
+    def test_stored_graphs_are_never_saved(self, tmp_path):
+        ens = self._shared_graph_ensemble(
+            self.SHARED_GRAPH_ENSEMBLES["interleaved"])
+        cold, warm = tmp_path / "cold.gbe", tmp_path / "warm.gbe"
+        save_ensemble(ens, str(cold))
+        new_x = np.random.default_rng(3).normal(size=(5, 2))
+        for model in (ens, load_ensemble(str(cold))):
+            predict_ensemble(model, new_x)
+            predict_ensemble(model, new_x[:1])
+            transductive_scores(model)
+            save_ensemble(model, str(warm))
+            assert warm.read_bytes() == cold.read_bytes()
+
+    def test_loaded_model_predicts_like_the_ensemble_in_memory(
+            self, tmp_path):
+        ens = self._shared_graph_ensemble(
+            self.SHARED_GRAPH_ENSEMBLES["interleaved"])
+        path = tmp_path / "model.gbe"
+        save_ensemble(ens, str(path))
+        new_x = np.random.default_rng(4).normal(size=(6, 2))
+        batches = (new_x, new_x[:1], new_x[4:5], new_x)
+
+        def outputs(model):
+            return [transductive_scores(model)] + [
+                predict_ensemble(model, rows) for rows in batches]
+
+        want = outputs(ens)
+        for got, expected in zip(outputs(load_ensemble(str(path))), want):
+            np.testing.assert_array_equal(got[0], expected[0])
+            np.testing.assert_array_equal(got[1], expected[1])
+
+    def test_replaced_train_x_is_never_served_a_stale_sort(self):
+        ens = self._shared_graph_ensemble(
+            self.SHARED_GRAPH_ENSEMBLES["interleaved"])
+        row = np.random.default_rng(5).normal(size=(1, 2))
+        predict_ensemble(ens, row)
+        transductive_scores(ens)
+        # same shape, other values: only the identity of train_x changed
+        ens.train_x = np.random.default_rng(6).normal(size=ens.train_x.shape)
+        for got, want in (
+                (predict_ensemble(ens, row),
+                 reference_votes(ens, np.vstack([ens.train_x, row]),
+                                 ens.train_x.shape[0])),
+                (transductive_scores(ens),
+                 reference_votes(ens, ens.train_x, 0))):
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+
+    def test_graphs_on_one_feature_share_its_sort(self):
+        ens = self._shared_graph_ensemble(
+            [(0, 0, {}), (0, 2, {}), (1, 1, {}), (0, 0, {})])
+        rows = np.random.default_rng(7).normal(size=(4, 2))
+        for got, want in (
+                (predict_ensemble(ens, rows),
+                 reference_votes(ens, np.vstack([ens.train_x, rows]),
+                                 ens.train_x.shape[0])),
+                (transductive_scores(ens),
+                 reference_votes(ens, ens.train_x, 0))):
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+        g0, g2 = ens.rounds[0].gamma, ens.rounds[1].gamma
+        assert g0 != g2
+        a, b = (ens.stored_graphs.get(ens.train_x, 0, g) for g in (g0, g2))
+        assert a.order is b.order and a.v_sorted is b.v_sorted
+        assert not np.array_equal(a.hi, b.hi)
+
+    def test_threads_share_the_stored_graphs(self, monkeypatch):
+        # More threads than cores, switching often, on a cold ensemble: a
+        # lost update would build some graph twice.
+        ens = self._shared_graph_ensemble(
+            [(0, 0, {}), (0, 2, {}), (1, 1, {})])
+        rows = np.random.default_rng(8).normal(size=(8, 2))
+        want = [reference_votes(ens, np.vstack([ens.train_x, rows[i:i + 1]]),
+                                ens.train_x.shape[0]) for i in range(8)]
+        built = []
+
+        def counting_build(values, gamma, **kwargs):
+            built.append(gamma)
+            return build_adjacency(values, gamma, **kwargs)
+
+        monkeypatch.setattr(boost, "build_adjacency", counting_build)
+        results = {}
+
+        def work(i):
+            results[i] = predict_ensemble(ens, rows[i:i + 1])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,))
+                       for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(built) == 3
+        for i in range(8):
+            np.testing.assert_array_equal(results[i][0], want[i][0])
+            np.testing.assert_array_equal(results[i][1], want[i][1])
 
     def test_single_round_matches_weak_prediction(self):
         ds, _ = make_dataset(n=150, m=3, seed=8)

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from graphboost import graph
 from graphboost.errors import DataError
-from graphboost.graph import (GraphStack, build_adjacency,
+from graphboost.graph import (GraphStack, StoredGraph, build_adjacency,
                               enumerate_candidates, identity_adjacency,
                               quantile_thresholds)
 
@@ -290,6 +290,90 @@ class TestGraphStack:
             stack.propagate(np.zeros((1, 5, 2)), 0.1, 2)
         with pytest.raises(DataError):
             GraphStack([identity_adjacency(5), identity_adjacency(6)], 2)
+
+
+def assert_same_adjacency(got, want):
+    assert got.n == want.n
+    for name in ("order", "lo", "hi", "values"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
+
+
+def joined(stored, new, gamma):
+    return StoredGraph.of(build_adjacency(stored, gamma), stored).join(new)
+
+
+class TestStoredGraph:
+    """``join`` against its oracle: ``build_adjacency`` over the stacked
+    column, compared field by field and bit for bit."""
+
+    @given(st.integers(0, 2**32 - 1),
+           st.sampled_from(["normal", "levels", "zscored"]),
+           st.sampled_from(["stored", "below", "above", "spread"]),
+           st.sampled_from(["none", "one", "some", "more_than_stored"]),
+           st.sampled_from(["pair", "ulp_below", "ulp_above", "zero", "inf",
+                            "uniform"]))
+    @settings(max_examples=300, deadline=None)
+    def test_join_equals_build_over_stacked_column(self, seed, style, where,
+                                                    count, gamma_kind):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 40))
+        m = {"none": 0, "one": 1, "some": int(rng.integers(2, n + 2)),
+             "more_than_stored": int(rng.integers(n + 1, 2 * n + 5))}[count]
+
+        def draw(size):
+            if style == "normal":
+                return rng.normal(size=size)
+            if style == "levels":  # heavy ties
+                return rng.integers(0, 4, size=size).astype(float)
+            # z-scored integer levels: equal raw gaps differ in the last bit
+            return (rng.integers(0, 30, size=size) - 14.5) / 7.3
+
+        stored = draw(n)
+        if where == "stored":  # ties with stored values, new values repeated
+            new = rng.choice(stored, size=m)
+        else:
+            new = draw(m)
+            if where == "below":
+                new = new - (np.ptp(stored) + 3.0)
+            elif where == "above":
+                new = new + (np.ptp(stored) + 3.0)
+            else:
+                new = new * 2.0
+        stacked = np.concatenate([stored, new])
+        pool = np.unique(np.abs(stacked[:, None] - stacked[None, :]))
+        gamma = {"zero": 0.0, "inf": np.inf,
+                 "uniform": float(rng.uniform(0.0, pool.max() + 0.1))}.get(
+            gamma_kind, float(rng.choice(pool)))
+        if gamma_kind.startswith("ulp"):
+            gamma = float(np.nextafter(
+                gamma, 0.0 if gamma_kind == "ulp_below" else np.inf))
+        assert_same_adjacency(joined(stored, new, gamma),
+                              build_adjacency(stacked, gamma).adjacency)
+
+    def test_zscored_levels_at_ulp_adjacent_gammas(self):
+        # After z-scoring, integer levels one apart differ by one of a few
+        # floats an ulp or two apart (four here); gammas at and one ulp
+        # around each link a different subset of the level pairs.
+        raw = np.random.default_rng(7).integers(0, 12, size=90).astype(float)
+        v = (raw - raw.mean()) / raw.std()
+        one_level = np.unique(np.abs(np.diff(np.unique(v))))
+        gammas = set()
+        for g in one_level:
+            gammas.update((g, np.nextafter(g, 0.0), np.nextafter(g, np.inf)))
+        for gamma in sorted(gammas):
+            for cut in (0, 1, 45, 89, 90):
+                assert_same_adjacency(
+                    joined(v[:cut], v[cut:], gamma),
+                    build_adjacency(v, gamma).adjacency)
+
+    def test_non_finite_new_value_rejected(self):
+        graph = StoredGraph.of(build_adjacency(np.arange(5.0), 1.0),
+                               np.arange(5.0))
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(DataError, match="non-finite feature values"):
+                graph.join(np.array([0.5, bad]))
 
 
 class TestEnumerateCandidates:
