@@ -13,7 +13,8 @@ builds), and a K=2 head propagated for the default 10 steps. A join
 merges 1 or 2000 new standard-normal rows into the stored graph of such a
 column, the work a prediction call does per distinct round graph. The round
 trains all 30 candidates of an n=2000, m=10 synthetic cohort with the
-learner shape of the fit benchmark in ``perfbench/``. Single-row
+learner shape of the fit benchmark in ``perfbench/``, on the calling
+thread (``workers`` 0) and on two threads (``workers`` 2). Single-row
 prediction scores one new row against a hand-built 10-round ensemble over
 the 2000 rows of that cohort, with criterion 08's learner shape and round
 pattern: 8 rounds on one graph and 2 on two others, interleaved, each with
@@ -72,7 +73,8 @@ def _cohort(n=2000):
     return ds
 
 
-def test_round_of_30_candidates(benchmark):
+@pytest.mark.parametrize("workers", (0, 2))
+def test_round_of_30_candidates(benchmark, workers):
     ds = _cohort()
     candidates = enumerate_candidates(ds.X)
     assert len(candidates) == 30
@@ -82,7 +84,8 @@ def test_round_of_30_candidates(benchmark):
                        dropout=0.1, learning_rate=0.05, max_epochs=20,
                        patience=20, seed=1)
     round_, _ = benchmark(run_round, BoostState(weights), candidates, ds.X,
-                          ds.y, train, ds.mask(VAL), 2, weak)
+                          ds.y, train, ds.mask(VAL), 2, weak,
+                          workers=workers)
     assert 0.0 <= round_.error < 0.5
 
 

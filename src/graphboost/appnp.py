@@ -19,13 +19,16 @@ and one ``GraphStack`` for the graphs. ``np.matmul`` calls BLAS once per
 slice, and every other operation is elementwise or reduces within a slice,
 so each slice holds the bits of a one-graph computation. Learners trained
 under one seed start from the same weights and draw the same dropout
-masks, so ``train_candidates`` trains up to ``BLOCK_SIZE`` graphs at once.
-``forward``, ``backward``, ``propagate`` and ``train_weak`` are the C = 1
-case of the same code, and ``predict_labels`` labels a stack of trained
-learners with it.
+masks, so ``train_candidates`` trains up to ``BLOCK_SIZE`` graphs at once,
+with one C x N x H activation buffer per block, and runs up to ``workers``
+such blocks at once on threads. ``forward``, ``backward``, ``propagate``
+and ``train_weak`` are the C = 1 case of the same code, and
+``predict_labels`` labels a stack of trained learners with it.
 """
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,11 +41,10 @@ from .rng import substream
 # model file claiming 2**70 steps would make predict never finish.
 MAX_PROP_STEPS = 10_000
 
-# Learners trained together. A block holds two C x N x H activation
-# buffers, so memory grows with it: at 4, a block's traced peak is about
-# 1.5x (H = 64) to 2x (H = 16) that of training one learner alone, e.g.
-# 71 -> 106 MB at N = 20000, H = 64. Past a few learners the per-call
-# overhead it saves is already small.
+# Learners trained together. A block holds one C x N x H activation
+# buffer, so memory grows with it, and ``train_candidates`` keeps up to
+# ``workers`` blocks live at once. Past a few learners the per-call
+# overhead a larger block saves is already small.
 BLOCK_SIZE = 4
 
 _PARAMS = ("w1", "b1", "w2", "b2")
@@ -104,7 +106,6 @@ class TrainReport:
 @dataclass
 class ForwardCache:
     x: np.ndarray
-    r: np.ndarray  # relu(x @ w1.T + b1), before dropout
     dmask: np.ndarray | None
     hd: np.ndarray
     h0: np.ndarray
@@ -186,19 +187,25 @@ def _logit_grad(logp: np.ndarray, shape: tuple, y: np.ndarray, w: np.ndarray,
     return g
 
 
-def _param_grads(p: dict, x: np.ndarray, r: np.ndarray, hd: np.ndarray,
+def _param_grads(p: dict, x: np.ndarray, hd: np.ndarray,
                  dmask: np.ndarray | None, dh0: np.ndarray,
                  weight_decay: float, scratch=None) -> dict:
     """Exact gradients of ``loss`` for the stacked (w1, b1, w2, b2), given
-    r = relu(a1), the dropped-out hd and dH0. dA1 is built in ``scratch``
-    (C x N x H) when one is given; it may be the buffer that holds hd."""
+    the dropped-out hd = relu(a1) * dmask and dH0. dA1 is built in
+    ``scratch`` (C x N x H) when one is given; it may be the buffer that
+    holds hd."""
     dw2 = np.matmul(dh0.transpose(0, 2, 1), hd)
     dw2 += 2.0 * weight_decay * p["w2"]
     db2 = dh0.sum(axis=1)
+    # The ReLU mask a1 > 0, taken before dA1 overwrites hd. Where dmask is
+    # 0, hd is 0 or NaN even if a1 > 0, but dA1 there has already been
+    # multiplied by 0, and a further factor of 0 or 1 leaves its bits as
+    # they are; elsewhere hd > 0 exactly where a1 > 0.
+    active = hd > 0.0
     da1 = np.matmul(dh0, p["w2"], out=scratch)
     if dmask is not None:
         da1 *= dmask
-    da1 *= r > 0.0  # a1 > 0 exactly where relu(a1) > 0
+    da1 *= active
     dw1 = np.matmul(da1.transpose(0, 2, 1), x)
     dw1 += 2.0 * weight_decay * p["w1"]
     return {"w1": dw1, "b1": da1.sum(axis=1), "w2": dw2, "b2": db2}
@@ -242,7 +249,7 @@ def forward(model: AppnpModel, x: np.ndarray, adjacency: SparseAdjacency,
         hd = r * dmask
     h0 = _head(p, hd)[0]
     z = propagate(h0, adjacency, cfg.teleport, cfg.prop_steps)
-    return z, ForwardCache(x, r[0], dmask, hd[0], h0, z, model, adjacency)
+    return z, ForwardCache(x, dmask, hd[0], h0, z, model, adjacency)
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
@@ -272,9 +279,8 @@ def backward(cache: ForwardCache, y: np.ndarray, w: np.ndarray,
     # P is a polynomial in the symmetric Ahat, so it is symmetric too and
     # dH0 = P @ dZ is the forward propagation applied to the gradient.
     dh0 = propagate(g[0], cache.adjacency, cfg.teleport, cfg.prop_steps)
-    grads = _param_grads(_stacked(cache.model), cache.x, cache.r[None],
-                         cache.hd[None], cache.dmask, dh0[None],
-                         weight_decay)
+    grads = _param_grads(_stacked(cache.model), cache.x, cache.hd[None],
+                         cache.dmask, dh0[None], weight_decay)
     return {name: grad[0] for name, grad in grads.items()}
 
 
@@ -303,14 +309,15 @@ def train_weak(config: AppnpConfig, x: np.ndarray, adjacency: SparseAdjacency,
 
 def train_candidates(config: AppnpConfig, x: np.ndarray, adjacencies: list,
                      y: np.ndarray, w: np.ndarray, train_mask: np.ndarray,
-                     val_mask: np.ndarray,
-                     n_classes: int | None = None) -> list:
+                     val_mask: np.ndarray, n_classes: int | None = None,
+                     workers: int = 0) -> list:
     """``train_weak`` on every graph of ``adjacencies``, ``BLOCK_SIZE``
-    graphs at a time.
+    graphs at a time, with up to ``workers`` blocks at once on threads.
 
     Returns one entry per graph, in order: ``(model, report)``, or the
     ``TrainingDiverged`` that ``train_weak`` raises for that graph. Each
-    entry equals a one-graph ``train_weak`` run bit for bit.
+    entry equals a one-graph ``train_weak`` run bit for bit, whatever
+    ``workers`` is.
     """
     train_mask = np.asarray(train_mask, dtype=bool)
     val_mask = np.asarray(val_mask, dtype=bool)
@@ -322,12 +329,59 @@ def train_candidates(config: AppnpConfig, x: np.ndarray, adjacencies: list,
         raise DataError("adjacency and feature matrix disagree on node count")
     if n_classes is None:
         n_classes = int(y.max()) + 1
-    outcomes = []
-    for start in range(0, len(adjacencies), BLOCK_SIZE):
-        block = adjacencies[start:start + BLOCK_SIZE]
-        outcomes += _train_block(config, x, block, y, w, train_mask,
-                                 val_mask, n_classes)
-    return outcomes
+    blocks = [adjacencies[start:start + BLOCK_SIZE]
+              for start in range(0, len(adjacencies), BLOCK_SIZE)]
+
+    def train(block):
+        return _train_block(config, x, block, y, w, train_mask, val_mask,
+                            n_classes)
+
+    return [outcome for outcomes in _map_threads(train, blocks, workers)
+            for outcome in outcomes]
+
+
+def _map_threads(fn, items: list, workers: int) -> list:
+    """``[fn(item) for item in items]`` on up to ``workers`` threads.
+
+    Items are handed out in order, one at a time, to whichever thread is
+    free; the calling thread works too, so at most
+    ``min(workers, len(items), os.cpu_count()) - 1`` threads start, and
+    none for ``workers`` 0 or 1. If a call raises, no further item is
+    handed out; once every thread has finished, the error of the first
+    failed item is raised. Every earlier item was handed out before it and
+    has run to the end, so that is the error a serial loop raises.
+    """
+    threads = min(workers, len(items), os.cpu_count() or 1)
+    if threads <= 1:
+        return [fn(item) for item in items]
+    results: list = [None] * len(items)
+    errors: dict = {}
+    todo = iter(enumerate(items))
+    lock = threading.Lock()
+
+    def work():
+        while True:
+            with lock:
+                i, item = (None, None) if errors else next(todo, (None, None))
+            if i is None:
+                return
+            try:
+                results[i] = fn(item)
+            except BaseException as exc:  # re-raised by the calling thread
+                with lock:
+                    errors[i] = exc
+                return
+
+    helpers = [threading.Thread(target=work, name=f"graphboost-block-{n}")
+               for n in range(1, threads)]
+    for helper in helpers:
+        helper.start()
+    work()
+    for helper in helpers:
+        helper.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def _diverged(p: dict, row: int, x: np.ndarray, h0: np.ndarray,
@@ -360,11 +414,10 @@ def _train_block(config: AppnpConfig, x: np.ndarray, adjacencies: list,
     p = {name: np.repeat(getattr(init, name)[None], size, axis=0)
          for name in _PARAMS}
     stack = GraphStack(adjacencies, n_classes)
-    # The only C x N x H buffers: r = relu(a1) for the current parameters,
-    # and scratch for the dropped-out hd and then dA1. The validation
-    # forward leaves r ready for the next epoch's training forward.
+    # The only C x N x H buffer. Each epoch it holds r = relu(a1) for the
+    # current parameters, then the dropped-out hd (in place), then dA1;
+    # the validation forward leaves r in it for the next epoch.
     r = _hidden(p, x, out=np.empty((size, x.shape[0], config.hidden_dim)))
-    scratch = np.empty_like(r)
 
     def logits(hd):
         return stack.propagate(_head(p, hd), config.teleport,
@@ -406,7 +459,7 @@ def _train_block(config: AppnpConfig, x: np.ndarray, adjacencies: list,
         hd = r
         if config.dropout > 0.0:
             dmask = _dropout_mask(dropout_rng, r.shape[1:], config.dropout)
-            hd = np.multiply(r, dmask, out=scratch)
+            hd = np.multiply(r, dmask, out=r)
         h0 = _head(p, hd)
         z = stack.propagate(h0, config.teleport, config.prop_steps)
         losses, logp = train_losses(z)
@@ -421,10 +474,15 @@ def _train_block(config: AppnpConfig, x: np.ndarray, adjacencies: list,
         if all(done):
             break
 
-        dh0 = stack.propagate(_logit_grad(logp, z.shape, y, w, train_mask),
-                              config.teleport, config.prop_steps)
-        grads = _param_grads(p, x, r, hd, dmask, dh0, config.weight_decay,
-                             scratch=scratch)
+        # Free each C x N x K array once it is dead: any one still alive
+        # adds its size to the block's peak.
+        dz = _logit_grad(logp, z.shape, y, w, train_mask)
+        del h0, z, logp
+        dh0 = stack.propagate(dz, config.teleport, config.prop_steps)
+        del dz
+        grads = _param_grads(p, x, hd, dmask, dh0, config.weight_decay,
+                             scratch=hd)
+        del dh0
         t = epoch + 1
         for name, param in p.items():
             adam_m[name] = beta1 * adam_m[name] + (1 - beta1) * grads[name]

@@ -13,12 +13,13 @@ running ensemble error rate reaches (K - 1) / K.
 Every candidate of a round trains under the same seed, so the learners
 share their initial weights and dropout masks; ``appnp.train_candidates``
 trains them in blocks of stacked weights, each bit-equal to a one-graph
-run. ``fit`` drops repeated (feature, gamma) candidates, which come from
-tied quantiles or an expert edge equal to a quantile, so each distinct
-graph trains once per round. Prediction labels the rounds that chose one
-(feature, gamma) graph together with ``appnp.predict_labels``. Each such
-graph is built over the stored rows once per ensemble and kept in memory;
-a prediction merges its new rows into that stored graph.
+run, on up to ``workers`` threads. ``fit`` drops repeated (feature, gamma)
+candidates, which come from tied quantiles or an expert edge equal to a
+quantile, so each distinct graph trains once per round. Prediction labels
+the rounds that chose one (feature, gamma) graph together with
+``appnp.predict_labels``. Each such graph is built over the stored rows
+once per ensemble and kept in memory; a prediction merges its new rows
+into that stored graph.
 """
 
 import logging
@@ -52,7 +53,9 @@ class BoostConfig:
     learning_rate: float = 1.0  # shrinkage on alpha
     weak: AppnpConfig = field(default_factory=AppnpConfig)
     expert_edges: tuple = ()  # (feature name or index, raw threshold)
-    workers: int = 0  # accepted for compatibility; has no effect
+    # threads training candidate blocks; 0 and 1 train in the calling
+    # thread. The fitted model is the same bits at any value.
+    workers: int = 0
     seed: int = 0
     pair_cap: int = DEFAULT_PAIR_CAP
 
@@ -63,6 +66,8 @@ class BoostConfig:
             raise DataError("boost learning rate must be in (0, 1]")
         if self.pair_cap < 1:
             raise DataError("pair_cap must be >= 1")
+        if self.workers < 0:
+            raise DataError("workers must be >= 0")
 
 
 @dataclass
@@ -199,10 +204,12 @@ def run_round(state: BoostState, candidates: list, x: np.ndarray,
               y: np.ndarray, train_mask: np.ndarray, val_mask: np.ndarray,
               n_classes: int, weak_config: AppnpConfig,
               feature_names: list[str] | None = None,
-              boost_lr: float = 1.0) -> tuple[WeakRound, np.ndarray]:
-    """Train a weak learner on every candidate and return the round built
-    from the lowest-weighted-error one (ties: lower feature index, smaller
-    gamma, non-expert first), plus its transductive predictions."""
+              boost_lr: float = 1.0,
+              workers: int = 0) -> tuple[WeakRound, np.ndarray]:
+    """Train a weak learner on every candidate, on up to ``workers``
+    threads, and return the round built from the lowest-weighted-error one
+    (ties: lower feature index, smaller gamma, non-expert first), plus its
+    transductive predictions."""
     if state.terminated:
         raise DataError("boosting already terminated")
     if not candidates:
@@ -216,7 +223,8 @@ def run_round(state: BoostState, candidates: list, x: np.ndarray,
 
     outcomes = train_candidates(weak_config, x,
                                 [c.adjacency for c in candidates], y, w_eval,
-                                train_mask, val_mask, n_classes=n_classes)
+                                train_mask, val_mask, n_classes=n_classes,
+                                workers=workers)
     trained, diverged = [], []
     for idx, (cand, outcome) in enumerate(zip(candidates, outcomes)):
         if isinstance(outcome, TrainingDiverged):
@@ -295,7 +303,7 @@ def fit(config: BoostConfig, dataset: Dataset) -> Ensemble:
                            seed=derive_seed(config.seed, "weak", t))
         round_, labels = run_round(state, candidates, x, y, train_mask,
                                    val_mask, k, weak_cfg, names,
-                                   config.learning_rate)
+                                   config.learning_rate, config.workers)
         state.iteration = t
         if round_.error >= gate:
             if not rounds:

@@ -135,15 +135,16 @@ class GraphStack:
         z = np.take(h0, self._frame).reshape(c, k, n)
         restart = teleport * z
         prefix = np.zeros((c, k, n + 1))
-        scaled, lower = np.empty_like(z), np.empty_like(z)
+        # dinv * Z, then, once the prefix sum has read it, the lower bounds
+        scaled = np.empty_like(z)
         for _ in range(steps):
             np.multiply(self._dinv, z, out=scaled)
             np.cumsum(scaled, axis=2, out=prefix[:, :, 1:])
             # the indices are in range by construction; "clip" skips the
             # bounds check and the buffering that the default mode adds
             np.take(prefix, self._hi, out=z.reshape(-1), mode="clip")
-            np.take(prefix, self._lo, out=lower.reshape(-1), mode="clip")
-            z -= lower
+            np.take(prefix, self._lo, out=scaled.reshape(-1), mode="clip")
+            z -= scaled
             z *= self._dinv
             z *= 1.0 - teleport
             z += restart

@@ -5,6 +5,11 @@ verified against the dense closed-form PageRank limit.
 """
 
 import math
+import os
+import sys
+import threading
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -488,6 +493,131 @@ class TestTrainCandidates:
                           dropout=0.1, learning_rate=0.05, max_epochs=20,
                           patience=3, seed=10)
         self._check(cfg, x, y, w, train, val, graphs)
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_threads_match_serial_with_a_diverging_candidate(self,
+                                                             monkeypatch):
+        x, y, w, train, val, graphs = self._problem(seed=3)
+        n = len(y)
+        pos = np.arange(n)
+        blowup = SparseAdjacency(n, pos, pos, pos + 1, np.full(n, 1e200))
+        graphs.insert(4, blowup)  # in blocks of 3, the second's middle
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        cfg = AppnpConfig(hidden_dim=5, prop_steps=2, teleport=0.1,
+                          dropout=0.2, learning_rate=0.03, max_epochs=15,
+                          patience=15, seed=4)
+        serial = train_candidates(cfg, x, graphs, y, w, train, val,
+                                  n_classes=2)
+        assert [isinstance(o, TrainingDiverged) for o in serial] == \
+            [i == 4 for i in range(len(graphs))]
+        # 8 threads of one-graph blocks, switching as often as they can,
+        # would expose an outcome lost or put in the wrong place
+        interval = sys.getswitchinterval()
+        for block, workers in ((3, 2), (3, 3), (1, 8)):
+            monkeypatch.setattr(appnp, "BLOCK_SIZE", block)
+            sys.setswitchinterval(1e-6)
+            try:
+                threaded = train_candidates(cfg, x, graphs, y, w, train,
+                                            val, n_classes=2,
+                                            workers=workers)
+            finally:
+                sys.setswitchinterval(interval)
+            assert len(threaded) == len(serial)
+            for want, got in zip(serial, threaded):
+                if isinstance(want, TrainingDiverged):
+                    assert isinstance(got, TrainingDiverged)
+                    assert (str(got), got.epoch) == (str(want), want.epoch)
+                    continue
+                assert got[1] == want[1]
+                for a, b in zip(got[0].copy_weights(),
+                                want[0].copy_weights()):
+                    np.testing.assert_array_equal(a, b)
+
+    def test_first_error_in_block_order_surfaces_unchanged(self,
+                                                           monkeypatch):
+        # Three threads take blocks 0, 1 and 2. Block 2 fails first, block
+        # 1 later; block 1's error is the one a serial loop raises.
+        n = 5
+        graphs = [identity_adjacency(n) for _ in range(6)]
+        errors = {1: RuntimeError("block 1"), 2: RuntimeError("block 2")}
+        block_2_failed = threading.Event()
+        started = []
+
+        def fake_block(config, x, block, *args):
+            i = next(j for j, g in enumerate(graphs) if g is block[0])
+            started.append(i)
+            if i == 2:
+                block_2_failed.set()
+                raise errors[2]
+            block_2_failed.wait(10.0)
+            time.sleep(0.1)  # lets block 2's thread record its error
+            if i == 1:
+                raise errors[1]
+            return [i]
+
+        monkeypatch.setattr(appnp, "BLOCK_SIZE", 1)
+        monkeypatch.setattr(appnp, "_train_block", fake_block)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as info:
+            train_candidates(AppnpConfig(), np.zeros((n, 1)), graphs,
+                             np.zeros(n, dtype=np.int64), np.ones(n),
+                             np.arange(n) < 3, np.arange(n) >= 3,
+                             n_classes=2, workers=3)
+        assert info.value is errors[1]
+        assert threading.active_count() == before
+        assert sorted(started) == [0, 1, 2]
+
+    @pytest.mark.parametrize("workers, cpus, threads", [
+        (0, 64, 0), (1, 64, 0), (4, 64, 3), (10**6, None, 0),
+        (10**6, 1, 0), (10**6, 3, 2), (10**6, 64, 6)])
+    def test_thread_count_is_capped(self, monkeypatch, workers, cpus,
+                                    threads):
+        # at most min(workers, blocks, cpu_count) - 1 helpers; 7 blocks
+        started = []
+
+        class Counting(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        n = 5
+        graphs = [identity_adjacency(n) for _ in range(7)]
+        monkeypatch.setattr(threading, "Thread", Counting)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(appnp, "BLOCK_SIZE", 1)
+        monkeypatch.setattr(appnp, "_train_block",
+                            lambda config, x, block, *args: list(block))
+        got = train_candidates(AppnpConfig(), np.zeros((n, 1)), graphs,
+                               np.zeros(n, dtype=np.int64), np.ones(n),
+                               np.arange(n) < 3, np.arange(n) >= 3,
+                               n_classes=2, workers=workers)
+        assert len(got) == len(graphs)
+        assert all(a is b for a, b in zip(got, graphs))
+        assert len(started) == threads
+
+    def test_block_holds_one_activation_buffer(self):
+        # A block's traced peak, at most 3 C x N x H float64 buffers: the
+        # activation buffer plus the graph stack, the dropout mask and the
+        # C x N x K arrays of propagation.
+        n, m, h, k, c = 2000, 10, 16, 2, 4
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(n, m))
+        y = rng.integers(0, k, size=n)
+        w = np.full(n, 1.0 / n)
+        train, val = np.arange(n) < 1400, np.arange(n) >= 1700
+        graphs = [build_adjacency(x[:, j], 0.1).adjacency for j in range(c)]
+        cfg = AppnpConfig(hidden_dim=h, prop_steps=3, dropout=0.1,
+                          learning_rate=0.05, max_epochs=3, patience=3,
+                          seed=1)
+        tracemalloc.start()
+        try:
+            appnp._train_block(cfg, x, graphs, y, w, train, val, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * c * n * h * 8
 
 
 class TestPredict:

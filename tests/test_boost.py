@@ -24,12 +24,14 @@ from graphboost.boost import (BoostConfig, BoostState, Ensemble, WeakRound,
                               compute_alpha, fit, predict_ensemble, run_round,
                               transductive_scores, update_weights,
                               weighted_error)
+from graphboost.config import parse_config
 from graphboost.data import TEST, TRAIN, VAL, Dataset, EncodingMeta, \
     NumericMeta, fit_encoder, gen_synthetic, split_rows
 from graphboost.errors import DataError, NoWeakLearnability
 from graphboost.graph import (StoredGraph, build_adjacency,
                               enumerate_candidates, quantile_thresholds)
 from graphboost.model_io import load_ensemble, save_ensemble
+from graphboost.pipeline import run_train
 from graphboost.rng import derive_seed
 
 
@@ -297,17 +299,58 @@ class TestFit:
         assert ens.rounds[0].feature == planted
         assert ens.rounds[0].feature_name == "edge"
 
-    def test_fit_deterministic_serial_vs_parallel(self, tmp_path):
-        ds, _ = make_dataset(n=200, m=3, seed=5)
-        cfg_serial = self._config(n_rounds=2, seed=5)
-        cfg_par = BoostConfig(n_rounds=2, learning_rate=1.0,
-                              weak=cfg_serial.weak, workers=2, seed=5)
-        e1 = fit(cfg_serial, ds)
-        e2 = fit(cfg_par, ds)
-        p1, p2 = tmp_path / "a.gbe", tmp_path / "b.gbe"
-        save_ensemble(e1, str(p1))
-        save_ensemble(e2, str(p2))
-        assert p1.read_bytes() == p2.read_bytes()
+    def test_fit_deterministic_serial_vs_parallel(self, tmp_path,
+                                                  monkeypatch):
+        # A mixed cohort: integer levels that tie quantiles, a categorical
+        # column, NA cells and an expert edge. Its 9 distinct candidates
+        # make 3 blocks; claiming 8 CPUs lets workers = 3 run 3 threads on
+        # any machine.
+        rng = np.random.default_rng(21)
+        n = 240
+        level = rng.integers(0, 5, size=n)
+        edge = rng.normal(size=n)
+        label = edge + 0.3 * level + rng.normal(scale=0.5, size=n) > 0.6
+        lines = ["level,grade,score,edge,label"]
+        for i in range(n):
+            grade = "NA" if i % 11 == 0 else "abc"[rng.integers(0, 3)]
+            score = "" if i % 7 == 0 else f"{rng.normal():.3f}"
+            lines.append(f"{level[i]},{grade},{score},{float(edge[i])!r},"
+                         f"{'yes' if label[i] else 'no'}")
+        data = tmp_path / "mixed.csv"
+        data.write_text("\n".join(lines) + "\n")
+        started = []
+
+        class Counting(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", Counting)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        outputs, helpers = set(), []
+        for workers in (0, 1, 2, 3):
+            model, report = tmp_path / f"{workers}.gbe", tmp_path / "r.json"
+            run_train(parse_config(textwrap.dedent(f"""
+                data = {data}
+                split_fractions = 0.6, 0.2, 0.2
+                seed = 5
+                workers = {workers}
+                rounds = 2
+                hidden_dim = 8
+                prop_steps = 2
+                dropout = 0.1
+                weak_learning_rate = 0.05
+                max_epochs = 8
+                patience = 8
+                expert_edges = level:1.0
+                model_out = {model}
+                report_out = {report}
+            """)))
+            outputs.add((model.read_bytes(), report.read_bytes()))
+            helpers.append(len(started))
+            started.clear()
+        assert len(outputs) == 1
+        assert helpers == [0, 0, 2, 4]  # workers - 1 per round, 2 rounds
 
     def test_repeated_candidates_train_once_and_pick_the_same_round(
             self, monkeypatch):
@@ -358,8 +401,9 @@ class TestFit:
             np.testing.assert_array_equal(a, b)
 
     def test_fit_with_workers_needs_no_main_guard(self, tmp_path):
-        # A spawned worker re-runs an unguarded script while bootstrapping;
-        # fitting in one process makes the guard unnecessary.
+        # A script that fits at import time, without an
+        # ``if __name__ == "__main__"`` guard, must run: workers are
+        # threads of this process, so nothing re-imports the script.
         script = tmp_path / "unguarded.py"
         script.write_text(textwrap.dedent("""
             from graphboost.appnp import AppnpConfig

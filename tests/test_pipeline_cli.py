@@ -308,7 +308,7 @@ class TestCliExitCodes:
 
     @pytest.mark.parametrize("line, message", [
         ("pair_cap = 0", "pair_cap"), ("pair_cap = -3", "pair_cap"),
-        (f"prop_steps = {2**70}", "prop_steps")])
+        (f"prop_steps = {2**70}", "prop_steps"), ("workers = -3", "workers")])
     def test_out_of_range_setting_is_two(self, cohort, tmp_path, capsys,
                                          line, message):
         text = BASE_CONFIG.format(data=cohort[0], rounds=1,
@@ -321,6 +321,15 @@ class TestCliExitCodes:
         cfg.write_text(text + f"\n{line}\n")
         assert main(["train", "--config", str(cfg)]) == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "m.gbe").exists()
+
+    def test_negative_workers_flag_is_two(self, cohort, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(BASE_CONFIG.format(data=cohort[0], rounds=1,
+                                          model=tmp_path / "m.gbe",
+                                          report=tmp_path / "r.json"))
+        assert main(["train", "--config", str(cfg), "--workers", "-3"]) == 2
+        assert "workers" in capsys.readouterr().err
         assert not (tmp_path / "m.gbe").exists()
 
     def test_wrong_model_version_is_two(self, trained, tmp_path, capsys):
