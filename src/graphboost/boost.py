@@ -33,12 +33,12 @@ from .appnp import (AppnpConfig, AppnpModel, TrainReport, predict_labels,
                     train_candidates)
 # Unused here; kept only because perfbench/tracing.py wraps
 # boost.train_weak. Goes when the tracer wraps train_candidates instead
-# (ROADMAP item 6).
+# (ROADMAP item 1).
 from .appnp import train_weak  # noqa: F401
 from .data import Dataset, EncodingMeta, TRAIN, VAL
 from .errors import DataError, NoWeakLearnability, TrainingDiverged
-from .graph import (DEFAULT_PAIR_CAP, CandidateGraph, StoredGraph,
-                    build_adjacency, enumerate_candidates)
+from .graph import (CandidateGraph, StoredGraph, build_adjacency,
+                    enumerate_candidates)
 from .rng import derive_seed
 
 log = logging.getLogger("graphboost.boost")
@@ -57,15 +57,12 @@ class BoostConfig:
     # thread. The fitted model is the same bits at any value.
     workers: int = 0
     seed: int = 0
-    pair_cap: int = DEFAULT_PAIR_CAP
 
     def __post_init__(self):
         if self.n_rounds < 1:
             raise DataError("need at least one boosting round")
         if not 0.0 < self.learning_rate <= 1.0:
             raise DataError("boost learning rate must be in (0, 1]")
-        if self.pair_cap < 1:
-            raise DataError("pair_cap must be >= 1")
         if self.workers < 0:
             raise DataError("workers must be >= 0")
 
@@ -277,7 +274,6 @@ def fit(config: BoostConfig, dataset: Dataset) -> Ensemble:
     names = dataset.encoder.feature_names()
     scales = dataset.encoder.feature_scales()
     candidates = enumerate_candidates(x, config.expert_edges, names, scales,
-                                      pair_cap=config.pair_cap,
                                       seed=derive_seed(config.seed, "graphs"))
     # Equal (feature, gamma) means an equal graph, and every candidate of a
     # round trains under the same seed, so a repeat gives the same learner

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field, fields
 from .appnp import AppnpConfig
 from .boost import BoostConfig
 from .errors import ConfigError
-from .graph import DEFAULT_PAIR_CAP
 
 # Keys whose values may be grids (searched by ``sweep``).
 GRID_KEYS = ("rounds", "boost_learning_rate", "hidden_dim", "prop_steps",
@@ -38,7 +37,6 @@ class RunConfig:
     seed: int = 0
     workers: int = 0
     expert_edges: tuple = ()  # (feature name, raw threshold)
-    pair_cap: int = DEFAULT_PAIR_CAP
     sweep_cap: int = 64
     model_out: str | None = None
     report_out: str | None = None
@@ -103,8 +101,7 @@ class RunConfig:
             weak=self.weak_config(self.seed),
             expert_edges=self.expert_edges,
             workers=self.workers,
-            seed=self.seed,
-            pair_cap=self.pair_cap)
+            seed=self.seed)
 
     def schema_hints(self) -> dict:
         hints = {name: "categorical" for name in self.categorical}
@@ -129,8 +126,7 @@ def _parse_expert(text: str) -> tuple:
 
 _SCALAR_KEYS = {
     "data": str, "label": str, "split_seed": _parse_int, "seed": _parse_int,
-    "workers": _parse_int, "pair_cap": _parse_int,
-    "sweep_cap": _parse_int, "model_out": str, "report_out": str,
+    "workers": _parse_int, "sweep_cap": _parse_int, "model_out": str, "report_out": str,
 }
 _LIST_KEYS = {
     "categorical": str, "numeric": str, "expert_edges": _parse_expert,

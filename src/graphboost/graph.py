@@ -8,16 +8,19 @@ are symmetrically normalized with self-loops:
 
 Such a graph is an interval structure: sorted by the feature, the
 neighbours of each row, itself included, form one contiguous window of
-sorted positions [lo, hi). A graph is therefore stored as the sort order,
-the two window bounds and dinv = (D+I)^{-1/2} per row, O(N) memory however
-dense, and multiplied with prefix sums: with C the cumulative sum of
-dinv * Z in sorted order (C[0] = 0),
+sorted positions [lo, hi). Only the ends hi are searched for, one
+bisection per row; the starts follow from them, because row q <= p lies in
+the window of p exactly when hi[q] > p. A graph is stored as the sort
+order, the two window bounds and dinv = (D+I)^{-1/2} per row, O(N) memory
+however dense, and multiplied with prefix sums: with C the cumulative sum
+of dinv * Z in sorted order (C[0] = 0),
 
     (Ahat @ Z)[p] = dinv[p] * (C[hi[p]] - C[lo[p]]),
 
 O(N K) per multiply instead of O(E K). ``GraphStack`` runs k such steps
 for several graphs over the same rows at once. ``StoredGraph`` keeps one
-graph over stored rows and merges new rows into its sort and windows.
+graph over stored rows as its sort and window ends, and merges new rows
+into both.
 """
 
 from dataclasses import dataclass
@@ -197,65 +200,48 @@ def quantile_thresholds(values: np.ndarray, pair_cap: int = DEFAULT_PAIR_CAP,
     return ThresholdSet(feature, tuple(gammas))
 
 
-def _window_bounds(v_sorted: np.ndarray, x: np.ndarray, gamma: float) -> tuple:
-    """Brackets (lo_out, lo_in, hi_in, hi_out) of the exact window [lo, hi)
-    in ``v_sorted`` of each query value in ``x``: lo_out <= lo <= lo_in and
-    hi_in <= hi <= hi_out."""
-    # The edge predicate compares the ROUNDED difference fl(|v_i - v_j|)
-    # against gamma, which can admit or reject a pair whose true gap is
-    # within half an ulp of gamma. Searching for v -+ gamma, widened (or
-    # narrowed) by a few relative ulps of gamma and 2 absolute ulps of the
-    # bound, gives a superset (or a subset) of the exact window.
-    eps4 = 4.0 * np.finfo(np.float64).eps
-    out = []
-    for scale, step in ((1.0 + eps4, np.inf), (1.0 - eps4, -np.inf)):
-        lo_bound = x - gamma * scale
-        hi_bound = x + gamma * scale
-        for _ in range(2):
-            lo_bound = np.nextafter(lo_bound, -step)
-            hi_bound = np.nextafter(hi_bound, step)
-        out.append((np.searchsorted(v_sorted, lo_bound, side="left"),
-                    np.searchsorted(v_sorted, hi_bound, side="right")))
-    (lo_out, hi_out), (lo_in, hi_in) = out
-    return lo_out, lo_in, hi_in, hi_out
-
-
-def _bisect(linked, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per sorted position p, the least q in [a[p], b[p]] with
-    ``linked(p, q)`` true, where ``linked`` is false and then true along
-    [a[p], b[p]) and q = b[p] counts as true. Vectorised over p."""
+def _bisect(v_sorted: np.ndarray, x: np.ndarray, gamma: float,
+            a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per query i, the least q in [a[i], b[i]] with
+    fl(v_sorted[q] - x[i]) > gamma, where that is false and then true
+    along [a[i], b[i]) and q = b[i] counts as true. Vectorised over i."""
     a, b = a.copy(), b.copy()
     active = np.flatnonzero(a < b)
     while active.size:
         mid = (a[active] + b[active]) // 2
-        ok = linked(active, mid)
+        ok = v_sorted[mid] - x[active] > gamma
         b[active] = np.where(ok, mid, b[active])
         a[active] = np.where(ok, a[active], mid + 1)
         active = active[a[active] < b[active]]
     return a
 
 
-def _exact_windows(v_sorted: np.ndarray, x: np.ndarray, gamma: float,
-                   lo_range: tuple, hi_range: tuple) -> tuple:
-    """Exact windows [lo, hi) in ``v_sorted`` of rows with values ``x``,
-    bisected with lo in ``lo_range`` = (a, b) and hi in ``hi_range``. The
-    lo range must lie at or before each row's own sorted position, the hi
-    range after it."""
-    # For q <= p the rounded v_sorted[p] - v_sorted[q] is non-negative and
-    # so equals fl(|v_p - v_q|); likewise v_sorted[q] - v_sorted[p], q >= p.
-    # Either is monotone in q, so each bound is one bisection.
-    lo = _bisect(lambda i, q: x[i] - v_sorted[q] <= gamma, *lo_range)
-    hi = _bisect(lambda i, q: v_sorted[q] - x[i] > gamma, *hi_range)
-    return lo, hi
-
-
-def _windows(v_sorted: np.ndarray, gamma: float, at: np.ndarray) -> tuple:
-    """Exact windows [lo, hi) of the rows at sorted positions ``at``."""
+def _ends(v_sorted: np.ndarray, gamma: float, at: np.ndarray) -> np.ndarray:
+    """Exact window ends hi of the rows at sorted positions ``at``."""
+    # For q >= p the rounded v_sorted[q] - v_sorted[p] is non-negative and
+    # so equals fl(|v_p - v_q|); it rises with q, so each end is one
+    # bisection. The edge predicate compares this ROUNDED difference
+    # against gamma, which can admit or reject a pair whose true gap is
+    # within half an ulp of gamma. Searching for v + gamma, narrowed (or
+    # widened) by a few relative ulps of gamma and 2 absolute ulps of the
+    # bound, brackets the exact end from below (or above).
     x = v_sorted[at]
-    lo_out, lo_in, hi_in, hi_out = _window_bounds(v_sorted, x, gamma)
-    return _exact_windows(v_sorted, x, gamma,
-                          (lo_out, np.minimum(lo_in, at)),
-                          (np.maximum(hi_in, at + 1), hi_out))
+    eps4 = 4.0 * np.finfo(np.float64).eps
+    hi_in, hi_out = (
+        np.searchsorted(v_sorted, np.nextafter(np.nextafter(
+            x + gamma * scale, step), step), side="right")
+        for scale, step in ((1.0 - eps4, -np.inf), (1.0 + eps4, np.inf)))
+    return _bisect(v_sorted, x, gamma, np.maximum(hi_in, at + 1), hi_out)
+
+
+def _from_ends(order: np.ndarray, hi: np.ndarray) -> SparseAdjacency:
+    """The adjacency with sort ``order`` and exact window ends ``hi``."""
+    # For each q, fl(v_q - v_p) falls as p rises, so hi never decreases
+    # along the sort, and a row q <= p lies in the window of p exactly
+    # when hi[q] > p. So lo[p] counts the rows q with hi[q] <= p.
+    n = order.size
+    lo = np.cumsum(np.bincount(hi, minlength=n + 1)[:n])
+    return SparseAdjacency(n, order, lo, hi, 1.0 / np.sqrt(hi - lo))
 
 
 def _finite_column(values: np.ndarray) -> np.ndarray:
@@ -271,9 +257,10 @@ def build_adjacency(values: np.ndarray, gamma: float, feature: int = 0,
 
     The predicate compares the rounded difference fl(|v_i - v_j|), which
     is monotone along sorted order on each side of a row. So each window
-    bound is found by bisecting between the brackets from
-    ``_window_bounds`` with the exact predicate: the result equals the
-    O(N^2) definition while costing O(N log N) time and O(N) memory.
+    end is found by one bisection with the exact predicate between two
+    searched brackets, and the window starts are counted from the ends in
+    O(N): the result equals the O(N^2) definition while costing
+    O(N log N) time and O(N) memory.
     """
     if not gamma >= 0:
         raise DataError(f"gamma must be a non-negative number, got {gamma!r}")
@@ -282,10 +269,9 @@ def build_adjacency(values: np.ndarray, gamma: float, feature: int = 0,
 
     order = np.argsort(v, kind="stable").astype(np.int64)
     v_sorted = v[order]
-    lo, hi = _windows(v_sorted, gamma, np.arange(n, dtype=np.int64))
-    size = hi - lo
-    adjacency = SparseAdjacency(n, order, lo, hi, 1.0 / np.sqrt(size))
-    edge_count = int(np.sum(size - 1)) // 2
+    adjacency = _from_ends(order, _ends(v_sorted, gamma,
+                                        np.arange(n, dtype=np.int64)))
+    edge_count = int(np.sum(adjacency.hi - adjacency.lo - 1)) // 2
     return CandidateGraph(feature, float(gamma), adjacency, edge_count, expert)
 
 
@@ -293,25 +279,25 @@ def build_adjacency(values: np.ndarray, gamma: float, feature: int = 0,
 class StoredGraph:
     """One (feature, gamma) graph over stored rows, ready for new rows.
 
-    Holds the stable sort of the stored column and its exact windows, as
-    ``build_adjacency`` made them. ``join(new)`` returns the adjacency
-    that ``build_adjacency`` gives over the stored column with ``new``
-    appended, bit for bit, in O(N + m log N) rather than the
+    Holds the stable sort of the stored column and its exact window ends,
+    as ``build_adjacency`` made them; the starts are not kept, as ``join``
+    counts them afresh from the merged ends. ``join(new)`` returns the
+    adjacency that ``build_adjacency`` gives over the stored column with
+    ``new`` appended, bit for bit, in O(N + m log N) rather than the
     O((N + m) log(N + m)) of sorting and searching all rows again.
     """
 
     gamma: float
     order: np.ndarray  # int64, stable sort order of the stored column
     v_sorted: np.ndarray  # float64, the stored column in that order
-    lo: np.ndarray  # int64, each stored window, in the stored frame
-    hi: np.ndarray
+    hi: np.ndarray  # int64, each stored window's end, in the stored frame
 
     @classmethod
     def of(cls, candidate: CandidateGraph, values: np.ndarray) -> "StoredGraph":
         """The stored graph of ``build_adjacency(values, gamma)``."""
         adj = candidate.adjacency
         v = np.asarray(values, dtype=np.float64).ravel()
-        return cls(candidate.gamma, adj.order, v[adj.order], adj.lo, adj.hi)
+        return cls(candidate.gamma, adj.order, v[adj.order], adj.hi)
 
     def join(self, new_values: np.ndarray) -> SparseAdjacency:
         """The graph over the stored rows followed by ``new_values``."""
@@ -323,11 +309,10 @@ class StoredGraph:
         # new ones and keeps each part in its own stable order, so new row
         # j (in u_sorted order) lands after the ins[j] stored values <= it.
         ins = np.searchsorted(self.v_sorted, u_sorted, side="right")
-        # before[p + 1]: new rows merged in ahead of stored position p, for
-        # p = -1..n (none ahead of -1, all m ahead of the end n).
-        before = np.zeros(n + 2, dtype=np.int64)
-        np.cumsum(np.bincount(ins, minlength=n + 1), out=before[1:])
-        at_stored = np.arange(n, dtype=np.int64) + before[1:-1]
+        # ahead[p]: new rows merged in ahead of stored position p, for
+        # p = 0..n (all m ahead of the end n).
+        ahead = np.cumsum(np.bincount(ins, minlength=n + 1))
+        at_stored = np.arange(n, dtype=np.int64) + ahead[:-1]
         at_new = ins + np.arange(m, dtype=np.int64)
         w = np.empty(n + m)
         w[at_stored], w[at_new] = self.v_sorted, u_sorted
@@ -335,17 +320,16 @@ class StoredGraph:
         order[at_stored], order[at_new] = self.order, n + new_order
 
         # A stored window keeps its stored rows and takes in the new rows
-        # between them. Its merged bound lies in the gap of new rows just
-        # outside the old bound: lo after the merged position of stored
-        # lo - 1 and at most that of stored lo, hi likewise. _bisect
-        # skips every empty gap.
-        lo, hi = np.empty(n + m, dtype=np.int64), np.empty_like(order)
-        lo[at_stored], hi[at_stored] = _exact_windows(
-            w, self.v_sorted, gamma,
-            (self.lo + before[self.lo], self.lo + before[self.lo + 1]),
-            (self.hi + before[self.hi], self.hi + before[self.hi + 1]))
-        lo[at_new], hi[at_new] = _windows(w, gamma, at_new)
-        return SparseAdjacency(n + m, order, lo, hi, 1.0 / np.sqrt(hi - lo))
+        # between them. Its merged end lies in the gap of new rows just
+        # before the stored row at its old end h: after the merged position
+        # of stored h - 1 and at most that of stored h. _bisect skips every
+        # empty gap.
+        hi = np.empty(n + m, dtype=np.int64)
+        hi[at_stored] = _bisect(w, self.v_sorted, gamma,
+                                self.hi + ahead[self.hi - 1],
+                                self.hi + ahead[self.hi])
+        hi[at_new] = _ends(w, gamma, at_new)
+        return _from_ends(order, hi)
 
 
 def identity_adjacency(n: int) -> SparseAdjacency:
@@ -358,7 +342,6 @@ def enumerate_candidates(X: np.ndarray,
                          expert_edges: list | tuple = (),
                          feature_names: list[str] | None = None,
                          feature_scales: np.ndarray | None = None,
-                         pair_cap: int = DEFAULT_PAIR_CAP,
                          seed: int = 0) -> list[CandidateGraph]:
     """All 3M quantile candidates plus one per expert edge spec.
 
@@ -384,8 +367,8 @@ def enumerate_candidates(X: np.ndarray,
 
     candidates = []
     for j in range(m):
-        ts = quantile_thresholds(X[:, j], pair_cap=pair_cap,
-                                 seed=derive_seed(seed, "pairs", j), feature=j)
+        ts = quantile_thresholds(X[:, j], seed=derive_seed(seed, "pairs", j),
+                                 feature=j)
         for gamma in ts.gammas:
             candidates.append(candidate(j, gamma, False))
     for spec in expert_edges:

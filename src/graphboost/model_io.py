@@ -111,6 +111,9 @@ def _check_meta(meta) -> list[AppnpConfig]:
     """Validate the metadata block; returns each round's learner config."""
     _check(meta, _SCHEMA, "top level")
     m, k, enc = meta["n_features"], meta["n_classes"], meta["encoder"]
+    # new rows are scored against the stored rows; without them there is
+    # no graph to join
+    _require(meta["n_stored_rows"] >= 1, "n_stored_rows must be at least 1")
     _require(k >= 2 and len(enc["label_values"]) == k
              and len(meta["feature_names"]) == len(enc["columns"]) == m,
              "feature, column or class counts disagree")

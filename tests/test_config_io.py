@@ -2,6 +2,7 @@
 
 import json
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -215,6 +216,18 @@ class TestModelFile:
         path.write_bytes(_edit_meta(path.read_bytes(), widen))
         with pytest.raises(ModelFormatError, match="shape"):
             load_ensemble(str(path))
+
+    def test_no_stored_rows(self, small_ensemble, tmp_path, capsys):
+        # such a file, consistent in every other way, used to load, and
+        # predict then failed on a node count mismatch
+        path = tmp_path / "m.gbe"
+        save_ensemble(replace(small_ensemble,
+                              train_x=small_ensemble.train_x[:0]), str(path))
+        with pytest.raises(ModelFormatError, match="n_stored_rows"):
+            load_ensemble(str(path))
+        capsys.readouterr()
+        assert _cli_predict(path, tmp_path) == 2
+        assert "n_stored_rows" in capsys.readouterr().err
 
 
 def _edit_meta(blob: bytes, edit) -> bytes:

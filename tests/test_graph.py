@@ -158,16 +158,23 @@ class TestBuildAdjacency:
     def test_equals_brute_force(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 60))
-        # mix continuous values with heavy ties, and z-scored integer
-        # levels, whose equal raw gaps differ in the last bit
+        # mix continuous values with heavy ties, z-scored integer levels,
+        # whose equal raw gaps differ in the last bit, values at 1e+-300,
+        # subnormal levels and Cauchy tails
         style = rng.random()
-        if style < 0.4:
+        if style < 0.25:
             v = rng.normal(size=n)
-        elif style < 0.7:
+        elif style < 0.45:
             v = rng.integers(0, 4, size=n).astype(float)
-        else:
+        elif style < 0.65:
             raw = rng.integers(0, 30, size=n).astype(float)
             v = (raw - raw.mean()) / (raw.std() + 0.1)
+        elif style < 0.75:
+            v = rng.normal(size=n) * 10.0 ** rng.choice([-300, 300])
+        elif style < 0.85:
+            v = rng.integers(0, 30, size=n) * 5e-324
+        else:
+            v = rng.standard_cauchy(size=n)
         diffs = np.abs(v[:, None] - v[None, :])
         pool = np.unique(diffs)
         gamma = float(rng.choice(pool)) if rng.random() < 0.7 else \
@@ -309,7 +316,8 @@ class TestStoredGraph:
     column, compared field by field and bit for bit."""
 
     @given(st.integers(0, 2**32 - 1),
-           st.sampled_from(["normal", "levels", "zscored"]),
+           st.sampled_from(["normal", "levels", "zscored", "scaled",
+                            "subnormal", "cauchy"]),
            st.sampled_from(["stored", "below", "above", "spread"]),
            st.sampled_from(["none", "one", "some", "more_than_stored"]),
            st.sampled_from(["pair", "ulp_below", "ulp_above", "zero", "inf",
@@ -322,11 +330,19 @@ class TestStoredGraph:
         m = {"none": 0, "one": 1, "some": int(rng.integers(2, n + 2)),
              "more_than_stored": int(rng.integers(n + 1, 2 * n + 5))}[count]
 
+        scale = 10.0 ** rng.choice([-300, 300])
+
         def draw(size):
             if style == "normal":
                 return rng.normal(size=size)
             if style == "levels":  # heavy ties
                 return rng.integers(0, 4, size=size).astype(float)
+            if style == "scaled":
+                return rng.normal(size=size) * scale
+            if style == "subnormal":
+                return rng.integers(0, 30, size=size) * 5e-324
+            if style == "cauchy":
+                return rng.standard_cauchy(size=size)
             # z-scored integer levels: equal raw gaps differ in the last bit
             return (rng.integers(0, 30, size=size) - 14.5) / 7.3
 
@@ -447,6 +463,6 @@ class TestEnumerateCandidates:
 
     def test_deterministic_given_seed(self):
         x = np.random.default_rng(3).normal(size=(600, 2))
-        a = enumerate_candidates(x, pair_cap=1000, seed=5)
-        b = enumerate_candidates(x, pair_cap=1000, seed=5)
+        a = enumerate_candidates(x, seed=5)
+        b = enumerate_candidates(x, seed=5)
         assert [c.gamma for c in a] == [c.gamma for c in b]

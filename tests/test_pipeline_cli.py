@@ -307,7 +307,7 @@ class TestCliExitCodes:
         assert main(["train", "--config", str(cfg)]) == 2
 
     @pytest.mark.parametrize("line, message", [
-        ("pair_cap = 0", "pair_cap"), ("pair_cap = -3", "pair_cap"),
+        ("pair_cap = 100000", "unknown key 'pair_cap'"),
         (f"prop_steps = {2**70}", "prop_steps"), ("workers = -3", "workers")])
     def test_out_of_range_setting_is_two(self, cohort, tmp_path, capsys,
                                          line, message):
