@@ -25,8 +25,7 @@ import numpy as np
 import pytest
 
 from graphboost.appnp import AppnpConfig, init_model, propagate
-from graphboost.boost import (BoostState, Ensemble, WeakRound,
-                              predict_ensemble, run_round)
+from graphboost.boost import Ensemble, WeakRound, predict_ensemble, run_round
 from graphboost.data import TRAIN, VAL, fit_encoder, gen_synthetic, split_rows
 from graphboost.graph import (StoredGraph, build_adjacency,
                               enumerate_candidates, quantile_thresholds)
@@ -83,9 +82,8 @@ def test_round_of_30_candidates(benchmark, workers):
     weak = AppnpConfig(hidden_dim=16, prop_steps=3, teleport=0.1,
                        dropout=0.1, learning_rate=0.05, max_epochs=20,
                        patience=20, seed=1)
-    round_, _ = benchmark(run_round, BoostState(weights), candidates, ds.X,
-                          ds.y, train, ds.mask(VAL), 2, weak,
-                          workers=workers)
+    round_, _ = benchmark(run_round, weights, candidates, ds.X, ds.y, train,
+                          ds.mask(VAL), 2, weak, workers=workers)
     assert 0.0 <= round_.error < 0.5
 
 

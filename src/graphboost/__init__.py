@@ -7,9 +7,9 @@ with multi-class AdaBoost weighting.
 """
 
 from .appnp import AppnpConfig, AppnpModel, TrainReport, predict, train_weak
-from .boost import (BoostConfig, BoostState, Ensemble, WeakRound,
-                    compute_alpha, fit, predict_ensemble,
-                    transductive_scores, update_weights, weighted_error)
+from .boost import (BoostConfig, Ensemble, WeakRound, compute_alpha, fit,
+                    predict_ensemble, transductive_scores, update_weights,
+                    weighted_error)
 from .config import RunConfig, load_config, parse_config
 from .data import (Dataset, EncodingMeta, RawTable, apply_encoder,
                    fit_encoder, gen_synthetic, load_csv, split_rows)

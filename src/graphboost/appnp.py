@@ -63,6 +63,10 @@ class AppnpConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.hidden_dim < 1:
+            raise DataError("hidden_dim must be at least 1")
+        if self.max_epochs < 0:
+            raise DataError("max_epochs must be at least 0")
         if not 0.0 < self.teleport <= 1.0:
             raise DataError("teleport probability must be in (0, 1]")
         if not 0 <= self.prop_steps <= MAX_PROP_STEPS:

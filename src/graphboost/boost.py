@@ -13,13 +13,13 @@ running ensemble error rate reaches (K - 1) / K.
 Every candidate of a round trains under the same seed, so the learners
 share their initial weights and dropout masks; ``appnp.train_candidates``
 trains them in blocks of stacked weights, each bit-equal to a one-graph
-run, on up to ``workers`` threads. ``fit`` drops repeated (feature, gamma)
-candidates, which come from tied quantiles or an expert edge equal to a
-quantile, so each distinct graph trains once per round. Prediction labels
-the rounds that chose one (feature, gamma) graph together with
-``appnp.predict_labels``. Each such graph is built over the stored rows
-once per ensemble and kept in memory; a prediction merges its new rows
-into that stored graph.
+run, on up to ``workers`` threads. ``run_round`` drops repeated
+(feature, gamma) candidates, which come from tied quantiles or an expert
+edge equal to a quantile, so each distinct graph trains once per round.
+Prediction labels the rounds that chose one (feature, gamma) graph
+together with ``appnp.predict_labels``. Each such graph is built over the
+stored rows once per ensemble and kept in memory; a prediction merges its
+new rows into that stored graph.
 """
 
 import logging
@@ -37,8 +37,7 @@ from .appnp import (AppnpConfig, AppnpModel, TrainReport, predict_labels,
 from .appnp import train_weak  # noqa: F401
 from .data import Dataset, EncodingMeta, TRAIN, VAL
 from .errors import DataError, NoWeakLearnability, TrainingDiverged
-from .graph import (CandidateGraph, StoredGraph, build_adjacency,
-                    enumerate_candidates)
+from .graph import StoredGraph, build_adjacency, enumerate_candidates
 from .rng import derive_seed
 
 log = logging.getLogger("graphboost.boost")
@@ -65,14 +64,6 @@ class BoostConfig:
             raise DataError("boost learning rate must be in (0, 1]")
         if self.workers < 0:
             raise DataError("workers must be >= 0")
-
-
-@dataclass
-class BoostState:
-    weights: np.ndarray  # over all rows, nonzero on the train mask, sum 1
-    iteration: int = 0
-    terminated: bool = False
-    reason: str | None = None
 
 
 @dataclass
@@ -174,10 +165,6 @@ def update_weights(w: np.ndarray, predictions: np.ndarray, y: np.ndarray,
     return out
 
 
-def _candidate_sort_key(idx: int, cand: CandidateGraph, err: float) -> tuple:
-    return (err, cand.feature, cand.gamma, cand.expert, idx)
-
-
 def _log_leaderboard(t: int, board: list, names: list[str] | None) -> None:
     if not log.isEnabledFor(logging.DEBUG):
         return
@@ -197,24 +184,32 @@ def _log_leaderboard(t: int, board: list, names: list[str] | None) -> None:
               len(board), "\n".join(lines))
 
 
-def run_round(state: BoostState, candidates: list, x: np.ndarray,
+def run_round(weights: np.ndarray, candidates: list, x: np.ndarray,
               y: np.ndarray, train_mask: np.ndarray, val_mask: np.ndarray,
               n_classes: int, weak_config: AppnpConfig,
               feature_names: list[str] | None = None,
-              boost_lr: float = 1.0,
-              workers: int = 0) -> tuple[WeakRound, np.ndarray]:
-    """Train a weak learner on every candidate, on up to ``workers``
-    threads, and return the round built from the lowest-weighted-error one
-    (ties: lower feature index, smaller gamma, non-expert first), plus its
-    transductive predictions."""
-    if state.terminated:
-        raise DataError("boosting already terminated")
+              boost_lr: float = 1.0, workers: int = 0,
+              t: int = 1) -> tuple[WeakRound, np.ndarray]:
+    """Train a weak learner on every distinct candidate under the sample
+    ``weights``, on up to ``workers`` threads, and return round ``t`` built
+    from the lowest-weighted-error one (ties: lower feature index, then
+    smaller gamma), plus its transductive predictions.
+
+    Equal (feature, gamma) means an equal graph, and every candidate of a
+    round trains under the same seed, so a repeat would give the same
+    learner and error. Only one of them trains: the non-expert one if there
+    is one, else the first.
+    """
     if not candidates:
         raise DataError("no candidate graphs")
+    distinct: dict = {}
+    for cand in sorted(candidates, key=lambda c: c.expert):
+        distinct.setdefault((cand.feature, cand.gamma), cand)
+    candidates = list(distinct.values())
 
     # Validation rows get uniform weights: boosting weights live on the
     # train rows only.
-    w_eval = state.weights.copy()
+    w_eval = weights.copy()
     val_mask = np.asarray(val_mask, dtype=bool)
     w_eval[val_mask] = 1.0 / val_mask.sum()
 
@@ -223,35 +218,34 @@ def run_round(state: BoostState, candidates: list, x: np.ndarray,
                                 train_mask, val_mask, n_classes=n_classes,
                                 workers=workers)
     trained, diverged = [], []
-    for idx, (cand, outcome) in enumerate(zip(candidates, outcomes)):
+    for cand, outcome in zip(candidates, outcomes):
         if isinstance(outcome, TrainingDiverged):
             log.warning("candidate on feature %d (gamma=%g) diverged: %s",
                         cand.feature, cand.gamma, outcome)
             diverged.append(CandidateResult(cand.feature, cand.gamma,
                                             cand.expert, None, None))
         else:
-            trained.append((idx, cand) + outcome)
+            trained.append((cand,) + outcome)
     if not trained:
         raise DataError("all candidates diverged")
-    _, trained_cands, models, _ = zip(*trained)
+    trained_cands, models, _ = zip(*trained)
     all_labels = predict_labels(models, x,
                                 [c.adjacency for c in trained_cands])
     scored = []
-    for (idx, cand, model, report), labels in zip(trained, all_labels):
+    for (cand, model, report), labels in zip(trained, all_labels):
         err = weighted_error(labels, y, w_eval, train_mask)
-        scored.append((_candidate_sort_key(idx, cand, err), model, labels,
-                       CandidateResult(cand.feature, cand.gamma, cand.expert,
-                                       err, report)))
-    board = [s[3] for s in sorted(scored, key=lambda s: s[0])] + diverged
-    _log_leaderboard(state.iteration + 1, board, feature_names)
+        scored.append((CandidateResult(cand.feature, cand.gamma, cand.expert,
+                                       err, report), model, labels))
+    # Without repeats, (error, feature, gamma) orders the candidates totally.
+    scored.sort(key=lambda s: (s[0].error, s[0].feature, s[0].gamma))
+    _log_leaderboard(t, [s[0] for s in scored] + diverged, feature_names)
 
-    _, model, labels, best = min(scored, key=lambda s: s[0])
-    err = best.error
-    alpha = compute_alpha(err, n_classes, boost_lr)
+    best, model, labels = scored[0]
+    alpha = compute_alpha(best.error, n_classes, boost_lr)
     name = (feature_names[best.feature] if feature_names
             else str(best.feature))
-    round_ = WeakRound(best.feature, name, best.gamma, model, alpha, err,
-                       best.expert)
+    round_ = WeakRound(best.feature, name, best.gamma, model, alpha,
+                       best.error, best.expert)
     return round_, labels
 
 
@@ -275,19 +269,8 @@ def fit(config: BoostConfig, dataset: Dataset) -> Ensemble:
     scales = dataset.encoder.feature_scales()
     candidates = enumerate_candidates(x, config.expert_edges, names, scales,
                                       seed=derive_seed(config.seed, "graphs"))
-    # Equal (feature, gamma) means an equal graph, and every candidate of a
-    # round trains under the same seed, so a repeat gives the same learner
-    # and error. run_round's tie-break (non-expert, then lowest index) would
-    # pick the first occurrence, which enumerate_candidates lists before any
-    # expert twin; keeping only that one leaves every model unchanged.
-    distinct: dict = {}
-    for cand in candidates:
-        distinct.setdefault((cand.feature, cand.gamma), cand)
-    candidates = list(distinct.values())
-
     weights = np.zeros(len(y), dtype=np.float64)
     weights[train_mask] = 1.0 / train_mask.sum()
-    state = BoostState(weights)
 
     gate = (k - 1) / k
     rounds: list[WeakRound] = []
@@ -297,10 +280,9 @@ def fit(config: BoostConfig, dataset: Dataset) -> Ensemble:
     for t in range(1, config.n_rounds + 1):
         weak_cfg = replace(config.weak,
                            seed=derive_seed(config.seed, "weak", t))
-        round_, labels = run_round(state, candidates, x, y, train_mask,
+        round_, labels = run_round(weights, candidates, x, y, train_mask,
                                    val_mask, k, weak_cfg, names,
-                                   config.learning_rate, config.workers)
-        state.iteration = t
+                                   config.learning_rate, config.workers, t)
         if round_.error >= gate:
             if not rounds:
                 raise NoWeakLearnability(
@@ -318,8 +300,8 @@ def fit(config: BoostConfig, dataset: Dataset) -> Ensemble:
                  round_.error, round_.alpha,
                  " [expert]" if round_.expert else "")
         votes[np.arange(len(y)), labels] += round_.alpha
-        state.weights = update_weights(state.weights, labels, y,
-                                       round_.alpha, train_mask)
+        weights = update_weights(weights, labels, y, round_.alpha,
+                                 train_mask)
         ens_err = float(np.mean(
             np.argmax(votes[train_mask], axis=1) != y[train_mask]))
         if ens_err >= gate:
@@ -328,8 +310,6 @@ def fit(config: BoostConfig, dataset: Dataset) -> Ensemble:
             log.info("round %d kept, stopping: ensemble train error "
                      "%.4f >= %.4f", t, ens_err, gate)
             break
-    state.terminated = stop_reason is not None
-    state.reason = stop_reason
 
     return Ensemble(rounds, k, dataset.encoder, names, x.copy(),
                     stop_reason, stop_error)

@@ -59,12 +59,6 @@ class RunConfig:
                               f"grid of {len(vals)}")
         return vals[0]
 
-    def grid_size(self) -> int:
-        size = 1
-        for key in GRID_KEYS:
-            size *= len(set(getattr(self, key)))
-        return size
-
     def grid_points(self):
         """Deduplicated grid points in deterministic order."""
         seen = set()

@@ -23,7 +23,6 @@ EDGE_SEGMENTS = 12
 
 # Split tags used throughout the package.
 TRAIN, VAL, TEST = 0, 1, 2
-SPLIT_NAMES = ("train", "val", "test")
 
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"

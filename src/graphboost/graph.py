@@ -165,14 +165,14 @@ class CandidateGraph:
     expert: bool = False
 
 
-def quantile_thresholds(values: np.ndarray, pair_cap: int = DEFAULT_PAIR_CAP,
-                        seed: int = 0, feature: int = 0) -> ThresholdSet:
+def quantile_thresholds(values: np.ndarray, seed: int = 0,
+                        feature: int = 0) -> ThresholdSet:
     """Nearest-rank (lower) quantiles of the pairwise absolute differences.
 
     The p-quantile is the element at 1-based index ceil(p*L) of the
     ascending-sorted difference multiset. When the number of pairs exceeds
-    ``pair_cap`` the multiset is estimated from pair_cap uniformly sampled
-    index pairs, deterministically under ``seed``.
+    ``DEFAULT_PAIR_CAP`` the multiset is estimated from that many uniformly
+    sampled index pairs, deterministically under ``seed``.
     """
     v = np.asarray(values, dtype=np.float64).ravel()
     n = v.size
@@ -182,13 +182,13 @@ def quantile_thresholds(values: np.ndarray, pair_cap: int = DEFAULT_PAIR_CAP,
         raise DataError("non-finite feature values")
 
     n_pairs = n * (n - 1) // 2
-    if n_pairs <= pair_cap:
+    if n_pairs <= DEFAULT_PAIR_CAP:
         iu = np.triu_indices(n, k=1)
         diffs = np.abs(v[iu[0]] - v[iu[1]])
     else:
         rng = substream(seed, "pairs", feature)
-        i = rng.integers(0, n, size=pair_cap)
-        j = rng.integers(0, n - 1, size=pair_cap)
+        i = rng.integers(0, n, size=DEFAULT_PAIR_CAP)
+        j = rng.integers(0, n - 1, size=DEFAULT_PAIR_CAP)
         j = j + (j >= i)
         diffs = np.abs(v[i] - v[j])
     diffs.sort()
@@ -251,8 +251,8 @@ def _finite_column(values: np.ndarray) -> np.ndarray:
     return v
 
 
-def build_adjacency(values: np.ndarray, gamma: float, feature: int = 0,
-                    expert: bool = False) -> CandidateGraph:
+def build_adjacency(values: np.ndarray, gamma: float,
+                    feature: int = 0) -> CandidateGraph:
     """Graph with an edge wherever |v_i - v_j| <= gamma, i != j.
 
     The predicate compares the rounded difference fl(|v_i - v_j|), which
@@ -272,7 +272,7 @@ def build_adjacency(values: np.ndarray, gamma: float, feature: int = 0,
     adjacency = _from_ends(order, _ends(v_sorted, gamma,
                                         np.arange(n, dtype=np.int64)))
     edge_count = int(np.sum(adjacency.hi - adjacency.lo - 1)) // 2
-    return CandidateGraph(feature, float(gamma), adjacency, edge_count, expert)
+    return CandidateGraph(feature, float(gamma), adjacency, edge_count)
 
 
 @dataclass(frozen=True)

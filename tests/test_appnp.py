@@ -697,3 +697,14 @@ class TestConfigValidation:
         AppnpConfig(prop_steps=MAX_PROP_STEPS)
         with pytest.raises(DataError):
             AppnpConfig(prop_steps=MAX_PROP_STEPS + 1)
+
+    def test_bad_hidden_dim(self):
+        for bad in (0, -1):
+            with pytest.raises(DataError, match="hidden_dim"):
+                AppnpConfig(hidden_dim=bad)
+        AppnpConfig(hidden_dim=1)
+
+    def test_bad_max_epochs(self):
+        with pytest.raises(DataError, match="max_epochs"):
+            AppnpConfig(max_epochs=-1)
+        AppnpConfig(max_epochs=0)

@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 import graphboost
 from graphboost import boost
 from graphboost.appnp import AppnpConfig, AppnpModel, init_model
-from graphboost.boost import (BoostConfig, BoostState, Ensemble, WeakRound,
+from graphboost.boost import (BoostConfig, Ensemble, WeakRound,
                               compute_alpha, fit, predict_ensemble, run_round,
                               transductive_scores, update_weights,
                               weighted_error)
@@ -202,31 +202,30 @@ class TestRunRound:
         w = np.zeros(len(ds.y))
         train = ds.mask(TRAIN)
         w[train] = 1.0 / train.sum()
-        state = BoostState(w)
         cfg = AppnpConfig(hidden_dim=8, prop_steps=3, teleport=0.2,
                           dropout=0.0, learning_rate=5e-3, max_epochs=15,
                           patience=15, seed=seed)
-        return ds, state, cfg
+        return ds, w, cfg
 
     def test_single_candidate_selected(self):
-        ds, state, cfg = self._setup()
+        ds, w, cfg = self._setup()
         cands = enumerate_candidates(ds.X[:, :1])
-        round_, labels = run_round(state, cands[:1], ds.X, ds.y,
+        round_, labels = run_round(w, cands[:1], ds.X, ds.y,
                                    ds.mask(TRAIN), ds.mask(VAL), 2, cfg)
         assert round_.feature == 0
         assert round_.gamma == cands[0].gamma
         assert labels.shape == ds.y.shape
 
     def test_selection_is_argmin_of_weighted_error(self):
-        ds, state, cfg = self._setup(seed=1)
+        ds, w, cfg = self._setup(seed=1)
         cands = enumerate_candidates(ds.X)
-        round_, _ = run_round(state, cands, ds.X, ds.y, ds.mask(TRAIN),
+        round_, _ = run_round(w, cands, ds.X, ds.y, ds.mask(TRAIN),
                               ds.mask(VAL), 2, cfg,
                               feature_names=[f"f{j}" for j in range(3)])
         # recompute every candidate error independently
         from graphboost.appnp import predict, train_weak
         train, val = ds.mask(TRAIN), ds.mask(VAL)
-        w_eval = state.weights.copy()
+        w_eval = w.copy()
         w_eval[val] = 1.0 / val.sum()
         errs = []
         for cand in cands:
@@ -239,18 +238,19 @@ class TestRunRound:
     def test_tie_breaks_prefer_non_expert(self):
         # an expert duplicate of a quantile candidate trains identically
         # (shared round seed), so the tie goes to the non-expert
-        ds, state, cfg = self._setup(seed=3)
+        ds, w, cfg = self._setup(seed=3)
         base = enumerate_candidates(ds.X[:, :1])[:1]
-        twin = build_adjacency(ds.X[:, 0], base[0].gamma, expert=True)
-        round_, _ = run_round(state, base + [twin], ds.X, ds.y,
-                              ds.mask(TRAIN), ds.mask(VAL), 2, cfg)
-        assert not round_.expert
+        twin = replace(base[0], expert=True)
+        for cands in (base + [twin], [twin] + base):
+            round_, _ = run_round(w, cands, ds.X, ds.y, ds.mask(TRAIN),
+                                  ds.mask(VAL), 2, cfg)
+            assert not round_.expert
 
     def test_top_five_candidates_logged(self, caplog):
-        ds, state, cfg = self._setup(seed=4)
+        ds, w, cfg = self._setup(seed=4)
         cands = enumerate_candidates(ds.X)
         with caplog.at_level(logging.DEBUG, logger="graphboost.boost"):
-            round_, _ = run_round(state, cands, ds.X, ds.y, ds.mask(TRAIN),
+            round_, _ = run_round(w, cands, ds.X, ds.y, ds.mask(TRAIN),
                                   ds.mask(VAL), 2, cfg,
                                   feature_names=["a", "b", "c"])
         (text,) = [r.getMessage() for r in caplog.records
@@ -267,14 +267,6 @@ class TestRunRound:
             f"({'abc'[round_.feature]}) gamma={round_.gamma:.6g} ")
         assert f"err={round_.error:.4f}" in lines[0]
         assert all("epochs=15 (max epochs)" in line for line in lines)
-
-    def test_terminated_state_rejected(self):
-        ds, state, cfg = self._setup(seed=2)
-        state.terminated = True
-        cands = enumerate_candidates(ds.X[:, :1])
-        with pytest.raises(DataError):
-            run_round(state, cands, ds.X, ds.y, ds.mask(TRAIN), ds.mask(VAL),
-                      2, cfg)
 
 
 class TestFit:
@@ -355,8 +347,9 @@ class TestFit:
     def test_repeated_candidates_train_once_and_pick_the_same_round(
             self, monkeypatch):
         # Integer levels 0..4 tie the 1/16 and 1/8 quantile gammas at 0, and
-        # the expert edge repeats that gamma; the unfiltered list must pick
-        # the same round as fit, which trains each (feature, gamma) once.
+        # the expert edge repeats that gamma. fit hands run_round the whole
+        # list, and run_round trains each (feature, gamma) once, whether
+        # fit or a direct call hands it the list.
         rng = np.random.default_rng(12)
         n = 160
         levels = rng.integers(0, 5, size=n).astype(float)
@@ -383,18 +376,27 @@ class TestFit:
             trained.extend(adjacencies)
             return train_candidates(config, x, adjacencies, *args, **kwargs)
 
+        handed = []
+
+        def recording(weights, candidates, *args, **kwargs):
+            handed.append(len(candidates))
+            return run_round(weights, candidates, *args, **kwargs)
+
         cfg = replace(self._config(n_rounds=1, seed=14, learning_rate=5e-2),
                       expert_edges=(("level", 0.0),))
         monkeypatch.setattr(boost, "train_candidates", counting)
+        monkeypatch.setattr(boost, "run_round", recording)
         got = fit(cfg, ds).rounds[0]
+        assert handed == [len(full)]
         assert len(trained) == len(distinct)
 
+        trained.clear()
         w = np.zeros(n)
         w[split == TRAIN] = 1.0 / 100
-        want, _ = run_round(BoostState(w), full, x, y, ds.mask(TRAIN),
-                            ds.mask(VAL), 2,
+        want, _ = run_round(w, full, x, y, ds.mask(TRAIN), ds.mask(VAL), 2,
                             replace(cfg.weak, seed=derive_seed(14, "weak", 1)),
                             names)
+        assert len(trained) == len(distinct)
         assert (got.feature, got.gamma, got.expert, got.error, got.alpha) == \
             (want.feature, want.gamma, want.expert, want.error, want.alpha)
         for a, b in zip(got.model.copy_weights(), want.model.copy_weights()):

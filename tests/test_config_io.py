@@ -49,14 +49,12 @@ class TestConfigParse:
     def test_grids(self):
         cfg = parse_config("teleport = 0.1, 0.3\nhidden_dim = 16, 32, 64\n")
         assert cfg.teleport == (0.1, 0.3)
-        assert cfg.grid_size() == 6
         points = list(cfg.grid_points())
         assert len(points) == 6
         assert points[0]["teleport"] == 0.1
 
     def test_grid_deduplication(self):
         cfg = parse_config("teleport = 0.1, 0.1, 0.3\n")
-        assert cfg.grid_size() == 2
         assert len(list(cfg.grid_points())) == 2
 
     def test_scalar_accessor_rejects_grid(self):
@@ -204,6 +202,18 @@ class TestModelFile:
             meta["rounds"][0]["config"]["prop_steps"] = 2**70
         path.write_bytes(_edit_meta(path.read_bytes(), lengthen))
         with pytest.raises(ModelFormatError, match="prop_steps"):
+            load_ensemble(str(path))
+        assert _cli_predict(path, tmp_path) == 2
+
+    @pytest.mark.parametrize("key", ["hidden_dim", "max_epochs"])
+    def test_negative_learner_size(self, small_ensemble, tmp_path, key):
+        path = tmp_path / "m.gbe"
+        save_ensemble(small_ensemble, str(path))
+
+        def negate(meta):
+            meta["rounds"][0]["config"][key] = -1
+        path.write_bytes(_edit_meta(path.read_bytes(), negate))
+        with pytest.raises(ModelFormatError, match=key):
             load_ensemble(str(path))
         assert _cli_predict(path, tmp_path) == 2
 

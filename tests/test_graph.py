@@ -98,19 +98,24 @@ class TestQuantileThresholds:
             assert ts.gammas[0] <= ts.gammas[1] <= ts.gammas[2]
 
     def test_sampled_estimate_deterministic(self):
+        # 800 values give 319,600 pairs, more than the cap: sampled
         v = np.random.default_rng(2).normal(size=800)
-        a = quantile_thresholds(v, pair_cap=5000, seed=3)
-        b = quantile_thresholds(v, pair_cap=5000, seed=3)
+        a = quantile_thresholds(v, seed=3)
+        b = quantile_thresholds(v, seed=3)
         assert a == b
-        c = quantile_thresholds(v, pair_cap=5000, seed=4)
+        c = quantile_thresholds(v, seed=4)
         assert a != c  # different sample, almost surely
 
     def test_sampled_estimate_close_to_exact(self):
         v = np.random.default_rng(5).normal(size=800)
-        exact = quantile_thresholds(v)
-        approx = quantile_thresholds(v, pair_cap=20000, seed=1)
-        for e, a in zip(exact.gammas, approx.gammas):
-            assert abs(e - a) < 0.05
+        iu = np.triu_indices(v.size, k=1)
+        diffs = np.sort(np.abs(v[iu[0]] - v[iu[1]]))
+        exact = [diffs[int(np.ceil(p * diffs.size)) - 1]
+                 for p in (1 / 16, 1 / 8, 1 / 4)]
+        for seed in (0, 1):
+            approx = quantile_thresholds(v, seed=seed)
+            for e, a in zip(exact, approx.gammas):
+                assert abs(e - a) < 0.02
 
     def test_too_few_values(self):
         with pytest.raises(DataError):

@@ -308,7 +308,8 @@ class TestCliExitCodes:
 
     @pytest.mark.parametrize("line, message", [
         ("pair_cap = 100000", "unknown key 'pair_cap'"),
-        (f"prop_steps = {2**70}", "prop_steps"), ("workers = -3", "workers")])
+        (f"prop_steps = {2**70}", "prop_steps"), ("workers = -3", "workers"),
+        ("hidden_dim = -1", "hidden_dim"), ("max_epochs = -1", "max_epochs")])
     def test_out_of_range_setting_is_two(self, cohort, tmp_path, capsys,
                                          line, message):
         text = BASE_CONFIG.format(data=cohort[0], rounds=1,
