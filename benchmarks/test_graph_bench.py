@@ -1,6 +1,6 @@
 """Microbenchmarks of candidate graph construction, the merge of new rows
-into a stored graph, propagation, one boosting round's weak-learner
-training and single-row prediction.
+into a stored graph, propagation, one block of weak learners, one boosting
+round's weak-learner training and single-row prediction.
 
 Kept outside the test paths so that the test suite does not run them. Run
 with pytest-benchmark from the repository root:
@@ -14,7 +14,8 @@ merges 1 or 2000 new standard-normal rows into the stored graph of such a
 column, the work a prediction call does per distinct round graph. The round
 trains all 30 candidates of an n=2000, m=10 synthetic cohort with the
 learner shape of the fit benchmark in ``perfbench/``, on the calling
-thread (``workers`` 0) and on two threads (``workers`` 2). Single-row
+thread (``workers`` 0) and on two threads (``workers`` 2); the block
+trains the first 4 of them together, as one of the round's blocks. Single-row
 prediction scores one new row against a hand-built 10-round ensemble over
 the 2000 rows of that cohort, with criterion 08's learner shape and round
 pattern: 8 rounds on one graph and 2 on two others, interleaved, each with
@@ -24,6 +25,7 @@ untrained ``init_model`` weights.
 import numpy as np
 import pytest
 
+from graphboost import appnp
 from graphboost.appnp import AppnpConfig, init_model, propagate
 from graphboost.boost import Ensemble, WeakRound, predict_ensemble, run_round
 from graphboost.data import TRAIN, VAL, fit_encoder, gen_synthetic, split_rows
@@ -72,6 +74,23 @@ def _cohort(n=2000):
     return ds
 
 
+# the learner of the fit benchmark in ``perfbench/``
+WEAK = AppnpConfig(hidden_dim=16, prop_steps=3, teleport=0.1, dropout=0.1,
+                   learning_rate=0.05, max_epochs=20, patience=20, seed=1)
+
+
+def test_train_block(benchmark):
+    ds = _cohort()
+    graphs = [c.adjacency for c in enumerate_candidates(ds.X)[:4]]
+    train, val = ds.mask(TRAIN), ds.mask(VAL)
+    # the weights ``run_round`` trains a first round's candidates under
+    w = np.where(train, 1.0 / train.sum(), 0.0)
+    w[val] = 1.0 / val.sum()
+    outcomes = benchmark(appnp._train_block, WEAK, ds.X, graphs, ds.y, w,
+                         train, val, 2)
+    assert [report.epochs_run for _, report in outcomes] == [20] * 4
+
+
 @pytest.mark.parametrize("workers", (0, 2))
 def test_round_of_30_candidates(benchmark, workers):
     ds = _cohort()
@@ -79,11 +98,8 @@ def test_round_of_30_candidates(benchmark, workers):
     assert len(candidates) == 30
     train = ds.mask(TRAIN)
     weights = np.where(train, 1.0 / train.sum(), 0.0)
-    weak = AppnpConfig(hidden_dim=16, prop_steps=3, teleport=0.1,
-                       dropout=0.1, learning_rate=0.05, max_epochs=20,
-                       patience=20, seed=1)
     round_, _ = benchmark(run_round, weights, candidates, ds.X, ds.y, train,
-                          ds.mask(VAL), 2, weak, workers=workers)
+                          ds.mask(VAL), 2, WEAK, workers=workers)
     assert 0.0 <= round_.error < 0.5
 
 

@@ -24,6 +24,22 @@ with one C x N x H activation buffer per block, and runs up to ``workers``
 such blocks at once on threads. ``forward``, ``backward``, ``propagate``
 and ``train_weak`` are the C = 1 case of the same code, and
 ``predict_labels`` labels a stack of trained learners with it.
+
+Training works in the propagation frame of ``GraphStack``: class-major
+C x K x N, each learner's rows in its graph's sorted order. The MLP head's
+output H0 (C x N x K, row order) is gathered into it, and the training
+and validation logits, their log-softmax, the logit gradient dZ and the
+validation labels never leave it. Over K classes, the class maximum,
+softmax sum and argmax are then elementwise operations between K lines of
+N values instead of reductions along a short last axis, which cost far
+more per element. Each learner's loss terms and validation rows are read
+back in row order through flat indices made once per block, so that every
+weighted sum adds the same terms in the same order as a row-major
+computation; the class sum follows numpy's summation order, and max and
+argmax are exact, so the bits are those of the row-major code. Only dH0
+leaves the frame, back to row order, because the parameter gradients
+multiply it with the row-ordered activations. ``loss`` and ``backward``
+use the same code on a one-learner frame in row order.
 """
 
 import math
@@ -73,6 +89,14 @@ class AppnpConfig:
             raise DataError(f"prop_steps must be in [0, {MAX_PROP_STEPS}]")
         if not 0.0 <= self.dropout < 1.0:
             raise DataError("dropout must be in [0, 1)")
+        if self.patience < 0:
+            raise DataError("patience must be at least 0")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0.0):
+            raise DataError("weight_decay must be finite and at least 0")
+        if not (math.isfinite(self.learning_rate)
+                and self.learning_rate > 0.0):
+            raise DataError("learning_rate (config key weak_learning_rate) "
+                            "must be finite and above 0")
 
     def to_dict(self) -> dict:
         return {"hidden_dim": self.hidden_dim, "prop_steps": self.prop_steps,
@@ -161,34 +185,124 @@ def _dropout_mask(rng: np.random.Generator, shape: tuple,
     return (rng.random(shape) < keep) / keep
 
 
-def _losses(z: np.ndarray, y: np.ndarray, w: np.ndarray, mask: np.ndarray,
-            weight_decay: float, p: dict) -> tuple[list[float], np.ndarray]:
-    """``loss`` of every learner of the stack, plus the log-softmax of the
-    masked rows that the gradient reuses."""
-    w_masked = w[mask]
-    total = w_masked.sum()
-    if total <= 0.0:
-        raise DataError("masked sample weights sum to zero")
-    logp = _log_softmax(z[:, mask])
-    # The fancy index comes out column-major; a strided dot would sum in
-    # another order than the one-graph run's contiguous one.
-    ce = np.ascontiguousarray(-logp[:, np.arange(logp.shape[1]), y[mask]])
-    # one dot and one decay term per learner, as in a one-graph run
-    return [float(np.dot(w_masked, ce[c]) / total + weight_decay * (
-        np.sum(p["w1"][c] ** 2) + np.sum(p["w2"][c] ** 2)))
-        for c in range(ce.shape[0])], logp
+def _class_sum(e: np.ndarray) -> np.ndarray:
+    """The sum over the class axis -2 of a class-major (..., K, N) array of
+    non-negative values, added in the order in which numpy sums a last axis
+    of length K: one by one below 8 terms; from 8 to 128 terms, into 8
+    interleaved partial sums that are then added pairwise; above 128, the
+    sums of the two halves, split at a multiple of 8."""
+    k = e.shape[-2]
+    if k < 8:
+        total = e[..., 0, :].copy()
+        for j in range(1, k):
+            total += e[..., j, :]
+        return total
+    if k <= 128:
+        acc = e[..., :8, :].copy()
+        stop = k - k % 8
+        for i in range(8, stop, 8):
+            acc += e[..., i:i + 8, :]
+        a = [acc[..., j, :] for j in range(8)]
+        total = ((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5])
+                                                   + (a[6] + a[7]))
+        for j in range(stop, k):
+            total += e[..., j, :]
+        return total
+    half = k // 2 - k // 2 % 8
+    return _class_sum(e[..., :half, :]) + _class_sum(e[..., half:, :])
 
 
-def _logit_grad(logp: np.ndarray, shape: tuple, y: np.ndarray, w: np.ndarray,
-                mask: np.ndarray) -> np.ndarray:
-    """d(loss)/dZ of the cross-entropy term for every learner, of the
-    given C x N x K shape, from the masked rows' log-softmax."""
-    w_masked = w[mask]
-    g = np.zeros(shape)
-    probs = np.exp(logp)
-    probs[:, np.arange(probs.shape[1]), y[mask]] -= 1.0
-    g[:, mask] = probs * (w_masked / w_masked.sum())[:, None]
-    return g
+def _log_softmax(z: np.ndarray) -> np.ndarray:
+    """Log-softmax over the class axis -2 of a class-major (..., K, N)
+    array, with the bits of the last-axis log-softmax of its transpose.
+    A maximum is exact, so the class axis may be reduced in any order."""
+    shifted = z - z.max(axis=-2, keepdims=True)
+    return shifted - np.log(_class_sum(np.exp(shifted)))[..., None, :]
+
+
+def _class_argmax(z: np.ndarray) -> np.ndarray:
+    """``np.argmax`` over the class axis -2 of a class-major (..., K, N)
+    array: the first maximum wins, and so does the first NaN."""
+    best = z[..., 0, :]
+    labels = np.zeros(best.shape, dtype=np.int64)
+    for j in range(1, z.shape[-2]):
+        row = z[..., j, :]
+        # row > best, or row is NaN; but a NaN, once best, stays best
+        np.putmask(labels, ~(row <= best) & (best == best), j)
+        # the value of the class labelled so far, up to the sign of a zero
+        best = np.maximum(best, row)
+    return labels
+
+
+class _Targets:
+    """The labels and sample weights of the rows of ``mask``, placed for
+    the class-major (C, K, N) logits of C learners: ``at[c, i]`` is
+    c * N plus the position of row i in learner c's frame.
+
+    The methods work on whole frames, elementwise, except for the index
+    passes that read the masked rows back in row order, so that each
+    learner's weighted sum adds its terms as a row-major computation did,
+    and the one that subtracts 1 at each masked row's true class. The
+    index arrays are C x (masked rows); nothing is C x K x N but the
+    frames.
+    """
+
+    def __init__(self, at: np.ndarray, y: np.ndarray, w: np.ndarray,
+                 mask: np.ndarray, n_classes: int):
+        c, n = at.shape
+        self._w = w[mask]
+        self._total = self._w.sum()
+        if self._total <= 0.0:
+            raise DataError("masked sample weights sum to zero")
+        self._share = self._w / self._total
+        self._at = at[:, mask]
+        self._y = y[mask]
+        # flat position of logp[c, y_i, position of row i] in the frame
+        self._true = self._at + (np.arange(c)[:, None] * (n_classes - 1)
+                                 + self._y) * n
+        weight = np.zeros(c * n)
+        weight[self._at] = self._share
+        self._weight = weight.reshape(c, 1, n)
+        outside = np.ones(c * n, dtype=bool)
+        outside[self._at] = False
+        self._outside = outside.reshape(c, 1, n)
+
+    def losses(self, logp: np.ndarray, p: dict,
+               weight_decay: float) -> list[float]:
+        """``loss`` of every learner of the stack ``p``, from the
+        log-softmax of its logits."""
+        ce = -np.take(logp, self._true)
+        # one dot and one decay term per learner, as in a one-graph run
+        return [float(np.dot(self._w, ce[c]) / self._total + weight_decay * (
+            np.sum(p["w1"][c] ** 2) + np.sum(p["w2"][c] ** 2)))
+            for c in range(ce.shape[0])]
+
+    def gradient(self, logp: np.ndarray) -> np.ndarray:
+        """d(loss)/dZ of the cross-entropy term, in the frame, from the
+        log-softmax ``logp`` of the logits."""
+        dz = np.exp(logp, order="C")  # so that the flat view below is one
+        dz.reshape(-1)[self._true] -= 1.0
+        dz *= self._weight
+        # The weight is 0 outside the mask, and the product 0.0, unless a
+        # non-finite logit there made its softmax NaN.
+        if np.isnan(dz).any():
+            np.copyto(dz, 0.0, where=self._outside)
+        return dz
+
+    def errors(self, labels: np.ndarray) -> list[float]:
+        """Weighted error rate of each learner's (C, N) labels, given in
+        its frame."""
+        wrong = np.take(labels, self._at) != self._y
+        return [float(np.dot(self._share, row)) for row in wrong]
+
+
+def _row_frame(z: np.ndarray, y: np.ndarray, w: np.ndarray,
+               mask: np.ndarray) -> tuple:
+    """N x K logits in row order as the frame of one learner whose sort is
+    the identity, with the targets of the rows of ``mask``."""
+    n, k = z.shape
+    return (np.ascontiguousarray(z.T)[None],
+            _Targets(np.arange(n)[None], y, w, mask, k))
 
 
 def _param_grads(p: dict, x: np.ndarray, hd: np.ndarray,
@@ -256,19 +370,17 @@ def forward(model: AppnpModel, x: np.ndarray, adjacency: SparseAdjacency,
     return z, ForwardCache(x, dmask, hd[0], h0, z, model, adjacency)
 
 
-def _log_softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-
-
 def softmax(z: np.ndarray) -> np.ndarray:
-    return np.exp(_log_softmax(z))
+    """Softmax over the last axis of a (..., N, K) array."""
+    return np.exp(_log_softmax(np.swapaxes(z, -1, -2))).swapaxes(-1, -2)
 
 
 def loss(z: np.ndarray, y: np.ndarray, w: np.ndarray, mask: np.ndarray,
          weight_decay: float, model: AppnpModel) -> float:
     """Weighted softmax cross-entropy over masked rows plus L2 decay."""
-    (value,), _ = _losses(z[None], y, w, mask, weight_decay, _stacked(model))
+    frame, targets = _row_frame(z, y, w, mask)
+    (value,) = targets.losses(_log_softmax(frame), _stacked(model),
+                              weight_decay)
     return value
 
 
@@ -276,25 +388,15 @@ def backward(cache: ForwardCache, y: np.ndarray, w: np.ndarray,
              mask: np.ndarray, weight_decay: float) -> dict:
     """Exact gradients of ``loss`` for (w1, b1, w2, b2)."""
     cfg = cache.model.config
-    z = cache.z[None]
-    _, logp = _losses(z, y, w, mask, weight_decay, _stacked(cache.model))
-    g = _logit_grad(logp, z.shape, y, w, mask)
+    frame, targets = _row_frame(cache.z, y, w, mask)
+    dz = targets.gradient(_log_softmax(frame))[0].T
     # Z(k) = P @ H0 with P = a * sum_{l<k} ((1-a) Ahat)^l + ((1-a) Ahat)^k.
     # P is a polynomial in the symmetric Ahat, so it is symmetric too and
     # dH0 = P @ dZ is the forward propagation applied to the gradient.
-    dh0 = propagate(g[0], cache.adjacency, cfg.teleport, cfg.prop_steps)
+    dh0 = propagate(dz, cache.adjacency, cfg.teleport, cfg.prop_steps)
     grads = _param_grads(_stacked(cache.model), cache.x, cache.hd[None],
                          cache.dmask, dh0[None], weight_decay)
     return {name: grad[0] for name, grad in grads.items()}
-
-
-def _weighted_label_error(labels: np.ndarray, y: np.ndarray, w: np.ndarray,
-                          mask: np.ndarray) -> float:
-    wm = w[mask]
-    total = wm.sum()
-    if total <= 0.0:
-        raise DataError("masked sample weights sum to zero")
-    return float(np.dot(wm / total, labels[mask] != y[mask]))
 
 
 def train_weak(config: AppnpConfig, x: np.ndarray, adjacency: SparseAdjacency,
@@ -417,26 +519,28 @@ def _train_block(config: AppnpConfig, x: np.ndarray, adjacencies: list,
     init = init_model(config, x.shape[1], n_classes)
     p = {name: np.repeat(getattr(init, name)[None], size, axis=0)
          for name in _PARAMS}
+    n = x.shape[0]
     stack = GraphStack(adjacencies, n_classes)
+    # Logits stay in the graphs' frames; only dH0 goes back to row order.
+    # at[c, i] = c * N + the position of row i in graph c's frame.
+    at = stack.from_frame(np.arange(size * n).reshape(size, n))
+    targets = _Targets(at, y, w, train_mask, n_classes)
+    val = _Targets(at, y, w, val_mask, n_classes)
     # The only C x N x H buffer. Each epoch it holds r = relu(a1) for the
     # current parameters, then the dropped-out hd (in place), then dA1;
     # the validation forward leaves r in it for the next epoch.
-    r = _hidden(p, x, out=np.empty((size, x.shape[0], config.hidden_dim)))
+    r = _hidden(p, x, out=np.empty((size, n, config.hidden_dim)))
 
-    def logits(hd):
-        return stack.propagate(_head(p, hd), config.teleport,
-                               config.prop_steps)
+    def logits(h0):
+        return stack.run(stack.to_frame(h0), config.teleport,
+                         config.prop_steps)
 
     def val_errors(z):
-        return [_weighted_label_error(labels, y, w, val_mask)
-                for labels in np.argmax(z, axis=2)]
-
-    def train_losses(z):
-        return _losses(z, y, w, train_mask, config.weight_decay, p)
+        return val.errors(_class_argmax(z))
 
     if config.max_epochs == 0:
-        z = logits(r)
-        losses, _ = train_losses(z)
+        z = logits(_head(p, r))
+        losses = targets.losses(_log_softmax(z), p, config.weight_decay)
         errors = val_errors(z)
         return [(AppnpModel(*init.copy_weights(), config),
                  TrainReport(0, errors[i], losses[i], False))
@@ -465,8 +569,9 @@ def _train_block(config: AppnpConfig, x: np.ndarray, adjacencies: list,
             dmask = _dropout_mask(dropout_rng, r.shape[1:], config.dropout)
             hd = np.multiply(r, dmask, out=r)
         h0 = _head(p, hd)
-        z = stack.propagate(h0, config.teleport, config.prop_steps)
-        losses, logp = train_losses(z)
+        z = logits(h0)
+        logp = _log_softmax(z)
+        losses = targets.losses(logp, p, config.weight_decay)
         for i, v in enumerate(losses):
             if done[i]:
                 continue
@@ -480,9 +585,10 @@ def _train_block(config: AppnpConfig, x: np.ndarray, adjacencies: list,
 
         # Free each C x N x K array once it is dead: any one still alive
         # adds its size to the block's peak.
-        dz = _logit_grad(logp, z.shape, y, w, train_mask)
+        dz = targets.gradient(logp)
         del h0, z, logp
-        dh0 = stack.propagate(dz, config.teleport, config.prop_steps)
+        dh0 = stack.from_frame(stack.run(dz, config.teleport,
+                                         config.prop_steps))
         del dz
         grads = _param_grads(p, x, hd, dmask, dh0, config.weight_decay,
                              scratch=hd)
@@ -497,7 +603,7 @@ def _train_block(config: AppnpConfig, x: np.ndarray, adjacencies: list,
             param -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
         r = _hidden(p, x, out=r)
-        for i, err in enumerate(val_errors(logits(r))):
+        for i, err in enumerate(val_errors(logits(_head(p, r)))):
             if done[i]:
                 continue
             epochs_run[i] = t
@@ -530,7 +636,8 @@ def predict_labels(models: list, x: np.ndarray, adjacencies: list) -> np.ndarray
     The models must share teleport and prop_steps. Each model's MLP head
     runs on its own, exactly as in ``forward``, so models of different
     hidden widths can share a block; the heads of ``BLOCK_SIZE`` models at
-    a time are propagated in one ``GraphStack`` pass. No softmax is
+    a time are propagated in one ``GraphStack`` pass, labelled in its
+    frame, and only the labels go back to row order. No softmax is
     computed.
     """
     if len(models) != len(adjacencies):
@@ -545,9 +652,9 @@ def predict_labels(models: list, x: np.ndarray, adjacencies: list) -> np.ndarray
         h0 = np.stack([_head(p, _hidden(p, x))[0]
                        for p in map(_stacked, block)])
         stack = GraphStack(adjacencies[start:start + BLOCK_SIZE], h0.shape[2])
-        z = stack.propagate(h0, block[0].config.teleport,
-                            block[0].config.prop_steps)
-        np.argmax(z, axis=2, out=labels[start:start + len(block)])
+        z = stack.run(stack.to_frame(h0), block[0].config.teleport,
+                      block[0].config.prop_steps)
+        labels[start:start + len(block)] = stack.from_frame(_class_argmax(z))
     return labels
 
 

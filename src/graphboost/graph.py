@@ -95,13 +95,23 @@ class SparseAdjacency:
 class GraphStack:
     """C window graphs over the same N rows, propagated in one pass.
 
-    Operands are (C, N, K) stacks, one N x K matrix per graph. Inside,
-    propagation runs in class-major (C, K, N) layout, each graph in its own
-    sorted frame: one flat gather, then per step one prefix sum along N and
-    two flat takes, then one flat scatter, each a single numpy call over
-    all C * K rows. Every element sees the arithmetic of
+    Operands in row order are (C, N, K) stacks, one N x K matrix per graph.
+    Propagation works in each graph's frame instead: class-major
+    (C, K, N), with ``frame[c, k, p]`` the class-k value of the row at
+    sorted position p of graph c, so that every window is a contiguous run
+    of each class line. ``to_frame`` gathers an operand into the frame,
+    ``run`` takes the k steps there (per step one prefix sum along N and two
+    flat takes, each a single numpy call over all C * K lines) and
+    ``from_frame`` scatters a frame back to row order; ``propagate`` is the
+    three in turn. Every element sees the arithmetic of
     ``SparseAdjacency.matmul`` in the same order, so slice c of a result
     equals the single-graph result bit for bit.
+
+    A caller that works on the propagated values one row at a time, the
+    same way for every row, can stay in the frame and save both layout
+    passes: the training loss and its gradient are computed there, and
+    only what needs row order leaves it. ``from_frame`` also scatters
+    (C, N) per-row values, such as labels.
     """
 
     def __init__(self, adjacencies: list, width: int):
@@ -116,8 +126,11 @@ class GraphStack:
         def per_graph(field):  # C x 1 x N
             return np.stack([getattr(a, field) for a in adjacencies])[:, None]
 
+        # flat position of rows[c, order_c[p]] in a (C, N) array
+        rows = graph * n + per_graph("order")
+        self._rows = rows.ravel()
         # flat position of operand[c, order_c[p], k] in a (C, N, K) array
-        self._frame = ((graph * n + per_graph("order")) * k + cls).ravel()
+        self._frame = (rows * k + cls).ravel()
         # flat position of prefix[c, k, q] in a (C, K, N + 1) array
         line = (graph * k + cls) * (n + 1)
         self._lo = (line + per_graph("lo")).ravel()
@@ -125,23 +138,32 @@ class GraphStack:
         # repeated over K: a broadcast multiply costs about 3x a flat one
         self._dinv = np.repeat(per_graph("values"), k, axis=1)
 
-    def propagate(self, h0: np.ndarray, teleport: float,
-                  steps: int) -> np.ndarray:
-        """k steps of Z <- (1 - a) Ahat_c @ Z + a H0 for every graph c,
-        with ``h0`` and the result of shape (C, N, K)."""
+    def to_frame(self, operand: np.ndarray) -> np.ndarray:
+        """A (C, N, K) operand in row order, gathered into the frame."""
         c, k, n = self.shape
-        if h0.shape != (c, n, k):
-            raise DataError(f"operand of shape {h0.shape} does not fit "
+        if operand.shape != (c, n, k):
+            raise DataError(f"operand of shape {operand.shape} does not fit "
                             f"{c} graphs over {n} rows with width {k}")
+        return np.take(operand, self._frame).reshape(self.shape)
+
+    def run(self, frame: np.ndarray, teleport: float,
+            steps: int) -> np.ndarray:
+        """k steps of Z <- (1 - a) Ahat_c @ Z + a H0 for every graph c, with
+        H0 = ``frame`` and the result in the frame, a new array."""
+        if frame.shape != self.shape:
+            raise DataError(f"frame of shape {frame.shape} does not fit "
+                            f"the stack's {self.shape}")
         if teleport == 1.0 or steps == 0:
-            return h0.copy()
-        z = np.take(h0, self._frame).reshape(c, k, n)
-        restart = teleport * z
+            return frame.copy()
+        c, k, n = self.shape
+        restart = teleport * frame
         prefix = np.zeros((c, k, n + 1))
         # dinv * Z, then, once the prefix sum has read it, the lower bounds
-        scaled = np.empty_like(z)
+        scaled = np.empty(self.shape)
+        z = np.empty(self.shape)
+        src = frame
         for _ in range(steps):
-            np.multiply(self._dinv, z, out=scaled)
+            np.multiply(self._dinv, src, out=scaled)
             np.cumsum(scaled, axis=2, out=prefix[:, :, 1:])
             # the indices are in range by construction; "clip" skips the
             # bounds check and the buffering that the default mode adds
@@ -151,9 +173,29 @@ class GraphStack:
             z *= self._dinv
             z *= 1.0 - teleport
             z += restart
-        out = np.empty(h0.shape)
-        out.reshape(-1)[self._frame] = z.reshape(-1)
+            src = z
+        return z
+
+    def from_frame(self, frame: np.ndarray) -> np.ndarray:
+        """A (C, K, N) frame scattered back to a (C, N, K) array in row
+        order, or (C, N) per-row values to (C, N); the dtype is kept."""
+        c, k, n = self.shape
+        if frame.shape == self.shape:
+            index, shape = self._frame, (c, n, k)
+        elif frame.shape == (c, n):
+            index, shape = self._rows, (c, n)
+        else:
+            raise DataError(f"frame of shape {frame.shape} does not fit "
+                            f"the stack's {self.shape}")
+        out = np.empty(shape, dtype=frame.dtype)
+        out.reshape(-1)[index] = frame.reshape(-1)
         return out
+
+    def propagate(self, h0: np.ndarray, teleport: float,
+                  steps: int) -> np.ndarray:
+        """k steps of Z <- (1 - a) Ahat_c @ Z + a H0 for every graph c,
+        with ``h0`` and the result of shape (C, N, K)."""
+        return self.from_frame(self.run(self.to_frame(h0), teleport, steps))
 
 
 @dataclass

@@ -8,6 +8,7 @@ directly.
 import csv
 import json
 import logging
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +18,7 @@ from .config import RunConfig
 from .data import (TEST, TRAIN, VAL, Dataset, apply_encoder, fit_encoder,
                    gen_synthetic, load_csv, split_rows, subset_table,
                    write_csv)
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .metrics import evaluate_scores
 from .model_io import load_ensemble, save_ensemble
 from .rng import derive_seed
@@ -33,8 +34,19 @@ class TrainOutcome:
     ensemble: object
 
 
+@contextmanager
+def _writing(path: str):
+    """Turn a failed write of the output ``path`` into a ConfigError that
+    names it."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: "
+                          f"{exc.strerror or exc}") from exc
+
+
 def _write_json(payload: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _writing(path), open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -62,7 +74,9 @@ def run_synth(n: int, m: int, k: int, rho: float, seed: int,
     paths = (f"{out_prefix}_train.csv", f"{out_prefix}_test.csv")
     for tag, path in ((TRAIN, paths[0]), (TEST, paths[1])):
         rows = np.flatnonzero(tags == tag)
-        write_csv(subset_table(table, rows), [labels[i] for i in rows], path)
+        with _writing(path):
+            write_csv(subset_table(table, rows), [labels[i] for i in rows],
+                      path)
         log.info("wrote %d rows to %s", rows.size, path)
     return paths
 
@@ -96,7 +110,8 @@ def run_train(cfg: RunConfig) -> TrainOutcome:
 
     model_path = cfg.model_out or "model.gbe"
     report_path = cfg.report_out or "report.json"
-    save_ensemble(ensemble, model_path)
+    with _writing(model_path):
+        save_ensemble(ensemble, model_path)
     _write_json(report, report_path)
     log.info("test weighted AUROC %.4f over %d rounds; model at %s",
              report["weighted_auroc"], len(ensemble.rounds), model_path)
@@ -110,7 +125,8 @@ def run_predict(model_path: str, data_path: str, out_path: str) -> int:
     x_new = apply_encoder(table, ensemble.encoder)
     labels, scores = boost.predict_ensemble(ensemble, x_new)
     label_values = ensemble.encoder.label_values
-    with open(out_path, "w", newline="", encoding="utf-8") as fh:
+    with _writing(out_path), \
+            open(out_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["row", ensemble.encoder.label_column]
                         + [f"score_{v}" for v in label_values])
@@ -198,7 +214,8 @@ def run_sweep(cfg: RunConfig) -> dict:
     outcome = {"points": results, "best": best_point,
                "final_report": final_report}
     if cfg.model_out:
-        save_ensemble(ensemble, cfg.model_out)
+        with _writing(cfg.model_out):
+            save_ensemble(ensemble, cfg.model_out)
     if cfg.report_out:
         _write_json(outcome, cfg.report_out)
     log.info("sweep best %s -> test weighted AUROC %.4f", best_point,

@@ -13,6 +13,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphboost import appnp
 from graphboost.appnp import (MAX_PROP_STEPS, AppnpConfig, AppnpModel,
@@ -682,6 +683,170 @@ class TestPredict:
             appnp.predict_labels([model, other], x, [adj, adj])
 
 
+# The row-major loss helpers that training used before it moved into the
+# graphs' frames, frozen as the oracle of the frame code.
+def ref_log_softmax(z):
+    shifted = z - z.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def ref_losses(z, y, w, mask, weight_decay, p):
+    w_masked = w[mask]
+    total = w_masked.sum()
+    if total <= 0.0:
+        raise DataError("masked sample weights sum to zero")
+    logp = ref_log_softmax(z[:, mask])
+    ce = np.ascontiguousarray(-logp[:, np.arange(logp.shape[1]), y[mask]])
+    return [float(np.dot(w_masked, ce[c]) / total + weight_decay * (
+        np.sum(p["w1"][c] ** 2) + np.sum(p["w2"][c] ** 2)))
+        for c in range(ce.shape[0])], logp
+
+
+def ref_logit_grad(logp, shape, y, w, mask):
+    w_masked = w[mask]
+    g = np.zeros(shape)
+    probs = np.exp(logp)
+    probs[:, np.arange(probs.shape[1]), y[mask]] -= 1.0
+    g[:, mask] = probs * (w_masked / w_masked.sum())[:, None]
+    return g
+
+
+def ref_weighted_label_error(labels, y, w, mask):
+    wm = w[mask]
+    total = wm.sum()
+    if total <= 0.0:
+        raise DataError("masked sample weights sum to zero")
+    return float(np.dot(wm / total, labels[mask] != y[mask]))
+
+
+def assert_same_bits(got, want):
+    got = np.asarray(got, dtype=np.float64)
+    want = np.asarray(want, dtype=np.float64)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+SPECIAL_LOGITS = (np.inf, -np.inf, np.nan, 0.0, -0.0)
+
+
+@st.composite
+def frame_problems(draw):
+    """Row-major (C, N, K) logits with labels, weights, a train and a
+    validation mask, and one random sort order per learner. K spans
+    numpy's sequential (< 8), pairwise (8 to 128) and recursive (> 128)
+    summation regimes."""
+    k = draw(st.one_of(st.integers(2, 9), st.integers(2, 300)))
+    c = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = rng.normal(size=(c, n, k)) * draw(st.sampled_from([1.0, 40.0, 1e3]))
+    if draw(st.booleans()):
+        z = np.round(z / 20.0)  # many tied logits
+    for _ in range(draw(st.integers(0, 4))):
+        z[tuple(rng.integers(0, d) for d in z.shape)] = draw(
+            st.sampled_from(SPECIAL_LOGITS))
+    y = rng.integers(0, k, size=n)
+    w = rng.uniform(0.0, 1.0, size=n)
+    w[rng.random(n) < 0.3] = 0.0  # zero-weight rows
+    if draw(st.booleans()):
+        train = np.arange(n) == rng.integers(0, n)  # a one-row mask
+    else:
+        train = rng.random(n) < 0.6
+    train[np.argmax(w)] = True
+    w[np.argmax(w)] = 1.0  # the masked weights sum to more than 0
+    val = ~train
+    val[np.argmax(w)] = True
+    orders = [rng.permutation(n) for _ in range(c)]
+    return z, y, w, train, val, orders, draw(st.booleans())
+
+
+def to_frames(z, orders, contiguous=True):
+    """The (C, K, N) frame of each learner: class-major, rows sorted."""
+    frames = np.stack([zc[order].T for zc, order in zip(z, orders)])
+    return np.ascontiguousarray(frames) if contiguous else frames
+
+
+def frame_positions(orders):
+    """c * N plus the position of row i in learner c's frame."""
+    n = len(orders[0])
+    at = np.empty((len(orders), n), dtype=np.int64)
+    for c, order in enumerate(orders):
+        at[c, order] = c * n + np.arange(n)
+    return at
+
+
+def to_rows(frames, orders):
+    out = np.empty((frames.shape[0], frames.shape[2], frames.shape[1]))
+    for c, order in enumerate(orders):
+        out[c, order] = frames[c].T
+    return out
+
+
+class TestFrameLoss:
+    """Loss, gradient, validation error and argmax computed class-major in
+    each learner's sorted frame, against the row-major references, bit for
+    bit."""
+
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @settings(max_examples=300, deadline=None)
+    @given(frame_problems())
+    def test_matches_row_major_references(self, problem):
+        z, y, w, train, val, orders, contiguous = problem
+        c, n, k = z.shape
+        rng = np.random.default_rng(0)
+        p = {"w1": rng.normal(size=(c, 3, 2)),
+             "w2": rng.normal(size=(c, k, 3))}
+        frames = to_frames(z, orders, contiguous)
+        at = frame_positions(orders)
+
+        targets = appnp._Targets(at, y, w, train, k)
+        logp = appnp._log_softmax(frames)
+        want_losses, want_logp = ref_losses(z, y, w, train, 1e-3, p)
+        assert_same_bits(targets.losses(logp, p, 1e-3), want_losses)
+        assert_same_bits(to_rows(logp, orders)[:, train], want_logp)
+
+        got_grad = to_rows(targets.gradient(logp), orders)
+        assert_same_bits(got_grad, ref_logit_grad(want_logp, z.shape, y, w,
+                                                  train))
+        # exactly 0.0 outside the mask, whatever the logits there
+        assert not got_grad[:, ~train].view(np.uint64).any()
+
+        labels = appnp._class_argmax(frames)
+        want_labels = np.argmax(z, axis=2)
+        assert np.array_equal(to_rows(labels[:, None], orders)[..., 0],
+                              want_labels)
+        assert_same_bits(appnp._Targets(at, y, w, val, k).errors(labels),
+                         [ref_weighted_label_error(row, y, w, val)
+                          for row in want_labels])
+
+    @pytest.mark.parametrize("k", [2, 7, 8, 9, 16, 127, 128, 129, 300])
+    def test_class_sum_adds_in_numpy_order(self, k):
+        # rows whose sum rounds differently in a plain left-to-right order
+        e = np.exp(np.random.default_rng(k).normal(size=(3, 200, k)) * 4.0)
+        got = appnp._class_sum(np.ascontiguousarray(e.transpose(0, 2, 1)))
+        assert_same_bits(got, e.sum(axis=-1))
+
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_non_finite_logits_outside_the_mask(self):
+        z = np.array([[[1.0, 2.0], [np.nan, 0.0], [np.inf, 1.0],
+                       [-np.inf, -np.inf], [0.5, -0.5]]])
+        y = np.array([0, 1, 0, 1, 1])
+        w = np.array([0.2, 0.3, 0.1, 0.1, 0.0])
+        train = np.array([True, False, False, False, True])
+        targets = appnp._Targets(np.arange(5)[None], y, w, train, 2)
+        frame = np.ascontiguousarray(z.transpose(0, 2, 1))
+        logp = appnp._log_softmax(frame)
+        (value,) = targets.losses(logp, {"w1": np.zeros((1, 1, 1)),
+                                         "w2": np.zeros((1, 2, 1))}, 0.0)
+        assert math.isfinite(value)
+        grad = targets.gradient(logp)
+        assert_same_bits(grad.transpose(0, 2, 1),
+                         ref_logit_grad(ref_log_softmax(z[:, train]),
+                                        z.shape, y, w, train))
+        assert not grad[..., 1:4].view(np.uint64).any()
+
+
 class TestConfigValidation:
     def test_bad_teleport(self):
         with pytest.raises(DataError):
@@ -708,3 +873,20 @@ class TestConfigValidation:
         with pytest.raises(DataError, match="max_epochs"):
             AppnpConfig(max_epochs=-1)
         AppnpConfig(max_epochs=0)
+
+    def test_bad_patience(self):
+        with pytest.raises(DataError, match="patience"):
+            AppnpConfig(patience=-5)
+        AppnpConfig(patience=0)
+
+    def test_bad_weight_decay(self):
+        for bad in (-1.0, -1e-300, float("inf"), float("nan")):
+            with pytest.raises(DataError, match="weight_decay"):
+                AppnpConfig(weight_decay=bad)
+        AppnpConfig(weight_decay=0.0)
+
+    def test_bad_learning_rate(self):
+        for bad in (-1.0, 0.0, float("inf"), float("nan")):
+            with pytest.raises(DataError, match="weak_learning_rate"):
+                AppnpConfig(learning_rate=bad)
+        AppnpConfig(learning_rate=1e-300)

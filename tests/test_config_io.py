@@ -205,7 +205,8 @@ class TestModelFile:
             load_ensemble(str(path))
         assert _cli_predict(path, tmp_path) == 2
 
-    @pytest.mark.parametrize("key", ["hidden_dim", "max_epochs"])
+    @pytest.mark.parametrize("key", ["hidden_dim", "max_epochs", "patience",
+                                     "weight_decay", "learning_rate"])
     def test_negative_learner_size(self, small_ensemble, tmp_path, key):
         path = tmp_path / "m.gbe"
         save_ensemble(small_ensemble, str(path))

@@ -293,6 +293,38 @@ class TestGraphStack:
                         want += teleport * h
                 np.testing.assert_array_equal(z, want)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 30), st.integers(1, 4),
+           st.sampled_from([0.1, 0.35, 1.0]), st.integers(0, 5),
+           st.integers(0, 2**32 - 1))
+    def test_frame_steps_compose_to_propagate(self, c, n, width, teleport,
+                                              steps, seed):
+        rng = np.random.default_rng(seed)
+        graphs = [build_adjacency(rng.integers(0, 4, size=n) * rng.normal(),
+                                  float(rng.uniform(0.0, 1.0))).adjacency
+                  for _ in range(c)]
+        stack = GraphStack(graphs, width)
+        h0 = rng.normal(size=(c, n, width))
+        frame = stack.to_frame(h0)
+        # class-major, each graph's rows in its sorted order
+        for g, adj in enumerate(graphs):
+            np.testing.assert_array_equal(frame[g], h0[g][adj.order].T)
+        kept = frame.copy()
+        z = stack.run(frame, teleport, steps)
+        np.testing.assert_array_equal(frame, kept)  # run leaves H0 alone
+        got = stack.from_frame(z)
+        want = stack.propagate(h0, teleport, steps)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        np.testing.assert_array_equal(stack.from_frame(frame), h0)
+        # per-row values, such as labels, keep their dtype
+        rows = np.arange(c * n).reshape(c, n)
+        per_row = stack.from_frame(frame[:, 0].copy())
+        np.testing.assert_array_equal(per_row, h0[:, :, 0])
+        positions = stack.from_frame(rows)
+        assert positions.dtype == rows.dtype
+        for g, adj in enumerate(graphs):
+            np.testing.assert_array_equal(positions[g, adj.order], rows[g])
+
     def test_mismatched_shapes_rejected(self):
         graphs = [identity_adjacency(5), identity_adjacency(5)]
         stack = GraphStack(graphs, 2)
@@ -300,6 +332,10 @@ class TestGraphStack:
             stack.propagate(np.zeros((2, 5, 3)), 0.1, 2)
         with pytest.raises(DataError):
             stack.propagate(np.zeros((1, 5, 2)), 0.1, 2)
+        with pytest.raises(DataError):
+            stack.run(np.zeros((2, 5, 2)), 0.1, 2)
+        with pytest.raises(DataError):
+            stack.from_frame(np.zeros((2, 2, 4)))
         with pytest.raises(DataError):
             GraphStack([identity_adjacency(5), identity_adjacency(6)], 2)
 

@@ -309,7 +309,12 @@ class TestCliExitCodes:
     @pytest.mark.parametrize("line, message", [
         ("pair_cap = 100000", "unknown key 'pair_cap'"),
         (f"prop_steps = {2**70}", "prop_steps"), ("workers = -3", "workers"),
-        ("hidden_dim = -1", "hidden_dim"), ("max_epochs = -1", "max_epochs")])
+        ("hidden_dim = -1", "hidden_dim"), ("max_epochs = -1", "max_epochs"),
+        ("patience = -5", "patience"), ("weight_decay = -1", "weight_decay"),
+        ("weight_decay = inf", "weight_decay"),
+        ("weak_learning_rate = -1", "weak_learning_rate"),
+        ("weak_learning_rate = 0", "weak_learning_rate"),
+        ("weak_learning_rate = nan", "weak_learning_rate")])
     def test_out_of_range_setting_is_two(self, cohort, tmp_path, capsys,
                                          line, message):
         text = BASE_CONFIG.format(data=cohort[0], rounds=1,
@@ -332,6 +337,42 @@ class TestCliExitCodes:
         assert main(["train", "--config", str(cfg), "--workers", "-3"]) == 2
         assert "workers" in capsys.readouterr().err
         assert not (tmp_path / "m.gbe").exists()
+
+    def test_synth_output_in_missing_directory_is_two(self, tmp_path,
+                                                      capsys):
+        prefix = tmp_path / "missing" / "s"
+        assert main(["synth", "--out", str(prefix), "--n", "100"]) == 2
+        assert f"cannot write {str(prefix) + '_train.csv'!r}" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["model_out", "report_out"])
+    def test_train_output_in_missing_directory_is_two(self, cohort, tmp_path,
+                                                      capsys, key):
+        paths = {"model": tmp_path / "m.gbe", "report": tmp_path / "r.json"}
+        missing = tmp_path / "missing" / "out"
+        paths[key.split("_")[0]] = missing
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(BASE_CONFIG.format(data=cohort[0], rounds=1, **paths))
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert f"cannot write {str(missing)!r}" in capsys.readouterr().err
+
+    def test_predict_output_in_missing_directory_is_two(self, trained,
+                                                        cohort, tmp_path,
+                                                        capsys):
+        outcome, _ = trained
+        missing = tmp_path / "missing" / "o.csv"
+        assert main(["predict", "--model", outcome.model_path,
+                     "--data", cohort[1], "--out", str(missing)]) == 2
+        assert f"cannot write {str(missing)!r}" in capsys.readouterr().err
+
+    def test_evaluate_output_in_missing_directory_is_two(self, trained,
+                                                         cohort, tmp_path,
+                                                         capsys):
+        outcome, _ = trained
+        missing = tmp_path / "missing" / "e.json"
+        assert main(["evaluate", "--model", outcome.model_path,
+                     "--data", cohort[1], "--out", str(missing)]) == 2
+        assert f"cannot write {str(missing)!r}" in capsys.readouterr().err
 
     def test_wrong_model_version_is_two(self, trained, tmp_path, capsys):
         outcome, _ = trained
