@@ -15,14 +15,16 @@ propagation applied to the gradient.
 
 The arithmetic works on stacks of C learners that differ only in their
 graph: weights of C x H x M and C x K x H, hidden activations of C x N x H,
-and one ``GraphStack`` for the graphs. ``np.matmul`` calls BLAS once per
-slice, and every other operation is elementwise or reduces within a slice,
-so each slice holds the bits of a one-graph computation. Learners trained
-under one seed start from the same weights and draw the same dropout
-masks, so ``train_candidates`` trains up to ``BLOCK_SIZE`` graphs at once,
-with one C x N x H activation buffer per block, and runs up to ``workers``
-such blocks at once on threads. ``forward``, ``backward``, ``propagate``
-and ``train_weak`` are the C = 1 case of the same code, and
+and one ``GraphStack`` for the graphs. The dense products multiply by
+contiguous copies of the transposed weights, and the bias gradients are
+products with a row of ones. ``np.matmul`` calls BLAS once per slice, and
+every other operation is elementwise or reduces within a slice, so each
+slice holds the bits of a one-graph computation. Learners trained under
+one seed start from the same weights and draw the same dropout masks, so
+``train_candidates`` trains up to ``BLOCK_SIZE`` graphs at once, with one
+C x N x H activation buffer per block, and runs up to ``workers`` such
+blocks at once on threads. ``forward``, ``backward``, ``propagate`` and
+``train_weak`` are the C = 1 case of the same code, and
 ``predict_labels`` labels a stack of trained learners with it.
 
 Training works in the propagation frame of ``GraphStack``: class-major
@@ -32,14 +34,13 @@ and validation logits, their log-softmax, the logit gradient dZ and the
 validation labels never leave it. Over K classes, the class maximum,
 softmax sum and argmax are then elementwise operations between K lines of
 N values instead of reductions along a short last axis, which cost far
-more per element. Each learner's loss terms and validation rows are read
-back in row order through flat indices made once per block, so that every
-weighted sum adds the same terms in the same order as a row-major
-computation; the class sum follows numpy's summation order, and max and
-argmax are exact, so the bits are those of the row-major code. Only dH0
-leaves the frame, back to row order, because the parameter gradients
-multiply it with the row-ordered activations. ``loss`` and ``backward``
-use the same code on a one-learner frame in row order.
+more per element; the softmax sum adds the K lines in class order. Each
+learner's loss terms and validation rows are read back in row order
+through flat indices made once per block, and every weighted sum adds
+them in that order. Only dH0 leaves the frame, back to row order, because
+the parameter gradients multiply it with the row-ordered activations.
+``loss`` and ``backward`` use the same code on a one-learner frame in row
+order.
 """
 
 import math
@@ -158,9 +159,16 @@ def _stacked(model: AppnpModel) -> dict:
     return {name: getattr(model, name)[None] for name in _PARAMS}
 
 
+def _transposed(w: np.ndarray) -> np.ndarray:
+    """The C x B x A contiguous transpose of stacked C x A x B weights.
+    ``np.matmul`` multiplies by it several times faster than by the
+    transposed view, with different bits."""
+    return np.ascontiguousarray(w.transpose(0, 2, 1))
+
+
 def _preactivation(p: dict, x: np.ndarray, out=None) -> np.ndarray:
     """x @ W1^T + b1 for every learner of the stack ``p``: C x N x H."""
-    out = np.matmul(x, p["w1"].transpose(0, 2, 1), out=out)
+    out = np.matmul(x, _transposed(p["w1"]), out=out)
     out += p["b1"][:, None, :]
     return out
 
@@ -173,7 +181,7 @@ def _hidden(p: dict, x: np.ndarray, out=None) -> np.ndarray:
 
 def _head(p: dict, hd: np.ndarray) -> np.ndarray:
     """hd @ W2^T + b2: C x N x K."""
-    h0 = np.matmul(hd, p["w2"].transpose(0, 2, 1))
+    h0 = np.matmul(hd, _transposed(p["w2"]))
     h0 += p["b2"][:, None, :]
     return h0
 
@@ -185,39 +193,11 @@ def _dropout_mask(rng: np.random.Generator, shape: tuple,
     return (rng.random(shape) < keep) / keep
 
 
-def _class_sum(e: np.ndarray) -> np.ndarray:
-    """The sum over the class axis -2 of a class-major (..., K, N) array of
-    non-negative values, added in the order in which numpy sums a last axis
-    of length K: one by one below 8 terms; from 8 to 128 terms, into 8
-    interleaved partial sums that are then added pairwise; above 128, the
-    sums of the two halves, split at a multiple of 8."""
-    k = e.shape[-2]
-    if k < 8:
-        total = e[..., 0, :].copy()
-        for j in range(1, k):
-            total += e[..., j, :]
-        return total
-    if k <= 128:
-        acc = e[..., :8, :].copy()
-        stop = k - k % 8
-        for i in range(8, stop, 8):
-            acc += e[..., i:i + 8, :]
-        a = [acc[..., j, :] for j in range(8)]
-        total = ((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5])
-                                                   + (a[6] + a[7]))
-        for j in range(stop, k):
-            total += e[..., j, :]
-        return total
-    half = k // 2 - k // 2 % 8
-    return _class_sum(e[..., :half, :]) + _class_sum(e[..., half:, :])
-
-
 def _log_softmax(z: np.ndarray) -> np.ndarray:
     """Log-softmax over the class axis -2 of a class-major (..., K, N)
-    array, with the bits of the last-axis log-softmax of its transpose.
-    A maximum is exact, so the class axis may be reduced in any order."""
+    array. Its class sum adds one line of N values at a time."""
     shifted = z - z.max(axis=-2, keepdims=True)
-    return shifted - np.log(_class_sum(np.exp(shifted)))[..., None, :]
+    return shifted - np.log(np.exp(shifted).sum(axis=-2, keepdims=True))
 
 
 def _class_argmax(z: np.ndarray) -> np.ndarray:
@@ -241,10 +221,10 @@ class _Targets:
 
     The methods work on whole frames, elementwise, except for the index
     passes that read the masked rows back in row order, so that each
-    learner's weighted sum adds its terms as a row-major computation did,
-    and the one that subtracts 1 at each masked row's true class. The
-    index arrays are C x (masked rows); nothing is C x K x N but the
-    frames.
+    learner's weighted sum adds its terms in the order of the rows,
+    whatever its graph's sort, and the one that subtracts 1 at each masked
+    row's true class. The index arrays are C x (masked rows); nothing is
+    C x K x N but the frames.
     """
 
     def __init__(self, at: np.ndarray, y: np.ndarray, w: np.ndarray,
@@ -312,9 +292,12 @@ def _param_grads(p: dict, x: np.ndarray, hd: np.ndarray,
     the dropped-out hd = relu(a1) * dmask and dH0. dA1 is built in
     ``scratch`` (C x N x H) when one is given; it may be the buffer that
     holds hd."""
+    # the bias gradients are row sums, taken as products with a ones row:
+    # a sum over the middle axis runs an inner loop only K or H long
+    ones = np.ones((1, x.shape[0]))
     dw2 = np.matmul(dh0.transpose(0, 2, 1), hd)
     dw2 += 2.0 * weight_decay * p["w2"]
-    db2 = dh0.sum(axis=1)
+    db2 = np.matmul(ones, dh0)[:, 0]
     # The ReLU mask a1 > 0, taken before dA1 overwrites hd. Where dmask is
     # 0, hd is 0 or NaN even if a1 > 0, but dA1 there has already been
     # multiplied by 0, and a further factor of 0 or 1 leaves its bits as
@@ -326,7 +309,8 @@ def _param_grads(p: dict, x: np.ndarray, hd: np.ndarray,
     da1 *= active
     dw1 = np.matmul(da1.transpose(0, 2, 1), x)
     dw1 += 2.0 * weight_decay * p["w1"]
-    return {"w1": dw1, "b1": da1.sum(axis=1), "w2": dw2, "b2": db2}
+    return {"w1": dw1, "b1": np.matmul(ones, da1)[:, 0], "w2": dw2,
+            "b2": db2}
 
 
 def propagate(h0: np.ndarray, adjacency: SparseAdjacency, teleport: float,

@@ -6,7 +6,6 @@ empty cell or the literal ``NA`` marking a missing value.
 
 import csv
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,9 +151,14 @@ def _parse_numeric_cell(cell: str) -> float | None:
 
 
 def _read_rows(path: str) -> tuple[list[str], list[list[str]]]:
-    if not os.path.exists(path):
-        raise DataError(f"file not found: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
+    try:
+        fh = open(path, newline="", encoding="utf-8")
+    except FileNotFoundError:
+        raise DataError(f"file not found: {path}") from None
+    except OSError as exc:
+        raise DataError(f"cannot read {path!r}: "
+                        f"{exc.strerror or exc}") from exc
+    with fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

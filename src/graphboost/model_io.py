@@ -167,7 +167,12 @@ def save_ensemble(ensemble: Ensemble, path: str) -> None:
 
 
 def load_ensemble(path: str) -> Ensemble:
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise ModelFormatError(f"cannot read model {path!r}: "
+                               f"{exc.strerror or exc}") from exc
+    with fh:
         magic = fh.read(4)
         if magic != MAGIC:
             raise ModelFormatError(f"not a model file: bad magic {magic!r}")

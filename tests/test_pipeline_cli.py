@@ -386,6 +386,33 @@ class TestCliExitCodes:
                      "--out", str(tmp_path / "o.csv")]) == 2
         assert "version" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_missing_model_file_is_two(self, cohort, tmp_path, capsys,
+                                       command):
+        missing = tmp_path / "nope.gbe"
+        assert main([command, "--model", str(missing), "--data", cohort[1],
+                     "--out", str(tmp_path / "o")]) == 2
+        assert f"cannot read model {str(missing)!r}" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_model_path_is_directory_is_two(self, cohort, tmp_path, capsys,
+                                            command):
+        assert main([command, "--model", str(tmp_path), "--data", cohort[1],
+                     "--out", str(tmp_path / "o")]) == 2
+        assert f"cannot read model {str(tmp_path)!r}" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_data_path_is_directory_is_two(self, trained, tmp_path, capsys,
+                                           command):
+        outcome, _ = trained
+        assert main([command, "--model", outcome.model_path,
+                     "--data", str(tmp_path),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert f"cannot read {str(tmp_path)!r}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_synth_and_train_happy_path(self, tmp_path, capsys):
         assert main(["synth", "--out", str(tmp_path / "s"), "--n", "200",
                      "--m", "3", "--k", "2", "--rho", "1.0",
