@@ -99,18 +99,6 @@ class AppnpConfig:
             raise DataError("learning_rate (config key weak_learning_rate) "
                             "must be finite and above 0")
 
-    def to_dict(self) -> dict:
-        return {"hidden_dim": self.hidden_dim, "prop_steps": self.prop_steps,
-                "teleport": self.teleport, "dropout": self.dropout,
-                "learning_rate": self.learning_rate,
-                "weight_decay": self.weight_decay,
-                "max_epochs": self.max_epochs, "patience": self.patience,
-                "seed": self.seed}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AppnpConfig":
-        return cls(**d)
-
 
 @dataclass
 class AppnpModel:

@@ -14,16 +14,37 @@ requires single values, ``sweep`` searches the cross product. Example:
 """
 
 import itertools
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 from .appnp import AppnpConfig
 from .boost import BoostConfig
 from .errors import ConfigError
 
-# Keys whose values may be grids (searched by ``sweep``).
-GRID_KEYS = ("rounds", "boost_learning_rate", "hidden_dim", "prop_steps",
-             "teleport", "dropout", "weak_learning_rate", "weight_decay",
-             "max_epochs", "patience")
+# Keys whose values may be grids (searched by ``sweep``), in the order the
+# grid is walked. Each sets one BoostConfig or AppnpConfig field and takes
+# its default, and whether it parses as an int or a float, from that field.
+GRID_KEYS = {
+    "rounds": (BoostConfig, "n_rounds"),
+    "boost_learning_rate": (BoostConfig, "learning_rate"),
+    "hidden_dim": (AppnpConfig, "hidden_dim"),
+    "prop_steps": (AppnpConfig, "prop_steps"),
+    "teleport": (AppnpConfig, "teleport"),
+    "dropout": (AppnpConfig, "dropout"),
+    "weak_learning_rate": (AppnpConfig, "learning_rate"),
+    "weight_decay": (AppnpConfig, "weight_decay"),
+    "max_epochs": (AppnpConfig, "max_epochs"),
+    "patience": (AppnpConfig, "patience"),
+}
+
+
+def _grid_default(key: str):
+    """The default of gridable ``key``: that of the field it sets."""
+    owner, name = GRID_KEYS[key]
+    return next(f.default for f in fields(owner) if f.name == name)
+
+
+def _default_grid() -> dict:
+    return {key: (_grid_default(key),) for key in GRID_KEYS}
 
 
 @dataclass
@@ -40,62 +61,34 @@ class RunConfig:
     sweep_cap: int = 64
     model_out: str | None = None
     report_out: str | None = None
-    # Gridable keys, stored as tuples even when scalar.
-    rounds: tuple = (10,)
-    boost_learning_rate: tuple = (1.0,)
-    hidden_dim: tuple = (64,)
-    prop_steps: tuple = (10,)
-    teleport: tuple = (0.1,)
-    dropout: tuple = (0.1,)
-    weak_learning_rate: tuple = (1e-3,)
-    weight_decay: tuple = (1e-4,)
-    max_epochs: tuple = (100,)
-    patience: tuple = (10,)
+    # Every gridable key's values, a tuple even when scalar.
+    grid: dict = field(default_factory=_default_grid)
 
     def scalar(self, key: str):
-        vals = getattr(self, key)
+        vals = self.grid[key]
         if len(vals) != 1:
             raise ConfigError(f"{key} must be a single value here, got a "
                               f"grid of {len(vals)}")
         return vals[0]
 
     def grid_points(self):
-        """Deduplicated grid points in deterministic order."""
-        seen = set()
-        axes = [tuple(dict.fromkeys(getattr(self, key))) for key in GRID_KEYS]
+        """Grid points in deterministic order, repeated values dropped."""
+        axes = [dict.fromkeys(self.grid[key]) for key in GRID_KEYS]
         for combo in itertools.product(*axes):
-            if combo in seen:
-                continue
-            seen.add(combo)
             yield dict(zip(GRID_KEYS, combo))
 
     def with_point(self, point: dict) -> "RunConfig":
         """Copy of this config with every gridable key pinned to a scalar."""
-        kwargs = {f.name: getattr(self, f.name) for f in fields(self)}
-        for key, val in point.items():
-            kwargs[key] = (val,)
-        return RunConfig(**kwargs)
-
-    def weak_config(self, seed: int) -> AppnpConfig:
-        return AppnpConfig(
-            hidden_dim=self.scalar("hidden_dim"),
-            prop_steps=self.scalar("prop_steps"),
-            teleport=self.scalar("teleport"),
-            dropout=self.scalar("dropout"),
-            learning_rate=self.scalar("weak_learning_rate"),
-            weight_decay=self.scalar("weight_decay"),
-            max_epochs=self.scalar("max_epochs"),
-            patience=self.scalar("patience"),
-            seed=seed)
+        return replace(self, grid={key: (val,) for key, val in point.items()})
 
     def boost_config(self) -> BoostConfig:
+        kwargs = {BoostConfig: {}, AppnpConfig: {}}
+        for key, (owner, name) in GRID_KEYS.items():
+            kwargs[owner][name] = self.scalar(key)
         return BoostConfig(
-            n_rounds=self.scalar("rounds"),
-            learning_rate=self.scalar("boost_learning_rate"),
-            weak=self.weak_config(self.seed),
-            expert_edges=self.expert_edges,
-            workers=self.workers,
-            seed=self.seed)
+            weak=AppnpConfig(**kwargs[AppnpConfig], seed=self.seed),
+            expert_edges=self.expert_edges, workers=self.workers,
+            seed=self.seed, **kwargs[BoostConfig])
 
     def schema_hints(self) -> dict:
         hints = {name: "categorical" for name in self.categorical}
@@ -126,13 +119,6 @@ _LIST_KEYS = {
     "categorical": str, "numeric": str, "expert_edges": _parse_expert,
     "split_fractions": _parse_float,
 }
-_GRID_TYPES = {
-    "rounds": _parse_int, "hidden_dim": _parse_int, "prop_steps": _parse_int,
-    "max_epochs": _parse_int, "patience": _parse_int,
-    "boost_learning_rate": _parse_float, "teleport": _parse_float,
-    "dropout": _parse_float, "weak_learning_rate": _parse_float,
-    "weight_decay": _parse_float,
-}
 
 
 def parse_config(text: str) -> RunConfig:
@@ -155,11 +141,13 @@ def parse_config(text: str) -> RunConfig:
             elif key in _LIST_KEYS:
                 parts = [p.strip() for p in val.split(",") if p.strip()]
                 values[key] = tuple(_LIST_KEYS[key](p) for p in parts)
-            elif key in _GRID_TYPES:
+            elif key in GRID_KEYS:
                 parts = [p.strip() for p in val.split(",") if p.strip()]
                 if not parts:
                     raise ValueError("empty value")
-                values[key] = tuple(_GRID_TYPES[key](p) for p in parts)
+                parse = _parse_int if type(_grid_default(key)) is int \
+                    else _parse_float
+                values[key] = tuple(parse(p) for p in parts)
             else:
                 raise ConfigError(f"line {lineno}: unknown key {key!r}")
         except ConfigError:
@@ -168,7 +156,9 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: "
                               f"{exc}") from exc
 
-    cfg = RunConfig(**values)
+    grid = _default_grid()
+    grid.update((key, values.pop(key)) for key in GRID_KEYS if key in values)
+    cfg = RunConfig(grid=grid, **values)
     if len(cfg.split_fractions) != 3:
         raise ConfigError("split_fractions needs exactly three values")
     return cfg

@@ -6,7 +6,7 @@ empty cell or the literal ``NA`` marking a missing value.
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -36,9 +36,6 @@ class Column:
     kind: str
     numeric: np.ndarray | None = None
     text: list | None = None
-
-    def __len__(self) -> int:
-        return len(self.numeric) if self.kind == NUMERIC else len(self.text)
 
 
 @dataclass
@@ -88,17 +85,7 @@ class EncodingMeta:
     label_values: list[str]
 
     def to_dict(self) -> dict:
-        cols = []
-        for c in self.columns:
-            if c.kind == NUMERIC:
-                cols.append({"name": c.name, "kind": NUMERIC, "impute": float(c.impute),
-                             "mean": float(c.mean), "sd": float(c.sd)})
-            else:
-                cols.append({"name": c.name, "kind": CATEGORICAL,
-                             "categories": dict(c.categories),
-                             "missing_code": c.missing_code})
-        return {"columns": cols, "label_column": self.label_column,
-                "label_values": list(self.label_values)}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "EncodingMeta":

@@ -46,17 +46,49 @@ def auroc_binary(scores: np.ndarray, positives: np.ndarray) -> float:
 
     order = np.argsort(scores, kind="stable")
     sorted_scores = scores[order]
+    # Runs of equal sorted scores, [start, end] inclusive; a NaN equals
+    # nothing, so each is a run of its own.
+    starts = np.flatnonzero(
+        np.r_[True, sorted_scores[1:] != sorted_scores[:-1]])
+    ends = np.r_[starts[1:], scores.size] - 1
     ranks = np.empty(scores.size, dtype=np.float64)
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0  # midrank, 1-based
-        i = j + 1
+    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0,  # midrank, 1-based
+                             ends - starts + 1)
     rank_sum = ranks[positives].sum()
     u = rank_sum - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
+
+
+def _one_vs_rest(scores: np.ndarray, y: np.ndarray) -> tuple[list, list]:
+    """Each class's one-vs-rest AUROC, None for a class without both
+    positives and negatives, and each class's support."""
+    scores = np.asarray(scores, dtype=np.float64)
+    y = np.asarray(y)
+    if scores.ndim != 2 or scores.shape[0] != y.shape[0]:
+        raise DataError("score matrix and labels are inconsistent")
+    aurocs, supports = [], []
+    for c in range(scores.shape[1]):
+        pos = y == c
+        support = int(pos.sum())
+        aurocs.append(None if support in (0, y.shape[0])
+                      else auroc_binary(scores[:, c], pos))
+        supports.append(support)
+    return aurocs, supports
+
+
+def _support_weighted(aurocs: list, supports: list, n: int) -> float:
+    total = 0.0
+    weight = 0.0
+    for c, (auroc, support) in enumerate(zip(aurocs, supports)):
+        if auroc is None:
+            log.warning("class %d excluded from weighted AUROC "
+                        "(support %d of %d)", c, support, n)
+            continue
+        total += support * auroc
+        weight += support
+    if weight == 0.0:
+        raise DataError("no class has both positives and negatives")
+    return total / weight
 
 
 def weighted_auroc(scores: np.ndarray, y: np.ndarray) -> float:
@@ -65,25 +97,7 @@ def weighted_auroc(scores: np.ndarray, y: np.ndarray) -> float:
     Classes without both positives and negatives are excluded with a
     warning; the weights renormalize over the included classes.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    y = np.asarray(y)
-    if scores.ndim != 2 or scores.shape[0] != y.shape[0]:
-        raise DataError("score matrix and labels are inconsistent")
-    n, k = scores.shape
-    total = 0.0
-    weight = 0.0
-    for c in range(k):
-        pos = y == c
-        support = int(pos.sum())
-        if support == 0 or support == n:
-            log.warning("class %d excluded from weighted AUROC "
-                        "(support %d of %d)", c, support, n)
-            continue
-        total += support * auroc_binary(scores[:, c], pos)
-        weight += support
-    if weight == 0.0:
-        raise DataError("no class has both positives and negatives")
-    return total / weight
+    return _support_weighted(*_one_vs_rest(scores, y), len(y))
 
 
 def evaluate_scores(scores: np.ndarray, labels: np.ndarray, y: np.ndarray,
@@ -91,16 +105,9 @@ def evaluate_scores(scores: np.ndarray, labels: np.ndarray, y: np.ndarray,
     """Full report from score matrix, hard labels, and true labels."""
     y = np.asarray(y)
     n = y.shape[0]
-    per_class = []
-    for c in range(n_classes):
-        pos = y == c
-        support = int(pos.sum())
-        if support == 0 or support == n:
-            per_class.append(None)
-        else:
-            per_class.append(auroc_binary(scores[:, c], pos))
+    per_class, supports = _one_vs_rest(scores, y)
     confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
     np.add.at(confusion, (y, labels), 1)
     accuracy = float(np.mean(labels == y))
-    return EvalReport(weighted_auroc(scores, y), per_class, accuracy,
-                      confusion, n)
+    return EvalReport(_support_weighted(per_class, supports, n), per_class,
+                      accuracy, confusion, n)

@@ -15,7 +15,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -129,7 +129,7 @@ def _check_meta(meta) -> list[AppnpConfig]:
     _require(all(0 <= r["feature"] < m and r["gamma"] >= 0
                  for r in meta["rounds"]), "round feature or gamma invalid")
     try:
-        return [AppnpConfig.from_dict(r["config"]) for r in meta["rounds"]]
+        return [AppnpConfig(**r["config"]) for r in meta["rounds"]]
     except (TypeError, DataError) as exc:
         raise ModelFormatError(f"model metadata: {exc}") from exc
 
@@ -151,7 +151,7 @@ def save_ensemble(ensemble: Ensemble, path: str) -> None:
             "alpha": float(r.alpha),
             "error": float(r.error),
             "expert": bool(r.expert),
-            "config": r.model.config.to_dict(),
+            "config": asdict(r.model.config),
         } for r in ensemble.rounds],
     }
     blob = _dump_json(meta)

@@ -94,12 +94,13 @@ def _prepare_dataset(cfg: RunConfig):
 
 def run_train(cfg: RunConfig) -> TrainOutcome:
     """Load, encode, split, fit, evaluate on the test split, persist."""
+    boost_cfg = cfg.boost_config()
     dataset = _prepare_dataset(cfg)
     test_mask = dataset.mask(TEST)
     if not test_mask.any():
         raise DataError("test split is empty; training evaluates on it")
 
-    ensemble = boost.fit(cfg.boost_config(), dataset)
+    ensemble = boost.fit(boost_cfg, dataset)
     labels_pred, scores = boost.transductive_scores(ensemble)
     eval_report = evaluate_scores(scores[test_mask], labels_pred[test_mask],
                                   dataset.y[test_mask], dataset.n_classes)
@@ -163,6 +164,8 @@ def run_sweep(cfg: RunConfig) -> dict:
     if len(points) > cfg.sweep_cap:
         raise DataError(f"sweep grid has {len(points)} points, cap is "
                         f"{cfg.sweep_cap}")
+    # Every point's settings are checked before any data is read.
+    boost_cfgs = [cfg.with_point(point).boost_config() for point in points]
     dataset = _prepare_dataset(cfg)
     val_mask = dataset.mask(VAL)
     if not val_mask.any():
@@ -170,9 +173,8 @@ def run_sweep(cfg: RunConfig) -> dict:
 
     results = []
     best_idx = None
-    for i, point in enumerate(points):
-        point_cfg = cfg.with_point(point)
-        ensemble = boost.fit(point_cfg.boost_config(), dataset)
+    for i, (point, boost_cfg) in enumerate(zip(points, boost_cfgs)):
+        ensemble = boost.fit(boost_cfg, dataset)
         labels_pred, scores = boost.transductive_scores(ensemble)
         val_report = evaluate_scores(scores[val_mask], labels_pred[val_mask],
                                      dataset.y[val_mask], dataset.n_classes)
@@ -186,7 +188,6 @@ def run_sweep(cfg: RunConfig) -> dict:
             best_idx = i
 
     best_point = points[best_idx]
-    final_cfg = cfg.with_point(best_point)
 
     # Retrain on train+val. The weak learners still need an early-stop
     # validation set, so carve a fresh 20% out of the merged rows.
@@ -201,7 +202,7 @@ def run_sweep(cfg: RunConfig) -> dict:
     final_dataset = Dataset(dataset.X, dataset.y, dataset.n_classes,
                             final_split, dataset.encoder)
 
-    ensemble = boost.fit(final_cfg.boost_config(), final_dataset)
+    ensemble = boost.fit(boost_cfgs[best_idx], final_dataset)
     test_mask = dataset.mask(TEST)
     if not test_mask.any():
         raise DataError("test split is empty; sweep reports on it")

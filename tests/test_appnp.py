@@ -4,6 +4,7 @@ Gradients are verified against central finite differences; propagation is
 verified against the dense closed-form PageRank limit.
 """
 
+import dataclasses
 import math
 import os
 import sys
@@ -787,7 +788,7 @@ class TestPredict:
 
     def test_stacked_labels_need_shared_propagation(self):
         model, x, adj, *_ = make_instance(14)
-        cfg = AppnpConfig(**{**model.config.to_dict(), "teleport": 0.5})
+        cfg = dataclasses.replace(model.config, teleport=0.5)
         other = init_model(cfg, x.shape[1], 2)
         with pytest.raises(DataError):
             appnp.predict_labels([model, other], x, [adj, adj])

@@ -2,7 +2,7 @@
 
 import json
 import struct
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from graphboost.boost import BoostConfig, fit, predict_ensemble
 from graphboost.cli import main
-from graphboost.config import parse_config, load_config
+from graphboost.config import (GRID_KEYS, RunConfig, load_config,
+                               parse_config)
 from graphboost.appnp import AppnpConfig
 from graphboost.data import fit_encoder, gen_synthetic, split_rows
 from graphboost.errors import ConfigError, GraphBoostError, ModelFormatError
@@ -48,7 +49,7 @@ class TestConfigParse:
 
     def test_grids(self):
         cfg = parse_config("teleport = 0.1, 0.3\nhidden_dim = 16, 32, 64\n")
-        assert cfg.teleport == (0.1, 0.3)
+        assert cfg.grid["teleport"] == (0.1, 0.3)
         points = list(cfg.grid_points())
         assert len(points) == 6
         assert points[0]["teleport"] == 0.1
@@ -77,6 +78,22 @@ class TestConfigParse:
     def test_duplicate_key(self):
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config("seed = 1\nseed = 2\n")
+
+    def test_duplicate_grid_key(self):
+        with pytest.raises(ConfigError,
+                           match="line 3: duplicate key 'teleport'"):
+            parse_config("teleport = 0.1\nseed = 1\nteleport = 0.3\n")
+
+    @given(st.sampled_from(sorted(GRID_KEYS)))
+    def test_grid_defaults_are_the_learner_defaults(self, key):
+        owner, name = GRID_KEYS[key]
+        want = {f.name: f.default for f in fields(owner)}[name]
+        for cfg in (RunConfig(), parse_config("")):
+            assert cfg.grid[key] == (want,)
+            assert type(cfg.scalar(key)) is type(want)
+        built = RunConfig().boost_config()
+        assert getattr(built if owner is BoostConfig else built.weak,
+                       name) == want
 
     def test_bad_expert_edge(self):
         with pytest.raises(ConfigError, match="expert_edges"):

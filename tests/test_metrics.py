@@ -31,6 +31,28 @@ def pair_counting_weighted(scores, y, k):
     return total / weight
 
 
+def loop_midrank_auroc(scores, positives):
+    """The per-element midrank loop that auroc_binary replaced, frozen as
+    its bit-for-bit reference."""
+    scores = np.asarray(scores, dtype=np.float64).ravel()
+    positives = np.asarray(positives, dtype=bool).ravel()
+    n_pos = int(positives.sum())
+    n_neg = positives.size - n_pos
+    order = np.argsort(scores, kind="stable")
+    sorted_scores = scores[order]
+    ranks = np.empty(scores.size, dtype=np.float64)
+    i = 0
+    while i < scores.size:
+        j = i
+        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    rank_sum = ranks[positives].sum()
+    u = rank_sum - n_pos * (n_pos + 1) / 2.0
+    return float(u / (n_pos * n_neg))
+
+
 class TestBinaryAuroc:
     def test_perfect_separation(self):
         assert auroc_binary([0.9, 0.8, 0.2, 0.1], [1, 1, 0, 0]) == 1.0
@@ -79,6 +101,18 @@ class TestBinaryAuroc:
             return
         assert auroc_binary(s, pos) == pytest.approx(
             pair_counting_auroc(s, pos), abs=1e-12)
+
+    @given(st.lists(st.tuples(
+        st.sampled_from([0.0, -0.0, 0.5, 1.0, np.nan, np.inf, -np.inf])
+        | st.floats(allow_nan=True, allow_infinity=True),
+        st.booleans()), min_size=2, max_size=80))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_frozen_midrank_loop(self, cells):
+        s = np.array([c[0] for c in cells])
+        pos = np.array([c[1] for c in cells])
+        if pos.all() or not pos.any():
+            return
+        assert auroc_binary(s, pos).hex() == loop_midrank_auroc(s, pos).hex()
 
 
 class TestWeightedAuroc:
@@ -146,6 +180,21 @@ class TestEvalReport:
         assert set(d) == {"weighted_auroc", "accuracy", "per_class_auroc",
                           "confusion", "n"}
         assert isinstance(d["confusion"][0][0], int)
+
+    def test_matches_the_separate_metrics(self, caplog):
+        import logging
+        rng = np.random.default_rng(6)
+        y = rng.integers(0, 2, size=30)
+        y[:2] = 0, 1
+        scores = rng.choice([0.0, 0.5, 1.0], size=(30, 3))
+        with caplog.at_level(logging.WARNING, logger="graphboost.metrics"):
+            report = evaluate_scores(scores, scores.argmax(axis=1), y, 3)
+        assert [r.message for r in caplog.records] == [
+            "class 2 excluded from weighted AUROC (support 0 of 30)"]
+        assert report.weighted_auroc == weighted_auroc(scores, y)
+        assert report.per_class_auroc == [auroc_binary(scores[:, 0], y == 0),
+                                          auroc_binary(scores[:, 1], y == 1),
+                                          None]
 
     def test_per_class_none_for_absent_class(self):
         y = np.array([0, 1, 0, 1])

@@ -2,11 +2,12 @@
 
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from graphboost import boost
+from graphboost import boost, pipeline
 from graphboost.cli import main
 from graphboost.config import parse_config
 from graphboost.data import load_csv
@@ -69,7 +70,7 @@ class TestSynth:
         b = run_synth(100, 3, 2, 0.5, seed=9, test_fraction=0.2,
                       out_prefix=str(tmp_path / "b"))
         for pa, pb in zip(a, b):
-            assert open(pa, "rb").read() == open(pb, "rb").read()
+            assert Path(pa).read_bytes() == Path(pb).read_bytes()
 
 
 class TestTrain:
@@ -77,7 +78,7 @@ class TestTrain:
         outcome, cfg = trained
         ensemble = load_ensemble(outcome.model_path)
         assert len(ensemble.rounds) == 2
-        report = json.loads(open(outcome.report_path).read())
+        report = json.loads(Path(outcome.report_path).read_text())
         assert report == outcome.report
         assert 0.0 <= report["weighted_auroc"] <= 1.0
         assert len(report["rounds"]) == 2
@@ -102,7 +103,7 @@ class TestTrain:
                 data=train_path, rounds=2, model=tmp_path / f"{tag}.gbe",
                 report=tmp_path / f"{tag}.json"))
             run_train(cfg)
-            blobs.append(open(tmp_path / f"{tag}.gbe", "rb").read())
+            blobs.append((tmp_path / f"{tag}.gbe").read_bytes())
         assert blobs[0] == blobs[1]
 
     def test_missing_label_column(self, tmp_path):
@@ -329,6 +330,37 @@ class TestCliExitCodes:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "m.gbe").exists()
 
+    @pytest.mark.parametrize("command, line, message", [
+        ("train", "hidden_dim = 0", "hidden_dim"),
+        ("sweep", "hidden_dim = 8, 0", "hidden_dim"),
+        ("sweep", "rounds = 1, 0", "boosting round"),
+        ("sweep", "boost_learning_rate = 1.0, 0", "boost learning rate"),
+        ("sweep", "prop_steps = 3, -1", "prop_steps"),
+        ("sweep", "teleport = 0.2, 1.5", "teleport"),
+        ("sweep", "dropout = 0.0, 1.0", "dropout"),
+        ("sweep", "weak_learning_rate = 0.005, nan", "weak_learning_rate"),
+        ("sweep", "weight_decay = 0.0, inf", "weight_decay"),
+        ("sweep", "max_epochs = 8, -1", "max_epochs"),
+        ("sweep", "patience = 8, -5", "patience")])
+    def test_bad_setting_stops_before_any_data(self, cohort, tmp_path,
+                                               capsys, monkeypatch, command,
+                                               line, message):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("reached with a bad setting")
+
+        monkeypatch.setattr(pipeline, "load_csv", unreachable)
+        monkeypatch.setattr(boost, "fit", unreachable)
+        key = line.split(" = ")[0]
+        text = "\n".join(row for row in BASE_CONFIG.format(
+            data=cohort[0], rounds=1, model=tmp_path / "m.gbe",
+            report=tmp_path / "r.json").splitlines()
+            if not row.startswith(key + " "))
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(text + f"\n{line}\n")
+        assert main([command, "--config", str(cfg)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "m.gbe").exists()
+
     def test_negative_workers_flag_is_two(self, cohort, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
         cfg.write_text(BASE_CONFIG.format(data=cohort[0], rounds=1,
@@ -376,7 +408,7 @@ class TestCliExitCodes:
 
     def test_wrong_model_version_is_two(self, trained, tmp_path, capsys):
         outcome, _ = trained
-        blob = bytearray(open(outcome.model_path, "rb").read())
+        blob = bytearray(Path(outcome.model_path).read_bytes())
         blob[4:8] = (9).to_bytes(4, "little")
         bad = tmp_path / "bad.gbe"
         bad.write_bytes(bytes(blob))
