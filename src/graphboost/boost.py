@@ -18,14 +18,13 @@ run, on up to ``workers`` threads. ``run_round`` drops repeated
 edge equal to a quantile, so each distinct graph trains once per round.
 Prediction labels the rounds that chose one (feature, gamma) graph
 together with ``appnp.predict_labels``. Each such graph is built over the
-stored rows once per ensemble and kept in memory; a prediction merges its
-new rows into that stored graph.
+stored rows when the ensemble is made, fitted or loaded; a prediction
+merges its new rows into that stored graph.
 """
 
 import logging
 from dataclasses import dataclass, field, replace
 import math
-import threading
 
 import numpy as np
 
@@ -66,7 +65,7 @@ class BoostConfig:
             raise DataError("workers must be >= 0")
 
 
-@dataclass
+@dataclass(frozen=True)
 class WeakRound:
     feature: int
     feature_name: str
@@ -86,50 +85,37 @@ class CandidateResult:
     report: TrainReport | None
 
 
-class _StoredGraphs:
-    """Stored-row graphs by (feature, gamma), built on first use and kept
-    with the train_x they came from: a call with another train_x object
-    drops them. Graphs on one feature share its stored sort. Safe to use
-    from several threads."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._rows = None
-        self._graphs: dict = {}
-
-    def get(self, train_x: np.ndarray, feature: int,
-            gamma: float) -> StoredGraph:
-        with self._lock:
-            if self._rows is not train_x:
-                self._rows, self._graphs = train_x, {}
-            graph = self._graphs.get((feature, gamma))
-            if graph is None:
-                column = train_x[:, feature]
-                graph = StoredGraph.of(
-                    build_adjacency(column, gamma, feature=feature), column)
-                twin = next((g for (f, _), g in self._graphs.items()
-                             if f == feature), None)
-                if twin is not None:
-                    graph = replace(graph, order=twin.order,
-                                    v_sorted=twin.v_sorted)
-                self._graphs[(feature, gamma)] = graph
-            return graph
-
-
-@dataclass
+@dataclass(frozen=True)
 class Ensemble:
-    rounds: list
+    rounds: tuple
     n_classes: int
     encoder: EncodingMeta
     feature_names: list[str]
     train_x: np.ndarray  # encoded rows seen at fit time, for the graphs
     stop_reason: str | None = None
     stop_error: float | None = None
-    # Never saved. Change train_x by replacing it, not in place: the cache
-    # tells train_x objects apart, not their contents.
-    stored_graphs: _StoredGraphs = field(default_factory=_StoredGraphs,
-                                         init=False, repr=False,
-                                         compare=False)
+    # Each distinct round (feature, gamma) graph over train_x, built here
+    # and never saved. Graphs on one feature share its stored sort.
+    stored_graphs: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if not self.rounds:
+            raise DataError("empty ensemble")
+        object.__setattr__(self, "rounds", tuple(self.rounds))
+        graphs: dict = {}
+        for r in self.rounds:
+            if (r.feature, r.gamma) in graphs:
+                continue
+            column = self.train_x[:, r.feature]
+            graph = StoredGraph.of(
+                build_adjacency(column, r.gamma, feature=r.feature), column)
+            twin = next((g for (f, _), g in graphs.items()
+                         if f == r.feature), None)
+            if twin is not None:
+                graph = replace(graph, order=twin.order,
+                                v_sorted=twin.v_sorted)
+            graphs[(r.feature, r.gamma)] = graph
+        object.__setattr__(self, "stored_graphs", graphs)
 
 
 def weighted_error(predictions: np.ndarray, y: np.ndarray, w: np.ndarray,
@@ -335,8 +321,8 @@ def _vote_scores(ensemble: Ensemble,
             (cfg.teleport, cfg.prop_steps), []).append(t)
     round_labels = [None] * len(ensemble.rounds)
     for (feature, gamma), by_config in groups.items():
-        stored = ensemble.stored_graphs.get(ensemble.train_x, feature, gamma)
-        adjacency = stored.join(new_x[:, feature])
+        adjacency = ensemble.stored_graphs[(feature, gamma)].join(
+            new_x[:, feature])
         for ts in by_config.values():
             labels = predict_labels([ensemble.rounds[t].model for t in ts],
                                     x_all, [adjacency] * len(ts))
@@ -352,8 +338,6 @@ def _vote_scores(ensemble: Ensemble,
 def transductive_scores(ensemble: Ensemble) -> tuple[np.ndarray, np.ndarray]:
     """Ensemble labels and normalized vote scores for the rows seen at fit
     time, using graphs over those rows alone."""
-    if not ensemble.rounds:
-        raise DataError("empty ensemble")
     return _vote_scores(ensemble, ensemble.train_x[:0])
 
 
@@ -367,11 +351,9 @@ def predict_ensemble(ensemble: Ensemble,
     row's scores depend on the other rows of ``new_x``; a single row is
     scored against the stored rows alone. Rounds that chose the same
     (feature, gamma) share one graph, which merges the new rows into the
-    stored graph that the first call builds. Returns hard labels and vote
+    stored graph built with the ensemble. Returns hard labels and vote
     scores normalized to sum 1 per row.
     """
-    if not ensemble.rounds:
-        raise DataError("empty ensemble")
     new_x = np.asarray(new_x, dtype=np.float64)
     if new_x.ndim != 2 or new_x.shape[1] != ensemble.train_x.shape[1]:
         raise DataError("new rows have the wrong number of features")

@@ -324,10 +324,12 @@ def split_rows(n: int, fractions: tuple[float, float, float], seed: int,
     counts are not.
     """
     fractions = tuple(float(f) for f in fractions)
-    if len(fractions) != 3 or any(f < 0 for f in fractions):
-        raise DataError("fractions must be three non-negative numbers")
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise DataError("fractions must sum to 1")
+    # negated comparisons, so that a NaN fraction fails them too
+    if len(fractions) != 3 or not all(f >= 0 for f in fractions):
+        raise DataError(f"fractions must be three non-negative numbers, "
+                        f"got {fractions}")
+    if not abs(sum(fractions) - 1.0) <= 1e-9:
+        raise DataError(f"fractions must sum to 1, got {fractions}")
     if len(stratify_by) != n:
         raise DataError("stratify_by length does not match n")
 

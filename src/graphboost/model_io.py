@@ -126,8 +126,11 @@ def _check_meta(meta) -> list[AppnpConfig]:
                  f"{where} is not feature {j}")
         if col["kind"] == CATEGORICAL:
             _check(list(col["categories"].values()), [int], where)
-    _require(all(0 <= r["feature"] < m and r["gamma"] >= 0
-                 for r in meta["rounds"]), "round feature or gamma invalid")
+    # a model votes with at least one round, each by a positive weight
+    _require(len(meta["rounds"]) >= 1, "rounds must not be empty")
+    _require(all(0 <= r["feature"] < m and r["gamma"] >= 0 and r["alpha"] > 0
+                 for r in meta["rounds"]),
+             "round feature, gamma or alpha invalid")
     try:
         return [AppnpConfig(**r["config"]) for r in meta["rounds"]]
     except (TypeError, DataError) as exc:

@@ -10,7 +10,7 @@ import sys
 import textwrap
 import threading
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -453,13 +453,16 @@ class TestFit:
 
 
 class TestEnsemblePrediction:
+    @staticmethod
+    def _stored_rows(m, n_stored):
+        return np.random.default_rng(0).normal(size=(n_stored, m))
+
     def _manual_ensemble(self, rounds, k=2, m=2, n_stored=6):
-        rng = np.random.default_rng(0)
         meta = EncodingMeta([NumericMeta(f"f{j}", 0.0, 0.0, 1.0)
                              for j in range(m)], "label",
                             [f"c{i}" for i in range(k)])
         return Ensemble(rounds, k, meta, meta.feature_names(),
-                        rng.normal(size=(n_stored, m)))
+                        self._stored_rows(m, n_stored))
 
     # Rounds as (feature, gamma quantile index, learner overrides); rounds
     # with equal feature and index share one graph. Round t gets alpha
@@ -477,15 +480,16 @@ class TestEnsemblePrediction:
     }
 
     def _shared_graph_ensemble(self, spec, k=2, m=2, n_stored=40):
-        ens = self._manual_ensemble([], k=k, m=m, n_stored=n_stored)
+        stored = self._stored_rows(m, n_stored)
+        rounds = []
         for t, (feature, q, overrides) in enumerate(spec):
             cfg = AppnpConfig(**{"hidden_dim": 5, "prop_steps": 3,
                                  "teleport": 0.2, "seed": t, **overrides})
-            gamma = quantile_thresholds(ens.train_x[:, feature]).gammas[q]
-            ens.rounds.append(WeakRound(feature, f"f{feature}", gamma,
-                                        init_model(cfg, m, k),
-                                        0.1 * (t + 1), 0.3))
-        return ens
+            gamma = quantile_thresholds(stored[:, feature]).gammas[q]
+            rounds.append(WeakRound(feature, f"f{feature}", gamma,
+                                    init_model(cfg, m, k),
+                                    0.1 * (t + 1), 0.3))
+        return self._manual_ensemble(rounds, k=k, m=m, n_stored=n_stored)
 
     @pytest.mark.parametrize("kind", sorted(SHARED_GRAPH_ENSEMBLES))
     def test_rounds_on_shared_graphs_match_round_by_round_loop(
@@ -508,10 +512,8 @@ class TestEnsemblePrediction:
             np.testing.assert_array_equal(got[1], want[1])
 
     def test_each_distinct_graph_built_once_per_call(self, monkeypatch):
-        # The first call builds each distinct graph over the stored rows;
-        # every call, that one included, merges its rows into each once.
-        ens = self._shared_graph_ensemble(
-            self.SHARED_GRAPH_ENSEMBLES["mixed_learners"])
+        # Making the ensemble builds each distinct graph over the stored
+        # rows; every call merges its rows into each once and builds none.
         built, joined = [], []
         join = StoredGraph.join
 
@@ -525,6 +527,9 @@ class TestEnsemblePrediction:
 
         monkeypatch.setattr(boost, "build_adjacency", counting_build)
         monkeypatch.setattr(StoredGraph, "join", counting_join)
+        ens = self._shared_graph_ensemble(
+            self.SHARED_GRAPH_ENSEMBLES["mixed_learners"])
+        assert (len(built), joined) == (2, [])
         predict_ensemble(ens, np.zeros((3, 2)))
         assert (len(built), joined) == (2, [3, 3])
         predict_ensemble(ens, np.zeros((1, 2)))
@@ -569,8 +574,14 @@ class TestEnsemblePrediction:
         row = np.random.default_rng(5).normal(size=(1, 2))
         predict_ensemble(ens, row)
         transductive_scores(ens)
-        # same shape, other values: only the identity of train_x changed
-        ens.train_x = np.random.default_rng(6).normal(size=ens.train_x.shape)
+        # Neither the stored rows nor a round change in place; an ensemble
+        # over other rows of the same shape is a new one, with new graphs.
+        other = np.random.default_rng(6).normal(size=ens.train_x.shape)
+        with pytest.raises(FrozenInstanceError):
+            ens.train_x = other
+        with pytest.raises(FrozenInstanceError):
+            ens.rounds[0].gamma = 0.0
+        ens = replace(ens, train_x=other)
         for got, want in (
                 (predict_ensemble(ens, row),
                  reference_votes(ens, np.vstack([ens.train_x, row]),
@@ -594,13 +605,13 @@ class TestEnsemblePrediction:
             np.testing.assert_array_equal(got[1], want[1])
         g0, g2 = ens.rounds[0].gamma, ens.rounds[1].gamma
         assert g0 != g2
-        a, b = (ens.stored_graphs.get(ens.train_x, 0, g) for g in (g0, g2))
+        a, b = (ens.stored_graphs[(0, g)] for g in (g0, g2))
         assert a.order is b.order and a.v_sorted is b.v_sorted
         assert not np.array_equal(a.hi, b.hi)
 
     def test_threads_share_the_stored_graphs(self, monkeypatch):
-        # More threads than cores, switching often, on a cold ensemble: a
-        # lost update would build some graph twice.
+        # More threads than cores, switching often: the calls only read
+        # the graphs built with the ensemble, so none builds a graph.
         ens = self._shared_graph_ensemble(
             [(0, 0, {}), (0, 2, {}), (1, 1, {})])
         rows = np.random.default_rng(8).normal(size=(8, 2))
@@ -630,7 +641,7 @@ class TestEnsemblePrediction:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        assert len(built) == 3
+        assert built == []
         for i in range(8):
             np.testing.assert_array_equal(results[i][0], want[i][0])
             np.testing.assert_array_equal(results[i][1], want[i][1])
@@ -655,15 +666,15 @@ class TestEnsemblePrediction:
         # edge list would need gigabytes for.
         rng = np.random.default_rng(11)
         m, k = 3, 2
+        stored = self._stored_rows(m, 200)
         rounds = []
         for t, (feature, alpha) in enumerate(((0, 0.9), (2, 0.4))):
             cfg = AppnpConfig(hidden_dim=8, prop_steps=1, teleport=0.2,
                               seed=t)
-            rounds.append(WeakRound(feature, f"f{feature}", 0.0,
+            gamma = quantile_thresholds(stored[:, feature]).gammas[2]
+            rounds.append(WeakRound(feature, f"f{feature}", gamma,
                                     init_model(cfg, m, k), alpha, 0.3))
         ens = self._manual_ensemble(rounds, k=k, m=m, n_stored=200)
-        for r in ens.rounds:
-            r.gamma = quantile_thresholds(ens.train_x[:, r.feature]).gammas[2]
         new_x = rng.normal(size=(20000, m))
 
         tracemalloc.start()
@@ -705,6 +716,10 @@ class TestEnsemblePrediction:
         labels, scores = predict_ensemble(ens, np.zeros((0, 2)))
         assert labels.shape == (0,)
         assert scores.shape == (0, 2)
+
+    def test_no_rounds_rejected(self):
+        with pytest.raises(DataError, match="empty ensemble"):
+            self._manual_ensemble([])
 
     def test_wrong_width_rejected(self):
         rounds = [WeakRound(0, "f0", 1.0, constant_model(2, 2, 0), 1.0, 0.1)]

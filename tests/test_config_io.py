@@ -257,6 +257,47 @@ class TestModelFile:
         assert _cli_predict(path, tmp_path) == 2
         assert "n_stored_rows" in capsys.readouterr().err
 
+    def test_no_rounds(self, small_ensemble, tmp_path, capsys):
+        # such a file, consistent in every other way, used to load, and
+        # every prediction then failed on it
+        path = tmp_path / "m.gbe"
+        save_ensemble(small_ensemble, str(path))
+        for command in ("predict", "evaluate"):
+            assert _cli_scores(command, path, tmp_path) == 0
+        path.write_bytes(_without_rounds(path.read_bytes(),
+                                         *small_ensemble.train_x.shape))
+        with pytest.raises(ModelFormatError, match="rounds"):
+            load_ensemble(str(path))
+        for command in ("predict", "evaluate"):
+            capsys.readouterr()
+            assert _cli_scores(command, path, tmp_path) == 2
+            assert "rounds must not be empty" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alphas", [(0.0,), (1.0, -1.0), (-2.0,)])
+    def test_non_positive_alpha(self, small_ensemble, tmp_path, capsys,
+                                alphas):
+        # such files used to load; predict then wrote NaN scores, or a
+        # label that was not the argmax of its scores, and exited 0
+        rounds = [replace(r, alpha=alpha)
+                  for r, alpha in zip(small_ensemble.rounds, alphas)]
+        assert len(rounds) == len(alphas)
+        path = tmp_path / "m.gbe"
+        save_ensemble(replace(small_ensemble, rounds=rounds), str(path))
+        with pytest.raises(ModelFormatError, match="alpha"):
+            load_ensemble(str(path))
+        for command in ("predict", "evaluate"):
+            capsys.readouterr()
+            assert _cli_scores(command, path, tmp_path) == 2
+            assert "alpha" in capsys.readouterr().err
+
+
+def _without_rounds(blob: bytes, n_rows: int, n_features: int) -> bytes:
+    """A model file with its rounds and their tensors cut out."""
+    blob = _edit_meta(blob, lambda meta: meta.update(rounds=[]))
+    (length,) = struct.unpack("<Q", blob[8:16])
+    # the stored row matrix: a dimension byte, two shape words, the values
+    return blob[:16 + length + 1 + 16 + 8 * n_rows * n_features]
+
 
 def _edit_meta(blob: bytes, edit) -> bytes:
     """Apply ``edit`` to the metadata of a model file and rewrite its
@@ -286,6 +327,16 @@ def _cli_predict(model_path, tmp_path) -> int:
     data.write_text("x0,x1,x2\n0.1,0.2,0.3\n")
     return main(["predict", "--model", str(model_path), "--data", str(data),
                  "--out", str(tmp_path / "preds.csv")])
+
+
+def _cli_scores(command, model_path, tmp_path) -> int:
+    """Exit code of ``predict`` or ``evaluate`` on two labelled rows with
+    the columns of ``small_ensemble``."""
+    data = tmp_path / "labelled.csv"
+    data.write_text("noise_00,noise_01,edge,label\n"
+                    "0.1,0.2,0.3,c0\n-0.1,0.5,-0.3,c1\n")
+    return main([command, "--model", str(model_path), "--data", str(data),
+                 "--out", str(tmp_path / f"{command}.out")])
 
 
 @pytest.fixture(scope="module")

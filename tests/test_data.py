@@ -218,6 +218,13 @@ class TestSplitRows:
         with pytest.raises(DataError):
             split_rows(10, (0.5, 0.2, 0.2), seed=0, stratify_by=["a"] * 10)
 
+    @pytest.mark.parametrize("fractions", [
+        (math.nan, 0.5, 0.5), (0.5, math.nan, 0.5), (1.0, 0.0, math.nan)])
+    def test_nan_fraction_rejected(self, fractions):
+        # a NaN fraction used to pass both checks
+        with pytest.raises(DataError, match=r"fractions must .*, got \("):
+            split_rows(10, fractions, seed=0, stratify_by=["a"] * 10)
+
     def test_tiny_class_rejected(self):
         labels = ["a"] * 9 + ["b"]
         with pytest.raises(DataError, match="fewer than"):

@@ -361,6 +361,19 @@ class TestCliExitCodes:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "m.gbe").exists()
 
+    def test_nan_split_fraction_is_two(self, cohort, tmp_path, capsys):
+        # used to end in "train split is empty" after a numpy warning
+        text = BASE_CONFIG.format(data=cohort[0], rounds=1,
+                                  model=tmp_path / "m.gbe",
+                                  report=tmp_path / "r.json")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(text.replace("split_fractions = 0.6, 0.2, 0.2",
+                                    "split_fractions = nan, 0.5, 0.5"))
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert "fractions must be three non-negative numbers, got " \
+            "(nan, 0.5, 0.5)" in capsys.readouterr().err
+        assert not (tmp_path / "m.gbe").exists()
+
     def test_negative_workers_flag_is_two(self, cohort, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
         cfg.write_text(BASE_CONFIG.format(data=cohort[0], rounds=1,
