@@ -19,7 +19,10 @@ trains the first 4 of them together, as one of the round's blocks. Single-row
 prediction scores one new row against a hand-built 10-round ensemble over
 the 2000 rows of that cohort, with criterion 08's learner shape and round
 pattern: 8 rounds on one graph and 2 on two others, interleaved, each with
-untrained ``init_model`` weights.
+untrained ``init_model`` weights. Ingest reads that cohort back from a CSV
+file, continuous as written or mixed: its noise columns cut into integer
+scores, one of them into text levels, with 5% of their cells ``NA``; the
+encode benchmark fits and applies the encoding of the mixed table.
 """
 
 import numpy as np
@@ -28,7 +31,9 @@ import pytest
 from graphboost import appnp
 from graphboost.appnp import AppnpConfig, init_model, propagate
 from graphboost.boost import Ensemble, WeakRound, predict_ensemble, run_round
-from graphboost.data import TRAIN, VAL, fit_encoder, gen_synthetic, split_rows
+from graphboost.data import (CATEGORICAL, NUMERIC, TRAIN, VAL, Column,
+                             RawTable, apply_encoder, fit_encoder,
+                             gen_synthetic, load_csv, split_rows, write_csv)
 from graphboost.graph import (StoredGraph, build_adjacency,
                               enumerate_candidates, quantile_thresholds)
 
@@ -72,6 +77,45 @@ def _cohort(n=2000):
     ds, _ = fit_encoder(table, labels,
                         split_rows(n, (0.7, 0.15, 0.15), 0, labels))
     return ds
+
+
+def _mixed_table(n=2000):
+    table, labels = gen_synthetic(n, 10, 2, 0.9, 0)
+    na = np.random.default_rng(0).random((n, 10)) < 0.05
+    columns = []
+    for j, col in enumerate(table.columns):
+        if col.name == "edge":
+            columns.append(col)
+            continue
+        levels = np.digitize(col.numeric, (-0.3, 0.6, 1.5)).astype(float)
+        levels[na[:, j]] = np.nan
+        if col.name == "noise_00":
+            text = [None if np.isnan(v) else ("low", "mid", "high", "top")[
+                int(v)] for v in levels]
+            columns.append(Column(col.name, CATEGORICAL, text=text))
+        else:
+            columns.append(Column(col.name, NUMERIC, numeric=levels))
+    return RawTable(columns, n), labels
+
+
+@pytest.mark.parametrize("cohort", ("continuous", "mixed"))
+def test_load_csv(benchmark, tmp_path, cohort):
+    table, labels = (gen_synthetic(2000, 10, 2, 0.9, 0)
+                     if cohort == "continuous" else _mixed_table())
+    path = str(tmp_path / "cohort.csv")
+    write_csv(table, labels, path)
+    loaded, _ = benchmark(load_csv, path, "label")
+    assert [c.kind for c in loaded.columns] == [c.kind for c in table.columns]
+
+
+def test_encode(benchmark):
+    table, labels = _mixed_table()
+    split = split_rows(table.n_rows, (0.7, 0.15, 0.15), 0, labels)
+
+    def encode():
+        _, meta = fit_encoder(table, labels, split)
+        return apply_encoder(table, meta)
+    assert benchmark(encode).shape == (2000, 10)
 
 
 # the learner of the fit benchmark in ``perfbench/``

@@ -168,5 +168,5 @@ def load_config(path: str) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             return parse_config(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc

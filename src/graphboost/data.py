@@ -128,13 +128,19 @@ class Dataset:
         return self.split == tag
 
 
-def _parse_numeric_cell(cell: str) -> float | None:
-    """Return the finite float for ``cell``, or None if it is not one."""
+def _numeric_column(cells: list[str]) -> np.ndarray | None:
+    """The float64 column of ``cells`` with NaN for a missing cell, or None
+    if some other cell is not a finite number."""
     try:
-        v = float(cell)
+        vals = np.array([np.nan if c in MISSING_MARKERS else float(c)
+                         for c in cells], dtype=np.float64)
     except ValueError:
         return None
-    return v if math.isfinite(v) else None
+    # a non-finite value is either a missing cell or an inf/nan cell
+    if any(cells[i] not in MISSING_MARKERS
+           for i in np.flatnonzero(~np.isfinite(vals))):
+        return None
+    return vals
 
 
 def _read_rows(path: str) -> tuple[list[str], list[list[str]]]:
@@ -148,15 +154,22 @@ def _read_rows(path: str) -> tuple[list[str], list[list[str]]]:
     with fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError("empty table: file has no header row") from None
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise DataError(f"ragged row at line {lineno}: expected "
-                                f"{len(header)} cells, got {len(row)}")
-            rows.append(row)
+            header = next(reader, None)
+            if header is None:
+                raise DataError("empty table: file has no header row")
+            rows = []
+            for lineno, row in enumerate(reader, start=2):
+                if len(row) != len(header):
+                    raise DataError(f"ragged row at line {lineno}: expected "
+                                    f"{len(header)} cells, got {len(row)}")
+                rows.append(row)
+        except UnicodeDecodeError:
+            # the file is decoded in chunks, ahead of the line being read
+            raise DataError(f"cannot read {path!r}: not UTF-8 text at or "
+                            f"after line {reader.line_num + 1}") from None
+        except csv.Error as exc:
+            raise DataError(f"cannot read {path!r} at line "
+                            f"{reader.line_num}: {exc}") from None
     if len(set(header)) != len(header):
         raise DataError("duplicate column names in header")
     return header, rows
@@ -184,12 +197,11 @@ def load_csv(path: str, label_column: str | None, schema_hints: dict | None = No
     labels: list[str] | None = None
     if label_column is not None:
         li = header.index(label_column)
-        labels = []
-        for r, row in enumerate(rows):
-            cell = row[li]
-            if cell in MISSING_MARKERS:
-                raise DataError(f"missing label value at data row {r}")
-            labels.append(cell)
+        labels = [row[li] for row in rows]
+        missing = next((r for r, c in enumerate(labels)
+                        if c in MISSING_MARKERS), None)
+        if missing is not None:
+            raise DataError(f"missing label value at data row {missing}")
 
     columns = []
     for j, name in enumerate(header):
@@ -199,20 +211,13 @@ def load_csv(path: str, label_column: str | None, schema_hints: dict | None = No
         hint = hints.get(name)
         if hint not in (None, NUMERIC, CATEGORICAL):
             raise DataError(f"bad schema hint for {name!r}: {hint!r}")
-        parsed = [None if c in MISSING_MARKERS else _parse_numeric_cell(c)
-                  for c in cells]
-        numeric_ok = all(p is not None for c, p in zip(cells, parsed)
-                         if c not in MISSING_MARKERS)
-        kind = hint or (NUMERIC if numeric_ok else CATEGORICAL)
-        if kind == NUMERIC:
-            if not numeric_ok:
-                bad = next(c for c, p in zip(cells, parsed)
-                           if c not in MISSING_MARKERS and p is None)
-                raise DataError(f"column {name!r} hinted numeric but cell "
-                                f"{bad!r} does not parse")
-            vals = np.array([np.nan if c in MISSING_MARKERS else p
-                             for c, p in zip(cells, parsed)], dtype=np.float64)
+        vals = None if hint == CATEGORICAL else _numeric_column(cells)
+        if vals is not None:
             columns.append(Column(name, NUMERIC, numeric=vals))
+        elif hint == NUMERIC:
+            bad = next(c for c in cells if _numeric_column([c]) is None)
+            raise DataError(f"column {name!r} hinted numeric but cell "
+                            f"{bad!r} does not parse")
         else:
             text = [None if c in MISSING_MARKERS else c for c in cells]
             columns.append(Column(name, CATEGORICAL, text=text))
@@ -249,20 +254,11 @@ def fit_encoder(table: RawTable, labels: list[str], split: np.ndarray,
             sd = float(np.std(filled, ddof=1)) if filled.size > 1 else 0.0
             metas.append(NumericMeta(col.name, impute, mean, sd))
         else:
-            # Missing is its own category; codes follow first appearance in
-            # the train split, missing included.
-            cats: dict = {}
-            missing_code = None
-            next_code = 0
-            for i in train_rows:
-                v = col.text[i]
-                if v is None:
-                    if missing_code is None:
-                        missing_code = next_code
-                        next_code += 1
-                elif v not in cats:
-                    cats[v] = next_code
-                    next_code += 1
+            # Missing (None) is its own category; codes follow first
+            # appearance in the train split, missing included.
+            seen = dict.fromkeys(col.text[i] for i in train_rows)
+            cats = {v: code for code, v in enumerate(seen)}
+            missing_code = cats.pop(None, None)
             if not cats:
                 raise DataError(f"column {col.name!r}: all train values missing")
             metas.append(CategoricalMeta(col.name, cats, missing_code))
@@ -285,11 +281,11 @@ def apply_encoder(table: RawTable, meta: EncodingMeta) -> np.ndarray:
     """Encode a table with previously fitted statistics, matching by name."""
     n = table.n_rows
     out = np.empty((n, len(meta.columns)), dtype=np.float64)
-    names = set(table.column_names)
+    by_name = {c.name: c for c in table.columns}
     for j, cm in enumerate(meta.columns):
-        if cm.name not in names:
+        col = by_name.get(cm.name)
+        if col is None:
             raise DataError(f"column missing from data: {cm.name!r}")
-        col = table.get(cm.name)
         if col.kind != cm.kind:
             raise DataError(f"column {cm.name!r}: expected {cm.kind}, "
                             f"got {col.kind}")
@@ -300,14 +296,11 @@ def apply_encoder(table: RawTable, meta: EncodingMeta) -> np.ndarray:
             else:
                 out[:, j] = 0.0
         else:
-            codes = np.empty(n, dtype=np.float64)
+            codes = dict(cm.categories)
+            if cm.missing_code is not None:
+                codes[None] = cm.missing_code
             unknown = cm.unknown_code
-            for i, v in enumerate(col.text):
-                if v is None:
-                    codes[i] = cm.missing_code if cm.missing_code is not None else unknown
-                else:
-                    codes[i] = cm.categories.get(v, unknown)
-            out[:, j] = codes
+            out[:, j] = [codes.get(v, unknown) for v in col.text]
     if not np.all(np.isfinite(out)):
         raise DataError("non-finite values after encoding")
     return out

@@ -194,46 +194,50 @@ class TestModelFile:
     def test_missing_metadata_key(self, small_ensemble, tmp_path):
         path = tmp_path / "m.gbe"
         save_ensemble(small_ensemble, str(path))
+        assert _cli_scores("predict", path, tmp_path) == 0
         path.write_bytes(_edit_meta(path.read_bytes(),
                                     lambda meta: meta.pop("stop_reason")))
         with pytest.raises(ModelFormatError, match="stop_reason"):
             load_ensemble(str(path))
-        assert _cli_predict(path, tmp_path) == 2
+        assert _cli_scores("predict", path, tmp_path) == 2
 
     def test_huge_metadata_length(self, small_ensemble, tmp_path):
         path = tmp_path / "m.gbe"
         save_ensemble(small_ensemble, str(path))
+        assert _cli_scores("predict", path, tmp_path) == 0
         blob = bytearray(path.read_bytes())
         blob[8:16] = struct.pack("<Q", 1 << 40)
         path.write_bytes(bytes(blob))
         with pytest.raises(ModelFormatError, match="truncated"):
             load_ensemble(str(path))
-        assert _cli_predict(path, tmp_path) == 2
+        assert _cli_scores("predict", path, tmp_path) == 2
 
     def test_absurd_prop_steps(self, small_ensemble, tmp_path):
         # loading such a model used to succeed, and predict never ended
         path = tmp_path / "m.gbe"
         save_ensemble(small_ensemble, str(path))
+        assert _cli_scores("predict", path, tmp_path) == 0
 
         def lengthen(meta):
             meta["rounds"][0]["config"]["prop_steps"] = 2**70
         path.write_bytes(_edit_meta(path.read_bytes(), lengthen))
         with pytest.raises(ModelFormatError, match="prop_steps"):
             load_ensemble(str(path))
-        assert _cli_predict(path, tmp_path) == 2
+        assert _cli_scores("predict", path, tmp_path) == 2
 
     @pytest.mark.parametrize("key", ["hidden_dim", "max_epochs", "patience",
                                      "weight_decay", "learning_rate"])
     def test_negative_learner_size(self, small_ensemble, tmp_path, key):
         path = tmp_path / "m.gbe"
         save_ensemble(small_ensemble, str(path))
+        assert _cli_scores("predict", path, tmp_path) == 0
 
         def negate(meta):
             meta["rounds"][0]["config"][key] = -1
         path.write_bytes(_edit_meta(path.read_bytes(), negate))
         with pytest.raises(ModelFormatError, match=key):
             load_ensemble(str(path))
-        assert _cli_predict(path, tmp_path) == 2
+        assert _cli_scores("predict", path, tmp_path) == 2
 
     def test_metadata_disagreeing_with_tensors(self, small_ensemble, tmp_path):
         path = tmp_path / "m.gbe"
@@ -254,7 +258,7 @@ class TestModelFile:
         with pytest.raises(ModelFormatError, match="n_stored_rows"):
             load_ensemble(str(path))
         capsys.readouterr()
-        assert _cli_predict(path, tmp_path) == 2
+        assert _cli_scores("predict", path, tmp_path) == 2
         assert "n_stored_rows" in capsys.readouterr().err
 
     def test_no_rounds(self, small_ensemble, tmp_path, capsys):
@@ -320,13 +324,6 @@ def _key_paths(obj, prefix=()):
     elif isinstance(obj, list):
         for i, val in enumerate(obj):
             yield from _key_paths(val, prefix + (i,))
-
-
-def _cli_predict(model_path, tmp_path) -> int:
-    data = tmp_path / "rows.csv"
-    data.write_text("x0,x1,x2\n0.1,0.2,0.3\n")
-    return main(["predict", "--model", str(model_path), "--data", str(data),
-                 "--out", str(tmp_path / "preds.csv")])
 
 
 def _cli_scores(command, model_path, tmp_path) -> int:

@@ -1,14 +1,18 @@
 """Data module: CSV parsing, encoding, splits, synthetic cohorts."""
 
+import csv
+import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphboost.data import (CATEGORICAL, NUMERIC, TEST, TRAIN, VAL,
-                             apply_encoder, fit_encoder, gen_synthetic,
-                             load_csv, split_rows, subset_table, write_csv)
+from graphboost.data import (CATEGORICAL, MISSING_MARKERS, NUMERIC, TEST,
+                             TRAIN, VAL, CategoricalMeta, Column, EncodingMeta,
+                             NumericMeta, RawTable, apply_encoder, fit_encoder,
+                             gen_synthetic, load_csv, split_rows, subset_table,
+                             write_csv)
 from graphboost.errors import DataError
 
 
@@ -74,6 +78,21 @@ class TestLoadCsv:
         path = _write(tmp_path, "a,label\n1,x\ninf,y\n")
         table, _ = load_csv(path, "label")
         assert table.get("a").kind == CATEGORICAL
+
+    def test_not_utf8(self, tmp_path):
+        # used to escape as UnicodeDecodeError
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("caf\u00e9,label\n1,x\n".encode("latin-1"))
+        with pytest.raises(DataError, match=f"cannot read {str(path)!r}: "
+                           "not UTF-8 text at or after line 1$"):
+            load_csv(str(path), "label")
+
+    def test_field_over_csv_limit(self, tmp_path):
+        # used to escape as _csv.Error; the header is line 1
+        path = _write(tmp_path, f"a,label\n1,x\n{'9' * 200_000},y\n")
+        with pytest.raises(DataError, match=f"cannot read {path!r} at line "
+                           r"3: field larger than field limit \(131072\)"):
+            load_csv(path, "label")
 
 
 class TestFitEncoder:
@@ -178,6 +197,238 @@ class TestApplyEncoder:
         table, _ = load_csv(path, "label")
         with pytest.raises(DataError, match="expected numeric"):
             apply_encoder(table, meta)
+
+
+# The cell-by-cell reader, category coder and encoder that came before the
+# column-at-a-time code, kept as its oracle: same kinds, same bits, same
+# messages.
+
+def _ref_cell(cell: str) -> float | None:
+    try:
+        v = float(cell)
+    except ValueError:
+        return None
+    return v if math.isfinite(v) else None
+
+
+def _ref_load(header, rows, label_column, hints, allow_empty):
+    if not rows and not allow_empty:
+        raise DataError("empty table: no data rows")
+    if label_column is not None and label_column not in header:
+        raise DataError(f"label column absent: {label_column!r}")
+    for name in hints:
+        if name not in header:
+            raise DataError(f"schema hint for unknown column {name!r}")
+    labels = None
+    if label_column is not None:
+        li = header.index(label_column)
+        labels = []
+        for r, row in enumerate(rows):
+            if row[li] in MISSING_MARKERS:
+                raise DataError(f"missing label value at data row {r}")
+            labels.append(row[li])
+    columns = []
+    for j, name in enumerate(header):
+        if name == label_column:
+            continue
+        cells = [row[j] for row in rows]
+        hint = hints.get(name)
+        if hint not in (None, NUMERIC, CATEGORICAL):
+            raise DataError(f"bad schema hint for {name!r}: {hint!r}")
+        parsed = [None if c in MISSING_MARKERS else _ref_cell(c)
+                  for c in cells]
+        numeric_ok = all(p is not None for c, p in zip(cells, parsed)
+                         if c not in MISSING_MARKERS)
+        kind = hint or (NUMERIC if numeric_ok else CATEGORICAL)
+        if kind == NUMERIC:
+            if not numeric_ok:
+                bad = next(c for c, p in zip(cells, parsed)
+                           if c not in MISSING_MARKERS and p is None)
+                raise DataError(f"column {name!r} hinted numeric but cell "
+                                f"{bad!r} does not parse")
+            vals = np.array([np.nan if c in MISSING_MARKERS else p
+                             for c, p in zip(cells, parsed)], dtype=np.float64)
+            columns.append(Column(name, NUMERIC, numeric=vals))
+        else:
+            text = [None if c in MISSING_MARKERS else c for c in cells]
+            columns.append(Column(name, CATEGORICAL, text=text))
+    if not columns:
+        raise DataError("no feature columns")
+    return RawTable(columns, len(rows)), labels
+
+
+def _ref_fit(table, labels, split):
+    train_rows = np.flatnonzero(split == TRAIN)
+    if train_rows.size == 0:
+        raise DataError("train split is empty")
+    metas = []
+    for col in table.columns:
+        if col.kind == NUMERIC:
+            train_vals = col.numeric[train_rows]
+            if np.all(np.isnan(train_vals)):
+                raise DataError(f"column {col.name!r}: all train values missing")
+            impute = float(np.nanmedian(train_vals))
+            filled = np.where(np.isnan(train_vals), impute, train_vals)
+            sd = float(np.std(filled, ddof=1)) if filled.size > 1 else 0.0
+            metas.append(NumericMeta(col.name, impute,
+                                     float(np.mean(filled)), sd))
+            continue
+        cats, missing_code, next_code = {}, None, 0
+        for i in train_rows:
+            v = col.text[i]
+            if v is None:
+                if missing_code is None:
+                    missing_code = next_code
+                    next_code += 1
+            elif v not in cats:
+                cats[v] = next_code
+                next_code += 1
+        if not cats:
+            raise DataError(f"column {col.name!r}: all train values missing")
+        metas.append(CategoricalMeta(col.name, cats, missing_code))
+    distinct_train = sorted(set(labels[i] for i in train_rows))
+    outside = sorted(set(labels) - set(distinct_train))
+    if outside:
+        raise DataError(f"classes present only outside the train split: "
+                        f"{outside}")
+    meta = EncodingMeta(metas, "label", distinct_train)
+    return _ref_encode(table, meta), meta
+
+
+def _ref_encode(table, meta):
+    out = np.empty((table.n_rows, len(meta.columns)), dtype=np.float64)
+    for j, cm in enumerate(meta.columns):
+        if cm.name not in table.column_names:
+            raise DataError(f"column missing from data: {cm.name!r}")
+        col = table.get(cm.name)
+        if col.kind != cm.kind:
+            raise DataError(f"column {cm.name!r}: expected {cm.kind}, "
+                            f"got {col.kind}")
+        if cm.kind == NUMERIC:
+            vals = np.where(np.isnan(col.numeric), cm.impute, col.numeric)
+            out[:, j] = (vals - cm.mean) / cm.sd if cm.sd > 0.0 else 0.0
+            continue
+        for i, v in enumerate(col.text):
+            if v is None:
+                out[i, j] = (cm.missing_code if cm.missing_code is not None
+                             else cm.unknown_code)
+            else:
+                out[i, j] = cm.categories.get(v, cm.unknown_code)
+    if not np.all(np.isfinite(out)):
+        raise DataError("non-finite values after encoding")
+    return out
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except DataError as exc:
+        return f"DataError: {exc}"
+
+
+def _same_table(new, ref):
+    if isinstance(ref, str) or isinstance(new, str):
+        assert new == ref
+        return False
+    (table, labels), (ref_table, ref_labels) = new, ref
+    assert labels == ref_labels and table.n_rows == ref_table.n_rows
+    for col, ref_col in zip(table.columns, ref_table.columns, strict=True):
+        assert (col.name, col.kind, col.text) == \
+            (ref_col.name, ref_col.kind, ref_col.text)
+        if col.kind == NUMERIC:
+            assert col.numeric.dtype == np.float64
+            assert col.numeric.tobytes() == ref_col.numeric.tobytes()
+    return True
+
+
+# Cells whose typing is easy to get wrong: the missing markers, lookalikes
+# of them, non-finite spellings, overflow, underscores, padding, hex,
+# non-ASCII digits, negative zero and subnormals.
+ORACLE_CELLS = ["", "NA", "na", "inf", "-inf", "nan", "NaN", "Infinity",
+                "1e400", "1_000", " 2", "0x10", "١", "-0", "1e-320",
+                "0.5", "-3", "x"]
+
+
+@st.composite
+def _tables(draw):
+    """A labelled table to fit on and an unlabelled one to encode, with
+    the same feature columns; each column draws its cells from a few of
+    ``ORACLE_CELLS``, or now and then only from the missing markers."""
+    n_fit, n_new = draw(st.integers(0, 10)), draw(st.integers(0, 5))
+    names = [f"f{j}" for j in range(draw(st.integers(1, 4)))]
+    fit_cols, new_cols, hints = [], [], {}
+    for name in names:
+        pool = draw(st.lists(st.sampled_from(ORACLE_CELLS), min_size=1,
+                             max_size=3, unique=True))
+        if draw(st.integers(0, 7)) == 7:
+            pool = list(MISSING_MARKERS)
+        cells = st.sampled_from(pool)
+        fit_cols.append(draw(st.lists(cells, min_size=n_fit,
+                                      max_size=n_fit)))
+        new_cols.append(draw(st.lists(cells, min_size=n_new,
+                                      max_size=n_new)))
+        hint = draw(st.sampled_from([None, None, NUMERIC, CATEGORICAL]))
+        if hint is not None:
+            hints[name] = hint
+    labels = draw(st.lists(st.sampled_from(["a", "b"]), min_size=n_fit,
+                           max_size=n_fit))
+    if labels and draw(st.integers(0, 7)) == 7:
+        labels[draw(st.integers(0, n_fit - 1))] = draw(
+            st.sampled_from(MISSING_MARKERS))
+    split = draw(st.lists(st.sampled_from([TRAIN, TRAIN, VAL, TEST]),
+                          min_size=n_fit, max_size=n_fit))
+    at = draw(st.integers(0, len(names)))
+    fit_header = names[:at] + ["label"] + names[at:]
+    fit_cols.insert(at, labels)
+    fit_rows = [list(row) for row in zip(*fit_cols)]
+    new_rows = [list(row) for row in zip(*new_cols)]
+    return (fit_header, fit_rows, names, new_rows, hints,
+            np.array(split, dtype=np.int8))
+
+
+@pytest.fixture(scope="module")
+def oracle_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("oracle")
+
+
+class TestAgainstCellByCellReference:
+    @staticmethod
+    def _csv(path, header, rows):
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([header] + rows)
+        return str(path)
+
+    @given(_tables())
+    @settings(max_examples=400, deadline=None)
+    def test_columns_codes_and_messages_match(self, oracle_dir, tables):
+        fit_header, fit_rows, new_header, new_rows, hints, split = tables
+        fit_path = self._csv(oracle_dir / "fit.csv", fit_header, fit_rows)
+        new_path = self._csv(oracle_dir / "new.csv", new_header, new_rows)
+        fitted = _outcome(load_csv, fit_path, "label", hints)
+        ref_fitted = _outcome(_ref_load, fit_header, fit_rows, "label",
+                              hints, False)
+        if not _same_table(fitted, ref_fitted):
+            return
+        table, labels = fitted
+        ref_table, _ = ref_fitted
+        encoded = _outcome(fit_encoder, table, labels, split)
+        ref_encoded = _outcome(_ref_fit, ref_table, labels, split)
+        if isinstance(ref_encoded, str) or isinstance(encoded, str):
+            assert encoded == ref_encoded
+            return
+        (ds, meta), (ref_x, ref_meta) = encoded, ref_encoded
+        assert ds.X.tobytes() == ref_x.tobytes()
+        assert json.dumps(meta.to_dict()) == json.dumps(ref_meta.to_dict())
+
+        new = _outcome(load_csv, new_path, None, hints, allow_empty=True)
+        ref_new = _outcome(_ref_load, new_header, new_rows, None, hints, True)
+        if _same_table(new, ref_new):
+            x = _outcome(apply_encoder, new[0], meta)
+            ref_x = _outcome(_ref_encode, ref_new[0], ref_meta)
+            if isinstance(ref_x, str) or isinstance(x, str):
+                assert x == ref_x
+            else:
+                assert x.tobytes() == ref_x.tobytes()
 
 
 class TestSplitRows:

@@ -307,6 +307,45 @@ class TestCliExitCodes:
         cfg.write_text("rounds = banana\n")
         assert main(["train", "--config", str(cfg)]) == 2
 
+    def test_config_not_utf8_is_two(self, tmp_path, capsys):
+        # used to end in a UnicodeDecodeError traceback and exit 1
+        cfg = tmp_path / "c.cfg"
+        cfg.write_bytes(b"rounds = 1\n# r\xe9sum\xe9\n")
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert f"cannot read config {str(cfg)!r}" in capsys.readouterr().err
+
+    def test_data_not_utf8_is_two(self, cohort, tmp_path, capsys):
+        # used to end in a UnicodeDecodeError traceback and exit 1
+        data = tmp_path / "d.csv"
+        text = Path(cohort[0]).read_text(encoding="utf-8")
+        data.write_bytes(text.replace("label", "\u00e9tat", 1)
+                         .encode("latin-1"))
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(BASE_CONFIG.format(data=data, rounds=1,
+                                          model=tmp_path / "m.gbe",
+                                          report=tmp_path / "r.json"))
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert f"cannot read {str(data)!r}: not UTF-8 text" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "m.gbe").exists()
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_field_over_csv_limit_is_two(self, trained, cohort, tmp_path,
+                                         capsys, command):
+        # used to end in a _csv.Error traceback and exit 1
+        outcome, _ = trained
+        lines = Path(cohort[1]).read_text(encoding="utf-8").splitlines()
+        cells = lines[2].split(",")
+        cells[0] = "1" * 200_000
+        lines[2] = ",".join(cells)
+        data = tmp_path / "d.csv"
+        data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main([command, "--model", outcome.model_path,
+                     "--data", str(data), "--out", str(tmp_path / "o")]) == 2
+        assert f"cannot read {str(data)!r} at line 3: field larger than " \
+            "field limit (131072)" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("line, message", [
         ("pair_cap = 100000", "unknown key 'pair_cap'"),
         (f"prop_steps = {2**70}", "prop_steps"), ("workers = -3", "workers"),
