@@ -15,7 +15,9 @@ column, the work a prediction call does per distinct round graph. The round
 trains all 30 candidates of an n=2000, m=10 synthetic cohort with the
 learner shape of the fit benchmark in ``perfbench/``, on the calling
 thread (``workers`` 0) and on two threads (``workers`` 2); the block
-trains the first 4 of them together, as one of the round's blocks. Single-row
+trains the first 4 of them together, as one of the round's blocks, and
+the first 4 of a three-class cohort built the same way, which propagate
+two logit differences instead of one. Single-row
 prediction scores one new row against a hand-built 10-round ensemble over
 the 2000 rows of that cohort, with criterion 08's learner shape and round
 pattern: 8 rounds on one graph and 2 on two others, interleaved, each with
@@ -72,8 +74,8 @@ def test_propagate(benchmark, n):
     assert z.shape == h0.shape
 
 
-def _cohort(n=2000):
-    table, labels = gen_synthetic(n, 10, 2, 0.9, 0)
+def _cohort(n=2000, k=2):
+    table, labels = gen_synthetic(n, 10, k, 0.9, 0)
     ds, _ = fit_encoder(table, labels,
                         split_rows(n, (0.7, 0.15, 0.15), 0, labels))
     return ds
@@ -123,15 +125,16 @@ WEAK = AppnpConfig(hidden_dim=16, prop_steps=3, teleport=0.1, dropout=0.1,
                    learning_rate=0.05, max_epochs=20, patience=20, seed=1)
 
 
-def test_train_block(benchmark):
-    ds = _cohort()
+@pytest.mark.parametrize("k", (2, 3))
+def test_train_block(benchmark, k):
+    ds = _cohort(k=k)
     graphs = [c.adjacency for c in enumerate_candidates(ds.X)[:4]]
     train, val = ds.mask(TRAIN), ds.mask(VAL)
     # the weights ``run_round`` trains a first round's candidates under
     w = np.where(train, 1.0 / train.sum(), 0.0)
     w[val] = 1.0 / val.sum()
     outcomes = benchmark(appnp._train_block, WEAK, ds.X, graphs, ds.y, w,
-                         train, val, 2)
+                         train, val, k)
     assert [report.epochs_run for _, report in outcomes] == [20] * 4
 
 

@@ -27,18 +27,30 @@ blocks at once on threads. ``forward``, ``backward``, ``propagate`` and
 ``train_weak`` are the C = 1 case of the same code, and
 ``predict_labels`` labels a stack of trained learners with it.
 
-Training works in the propagation frame of ``GraphStack``: class-major
-C x K x N, each learner's rows in its graph's sorted order. The MLP head's
-output H0 (C x N x K, row order) is gathered into it, and the training
-and validation logits, their log-softmax, the logit gradient dZ and the
-validation labels never leave it. Over K classes, the class maximum,
-softmax sum and argmax are then elementwise operations between K lines of
-N values instead of reductions along a short last axis, which cost far
-more per element; the softmax sum adds the K lines in class order. Each
-learner's loss terms and validation rows are read back in row order
-through flat indices made once per block, and every weighted sum adds
-them in that order. Only dH0 leaves the frame, back to row order, because
-the parameter gradients multiply it with the row-ordered activations.
+Training and stacked labelling propagate K - 1 logit differences, not K
+logits. Softmax, cross-entropy and argmax do not change when one value is
+added to all logits of a row, and the propagation is linear and treats
+every class line alike, so propagating H0[..., k] - H0[..., 0] for k >= 1
+behind a line of zeros for class 0 gives the same loss, gradients and
+labels in real arithmetic, and the same up to rounding in floats. For the
+usual K = 2 that halves the propagation work. Back through it, class k
+of dH0 is its propagated line of dZ, and class 0 is minus their sum.
+``forward``, ``backward``, ``loss`` and ``predict`` stay the K-line
+references, and a model keeps its K heads.
+
+Training works in the propagation frame of ``GraphStack``: class-major,
+each learner's rows in its graph's sorted order. The differences of the
+MLP head's output H0 (C x N x K, row order) are gathered into it, and the
+C x K x N training and validation logits, their log-softmax, the logit
+gradient dZ and the validation labels never leave it. Over K classes, the
+class maximum, softmax sum and argmax are then elementwise operations
+between K lines of N values instead of reductions along a short last
+axis, which cost far more per element; the softmax sum adds the K lines
+in class order. Each learner's loss terms and validation rows are read
+back in row order through flat indices made once per block, and every
+weighted sum adds them in that order. Only dH0 leaves the frame, back to
+row order, because the parameter gradients multiply it with the
+row-ordered activations.
 ``loss`` and ``backward`` use the same code on a one-learner frame in row
 order.
 """
@@ -273,6 +285,28 @@ def _row_frame(z: np.ndarray, y: np.ndarray, w: np.ndarray,
             _Targets(np.arange(n)[None], y, w, mask, k))
 
 
+def _frame_logits(stack: GraphStack, h0: np.ndarray, teleport: float,
+                  steps: int) -> np.ndarray:
+    """The propagated logits of the C x N x K head outputs ``h0``, as a
+    (C, K, N) frame of the K - 1 wide ``stack``, up to one shift per row:
+    class 0 is a line of zeros, and class k >= 1 is the propagated
+    difference h0[..., k] - h0[..., 0]."""
+    d = stack.run(stack.to_frame(h0[..., 1:] - h0[..., :1]), teleport, steps)
+    c, _, n = d.shape
+    return np.concatenate([np.zeros((c, 1, n)), d], axis=1)
+
+
+def _frame_head_grad(stack: GraphStack, dz: np.ndarray, teleport: float,
+                     steps: int) -> np.ndarray:
+    """dH0 in row order, C x N x K, through ``_frame_logits`` from the
+    gradient dZ of its (C, K, N) frame. Class 0 of the frame is constant,
+    so its gradient is unused; every other class line is propagated back
+    as dd, and since class 0 of the head enters every difference with a
+    minus sign, dH0[..., 0] = -dd.sum(-1)."""
+    dd = stack.from_frame(stack.run(dz[:, 1:], teleport, steps))
+    return np.concatenate([-dd.sum(axis=-1, keepdims=True), dd], axis=-1)
+
+
 def _param_grads(p: dict, x: np.ndarray, hd: np.ndarray,
                  dmask: np.ndarray | None, dh0: np.ndarray,
                  weight_decay: float, scratch=None) -> dict:
@@ -492,7 +526,7 @@ def _train_block(config: AppnpConfig, x: np.ndarray, adjacencies: list,
     p = {name: np.repeat(getattr(init, name)[None], size, axis=0)
          for name in _PARAMS}
     n = x.shape[0]
-    stack = GraphStack(adjacencies, n_classes)
+    stack = GraphStack(adjacencies, n_classes - 1)
     # Logits stay in the graphs' frames; only dH0 goes back to row order.
     # at[c, i] = c * N + the position of row i in graph c's frame.
     at = stack.from_frame(np.arange(size * n).reshape(size, n))
@@ -504,8 +538,7 @@ def _train_block(config: AppnpConfig, x: np.ndarray, adjacencies: list,
     r = _hidden(p, x, out=np.empty((size, n, config.hidden_dim)))
 
     def logits(h0):
-        return stack.run(stack.to_frame(h0), config.teleport,
-                         config.prop_steps)
+        return _frame_logits(stack, h0, config.teleport, config.prop_steps)
 
     def val_errors(z):
         return val.errors(_class_argmax(z))
@@ -559,8 +592,8 @@ def _train_block(config: AppnpConfig, x: np.ndarray, adjacencies: list,
         # adds its size to the block's peak.
         dz = targets.gradient(logp)
         del h0, z, logp
-        dh0 = stack.from_frame(stack.run(dz, config.teleport,
-                                         config.prop_steps))
+        dh0 = _frame_head_grad(stack, dz, config.teleport,
+                               config.prop_steps)
         del dz
         grads = _param_grads(p, x, hd, dmask, dh0, config.weight_decay,
                              scratch=hd)
@@ -602,15 +635,17 @@ def _train_block(config: AppnpConfig, x: np.ndarray, adjacencies: list,
 
 def predict_labels(models: list, x: np.ndarray, adjacencies: list) -> np.ndarray:
     """Hard labels of ``models[c]`` on ``adjacencies[c]`` for every c, as a
-    C x N array; row c equals ``predict(models[c], x, adjacencies[c])[0]``
-    bit for bit.
+    C x N array. Row c equals ``predict(models[c], x, adjacencies[c])[0]``
+    except where two classes' logits lie within rounding of each other,
+    and equals ``predict_labels([models[c]], x, [adjacencies[c]])`` bit
+    for bit.
 
     The models must share teleport and prop_steps. Each model's MLP head
     runs on its own, exactly as in ``forward``, so models of different
-    hidden widths can share a block; the heads of ``BLOCK_SIZE`` models at
-    a time are propagated in one ``GraphStack`` pass, labelled in its
-    frame, and only the labels go back to row order. No softmax is
-    computed.
+    hidden widths can share a block; the K - 1 logit differences of
+    ``BLOCK_SIZE`` models at a time are propagated in one ``GraphStack``
+    pass, labelled in its frame, and only the labels go back to row order.
+    No softmax is computed.
     """
     if len(models) != len(adjacencies):
         raise DataError("need one graph per model")
@@ -623,9 +658,10 @@ def predict_labels(models: list, x: np.ndarray, adjacencies: list) -> np.ndarray
         block = models[start:start + BLOCK_SIZE]
         h0 = np.stack([_head(p, _hidden(p, x))[0]
                        for p in map(_stacked, block)])
-        stack = GraphStack(adjacencies[start:start + BLOCK_SIZE], h0.shape[2])
-        z = stack.run(stack.to_frame(h0), block[0].config.teleport,
-                      block[0].config.prop_steps)
+        stack = GraphStack(adjacencies[start:start + BLOCK_SIZE],
+                           h0.shape[2] - 1)
+        z = _frame_logits(stack, h0, block[0].config.teleport,
+                          block[0].config.prop_steps)
         labels[start:start + len(block)] = stack.from_frame(_class_argmax(z))
     return labels
 

@@ -104,6 +104,13 @@ def _parse_float(text: str) -> float:
     return float(text)
 
 
+def _parse_path(text: str) -> str:
+    # open() raises ValueError, not OSError, on a NUL in a path
+    if "\0" in text:
+        raise ValueError("a path cannot contain a NUL character")
+    return text
+
+
 def _parse_expert(text: str) -> tuple:
     if ":" not in text:
         raise ValueError("expected name:threshold")
@@ -112,8 +119,9 @@ def _parse_expert(text: str) -> tuple:
 
 
 _SCALAR_KEYS = {
-    "data": str, "label": str, "split_seed": _parse_int, "seed": _parse_int,
-    "workers": _parse_int, "sweep_cap": _parse_int, "model_out": str, "report_out": str,
+    "data": _parse_path, "label": str, "split_seed": _parse_int,
+    "seed": _parse_int, "workers": _parse_int, "sweep_cap": _parse_int,
+    "model_out": _parse_path, "report_out": _parse_path,
 }
 _LIST_KEYS = {
     "categorical": str, "numeric": str, "expert_edges": _parse_expert,

@@ -144,8 +144,10 @@ def _numeric_column(cells: list[str]) -> np.ndarray | None:
 
 
 def _read_rows(path: str) -> tuple[list[str], list[list[str]]]:
+    # utf-8-sig skips a leading byte-order mark, which would otherwise
+    # become part of the first column's name
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except FileNotFoundError:
         raise DataError(f"file not found: {path}") from None
     except OSError as exc:

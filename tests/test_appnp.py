@@ -5,6 +5,7 @@ verified against the dense closed-form PageRank limit.
 """
 
 import dataclasses
+import itertools
 import math
 import os
 import sys
@@ -22,7 +23,7 @@ from graphboost.appnp import (MAX_PROP_STEPS, AppnpConfig, AppnpModel,
                               loss, predict, propagate, propagation_limit,
                               softmax, train_candidates, train_weak)
 from graphboost.errors import DataError, TrainingDiverged
-from graphboost.graph import (SparseAdjacency, build_adjacency,
+from graphboost.graph import (GraphStack, SparseAdjacency, build_adjacency,
                               identity_adjacency)
 from graphboost.rng import substream
 
@@ -338,7 +339,8 @@ class TestTrainWeak:
 def reference_train_weak(config, x, adjacency, y, w, train, val, k):
     """The one-graph trainer written as a plain loop over 2-D arrays, with
     propagation by repeated ``SparseAdjacency.matmul``: the slow path that
-    the stacked trainer replaced, kept as its float oracle. It multiplies
+    the stacked trainer replaced, kept as its float oracle. It propagates
+    all K logits where the trainer propagates K - 1 differences, multiplies
     by transposed views and sums the bias gradients over rows, so it agrees
     with the trainer to rounding, not bit for bit."""
     model = init_model(config, x.shape[1], k)
@@ -432,8 +434,8 @@ def reference_train_weak(config, x, adjacency, y, w, train, val, k):
 
 
 # Weights and final training loss of the block trainer against
-# ``reference_train_weak``. On the problems below the two differ by at most
-# 4.4e-16, about 2 ulp of the largest weight.
+# ``reference_train_weak``. On the problems below, K = 1 to 4, the two
+# differ by at most 1.9e-15.
 TRAIN_RTOL = TRAIN_ATOL = 1e-12
 
 
@@ -532,6 +534,24 @@ class TestTrainCandidates:
                           patience=5, seed=12)
         self._check(cfg, x, y, w, train, val, graphs, k=3)
 
+    def test_four_classes(self):
+        x, y, w, train, val, graphs = self._problem(seed=11, n=90, k=4)
+        cfg = AppnpConfig(hidden_dim=7, prop_steps=4, teleport=0.15,
+                          dropout=0.25, learning_rate=0.04, max_epochs=30,
+                          patience=5, seed=12)
+        self._check(cfg, x, y, w, train, val, graphs, k=4)
+
+    def test_one_class(self):
+        # no difference lines: every logit is class 0's zero, every label 0
+        x, y, w, train, val, graphs = self._problem(seed=13, k=1)
+        cfg = AppnpConfig(hidden_dim=4, prop_steps=2, teleport=0.1,
+                          dropout=0.1, learning_rate=0.05, max_epochs=5,
+                          patience=5, seed=14)
+        got = self._check(cfg, x, y, w, train, val, graphs, k=1)
+        assert all(r.best_val_error == 0.0 for _, r in got)
+        labels = appnp.predict_labels([m for m, _ in got], x, graphs)
+        np.testing.assert_array_equal(labels, 0)
+
     def test_zero_epochs(self):
         x, y, w, train, val, graphs = self._problem(seed=7)
         cfg = AppnpConfig(hidden_dim=4, prop_steps=2, max_epochs=0, seed=8)
@@ -590,7 +610,7 @@ class TestTrainCandidates:
                     np.testing.assert_array_equal(a, b)
 
     @settings(max_examples=50, deadline=None)
-    @given(k=st.sampled_from([2, 3, 9]), hidden=st.integers(1, 12),
+    @given(k=st.sampled_from([1, 2, 3, 9]), hidden=st.integers(1, 12),
            count=st.integers(1, 2 * appnp.BLOCK_SIZE + 1),
            workers=st.sampled_from([0, 2]),
            dropout=st.sampled_from([0.0, 0.2]),
@@ -747,7 +767,8 @@ class TestPredict:
 
     def test_stacked_labels_match_one_learner_predict(self):
         # more learners than one block, of three hidden widths, each on its
-        # own graph
+        # own graph; no two classes' logits here lie within rounding of
+        # each other, where the propagated differences may label otherwise
         rng = np.random.default_rng(13)
         n, m, k = 30, 3, 3
         x = rng.normal(size=(n, m))
@@ -763,7 +784,7 @@ class TestPredict:
             np.testing.assert_array_equal(row, predict(model, x, graph)[0])
 
     @settings(max_examples=30, deadline=None)
-    @given(k=st.sampled_from([2, 3, 9]),
+    @given(k=st.sampled_from([1, 2, 3, 9]),
            count=st.integers(1, 2 * appnp.BLOCK_SIZE + 1),
            seed=st.integers(0, 2**32 - 1))
     def test_stacked_labels_match_single_model_calls(self, k, count, seed):
@@ -985,6 +1006,88 @@ class TestFrameLoss:
                          ref_logit_grad(ref_log_softmax(z[:, train]),
                                         z.shape, y, w, train))
         assert not grad[..., 1:4].view(np.uint64).any()
+
+
+# The difference frame against the K-line references. A propagated
+# difference of two logits and the difference of the two propagated logits
+# are each within a few ulp of the exact value; on the problems below,
+# logits, loss and gradients differ by at most 6.3e-15.
+DIFF_RTOL = DIFF_ATOL = 1e-12
+
+
+class TestLogitDifferences:
+    """Weak training and labelling propagate the K - 1 differences
+    h0[..., k] - h0[..., 0] behind a zero line for class 0
+    (``_frame_logits``, and ``_frame_head_grad`` back): the logits up to a
+    shift per row, the loss and the gradients of the K-line ``forward``,
+    ``loss`` and ``backward`` within ``DIFF_RTOL`` and ``DIFF_ATOL``, and
+    the same labels."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_matches_k_line_forward_backward_loss(self, k):
+        rng = np.random.default_rng(k)
+        n, m, c, h, decay = 40, 3, 3, 5, 1e-3
+        x = rng.normal(size=(n, m))
+        y = rng.integers(0, k, size=n)
+        w = rng.uniform(0.1, 1.0, size=n)
+        train = rng.random(n) < 0.7
+        cfg = AppnpConfig(hidden_dim=h, prop_steps=4, teleport=0.2,
+                          dropout=0.0, weight_decay=decay)
+        models = []
+        for t in range(c):
+            model = init_model(dataclasses.replace(cfg, seed=t), m, k)
+            model.b1 = rng.normal(size=h)
+            model.b2 = rng.normal(size=k)
+            models.append(model)
+        graphs = [build_adjacency(x[:, t], 0.5 + 0.3 * t).adjacency
+                  for t in range(c)]
+        p = {name: np.stack([getattr(model, name) for model in models])
+             for name in appnp._PARAMS}
+
+        stack = GraphStack(graphs, k - 1)
+        at = stack.from_frame(np.arange(c * n).reshape(c, n))
+        targets = appnp._Targets(at, y, w, train, k)
+        hd = appnp._hidden(p, x)
+        z = appnp._frame_logits(stack, appnp._head(p, hd), cfg.teleport,
+                                cfg.prop_steps)
+        logp = appnp._log_softmax(z)
+        losses = targets.losses(logp, p, decay)
+        dh0 = appnp._frame_head_grad(stack, targets.gradient(logp),
+                                     cfg.teleport, cfg.prop_steps)
+        grads = appnp._param_grads(p, x, hd, None, dh0, decay)
+        labels = stack.from_frame(appnp._class_argmax(z))
+        rows = GraphStack(graphs, k).from_frame(z)
+
+        for i, (model, adj) in enumerate(zip(models, graphs)):
+            want_z, cache = forward(model, x, adj)
+            np.testing.assert_allclose(rows[i], want_z - want_z[:, :1],
+                                       rtol=DIFF_RTOL, atol=DIFF_ATOL)
+            np.testing.assert_allclose(
+                losses[i], loss(want_z, y, w, train, decay, model),
+                rtol=DIFF_RTOL, atol=DIFF_ATOL)
+            for name, want in backward(cache, y, w, train, decay).items():
+                np.testing.assert_allclose(grads[name][i], want,
+                                           rtol=DIFF_RTOL, atol=DIFF_ATOL)
+            np.testing.assert_array_equal(labels[i],
+                                          np.argmax(want_z, axis=1))
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_zero_line_argmax_at_ties_and_nan(self, k):
+        # every row of K - 1 differences drawn from these values, so the
+        # zero line ties with +0.0 and -0.0 and meets NaN on either side
+        values = (0.0, -0.0, np.nan, 1.0, -1.0, np.inf, -np.inf)
+        d = np.array(list(itertools.product(values, repeat=k - 1)))
+        n = len(d)
+        explicit = np.concatenate([np.zeros((n, 1)), d], axis=1)
+        stack = GraphStack([identity_adjacency(n)], k - 1)
+        z = appnp._frame_logits(stack, explicit[None], 0.1, 0)
+        rows = GraphStack([identity_adjacency(n)], k).from_frame(z)[0]
+        # h0[..., k] - 0.0 keeps the value and the sign of a zero
+        np.testing.assert_array_equal(rows, explicit)
+        np.testing.assert_array_equal(np.signbit(rows), np.signbit(explicit))
+        np.testing.assert_array_equal(
+            stack.from_frame(appnp._class_argmax(z))[0],
+            np.argmax(explicit, axis=1))
 
 
 class TestConfigValidation:

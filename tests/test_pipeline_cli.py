@@ -329,6 +329,25 @@ class TestCliExitCodes:
             capsys.readouterr().err
         assert not (tmp_path / "m.gbe").exists()
 
+    def test_byte_order_mark_is_skipped(self, cohort, tmp_path, capsys):
+        # A BOM used to become part of the first column's name, so a model
+        # trained on such a file failed on files without one: "column
+        # missing", exit 2.
+        train_path, test_path = cohort
+        data = tmp_path / "bom.csv"
+        data.write_bytes(b"\xef\xbb\xbf" + Path(train_path).read_bytes())
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(BASE_CONFIG.format(data=data, rounds=1,
+                                          model=tmp_path / "m.gbe",
+                                          report=tmp_path / "r.json"))
+        assert main(["train", "--config", str(cfg)]) == 0
+        names = load_ensemble(str(tmp_path / "m.gbe")).feature_names
+        assert names == load_csv(train_path, "label")[0].column_names
+        assert main(["predict", "--model", str(tmp_path / "m.gbe"),
+                     "--data", test_path,
+                     "--out", str(tmp_path / "p.csv")]) == 0
+        assert (tmp_path / "p.csv").exists()
+
     @pytest.mark.parametrize("command", ["predict", "evaluate"])
     def test_field_over_csv_limit_is_two(self, trained, cohort, tmp_path,
                                          capsys, command):
@@ -398,6 +417,22 @@ class TestCliExitCodes:
         cfg.write_text(text + f"\n{line}\n")
         assert main([command, "--config", str(cfg)]) == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "m.gbe").exists()
+
+    @pytest.mark.parametrize("key", ["data", "model_out", "report_out"])
+    def test_nul_in_path_setting_is_two(self, cohort, tmp_path, capsys,
+                                        key):
+        # used to end in a ValueError ("embedded null byte") traceback and
+        # exit 1
+        paths = {"data": cohort[0], "model": tmp_path / "m.gbe",
+                 "report": tmp_path / "r.json"}
+        name = key.split("_")[0]
+        paths[name] = f"{paths[name]}\0"
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(BASE_CONFIG.format(rounds=1, **paths))
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert f"bad value for {key!r}: a path cannot contain a NUL " \
+            "character" in capsys.readouterr().err
         assert not (tmp_path / "m.gbe").exists()
 
     def test_nan_split_fraction_is_two(self, cohort, tmp_path, capsys):
