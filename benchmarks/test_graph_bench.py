@@ -128,14 +128,15 @@ WEAK = AppnpConfig(hidden_dim=16, prop_steps=3, teleport=0.1, dropout=0.1,
 @pytest.mark.parametrize("k", (2, 3))
 def test_train_block(benchmark, k):
     ds = _cohort(k=k)
-    graphs = [c.adjacency for c in enumerate_candidates(ds.X)[:4]]
+    # a block of 10, as a fit of this cohort trains
+    graphs = [c.adjacency for c in enumerate_candidates(ds.X)[:10]]
     train, val = ds.mask(TRAIN), ds.mask(VAL)
     # the weights ``run_round`` trains a first round's candidates under
     w = np.where(train, 1.0 / train.sum(), 0.0)
     w[val] = 1.0 / val.sum()
     outcomes = benchmark(appnp._train_block, WEAK, ds.X, graphs, ds.y, w,
                          train, val, k)
-    assert [report.epochs_run for _, report in outcomes] == [20] * 4
+    assert [report.epochs_run for _, report in outcomes] == [20] * 10
 
 
 @pytest.mark.parametrize("workers", (0, 2))

@@ -21,11 +21,17 @@ products with a row of ones. ``np.matmul`` calls BLAS once per slice, and
 every other operation is elementwise or reduces within a slice, so each
 slice holds the bits of a one-graph computation. Learners trained under
 one seed start from the same weights and draw the same dropout masks, so
-``train_candidates`` trains up to ``BLOCK_SIZE`` graphs at once, with one
-C x N x H activation buffer per block, and runs up to ``workers`` such
-blocks at once on threads. ``forward``, ``backward``, ``propagate`` and
-``train_weak`` are the C = 1 case of the same code, and
-``predict_labels`` labels a stack of trained learners with it.
+``train_candidates`` trains its graphs in blocks, with one C x N x H
+activation buffer per block, and runs up to ``workers`` blocks at once on
+threads. Every epoch of a block runs a few Python loops over its learners,
+which hold the interpreter lock, so ``_block_plan`` makes as few blocks as
+the byte budget ``BLOCK_BYTES`` on that buffer allows, rounds their number
+up to a multiple of the threads, and splits the graphs evenly among them.
+The round's dropout masks are drawn once, by the first block to reach each
+epoch, and shared by all blocks (``_DropoutMasks``). ``forward``,
+``backward``, ``propagate`` and ``train_weak`` are the C = 1 case of the
+same code, and ``predict_labels`` labels a stack of trained learners with
+it, in blocks from the same plan.
 
 Training and stacked labelling propagate K - 1 logit differences, not K
 logits. Softmax, cross-entropy and argmax do not change when one value is
@@ -55,6 +61,7 @@ row-ordered activations.
 order.
 """
 
+import logging
 import math
 import os
 import threading
@@ -66,15 +73,20 @@ from .errors import DataError, TrainingDiverged
 from .graph import GraphStack, SparseAdjacency
 from .rng import substream
 
+log = logging.getLogger("graphboost.appnp")
+
 # Each propagation step costs one multiply per pass; without a bound, a
 # model file claiming 2**70 steps would make predict never finish.
 MAX_PROP_STEPS = 10_000
 
-# Learners trained together. A block holds one C x N x H activation
-# buffer, so memory grows with it, and ``train_candidates`` keeps up to
-# ``workers`` blocks live at once. Past a few learners the per-call
-# overhead a larger block saves is already small.
-BLOCK_SIZE = 4
+# Byte budget of a block's largest per-learner buffer: the C x N x H
+# activations in training, the C x N x K logits in labelling. It caps the
+# learners per block, at 10 for training at N = 2000 and H = 16, and never
+# below 1. A block runs the per-learner Python loops of every epoch, which
+# hold the interpreter lock, so on two threads two blocks of 10 train a
+# 19-graph round faster than five of 4. Memory grows with the block, and
+# ``train_candidates`` keeps up to ``workers`` blocks live at once.
+BLOCK_BYTES = 5 * 2**19
 
 _PARAMS = ("w1", "b1", "w2", "b2")
 
@@ -197,7 +209,8 @@ def _log_softmax(z: np.ndarray) -> np.ndarray:
     """Log-softmax over the class axis -2 of a class-major (..., K, N)
     array. Its class sum adds one line of N values at a time."""
     shifted = z - z.max(axis=-2, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-2, keepdims=True))
+    shifted -= np.log(np.exp(shifted).sum(axis=-2, keepdims=True))
+    return shifted
 
 
 def _class_argmax(z: np.ndarray) -> np.ndarray:
@@ -225,26 +238,34 @@ class _Targets:
     whatever its graph's sort, and the one that subtracts 1 at each masked
     row's true class. The index arrays are C x (masked rows); nothing is
     C x K x N but the frames.
+
+    ``loss=False`` leaves out what only ``losses`` and ``gradient`` read,
+    and ``errors=False`` what only ``errors`` reads.
     """
 
     def __init__(self, at: np.ndarray, y: np.ndarray, w: np.ndarray,
-                 mask: np.ndarray, n_classes: int):
+                 mask: np.ndarray, n_classes: int, *, loss: bool = True,
+                 errors: bool = True):
         c, n = at.shape
         self._w = w[mask]
         self._total = self._w.sum()
         if self._total <= 0.0:
             raise DataError("masked sample weights sum to zero")
         self._share = self._w / self._total
-        self._at = at[:, mask]
         self._y = y[mask]
+        at = at[:, mask]
+        if errors:
+            self._at = at
+        if not loss:
+            return
         # flat position of logp[c, y_i, position of row i] in the frame
-        self._true = self._at + (np.arange(c)[:, None] * (n_classes - 1)
-                                 + self._y) * n
+        self._true = at + (np.arange(c)[:, None] * (n_classes - 1)
+                           + self._y) * n
         weight = np.zeros(c * n)
-        weight[self._at] = self._share
+        weight[at] = self._share
         self._weight = weight.reshape(c, 1, n)
         outside = np.ones(c * n, dtype=bool)
-        outside[self._at] = False
+        outside[at] = False
         self._outside = outside.reshape(c, 1, n)
 
     def losses(self, logp: np.ndarray, p: dict,
@@ -259,8 +280,11 @@ class _Targets:
 
     def gradient(self, logp: np.ndarray) -> np.ndarray:
         """d(loss)/dZ of the cross-entropy term, in the frame, from the
-        log-softmax ``logp`` of the logits."""
-        dz = np.exp(logp, order="C")  # so that the flat view below is one
+        log-softmax ``logp`` of the logits, which it overwrites when it is
+        C-contiguous."""
+        # C order, so that the flat view below is one
+        dz = np.exp(logp, out=logp if logp.flags.c_contiguous else None,
+                    order="C")
         dz.reshape(-1)[self._true] -= 1.0
         dz *= self._weight
         # The weight is 0 outside the mask, and the product 0.0, unless a
@@ -423,8 +447,8 @@ def train_candidates(config: AppnpConfig, x: np.ndarray, adjacencies: list,
                      y: np.ndarray, w: np.ndarray, train_mask: np.ndarray,
                      val_mask: np.ndarray, n_classes: int | None = None,
                      workers: int = 0) -> list:
-    """``train_weak`` on every graph of ``adjacencies``, ``BLOCK_SIZE``
-    graphs at a time, with up to ``workers`` blocks at once on threads.
+    """``train_weak`` on every graph of ``adjacencies``, in the blocks of
+    ``_block_plan``, with up to ``workers`` blocks at once on threads.
 
     Returns one entry per graph, in order: ``(model, report)``, or the
     ``TrainingDiverged`` that ``train_weak`` raises for that graph. Each
@@ -441,30 +465,84 @@ def train_candidates(config: AppnpConfig, x: np.ndarray, adjacencies: list,
         raise DataError("adjacency and feature matrix disagree on node count")
     if n_classes is None:
         n_classes = int(y.max()) + 1
-    blocks = [adjacencies[start:start + BLOCK_SIZE]
-              for start in range(0, len(adjacencies), BLOCK_SIZE)]
+    shape = (x.shape[0], config.hidden_dim)
+    blocks = [adjacencies[s] for s in _block_plan(
+        len(adjacencies), 8 * math.prod(shape), workers)]
+    log.debug("training %d graphs in blocks of %s on %d thread(s)",
+              len(adjacencies), [len(b) for b in blocks],
+              _thread_count(workers, len(blocks)))
+    masks = _DropoutMasks(config, shape)
 
     def train(block):
         return _train_block(config, x, block, y, w, train_mask, val_mask,
-                            n_classes)
+                            n_classes, masks)
 
     return [outcome for outcomes in _map_threads(train, blocks, workers)
             for outcome in outcomes]
+
+
+def _thread_count(workers: int, items: int) -> int:
+    """The threads, the calling one included, that ``_map_threads`` runs
+    ``items`` items on: ``min(workers, items, os.cpu_count())``, at least
+    1."""
+    if workers <= 1:  # as labelling always is; os.cpu_count reads a file
+        return 1
+    return max(1, min(workers, items, os.cpu_count() or 1))
+
+
+def _block_plan(count: int, item_bytes: int, workers: int) -> list:
+    """Slices that split ``count`` items, in order, into blocks for
+    ``_map_threads``: blocks of at most ``BLOCK_BYTES // item_bytes``
+    items, or of 1, and as few as that allows, their number rounded up to
+    a multiple of the threads that will run them while there are items
+    enough. Block sizes differ by at most 1, larger blocks first."""
+    if count == 0:
+        return []
+    cap = max(1, BLOCK_BYTES // max(1, item_bytes))
+    threads = _thread_count(workers, count)
+    blocks = -(-count // cap)
+    blocks = min(count, -(-blocks // threads) * threads)
+    size, extra = divmod(count, blocks)
+    bounds = [b * size + min(b, extra) for b in range(blocks + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+class _DropoutMasks:
+    """The dropout multipliers of a round, one N x H mask per epoch,
+    shared by all its blocks. Epoch e's mask is the (e + 1)-th
+    ``_dropout_mask`` draw from the seed's "dropout" stream: the first
+    block to reach epoch e draws it, and it is kept as packed bits,
+    N x H / 8 bytes. ``bits / keep`` has the bits of ``_dropout_mask``."""
+
+    def __init__(self, config: AppnpConfig, shape: tuple):
+        self._rng = substream(config.seed, "dropout")
+        self._shape = shape
+        self._keep = 1.0 - config.dropout
+        self._packed: list = []
+        self._lock = threading.Lock()
+
+    def __call__(self, epoch: int) -> np.ndarray:
+        with self._lock:
+            while len(self._packed) <= epoch:
+                self._packed.append(np.packbits(
+                    self._rng.random(self._shape) < self._keep))
+            packed = self._packed[epoch]
+        bits = np.unpackbits(packed, count=math.prod(self._shape))
+        return bits.reshape(self._shape) / self._keep
 
 
 def _map_threads(fn, items: list, workers: int) -> list:
     """``[fn(item) for item in items]`` on up to ``workers`` threads.
 
     Items are handed out in order, one at a time, to whichever thread is
-    free; the calling thread works too, so at most
-    ``min(workers, len(items), os.cpu_count()) - 1`` threads start, and
-    none for ``workers`` 0 or 1. If a call raises, no further item is
-    handed out; once every thread has finished, the error of the first
+    free; the calling thread works too, so ``_thread_count`` - 1 threads
+    start, none for ``workers`` 0 or 1. If a call raises, no further item
+    is handed out; once every thread has finished, the error of the first
     failed item is raised. Every earlier item was handed out before it and
     has run to the end, so that is the error a serial loop raises.
     """
-    threads = min(workers, len(items), os.cpu_count() or 1)
-    if threads <= 1:
+    threads = _thread_count(workers, len(items))
+    if threads == 1:
         return [fn(item) for item in items]
     results: list = [None] * len(items)
     errors: dict = {}
@@ -496,14 +574,20 @@ def _map_threads(fn, items: list, workers: int) -> list:
     return results
 
 
-def _diverged(p: dict, row: int, x: np.ndarray, h0: np.ndarray,
-              z: np.ndarray, epoch: int) -> TrainingDiverged:
+def _diverged(config: AppnpConfig, p: dict, row: int, x: np.ndarray,
+              hd: np.ndarray, adjacency: SparseAdjacency,
+              epoch: int) -> TrainingDiverged:
     """The error for learner ``row`` of the stack, naming the first
-    non-finite activation."""
+    non-finite activation. Its head and propagated activations are
+    computed again here from the dropped-out hidden activations ``hd``,
+    so that an epoch need not keep them."""
     culprit = "loss"
     one = {name: v[row:row + 1] for name, v in p.items()}
-    for name, arr in (("hidden", _preactivation(one, x)), ("head", h0[row]),
-                      ("propagated", z[row])):
+    h0 = _head(one, hd[row:row + 1])
+    z = _frame_logits(GraphStack([adjacency], h0.shape[2] - 1), h0,
+                      config.teleport, config.prop_steps)
+    for name, arr in (("hidden", _preactivation(one, x)), ("head", h0),
+                      ("propagated", z)):
         if not np.all(np.isfinite(arr)):
             culprit = f"{name} activations"
             break
@@ -513,8 +597,11 @@ def _diverged(p: dict, row: int, x: np.ndarray, h0: np.ndarray,
 
 def _train_block(config: AppnpConfig, x: np.ndarray, adjacencies: list,
                  y: np.ndarray, w: np.ndarray, train_mask: np.ndarray,
-                 val_mask: np.ndarray, n_classes: int) -> list:
-    """Train one learner per graph, all at once; see ``train_candidates``.
+                 val_mask: np.ndarray, n_classes: int,
+                 masks: _DropoutMasks | None = None) -> list:
+    """Train one learner per graph, all at once, with the dropout masks
+    ``masks`` (by default drawn for this block alone); see
+    ``train_candidates``.
 
     Every learner keeps its row of the stacks until the block ends. A
     learner that stops early or diverges is marked done: it still computes,
@@ -530,8 +617,9 @@ def _train_block(config: AppnpConfig, x: np.ndarray, adjacencies: list,
     # Logits stay in the graphs' frames; only dH0 goes back to row order.
     # at[c, i] = c * N + the position of row i in graph c's frame.
     at = stack.from_frame(np.arange(size * n).reshape(size, n))
-    targets = _Targets(at, y, w, train_mask, n_classes)
-    val = _Targets(at, y, w, val_mask, n_classes)
+    targets = _Targets(at, y, w, train_mask, n_classes, errors=False)
+    val = _Targets(at, y, w, val_mask, n_classes, loss=False)
+    del at
     # The only C x N x H buffer. Each epoch it holds r = relu(a1) for the
     # current parameters, then the dropped-out hd (in place), then dA1;
     # the validation forward leaves r in it for the next epoch.
@@ -554,7 +642,8 @@ def _train_block(config: AppnpConfig, x: np.ndarray, adjacencies: list,
     adam_m = {name: np.zeros_like(v) for name, v in p.items()}
     adam_v = {name: np.zeros_like(v) for name, v in p.items()}
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    dropout_rng = substream(config.seed, "dropout")
+    if masks is None:
+        masks = _DropoutMasks(config, r.shape[1:])
 
     best = {name: v.copy() for name, v in p.items()}
     best_err = [float("inf")] * size
@@ -571,11 +660,11 @@ def _train_block(config: AppnpConfig, x: np.ndarray, adjacencies: list,
         dmask = None
         hd = r
         if config.dropout > 0.0:
-            dmask = _dropout_mask(dropout_rng, r.shape[1:], config.dropout)
+            dmask = masks(epoch)
             hd = np.multiply(r, dmask, out=r)
-        h0 = _head(p, hd)
-        z = logits(h0)
-        logp = _log_softmax(z)
+        # Free each C x N x K array once it is dead: any one still alive
+        # adds its size to the block's peak.
+        logp = _log_softmax(logits(_head(p, hd)))
         losses = targets.losses(logp, p, config.weight_decay)
         for i, v in enumerate(losses):
             if done[i]:
@@ -583,15 +672,14 @@ def _train_block(config: AppnpConfig, x: np.ndarray, adjacencies: list,
             if math.isfinite(v):
                 final_loss[i] = v
             else:
-                outcomes[i] = _diverged(p, i, x, h0, z, epoch)
+                outcomes[i] = _diverged(config, p, i, x, hd, adjacencies[i],
+                                        epoch)
                 done[i] = True
         if all(done):
             break
 
-        # Free each C x N x K array once it is dead: any one still alive
-        # adds its size to the block's peak.
         dz = targets.gradient(logp)
-        del h0, z, logp
+        del logp
         dh0 = _frame_head_grad(stack, dz, config.teleport,
                                config.prop_steps)
         del dz
@@ -642,10 +730,10 @@ def predict_labels(models: list, x: np.ndarray, adjacencies: list) -> np.ndarray
 
     The models must share teleport and prop_steps. Each model's MLP head
     runs on its own, exactly as in ``forward``, so models of different
-    hidden widths can share a block; the K - 1 logit differences of
-    ``BLOCK_SIZE`` models at a time are propagated in one ``GraphStack``
-    pass, labelled in its frame, and only the labels go back to row order.
-    No softmax is computed.
+    hidden widths can share a block; the K - 1 logit differences of the
+    models of each block of ``_block_plan`` are propagated in one
+    ``GraphStack`` pass, labelled in its frame, and only the labels go back
+    to row order. No softmax is computed.
     """
     if len(models) != len(adjacencies):
         raise DataError("need one graph per model")
@@ -654,15 +742,17 @@ def predict_labels(models: list, x: np.ndarray, adjacencies: list) -> np.ndarray
     if len({(m.config.teleport, m.config.prop_steps) for m in models}) > 1:
         raise DataError("stacked models must share teleport and prop_steps")
     labels = np.empty((len(models), x.shape[0]), dtype=np.int64)
-    for start in range(0, len(models), BLOCK_SIZE):
-        block = models[start:start + BLOCK_SIZE]
+    if not models:
+        return labels
+    # the block's widest per-model buffers are its N x K logits
+    for s in _block_plan(len(models), 8 * x.shape[0] * models[0].b2.size, 0):
+        block = models[s]
         h0 = np.stack([_head(p, _hidden(p, x))[0]
                        for p in map(_stacked, block)])
-        stack = GraphStack(adjacencies[start:start + BLOCK_SIZE],
-                           h0.shape[2] - 1)
+        stack = GraphStack(adjacencies[s], h0.shape[2] - 1)
         z = _frame_logits(stack, h0, block[0].config.teleport,
                           block[0].config.prop_steps)
-        labels[start:start + len(block)] = stack.from_frame(_class_argmax(z))
+        labels[s] = stack.from_frame(_class_argmax(z))
     return labels
 
 

@@ -174,7 +174,8 @@ def parse_config(text: str) -> RunConfig:
 
 def load_config(path: str) -> RunConfig:
     try:
-        with open(path, encoding="utf-8") as fh:
+        # utf-8-sig drops a byte-order mark, as the CSV reader does
+        with open(path, encoding="utf-8-sig") as fh:
             return parse_config(fh.read())
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc

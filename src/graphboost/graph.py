@@ -129,8 +129,9 @@ class GraphStack:
         # flat position of rows[c, order_c[p]] in a (C, N) array
         rows = graph * n + per_graph("order")
         self._rows = rows.ravel()
-        # flat position of operand[c, order_c[p], k] in a (C, N, K) array
-        self._frame = (rows * k + cls).ravel()
+        # flat position of operand[c, order_c[p], k] in a (C, N, K) array;
+        # at width 1, the same as _rows
+        self._frame = self._rows if k == 1 else (rows * k + cls).ravel()
         # flat position of prefix[c, k, q] in a (C, K, N + 1) array
         line = (graph * k + cls) * (n + 1)
         self._lo = (line + per_graph("lo")).ravel()

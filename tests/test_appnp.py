@@ -12,6 +12,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -563,10 +564,12 @@ class TestTrainCandidates:
                                                      monkeypatch):
         x, y, w, train, val, graphs = self._problem(seed=9)
         assert len(graphs) % 2 and len(graphs) % 3
-        monkeypatch.setattr(appnp, "BLOCK_SIZE", block)
         cfg = AppnpConfig(hidden_dim=4, prop_steps=2, teleport=0.1,
                           dropout=0.1, learning_rate=0.05, max_epochs=20,
                           patience=3, seed=10)
+        # a budget of ``block`` activation buffers of N x H
+        monkeypatch.setattr(appnp, "BLOCK_BYTES",
+                            block * len(y) * cfg.hidden_dim * 8)
         self._check(cfg, x, y, w, train, val, graphs)
 
     @pytest.mark.filterwarnings("ignore:overflow")
@@ -577,20 +580,23 @@ class TestTrainCandidates:
         n = len(y)
         pos = np.arange(n)
         blowup = SparseAdjacency(n, pos, pos, pos + 1, np.full(n, 1e200))
-        graphs.insert(4, blowup)  # in blocks of 3, the second's middle
+        # at 3 graphs a block on 3 threads, the middle of the second block
+        graphs.insert(4, blowup)
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         cfg = AppnpConfig(hidden_dim=5, prop_steps=2, teleport=0.1,
                           dropout=0.2, learning_rate=0.03, max_epochs=15,
                           patience=15, seed=4)
+        learner_bytes = n * cfg.hidden_dim * 8
         serial = train_candidates(cfg, x, graphs, y, w, train, val,
                                   n_classes=2)
         assert [isinstance(o, TrainingDiverged) for o in serial] == \
             [i == 4 for i in range(len(graphs))]
         # 8 threads of one-graph blocks, switching as often as they can,
-        # would expose an outcome lost or put in the wrong place
+        # would expose an outcome lost or put in the wrong place; at most
+        # 3 graphs a block make 4 blocks of 2 on 2 threads, 3 on 3
         interval = sys.getswitchinterval()
         for block, workers in ((3, 2), (3, 3), (1, 8)):
-            monkeypatch.setattr(appnp, "BLOCK_SIZE", block)
+            monkeypatch.setattr(appnp, "BLOCK_BYTES", block * learner_bytes)
             sys.setswitchinterval(1e-6)
             try:
                 threaded = train_candidates(cfg, x, graphs, y, w, train,
@@ -611,11 +617,11 @@ class TestTrainCandidates:
 
     @settings(max_examples=50, deadline=None)
     @given(k=st.sampled_from([1, 2, 3, 9]), hidden=st.integers(1, 12),
-           count=st.integers(1, 2 * appnp.BLOCK_SIZE + 1),
+           count=st.integers(1, 9), cap=st.integers(1, 5),
            workers=st.sampled_from([0, 2]),
            dropout=st.sampled_from([0.0, 0.2]),
            seed=st.integers(0, 2**32 - 1))
-    def test_blocks_match_solo_runs(self, k, hidden, count, workers,
+    def test_blocks_match_solo_runs(self, k, hidden, count, cap, workers,
                                     dropout, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(k + 4, 60))
@@ -633,8 +639,10 @@ class TestTrainCandidates:
                           teleport=0.2, dropout=dropout, learning_rate=0.05,
                           max_epochs=int(rng.integers(6)), patience=2,
                           seed=int(rng.integers(100)))
-        got = train_candidates(cfg, x, graphs, y, w, train, val,
-                               n_classes=k, workers=workers)
+        # blocks of at most ``cap`` graphs
+        with mock.patch.object(appnp, "BLOCK_BYTES", cap * n * hidden * 8):
+            got = train_candidates(cfg, x, graphs, y, w, train, val,
+                                   n_classes=k, workers=workers)
         for adj, (model, report) in zip(graphs, got):
             solo_model, solo_report = train_weak(cfg, x, adj, y, w, train,
                                                  val, n_classes=k)
@@ -664,7 +672,7 @@ class TestTrainCandidates:
                 raise errors[1]
             return [i]
 
-        monkeypatch.setattr(appnp, "BLOCK_SIZE", 1)
+        monkeypatch.setattr(appnp, "BLOCK_BYTES", 1)  # one-graph blocks
         monkeypatch.setattr(appnp, "_train_block", fake_block)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         before = threading.active_count()
@@ -694,7 +702,7 @@ class TestTrainCandidates:
         graphs = [identity_adjacency(n) for _ in range(7)]
         monkeypatch.setattr(threading, "Thread", Counting)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        monkeypatch.setattr(appnp, "BLOCK_SIZE", 1)
+        monkeypatch.setattr(appnp, "BLOCK_BYTES", 1)  # one-graph blocks
         monkeypatch.setattr(appnp, "_train_block",
                             lambda config, x, block, *args: list(block))
         got = train_candidates(AppnpConfig(), np.zeros((n, 1)), graphs,
@@ -726,6 +734,106 @@ class TestTrainCandidates:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * c * n * h * 8
+
+    def test_block_peak_per_learner(self):
+        # A block of 10, as the fit cohorts train at N = 2000 and H = 16,
+        # peaks at most 2.1 C x N x H float64 buffers: the activation
+        # buffer, and less than as much again for everything else.
+        n, m, h, k, c = 2000, 10, 16, 2, 10
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(n, m))
+        y = rng.integers(0, k, size=n)
+        w = np.full(n, 1.0 / n)
+        train, val = np.arange(n) < 1400, np.arange(n) >= 1700
+        graphs = [build_adjacency(x[:, j], 0.1).adjacency for j in range(c)]
+        cfg = AppnpConfig(hidden_dim=h, prop_steps=3, dropout=0.1,
+                          learning_rate=0.05, max_epochs=3, patience=3,
+                          seed=1)
+        tracemalloc.start()
+        try:
+            appnp._train_block(cfg, x, graphs, y, w, train, val, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * c * n * h * 8
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_round_draws_each_dropout_mask_once(self, workers, monkeypatch):
+        # One mask holder serves all 4 blocks of the round, and holds the
+        # successive draws of _dropout_mask, one per epoch any learner ran.
+        x, y, w, train, val, graphs = self._problem(seed=1)
+        cfg = AppnpConfig(hidden_dim=6, prop_steps=3, teleport=0.2,
+                          dropout=0.3, learning_rate=0.05, max_epochs=60,
+                          patience=4, seed=2)
+        holders = []
+
+        class Recording(appnp._DropoutMasks):
+            def __init__(self, *args):
+                super().__init__(*args)
+                holders.append(self)
+
+        monkeypatch.setattr(appnp, "_DropoutMasks", Recording)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(appnp, "BLOCK_BYTES",
+                            2 * len(y) * cfg.hidden_dim * 8)
+        got = train_candidates(cfg, x, graphs, y, w, train, val,
+                               n_classes=2, workers=workers)
+        (holder,) = holders
+        epochs = [r.epochs_run for _, r in got]
+        assert len(set(epochs)) > 1
+        assert len(holder._packed) == max(epochs)
+        rng = substream(cfg.seed, "dropout")
+        for epoch in range(max(epochs)):
+            assert_same_bits(holder(epoch), appnp._dropout_mask(
+                rng, (len(y), cfg.hidden_dim), cfg.dropout))
+        assert len(holder._packed) == max(epochs)  # reading drew no more
+
+    def test_round_logs_its_blocks_and_threads(self, monkeypatch, caplog):
+        x, y, w, train, val, graphs = self._problem(seed=9)
+        cfg = AppnpConfig(hidden_dim=4, prop_steps=2, max_epochs=2, seed=3)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(appnp, "BLOCK_BYTES",
+                            3 * len(y) * cfg.hidden_dim * 8)
+        with caplog.at_level("DEBUG", logger="graphboost.appnp"):
+            train_candidates(cfg, x, graphs, y, w, train, val, n_classes=2,
+                             workers=2)
+        assert caplog.messages == [
+            "training 7 graphs in blocks of [2, 2, 2, 1] on 2 thread(s)"]
+
+    @pytest.mark.parametrize("count, n, h, workers, sizes", [
+        (19, 2000, 16, 2, [10, 9]), (30, 2000, 16, 0, [10, 10, 10]),
+        (3, 20000, 64, 0, [1, 1, 1]), (5, 2000, 16, 8, [1, 1, 1, 1, 1])])
+    def test_block_plan_examples(self, monkeypatch, count, n, h, workers,
+                                 sizes):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        plan = appnp._block_plan(count, n * h * 8, workers)
+        assert [s.stop - s.start for s in plan] == sizes
+
+    @settings(max_examples=500, deadline=None)
+    @given(count=st.integers(0, 120), n=st.integers(1, 20000),
+           h=st.integers(1, 64), workers=st.integers(0, 12),
+           cpus=st.one_of(st.none(), st.integers(1, 16)))
+    def test_block_plan(self, count, n, h, workers, cpus):
+        with mock.patch.object(os, "cpu_count", lambda: cpus):
+            plan = appnp._block_plan(count, n * h * 8, workers)
+            threads = appnp._thread_count(workers, count)
+            started = appnp._thread_count(workers, len(plan))
+        sizes = [s.stop - s.start for s in plan]
+        # the blocks cover the items in order
+        assert [i for s in plan for i in range(count)[s]] == list(range(count))
+        cap = max(1, appnp.BLOCK_BYTES // (n * h * 8))
+        assert all(1 <= size <= cap for size in sizes)
+        assert max(sizes, default=0) - min(sizes, default=0) <= 1
+        # as few blocks as the cap allows, rounded up to a multiple of the
+        # threads that run them, while there are items enough
+        fewest = -(-count // cap)
+        assert fewest <= len(plan) < fewest + threads
+        if count >= -(-fewest // threads) * threads:
+            assert len(plan) % threads == 0
+        else:
+            assert sizes == [1] * count
+        if count:
+            assert started == threads
 
 
 class TestPredict:
@@ -765,16 +873,18 @@ class TestPredict:
         np.testing.assert_array_equal(predict(model, x, g1)[1],
                                       predict(model, x, g2)[1])
 
-    def test_stacked_labels_match_one_learner_predict(self):
+    def test_stacked_labels_match_one_learner_predict(self, monkeypatch):
         # more learners than one block, of three hidden widths, each on its
         # own graph; no two classes' logits here lie within rounding of
         # each other, where the propagated differences may label otherwise
         rng = np.random.default_rng(13)
         n, m, k = 30, 3, 3
+        # blocks of at most 4 models' N x K logits: 3 and 3
+        monkeypatch.setattr(appnp, "BLOCK_BYTES", 4 * n * k * 8)
         x = rng.normal(size=(n, m))
         models = [init_model(AppnpConfig(hidden_dim=2 + t % 3, prop_steps=4,
                                          teleport=0.15, seed=t), m, k)
-                  for t in range(appnp.BLOCK_SIZE + 2)]
+                  for t in range(6)]
         graphs = [build_adjacency(x[:, t % m], 0.3 + 0.2 * t).adjacency
                   for t in range(len(models))]
         labels = appnp.predict_labels(models, x, graphs)
@@ -784,10 +894,10 @@ class TestPredict:
             np.testing.assert_array_equal(row, predict(model, x, graph)[0])
 
     @settings(max_examples=30, deadline=None)
-    @given(k=st.sampled_from([1, 2, 3, 9]),
-           count=st.integers(1, 2 * appnp.BLOCK_SIZE + 1),
-           seed=st.integers(0, 2**32 - 1))
-    def test_stacked_labels_match_single_model_calls(self, k, count, seed):
+    @given(k=st.sampled_from([1, 2, 3, 9]), count=st.integers(1, 9),
+           cap=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+    def test_stacked_labels_match_single_model_calls(self, k, count, cap,
+                                                     seed):
         rng = np.random.default_rng(seed)
         n, m = int(rng.integers(1, 50)), int(rng.integers(1, 5))
         x = rng.normal(size=(n, m))
@@ -802,7 +912,9 @@ class TestPredict:
             models.append(model)
         graphs = [build_adjacency(x[:, t % m], g).adjacency
                   for t, g in enumerate(rng.uniform(0.0, 2.0, size=count))]
-        labels = appnp.predict_labels(models, x, graphs)
+        # blocks of at most ``cap`` models
+        with mock.patch.object(appnp, "BLOCK_BYTES", cap * n * k * 8):
+            labels = appnp.predict_labels(models, x, graphs)
         for model, graph, row in zip(models, graphs, labels):
             np.testing.assert_array_equal(
                 row, appnp.predict_labels([model], x, [graph])[0])

@@ -348,6 +348,16 @@ class TestCliExitCodes:
                      "--out", str(tmp_path / "p.csv")]) == 0
         assert (tmp_path / "p.csv").exists()
 
+    def test_config_byte_order_mark_is_skipped(self, cohort, tmp_path):
+        # used to fail on the first line, "unknown key '\ufeffdata'",
+        # exit 2
+        cfg = tmp_path / "c.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbf" + BASE_CONFIG.lstrip().format(
+            data=cohort[0], rounds=1, model=tmp_path / "m.gbe",
+            report=tmp_path / "r.json").encode("utf-8"))
+        assert main(["train", "--config", str(cfg)]) == 0
+        assert (tmp_path / "m.gbe").exists()
+
     @pytest.mark.parametrize("command", ["predict", "evaluate"])
     def test_field_over_csv_limit_is_two(self, trained, cohort, tmp_path,
                                          capsys, command):
