@@ -1,6 +1,6 @@
 """Microbenchmarks of candidate graph construction, the merge of new rows
 into a stored graph, propagation, one block of weak learners, one boosting
-round's weak-learner training and single-row prediction.
+round's weak-learner training and prediction.
 
 Kept outside the test paths so that the test suite does not run them. Run
 with pytest-benchmark from the repository root:
@@ -15,14 +15,14 @@ column, the work a prediction call does per distinct round graph. The round
 trains all 30 candidates of an n=2000, m=10 synthetic cohort with the
 learner shape of the fit benchmark in ``perfbench/``, on the calling
 thread (``workers`` 0) and on two threads (``workers`` 2); the block
-trains the first 4 of them together, as one of the round's blocks, and
-the first 4 of a three-class cohort built the same way, which propagate
-two logit differences instead of one. Single-row
-prediction scores one new row against a hand-built 10-round ensemble over
-the 2000 rows of that cohort, with criterion 08's learner shape and round
-pattern: 8 rounds on one graph and 2 on two others, interleaved, each with
-untrained ``init_model`` weights. Ingest reads that cohort back from a CSV
-file, continuous as written or mixed: its noise columns cut into integer
+trains the first 10 of them together, as one of the round's blocks, and
+the first 10 of a three-class cohort built the same way, which propagate
+two logit differences instead of one. Prediction scores one new row, or a
+batch of 2000, against a hand-built 10-round ensemble over the 2000 rows
+of that cohort, with criterion 08's learner shape and round pattern: 8
+rounds on one graph and 2 on two others, interleaved, each with untrained
+``init_model`` weights. Ingest reads that cohort back from a CSV file,
+continuous as written or mixed: its noise columns cut into integer
 scores, one of them into text levels, with 5% of their cells ``NA``; the
 encode benchmark fits and applies the encoding of the mixed table.
 """
@@ -151,7 +151,7 @@ def test_round_of_30_candidates(benchmark, workers):
     assert 0.0 <= round_.error < 0.5
 
 
-def test_predict_one_row(benchmark):
+def _ten_round_ensemble():
     ds = _cohort()
     m = ds.X.shape[1]
     names = ds.encoder.feature_names()
@@ -162,7 +162,19 @@ def test_predict_one_row(benchmark):
         gamma = quantile_thresholds(ds.X[:, feature]).gammas[2]
         rounds.append(WeakRound(feature, names[feature], gamma,
                                 init_model(cfg, m, 2), 1.0 / (t + 1), 0.3))
-    ensemble = Ensemble(rounds, 2, ds.encoder, names, ds.X)
-    row = np.random.default_rng(1).normal(size=(1, m))
+    return Ensemble(rounds, 2, ds.encoder, names, ds.X)
+
+
+def test_predict_one_row(benchmark):
+    ensemble = _ten_round_ensemble()
+    row = np.random.default_rng(1).normal(size=(1, ensemble.train_x.shape[1]))
     labels, scores = benchmark(predict_ensemble, ensemble, row)
     assert labels.shape == (1,) and scores.shape == (1, 2)
+
+
+def test_predict_batch(benchmark):
+    ensemble = _ten_round_ensemble()
+    rows = np.random.default_rng(2).normal(
+        size=(2_000, ensemble.train_x.shape[1]))
+    labels, scores = benchmark(predict_ensemble, ensemble, rows)
+    assert labels.shape == (2_000,) and scores.shape == (2_000, 2)

@@ -31,7 +31,15 @@ The round's dropout masks are drawn once, by the first block to reach each
 epoch, and shared by all blocks (``_DropoutMasks``). ``forward``,
 ``backward``, ``propagate`` and ``train_weak`` are the C = 1 case of the
 same code, and ``predict_labels`` labels a stack of trained learners with
-it, in blocks from the same plan.
+it, each on its own graph, in blocks from the same plan.
+
+Prediction labels learners that share one graph with ``graph_labels``,
+from their ``head_differences``: the K - 1 difference lines of C learners
+are C(K - 1) lines of one ``GraphStack`` over that graph, which builds the
+index arrays of one graph rather than of C copies, and gives each line the
+same bits. A stored row's head does not depend on the graph, so
+``boost.Ensemble`` computes the differences over its stored rows once, and
+a prediction computes them for its new rows only.
 
 Training and stacked labelling propagate K - 1 logit differences, not K
 logits. Softmax, cross-entropy and argmax do not change when one value is
@@ -309,15 +317,27 @@ def _row_frame(z: np.ndarray, y: np.ndarray, w: np.ndarray,
             _Targets(np.arange(n)[None], y, w, mask, k))
 
 
+def _differences(h0: np.ndarray) -> np.ndarray:
+    """The K - 1 logit differences h0[..., k] - h0[..., 0], k >= 1, of head
+    outputs ``h0`` with K classes on the last axis."""
+    return h0[..., 1:] - h0[..., :1]
+
+
+def _with_zero_line(d: np.ndarray) -> np.ndarray:
+    """The (C, K, N) logits, up to one shift per row, of (C, K - 1, N)
+    propagated differences ``d``: class 0 is a line of zeros."""
+    c, _, n = d.shape
+    return np.concatenate([np.zeros((c, 1, n)), d], axis=1)
+
+
 def _frame_logits(stack: GraphStack, h0: np.ndarray, teleport: float,
                   steps: int) -> np.ndarray:
     """The propagated logits of the C x N x K head outputs ``h0``, as a
     (C, K, N) frame of the K - 1 wide ``stack``, up to one shift per row:
     class 0 is a line of zeros, and class k >= 1 is the propagated
     difference h0[..., k] - h0[..., 0]."""
-    d = stack.run(stack.to_frame(h0[..., 1:] - h0[..., :1]), teleport, steps)
-    c, _, n = d.shape
-    return np.concatenate([np.zeros((c, 1, n)), d], axis=1)
+    return _with_zero_line(stack.run(stack.to_frame(_differences(h0)),
+                                     teleport, steps))
 
 
 def _frame_head_grad(stack: GraphStack, dz: np.ndarray, teleport: float,
@@ -721,38 +741,95 @@ def _train_block(config: AppnpConfig, x: np.ndarray, adjacencies: list,
     return outcomes
 
 
+def head_differences(models: list, x: np.ndarray) -> np.ndarray:
+    """The K - 1 logit differences of every model's MLP head over the rows
+    ``x``, as an N x C(K - 1) array: model c's difference h[:, k] - h[:, 0]
+    is column c(K - 1) + k - 1. Each head is one product over ``x``, exactly
+    as in ``forward``, so models of different hidden widths may be mixed.
+    A row's bits can depend on the other rows of ``x``, as BLAS blocks the
+    product by its shape."""
+    return np.concatenate([_differences(_head(p, _hidden(p, x))[0])
+                           for p in map(_stacked, models)], axis=1)
+
+
+def _check_shared_propagation(models: list) -> None:
+    if len({(m.config.teleport, m.config.prop_steps) for m in models}) > 1:
+        raise DataError("stacked models must share teleport and prop_steps")
+
+
 def predict_labels(models: list, x: np.ndarray, adjacencies: list) -> np.ndarray:
     """Hard labels of ``models[c]`` on ``adjacencies[c]`` for every c, as a
     C x N array. Row c equals ``predict(models[c], x, adjacencies[c])[0]``
     except where two classes' logits lie within rounding of each other,
     and equals ``predict_labels([models[c]], x, [adjacencies[c]])`` bit
-    for bit.
+    for bit. ``boost.run_round`` labels a round's candidates with it, each
+    on its own graph; prediction, where models share graphs, uses
+    ``graph_labels``.
 
-    The models must share teleport and prop_steps. Each model's MLP head
-    runs on its own, exactly as in ``forward``, so models of different
-    hidden widths can share a block; the K - 1 logit differences of the
-    models of each block of ``_block_plan`` are propagated in one
-    ``GraphStack`` pass, labelled in its frame, and only the labels go back
-    to row order. No softmax is computed.
+    The models must share teleport and prop_steps. Their heads are
+    ``head_differences`` over ``x``; the differences of the models of each
+    block of ``_block_plan`` are propagated in one ``GraphStack`` pass,
+    labelled in its frame, and only the labels go back to row order. No
+    softmax is computed.
     """
     if len(models) != len(adjacencies):
         raise DataError("need one graph per model")
     if any(a.n != x.shape[0] for a in adjacencies):
         raise DataError("adjacency and feature matrix disagree on node count")
-    if len({(m.config.teleport, m.config.prop_steps) for m in models}) > 1:
-        raise DataError("stacked models must share teleport and prop_steps")
-    labels = np.empty((len(models), x.shape[0]), dtype=np.int64)
+    _check_shared_propagation(models)
+    n = x.shape[0]
+    labels = np.empty((len(models), n), dtype=np.int64)
     if not models:
         return labels
+    k = models[0].b2.size
+    cfg = models[0].config
     # the block's widest per-model buffers are its N x K logits
-    for s in _block_plan(len(models), 8 * x.shape[0] * models[0].b2.size, 0):
+    for s in _block_plan(len(models), 8 * n * k, 0):
         block = models[s]
-        h0 = np.stack([_head(p, _hidden(p, x))[0]
-                       for p in map(_stacked, block)])
-        stack = GraphStack(adjacencies[s], h0.shape[2] - 1)
-        z = _frame_logits(stack, h0, block[0].config.teleport,
-                          block[0].config.prop_steps)
-        labels[s] = stack.from_frame(_class_argmax(z))
+        d = head_differences(block, x).reshape(n, len(block), k - 1)
+        stack = GraphStack(adjacencies[s], k - 1)
+        d = stack.run(stack.to_frame(d.transpose(1, 0, 2)), cfg.teleport,
+                      cfg.prop_steps)
+        labels[s] = stack.from_frame(_class_argmax(_with_zero_line(d)))
+    return labels
+
+
+def graph_labels(models: list, differences: np.ndarray,
+                 adjacency: SparseAdjacency, first: int = 0) -> np.ndarray:
+    """Hard labels of ``models``, all on the one graph ``adjacency``, from
+    their ``head_differences`` over its rows, for the rows from ``first``
+    on: a C x (N - first) array, equal bit for bit to those rows of
+    ``predict_labels(models, x, [adjacency] * C)`` when ``differences`` is
+    ``head_differences(models, x)``.
+
+    The models must share teleport and prop_steps. The C(K - 1) difference
+    lines of the models of each block of ``_block_plan`` are propagated as
+    lines of the one graph, in one ``GraphStack([adjacency], width)``
+    pass, so its index arrays are built for one graph, not C copies of it.
+    Every line sees the same arithmetic either way. Only the rows asked
+    for are labelled.
+    """
+    n = adjacency.n
+    if differences.shape[0] != n:
+        raise DataError("adjacency and head differences disagree on node "
+                        "count")
+    _check_shared_propagation(models)
+    labels = np.empty((len(models), n - first), dtype=np.int64)
+    if not models:
+        return labels
+    k = models[0].b2.size
+    cfg = models[0].config
+    # the frame positions of the rows asked for, and those rows
+    at = np.flatnonzero(adjacency.order >= first)
+    rows = adjacency.order[at] - first
+    for s in _block_plan(len(models), 8 * n * k, 0):
+        count = s.stop - s.start
+        stack = GraphStack([adjacency], count * (k - 1))
+        lines = differences[:, s.start * (k - 1):s.stop * (k - 1)]
+        d = stack.run(stack.to_frame(lines[None]), cfg.teleport,
+                      cfg.prop_steps)
+        labels[s][:, rows] = _class_argmax(
+            _with_zero_line(d[..., at].reshape(count, k - 1, at.size)))
     return labels
 
 

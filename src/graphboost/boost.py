@@ -17,9 +17,14 @@ run, on up to ``workers`` threads. ``run_round`` drops repeated
 (feature, gamma) candidates, which come from tied quantiles or an expert
 edge equal to a quantile, so each distinct graph trains once per round.
 Prediction labels the rounds that chose one (feature, gamma) graph
-together with ``appnp.predict_labels``. Each such graph is built over the
-stored rows when the ensemble is made, fitted or loaded; a prediction
-merges its new rows into that stored graph.
+together, with ``appnp.graph_labels``. When the ensemble is made, fitted
+or loaded, each such graph is built over the stored rows, and the K - 1
+head differences of its rounds over those rows (``appnp.head_differences``)
+are computed once per shared (teleport, prop_steps); neither is saved. A
+prediction merges its new rows into the stored graph, runs the MLP heads
+on its new rows alone, appends their differences to the stored ones and
+propagates the group's C(K - 1) lines on the one graph, as in APPNP's
+"predict, then propagate", where a row's head does not depend on the graph.
 """
 
 import logging
@@ -28,8 +33,8 @@ import math
 
 import numpy as np
 
-from .appnp import (AppnpConfig, AppnpModel, TrainReport, predict_labels,
-                    train_candidates)
+from .appnp import (AppnpConfig, AppnpModel, TrainReport, graph_labels,
+                    head_differences, predict_labels, train_candidates)
 # Unused here; kept only because perfbench/tracing.py wraps
 # boost.train_weak. Goes when the tracer wraps train_candidates instead
 # (ROADMAP item 1).
@@ -97,6 +102,10 @@ class Ensemble:
     # Each distinct round (feature, gamma) graph over train_x, built here
     # and never saved. Graphs on one feature share its stored sort.
     stored_graphs: dict = field(init=False, repr=False, compare=False)
+    # Per (feature, gamma), its rounds grouped by (teleport, prop_steps):
+    # a list of (round indices, their read-only head_differences over
+    # train_x), computed here and never saved.
+    stored_lines: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.rounds:
@@ -116,6 +125,20 @@ class Ensemble:
                                 v_sorted=twin.v_sorted)
             graphs[(r.feature, r.gamma)] = graph
         object.__setattr__(self, "stored_graphs", graphs)
+        groups: dict = {}
+        for t, r in enumerate(self.rounds):
+            cfg = r.model.config
+            groups.setdefault((r.feature, r.gamma), {}).setdefault(
+                (cfg.teleport, cfg.prop_steps), []).append(t)
+        lines: dict = {}
+        for key, by_config in groups.items():
+            lines[key] = []
+            for ts in by_config.values():
+                stored = head_differences([self.rounds[t].model for t in ts],
+                                          self.train_x)
+                stored.flags.writeable = False
+                lines[key].append((tuple(ts), stored))
+        object.__setattr__(self, "stored_lines", lines)
 
 
 def weighted_error(predictions: np.ndarray, y: np.ndarray, w: np.ndarray,
@@ -306,28 +329,23 @@ def _vote_scores(ensemble: Ensemble,
     """Votes of every round for the stored rows followed by ``new_x``,
     returned for the new rows only, or for the stored rows when ``new_x``
     has none. Each distinct (feature, gamma) graph is the stored graph
-    joined with the new rows, and its rounds are labelled together by
-    ``predict_labels``, one call per shared (teleport, prop_steps). Votes
-    are added in round order, so the sums equal a round-by-round loop bit
-    for bit."""
+    joined with the new rows. Its rounds are labelled by ``graph_labels``,
+    one call per shared (teleport, prop_steps), from their stored head
+    differences followed by those of the new rows, so the MLP heads run on
+    ``new_x`` alone. Votes are added in round order, so the sums equal a
+    round-by-round loop bit for bit."""
     row_start = ensemble.train_x.shape[0] if new_x.shape[0] else 0
-    x_all = (np.vstack([ensemble.train_x, new_x]) if row_start
-             else ensemble.train_x)
-    n = x_all.shape[0] - row_start
-    groups: dict = {}
-    for t, round_ in enumerate(ensemble.rounds):
-        cfg = round_.model.config
-        groups.setdefault((round_.feature, round_.gamma), {}).setdefault(
-            (cfg.teleport, cfg.prop_steps), []).append(t)
-    round_labels = [None] * len(ensemble.rounds)
-    for (feature, gamma), by_config in groups.items():
+    n = new_x.shape[0] or ensemble.train_x.shape[0]
+    round_labels = np.empty((len(ensemble.rounds), n), dtype=np.int64)
+    for (feature, gamma), groups in ensemble.stored_lines.items():
         adjacency = ensemble.stored_graphs[(feature, gamma)].join(
             new_x[:, feature])
-        for ts in by_config.values():
-            labels = predict_labels([ensemble.rounds[t].model for t in ts],
-                                    x_all, [adjacency] * len(ts))
-            for t, row in zip(ts, labels):
-                round_labels[t] = row[row_start:]
+        for ts, stored in groups:
+            models = [ensemble.rounds[t].model for t in ts]
+            lines = (np.concatenate([stored, head_differences(models, new_x)])
+                     if row_start else stored)
+            round_labels[list(ts)] = graph_labels(models, lines, adjacency,
+                                                  row_start)
     votes = np.zeros((n, ensemble.n_classes), dtype=np.float64)
     for round_, labels in zip(ensemble.rounds, round_labels):
         votes[np.arange(n), labels] += round_.alpha
@@ -351,8 +369,9 @@ def predict_ensemble(ensemble: Ensemble,
     row's scores depend on the other rows of ``new_x``; a single row is
     scored against the stored rows alone. Rounds that chose the same
     (feature, gamma) share one graph, which merges the new rows into the
-    stored graph built with the ensemble. Returns hard labels and vote
-    scores normalized to sum 1 per row.
+    stored graph built with the ensemble, and the MLP heads run on the new
+    rows only. Returns hard labels and vote scores normalized to sum 1 per
+    row.
     """
     new_x = np.asarray(new_x, dtype=np.float64)
     if new_x.ndim != 2 or new_x.shape[1] != ensemble.train_x.shape[1]:

@@ -427,25 +427,27 @@ def gen_synthetic(n: int, m: int, k: int, rho: float,
     return RawTable(columns, n), labels
 
 
+def _cells(col: Column) -> list:
+    """A column's CSV cells, ``NA`` where a value is missing. Made from a
+    list of the whole column: a numpy scalar per cell costs more than the
+    cell."""
+    if col.kind == NUMERIC:
+        return ["NA" if v != v else repr(v)
+                for v in np.asarray(col.numeric, dtype=np.float64).tolist()]
+    return ["NA" if v is None else v for v in col.text]
+
+
 def write_csv(table: RawTable, labels: list[str] | None, path: str,
               label_column: str = "label") -> None:
     """Write a table (plus optional labels) in the package CSV dialect."""
     header = table.column_names + ([label_column] if labels is not None else [])
+    cells = [_cells(col) for col in table.columns]
+    if labels is not None:
+        cells.append(labels)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for i in range(table.n_rows):
-            row = []
-            for col in table.columns:
-                if col.kind == NUMERIC:
-                    v = col.numeric[i]
-                    row.append("NA" if np.isnan(v) else repr(float(v)))
-                else:
-                    v = col.text[i]
-                    row.append("NA" if v is None else v)
-            if labels is not None:
-                row.append(labels[i])
-            writer.writerow(row)
+        writer.writerows(zip(*cells) if cells else [()] * table.n_rows)
 
 
 def subset_table(table: RawTable, rows: np.ndarray) -> RawTable:

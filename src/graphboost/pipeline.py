@@ -125,17 +125,25 @@ def run_predict(model_path: str, data_path: str, out_path: str) -> int:
     table, _ = load_csv(data_path, label_column=None, allow_empty=True)
     x_new = apply_encoder(table, ensemble.encoder)
     labels, scores = boost.predict_ensemble(ensemble, x_new)
-    label_values = ensemble.encoder.label_values
+    _write_predictions(out_path, ensemble.encoder, labels, scores)
+    log.info("wrote %d predictions to %s", len(labels), out_path)
+    return len(labels)
+
+
+def _write_predictions(out_path: str, encoder, labels: np.ndarray,
+                       scores: np.ndarray) -> None:
+    """The predictions CSV: row number, label value and one score per
+    class, each score the ``repr`` of its float. Cells are made a column at
+    a time, as a cell per row costs a numpy scalar and a call."""
+    label_values = encoder.label_values
+    names = [label_values[i] for i in labels.tolist()]
     with _writing(out_path), \
             open(out_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["row", ensemble.encoder.label_column]
+        writer.writerow(["row", encoder.label_column]
                         + [f"score_{v}" for v in label_values])
-        for i in range(len(labels)):
-            writer.writerow([i, label_values[labels[i]]]
-                            + [repr(float(s)) for s in scores[i]])
-    log.info("wrote %d predictions to %s", len(labels), out_path)
-    return len(labels)
+        writer.writerows(zip(range(len(names)), names,
+                             *(map(repr, col) for col in scores.T.tolist())))
 
 
 def run_evaluate(model_path: str, data_path: str,

@@ -919,12 +919,44 @@ class TestPredict:
             np.testing.assert_array_equal(
                 row, appnp.predict_labels([model], x, [graph])[0])
 
+    @settings(max_examples=30, deadline=None)
+    @given(k=st.sampled_from([1, 2, 3, 9]), count=st.integers(1, 9),
+           cap=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+    def test_one_graph_labels_match_stacked_labels(self, k, count, cap,
+                                                   seed):
+        # graph_labels propagates the lines of all models as lines of one
+        # graph; predict_labels stacks a copy of the graph per model
+        rng = np.random.default_rng(seed)
+        n, m = int(rng.integers(1, 50)), int(rng.integers(1, 5))
+        x = rng.normal(size=(n, m))
+        cfg = AppnpConfig(prop_steps=int(rng.integers(0, 5)),
+                          teleport=float(rng.choice([0.2, 1.0])))
+        models = []
+        for t in range(count):
+            model = init_model(dataclasses.replace(
+                cfg, hidden_dim=int(rng.integers(1, 10)), seed=t), m, k)
+            model.b2 = rng.normal(size=k)
+            models.append(model)
+        graph = build_adjacency(x[:, 0], float(rng.uniform(0.0, 2.0)))
+        differences = appnp.head_differences(models, x)
+        assert differences.shape == (n, count * (k - 1))
+        want = appnp.predict_labels(models, x, [graph.adjacency] * count)
+        # all rows, and the rows from ``first`` on, as prediction asks
+        for first in (0, int(rng.integers(0, n + 1))):
+            with mock.patch.object(appnp, "BLOCK_BYTES", cap * n * k * 8):
+                got = appnp.graph_labels(models, differences,
+                                         graph.adjacency, first)
+            np.testing.assert_array_equal(got, want[:, first:])
+
     def test_stacked_labels_need_shared_propagation(self):
         model, x, adj, *_ = make_instance(14)
         cfg = dataclasses.replace(model.config, teleport=0.5)
         other = init_model(cfg, x.shape[1], 2)
         with pytest.raises(DataError):
             appnp.predict_labels([model, other], x, [adj, adj])
+        with pytest.raises(DataError):
+            appnp.graph_labels([model, other], appnp.head_differences(
+                [model, other], x), adj)
 
 
 # The row-major loss helpers that training used before it moved into the

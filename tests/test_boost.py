@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import graphboost
-from graphboost import boost
+from graphboost import appnp, boost
 from graphboost.appnp import AppnpConfig, AppnpModel, init_model
 from graphboost.boost import (BoostConfig, Ensemble, WeakRound,
                               compute_alpha, fit, predict_ensemble, run_round,
@@ -538,6 +538,7 @@ class TestEnsemblePrediction:
         assert (len(built), joined[4:]) == (2, [0, 0])
 
     def test_stored_graphs_are_never_saved(self, tmp_path):
+        # nor the stored rows' head differences: a load computes them again
         ens = self._shared_graph_ensemble(
             self.SHARED_GRAPH_ENSEMBLES["interleaved"])
         cold, warm = tmp_path / "cold.gbe", tmp_path / "warm.gbe"
@@ -549,6 +550,57 @@ class TestEnsemblePrediction:
             transductive_scores(model)
             save_ensemble(model, str(warm))
             assert warm.read_bytes() == cold.read_bytes()
+            for key, groups in model.stored_lines.items():
+                for (ts, lines), (want_ts, want) in zip(
+                        groups, ens.stored_lines[key], strict=True):
+                    assert ts == want_ts
+                    assert lines.tobytes() == want.tobytes()
+                    assert lines.tobytes() not in cold.read_bytes()
+
+    def test_heads_run_once_on_stored_rows_then_on_new_rows_only(
+            self, monkeypatch, tmp_path):
+        # Making or loading an ensemble computes the stored rows' head
+        # differences once per (feature, gamma, teleport, prop_steps)
+        # group; a call runs every head on its own rows alone.
+        heads, hidden_rows = [], []
+        head_differences, hidden = boost.head_differences, appnp._hidden
+
+        def counting_heads(models, x):
+            heads.append((len(models), x.shape[0]))
+            return head_differences(models, x)
+
+        def counting_hidden(p, x, out=None):
+            hidden_rows.append(x.shape[0])
+            return hidden(p, x, out)
+
+        monkeypatch.setattr(boost, "head_differences", counting_heads)
+        monkeypatch.setattr(appnp, "_hidden", counting_hidden)
+        ens = self._shared_graph_ensemble(
+            self.SHARED_GRAPH_ENSEMBLES["mixed_learners"])
+        n = ens.train_x.shape[0]
+        # (0, 1) graph: rounds 0-1 share teleport and steps, 2 and 3-4
+        # differ; (1, 0) graph: round 5
+        assert [ts for groups in ens.stored_lines.values()
+                for ts, _ in groups] == [(0, 1), (2,), (3, 4), (5,)]
+        sizes = [2, 1, 2, 1]
+        assert (heads, hidden_rows) == ([(c, n) for c in sizes], [n] * 6)
+
+        def calls(run):
+            heads.clear()
+            hidden_rows.clear()
+            model = run()
+            return heads[:], hidden_rows[:], model
+
+        path = tmp_path / "model.gbe"
+        save_ensemble(ens, str(path))
+        loaded = calls(lambda: load_ensemble(str(path)))
+        assert loaded[:2] == ([(c, n) for c in sizes], [n] * 6)
+        for model in (ens, loaded[2]):
+            for rows in (3, 1):
+                got = calls(lambda: predict_ensemble(model,
+                                                     np.zeros((rows, 2))))
+                assert got[:2] == ([(c, rows) for c in sizes], [rows] * 6)
+            assert calls(lambda: transductive_scores(model))[:2] == ([], [])
 
     def test_loaded_model_predicts_like_the_ensemble_in_memory(
             self, tmp_path):
@@ -624,6 +676,15 @@ class TestEnsemblePrediction:
             return build_adjacency(values, gamma, **kwargs)
 
         monkeypatch.setattr(boost, "build_adjacency", counting_build)
+        # and no head runs on the stored rows: each call's on its one row
+        hidden_rows = []
+        hidden = appnp._hidden
+
+        def counting_hidden(p, x, out=None):
+            hidden_rows.append(x.shape[0])
+            return hidden(p, x, out)
+
+        monkeypatch.setattr(appnp, "_hidden", counting_hidden)
         results = {}
 
         def work(i):
@@ -642,6 +703,7 @@ class TestEnsemblePrediction:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert built == []
+        assert hidden_rows == [1] * (8 * len(ens.rounds))
         for i in range(8):
             np.testing.assert_array_equal(results[i][0], want[i][0])
             np.testing.assert_array_equal(results[i][1], want[i][1])

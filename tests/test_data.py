@@ -549,7 +549,71 @@ class TestGenSynthetic:
             gen_synthetic(100, 2, 2, 0.5, seed=0)
 
 
+def _ref_write_csv(table, labels, path, label_column="label"):
+    """The cell-by-cell ``write_csv`` that the column writer replaced,
+    frozen as its reference."""
+    header = table.column_names + ([label_column] if labels is not None else [])
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for i in range(table.n_rows):
+            row = []
+            for col in table.columns:
+                if col.kind == NUMERIC:
+                    v = col.numeric[i]
+                    row.append("NA" if np.isnan(v) else repr(float(v)))
+                else:
+                    v = col.text[i]
+                    row.append("NA" if v is None else v)
+            if labels is not None:
+                row.append(labels[i])
+            writer.writerow(row)
+
+
+# Text a CSV writer must quote or escape, and text outside ASCII; no lone
+# surrogates, which UTF-8 cannot hold.
+CSV_TEXT = st.text(st.one_of(st.sampled_from(',"\'\r\n; é日\U0001F600'),
+                             st.characters(exclude_categories=("Cs",))),
+                   max_size=6)
+CSV_FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 5e-324, math.nan,
+                                        math.inf, -math.inf]),
+                       st.floats())
+
+
+@st.composite
+def _written_tables(draw):
+    n = draw(st.integers(0, 6))
+    columns = []
+    for j in range(draw(st.integers(0, 3))):
+        name = draw(CSV_TEXT)
+        if draw(st.booleans()):
+            values = draw(st.lists(CSV_FLOATS, min_size=n, max_size=n))
+            columns.append(Column(name, NUMERIC,
+                                  numeric=np.array(values, dtype=np.float64)))
+        else:
+            text = draw(st.lists(st.one_of(st.none(), CSV_TEXT),
+                                 min_size=n, max_size=n))
+            columns.append(Column(name, CATEGORICAL, text=text))
+    labels = draw(st.one_of(st.none(), st.lists(CSV_TEXT, min_size=n,
+                                                max_size=n)))
+    return RawTable(columns, n), labels, draw(CSV_TEXT)
+
+
+@pytest.fixture(scope="module")
+def written_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("written")
+
+
 class TestWriteCsvRoundTrip:
+    @given(_written_tables())
+    @settings(max_examples=300, deadline=None)
+    def test_bytes_match_cell_by_cell_writer(self, written_dir, drawn):
+        table, labels, label_column = drawn
+        got, want = written_dir / "got.csv", written_dir / "want.csv"
+        write_csv(table, labels, str(got), label_column)
+        _ref_write_csv(table, labels, str(want), label_column)
+        assert got.read_bytes() == want.read_bytes()
+
     def test_round_trip(self, tmp_path):
         table, labels = gen_synthetic(50, 3, 2, 0.5, seed=11)
         path = tmp_path / "c.csv"

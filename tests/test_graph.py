@@ -325,6 +325,27 @@ class TestGraphStack:
         for g, adj in enumerate(graphs):
             np.testing.assert_array_equal(positions[g, adj.order], rows[g])
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 3), st.integers(1, 300),
+           st.sampled_from([0.1, 0.35, 1.0]), st.integers(0, 4),
+           st.integers(0, 2**32 - 1))
+    def test_one_graph_of_c_w_lines_equals_c_copies(self, c, width, n,
+                                                    teleport, steps, seed):
+        # Prediction propagates the C * W lines of C learners on one graph
+        # as one stack of one graph; each line must keep the bits of the
+        # stack of C copies of that graph.
+        rng = np.random.default_rng(seed)
+        adj = build_adjacency(rng.integers(0, 6, size=n) * rng.normal(),
+                              float(rng.uniform(0.0, 1.0))).adjacency
+        h0 = rng.normal(size=(c, n, width))
+        copies = GraphStack([adj] * c, width)
+        want = copies.run(copies.to_frame(h0), teleport, steps)
+        one = GraphStack([adj], c * width)
+        lines = h0.transpose(1, 0, 2).reshape(1, n, c * width)
+        got = one.run(one.to_frame(lines), teleport, steps)
+        assert np.array_equal(got.reshape(c, width, n).view(np.uint64),
+                              want.view(np.uint64))
+
     def test_mismatched_shapes_rejected(self):
         graphs = [identity_adjacency(5), identity_adjacency(5)]
         stack = GraphStack(graphs, 2)

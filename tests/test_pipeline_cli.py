@@ -6,11 +6,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphboost import boost, pipeline
 from graphboost.cli import main
 from graphboost.config import parse_config
-from graphboost.data import load_csv
+from graphboost.data import EncodingMeta, load_csv
 from graphboost.graph import quantile_thresholds
 from graphboost.model_io import load_ensemble
 from graphboost.pipeline import (run_evaluate, run_predict, run_sweep,
@@ -117,7 +118,56 @@ class TestTrain:
             run_train(cfg)
 
 
+def _ref_write_predictions(out_path, encoder, labels, scores):
+    """The row-by-row predictions writer of ``run_predict`` that
+    ``pipeline._write_predictions`` replaced, frozen as its reference."""
+    label_values = encoder.label_values
+    with open(out_path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["row", encoder.label_column]
+                        + [f"score_{v}" for v in label_values])
+        for i in range(len(labels)):
+            writer.writerow([i, label_values[labels[i]]]
+                            + [repr(float(s)) for s in scores[i]])
+
+
+# Labels a CSV writer must quote or escape, and text outside ASCII; no
+# lone surrogates, which UTF-8 cannot hold.
+LABEL_TEXT = st.text(st.one_of(st.sampled_from(',"\'\r\n; é日\U0001F600'),
+                               st.characters(exclude_categories=("Cs",))),
+                     max_size=6)
+
+
+@st.composite
+def _predictions(draw):
+    k = draw(st.integers(2, 4))
+    values = draw(st.lists(LABEL_TEXT, min_size=k, max_size=k, unique=True))
+    n = draw(st.integers(0, 8))
+    labels = np.array(draw(st.lists(st.integers(0, k - 1), min_size=n,
+                                    max_size=n)), dtype=np.int64)
+    scores = np.array(draw(st.lists(
+        st.one_of(st.sampled_from([0.0, 1.0, 5e-324]),
+                  st.floats(0.0, 1.0)), min_size=n * k, max_size=n * k)),
+        dtype=np.float64).reshape(n, k)
+    return EncodingMeta([], draw(LABEL_TEXT), values), labels, scores
+
+
+@pytest.fixture(scope="module")
+def predictions_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("predictions")
+
+
 class TestPredict:
+    @given(_predictions())
+    @settings(max_examples=300, deadline=None)
+    def test_csv_bytes_match_row_by_row_writer(self, predictions_dir,
+                                               drawn):
+        got = predictions_dir / "got.csv"
+        want = predictions_dir / "want.csv"
+        pipeline._write_predictions(str(got), *drawn)
+        _ref_write_predictions(str(want), *drawn)
+        assert got.read_bytes() == want.read_bytes()
+
     def test_feed_training_file_back(self, trained, cohort, tmp_path):
         outcome, cfg = trained
         train_path, _ = cohort
