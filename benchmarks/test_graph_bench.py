@@ -21,10 +21,12 @@ two logit differences instead of one. Prediction scores one new row, or a
 batch of 2000, against a hand-built 10-round ensemble over the 2000 rows
 of that cohort, with criterion 08's learner shape and round pattern: 8
 rounds on one graph and 2 on two others, interleaved, each with untrained
-``init_model`` weights. Ingest reads that cohort back from a CSV file,
-continuous as written or mixed: its noise columns cut into integer
-scores, one of them into text levels, with 5% of their cells ``NA``; the
-encode benchmark fits and applies the encoding of the mixed table.
+``init_model`` weights; one row is also scored against the first round
+alone, the shape of a one-round fit with its one difference line. Ingest
+reads that cohort back from a CSV file, continuous as written or mixed:
+its noise columns cut into integer scores, one of them into text levels,
+with 5% of their cells ``NA``; the encode benchmark fits and applies the
+encoding of the mixed table.
 """
 
 import numpy as np
@@ -167,6 +169,15 @@ def _ten_round_ensemble():
 
 def test_predict_one_row(benchmark):
     ensemble = _ten_round_ensemble()
+    row = np.random.default_rng(1).normal(size=(1, ensemble.train_x.shape[1]))
+    labels, scores = benchmark(predict_ensemble, ensemble, row)
+    assert labels.shape == (1,) and scores.shape == (1, 2)
+
+
+def test_predict_one_row_one_round(benchmark):
+    ensemble = _ten_round_ensemble()
+    ensemble = Ensemble(ensemble.rounds[:1], 2, ensemble.encoder,
+                        ensemble.feature_names, ensemble.train_x)
     row = np.random.default_rng(1).normal(size=(1, ensemble.train_x.shape[1]))
     labels, scores = benchmark(predict_ensemble, ensemble, row)
     assert labels.shape == (1,) and scores.shape == (1, 2)

@@ -34,12 +34,17 @@ same code, and ``predict_labels`` labels a stack of trained learners with
 it, each on its own graph, in blocks from the same plan.
 
 Prediction labels learners that share one graph with ``graph_labels``,
-from their ``head_differences``: the K - 1 difference lines of C learners
-are C(K - 1) lines of one ``GraphStack`` over that graph, which builds the
-index arrays of one graph rather than of C copies, and gives each line the
-same bits. A stored row's head does not depend on the graph, so
-``boost.Ensemble`` computes the differences over its stored rows once, and
-a prediction computes them for its new rows only.
+from their head differences: the K - 1 difference lines of C learners are
+gathered once into the graph's sorted frame as a C(K - 1) x N array and
+propagated by ``SparseAdjacency.run_lines``, whose window indices are N
+long and shared by every line; its last step runs only at the rows to be
+labelled. Each line gets the bits of a ``GraphStack`` pass. A stored row's
+head does not depend on the graph, so ``boost.Ensemble`` computes the
+differences over its stored rows once, and a prediction computes them for
+its new rows only. It does so with a ``HeadStack``, made once per group of
+learners: their weights stacked per hidden width, transposed and
+contiguous, so that each layer of a stack is one ``np.matmul`` with the
+bits of ``head_differences``, the one-learner-at-a-time reference.
 
 Training and stacked labelling propagate K - 1 logit differences, not K
 logits. Softmax, cross-entropy and argmax do not change when one value is
@@ -186,11 +191,18 @@ def _transposed(w: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(w.transpose(0, 2, 1))
 
 
+def _affine(x: np.ndarray, wt: np.ndarray, b: np.ndarray,
+            out=None) -> np.ndarray:
+    """x @ W^T + b for C learners, from their C x A x B contiguous
+    transposed weights ``wt`` and C x B biases ``b``: C x N x B."""
+    out = np.matmul(x, wt, out=out)
+    out += b[:, None, :]
+    return out
+
+
 def _preactivation(p: dict, x: np.ndarray, out=None) -> np.ndarray:
     """x @ W1^T + b1 for every learner of the stack ``p``: C x N x H."""
-    out = np.matmul(x, _transposed(p["w1"]), out=out)
-    out += p["b1"][:, None, :]
-    return out
+    return _affine(x, _transposed(p["w1"]), p["b1"], out)
 
 
 def _hidden(p: dict, x: np.ndarray, out=None) -> np.ndarray:
@@ -201,9 +213,7 @@ def _hidden(p: dict, x: np.ndarray, out=None) -> np.ndarray:
 
 def _head(p: dict, hd: np.ndarray) -> np.ndarray:
     """hd @ W2^T + b2: C x N x K."""
-    h0 = np.matmul(hd, _transposed(p["w2"]))
-    h0 += p["b2"][:, None, :]
-    return h0
+    return _affine(hd, _transposed(p["w2"]), p["b2"])
 
 
 def _dropout_mask(rng: np.random.Generator, shape: tuple,
@@ -747,9 +757,51 @@ def head_differences(models: list, x: np.ndarray) -> np.ndarray:
     is column c(K - 1) + k - 1. Each head is one product over ``x``, exactly
     as in ``forward``, so models of different hidden widths may be mixed.
     A row's bits can depend on the other rows of ``x``, as BLAS blocks the
-    product by its shape."""
+    product by its shape. ``HeadStack`` gives the same bits, line-major,
+    from weights stacked once."""
     return np.concatenate([_differences(_head(p, _hidden(p, x))[0])
                            for p in map(_stacked, models)], axis=1)
+
+
+class HeadStack:
+    """The MLP heads of ``models``, which share their features and K
+    classes, made once for many calls: one stack per hidden width, of the
+    first- and second-layer weights transposed and contiguous, and the
+    biases. ``differences`` runs each layer of a stack as one
+    ``np.matmul``, which calls BLAS once per model with the shapes of a
+    one-model call, and every other operation is elementwise, so each
+    model's lines have the bits of ``head_differences``."""
+
+    def __init__(self, models: list):
+        if not models:
+            raise DataError("a head stack needs at least one model")
+        width = models[0].b2.size - 1
+        self.lines = len(models) * width
+        by_hidden: dict = {}
+        for c, model in enumerate(models):
+            by_hidden.setdefault(model.b1.size, []).append(c)
+        self._stacks = []
+        for cs in by_hidden.values():
+            p = {name: np.stack([getattr(models[c], name) for c in cs])
+                 for name in _PARAMS}
+            # the lines of models cs in the (C(K - 1), N) result
+            at = (np.array(cs)[:, None] * width + np.arange(width)).ravel()
+            self._stacks.append((at, _transposed(p["w1"]), p["b1"],
+                                 _transposed(p["w2"]), p["b2"]))
+
+    def differences(self, x: np.ndarray, out=None) -> np.ndarray:
+        """``head_differences(models, x)`` transposed: the C(K - 1) x N
+        lines, line c(K - 1) + k - 1 being h[:, k] - h[:, 0] of model c,
+        written into ``out`` when one is given."""
+        n = x.shape[0]
+        if out is None:
+            out = np.empty((self.lines, n))
+        for at, w1t, b1, w2t, b2 in self._stacks:
+            hidden = _affine(x, w1t, b1)
+            np.maximum(hidden, 0.0, out=hidden)
+            d = _differences(_affine(hidden, w2t, b2))
+            out[at] = d.transpose(0, 2, 1).reshape(at.size, n)
+        return out
 
 
 def _check_shared_propagation(models: list) -> None:
@@ -803,11 +855,13 @@ def graph_labels(models: list, differences: np.ndarray,
     ``head_differences(models, x)``.
 
     The models must share teleport and prop_steps. The C(K - 1) difference
-    lines of the models of each block of ``_block_plan`` are propagated as
-    lines of the one graph, in one ``GraphStack([adjacency], width)``
-    pass, so its index arrays are built for one graph, not C copies of it.
-    Every line sees the same arithmetic either way. Only the rows asked
-    for are labelled.
+    lines of the models of each block of ``_block_plan`` are gathered once
+    into the graph's sorted frame, line-major, and propagated there by
+    ``SparseAdjacency.run_lines``, whose window indices are N long and
+    shared by all lines; its last step runs only at the rows asked for.
+    Every line sees the arithmetic of a ``GraphStack`` pass. ``differences``
+    may be the transpose of C(K - 1) x N lines, such as
+    ``HeadStack.differences`` gives, which are then gathered without a copy.
     """
     n = adjacency.n
     if differences.shape[0] != n:
@@ -819,17 +873,17 @@ def graph_labels(models: list, differences: np.ndarray,
         return labels
     k = models[0].b2.size
     cfg = models[0].config
-    # the frame positions of the rows asked for, and those rows
-    at = np.flatnonzero(adjacency.order >= first)
-    rows = adjacency.order[at] - first
+    # the sorted positions of the rows asked for, and those rows
+    at = None if first == 0 else np.flatnonzero(adjacency.order >= first)
+    rows = adjacency.order if at is None else adjacency.order[at] - first
+    lines = differences.T
     for s in _block_plan(len(models), 8 * n * k, 0):
         count = s.stop - s.start
-        stack = GraphStack([adjacency], count * (k - 1))
-        lines = differences[:, s.start * (k - 1):s.stop * (k - 1)]
-        d = stack.run(stack.to_frame(lines[None]), cfg.teleport,
-                      cfg.prop_steps)
+        frame = np.take(lines[s.start * (k - 1):s.stop * (k - 1)],
+                        adjacency.order, axis=1)
+        d = adjacency.run_lines(frame, cfg.teleport, cfg.prop_steps, at)
         labels[s][:, rows] = _class_argmax(
-            _with_zero_line(d[..., at].reshape(count, k - 1, at.size)))
+            _with_zero_line(d.reshape(count, k - 1, d.shape[1])))
     return labels
 
 

@@ -18,13 +18,16 @@ run, on up to ``workers`` threads. ``run_round`` drops repeated
 edge equal to a quantile, so each distinct graph trains once per round.
 Prediction labels the rounds that chose one (feature, gamma) graph
 together, with ``appnp.graph_labels``. When the ensemble is made, fitted
-or loaded, each such graph is built over the stored rows, and the K - 1
-head differences of its rounds over those rows (``appnp.head_differences``)
-are computed once per shared (teleport, prop_steps); neither is saved. A
-prediction merges its new rows into the stored graph, runs the MLP heads
-on its new rows alone, appends their differences to the stored ones and
-propagates the group's C(K - 1) lines on the one graph, as in APPNP's
-"predict, then propagate", where a row's head does not depend on the graph.
+or loaded, each such graph is built over the stored rows, and its rounds
+are grouped by shared (teleport, prop_steps). Each group gets an
+``appnp.HeadStack`` of its rounds' weights and the K - 1 head differences
+of its rounds over the stored rows; none of these is saved. A prediction
+merges its new rows into the stored graph, runs each group's MLP heads on
+its new rows alone, one stacked product per layer and hidden width,
+appends their differences to the stored ones and propagates the group's
+C(K - 1) lines on the one graph, as in APPNP's "predict, then propagate",
+where a row's head does not depend on the graph. Only the new rows are
+labelled in the last propagation step.
 """
 
 import logging
@@ -33,8 +36,8 @@ import math
 
 import numpy as np
 
-from .appnp import (AppnpConfig, AppnpModel, TrainReport, graph_labels,
-                    head_differences, predict_labels, train_candidates)
+from .appnp import (AppnpConfig, AppnpModel, HeadStack, TrainReport,
+                    graph_labels, predict_labels, train_candidates)
 # Unused here; kept only because perfbench/tracing.py wraps
 # boost.train_weak. Goes when the tracer wraps train_candidates instead
 # (ROADMAP item 1).
@@ -103,8 +106,8 @@ class Ensemble:
     # and never saved. Graphs on one feature share its stored sort.
     stored_graphs: dict = field(init=False, repr=False, compare=False)
     # Per (feature, gamma), its rounds grouped by (teleport, prop_steps):
-    # a list of (round indices, their read-only head_differences over
-    # train_x), computed here and never saved.
+    # a list of (round indices, their HeadStack, its read-only difference
+    # lines over train_x), made here and never saved.
     stored_lines: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -134,10 +137,10 @@ class Ensemble:
         for key, by_config in groups.items():
             lines[key] = []
             for ts in by_config.values():
-                stored = head_differences([self.rounds[t].model for t in ts],
-                                          self.train_x)
+                heads = HeadStack([self.rounds[t].model for t in ts])
+                stored = heads.differences(self.train_x)
                 stored.flags.writeable = False
-                lines[key].append((tuple(ts), stored))
+                lines[key].append((tuple(ts), heads, stored))
         object.__setattr__(self, "stored_lines", lines)
 
 
@@ -331,20 +334,23 @@ def _vote_scores(ensemble: Ensemble,
     has none. Each distinct (feature, gamma) graph is the stored graph
     joined with the new rows. Its rounds are labelled by ``graph_labels``,
     one call per shared (teleport, prop_steps), from their stored head
-    differences followed by those of the new rows, so the MLP heads run on
-    ``new_x`` alone. Votes are added in round order, so the sums equal a
-    round-by-round loop bit for bit."""
+    difference lines followed by those of the new rows, which the group's
+    ``HeadStack`` computes from ``new_x`` alone. Votes are added in round
+    order, so the sums equal a round-by-round loop bit for bit."""
     row_start = ensemble.train_x.shape[0] if new_x.shape[0] else 0
     n = new_x.shape[0] or ensemble.train_x.shape[0]
     round_labels = np.empty((len(ensemble.rounds), n), dtype=np.int64)
     for (feature, gamma), groups in ensemble.stored_lines.items():
         adjacency = ensemble.stored_graphs[(feature, gamma)].join(
             new_x[:, feature])
-        for ts, stored in groups:
+        for ts, heads, stored in groups:
+            lines = stored
+            if row_start:
+                lines = np.empty((heads.lines, adjacency.n))
+                lines[:, :row_start] = stored
+                heads.differences(new_x, out=lines[:, row_start:])
             models = [ensemble.rounds[t].model for t in ts]
-            lines = (np.concatenate([stored, head_differences(models, new_x)])
-                     if row_start else stored)
-            round_labels[list(ts)] = graph_labels(models, lines, adjacency,
+            round_labels[list(ts)] = graph_labels(models, lines.T, adjacency,
                                                   row_start)
     votes = np.zeros((n, ensemble.n_classes), dtype=np.float64)
     for round_, labels in zip(ensemble.rounds, round_labels):
@@ -376,6 +382,8 @@ def predict_ensemble(ensemble: Ensemble,
     new_x = np.asarray(new_x, dtype=np.float64)
     if new_x.ndim != 2 or new_x.shape[1] != ensemble.train_x.shape[1]:
         raise DataError("new rows have the wrong number of features")
+    if not np.all(np.isfinite(new_x)):
+        raise DataError("non-finite feature values")
     n_new = new_x.shape[0]
     if n_new == 0:
         return (np.zeros(0, dtype=np.int64),

@@ -18,9 +18,13 @@ of dinv * Z in sorted order (C[0] = 0),
     (Ahat @ Z)[p] = dinv[p] * (C[hi[p]] - C[lo[p]]),
 
 O(N K) per multiply instead of O(E K). ``GraphStack`` runs k such steps
-for several graphs over the same rows at once. ``StoredGraph`` keeps one
-graph over stored rows as its sort and window ends, and merges new rows
-into both.
+for several graphs over the same rows at once, as training and
+``appnp.predict_labels`` need. Lines that all propagate on one graph, as in
+prediction, take ``SparseAdjacency.run_lines`` instead: its window indices
+are the graph's own N, shared by every line, rather than flat indices built
+per line, and it can stop the last step at the positions asked for.
+``StoredGraph`` keeps one graph over stored rows as its sort and window
+ends, and merges new rows into both.
 """
 
 from dataclasses import dataclass
@@ -77,6 +81,58 @@ class SparseAdjacency:
         out -= np.take(prefix, self.lo, axis=0)
         out *= d
         return self.from_sorted(out)
+
+    def run_lines(self, frame: np.ndarray, teleport: float, steps: int,
+                  at: np.ndarray | None = None) -> np.ndarray:
+        """k steps of Z <- (1 - a) Ahat @ Z + a H0 for W lines on this one
+        graph, with H0 = ``frame``, a (W, N) array line-major in sorted
+        order: ``frame[w, p]`` is line w at the row at sorted position p.
+        Returns the (W, N) result, or with ``at`` only its columns at those
+        sorted positions, a (W, len(at)) array.
+
+        The window bounds and factors are N long and shared by every line.
+        The last step runs only where it is asked for: its prefix sums stop
+        at the furthest window end of ``at``, and a prefix sum adds in
+        order, so the entries it keeps have the bits of the full one. Every
+        element sees the arithmetic of ``GraphStack.run`` in the same order,
+        so the result equals ``GraphStack([self], W).run`` there bit for
+        bit."""
+        if frame.shape[1:] != (self.n,):
+            raise DataError(f"frame of shape {frame.shape} does not fit "
+                            f"a graph over {self.n} rows")
+        if teleport == 1.0 or steps == 0:
+            return frame.copy() if at is None else frame[:, at]
+        d = self.values
+        restart = teleport * frame
+        prefix = np.zeros((frame.shape[0], self.n + 1))
+        # dinv * Z, then, once the prefix sum has read it, the lower bounds
+        scaled = np.empty(frame.shape)
+        z = np.empty(frame.shape)
+        src = frame
+        for _ in range(steps - 1):
+            np.multiply(d, src, out=scaled)
+            np.cumsum(scaled, axis=1, out=prefix[:, 1:])
+            # the indices are in range by construction; "clip" skips the
+            # bounds check and the buffering that the default mode adds
+            np.take(prefix, self.hi, axis=1, out=z, mode="clip")
+            np.take(prefix, self.lo, axis=1, out=scaled, mode="clip")
+            z -= scaled
+            z *= d
+            z *= 1.0 - teleport
+            z += restart
+            src = z
+        hi, lo = self.hi, self.lo
+        if at is not None:
+            hi, lo, d, restart = hi[at], lo[at], d[at], restart[:, at]
+        end = int(hi.max(initial=0))
+        np.multiply(self.values[:end], src[:, :end], out=scaled[:, :end])
+        np.cumsum(scaled[:, :end], axis=1, out=prefix[:, 1:end + 1])
+        out = np.take(prefix, hi, axis=1, mode="clip")
+        out -= np.take(prefix, lo, axis=1, mode="clip")
+        out *= d
+        out *= 1.0 - teleport
+        out += restart
+        return out
 
     def degrees(self) -> np.ndarray:
         """Edge degree per node, self-loop excluded."""

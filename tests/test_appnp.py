@@ -948,6 +948,45 @@ class TestPredict:
                                          graph.adjacency, first)
             np.testing.assert_array_equal(got, want[:, first:])
 
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.sampled_from([1, 2, 3, 5]), count=st.integers(1, 7),
+           seed=st.integers(0, 2**32 - 1))
+    def test_stacked_heads_match_one_model_heads(self, k, count, seed):
+        # HeadStack runs each hidden width's heads as one product per
+        # layer; every model's lines must keep the bits of its own
+        # _head(_hidden(.)) over the same rows, at any row count.
+        rng = np.random.default_rng(seed)
+        n, m = int(rng.integers(1, 400)), int(rng.integers(1, 12))
+        x = rng.normal(size=(n, m))
+        models = []
+        for t in range(count):
+            cfg = AppnpConfig(hidden_dim=int(rng.choice([1, 3, 8, 16, 33])),
+                              seed=t)
+            model = init_model(cfg, m, k)
+            model.b1 = rng.normal(size=model.b1.shape)
+            model.b2 = rng.normal(size=k)
+            models.append(model)
+        heads = appnp.HeadStack(models)
+        assert heads.lines == count * (k - 1)
+        for rows in sorted({1, int(rng.integers(1, n + 1)), n}):
+            xs = x[:rows]
+            want = np.concatenate(
+                [appnp._differences(appnp._head(p, appnp._hidden(p, xs))[0])
+                 for p in map(appnp._stacked, models)], axis=1).T
+            got = heads.differences(xs)
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            # written into a view of a wider buffer, as prediction does
+            out = np.zeros((heads.lines, rows + 3))
+            heads.differences(xs, out=out[:, 3:])
+            assert np.array_equal(out[:, 3:].view(np.uint64),
+                                  want.view(np.uint64))
+            assert not out[:, :3].any()
+
+    def test_head_stack_needs_a_model(self):
+        with pytest.raises(DataError):
+            appnp.HeadStack([])
+
     def test_stacked_labels_need_shared_propagation(self):
         model, x, adj, *_ = make_instance(14)
         cfg = dataclasses.replace(model.config, teleport=0.5)

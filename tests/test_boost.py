@@ -511,6 +511,19 @@ class TestEnsemblePrediction:
             np.testing.assert_array_equal(got[0], want[0])
             np.testing.assert_array_equal(got[1], want[1])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_in_an_unused_column_rejected(self, bad):
+        # No round's graph reads column 0, but its value still reaches
+        # every head, so it is rejected like one in a graph column.
+        ens = self._shared_graph_ensemble(
+            self.SHARED_GRAPH_ENSEMBLES["single_round"])
+        assert {r.feature for r in ens.rounds} == {1}
+        rows = np.random.default_rng(9).normal(size=(4, 2))
+        rows[2, 0] = bad
+        for batch in (rows, rows[2:3]):
+            with pytest.raises(DataError, match="non-finite feature values"):
+                predict_ensemble(ens, batch)
+
     def test_each_distinct_graph_built_once_per_call(self, monkeypatch):
         # Making the ensemble builds each distinct graph over the stored
         # rows; every call merges its rows into each once and builds none.
@@ -538,7 +551,8 @@ class TestEnsemblePrediction:
         assert (len(built), joined[4:]) == (2, [0, 0])
 
     def test_stored_graphs_are_never_saved(self, tmp_path):
-        # nor the stored rows' head differences: a load computes them again
+        # nor the stored rows' head differences, nor the stacked head
+        # weights: a load makes them again
         ens = self._shared_graph_ensemble(
             self.SHARED_GRAPH_ENSEMBLES["interleaved"])
         cold, warm = tmp_path / "cold.gbe", tmp_path / "warm.gbe"
@@ -551,55 +565,62 @@ class TestEnsemblePrediction:
             save_ensemble(model, str(warm))
             assert warm.read_bytes() == cold.read_bytes()
             for key, groups in model.stored_lines.items():
-                for (ts, lines), (want_ts, want) in zip(
+                for (ts, heads, lines), (want_ts, _, want) in zip(
                         groups, ens.stored_lines[key], strict=True):
                     assert ts == want_ts
                     assert lines.tobytes() == want.tobytes()
                     assert lines.tobytes() not in cold.read_bytes()
+                    for _, w1t, _, w2t, _ in heads._stacks:
+                        assert w1t.tobytes() not in cold.read_bytes()
+                        assert w2t.tobytes() not in cold.read_bytes()
 
     def test_heads_run_once_on_stored_rows_then_on_new_rows_only(
             self, monkeypatch, tmp_path):
         # Making or loading an ensemble computes the stored rows' head
         # differences once per (feature, gamma, teleport, prop_steps)
-        # group; a call runs every head on its own rows alone.
-        heads, hidden_rows = [], []
-        head_differences, hidden = boost.head_differences, appnp._hidden
+        # group; a call runs every head on its own rows alone. A group's
+        # heads run as one product per layer and hidden width.
+        heads, product_rows = [], []
+        differences, affine = appnp.HeadStack.differences, appnp._affine
 
-        def counting_heads(models, x):
-            heads.append((len(models), x.shape[0]))
-            return head_differences(models, x)
+        def counting_heads(stack, x, out=None):
+            heads.append((stack.lines, x.shape[0]))
+            return differences(stack, x, out)
 
-        def counting_hidden(p, x, out=None):
-            hidden_rows.append(x.shape[0])
-            return hidden(p, x, out)
+        def counting_affine(x, wt, b, out=None):
+            product_rows.append(x.shape[-2])
+            return affine(x, wt, b, out)
 
-        monkeypatch.setattr(boost, "head_differences", counting_heads)
-        monkeypatch.setattr(appnp, "_hidden", counting_hidden)
+        monkeypatch.setattr(appnp.HeadStack, "differences", counting_heads)
+        monkeypatch.setattr(appnp, "_affine", counting_affine)
         ens = self._shared_graph_ensemble(
             self.SHARED_GRAPH_ENSEMBLES["mixed_learners"])
         n = ens.train_x.shape[0]
         # (0, 1) graph: rounds 0-1 share teleport and steps, 2 and 3-4
         # differ; (1, 0) graph: round 5
         assert [ts for groups in ens.stored_lines.values()
-                for ts, _ in groups] == [(0, 1), (2,), (3, 4), (5,)]
+                for ts, _, _ in groups] == [(0, 1), (2,), (3, 4), (5,)]
+        # one difference line per round (K = 2); rounds 0 and 1, and 3 and
+        # 4, differ in hidden width, so each of their groups runs two
+        # stacks: 6 stacks of 2 layers each
         sizes = [2, 1, 2, 1]
-        assert (heads, hidden_rows) == ([(c, n) for c in sizes], [n] * 6)
+        assert (heads, product_rows) == ([(c, n) for c in sizes], [n] * 12)
 
         def calls(run):
             heads.clear()
-            hidden_rows.clear()
+            product_rows.clear()
             model = run()
-            return heads[:], hidden_rows[:], model
+            return heads[:], product_rows[:], model
 
         path = tmp_path / "model.gbe"
         save_ensemble(ens, str(path))
         loaded = calls(lambda: load_ensemble(str(path)))
-        assert loaded[:2] == ([(c, n) for c in sizes], [n] * 6)
+        assert loaded[:2] == ([(c, n) for c in sizes], [n] * 12)
         for model in (ens, loaded[2]):
             for rows in (3, 1):
                 got = calls(lambda: predict_ensemble(model,
                                                      np.zeros((rows, 2))))
-                assert got[:2] == ([(c, rows) for c in sizes], [rows] * 6)
+                assert got[:2] == ([(c, rows) for c in sizes], [rows] * 12)
             assert calls(lambda: transductive_scores(model))[:2] == ([], [])
 
     def test_loaded_model_predicts_like_the_ensemble_in_memory(
@@ -677,14 +698,14 @@ class TestEnsemblePrediction:
 
         monkeypatch.setattr(boost, "build_adjacency", counting_build)
         # and no head runs on the stored rows: each call's on its one row
-        hidden_rows = []
-        hidden = appnp._hidden
+        product_rows = []
+        affine = appnp._affine
 
-        def counting_hidden(p, x, out=None):
-            hidden_rows.append(x.shape[0])
-            return hidden(p, x, out)
+        def counting_affine(x, wt, b, out=None):
+            product_rows.append(x.shape[-2])
+            return affine(x, wt, b, out)
 
-        monkeypatch.setattr(appnp, "_hidden", counting_hidden)
+        monkeypatch.setattr(appnp, "_affine", counting_affine)
         results = {}
 
         def work(i):
@@ -703,7 +724,8 @@ class TestEnsemblePrediction:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert built == []
-        assert hidden_rows == [1] * (8 * len(ens.rounds))
+        # every round is a group of its own: two products per call each
+        assert product_rows == [1] * (8 * 2 * len(ens.rounds))
         for i in range(8):
             np.testing.assert_array_equal(results[i][0], want[i][0])
             np.testing.assert_array_equal(results[i][1], want[i][1])

@@ -361,6 +361,42 @@ class TestGraphStack:
             GraphStack([identity_adjacency(5), identity_adjacency(6)], 2)
 
 
+class TestRunLines:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 300),
+           st.sampled_from([0.1, 0.35, 1.0]), st.integers(0, 4),
+           st.sampled_from(["every", "empty", "single", "all", "subset"]),
+           st.integers(0, 2**32 - 1))
+    def test_equals_one_graph_stack_at_asked_positions(
+            self, width, n, teleport, steps, asked, seed):
+        # Prediction propagates a group's W lines on one graph and labels
+        # only the new rows; each value asked for must keep the bits of
+        # the one-graph stack of width W.
+        rng = np.random.default_rng(seed)
+        adj = build_adjacency(rng.integers(0, 6, size=n) * rng.normal(),
+                              float(rng.uniform(0.0, 1.0))).adjacency
+        stack = GraphStack([adj], width)
+        frame = stack.to_frame(rng.normal(size=(1, n, width)))
+        want = stack.run(frame, teleport, steps)[0]
+        at = {"every": None,
+              "empty": np.zeros(0, dtype=np.int64),
+              "single": rng.integers(0, n, size=1),
+              "all": np.arange(n),
+              "subset": rng.permutation(n)[:int(rng.integers(1, n + 1))],
+              }[asked]
+        kept = frame.copy()
+        got = adj.run_lines(frame[0], teleport, steps, at)
+        np.testing.assert_array_equal(frame, kept)  # H0 is left alone
+        if at is not None:
+            want = want[:, at]
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_mismatched_shape_rejected(self):
+        with pytest.raises(DataError):
+            identity_adjacency(5).run_lines(np.zeros((2, 4)), 0.1, 2)
+
+
 def assert_same_adjacency(got, want):
     assert got.n == want.n
     for name in ("order", "lo", "hi", "values"):
