@@ -138,7 +138,7 @@ def test_train_block(benchmark, k):
     w[val] = 1.0 / val.sum()
     outcomes = benchmark(appnp._train_block, WEAK, ds.X, graphs, ds.y, w,
                          train, val, k)
-    assert [report.epochs_run for _, report in outcomes] == [20] * 10
+    assert [report.epochs_run for _, report, _ in outcomes] == [20] * 10
 
 
 @pytest.mark.parametrize("workers", (0, 2))

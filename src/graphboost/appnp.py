@@ -30,8 +30,9 @@ up to a multiple of the threads, and splits the graphs evenly among them.
 The round's dropout masks are drawn once, by the first block to reach each
 epoch, and shared by all blocks (``_DropoutMasks``). ``forward``,
 ``backward``, ``propagate`` and ``train_weak`` are the C = 1 case of the
-same code, and ``predict_labels`` labels a stack of trained learners with
-it, each on its own graph, in blocks from the same plan.
+same code. Each epoch's validation forward pass labels every row; a
+learner keeps the labels of the epoch whose parameters it keeps, so a
+round's candidates need no labelling pass after training.
 
 Prediction labels learners that share one graph with ``graph_labels``,
 from their head differences: the K - 1 difference lines of C learners are
@@ -44,9 +45,9 @@ differences over its stored rows once, and a prediction computes them for
 its new rows only. It does so with a ``HeadStack``, made once per group of
 learners: their weights stacked per hidden width, transposed and
 contiguous, so that each layer of a stack is one ``np.matmul`` with the
-bits of ``head_differences``, the one-learner-at-a-time reference.
+bits of a one-learner product.
 
-Training and stacked labelling propagate K - 1 logit differences, not K
+Training and ``graph_labels`` propagate K - 1 logit differences, not K
 logits. Softmax, cross-entropy and argmax do not change when one value is
 added to all logits of a row, and the propagation is linear and treats
 every class line alike, so propagating H0[..., k] - H0[..., 0] for k >= 1
@@ -67,9 +68,10 @@ between K lines of N values instead of reductions along a short last
 axis, which cost far more per element; the softmax sum adds the K lines
 in class order. Each learner's loss terms and validation rows are read
 back in row order through flat indices made once per block, and every
-weighted sum adds them in that order. Only dH0 leaves the frame, back to
-row order, because the parameter gradients multiply it with the
-row-ordered activations.
+weighted sum adds them in that order. Each epoch, only dH0 leaves the
+frame, back to row order, because the parameter gradients multiply it
+with the row-ordered activations; the labels of each learner's best epoch
+go back once, when the block ends.
 ``loss`` and ``backward`` use the same code on a one-learner frame in row
 order.
 """
@@ -470,7 +472,8 @@ def train_weak(config: AppnpConfig, x: np.ndarray, adjacency: SparseAdjacency,
                                   val_mask, n_classes)
     if isinstance(outcome, TrainingDiverged):
         raise outcome
-    return outcome
+    model, report, _ = outcome
+    return model, report
 
 
 def train_candidates(config: AppnpConfig, x: np.ndarray, adjacencies: list,
@@ -480,10 +483,13 @@ def train_candidates(config: AppnpConfig, x: np.ndarray, adjacencies: list,
     """``train_weak`` on every graph of ``adjacencies``, in the blocks of
     ``_block_plan``, with up to ``workers`` blocks at once on threads.
 
-    Returns one entry per graph, in order: ``(model, report)``, or the
-    ``TrainingDiverged`` that ``train_weak`` raises for that graph. Each
-    entry equals a one-graph ``train_weak`` run bit for bit, whatever
-    ``workers`` is.
+    Returns one entry per graph, in order: ``(model, report, labels)``, or
+    the ``TrainingDiverged`` that ``train_weak`` raises for that graph.
+    ``model`` and ``report`` equal a one-graph ``train_weak`` run bit for
+    bit, whatever ``workers`` is. ``labels`` are the learner's hard labels
+    of all N rows, in row order, from the validation forward pass that
+    chose ``model``'s parameters (at ``max_epochs`` 0, the initial ones):
+    ``graph_labels([model], ...)`` on that graph, bit for bit.
     """
     train_mask = np.asarray(train_mask, dtype=bool)
     val_mask = np.asarray(val_mask, dtype=bool)
@@ -658,15 +664,14 @@ def _train_block(config: AppnpConfig, x: np.ndarray, adjacencies: list,
     def logits(h0):
         return _frame_logits(stack, h0, config.teleport, config.prop_steps)
 
-    def val_errors(z):
-        return val.errors(_class_argmax(z))
-
     if config.max_epochs == 0:
         z = logits(_head(p, r))
         losses = targets.losses(_log_softmax(z), p, config.weight_decay)
-        errors = val_errors(z)
+        labels = _class_argmax(z)
+        errors = val.errors(labels)
+        labels = stack.from_frame(labels)
         return [(AppnpModel(*init.copy_weights(), config),
-                 TrainReport(0, errors[i], losses[i], False))
+                 TrainReport(0, errors[i], losses[i], False), labels[i])
                 for i in range(size)]
 
     adam_m = {name: np.zeros_like(v) for name, v in p.items()}
@@ -676,6 +681,8 @@ def _train_block(config: AppnpConfig, x: np.ndarray, adjacencies: list,
         masks = _DropoutMasks(config, r.shape[1:])
 
     best = {name: v.copy() for name, v in p.items()}
+    # the labels of the best parameters, in the frame
+    best_labels = np.zeros((size, n), dtype=np.int64)
     best_err = [float("inf")] * size
     best_epoch = [-1] * size
     final_loss = [float("nan")] * size
@@ -726,41 +733,34 @@ def _train_block(config: AppnpConfig, x: np.ndarray, adjacencies: list,
             param -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
         r = _hidden(p, x, out=r)
-        for i, err in enumerate(val_errors(logits(_head(p, r)))):
+        labels = _class_argmax(logits(_head(p, r)))
+        for i, err in enumerate(val.errors(labels)):
             if done[i]:
                 continue
             epochs_run[i] = t
             if err <= best_err[i]:
-                # a tie keeps the later, more-converged parameters but
-                # does not reset the patience clock
+                # a tie keeps the later, more-converged parameters and
+                # their labels but does not reset the patience clock
                 for name in _PARAMS:
                     best[name][i] = p[name][i]
+                best_labels[i] = labels[i]
             if err < best_err[i]:
                 best_err[i], best_epoch[i] = err, epoch
             elif epoch - best_epoch[i] >= config.patience:
                 early_stopped[i] = done[i] = True
+        del labels
         if all(done):
             break
 
+    best_labels = stack.from_frame(best_labels)
     for i in range(size):
         if outcomes[i] is None:
             weights = (best[name][i].copy() for name in _PARAMS)
             outcomes[i] = (AppnpModel(*weights, config),
                            TrainReport(epochs_run[i], best_err[i],
-                                       final_loss[i], early_stopped[i]))
+                                       final_loss[i], early_stopped[i]),
+                           best_labels[i])
     return outcomes
-
-
-def head_differences(models: list, x: np.ndarray) -> np.ndarray:
-    """The K - 1 logit differences of every model's MLP head over the rows
-    ``x``, as an N x C(K - 1) array: model c's difference h[:, k] - h[:, 0]
-    is column c(K - 1) + k - 1. Each head is one product over ``x``, exactly
-    as in ``forward``, so models of different hidden widths may be mixed.
-    A row's bits can depend on the other rows of ``x``, as BLAS blocks the
-    product by its shape. ``HeadStack`` gives the same bits, line-major,
-    from weights stacked once."""
-    return np.concatenate([_differences(_head(p, _hidden(p, x))[0])
-                           for p in map(_stacked, models)], axis=1)
 
 
 class HeadStack:
@@ -770,7 +770,9 @@ class HeadStack:
     biases. ``differences`` runs each layer of a stack as one
     ``np.matmul``, which calls BLAS once per model with the shapes of a
     one-model call, and every other operation is elementwise, so each
-    model's lines have the bits of ``head_differences``."""
+    model's lines have the bits of its own head, ``_head(_hidden(.))``,
+    over the same rows. A row's bits can depend on the other rows of
+    ``x``, as BLAS blocks the product by its shape."""
 
     def __init__(self, models: list):
         if not models:
@@ -790,9 +792,10 @@ class HeadStack:
                                  _transposed(p["w2"]), p["b2"]))
 
     def differences(self, x: np.ndarray, out=None) -> np.ndarray:
-        """``head_differences(models, x)`` transposed: the C(K - 1) x N
-        lines, line c(K - 1) + k - 1 being h[:, k] - h[:, 0] of model c,
-        written into ``out`` when one is given."""
+        """The K - 1 logit differences of every model's head over the rows
+        ``x``: C(K - 1) x N lines, line c(K - 1) + k - 1 being
+        h[:, k] - h[:, 0] of model c, written into ``out`` when one is
+        given."""
         n = x.shape[0]
         if out is None:
             out = np.empty((self.lines, n))
@@ -804,55 +807,17 @@ class HeadStack:
         return out
 
 
-def _check_shared_propagation(models: list) -> None:
-    if len({(m.config.teleport, m.config.prop_steps) for m in models}) > 1:
-        raise DataError("stacked models must share teleport and prop_steps")
-
-
-def predict_labels(models: list, x: np.ndarray, adjacencies: list) -> np.ndarray:
-    """Hard labels of ``models[c]`` on ``adjacencies[c]`` for every c, as a
-    C x N array. Row c equals ``predict(models[c], x, adjacencies[c])[0]``
-    except where two classes' logits lie within rounding of each other,
-    and equals ``predict_labels([models[c]], x, [adjacencies[c]])`` bit
-    for bit. ``boost.run_round`` labels a round's candidates with it, each
-    on its own graph; prediction, where models share graphs, uses
-    ``graph_labels``.
-
-    The models must share teleport and prop_steps. Their heads are
-    ``head_differences`` over ``x``; the differences of the models of each
-    block of ``_block_plan`` are propagated in one ``GraphStack`` pass,
-    labelled in its frame, and only the labels go back to row order. No
-    softmax is computed.
-    """
-    if len(models) != len(adjacencies):
-        raise DataError("need one graph per model")
-    if any(a.n != x.shape[0] for a in adjacencies):
-        raise DataError("adjacency and feature matrix disagree on node count")
-    _check_shared_propagation(models)
-    n = x.shape[0]
-    labels = np.empty((len(models), n), dtype=np.int64)
-    if not models:
-        return labels
-    k = models[0].b2.size
-    cfg = models[0].config
-    # the block's widest per-model buffers are its N x K logits
-    for s in _block_plan(len(models), 8 * n * k, 0):
-        block = models[s]
-        d = head_differences(block, x).reshape(n, len(block), k - 1)
-        stack = GraphStack(adjacencies[s], k - 1)
-        d = stack.run(stack.to_frame(d.transpose(1, 0, 2)), cfg.teleport,
-                      cfg.prop_steps)
-        labels[s] = stack.from_frame(_class_argmax(_with_zero_line(d)))
-    return labels
-
-
 def graph_labels(models: list, differences: np.ndarray,
                  adjacency: SparseAdjacency, first: int = 0) -> np.ndarray:
-    """Hard labels of ``models``, all on the one graph ``adjacency``, from
-    their ``head_differences`` over its rows, for the rows from ``first``
-    on: a C x (N - first) array, equal bit for bit to those rows of
-    ``predict_labels(models, x, [adjacency] * C)`` when ``differences`` is
-    ``head_differences(models, x)``.
+    """Hard labels of ``models``, all on the one graph ``adjacency``, for
+    the rows from ``first`` on: a C x (N - first) array. ``differences``
+    holds the models' K - 1 head differences over the graph's rows, as an
+    N x C(K - 1) array: model c's h[:, k] - h[:, 0] in column
+    c(K - 1) + k - 1. Row c equals ``predict(models[c], x, adjacency)[0]``
+    except where two classes' logits lie within rounding of each other,
+    and equals a one-model call bit for bit. Prediction labels its rounds
+    with it; training labels its learners in the training pass, with the
+    same bits (``train_candidates``).
 
     The models must share teleport and prop_steps. The C(K - 1) difference
     lines of the models of each block of ``_block_plan`` are gathered once
@@ -867,7 +832,8 @@ def graph_labels(models: list, differences: np.ndarray,
     if differences.shape[0] != n:
         raise DataError("adjacency and head differences disagree on node "
                         "count")
-    _check_shared_propagation(models)
+    if len({(m.config.teleport, m.config.prop_steps) for m in models}) > 1:
+        raise DataError("stacked models must share teleport and prop_steps")
     labels = np.empty((len(models), n - first), dtype=np.int64)
     if not models:
         return labels
@@ -890,7 +856,8 @@ def graph_labels(models: list, differences: np.ndarray,
 def predict(model: AppnpModel, x: np.ndarray,
             adjacency: SparseAdjacency) -> tuple[np.ndarray, np.ndarray]:
     """Hard labels (argmax, lowest index on ties) and softmax probabilities.
-    The one-learner reference for ``predict_labels``."""
+    The one-learner, K-line reference for ``graph_labels`` and for the
+    labels of ``train_candidates``."""
     z, _ = forward(model, x, adjacency)
     probs = softmax(z)
     return np.argmax(z, axis=1), probs

@@ -16,6 +16,9 @@ trains them in blocks of stacked weights, each bit-equal to a one-graph
 run, on up to ``workers`` threads. ``run_round`` drops repeated
 (feature, gamma) candidates, which come from tied quantiles or an expert
 edge equal to a quantile, so each distinct graph trains once per round.
+A candidate's weighted train error, and the round's predictions, come
+from the labels that its training pass gave every row at the learner's
+best-validation epoch; no candidate is labelled again after training.
 Prediction labels the rounds that chose one (feature, gamma) graph
 together, with ``appnp.graph_labels``. When the ensemble is made, fitted
 or loaded, each such graph is built over the stored rows, and its rounds
@@ -37,7 +40,7 @@ import math
 import numpy as np
 
 from .appnp import (AppnpConfig, AppnpModel, HeadStack, TrainReport,
-                    graph_labels, predict_labels, train_candidates)
+                    graph_labels, train_candidates)
 # Unused here; kept only because perfbench/tracing.py wraps
 # boost.train_weak. Goes when the tracer wraps train_candidates instead
 # (ROADMAP item 1).
@@ -205,7 +208,10 @@ def run_round(weights: np.ndarray, candidates: list, x: np.ndarray,
     """Train a weak learner on every distinct candidate under the sample
     ``weights``, on up to ``workers`` threads, and return round ``t`` built
     from the lowest-weighted-error one (ties: lower feature index, then
-    smaller gamma), plus its transductive predictions.
+    smaller gamma), plus its transductive predictions. Each candidate's
+    error and predictions are the labels of all rows that
+    ``train_candidates`` returns with it, from the validation forward pass
+    of its best epoch.
 
     Equal (feature, gamma) means an equal graph, and every candidate of a
     round trains under the same seed, so a repeat would give the same
@@ -229,25 +235,20 @@ def run_round(weights: np.ndarray, candidates: list, x: np.ndarray,
                                 [c.adjacency for c in candidates], y, w_eval,
                                 train_mask, val_mask, n_classes=n_classes,
                                 workers=workers)
-    trained, diverged = [], []
+    scored, diverged = [], []
     for cand, outcome in zip(candidates, outcomes):
         if isinstance(outcome, TrainingDiverged):
             log.warning("candidate on feature %d (gamma=%g) diverged: %s",
                         cand.feature, cand.gamma, outcome)
             diverged.append(CandidateResult(cand.feature, cand.gamma,
                                             cand.expert, None, None))
-        else:
-            trained.append((cand,) + outcome)
-    if not trained:
-        raise DataError("all candidates diverged")
-    trained_cands, models, _ = zip(*trained)
-    all_labels = predict_labels(models, x,
-                                [c.adjacency for c in trained_cands])
-    scored = []
-    for (cand, model, report), labels in zip(trained, all_labels):
+            continue
+        model, report, labels = outcome
         err = weighted_error(labels, y, w_eval, train_mask)
         scored.append((CandidateResult(cand.feature, cand.gamma, cand.expert,
                                        err, report), model, labels))
+    if not scored:
+        raise DataError("all candidates diverged")
     # Without repeats, (error, feature, gamma) orders the candidates totally.
     scored.sort(key=lambda s: (s[0].error, s[0].feature, s[0].gamma))
     _log_leaderboard(t, [s[0] for s in scored] + diverged, feature_names)

@@ -115,7 +115,12 @@ def _parse_expert(text: str) -> tuple:
     if ":" not in text:
         raise ValueError("expected name:threshold")
     name, thr = text.rsplit(":", 1)
-    return (name.strip(), float(thr))
+    threshold = float(thr)
+    # checked as written: the model divides it by the feature's scale
+    if not threshold >= 0.0:
+        raise ValueError(f"threshold of {name.strip()!r} must be a "
+                         f"non-negative number, got {thr.strip()}")
+    return (name.strip(), threshold)
 
 
 _SCALAR_KEYS = {

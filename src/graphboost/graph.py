@@ -18,11 +18,12 @@ of dinv * Z in sorted order (C[0] = 0),
     (Ahat @ Z)[p] = dinv[p] * (C[hi[p]] - C[lo[p]]),
 
 O(N K) per multiply instead of O(E K). ``GraphStack`` runs k such steps
-for several graphs over the same rows at once, as training and
-``appnp.predict_labels`` need. Lines that all propagate on one graph, as in
-prediction, take ``SparseAdjacency.run_lines`` instead: its window indices
-are the graph's own N, shared by every line, rather than flat indices built
-per line, and it can stop the last step at the positions asked for.
+for several graphs over the same rows at once, as training needs; its
+one-graph case is ``appnp.propagate``. Lines that all propagate on one
+graph, as in prediction, take ``SparseAdjacency.run_lines`` instead: its
+window indices are the graph's own N, shared by every line, rather than
+flat indices built per line, and it can stop the last step at the
+positions asked for.
 ``StoredGraph`` keeps one graph over stored rows as its sort and window
 ends, and merges new rows into both.
 """
@@ -149,7 +150,9 @@ class SparseAdjacency:
 
 
 class GraphStack:
-    """C window graphs over the same N rows, propagated in one pass.
+    """C window graphs over the same N rows, propagated in one pass. It
+    serves training, and ``appnp.propagate``, its one-graph reference;
+    prediction, whose lines share one graph, takes ``run_lines``.
 
     Operands in row order are (C, N, K) stacks, one N x K matrix per graph.
     Propagation works in each graph's frame instead: class-major
@@ -167,7 +170,8 @@ class GraphStack:
     same way for every row, can stay in the frame and save both layout
     passes: the training loss and its gradient are computed there, and
     only what needs row order leaves it. ``from_frame`` also scatters
-    (C, N) per-row values, such as labels.
+    (C, N) per-row values, such as each learner's labels at its best
+    epoch.
     """
 
     def __init__(self, adjacencies: list, width: int):
@@ -446,9 +450,9 @@ def enumerate_candidates(X: np.ndarray,
 
     Ordering: feature index ascending, then gamma ascending (duplicates
     kept), expert candidates appended last. Expert thresholds are given in
-    raw feature units and divided by ``feature_scales`` before use. Each
-    distinct (feature, gamma) graph is built once; its repeats share the
-    adjacency.
+    raw feature units, must be non-negative (``inf`` links every pair) and
+    are divided by ``feature_scales`` before use. Each distinct
+    (feature, gamma) graph is built once; its repeats share the adjacency.
     """
     X = np.asarray(X, dtype=np.float64)
     n, m = X.shape
@@ -480,7 +484,11 @@ def enumerate_candidates(X: np.ndarray,
             j = int(name)
             if not 0 <= j < m:
                 raise DataError(f"expert edge feature index out of range: {j}")
+        threshold = float(threshold)
+        if not threshold >= 0.0:
+            raise DataError(f"expert edge threshold on feature {name!r} must "
+                            f"be a non-negative number, got {threshold!r}")
         scale = 1.0 if feature_scales is None else float(feature_scales[j])
-        gamma = float(threshold) / (scale if scale > 0 else 1.0)
+        gamma = threshold / (scale if scale > 0 else 1.0)
         candidates.append(candidate(j, gamma, True))
     return candidates

@@ -440,6 +440,21 @@ def reference_train_weak(config, x, adjacency, y, w, train, val, k):
 TRAIN_RTOL = TRAIN_ATOL = 1e-12
 
 
+def assert_training_labels(model, labels, x, adj):
+    """The labels that training returned with ``model`` against its
+    one-model ``graph_labels`` bit for bit, and against the K-line
+    ``predict`` wherever no two logits lie within rounding."""
+    lines = appnp.HeadStack([model]).differences(x)
+    np.testing.assert_array_equal(
+        labels, appnp.graph_labels([model], lines.T, adj)[0], strict=True)
+    z, _ = forward(model, x, adj)
+    clear = np.ones(len(z), dtype=bool)
+    if z.shape[1] > 1:
+        top = np.sort(z, axis=1)
+        clear = top[:, -1] - top[:, -2] > 1e-9 * (1.0 + np.abs(z).max(axis=1))
+    np.testing.assert_array_equal(labels[clear], np.argmax(z, axis=1)[clear])
+
+
 class TestTrainCandidates:
     """The block trainer against one-graph ``train_weak`` runs, weights and
     every report field equal bit for bit, and against the plain-loop
@@ -475,7 +490,8 @@ class TestTrainCandidates:
                 with pytest.raises(TrainingDiverged, match=str(exc)):
                     train_weak(config, x, adj, y, w, train, val, n_classes=k)
                 continue
-            model, report = outcome
+            model, report, labels = outcome
+            assert_training_labels(model, labels, x, adj)
             solo = train_weak(config, x, adj, y, w, train, val, n_classes=k)
             assert report == solo[1]
             for a, b in zip(model.copy_weights(), solo[0].copy_weights()):
@@ -499,7 +515,7 @@ class TestTrainCandidates:
                           dropout=0.3, learning_rate=0.05, max_epochs=60,
                           patience=4, seed=2)
         got = self._check(cfg, x, y, w, train, val, graphs)
-        reports = [r for _, r in got]
+        reports = [r for _, r, _ in got]
         assert any(r.early_stopped for r in reports)
         assert len({r.epochs_run for r in reports}) > 1
 
@@ -549,15 +565,15 @@ class TestTrainCandidates:
                           dropout=0.1, learning_rate=0.05, max_epochs=5,
                           patience=5, seed=14)
         got = self._check(cfg, x, y, w, train, val, graphs, k=1)
-        assert all(r.best_val_error == 0.0 for _, r in got)
-        labels = appnp.predict_labels([m for m, _ in got], x, graphs)
-        np.testing.assert_array_equal(labels, 0)
+        assert all(r.best_val_error == 0.0 for _, r, _ in got)
+        for _, _, labels in got:
+            np.testing.assert_array_equal(labels, 0)
 
     def test_zero_epochs(self):
         x, y, w, train, val, graphs = self._problem(seed=7)
         cfg = AppnpConfig(hidden_dim=4, prop_steps=2, max_epochs=0, seed=8)
         got = self._check(cfg, x, y, w, train, val, graphs)
-        assert all(r.epochs_run == 0 for _, r in got)
+        assert all(r.epochs_run == 0 for _, r, _ in got)
 
     @pytest.mark.parametrize("block", [1, 2, 3, 100])
     def test_graph_count_not_a_multiple_of_the_block(self, block,
@@ -614,6 +630,7 @@ class TestTrainCandidates:
                 for a, b in zip(got[0].copy_weights(),
                                 want[0].copy_weights()):
                     np.testing.assert_array_equal(a, b)
+                np.testing.assert_array_equal(got[2], want[2])
 
     @settings(max_examples=50, deadline=None)
     @given(k=st.sampled_from([1, 2, 3, 9]), hidden=st.integers(1, 12),
@@ -643,12 +660,13 @@ class TestTrainCandidates:
         with mock.patch.object(appnp, "BLOCK_BYTES", cap * n * hidden * 8):
             got = train_candidates(cfg, x, graphs, y, w, train, val,
                                    n_classes=k, workers=workers)
-        for adj, (model, report) in zip(graphs, got):
+        for adj, (model, report, labels) in zip(graphs, got):
             solo_model, solo_report = train_weak(cfg, x, adj, y, w, train,
                                                  val, n_classes=k)
             assert report == solo_report
             for a, b in zip(model.copy_weights(), solo_model.copy_weights()):
                 assert_same_bits(a, b)
+            assert_training_labels(model, labels, x, adj)
 
     def test_first_error_in_block_order_surfaces_unchanged(self,
                                                            monkeypatch):
@@ -779,7 +797,7 @@ class TestTrainCandidates:
         got = train_candidates(cfg, x, graphs, y, w, train, val,
                                n_classes=2, workers=workers)
         (holder,) = holders
-        epochs = [r.epochs_run for _, r in got]
+        epochs = [r.epochs_run for _, r, _ in got]
         assert len(set(epochs)) > 1
         assert len(holder._packed) == max(epochs)
         rng = substream(cfg.seed, "dropout")
@@ -873,21 +891,22 @@ class TestPredict:
         np.testing.assert_array_equal(predict(model, x, g1)[1],
                                       predict(model, x, g2)[1])
 
-    def test_stacked_labels_match_one_learner_predict(self, monkeypatch):
-        # more learners than one block, of three hidden widths, each on its
-        # own graph; no two classes' logits here lie within rounding of
-        # each other, where the propagated differences may label otherwise
+    def test_stacked_labels_match_one_learner_predict(self):
+        # learners of three hidden widths, each on its own graph; no two
+        # classes' logits here lie within rounding of each other, where the
+        # propagated differences may label otherwise
         rng = np.random.default_rng(13)
         n, m, k = 30, 3, 3
-        # blocks of at most 4 models' N x K logits: 3 and 3
-        monkeypatch.setattr(appnp, "BLOCK_BYTES", 4 * n * k * 8)
         x = rng.normal(size=(n, m))
         models = [init_model(AppnpConfig(hidden_dim=2 + t % 3, prop_steps=4,
                                          teleport=0.15, seed=t), m, k)
                   for t in range(6)]
         graphs = [build_adjacency(x[:, t % m], 0.3 + 0.2 * t).adjacency
                   for t in range(len(models))]
-        labels = appnp.predict_labels(models, x, graphs)
+        labels = np.concatenate([
+            appnp.graph_labels([model], appnp.HeadStack(
+                [model]).differences(x).T, graph)
+            for model, graph in zip(models, graphs)])
         assert labels.shape == (len(models), n)
         assert len(np.unique(labels)) == k
         for model, graph, row in zip(models, graphs, labels):
@@ -896,36 +915,11 @@ class TestPredict:
     @settings(max_examples=30, deadline=None)
     @given(k=st.sampled_from([1, 2, 3, 9]), count=st.integers(1, 9),
            cap=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
-    def test_stacked_labels_match_single_model_calls(self, k, count, cap,
-                                                     seed):
-        rng = np.random.default_rng(seed)
-        n, m = int(rng.integers(1, 50)), int(rng.integers(1, 5))
-        x = rng.normal(size=(n, m))
-        steps = int(rng.integers(0, 5))
-        models = []
-        for t in range(count):
-            cfg = AppnpConfig(hidden_dim=int(rng.integers(1, 10)),
-                              prop_steps=steps, teleport=0.2, seed=t)
-            model = init_model(cfg, m, k)
-            model.b1 = rng.normal(size=model.b1.shape)
-            model.b2 = rng.normal(size=k)
-            models.append(model)
-        graphs = [build_adjacency(x[:, t % m], g).adjacency
-                  for t, g in enumerate(rng.uniform(0.0, 2.0, size=count))]
-        # blocks of at most ``cap`` models
-        with mock.patch.object(appnp, "BLOCK_BYTES", cap * n * k * 8):
-            labels = appnp.predict_labels(models, x, graphs)
-        for model, graph, row in zip(models, graphs, labels):
-            np.testing.assert_array_equal(
-                row, appnp.predict_labels([model], x, [graph])[0])
-
-    @settings(max_examples=30, deadline=None)
-    @given(k=st.sampled_from([1, 2, 3, 9]), count=st.integers(1, 9),
-           cap=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
     def test_one_graph_labels_match_stacked_labels(self, k, count, cap,
                                                    seed):
-        # graph_labels propagates the lines of all models as lines of one
-        # graph; predict_labels stacks a copy of the graph per model
+        # graph_labels propagates the lines of all models, in blocks of at
+        # most ``cap``, as lines of one graph; each model's labels must
+        # keep the bits of a call on that model alone
         rng = np.random.default_rng(seed)
         n, m = int(rng.integers(1, 50)), int(rng.integers(1, 5))
         x = rng.normal(size=(n, m))
@@ -938,9 +932,12 @@ class TestPredict:
             model.b2 = rng.normal(size=k)
             models.append(model)
         graph = build_adjacency(x[:, 0], float(rng.uniform(0.0, 2.0)))
-        differences = appnp.head_differences(models, x)
+        differences = appnp.HeadStack(models).differences(x).T
         assert differences.shape == (n, count * (k - 1))
-        want = appnp.predict_labels(models, x, [graph.adjacency] * count)
+        want = np.concatenate([
+            appnp.graph_labels([model], appnp.HeadStack(
+                [model]).differences(x).T, graph.adjacency)
+            for model in models])
         # all rows, and the rows from ``first`` on, as prediction asks
         for first in (0, int(rng.integers(0, n + 1))):
             with mock.patch.object(appnp, "BLOCK_BYTES", cap * n * k * 8):
@@ -991,11 +988,9 @@ class TestPredict:
         model, x, adj, *_ = make_instance(14)
         cfg = dataclasses.replace(model.config, teleport=0.5)
         other = init_model(cfg, x.shape[1], 2)
-        with pytest.raises(DataError):
-            appnp.predict_labels([model, other], x, [adj, adj])
-        with pytest.raises(DataError):
-            appnp.graph_labels([model, other], appnp.head_differences(
-                [model, other], x), adj)
+        lines = appnp.HeadStack([model, other]).differences(x)
+        with pytest.raises(DataError, match="share teleport"):
+            appnp.graph_labels([model, other], lines.T, adj)
 
 
 # The row-major loss helpers that training used before it moved into the

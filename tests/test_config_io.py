@@ -99,6 +99,19 @@ class TestConfigParse:
         with pytest.raises(ConfigError, match="expert_edges"):
             parse_config("expert_edges = age\n")
 
+    @pytest.mark.parametrize("written", ["-1", "nan", "-inf", "-0.5e-3"])
+    def test_expert_threshold_must_be_non_negative(self, written):
+        # named as written, before any scaling, with its line
+        with pytest.raises(ConfigError) as info:
+            parse_config(f"seed = 1\nexpert_edges = age:5, bmi:{written}\n")
+        assert str(info.value) == (
+            "line 2: bad value for 'expert_edges': threshold of 'bmi' must "
+            f"be a non-negative number, got {written}")
+
+    def test_infinite_expert_threshold_allowed(self):
+        cfg = parse_config("expert_edges = age:inf, bmi:0\n")
+        assert cfg.expert_edges == (("age", float("inf")), ("bmi", 0.0))
+
     def test_split_fraction_arity(self):
         with pytest.raises(ConfigError, match="three values"):
             parse_config("split_fractions = 0.5, 0.5\n")

@@ -553,6 +553,26 @@ class TestEnumerateCandidates:
         assert len(plus) == len(base) + 1
         assert plus[-1].expert and plus[-1].feature == 1
 
+    @pytest.mark.parametrize("name", ["age", 0])
+    @pytest.mark.parametrize("threshold", [-1.0, float("nan"), -1e-300])
+    def test_expert_threshold_checked_before_scaling(self, name, threshold):
+        # the error names the feature and the raw value, not the scaled one
+        x = np.random.default_rng(5).normal(size=(20, 1))
+        with pytest.raises(DataError) as info:
+            enumerate_candidates(x, expert_edges=[(name, threshold)],
+                                 feature_names=["age"],
+                                 feature_scales=np.array([0.25]))
+        assert str(info.value) == (
+            f"expert edge threshold on feature {name!r} must be a "
+            f"non-negative number, got {threshold!r}")
+
+    def test_infinite_expert_threshold_links_every_pair(self):
+        x = np.random.default_rng(6).normal(size=(20, 1))
+        cands = enumerate_candidates(x, expert_edges=[("age", np.inf)],
+                                     feature_names=["age"],
+                                     feature_scales=np.array([0.25]))
+        assert cands[-1].expert and cands[-1].edge_count == 20 * 19 // 2
+
     def test_expert_unknown_name(self):
         x = np.zeros((10, 1))
         with pytest.raises(DataError, match="not found"):

@@ -508,6 +508,22 @@ class TestCliExitCodes:
             "(nan, 0.5, 0.5)" in capsys.readouterr().err
         assert not (tmp_path / "m.gbe").exists()
 
+    @pytest.mark.parametrize("written", ["-1", "nan"])
+    def test_bad_expert_threshold_is_two(self, cohort, tmp_path, capsys,
+                                         written):
+        # used to name the threshold only after scaling, as a negative
+        # gamma, with no config line
+        text = BASE_CONFIG.format(data=cohort[0], rounds=1,
+                                  model=tmp_path / "m.gbe",
+                                  report=tmp_path / "r.json")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(text + f"expert_edges = edge:{written}\n")
+        assert main(["train", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "bad value for 'expert_edges': threshold of 'edge' must be a " \
+            f"non-negative number, got {written}\n" in err
+        assert not (tmp_path / "m.gbe").exists()
+
     def test_negative_workers_flag_is_two(self, cohort, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
         cfg.write_text(BASE_CONFIG.format(data=cohort[0], rounds=1,
