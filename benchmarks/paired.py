@@ -1,0 +1,202 @@
+"""Paired perfbench runs of two commits, summarised into one BENCH file.
+
+    python benchmarks/paired.py --parent HEAD~1 --change HEAD \\
+        --scratch /tmp/paired --name one_engine \\
+        --run fit-continuous:4101-4110 --run fit-mixed:4201-4210 \\
+        --run predict:4301-4310
+
+Each commit is exported with ``git archive`` into its own directory under
+``--scratch`` (a plain checkout, so the repository's ``.git`` gains
+nothing), because ``perfbench/run.py`` writes into its checkout's
+``perfbench/_work/``. For every workload and seed, the script runs
+``perfbench/run.py --workload W --seed S --seconds 15 --trace 0`` once in
+each checkout, one run at a time; the side that goes first alternates from
+one seed to the next. It writes ``BENCH_<name>.json`` into ``--out``: both
+SHAs, ``nproc``, the BLAS threads, the numpy and Python versions, the
+1-minute load average before each run, the seeds, every run's metrics and
+settings, and per workload and metric each side's median and quartiles
+(numpy's linear percentiles) and the pairs in which the change read
+better, worse or the same, by the metric's direction in
+``BENCHMARK.json``.
+"""
+
+import argparse
+import io
+import json
+import os
+import subprocess
+import sys
+import tarfile
+import time
+
+import numpy as np
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SECONDS = 15
+SIDES = ("parent", "change")
+
+
+def directions(benchmark: dict) -> dict:
+    """``{metric: "lower" or "higher"}`` of the end-to-end metrics."""
+    return {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+
+
+def seed_range(text: str) -> list[int]:
+    """``"4101-4110"`` or ``"4101"`` as a list of seeds."""
+    first, _, last = text.partition("-")
+    return list(range(int(first), int(last or first) + 1))
+
+
+def _quartiles(values: list) -> dict:
+    q1, median, q3 = np.percentile(values, (25, 50, 75))
+    return {"median": float(median), "q1": float(q1), "q3": float(q3),
+            "values": list(values)}
+
+
+def summarize(runs: list, better: dict) -> dict:
+    """Per workload: its seeds and pairs, the first side and the load
+    average per seed, each side's run counts and metric quartiles, and per
+    metric the pairs in which the change read better, worse or tied. A
+    pair counts for a metric only when both of its runs report it."""
+    out: dict = {}
+    for workload in dict.fromkeys(r["workload"] for r in runs):
+        mine = [r for r in runs if r["workload"] == workload]
+        seeds = sorted({r["seed"] for r in mine})
+        by = {(r["seed"], r["side"]): r for r in mine}
+        sides = {}
+        for side in SIDES:
+            rs = [by[s, side] for s in seeds if (s, side) in by]
+            metrics = {name: _quartiles([r["metrics"][name]["value"]
+                                         for r in rs if name in r["metrics"]])
+                       for name in better
+                       if any(name in r["metrics"] for r in rs)}
+            sides[side] = {"correct_runs": sum(r["correct"] for r in rs),
+                           "attempted": sum(r["attempted"] for r in rs),
+                           "failed": sum(r["failed"] for r in rs),
+                           "metrics": metrics}
+        counts = {key: {} for key in ("change_better_pairs",
+                                      "change_worse_pairs", "tied_pairs")}
+        pct = {}
+        for name, direction in better.items():
+            pairs = [(by[s, "parent"]["metrics"][name]["value"],
+                      by[s, "change"]["metrics"][name]["value"])
+                     for s in seeds
+                     if all((s, side) in by and name in by[s, side]["metrics"]
+                            for side in SIDES)]
+            if not pairs:
+                continue
+            sign = 1.0 if direction == "lower" else -1.0
+            gains = [sign * (p - c) for p, c in pairs]
+            counts["change_better_pairs"][name] = sum(g > 0 for g in gains)
+            counts["change_worse_pairs"][name] = sum(g < 0 for g in gains)
+            counts["tied_pairs"][name] = sum(g == 0 for g in gains)
+            parent = sides["parent"]["metrics"][name]["median"]
+            change = sides["change"]["metrics"][name]["median"]
+            pct[name] = (100.0 * (change - parent) / parent if parent
+                         else 0.0)
+        out[workload] = {
+            "seeds": seeds,
+            "pairs": sum(all((s, side) in by for side in SIDES)
+                         for s in seeds),
+            "first_side": {str(r["seed"]): r["first"] for r in mine
+                           if r["side"] == "parent"},
+            "loadavg_1m_before_run": {
+                side: [by[s, side]["loadavg_1m_before_run"] for s in seeds
+                       if (s, side) in by] for side in SIDES},
+            "sides": sides, **counts, "median_change_pct": pct}
+    return out
+
+
+def _export(rev: str, scratch: str) -> tuple[str, str]:
+    """The commit's SHA and a checkout of it under ``scratch``."""
+    sha = subprocess.run(["git", "-C", ROOT, "rev-parse", f"{rev}^{{commit}}"],
+                         check=True, capture_output=True,
+                         text=True).stdout.strip()
+    dest = os.path.join(scratch, sha)
+    if not os.path.isdir(dest):
+        tar = subprocess.run(["git", "-C", ROOT, "archive", "--format=tar",
+                              sha], check=True, capture_output=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+            archive.extractall(dest, filter="data")
+    return sha, dest
+
+
+def _run(checkout: str, workload: str, seed: int) -> dict:
+    """One perfbench run: its result and the settings it wrote."""
+    load = os.getloadavg()[0]
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True)
+    run = {"loadavg_1m_before_run": load, "returncode": proc.returncode,
+           "wall_s": round(time.perf_counter() - start, 1),
+           "correct": False, "attempted": 0, "failed": 0, "metrics": {}}
+    path = os.path.join(checkout, "perfbench", "_work", "results",
+                        f"{workload}-seed{seed}-trace0.json")
+    if os.path.exists(path):
+        with open(path, encoding="utf-8") as fh:
+            result = json.load(fh)
+        os.remove(path)
+        run.update(result)
+    else:
+        run["stderr_tail"] = proc.stderr[-2000:]
+    return run
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--parent", required=True, help="git revision")
+    parser.add_argument("--change", required=True, help="git revision")
+    parser.add_argument("--scratch", required=True,
+                        help="directory for the two checkouts")
+    parser.add_argument("--name", required=True,
+                        help="writes BENCH_<name>.json")
+    parser.add_argument("--run", action="append", required=True,
+                        metavar="WORKLOAD:FIRST-LAST",
+                        help="a workload and its seeds; may repeat")
+    parser.add_argument("--out", default=ROOT, help="directory of the file")
+    args = parser.parse_args(argv)
+
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        better = directions(json.load(fh))
+    os.makedirs(args.scratch, exist_ok=True)
+    checkouts = dict(parent=_export(args.parent, args.scratch),
+                     change=_export(args.change, args.scratch))
+    runs = []
+    for spec in args.run:
+        workload, _, seeds = spec.partition(":")
+        for i, seed in enumerate(seed_range(seeds)):
+            order = SIDES if i % 2 == 0 else SIDES[::-1]
+            for side in order:
+                run = {"workload": workload, "seed": seed, "side": side,
+                       "first": order[0],
+                       **_run(checkouts[side][1], workload, seed)}
+                runs.append(run)
+                print(f"{workload} seed {seed} {side}: "
+                      f"returncode {run['returncode']}, correct "
+                      f"{run['correct']}", file=sys.stderr, flush=True)
+    settings = next((r["settings"] for r in runs if "settings" in r), {})
+    report = {
+        "what": f"perfbench/run.py --workload W --seed S --seconds {SECONDS} "
+                "--trace 0, one run per side per seed, the first side "
+                "alternating; per side the median and quartiles (numpy "
+                "percentile, linear) of each end-to-end metric, and per "
+                "metric the pairs in which the change read better, worse "
+                "or the same",
+        "parent_sha": checkouts["parent"][0],
+        "change_sha": checkouts["change"][0],
+        "nproc": settings.get("nproc", os.cpu_count()),
+        "blas_threads": settings.get("blas_threads"),
+        "numpy": settings.get("numpy"), "python": settings.get("python"),
+        "runs": runs, "workloads": summarize(runs, better)}
+    path = os.path.join(args.out, f"BENCH_{args.name}.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(report, fh, indent=1)
+        fh.write("\n")
+    print(path)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

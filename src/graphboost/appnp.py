@@ -34,18 +34,17 @@ same code. Each epoch's validation forward pass labels every row; a
 learner keeps the labels of the epoch whose parameters it keeps, so a
 round's candidates need no labelling pass after training.
 
-Prediction labels learners that share one graph with ``graph_labels``,
-from their head differences: the K - 1 difference lines of C learners are
-gathered once into the graph's sorted frame as a C(K - 1) x N array and
-propagated by ``SparseAdjacency.run_lines``, whose window indices are N
-long and shared by every line; its last step runs only at the rows to be
-labelled. Each line gets the bits of a ``GraphStack`` pass. A stored row's
-head does not depend on the graph, so ``boost.Ensemble`` computes the
-differences over its stored rows once, and a prediction computes them for
-its new rows only. It does so with a ``HeadStack``, made once per group of
-learners: their weights stacked per hidden width, transposed and
-contiguous, so that each layer of a stack is one ``np.matmul`` with the
-bits of a one-learner product.
+Prediction labels learners that share one graph with ``graph_labels``, from
+their head differences: the K - 1 difference lines of C learners are
+gathered once into the graph's sorted frame as the C(K - 1) lines of a
+one-graph ``GraphStack``, the engine that training runs too, whose window
+indices are the graph's own N, shared by every line; its last step runs
+only at the rows to be labelled. A stored row's head does not depend on the
+graph, so ``boost.Ensemble`` computes the differences over its stored rows
+once, and a prediction computes them for its new rows only. It does so with
+a ``HeadStack``, made once per group of learners: their weights stacked per
+hidden width, transposed and contiguous, so that each layer of a stack is
+one ``np.matmul`` with the bits of a one-learner product.
 
 Training and ``graph_labels`` propagate K - 1 logit differences, not K
 logits. Softmax, cross-entropy and argmax do not change when one value is
@@ -58,20 +57,21 @@ of dH0 is its propagated line of dZ, and class 0 is minus their sum.
 ``forward``, ``backward``, ``loss`` and ``predict`` stay the K-line
 references, and a model keeps its K heads.
 
-Training works in the propagation frame of ``GraphStack``: class-major,
-each learner's rows in its graph's sorted order. The differences of the
-MLP head's output H0 (C x N x K, row order) are gathered into it, and the
-C x K x N training and validation logits, their log-softmax, the logit
-gradient dZ and the validation labels never leave it. Over K classes, the
-class maximum, softmax sum and argmax are then elementwise operations
-between K lines of N values instead of reductions along a short last
-axis, which cost far more per element; the softmax sum adds the K lines
-in class order. Each learner's loss terms and validation rows are read
-back in row order through flat indices made once per block, and every
-weighted sum adds them in that order. Each epoch, only dH0 leaves the
-frame, back to row order, because the parameter gradients multiply it
-with the row-ordered activations; the labels of each learner's best epoch
-go back once, when the block ends.
+Training works in the propagation frame of ``GraphStack``: line-major
+(K, C, N), class k of learner c at the rows in its graph's sorted order.
+The differences of the MLP head's output H0 (C x N x K, row order) are
+gathered into it, and the K x C x N training and validation logits, their
+log-softmax, the logit gradient dZ and the validation labels never leave
+it. Over K classes, the class maximum, softmax sum and argmax are then
+elementwise operations between K whole lines of C x N values instead of
+reductions along a short last axis, which cost far more per element; the
+softmax sum adds the K lines in class order. Labels take the smallest
+integer type that holds K - 1. Each learner's loss terms and validation
+rows are read back in row order through flat indices made once per block,
+and every weighted sum adds them in that order. Each epoch, only dH0
+leaves the frame, back to row order, because the parameter gradients
+multiply it with the row-ordered activations; the labels of each learner's
+best epoch go back once, when the block ends.
 ``loss`` and ``backward`` use the same code on a one-learner frame in row
 order.
 """
@@ -95,7 +95,7 @@ log = logging.getLogger("graphboost.appnp")
 MAX_PROP_STEPS = 10_000
 
 # Byte budget of a block's largest per-learner buffer: the C x N x H
-# activations in training, the C x N x K logits in labelling. It caps the
+# activations in training, the K x C x N logits in labelling. It caps the
 # learners per block, at 10 for training at N = 2000 and H = 16, and never
 # below 1. A block runs the per-learner Python loops of every epoch, which
 # hold the interpreter lock, so on two threads two blocks of 10 train a
@@ -226,20 +226,21 @@ def _dropout_mask(rng: np.random.Generator, shape: tuple,
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
-    """Log-softmax over the class axis -2 of a class-major (..., K, N)
-    array. Its class sum adds one line of N values at a time."""
-    shifted = z - z.max(axis=-2, keepdims=True)
-    shifted -= np.log(np.exp(shifted).sum(axis=-2, keepdims=True))
+    """Log-softmax over the class axis 0 of a line-major (K, ...) array.
+    Its class sum adds one whole line at a time, in class order."""
+    shifted = z - z.max(axis=0, keepdims=True)
+    shifted -= np.log(np.exp(shifted).sum(axis=0, keepdims=True))
     return shifted
 
 
 def _class_argmax(z: np.ndarray) -> np.ndarray:
-    """``np.argmax`` over the class axis -2 of a class-major (..., K, N)
-    array: the first maximum wins, and so does the first NaN."""
-    best = z[..., 0, :]
-    labels = np.zeros(best.shape, dtype=np.int64)
-    for j in range(1, z.shape[-2]):
-        row = z[..., j, :]
+    """``np.argmax`` over the class axis 0 of a line-major (K, ...) array:
+    the first maximum wins, and so does the first NaN. The labels are of
+    the smallest integer type that holds K - 1, 1 byte up to 256 classes."""
+    best = z[0]
+    labels = np.zeros(best.shape, dtype=np.min_scalar_type(len(z) - 1))
+    for j in range(1, len(z)):
+        row = z[j]
         # row > best, or row is NaN; but a NaN, once best, stays best
         np.putmask(labels, ~(row <= best) & (best == best), j)
         # the value of the class labelled so far, up to the sign of a zero
@@ -249,23 +250,22 @@ def _class_argmax(z: np.ndarray) -> np.ndarray:
 
 class _Targets:
     """The labels and sample weights of the rows of ``mask``, placed for
-    the class-major (C, K, N) logits of C learners: ``at[c, i]`` is
+    the line-major (K, C, N) logits of C learners: ``at[c, i]`` is
     c * N plus the position of row i in learner c's frame.
 
     The methods work on whole frames, elementwise, except for the index
     passes that read the masked rows back in row order, so that each
     learner's weighted sum adds its terms in the order of the rows,
     whatever its graph's sort, and the one that subtracts 1 at each masked
-    row's true class. The index arrays are C x (masked rows); nothing is
-    C x K x N but the frames.
+    row's true class. The index arrays are C x (masked rows) and the
+    weights (1, C, N); nothing is K x C x N but the frames.
 
     ``loss=False`` leaves out what only ``losses`` and ``gradient`` read,
     and ``errors=False`` what only ``errors`` reads.
     """
 
     def __init__(self, at: np.ndarray, y: np.ndarray, w: np.ndarray,
-                 mask: np.ndarray, n_classes: int, *, loss: bool = True,
-                 errors: bool = True):
+                 mask: np.ndarray, *, loss: bool = True, errors: bool = True):
         c, n = at.shape
         self._w = w[mask]
         self._total = self._w.sum()
@@ -278,15 +278,14 @@ class _Targets:
             self._at = at
         if not loss:
             return
-        # flat position of logp[c, y_i, position of row i] in the frame
-        self._true = at + (np.arange(c)[:, None] * (n_classes - 1)
-                           + self._y) * n
+        # flat position of logp[y_i, c, position of row i] in the frame
+        self._true = at + self._y * (c * n)
         weight = np.zeros(c * n)
         weight[at] = self._share
-        self._weight = weight.reshape(c, 1, n)
+        self._weight = weight.reshape(1, c, n)
         outside = np.ones(c * n, dtype=bool)
         outside[at] = False
-        self._outside = outside.reshape(c, 1, n)
+        self._outside = outside.reshape(1, c, n)
 
     def losses(self, logp: np.ndarray, p: dict,
                weight_decay: float) -> list[float]:
@@ -325,8 +324,8 @@ def _row_frame(z: np.ndarray, y: np.ndarray, w: np.ndarray,
     """N x K logits in row order as the frame of one learner whose sort is
     the identity, with the targets of the rows of ``mask``."""
     n, k = z.shape
-    return (np.ascontiguousarray(z.T)[None],
-            _Targets(np.arange(n)[None], y, w, mask, k))
+    return (np.ascontiguousarray(z.T)[:, None],
+            _Targets(np.arange(n)[None], y, w, mask))
 
 
 def _differences(h0: np.ndarray) -> np.ndarray:
@@ -336,30 +335,30 @@ def _differences(h0: np.ndarray) -> np.ndarray:
 
 
 def _with_zero_line(d: np.ndarray) -> np.ndarray:
-    """The (C, K, N) logits, up to one shift per row, of (C, K - 1, N)
+    """The (K, ...) logits, up to one shift per row, of (K - 1, ...)
     propagated differences ``d``: class 0 is a line of zeros."""
-    c, _, n = d.shape
-    return np.concatenate([np.zeros((c, 1, n)), d], axis=1)
+    return np.concatenate([np.zeros((1,) + d.shape[1:]), d])
 
 
 def _frame_logits(stack: GraphStack, h0: np.ndarray, teleport: float,
                   steps: int) -> np.ndarray:
     """The propagated logits of the C x N x K head outputs ``h0``, as a
-    (C, K, N) frame of the K - 1 wide ``stack``, up to one shift per row:
-    class 0 is a line of zeros, and class k >= 1 is the propagated
-    difference h0[..., k] - h0[..., 0]."""
+    (K, C, N) frame of ``stack``, up to one shift per row: class 0 is a
+    line of zeros, and class k >= 1 is the propagated difference
+    h0[..., k] - h0[..., 0]."""
     return _with_zero_line(stack.run(stack.to_frame(_differences(h0)),
                                      teleport, steps))
 
 
 def _frame_head_grad(stack: GraphStack, dz: np.ndarray, teleport: float,
                      steps: int) -> np.ndarray:
-    """dH0 in row order, C x N x K, through ``_frame_logits`` from the
-    gradient dZ of its (C, K, N) frame. Class 0 of the frame is constant,
-    so its gradient is unused; every other class line is propagated back
-    as dd, and since class 0 of the head enters every difference with a
-    minus sign, dH0[..., 0] = -dd.sum(-1)."""
-    dd = stack.from_frame(stack.run(dz[:, 1:], teleport, steps))
+    """dH0 in row order, C x N x K and contiguous, through ``_frame_logits``
+    from the gradient dZ of its (K, C, N) frame. Class 0 of the frame is
+    constant, so its gradient is unused; every other class line is
+    propagated back as dd, and since class 0 of the head enters every
+    difference with a minus sign, dH0[..., 0] = -dd.sum(-1), summed in row
+    order."""
+    dd = stack.from_frame(stack.run(dz[1:], teleport, steps))
     return np.concatenate([-dd.sum(axis=-1, keepdims=True), dd], axis=-1)
 
 
@@ -395,10 +394,10 @@ def propagate(h0: np.ndarray, adjacency: SparseAdjacency, teleport: float,
               steps: int) -> np.ndarray:
     """k steps of the personalized PageRank recurrence on one graph, for a
     length-N vector or an N x K matrix."""
-    stacked = h0.reshape(1, h0.shape[0], -1)
-    z = GraphStack([adjacency], stacked.shape[2]).propagate(
-        stacked, teleport, steps)
-    return z.reshape(h0.shape)
+    stack = GraphStack([adjacency])
+    frame = stack.to_frame(h0.reshape(1, h0.shape[0], -1))
+    return stack.from_frame(stack.run(frame, teleport, steps)).reshape(
+        h0.shape)
 
 
 def propagation_limit(h0: np.ndarray, adjacency: SparseAdjacency,
@@ -451,7 +450,7 @@ def backward(cache: ForwardCache, y: np.ndarray, w: np.ndarray,
     """Exact gradients of ``loss`` for (w1, b1, w2, b2)."""
     cfg = cache.model.config
     frame, targets = _row_frame(cache.z, y, w, mask)
-    dz = targets.gradient(_log_softmax(frame))[0].T
+    dz = targets.gradient(_log_softmax(frame))[:, 0].T
     # Z(k) = P @ H0 with P = a * sum_{l<k} ((1-a) Ahat)^l + ((1-a) Ahat)^k.
     # P is a polynomial in the symmetric Ahat, so it is symmetric too and
     # dH0 = P @ dZ is the forward propagation applied to the gradient.
@@ -489,7 +488,8 @@ def train_candidates(config: AppnpConfig, x: np.ndarray, adjacencies: list,
     bit, whatever ``workers`` is. ``labels`` are the learner's hard labels
     of all N rows, in row order, from the validation forward pass that
     chose ``model``'s parameters (at ``max_epochs`` 0, the initial ones):
-    ``graph_labels([model], ...)`` on that graph, bit for bit.
+    ``graph_labels([model], ...)`` on that graph, bit for bit and of its
+    type, 1 byte up to 256 classes.
     """
     train_mask = np.asarray(train_mask, dtype=bool)
     val_mask = np.asarray(val_mask, dtype=bool)
@@ -620,8 +620,8 @@ def _diverged(config: AppnpConfig, p: dict, row: int, x: np.ndarray,
     culprit = "loss"
     one = {name: v[row:row + 1] for name, v in p.items()}
     h0 = _head(one, hd[row:row + 1])
-    z = _frame_logits(GraphStack([adjacency], h0.shape[2] - 1), h0,
-                      config.teleport, config.prop_steps)
+    z = _frame_logits(GraphStack([adjacency]), h0, config.teleport,
+                      config.prop_steps)
     for name, arr in (("hidden", _preactivation(one, x)), ("head", h0),
                       ("propagated", z)):
         if not np.all(np.isfinite(arr)):
@@ -649,12 +649,12 @@ def _train_block(config: AppnpConfig, x: np.ndarray, adjacencies: list,
     p = {name: np.repeat(getattr(init, name)[None], size, axis=0)
          for name in _PARAMS}
     n = x.shape[0]
-    stack = GraphStack(adjacencies, n_classes - 1)
+    stack = GraphStack(adjacencies)
     # Logits stay in the graphs' frames; only dH0 goes back to row order.
     # at[c, i] = c * N + the position of row i in graph c's frame.
     at = stack.from_frame(np.arange(size * n).reshape(size, n))
-    targets = _Targets(at, y, w, train_mask, n_classes, errors=False)
-    val = _Targets(at, y, w, val_mask, n_classes, loss=False)
+    targets = _Targets(at, y, w, train_mask, errors=False)
+    val = _Targets(at, y, w, val_mask, loss=False)
     del at
     # The only C x N x H buffer. Each epoch it holds r = relu(a1) for the
     # current parameters, then the dropped-out hd (in place), then dA1;
@@ -682,7 +682,8 @@ def _train_block(config: AppnpConfig, x: np.ndarray, adjacencies: list,
 
     best = {name: v.copy() for name, v in p.items()}
     # the labels of the best parameters, in the frame
-    best_labels = np.zeros((size, n), dtype=np.int64)
+    best_labels = np.zeros((size, n),
+                           dtype=np.min_scalar_type(n_classes - 1))
     best_err = [float("inf")] * size
     best_epoch = [-1] * size
     final_loss = [float("nan")] * size
@@ -810,22 +811,21 @@ class HeadStack:
 def graph_labels(models: list, differences: np.ndarray,
                  adjacency: SparseAdjacency, first: int = 0) -> np.ndarray:
     """Hard labels of ``models``, all on the one graph ``adjacency``, for
-    the rows from ``first`` on: a C x (N - first) array. ``differences``
-    holds the models' K - 1 head differences over the graph's rows, as an
-    N x C(K - 1) array: model c's h[:, k] - h[:, 0] in column
-    c(K - 1) + k - 1. Row c equals ``predict(models[c], x, adjacency)[0]``
-    except where two classes' logits lie within rounding of each other,
-    and equals a one-model call bit for bit. Prediction labels its rounds
-    with it; training labels its learners in the training pass, with the
-    same bits (``train_candidates``).
+    the rows from ``first`` on: a C x (N - first) array, of the type that
+    ``_class_argmax`` gives. ``differences`` holds the models' K - 1 head
+    differences over the graph's rows, as an N x C(K - 1) array: model c's
+    h[:, k] - h[:, 0] in column c(K - 1) + k - 1. Row c equals
+    ``predict(models[c], x, adjacency)[0]`` except where two classes'
+    logits lie within rounding of each other, and equals a one-model call
+    bit for bit. Prediction labels its rounds with it; training labels its
+    learners in the training pass, with the same bits
+    (``train_candidates``).
 
     The models must share teleport and prop_steps. The C(K - 1) difference
     lines of the models of each block of ``_block_plan`` are gathered once
-    into the graph's sorted frame, line-major, and propagated there by
-    ``SparseAdjacency.run_lines``, whose window indices are N long and
-    shared by all lines; its last step runs only at the rows asked for.
-    Every line sees the arithmetic of a ``GraphStack`` pass. ``differences``
-    may be the transpose of C(K - 1) x N lines, such as
+    into the graph's sorted frame, as lines of a one-graph ``GraphStack``,
+    and propagated there; the last step runs only at the rows asked for.
+    ``differences`` may be the transpose of C(K - 1) x N lines, such as
     ``HeadStack.differences`` gives, which are then gathered without a copy.
     """
     n = adjacency.n
@@ -834,22 +834,25 @@ def graph_labels(models: list, differences: np.ndarray,
                         "count")
     if len({(m.config.teleport, m.config.prop_steps) for m in models}) > 1:
         raise DataError("stacked models must share teleport and prop_steps")
-    labels = np.empty((len(models), n - first), dtype=np.int64)
+    k = models[0].b2.size if models else 1
+    labels = np.empty((len(models), n - first),
+                      dtype=np.min_scalar_type(k - 1))
     if not models:
         return labels
-    k = models[0].b2.size
     cfg = models[0].config
+    stack = GraphStack([adjacency])
     # the sorted positions of the rows asked for, and those rows
-    at = None if first == 0 else np.flatnonzero(adjacency.order >= first)
+    at = None if first == 0 else (adjacency.order >= first).nonzero()[0]
     rows = adjacency.order if at is None else adjacency.order[at] - first
     lines = differences.T
     for s in _block_plan(len(models), 8 * n * k, 0):
         count = s.stop - s.start
-        frame = np.take(lines[s.start * (k - 1):s.stop * (k - 1)],
-                        adjacency.order, axis=1)
-        d = adjacency.run_lines(frame, cfg.teleport, cfg.prop_steps, at)
-        labels[s][:, rows] = _class_argmax(
-            _with_zero_line(d.reshape(count, k - 1, d.shape[1])))
+        frame = lines[s.start * (k - 1):s.stop * (k - 1)].take(
+            adjacency.order, axis=1)
+        d = stack.run(frame[:, None], cfg.teleport, cfg.prop_steps, at)
+        # the lines go model by model; the argmax takes classes first
+        d = d.reshape(count, k - 1, d.shape[-1]).swapaxes(0, 1)
+        labels[s][:, rows] = _class_argmax(_with_zero_line(d))
     return labels
 
 

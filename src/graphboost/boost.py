@@ -259,7 +259,7 @@ def run_round(weights: np.ndarray, candidates: list, x: np.ndarray,
             else str(best.feature))
     round_ = WeakRound(best.feature, name, best.gamma, model, alpha,
                        best.error, best.expert)
-    return round_, labels
+    return round_, labels.astype(np.int64)
 
 
 def fit(config: BoostConfig, dataset: Dataset) -> Ensemble:

@@ -18,12 +18,12 @@ of dinv * Z in sorted order (C[0] = 0),
     (Ahat @ Z)[p] = dinv[p] * (C[hi[p]] - C[lo[p]]),
 
 O(N K) per multiply instead of O(E K). ``GraphStack`` runs k such steps
-for several graphs over the same rows at once, as training needs; its
-one-graph case is ``appnp.propagate``. Lines that all propagate on one
-graph, as in prediction, take ``SparseAdjacency.run_lines`` instead: its
-window indices are the graph's own N, shared by every line, rather than
-flat indices built per line, and it can stop the last step at the
-positions asked for.
+for any number of lines on several graphs over the same rows at once, the
+one engine of training, of prediction and of ``appnp.propagate``. Its
+frame is line-major, so its window indices are C * N long and shared by
+every line, and for one graph they are the graph's own arrays. It can stop
+the last step at the positions asked for, as prediction does for the new
+rows.
 ``StoredGraph`` keeps one graph over stored rows as its sort and window
 ends, and merges new rows into both.
 """
@@ -83,58 +83,6 @@ class SparseAdjacency:
         out *= d
         return self.from_sorted(out)
 
-    def run_lines(self, frame: np.ndarray, teleport: float, steps: int,
-                  at: np.ndarray | None = None) -> np.ndarray:
-        """k steps of Z <- (1 - a) Ahat @ Z + a H0 for W lines on this one
-        graph, with H0 = ``frame``, a (W, N) array line-major in sorted
-        order: ``frame[w, p]`` is line w at the row at sorted position p.
-        Returns the (W, N) result, or with ``at`` only its columns at those
-        sorted positions, a (W, len(at)) array.
-
-        The window bounds and factors are N long and shared by every line.
-        The last step runs only where it is asked for: its prefix sums stop
-        at the furthest window end of ``at``, and a prefix sum adds in
-        order, so the entries it keeps have the bits of the full one. Every
-        element sees the arithmetic of ``GraphStack.run`` in the same order,
-        so the result equals ``GraphStack([self], W).run`` there bit for
-        bit."""
-        if frame.shape[1:] != (self.n,):
-            raise DataError(f"frame of shape {frame.shape} does not fit "
-                            f"a graph over {self.n} rows")
-        if teleport == 1.0 or steps == 0:
-            return frame.copy() if at is None else frame[:, at]
-        d = self.values
-        restart = teleport * frame
-        prefix = np.zeros((frame.shape[0], self.n + 1))
-        # dinv * Z, then, once the prefix sum has read it, the lower bounds
-        scaled = np.empty(frame.shape)
-        z = np.empty(frame.shape)
-        src = frame
-        for _ in range(steps - 1):
-            np.multiply(d, src, out=scaled)
-            np.cumsum(scaled, axis=1, out=prefix[:, 1:])
-            # the indices are in range by construction; "clip" skips the
-            # bounds check and the buffering that the default mode adds
-            np.take(prefix, self.hi, axis=1, out=z, mode="clip")
-            np.take(prefix, self.lo, axis=1, out=scaled, mode="clip")
-            z -= scaled
-            z *= d
-            z *= 1.0 - teleport
-            z += restart
-            src = z
-        hi, lo = self.hi, self.lo
-        if at is not None:
-            hi, lo, d, restart = hi[at], lo[at], d[at], restart[:, at]
-        end = int(hi.max(initial=0))
-        np.multiply(self.values[:end], src[:, :end], out=scaled[:, :end])
-        np.cumsum(scaled[:, :end], axis=1, out=prefix[:, 1:end + 1])
-        out = np.take(prefix, hi, axis=1, mode="clip")
-        out -= np.take(prefix, lo, axis=1, mode="clip")
-        out *= d
-        out *= 1.0 - teleport
-        out += restart
-        return out
-
     def degrees(self) -> np.ndarray:
         """Edge degree per node, self-loop excluded."""
         return self.from_sorted(self.hi - self.lo - 1)
@@ -150,21 +98,22 @@ class SparseAdjacency:
 
 
 class GraphStack:
-    """C window graphs over the same N rows, propagated in one pass. It
-    serves training, and ``appnp.propagate``, its one-graph reference;
-    prediction, whose lines share one graph, takes ``run_lines``.
+    """C window graphs over the same N rows, propagated in one pass: the
+    one engine of training, labelling and ``appnp.propagate``.
 
-    Operands in row order are (C, N, K) stacks, one N x K matrix per graph.
-    Propagation works in each graph's frame instead: class-major
-    (C, K, N), with ``frame[c, k, p]`` the class-k value of the row at
-    sorted position p of graph c, so that every window is a contiguous run
-    of each class line. ``to_frame`` gathers an operand into the frame,
-    ``run`` takes the k steps there (per step one prefix sum along N and two
-    flat takes, each a single numpy call over all C * K lines) and
-    ``from_frame`` scatters a frame back to row order; ``propagate`` is the
-    three in turn. Every element sees the arithmetic of
-    ``SparseAdjacency.matmul`` in the same order, so slice c of a result
-    equals the single-graph result bit for bit.
+    Operands in row order are (C, N, W) stacks, W lines per graph.
+    Propagation works in the graphs' frame instead: line-major (W, C, N),
+    with ``frame[w, c, p]`` line w of graph c at the row at sorted
+    position p of graph c, so that every window is a contiguous run of
+    every line. The window indices are C * N flat positions into a
+    (C, N + 1) prefix sum, shared by every line whatever W is; for one
+    graph they are the adjacency's own arrays, not copies. ``to_frame``
+    gathers an operand into the frame, ``run`` takes the k steps there
+    (per step one prefix sum along N and two takes, each a single numpy
+    call over all W * C lines) and ``from_frame`` scatters a frame back to
+    row order. Every element sees the arithmetic of
+    ``SparseAdjacency.matmul`` in the same order, so each line of a result
+    equals k one-graph multiplies bit for bit.
 
     A caller that works on the propagated values one row at a time, the
     same way for every row, can stay in the frame and save both layout
@@ -174,89 +123,113 @@ class GraphStack:
     epoch.
     """
 
-    def __init__(self, adjacencies: list, width: int):
-        n = adjacencies[0].n
+    def __init__(self, adjacencies: list):
+        first = adjacencies[0]
+        c, n = len(adjacencies), first.n
+        self.shape = (c, n)
+        if c == 1:
+            self._rows, self._lo, self._hi, self._dinv = (
+                first.order, first.lo, first.hi, first.values)
+            return
         if any(a.n != n for a in adjacencies):
             raise DataError("stacked graphs disagree on node count")
-        c, k = len(adjacencies), width
-        self.shape = (c, k, n)
-        graph = np.arange(c)[:, None, None]
-        cls = np.arange(k)[None, :, None]
+        graph = np.arange(c)[:, None]
 
-        def per_graph(field):  # C x 1 x N
-            return np.stack([getattr(a, field) for a in adjacencies])[:, None]
+        def per_graph(field):  # C x N
+            return np.stack([getattr(a, field) for a in adjacencies])
 
         # flat position of rows[c, order_c[p]] in a (C, N) array
-        rows = graph * n + per_graph("order")
-        self._rows = rows.ravel()
-        # flat position of operand[c, order_c[p], k] in a (C, N, K) array;
-        # at width 1, the same as _rows
-        self._frame = self._rows if k == 1 else (rows * k + cls).ravel()
-        # flat position of prefix[c, k, q] in a (C, K, N + 1) array
-        line = (graph * k + cls) * (n + 1)
-        self._lo = (line + per_graph("lo")).ravel()
-        self._hi = (line + per_graph("hi")).ravel()
-        # repeated over K: a broadcast multiply costs about 3x a flat one
-        self._dinv = np.repeat(per_graph("values"), k, axis=1)
+        self._rows = (graph * n + per_graph("order")).ravel()
+        # flat position of prefix[c, q] in a (C, N + 1) array
+        self._lo = (graph * (n + 1) + per_graph("lo")).ravel()
+        self._hi = (graph * (n + 1) + per_graph("hi")).ravel()
+        self._dinv = per_graph("values").ravel()
 
-    def to_frame(self, operand: np.ndarray) -> np.ndarray:
-        """A (C, N, K) operand in row order, gathered into the frame."""
-        c, k, n = self.shape
-        if operand.shape != (c, n, k):
-            raise DataError(f"operand of shape {operand.shape} does not fit "
-                            f"{c} graphs over {n} rows with width {k}")
-        return np.take(operand, self._frame).reshape(self.shape)
-
-    def run(self, frame: np.ndarray, teleport: float,
-            steps: int) -> np.ndarray:
-        """k steps of Z <- (1 - a) Ahat_c @ Z + a H0 for every graph c, with
-        H0 = ``frame`` and the result in the frame, a new array."""
-        if frame.shape != self.shape:
+    def _check(self, frame: np.ndarray, ndims: tuple) -> None:
+        if frame.ndim not in ndims or frame.shape[-2:] != self.shape:
             raise DataError(f"frame of shape {frame.shape} does not fit "
                             f"the stack's {self.shape}")
+
+    def to_frame(self, operand: np.ndarray) -> np.ndarray:
+        """A (C, N, W) operand in row order, gathered into the frame."""
+        c, n = self.shape
+        if operand.ndim != 3 or operand.shape[:2] != self.shape:
+            raise DataError(f"operand of shape {operand.shape} does not fit "
+                            f"{c} graphs over {n} rows")
+        w = operand.shape[2]
+        return np.take(operand.reshape(c * n, w).T, self._rows,
+                       axis=1).reshape(w, c, n)
+
+    def run(self, frame: np.ndarray, teleport: float, steps: int,
+            at: np.ndarray | None = None) -> np.ndarray:
+        """k steps of Z <- (1 - a) Ahat_c @ Z + a H0 for every line of every
+        graph c, with H0 = ``frame``. Returns the (W, C, N) result in the
+        frame, a new array, or with ``at``, flat positions c * N + p in the
+        (C, N) plane, only the values there, a (W, len(at)) array.
+
+        The last step runs only where it is asked for: on one graph, its
+        prefix sums stop at the furthest window end of ``at``, and a prefix
+        sum adds in order, so the entries it keeps have the bits of the
+        full one."""
+        self._check(frame, (3,))
+        c, n = self.shape
+        w = frame.shape[0]
+        lines = frame.reshape(w, c * n)
         if teleport == 1.0 or steps == 0:
-            return frame.copy()
-        c, k, n = self.shape
-        restart = teleport * frame
-        prefix = np.zeros((c, k, n + 1))
+            return frame.copy() if at is None else lines[:, at]
+        hi, lo, d = self._hi, self._lo, self._dinv
+        restart = teleport * lines
+        prefix = np.zeros((w, c, n + 1))
+        flat = prefix.reshape(w, c * (n + 1))
         # dinv * Z, then, once the prefix sum has read it, the lower bounds
-        scaled = np.empty(self.shape)
-        z = np.empty(self.shape)
-        src = frame
-        for _ in range(steps):
-            np.multiply(self._dinv, src, out=scaled)
-            np.cumsum(scaled, axis=2, out=prefix[:, :, 1:])
+        scaled = np.empty((w, c * n))
+        by_graph = scaled.reshape(w, c, n)
+        z = np.empty((w, c * n))
+        src = lines
+        # ndarray methods rather than np.cumsum and np.take, whose wrappers
+        # cost about a microsecond a call
+        for _ in range(steps if at is None else steps - 1):
+            np.multiply(d, src, out=scaled)
+            by_graph.cumsum(axis=2, out=prefix[:, :, 1:])
             # the indices are in range by construction; "clip" skips the
             # bounds check and the buffering that the default mode adds
-            np.take(prefix, self._hi, out=z.reshape(-1), mode="clip")
-            np.take(prefix, self._lo, out=scaled.reshape(-1), mode="clip")
+            flat.take(hi, axis=1, out=z, mode="clip")
+            flat.take(lo, axis=1, out=scaled, mode="clip")
             z -= scaled
-            z *= self._dinv
+            z *= d
             z *= 1.0 - teleport
             z += restart
             src = z
-        return z
-
-    def from_frame(self, frame: np.ndarray) -> np.ndarray:
-        """A (C, K, N) frame scattered back to a (C, N, K) array in row
-        order, or (C, N) per-row values to (C, N); the dtype is kept."""
-        c, k, n = self.shape
-        if frame.shape == self.shape:
-            index, shape = self._frame, (c, n, k)
-        elif frame.shape == (c, n):
-            index, shape = self._rows, (c, n)
-        else:
-            raise DataError(f"frame of shape {frame.shape} does not fit "
-                            f"the stack's {self.shape}")
-        out = np.empty(shape, dtype=frame.dtype)
-        out.reshape(-1)[index] = frame.reshape(-1)
+        if at is None:
+            return z.reshape(w, c, n)
+        hi, lo, d, restart = hi[at], lo[at], d[at], restart[:, at]
+        # the furthest window end of ``at``; on several graphs, whose flat
+        # ends are offset by their graph, an end past N runs all N
+        end = int(hi.max(initial=0))
+        by_graph = by_graph[:, :, :end]
+        np.multiply(self._dinv.reshape(c, n)[:, :end],
+                    src.reshape(w, c, n)[:, :, :end], out=by_graph)
+        by_graph.cumsum(axis=2, out=prefix[:, :, 1:end + 1])
+        out = flat.take(hi, axis=1, mode="clip")
+        out -= flat.take(lo, axis=1, mode="clip")
+        out *= d
+        out *= 1.0 - teleport
+        out += restart
         return out
 
-    def propagate(self, h0: np.ndarray, teleport: float,
-                  steps: int) -> np.ndarray:
-        """k steps of Z <- (1 - a) Ahat_c @ Z + a H0 for every graph c,
-        with ``h0`` and the result of shape (C, N, K)."""
-        return self.from_frame(self.run(self.to_frame(h0), teleport, steps))
+    def from_frame(self, frame: np.ndarray) -> np.ndarray:
+        """A (W, C, N) frame scattered back to a contiguous (C, N, W) array
+        in row order, or (C, N) per-row values to (C, N); the dtype is
+        kept."""
+        self._check(frame, (2, 3))
+        c, n = self.shape
+        w = 1 if frame.ndim == 2 else frame.shape[0]
+        out = np.empty((c * n, w), dtype=frame.dtype)
+        if w == 1:  # a flat scatter, faster than a 2-D one
+            out.reshape(-1)[self._rows] = frame.reshape(-1)
+        else:
+            out[self._rows] = frame.reshape(w, c * n).T
+        return out.reshape(self.shape + frame.shape[:-2])
 
 
 @dataclass

@@ -441,9 +441,11 @@ TRAIN_RTOL = TRAIN_ATOL = 1e-12
 
 
 def assert_training_labels(model, labels, x, adj):
-    """The labels that training returned with ``model`` against its
-    one-model ``graph_labels`` bit for bit, and against the K-line
-    ``predict`` wherever no two logits lie within rounding."""
+    """The labels that training returned with ``model``, 1 byte up to 256
+    classes, against its one-model ``graph_labels`` bit for bit, and
+    against the K-line ``predict`` wherever no two logits lie within
+    rounding."""
+    assert labels.dtype == np.min_scalar_type(model.b2.size - 1)
     lines = appnp.HeadStack([model]).differences(x)
     np.testing.assert_array_equal(
         labels, appnp.graph_labels([model], lines.T, adj)[0], strict=True)
@@ -1089,8 +1091,9 @@ def frame_problems(draw):
 
 
 def to_frames(z, orders, contiguous=True):
-    """The (C, K, N) frame of each learner: class-major, rows sorted."""
-    frames = np.stack([zc[order].T for zc, order in zip(z, orders)])
+    """The (K, C, N) frame of the learners: line-major, each learner's rows
+    sorted."""
+    frames = np.stack([zc[order].T for zc, order in zip(z, orders)], axis=1)
     return np.ascontiguousarray(frames) if contiguous else frames
 
 
@@ -1104,14 +1107,15 @@ def frame_positions(orders):
 
 
 def to_rows(frames, orders):
-    out = np.empty((frames.shape[0], frames.shape[2], frames.shape[1]))
+    """(K, C, N) frames back to (C, N, K) in row order."""
+    out = np.empty((frames.shape[1], frames.shape[2], frames.shape[0]))
     for c, order in enumerate(orders):
-        out[c, order] = frames[c].T
+        out[c, order] = frames[:, c].T
     return out
 
 
 class TestFrameLoss:
-    """Loss, gradient, validation error and argmax computed class-major in
+    """Loss, gradient, validation error and argmax computed line-major in
     each learner's sorted frame, against the row-major references: bit for
     bit, except for what depends on the softmax sum of 8 or more classes
     (``assert_class_sum_result``)."""
@@ -1129,7 +1133,7 @@ class TestFrameLoss:
         frames = to_frames(z, orders, contiguous)
         at = frame_positions(orders)
 
-        targets = appnp._Targets(at, y, w, train, k)
+        targets = appnp._Targets(at, y, w, train)
         logp = appnp._log_softmax(frames)
         want_losses, want_logp = ref_losses(z, y, w, train, 1e-3, p)
         assert_class_sum_result(targets.losses(logp, p, 1e-3), want_losses,
@@ -1144,10 +1148,11 @@ class TestFrameLoss:
         assert not got_grad[:, ~train].view(np.uint64).any()
 
         labels = appnp._class_argmax(frames)
+        assert labels.dtype == np.min_scalar_type(k - 1)
         want_labels = np.argmax(z, axis=2)
-        assert np.array_equal(to_rows(labels[:, None], orders)[..., 0],
+        assert np.array_equal(to_rows(labels[None], orders)[..., 0],
                               want_labels)
-        assert_same_bits(appnp._Targets(at, y, w, val, k).errors(labels),
+        assert_same_bits(appnp._Targets(at, y, w, val).errors(labels),
                          [ref_weighted_label_error(row, y, w, val)
                           for row in want_labels])
 
@@ -1159,11 +1164,11 @@ class TestFrameLoss:
         shifted = z - z.max(axis=-1, keepdims=True)
         exact = np.array([[math.fsum(row) for row in block]
                           for block in np.exp(shifted)])
-        got = appnp._log_softmax(np.ascontiguousarray(z.transpose(0, 2, 1)))
-        np.testing.assert_allclose(got.transpose(0, 2, 1),
+        got = appnp._log_softmax(np.ascontiguousarray(z.transpose(2, 0, 1)))
+        np.testing.assert_allclose(got.transpose(1, 2, 0),
                                    shifted - np.log(exact)[..., None],
                                    rtol=FRAME_RTOL, atol=FRAME_ATOL)
-        assert_class_sum_result(got.transpose(0, 2, 1), ref_log_softmax(z),
+        assert_class_sum_result(got.transpose(1, 2, 0), ref_log_softmax(z),
                                 k)
 
     @pytest.mark.filterwarnings("ignore:invalid value")
@@ -1173,14 +1178,14 @@ class TestFrameLoss:
         y = np.array([0, 1, 0, 1, 1])
         w = np.array([0.2, 0.3, 0.1, 0.1, 0.0])
         train = np.array([True, False, False, False, True])
-        targets = appnp._Targets(np.arange(5)[None], y, w, train, 2)
-        frame = np.ascontiguousarray(z.transpose(0, 2, 1))
+        targets = appnp._Targets(np.arange(5)[None], y, w, train)
+        frame = np.ascontiguousarray(z.transpose(2, 0, 1))
         logp = appnp._log_softmax(frame)
         (value,) = targets.losses(logp, {"w1": np.zeros((1, 1, 1)),
                                          "w2": np.zeros((1, 2, 1))}, 0.0)
         assert math.isfinite(value)
         grad = targets.gradient(logp)
-        assert_same_bits(grad.transpose(0, 2, 1),
+        assert_same_bits(grad.transpose(1, 2, 0),
                          ref_logit_grad(ref_log_softmax(z[:, train]),
                                         z.shape, y, w, train))
         assert not grad[..., 1:4].view(np.uint64).any()
@@ -1222,9 +1227,9 @@ class TestLogitDifferences:
         p = {name: np.stack([getattr(model, name) for model in models])
              for name in appnp._PARAMS}
 
-        stack = GraphStack(graphs, k - 1)
+        stack = GraphStack(graphs)
         at = stack.from_frame(np.arange(c * n).reshape(c, n))
-        targets = appnp._Targets(at, y, w, train, k)
+        targets = appnp._Targets(at, y, w, train)
         hd = appnp._hidden(p, x)
         z = appnp._frame_logits(stack, appnp._head(p, hd), cfg.teleport,
                                 cfg.prop_steps)
@@ -1234,7 +1239,7 @@ class TestLogitDifferences:
                                      cfg.teleport, cfg.prop_steps)
         grads = appnp._param_grads(p, x, hd, None, dh0, decay)
         labels = stack.from_frame(appnp._class_argmax(z))
-        rows = GraphStack(graphs, k).from_frame(z)
+        rows = stack.from_frame(z)
 
         for i, (model, adj) in enumerate(zip(models, graphs)):
             want_z, cache = forward(model, x, adj)
@@ -1257,9 +1262,9 @@ class TestLogitDifferences:
         d = np.array(list(itertools.product(values, repeat=k - 1)))
         n = len(d)
         explicit = np.concatenate([np.zeros((n, 1)), d], axis=1)
-        stack = GraphStack([identity_adjacency(n)], k - 1)
+        stack = GraphStack([identity_adjacency(n)])
         z = appnp._frame_logits(stack, explicit[None], 0.1, 0)
-        rows = GraphStack([identity_adjacency(n)], k).from_frame(z)[0]
+        rows = stack.from_frame(z)[0]
         # h0[..., k] - 0.0 keeps the value and the sign of a zero
         np.testing.assert_array_equal(rows, explicit)
         np.testing.assert_array_equal(np.signbit(rows), np.signbit(explicit))

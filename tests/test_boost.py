@@ -214,7 +214,7 @@ class TestRunRound:
                                    ds.mask(TRAIN), ds.mask(VAL), 2, cfg)
         assert round_.feature == 0
         assert round_.gamma == cands[0].gamma
-        assert labels.shape == ds.y.shape
+        assert labels.shape == ds.y.shape and labels.dtype == np.int64
 
     def test_selection_is_argmin_of_weighted_error(self):
         ds, w, cfg = self._setup(seed=1)

@@ -269,132 +269,105 @@ class TestNormalization:
         assert err <= 1e-10 * np.max(np.abs(ref))
 
 
-class TestGraphStack:
-    def test_equals_repeated_matmul_bit_for_bit(self):
-        # Graphs of one row set, with and without edges and out of row
-        # order; each slice must equal k one-graph multiplies exactly.
-        rng = np.random.default_rng(10)
-        n = 40
-        v = rng.normal(size=n)
-        graphs = [build_adjacency(v, g).adjacency for g in (0.0, 0.3, 1.5)]
-        graphs.append(identity_adjacency(n))
-        graphs.append(build_adjacency(rng.integers(0, 3, size=n) * 1.0,
-                                      0.0).adjacency)
-        for width, teleport, steps in ((2, 0.1, 3), (1, 0.5, 1), (3, 0.2, 7),
-                                       (2, 1.0, 4), (2, 0.3, 0)):
-            h0 = rng.normal(size=(len(graphs), n, width))
-            got = GraphStack(graphs, width).propagate(h0, teleport, steps)
-            for adj, h, z in zip(graphs, h0, got):
-                want = h.copy()
-                if teleport < 1.0:
-                    for _ in range(steps):
-                        want = adj.matmul(want)
-                        want *= 1.0 - teleport
-                        want += teleport * h
-                np.testing.assert_array_equal(z, want)
+def matmul_steps(adj, h, teleport, steps):
+    """k steps of the recurrence by repeated one-graph multiplies."""
+    want = h.copy()
+    if teleport < 1.0:
+        for _ in range(steps):
+            want = adj.matmul(want)
+            want *= 1.0 - teleport
+            want += teleport * h
+    return want
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(1, 3), st.integers(1, 30), st.integers(1, 4),
-           st.sampled_from([0.1, 0.35, 1.0]), st.integers(0, 5),
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestGraphStack:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4), st.integers(0, 5), st.integers(1, 300),
+           st.integers(0, 5), st.sampled_from([0.1, 0.35, 1.0]),
+           st.sampled_from(["every", "empty", "single", "all", "subset"]),
            st.integers(0, 2**32 - 1))
-    def test_frame_steps_compose_to_propagate(self, c, n, width, teleport,
-                                              steps, seed):
+    def test_equals_repeated_matmul_bit_for_bit(self, c, w, n, steps,
+                                                teleport, asked, seed):
+        # W lines on each of C graphs of one row set, with and without
+        # edges, out of row order; W = 0 is the K = 1 case. Each line must
+        # equal k one-graph multiplies on its own graph exactly, in full
+        # and at the flat positions asked for.
         rng = np.random.default_rng(seed)
-        graphs = [build_adjacency(rng.integers(0, 4, size=n) * rng.normal(),
+        graphs = [build_adjacency(rng.integers(0, 6, size=n) * rng.normal(),
                                   float(rng.uniform(0.0, 1.0))).adjacency
                   for _ in range(c)]
-        stack = GraphStack(graphs, width)
-        h0 = rng.normal(size=(c, n, width))
+        if rng.random() < 0.25:
+            graphs[-1] = identity_adjacency(n)
+        stack = GraphStack(graphs)
+        # C * N window indices whatever W is; one graph's own arrays
+        assert stack._hi.size == stack._lo.size == stack._rows.size == c * n
+        if c == 1:
+            assert stack._hi is graphs[0].hi and stack._rows is graphs[0].order
+        h0 = rng.normal(size=(c, n, w))
         frame = stack.to_frame(h0)
-        # class-major, each graph's rows in its sorted order
+        # line-major, each graph's rows in its sorted order
+        assert frame.shape == (w, c, n)
         for g, adj in enumerate(graphs):
-            np.testing.assert_array_equal(frame[g], h0[g][adj.order].T)
+            np.testing.assert_array_equal(frame[:, g], h0[g][adj.order].T)
         kept = frame.copy()
         z = stack.run(frame, teleport, steps)
         np.testing.assert_array_equal(frame, kept)  # run leaves H0 alone
         got = stack.from_frame(z)
-        want = stack.propagate(h0, teleport, steps)
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-        np.testing.assert_array_equal(stack.from_frame(frame), h0)
-        # per-row values, such as labels, keep their dtype
-        rows = np.arange(c * n).reshape(c, n)
-        per_row = stack.from_frame(frame[:, 0].copy())
-        np.testing.assert_array_equal(per_row, h0[:, :, 0])
-        positions = stack.from_frame(rows)
-        assert positions.dtype == rows.dtype
+        assert got.flags.c_contiguous
         for g, adj in enumerate(graphs):
-            np.testing.assert_array_equal(positions[g, adj.order], rows[g])
-
-    @settings(max_examples=150, deadline=None)
-    @given(st.integers(1, 6), st.integers(1, 3), st.integers(1, 300),
-           st.sampled_from([0.1, 0.35, 1.0]), st.integers(0, 4),
-           st.integers(0, 2**32 - 1))
-    def test_one_graph_of_c_w_lines_equals_c_copies(self, c, width, n,
-                                                    teleport, steps, seed):
-        # Prediction propagates the C * W lines of C learners on one graph
-        # as one stack of one graph; each line must keep the bits of the
-        # stack of C copies of that graph.
-        rng = np.random.default_rng(seed)
-        adj = build_adjacency(rng.integers(0, 6, size=n) * rng.normal(),
-                              float(rng.uniform(0.0, 1.0))).adjacency
-        h0 = rng.normal(size=(c, n, width))
-        copies = GraphStack([adj] * c, width)
-        want = copies.run(copies.to_frame(h0), teleport, steps)
-        one = GraphStack([adj], c * width)
-        lines = h0.transpose(1, 0, 2).reshape(1, n, c * width)
-        got = one.run(one.to_frame(lines), teleport, steps)
-        assert np.array_equal(got.reshape(c, width, n).view(np.uint64),
-                              want.view(np.uint64))
+            assert_same_bits(got[g], matmul_steps(adj, h0[g], teleport,
+                                                  steps))
+        at = {"every": None,
+              "empty": np.zeros(0, dtype=np.int64),
+              "single": rng.integers(0, c * n, size=1),
+              "all": np.arange(c * n),
+              "subset": rng.permutation(c * n)[:int(rng.integers(1, c * n
+                                                                 + 1))],
+              }[asked]
+        if at is not None:
+            assert_same_bits(stack.run(frame, teleport, steps, at),
+                             z.reshape(w, c * n)[:, at])
+            np.testing.assert_array_equal(frame, kept)
+        # round trips keep values and dtype, for lines and per-row values
+        assert_same_bits(stack.from_frame(frame), h0)
+        codes = rng.integers(0, 256, size=(c, n, w)).astype(np.uint8)
+        back = stack.from_frame(stack.to_frame(codes))
+        assert back.dtype == np.uint8
+        np.testing.assert_array_equal(back, codes)
+        labels = codes[..., 0] if w else np.zeros((c, n), dtype=np.uint8)
+        per_row = stack.from_frame(labels)
+        assert per_row.dtype == np.uint8
+        for g, adj in enumerate(graphs):
+            np.testing.assert_array_equal(per_row[g, adj.order], labels[g])
+        with pytest.raises(DataError):
+            stack.run(np.zeros((w, c + 1, n)), teleport, steps, at)
+        with pytest.raises(DataError):
+            stack.to_frame(np.zeros((c, n + 1, w)))
+        with pytest.raises(DataError):
+            stack.from_frame(np.zeros((c, n + 1)))
 
     def test_mismatched_shapes_rejected(self):
         graphs = [identity_adjacency(5), identity_adjacency(5)]
-        stack = GraphStack(graphs, 2)
+        stack = GraphStack(graphs)
+        for operand in (np.zeros((1, 5, 2)), np.zeros((2, 4, 2)),
+                        np.zeros((2, 5))):
+            with pytest.raises(DataError):
+                stack.to_frame(operand)
+        for frame in (np.zeros((2, 5, 2)), np.zeros((2, 5)),
+                      np.zeros((1, 1, 2, 5))):
+            with pytest.raises(DataError):
+                stack.run(frame, 0.1, 2)
+        for frame in (np.zeros((2, 2, 4)), np.zeros((5, 2)),
+                      np.zeros((1, 1, 2, 5))):
+            with pytest.raises(DataError):
+                stack.from_frame(frame)
         with pytest.raises(DataError):
-            stack.propagate(np.zeros((2, 5, 3)), 0.1, 2)
-        with pytest.raises(DataError):
-            stack.propagate(np.zeros((1, 5, 2)), 0.1, 2)
-        with pytest.raises(DataError):
-            stack.run(np.zeros((2, 5, 2)), 0.1, 2)
-        with pytest.raises(DataError):
-            stack.from_frame(np.zeros((2, 2, 4)))
-        with pytest.raises(DataError):
-            GraphStack([identity_adjacency(5), identity_adjacency(6)], 2)
-
-
-class TestRunLines:
-    @settings(max_examples=200, deadline=None)
-    @given(st.integers(1, 6), st.integers(1, 300),
-           st.sampled_from([0.1, 0.35, 1.0]), st.integers(0, 4),
-           st.sampled_from(["every", "empty", "single", "all", "subset"]),
-           st.integers(0, 2**32 - 1))
-    def test_equals_one_graph_stack_at_asked_positions(
-            self, width, n, teleport, steps, asked, seed):
-        # Prediction propagates a group's W lines on one graph and labels
-        # only the new rows; each value asked for must keep the bits of
-        # the one-graph stack of width W.
-        rng = np.random.default_rng(seed)
-        adj = build_adjacency(rng.integers(0, 6, size=n) * rng.normal(),
-                              float(rng.uniform(0.0, 1.0))).adjacency
-        stack = GraphStack([adj], width)
-        frame = stack.to_frame(rng.normal(size=(1, n, width)))
-        want = stack.run(frame, teleport, steps)[0]
-        at = {"every": None,
-              "empty": np.zeros(0, dtype=np.int64),
-              "single": rng.integers(0, n, size=1),
-              "all": np.arange(n),
-              "subset": rng.permutation(n)[:int(rng.integers(1, n + 1))],
-              }[asked]
-        kept = frame.copy()
-        got = adj.run_lines(frame[0], teleport, steps, at)
-        np.testing.assert_array_equal(frame, kept)  # H0 is left alone
-        if at is not None:
-            want = want[:, at]
-        assert got.shape == want.shape
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-
-    def test_mismatched_shape_rejected(self):
-        with pytest.raises(DataError):
-            identity_adjacency(5).run_lines(np.zeros((2, 4)), 0.1, 2)
+            GraphStack([identity_adjacency(5), identity_adjacency(6)])
 
 
 def assert_same_adjacency(got, want):

@@ -1,0 +1,91 @@
+"""The summary of ``benchmarks/paired.py`` on fixed run results."""
+
+import importlib.util
+import json
+import os
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_spec = importlib.util.spec_from_file_location(
+    "paired", os.path.join(ROOT, "benchmarks", "paired.py"))
+paired = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(paired)
+
+BETTER = {"command_s": "lower", "test_auroc": "higher"}
+
+
+def run(workload, seed, side, first, load, **values):
+    return {"workload": workload, "seed": seed, "side": side, "first": first,
+            "loadavg_1m_before_run": load, "returncode": 0,
+            "correct": bool(values), "attempted": 10 if values else 0,
+            "failed": 1 if side == "change" and values else 0,
+            "metrics": {k: {"value": v, "unit": "?"}
+                        for k, v in values.items()}}
+
+
+RUNS = [
+    # seed 1: the change is better on both metrics
+    run("a", 1, "parent", "parent", 0.5, command_s=1.0, test_auroc=0.9),
+    run("a", 1, "change", "parent", 0.6, command_s=0.5, test_auroc=0.95),
+    # seed 2: tied on both
+    run("a", 2, "change", "change", 0.7, command_s=2.0, test_auroc=0.9),
+    run("a", 2, "parent", "change", 0.8, command_s=2.0, test_auroc=0.9),
+    # seed 3: worse on both
+    run("a", 3, "parent", "parent", 0.9, command_s=3.0, test_auroc=0.9),
+    run("a", 3, "change", "parent", 1.0, command_s=3.5, test_auroc=0.8),
+    # seed 5: the change run failed and reports nothing
+    run("b", 5, "parent", "parent", 1.1, command_s=1.0),
+    run("b", 5, "change", "parent", 1.2),
+    run("b", 6, "change", "change", 1.3, command_s=1.5),
+    run("b", 6, "parent", "change", 1.4, command_s=2.0),
+    # seed 7: only the parent ran
+    run("b", 7, "parent", "parent", 1.5, command_s=9.0),
+]
+
+
+def test_pairs_won_lost_and_tied():
+    a = paired.summarize(RUNS, BETTER)["a"]
+    assert a["seeds"] == [1, 2, 3] and a["pairs"] == 3
+    for key in ("change_better_pairs", "change_worse_pairs", "tied_pairs"):
+        assert a[key] == {"command_s": 1, "test_auroc": 1}
+    assert a["first_side"] == {"1": "parent", "2": "change", "3": "parent"}
+    assert a["loadavg_1m_before_run"] == {"parent": [0.5, 0.8, 0.9],
+                                          "change": [0.6, 0.7, 1.0]}
+
+
+def test_side_quartiles_and_counts():
+    a = paired.summarize(RUNS, BETTER)["a"]
+    parent = a["sides"]["parent"]
+    assert parent["metrics"]["command_s"] == {
+        "median": 2.0, "q1": 1.5, "q3": 2.5, "values": [1.0, 2.0, 3.0]}
+    change = a["sides"]["change"]["metrics"]["command_s"]
+    assert change["median"] == 2.0
+    assert change["q1"] == pytest.approx(1.25)
+    assert change["q3"] == pytest.approx(2.75)
+    assert (parent["correct_runs"], parent["attempted"],
+            parent["failed"]) == (3, 30, 0)
+    assert a["sides"]["change"]["failed"] == 3
+    assert a["median_change_pct"] == {"command_s": 0.0, "test_auroc": 0.0}
+
+
+def test_missing_metric_or_side_makes_no_pair():
+    b = paired.summarize(RUNS, BETTER)["b"]
+    assert b["seeds"] == [5, 6, 7] and b["pairs"] == 2
+    assert b["change_better_pairs"] == {"command_s": 1}
+    assert b["change_worse_pairs"] == {"command_s": 0}
+    assert b["tied_pairs"] == {"command_s": 0}
+    assert "test_auroc" not in b["sides"]["parent"]["metrics"]
+    assert b["sides"]["change"]["correct_runs"] == 1
+    assert b["sides"]["parent"]["metrics"]["command_s"]["values"] == [
+        1.0, 2.0, 9.0]
+    assert b["median_change_pct"]["command_s"] == pytest.approx(-25.0)
+    assert b["loadavg_1m_before_run"]["change"] == [1.2, 1.3]
+
+
+def test_directions_and_seed_ranges():
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        better = paired.directions(json.load(fh))
+    assert better["setup_s"] == "lower" and better["test_auroc"] == "higher"
+    assert paired.seed_range("4101-4103") == [4101, 4102, 4103]
+    assert paired.seed_range("7") == [7]
