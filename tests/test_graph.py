@@ -11,6 +11,7 @@ import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
 from graphboost import graph
+from graphboost.appnp import propagate
 from graphboost.errors import DataError
 from graphboost.graph import (GraphStack, StoredGraph, build_adjacency,
                               enumerate_candidates, identity_adjacency,
@@ -368,6 +369,88 @@ class TestGraphStack:
                 stack.from_frame(frame)
         with pytest.raises(DataError):
             GraphStack([identity_adjacency(5), identity_adjacency(6)])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 30), st.integers(1, 4),
+           st.sampled_from([0.1, 0.35, 1.0]), st.integers(0, 5),
+           st.integers(0, 2**32 - 1))
+    def test_frame_steps_compose_to_propagate(self, c, n, width, teleport,
+                                              steps, seed):
+        # to_frame, run and from_frame on C graphs give, graph by graph,
+        # the bits of appnp.propagate on that graph alone.
+        rng = np.random.default_rng(seed)
+        graphs = [build_adjacency(rng.integers(0, 4, size=n) * rng.normal(),
+                                  float(rng.uniform(0.0, 1.0))).adjacency
+                  for _ in range(c)]
+        stack = GraphStack(graphs)
+        h0 = rng.normal(size=(c, n, width))
+        got = stack.from_frame(stack.run(stack.to_frame(h0), teleport, steps))
+        for g, adj in enumerate(graphs):
+            assert_same_bits(got[g], propagate(h0[g], adj, teleport, steps))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 3), st.integers(1, 300),
+           st.sampled_from([0.1, 0.35, 1.0]), st.integers(0, 4),
+           st.integers(0, 2**32 - 1))
+    def test_one_graph_of_c_w_lines_equals_c_copies(self, c, width, n,
+                                                    teleport, steps, seed):
+        # Prediction propagates the C * W lines of C learners on one graph
+        # as one stack of one graph; each line must keep the bits of the
+        # stack of C copies of that graph.
+        rng = np.random.default_rng(seed)
+        adj = build_adjacency(rng.integers(0, 6, size=n) * rng.normal(),
+                              float(rng.uniform(0.0, 1.0))).adjacency
+        h0 = rng.normal(size=(c, n, width))
+        copies = GraphStack([adj] * c)
+        want = copies.run(copies.to_frame(h0), teleport, steps)  # (W, C, N)
+        one = GraphStack([adj])
+        lines = h0.transpose(1, 0, 2).reshape(1, n, c * width)
+        got = one.run(one.to_frame(lines), teleport, steps)  # (C * W, 1, N)
+        assert_same_bits(got.reshape(c, width, n).transpose(1, 0, 2), want)
+
+
+class TestRunLines:
+    """``GraphStack.run`` on one graph's lines, cut to asked positions."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 300),
+           st.sampled_from([0.1, 0.35, 1.0]), st.integers(0, 4),
+           st.sampled_from(["every", "empty", "single", "all", "subset"]),
+           st.integers(0, 2**32 - 1))
+    def test_equals_one_graph_stack_at_asked_positions(
+            self, width, n, teleport, steps, asked, seed):
+        # Prediction propagates a group's W lines on one graph and labels
+        # only the new rows; each value asked for must keep the bits of
+        # the full run of the one-graph stack.
+        rng = np.random.default_rng(seed)
+        adj = build_adjacency(rng.integers(0, 6, size=n) * rng.normal(),
+                              float(rng.uniform(0.0, 1.0))).adjacency
+        stack = GraphStack([adj])
+        frame = stack.to_frame(rng.normal(size=(1, n, width)))
+        want = stack.run(frame, teleport, steps)[:, 0]
+        at = {"every": None,
+              "empty": np.zeros(0, dtype=np.int64),
+              "single": rng.integers(0, n, size=1),
+              "all": np.arange(n),
+              "subset": rng.permutation(n)[:int(rng.integers(1, n + 1))],
+              }[asked]
+        kept = frame.copy()
+        got = stack.run(frame, teleport, steps, at)
+        np.testing.assert_array_equal(frame, kept)  # H0 is left alone
+        if at is None:
+            got = got[:, 0]
+        else:
+            want = want[:, at]
+        assert_same_bits(got, want)
+
+    def test_mismatched_shape_rejected(self):
+        stack = GraphStack([identity_adjacency(5)])
+        for frame in (np.zeros((2, 4)), np.zeros((2, 1, 4)),
+                      np.zeros((2, 2, 5))):
+            with pytest.raises(DataError):
+                stack.run(frame, 0.1, 2)
+            with pytest.raises(DataError):
+                stack.run(frame, 0.1, 2, np.arange(4))
 
 
 def assert_same_adjacency(got, want):
