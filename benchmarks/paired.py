@@ -1,9 +1,14 @@
-"""Paired perfbench runs of two commits, summarised into one BENCH file.
+"""Paired perfbench runs of two commits, or paired single-row prediction
+calls of both in one process, summarised into one BENCH file.
 
     python benchmarks/paired.py --parent HEAD~1 --change HEAD \\
         --scratch /tmp/paired --name one_engine \\
         --run fit-continuous:4101-4110 --run fit-mixed:4201-4210 \\
         --run predict:4301-4310
+
+    python benchmarks/paired.py --parent HEAD~1 --change HEAD \\
+        --scratch /tmp/paired --name cone_calls \\
+        --in-process model.gbe rows.csv --calls 3000
 
 Each commit is exported with ``git archive`` into its own directory under
 ``--scratch`` (a plain checkout, so the repository's ``.git`` gains
@@ -18,9 +23,20 @@ settings, and per workload and metric each side's median and quartiles
 (numpy's linear percentiles) and the pairs in which the change read
 better, worse or the same, by the metric's direction in
 ``BENCHMARK.json``.
+
+``--in-process MODEL ROWS`` imports the ``graphboost`` package of each
+checkout under its own name, loads the model in each and encodes the CSV
+rows once. It then alternates single-row ``predict_ensemble`` calls of the
+two packages on the same rows, one row after another, with the side that
+goes first alternating from one call to the next, and asserts that both
+give equal labels and score bytes on every call. The BENCH file then holds
+each side's per-call milliseconds (median and quartiles) and the calls in
+which the change was faster, slower or as fast.
 """
 
 import argparse
+import importlib
+import importlib.util
 import io
 import json
 import os
@@ -144,6 +160,74 @@ def _run(checkout: str, workload: str, seed: int) -> dict:
     return run
 
 
+def import_tree(src: str, name: str):
+    """The ``graphboost`` package under the directory ``src``, imported as
+    the top-level package ``name``; its modules import each other
+    relatively, so two trees can live in one process."""
+    package = os.path.join(src, "graphboost")
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(package, "__init__.py"),
+        submodule_search_locations=[package])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def _alternate(packages: dict, model: str, rows: str,
+               calls: int) -> tuple[dict, int]:
+    """Per side, the milliseconds of each of ``calls`` alternating
+    single-row calls, and the number of rows, read and encoded once."""
+    ensembles = {side: importlib.import_module(
+        f"{packages[side].__name__}.model_io").load_ensemble(model)
+        for side in SIDES}
+    data = importlib.import_module(f"{packages['change'].__name__}.data")
+    table, _ = data.load_csv(rows, label_column=None)
+    x = data.apply_encoder(table, ensembles["change"].encoder)
+    times = {side: [] for side in SIDES}
+    for call in range(calls):
+        row = x[call % len(x)][None]
+        order = SIDES if call % 2 == 0 else SIDES[::-1]
+        out = {}
+        for side in order:
+            start = time.perf_counter()
+            out[side] = packages[side].predict_ensemble(ensembles[side], row)
+            times[side].append(1e3 * (time.perf_counter() - start))
+        (labels, scores), (want_labels, want_scores) = (out[s] for s in
+                                                        SIDES[::-1])
+        assert np.array_equal(labels, want_labels), f"call {call}: labels"
+        assert scores.tobytes() == want_scores.tobytes(), \
+            f"call {call}: score bytes"
+    return times, len(x)
+
+
+def in_process(sources: dict, model: str, rows: str, calls: int) -> dict:
+    """Alternating single-row calls of the ``graphboost`` trees under
+    ``sources`` (``{"parent": dir, "change": dir}``) on ``model`` and the
+    rows of the CSV ``rows``: each side's per-call milliseconds and the
+    calls each side won. Raises AssertionError when the two sides label or
+    score a row differently."""
+    names = {side: f"graphboost_{side}" for side in SIDES}
+    try:
+        packages = {side: import_tree(sources[side], names[side])
+                    for side in SIDES}
+        times, count = _alternate(packages, model, rows, calls)
+    finally:
+        for name in [name for name in sys.modules
+                     if name.split(".")[0] in names.values()]:
+            del sys.modules[name]
+    faster = [c < p for p, c in zip(times["parent"], times["change"])]
+    slower = [c > p for p, c in zip(times["parent"], times["change"])]
+    return {"calls": calls, "rows": count,
+            "sides": {side: _quartiles(times[side]) for side in SIDES},
+            "change_faster_calls": sum(faster),
+            "change_slower_calls": sum(slower),
+            "tied_calls": calls - sum(faster) - sum(slower),
+            "median_change_pct": 100.0 * (
+                float(np.median(times["change"]))
+                / float(np.median(times["parent"])) - 1.0)}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", required=True, help="git revision")
@@ -152,9 +236,15 @@ def main(argv=None) -> int:
                         help="directory for the two checkouts")
     parser.add_argument("--name", required=True,
                         help="writes BENCH_<name>.json")
-    parser.add_argument("--run", action="append", required=True,
-                        metavar="WORKLOAD:FIRST-LAST",
-                        help="a workload and its seeds; may repeat")
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--run", action="append",
+                      metavar="WORKLOAD:FIRST-LAST",
+                      help="a workload and its seeds; may repeat")
+    mode.add_argument("--in-process", nargs=2, metavar=("MODEL", "ROWS"),
+                      help="a .gbe model and a CSV of rows to score one "
+                           "at a time")
+    parser.add_argument("--calls", type=int, default=3000,
+                        help="calls per side with --in-process")
     parser.add_argument("--out", default=ROOT, help="directory of the file")
     args = parser.parse_args(argv)
 
@@ -163,6 +253,21 @@ def main(argv=None) -> int:
     os.makedirs(args.scratch, exist_ok=True)
     checkouts = dict(parent=_export(args.parent, args.scratch),
                      change=_export(args.change, args.scratch))
+    if args.in_process:
+        return _write(args, checkouts, {
+            "what": "single-row predict_ensemble calls of both packages in "
+                    "one process on the same rows, the first side "
+                    "alternating per call; per side the median and "
+                    "quartiles (numpy percentile, linear) of the call's "
+                    "milliseconds, and the calls in which the change was "
+                    "faster, slower or as fast",
+            "model": args.in_process[0], "rows": args.in_process[1],
+            "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+            "numpy": np.__version__, "python": sys.version.split()[0],
+            "loadavg_1m_before": os.getloadavg()[0],
+            **in_process({side: os.path.join(checkouts[side][1], "src")
+                          for side in SIDES}, *args.in_process,
+                         args.calls)})
     runs = []
     for spec in args.run:
         workload, _, seeds = spec.partition(":")
@@ -177,19 +282,23 @@ def main(argv=None) -> int:
                       f"returncode {run['returncode']}, correct "
                       f"{run['correct']}", file=sys.stderr, flush=True)
     settings = next((r["settings"] for r in runs if "settings" in r), {})
-    report = {
+    return _write(args, checkouts, {
         "what": f"perfbench/run.py --workload W --seed S --seconds {SECONDS} "
                 "--trace 0, one run per side per seed, the first side "
                 "alternating; per side the median and quartiles (numpy "
                 "percentile, linear) of each end-to-end metric, and per "
                 "metric the pairs in which the change read better, worse "
                 "or the same",
-        "parent_sha": checkouts["parent"][0],
-        "change_sha": checkouts["change"][0],
         "nproc": settings.get("nproc", os.cpu_count()),
         "blas_threads": settings.get("blas_threads"),
         "numpy": settings.get("numpy"), "python": settings.get("python"),
-        "runs": runs, "workloads": summarize(runs, better)}
+        "runs": runs, "workloads": summarize(runs, better)})
+
+
+def _write(args, checkouts: dict, report: dict) -> int:
+    report = {"parent_sha": checkouts["parent"][0],
+              "change_sha": checkouts["change"][0],
+              "nproc": os.cpu_count(), **report}
     path = os.path.join(args.out, f"BENCH_{args.name}.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=1)

@@ -11,7 +11,8 @@ Inputs are fixed: standard-normal feature values with gamma at the 1/4
 quantile of their pairwise differences (the densest candidate a fit
 builds), and a K=2 head propagated for the default 10 steps. A join
 merges 1 or 2000 new standard-normal rows into the stored graph of such a
-column, the work a prediction call does per distinct round graph. The round
+column on their 3-step cone, the work a prediction call does per distinct
+round graph. The round
 trains all 30 candidates of an n=2000, m=10 synthetic cohort with the
 learner shape of the fit benchmark in ``perfbench/``, on the calling
 thread (``workers`` 0) and on two threads (``workers`` 2); the block
@@ -22,12 +23,18 @@ batch of 2000, against a hand-built 10-round ensemble over the 2000 rows
 of that cohort, with criterion 08's learner shape and round pattern: 8
 rounds on one graph and 2 on two others, interleaved, each with untrained
 ``init_model`` weights; one row is also scored against the first round
-alone, the shape of a one-round fit with its one difference line. Ingest
+alone, the shape of a one-round fit with its one difference line. The
+scaling cases score one row, and a batch of 2000, against 3 rounds on one
+graph over n = 2000, 20000 or 100000 stored rows, with the benchmark
+model's learner shape (k = 3): a uniform column with gamma = 62 / n, so
+that a window holds about 125 rows at every n. Ingest
 reads that cohort back from a CSV file, continuous as written or mixed:
 its noise columns cut into integer scores, one of them into text levels,
 with 5% of their cells ``NA``; the encode benchmark fits and applies the
 encoding of the mixed table.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,8 +43,9 @@ from graphboost import appnp
 from graphboost.appnp import AppnpConfig, init_model, propagate
 from graphboost.boost import Ensemble, WeakRound, predict_ensemble, run_round
 from graphboost.data import (CATEGORICAL, NUMERIC, TRAIN, VAL, Column,
-                             RawTable, apply_encoder, fit_encoder,
-                             gen_synthetic, load_csv, split_rows, write_csv)
+                             EncodingMeta, NumericMeta, RawTable,
+                             apply_encoder, fit_encoder, gen_synthetic,
+                             load_csv, split_rows, write_csv)
 from graphboost.graph import (StoredGraph, build_adjacency,
                               enumerate_candidates, quantile_thresholds)
 
@@ -64,8 +72,8 @@ def test_join(benchmark, n, m):
     v, gamma, _ = _inputs(n)
     stored = StoredGraph.of(build_adjacency(v, gamma), v)
     new = np.random.default_rng(m).normal(size=m)
-    adj = benchmark(stored.join, new)
-    assert adj.n == n + m
+    cone = benchmark(stored.join, new, 3)
+    assert cone.n == n + m
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -187,5 +195,40 @@ def test_predict_batch(benchmark):
     ensemble = _ten_round_ensemble()
     rows = np.random.default_rng(2).normal(
         size=(2_000, ensemble.train_x.shape[1]))
+    labels, scores = benchmark(predict_ensemble, ensemble, rows)
+    assert labels.shape == (2_000,) and scores.shape == (2_000, 2)
+
+
+def _windowed_ensemble(n):
+    """3 rounds on one graph over n stored rows whose windows hold about
+    125 rows, whatever n is."""
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=(n, 4))
+    x[:, 0] = rng.uniform(size=n)
+    meta = EncodingMeta([NumericMeta(f"f{j}", 0.0, 0.0, 1.0)
+                         for j in range(4)], "label", ["c0", "c1"])
+    rounds = [WeakRound(0, "f0", 62.0 / n, init_model(replace(WEAK, seed=t),
+                                                      4, 2), 1.0 / (t + 1),
+                        0.3) for t in range(3)]
+    ensemble = Ensemble(rounds, 2, meta, meta.feature_names(), x)
+    graph = ensemble.stored_graphs[(0, 62.0 / n)]
+    assert 110 < np.mean(graph.hi - graph.lo) < 140
+    return ensemble, rng
+
+
+@pytest.mark.parametrize("n", (2_000, 20_000, 100_000))
+def test_predict_one_row_scaling(benchmark, n):
+    ensemble, rng = _windowed_ensemble(n)
+    row = rng.normal(size=(1, 4))
+    row[0, 0] = 0.5
+    labels, scores = benchmark(predict_ensemble, ensemble, row)
+    assert labels.shape == (1,) and scores.shape == (1, 2)
+
+
+@pytest.mark.parametrize("n", (2_000, 20_000, 100_000))
+def test_predict_batch_scaling(benchmark, n):
+    ensemble, rng = _windowed_ensemble(n)
+    rows = rng.normal(size=(2_000, 4))
+    rows[:, 0] = rng.uniform(size=2_000)
     labels, scores = benchmark(predict_ensemble, ensemble, rows)
     assert labels.shape == (2_000,) and scores.shape == (2_000, 2)

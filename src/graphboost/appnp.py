@@ -34,25 +34,29 @@ same code. Each epoch's validation forward pass labels every row; a
 learner keeps the labels of the epoch whose parameters it keeps, so a
 round's candidates need no labelling pass after training.
 
-Prediction labels learners that share one graph with ``graph_labels``, from
-their head differences: the K - 1 difference lines of C learners are
-gathered once into the graph's sorted frame as the C(K - 1) lines of a
-one-graph ``GraphStack``, the engine that training runs too, whose window
-indices are the graph's own N, shared by every line; its last step runs
-only at the rows to be labelled. A stored row's head does not depend on the
-graph, so ``boost.Ensemble`` computes the differences over its stored rows
-once, and a prediction computes them for its new rows only. It does so with
-a ``HeadStack``, made once per group of learners: their weights stacked per
-hidden width, transposed and contiguous, so that each layer of a stack is
-one ``np.matmul`` with the bits of a one-learner product.
+Prediction labels learners that share one graph and their teleport and
+prop_steps with a ``StoredRun``, made once per group and never saved. A
+stored row's head does not depend on the graph, so it computes the K - 1
+head differences of its learners over the stored rows once, with a
+``HeadStack``: their weights stacked per hidden width, transposed and
+contiguous, so that each layer of a stack is one ``np.matmul`` with the
+bits of a one-learner product. It propagates those C(K - 1) lines on the
+stored graph alone, as the lines of a one-graph ``GraphStack``, the engine
+that training runs too, and keeps the stored rows' labels and the k prefix
+sums of that run. New rows are labelled on the ``graph.Cone`` of the
+stored graph joined with them: their differences, computed for the new
+rows only, join the stored ones at the cone's positions, and ``Cone.run``
+propagates only the cone, seeded from those prefix sums, with the bits of
+a full run over all rows.
 
-Training and ``graph_labels`` propagate K - 1 logit differences, not K
+Training and prediction propagate K - 1 logit differences, not K
 logits. Softmax, cross-entropy and argmax do not change when one value is
 added to all logits of a row, and the propagation is linear and treats
 every class line alike, so propagating H0[..., k] - H0[..., 0] for k >= 1
 behind a line of zeros for class 0 gives the same loss, gradients and
 labels in real arithmetic, and the same up to rounding in floats. For the
-usual K = 2 that halves the propagation work. Back through it, class k
+usual K = 2 that halves the propagation work. ``_class_argmax`` takes the
+K - 1 differences, with class 0 an implicit zero. Back through it, class k
 of dH0 is its propagated line of dZ, and class 0 is minus their sum.
 ``forward``, ``backward``, ``loss`` and ``predict`` stay the K-line
 references, and a model keeps its K heads.
@@ -94,8 +98,8 @@ log = logging.getLogger("graphboost.appnp")
 # model file claiming 2**70 steps would make predict never finish.
 MAX_PROP_STEPS = 10_000
 
-# Byte budget of a block's largest per-learner buffer: the C x N x H
-# activations in training, the K x C x N logits in labelling. It caps the
+# Byte budget of a block's largest per-learner buffer, the C x N x H
+# activations in training. It caps the
 # learners per block, at 10 for training at N = 2000 and H = 16, and never
 # below 1. A block runs the per-learner Python loops of every epoch, which
 # hold the interpreter lock, so on two threads two blocks of 10 train a
@@ -233,14 +237,15 @@ def _log_softmax(z: np.ndarray) -> np.ndarray:
     return shifted
 
 
-def _class_argmax(z: np.ndarray) -> np.ndarray:
-    """``np.argmax`` over the class axis 0 of a line-major (K, ...) array:
-    the first maximum wins, and so does the first NaN. The labels are of
-    the smallest integer type that holds K - 1, 1 byte up to 256 classes."""
-    best = z[0]
-    labels = np.zeros(best.shape, dtype=np.min_scalar_type(len(z) - 1))
-    for j in range(1, len(z)):
-        row = z[j]
+def _class_argmax(d: np.ndarray) -> np.ndarray:
+    """``np.argmax`` over K classes of logits given, up to one shift per
+    element, by the K - 1 differences from class 0 of a line-major
+    (K - 1, ...) array, class 0 being an implicit zero: the first maximum
+    wins, and so does the first NaN. The labels are of the smallest
+    integer type that holds K - 1, 1 byte up to 256 classes."""
+    labels = np.zeros(d.shape[1:], dtype=np.min_scalar_type(len(d)))
+    best = 0.0
+    for j, row in enumerate(d, start=1):
         # row > best, or row is NaN; but a NaN, once best, stays best
         np.putmask(labels, ~(row <= best) & (best == best), j)
         # the value of the class labelled so far, up to the sign of a zero
@@ -488,7 +493,7 @@ def train_candidates(config: AppnpConfig, x: np.ndarray, adjacencies: list,
     bit, whatever ``workers`` is. ``labels`` are the learner's hard labels
     of all N rows, in row order, from the validation forward pass that
     chose ``model``'s parameters (at ``max_epochs`` 0, the initial ones):
-    ``graph_labels([model], ...)`` on that graph, bit for bit and of its
+    ``StoredRun([model], ...).labels`` on that graph, bit for bit and of its
     type, 1 byte up to 256 classes.
     """
     train_mask = np.asarray(train_mask, dtype=bool)
@@ -521,7 +526,7 @@ def _thread_count(workers: int, items: int) -> int:
     """The threads, the calling one included, that ``_map_threads`` runs
     ``items`` items on: ``min(workers, items, os.cpu_count())``, at least
     1."""
-    if workers <= 1:  # as labelling always is; os.cpu_count reads a file
+    if workers <= 1:  # os.cpu_count reads a file
         return 1
     return max(1, min(workers, items, os.cpu_count() or 1))
 
@@ -667,7 +672,7 @@ def _train_block(config: AppnpConfig, x: np.ndarray, adjacencies: list,
     if config.max_epochs == 0:
         z = logits(_head(p, r))
         losses = targets.losses(_log_softmax(z), p, config.weight_decay)
-        labels = _class_argmax(z)
+        labels = _class_argmax(z[1:])
         errors = val.errors(labels)
         labels = stack.from_frame(labels)
         return [(AppnpModel(*init.copy_weights(), config),
@@ -734,7 +739,7 @@ def _train_block(config: AppnpConfig, x: np.ndarray, adjacencies: list,
             param -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
         r = _hidden(p, x, out=r)
-        labels = _class_argmax(logits(_head(p, r)))
+        labels = _class_argmax(logits(_head(p, r))[1:])
         for i, err in enumerate(val.errors(labels)):
             if done[i]:
                 continue
@@ -808,58 +813,73 @@ class HeadStack:
         return out
 
 
-def graph_labels(models: list, differences: np.ndarray,
-                 adjacency: SparseAdjacency, first: int = 0) -> np.ndarray:
-    """Hard labels of ``models``, all on the one graph ``adjacency``, for
-    the rows from ``first`` on: a C x (N - first) array, of the type that
-    ``_class_argmax`` gives. ``differences`` holds the models' K - 1 head
-    differences over the graph's rows, as an N x C(K - 1) array: model c's
-    h[:, k] - h[:, 0] in column c(K - 1) + k - 1. Row c equals
-    ``predict(models[c], x, adjacency)[0]`` except where two classes'
-    logits lie within rounding of each other, and equals a one-model call
-    bit for bit. Prediction labels its rounds with it; training labels its
-    learners in the training pass, with the same bits
-    (``train_candidates``).
+def _labels(d: np.ndarray, count: int) -> np.ndarray:
+    """Labels of ``count`` models from their C(K - 1) propagated difference
+    lines, model by model: a (C, n) array."""
+    lines, n = d.shape
+    return _class_argmax(d.reshape(count, lines // count, n).swapaxes(0, 1))
 
-    The models must share teleport and prop_steps. The C(K - 1) difference
-    lines of the models of each block of ``_block_plan`` are gathered once
-    into the graph's sorted frame, as lines of a one-graph ``GraphStack``,
-    and propagated there; the last step runs only at the rows asked for.
-    ``differences`` may be the transpose of C(K - 1) x N lines, such as
-    ``HeadStack.differences`` gives, which are then gathered without a copy.
+
+class StoredRun:
+    """Models that share one graph over stored rows and their teleport and
+    prop_steps, made once for many calls and never saved: their
+    ``HeadStack``, their K - 1 head differences over the stored rows, the
+    prefix sums that k propagation steps of those lines on the stored
+    graph take (k x C(K - 1) x (N + 1) floats), and the stored rows'
+    labels from that run, all read-only.
+
+    ``labels`` equals a one-model ``predict`` of the stored rows except
+    where two classes' logits lie within rounding of each other, and a
+    one-model run bit for bit; training labels its learners in the
+    training pass, with the same bits (``train_candidates``).
+    ``new_labels`` labels new rows on a ``Cone`` of the graph joined with
+    them, with the bits of a full run over the stored rows followed by
+    the new rows.
     """
-    n = adjacency.n
-    if differences.shape[0] != n:
-        raise DataError("adjacency and head differences disagree on node "
-                        "count")
-    if len({(m.config.teleport, m.config.prop_steps) for m in models}) > 1:
-        raise DataError("stacked models must share teleport and prop_steps")
-    k = models[0].b2.size if models else 1
-    labels = np.empty((len(models), n - first),
-                      dtype=np.min_scalar_type(k - 1))
-    if not models:
-        return labels
-    cfg = models[0].config
-    stack = GraphStack([adjacency])
-    # the sorted positions of the rows asked for, and those rows
-    at = None if first == 0 else (adjacency.order >= first).nonzero()[0]
-    rows = adjacency.order if at is None else adjacency.order[at] - first
-    lines = differences.T
-    for s in _block_plan(len(models), 8 * n * k, 0):
-        count = s.stop - s.start
-        frame = lines[s.start * (k - 1):s.stop * (k - 1)].take(
-            adjacency.order, axis=1)
-        d = stack.run(frame[:, None], cfg.teleport, cfg.prop_steps, at)
-        # the lines go model by model; the argmax takes classes first
-        d = d.reshape(count, k - 1, d.shape[-1]).swapaxes(0, 1)
-        labels[s][:, rows] = _class_argmax(_with_zero_line(d))
-    return labels
+
+    def __init__(self, models: list, x: np.ndarray,
+                 adjacency: SparseAdjacency):
+        if adjacency.n != x.shape[0]:
+            raise DataError("adjacency and stored rows disagree on node "
+                            "count")
+        if len({(m.config.teleport, m.config.prop_steps)
+                for m in models}) > 1:
+            raise DataError("stacked models must share teleport and "
+                            "prop_steps")
+        self.heads = HeadStack(models)
+        self.count = len(models)
+        cfg = models[0].config
+        self.teleport = cfg.teleport
+        # the steps that read the graph
+        self.steps = 0 if cfg.teleport == 1.0 else cfg.prop_steps
+        self.stored = self.heads.differences(x)
+        w, n = self.stored.shape
+        stack = GraphStack([adjacency])
+        prefixes = np.empty((self.steps, w, 1, n + 1))
+        z = stack.run(self.stored.take(adjacency.order, axis=1)[:, None],
+                      self.teleport, self.steps, prefixes)
+        self.prefixes = prefixes.reshape(self.steps, w, n + 1)
+        labels = _labels(z[:, 0], self.count)
+        self.labels = np.empty_like(labels)
+        self.labels[:, adjacency.order] = labels
+        for array in (self.stored, self.prefixes, self.labels):
+            array.flags.writeable = False
+
+    def new_labels(self, cone, new_x: np.ndarray) -> np.ndarray:
+        """Labels of the new rows ``new_x`` of ``cone``, the graph joined
+        with their column for at least ``steps`` steps: a C x m array."""
+        n = self.stored.shape[1]
+        # the cone's stored rows from the stored lines, then its new rows
+        h0 = self.stored.take(np.minimum(cone.order, n - 1), axis=1)
+        h0[:, cone.rows - cone.start] = self.heads.differences(new_x)
+        d = cone.run(self.prefixes, h0, self.teleport, self.steps)
+        return _labels(d, self.count)
 
 
 def predict(model: AppnpModel, x: np.ndarray,
             adjacency: SparseAdjacency) -> tuple[np.ndarray, np.ndarray]:
     """Hard labels (argmax, lowest index on ties) and softmax probabilities.
-    The one-learner, K-line reference for ``graph_labels`` and for the
+    The one-learner, K-line reference for ``StoredRun`` and for the
     labels of ``train_candidates``."""
     z, _ = forward(model, x, adjacency)
     probs = softmax(z)

@@ -20,17 +20,19 @@ A candidate's weighted train error, and the round's predictions, come
 from the labels that its training pass gave every row at the learner's
 best-validation epoch; no candidate is labelled again after training.
 Prediction labels the rounds that chose one (feature, gamma) graph
-together, with ``appnp.graph_labels``. When the ensemble is made, fitted
-or loaded, each such graph is built over the stored rows, and its rounds
-are grouped by shared (teleport, prop_steps). Each group gets an
-``appnp.HeadStack`` of its rounds' weights and the K - 1 head differences
-of its rounds over the stored rows; none of these is saved. A prediction
-merges its new rows into the stored graph, runs each group's MLP heads on
-its new rows alone, one stacked product per layer and hidden width,
-appends their differences to the stored ones and propagates the group's
-C(K - 1) lines on the one graph, as in APPNP's "predict, then propagate",
-where a row's head does not depend on the graph. Only the new rows are
-labelled in the last propagation step.
+together. When the ensemble is made, fitted or loaded, each such graph is
+built over the stored rows, and its rounds are grouped by shared
+(teleport, prop_steps). Each group gets an ``appnp.StoredRun``: the K - 1
+head differences of its rounds over the stored rows, their propagation on
+the stored graph alone, kept as that run's k prefix sums
+(k x C(K - 1) x (N + 1) floats), and the stored rows' labels from it;
+none of these is saved. A prediction runs each group's MLP heads on its
+new rows alone, one stacked product per layer and hidden width, as in
+APPNP's "predict, then propagate", where a row's head does not depend on
+the graph. It merges the new rows into the stored graph only on their
+dependency cone for the graph's largest k, and propagates each group
+there, seeded from its prefix sums, with the bits of a run over all rows.
+``transductive_scores`` reads the stored rows' labels.
 """
 
 import logging
@@ -39,8 +41,8 @@ import math
 
 import numpy as np
 
-from .appnp import (AppnpConfig, AppnpModel, HeadStack, TrainReport,
-                    graph_labels, train_candidates)
+from .appnp import (AppnpConfig, AppnpModel, StoredRun, TrainReport,
+                    train_candidates)
 # Unused here; kept only because perfbench/tracing.py wraps
 # boost.train_weak. Goes when the tracer wraps train_candidates instead
 # (ROADMAP item 1).
@@ -109,42 +111,40 @@ class Ensemble:
     # and never saved. Graphs on one feature share its stored sort.
     stored_graphs: dict = field(init=False, repr=False, compare=False)
     # Per (feature, gamma), its rounds grouped by (teleport, prop_steps):
-    # a list of (round indices, their HeadStack, its read-only difference
-    # lines over train_x), made here and never saved.
-    stored_lines: dict = field(init=False, repr=False, compare=False)
+    # a list of (round indices, their read-only StoredRun over train_x),
+    # made here and never saved.
+    stored_runs: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.rounds:
             raise DataError("empty ensemble")
         object.__setattr__(self, "rounds", tuple(self.rounds))
         graphs: dict = {}
+        adjacencies: dict = {}
         for r in self.rounds:
             if (r.feature, r.gamma) in graphs:
                 continue
             column = self.train_x[:, r.feature]
-            graph = StoredGraph.of(
-                build_adjacency(column, r.gamma, feature=r.feature), column)
+            built = build_adjacency(column, r.gamma, feature=r.feature)
+            graph = StoredGraph.of(built, column)
             twin = next((g for (f, _), g in graphs.items()
                          if f == r.feature), None)
             if twin is not None:
                 graph = replace(graph, order=twin.order,
                                 v_sorted=twin.v_sorted)
             graphs[(r.feature, r.gamma)] = graph
+            adjacencies[(r.feature, r.gamma)] = built.adjacency
         object.__setattr__(self, "stored_graphs", graphs)
         groups: dict = {}
         for t, r in enumerate(self.rounds):
             cfg = r.model.config
             groups.setdefault((r.feature, r.gamma), {}).setdefault(
                 (cfg.teleport, cfg.prop_steps), []).append(t)
-        lines: dict = {}
-        for key, by_config in groups.items():
-            lines[key] = []
-            for ts in by_config.values():
-                heads = HeadStack([self.rounds[t].model for t in ts])
-                stored = heads.differences(self.train_x)
-                stored.flags.writeable = False
-                lines[key].append((tuple(ts), heads, stored))
-        object.__setattr__(self, "stored_lines", lines)
+        runs = {key: [(tuple(ts), StoredRun(
+                    [self.rounds[t].model for t in ts], self.train_x,
+                    adjacencies[key])) for ts in by_config.values()]
+                for key, by_config in groups.items()}
+        object.__setattr__(self, "stored_runs", runs)
 
 
 def weighted_error(predictions: np.ndarray, y: np.ndarray, w: np.ndarray,
@@ -332,27 +332,20 @@ def _vote_scores(ensemble: Ensemble,
                  new_x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Votes of every round for the stored rows followed by ``new_x``,
     returned for the new rows only, or for the stored rows when ``new_x``
-    has none. Each distinct (feature, gamma) graph is the stored graph
-    joined with the new rows. Its rounds are labelled by ``graph_labels``,
-    one call per shared (teleport, prop_steps), from their stored head
-    difference lines followed by those of the new rows, which the group's
-    ``HeadStack`` computes from ``new_x`` alone. Votes are added in round
+    has none. Each group of rounds on one (feature, gamma) graph with
+    shared (teleport, prop_steps) labels the new rows on the cone of the
+    stored graph joined with them, seeded from its ``StoredRun``; the
+    stored rows' labels are read from that run. Votes are added in round
     order, so the sums equal a round-by-round loop bit for bit."""
-    row_start = ensemble.train_x.shape[0] if new_x.shape[0] else 0
     n = new_x.shape[0] or ensemble.train_x.shape[0]
     round_labels = np.empty((len(ensemble.rounds), n), dtype=np.int64)
-    for (feature, gamma), groups in ensemble.stored_lines.items():
-        adjacency = ensemble.stored_graphs[(feature, gamma)].join(
-            new_x[:, feature])
-        for ts, heads, stored in groups:
-            lines = stored
-            if row_start:
-                lines = np.empty((heads.lines, adjacency.n))
-                lines[:, :row_start] = stored
-                heads.differences(new_x, out=lines[:, row_start:])
-            models = [ensemble.rounds[t].model for t in ts]
-            round_labels[list(ts)] = graph_labels(models, lines.T, adjacency,
-                                                  row_start)
+    for (feature, gamma), groups in ensemble.stored_runs.items():
+        if new_x.shape[0]:
+            cone = ensemble.stored_graphs[(feature, gamma)].join(
+                new_x[:, feature], max(run.steps for _, run in groups))
+        for ts, run in groups:
+            round_labels[list(ts)] = (run.new_labels(cone, new_x)
+                                      if new_x.shape[0] else run.labels)
     votes = np.zeros((n, ensemble.n_classes), dtype=np.float64)
     for round_, labels in zip(ensemble.rounds, round_labels):
         votes[np.arange(n), labels] += round_.alpha
@@ -376,9 +369,9 @@ def predict_ensemble(ensemble: Ensemble,
     row's scores depend on the other rows of ``new_x``; a single row is
     scored against the stored rows alone. Rounds that chose the same
     (feature, gamma) share one graph, which merges the new rows into the
-    stored graph built with the ensemble, and the MLP heads run on the new
-    rows only. Returns hard labels and vote scores normalized to sum 1 per
-    row.
+    stored graph built with the ensemble on their k-step cone only, and the
+    MLP heads run on the new rows only. Returns hard labels and vote scores
+    normalized to sum 1 per row.
     """
     new_x = np.asarray(new_x, dtype=np.float64)
     if new_x.ndim != 2 or new_x.shape[1] != ensemble.train_x.shape[1]:

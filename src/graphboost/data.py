@@ -4,6 +4,7 @@ CSV dialect: RFC-4180-style with a mandatory header row, UTF-8, and an
 empty cell or the literal ``NA`` marking a missing value.
 """
 
+import codecs
 import csv
 import math
 from dataclasses import asdict, dataclass
@@ -166,15 +167,31 @@ def _read_rows(path: str) -> tuple[list[str], list[list[str]]]:
                                     f"{len(header)} cells, got {len(row)}")
                 rows.append(row)
         except UnicodeDecodeError:
-            # the file is decoded in chunks, ahead of the line being read
-            raise DataError(f"cannot read {path!r}: not UTF-8 text at or "
-                            f"after line {reader.line_num + 1}") from None
+            # the file is decoded in chunks, ahead of the line being read,
+            # so the line is found in its bytes
+            raise DataError(f"cannot read {path!r}: not UTF-8 text at line "
+                            f"{_first_bad_line(path)}") from None
         except csv.Error as exc:
             raise DataError(f"cannot read {path!r} at line "
                             f"{reader.line_num}: {exc}") from None
     if len(set(header)) != len(header):
         raise DataError("duplicate column names in header")
     return header, rows
+
+
+def _first_bad_line(path: str) -> int:
+    """The physical line, from 1, of the first byte of the file that is not
+    UTF-8, after a byte-order mark; lines end at \\n, \\r\\n or \\r, as the
+    CSV reader splits them."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if data.startswith(codecs.BOM_UTF8):
+        data = data[len(codecs.BOM_UTF8):]
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        data = data[:exc.start]
+    return len(data.splitlines()) + (not data or data.endswith((b"\n", b"\r")))
 
 
 def load_csv(path: str, label_column: str | None, schema_hints: dict | None = None,

@@ -21,11 +21,18 @@ O(N K) per multiply instead of O(E K). ``GraphStack`` runs k such steps
 for any number of lines on several graphs over the same rows at once, the
 one engine of training, of prediction and of ``appnp.propagate``. Its
 frame is line-major, so its window indices are C * N long and shared by
-every line, and for one graph they are the graph's own arrays. It can stop
-the last step at the positions asked for, as prediction does for the new
-rows.
+every line, and for one graph they are the graph's own arrays.
+
 ``StoredGraph`` keeps one graph over stored rows as its sort and window
-ends, and merges new rows into both.
+bounds, and ``join`` merges new rows into it only where k propagation
+steps from the new rows read it: their dependency cone, about 2k + 1
+half-windows around them. Left of the first window that holds a new row
+the merged graph is the stored one, so the merged run's prefix sums equal
+those of a run over the stored rows alone up to a position that moves one
+window left per step; ``Cone.run`` seeds each step's prefix sum there from
+the stored run's, which ``GraphStack.run`` leaves when asked, and
+propagates the cone only, with the bits of the full run. A batch whose
+cone spans the sort does the full run's work.
 """
 
 from dataclasses import dataclass
@@ -161,26 +168,26 @@ class GraphStack:
                        axis=1).reshape(w, c, n)
 
     def run(self, frame: np.ndarray, teleport: float, steps: int,
-            at: np.ndarray | None = None) -> np.ndarray:
+            prefixes: np.ndarray | None = None) -> np.ndarray:
         """k steps of Z <- (1 - a) Ahat_c @ Z + a H0 for every line of every
         graph c, with H0 = ``frame``. Returns the (W, C, N) result in the
-        frame, a new array, or with ``at``, flat positions c * N + p in the
-        (C, N) plane, only the values there, a (W, len(at)) array.
-
-        The last step runs only where it is asked for: on one graph, its
-        prefix sums stop at the furthest window end of ``at``, and a prefix
-        sum adds in order, so the entries it keeps have the bits of the
-        full one."""
+        frame, a new array. Given ``prefixes``, a (k, W, C, N + 1) array,
+        step l leaves there the prefix sums of dinv * Z(l) that it
+        multiplies with, from 0 at column 0 on; ``Cone.run`` seeds its
+        steps from those of a run over the stored rows alone."""
         self._check(frame, (3,))
         c, n = self.shape
         w = frame.shape[0]
         lines = frame.reshape(w, c * n)
         if teleport == 1.0 or steps == 0:
-            return frame.copy() if at is None else lines[:, at]
+            return frame.copy()
         hi, lo, d = self._hi, self._lo, self._dinv
         restart = teleport * lines
-        prefix = np.zeros((w, c, n + 1))
-        flat = prefix.reshape(w, c * (n + 1))
+        if prefixes is None:  # one buffer for every step
+            prefixes = np.zeros((1, w, c, n + 1))
+        else:
+            prefixes[..., 0] = 0.0
+        flats = prefixes.reshape(len(prefixes), w, c * (n + 1))
         # dinv * Z, then, once the prefix sum has read it, the lower bounds
         scaled = np.empty((w, c * n))
         by_graph = scaled.reshape(w, c, n)
@@ -188,9 +195,11 @@ class GraphStack:
         src = lines
         # ndarray methods rather than np.cumsum and np.take, whose wrappers
         # cost about a microsecond a call
-        for _ in range(steps if at is None else steps - 1):
+        for step in range(steps):
+            keep = min(step, len(prefixes) - 1)
+            flat = flats[keep]
             np.multiply(d, src, out=scaled)
-            by_graph.cumsum(axis=2, out=prefix[:, :, 1:])
+            by_graph.cumsum(axis=2, out=prefixes[keep, :, :, 1:])
             # the indices are in range by construction; "clip" skips the
             # bounds check and the buffering that the default mode adds
             flat.take(hi, axis=1, out=z, mode="clip")
@@ -200,22 +209,7 @@ class GraphStack:
             z *= 1.0 - teleport
             z += restart
             src = z
-        if at is None:
-            return z.reshape(w, c, n)
-        hi, lo, d, restart = hi[at], lo[at], d[at], restart[:, at]
-        # the furthest window end of ``at``; on several graphs, whose flat
-        # ends are offset by their graph, an end past N runs all N
-        end = int(hi.max(initial=0))
-        by_graph = by_graph[:, :, :end]
-        np.multiply(self._dinv.reshape(c, n)[:, :end],
-                    src.reshape(w, c, n)[:, :, :end], out=by_graph)
-        by_graph.cumsum(axis=2, out=prefix[:, :, 1:end + 1])
-        out = flat.take(hi, axis=1, mode="clip")
-        out -= flat.take(lo, axis=1, mode="clip")
-        out *= d
-        out *= 1.0 - teleport
-        out += restart
-        return out
+        return z.reshape(w, c, n)
 
     def from_frame(self, frame: np.ndarray) -> np.ndarray:
         """A (W, C, N) frame scattered back to a contiguous (C, N, W) array
@@ -282,7 +276,7 @@ def _bisect(v_sorted: np.ndarray, x: np.ndarray, gamma: float,
     fl(v_sorted[q] - x[i]) > gamma, where that is false and then true
     along [a[i], b[i]) and q = b[i] counts as true. Vectorised over i."""
     a, b = a.copy(), b.copy()
-    active = np.flatnonzero(a < b)
+    active = (a < b).nonzero()[0]
     while active.size:
         mid = (a[active] + b[active]) // 2
         ok = v_sorted[mid] - x[active] > gamma
@@ -304,25 +298,34 @@ def _ends(v_sorted: np.ndarray, gamma: float, at: np.ndarray) -> np.ndarray:
     x = v_sorted[at]
     eps4 = 4.0 * np.finfo(np.float64).eps
     hi_in, hi_out = (
-        np.searchsorted(v_sorted, np.nextafter(np.nextafter(
+        v_sorted.searchsorted(np.nextafter(np.nextafter(
             x + gamma * scale, step), step), side="right")
         for scale, step in ((1.0 - eps4, -np.inf), (1.0 + eps4, np.inf)))
     return _bisect(v_sorted, x, gamma, np.maximum(hi_in, at + 1), hi_out)
 
 
-def _from_ends(order: np.ndarray, hi: np.ndarray) -> SparseAdjacency:
-    """The adjacency with sort ``order`` and exact window ends ``hi``."""
+def _starts(ends: np.ndarray, start: int, count: int,
+            before: int = 0) -> np.ndarray:
+    """Window starts lo of the ``count`` sorted positions from ``start``
+    on, from the exact ends ``ends`` of the rows from ``before`` on, where
+    ``before`` rows end at or before ``start`` and the rest after it."""
     # For each q, fl(v_q - v_p) falls as p rises, so hi never decreases
     # along the sort, and a row q <= p lies in the window of p exactly
     # when hi[q] > p. So lo[p] counts the rows q with hi[q] <= p.
+    counts = np.bincount(ends - start, minlength=count + 1)[:count]
+    return before + counts.cumsum()
+
+
+def _from_ends(order: np.ndarray, hi: np.ndarray) -> SparseAdjacency:
+    """The adjacency with sort ``order`` and exact window ends ``hi``."""
     n = order.size
-    lo = np.cumsum(np.bincount(hi, minlength=n + 1)[:n])
+    lo = _starts(hi, 0, n)
     return SparseAdjacency(n, order, lo, hi, 1.0 / np.sqrt(hi - lo))
 
 
 def _finite_column(values: np.ndarray) -> np.ndarray:
     v = np.asarray(values, dtype=np.float64).ravel()
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise DataError("non-finite feature values")
     return v
 
@@ -352,60 +355,191 @@ def build_adjacency(values: np.ndarray, gamma: float,
 
 
 @dataclass(frozen=True)
+class Cone:
+    """The graph over stored rows followed by new rows, on the part of the
+    merged sort that k propagation steps read for the new rows.
+
+    ``order``, ``lo``, ``hi`` and ``values`` are those of
+    ``build_adjacency`` over the stacked column (n rows) at the sorted
+    positions from ``start`` on, and ``rows[j]`` is the sorted position of
+    new row j. Left of the first new row's window the merged graph is the
+    stored one, so ``run`` takes the prefix sums of the stored rows' run
+    there and propagates only the cone.
+    """
+
+    n: int
+    start: int
+    order: np.ndarray  # int64, row at each position; new rows from N on
+    lo: np.ndarray  # int64, sorted positions of the whole merged graph
+    hi: np.ndarray
+    values: np.ndarray  # float64
+    rows: np.ndarray  # int64, sorted position of each new row
+    left: tuple  # the cone's bounds for the steps it was joined for
+    right: tuple
+
+    def bounds(self, steps: int) -> tuple[tuple, tuple]:
+        """The cone of ``steps`` steps, at most those joined for, as sorted
+        positions: ``left[l]``, l < k, up to which Z(l) of the merged run
+        equals that of the stored run, and with it their prefix sums, and
+        ``right[i]``, from which on Z(k - i) is not read. left[0] starts
+        the first new row's window and left[l + 1] that of the row at
+        left[l]; right[0] follows the last new row and right[i + 1] ends
+        the window of the row before right[i]."""
+        if steps >= len(self.right):
+            raise DataError(f"a cone joined for {len(self.right) - 1} "
+                            f"steps cannot run {steps}")
+        return self.left[:max(steps, 1)], self.right[:steps + 1]
+
+    def run(self, prefixes: np.ndarray, h0: np.ndarray, teleport: float,
+            steps: int) -> np.ndarray:
+        """``GraphStack.run`` of the W lines ``h0`` (W x the cone's
+        positions) on the merged graph, at the new rows only: a (W, m)
+        array, new rows in their given order, with the bits of the full
+        run. ``prefixes`` holds the k prefix sums (W, N + 1 each) that
+        ``GraphStack.run`` leaves for the same lines of the stored rows on
+        the stored graph alone.
+
+        Step l reads Z(l - 1) through the prefix sum C(l - 1). That equals
+        the stored run's up to position left[l - 1], and a prefix sum adds
+        in order, so one seeded there with the stored value has the bits
+        of one from position 0. Step l < k runs on [left[l], right[k - l])
+        only, and step k at the new rows."""
+        rows = self.rows - self.start
+        if teleport == 1.0 or steps == 0:
+            return h0[:, rows]
+        lo, hi, d, start = self.lo, self.hi, self.values, self.start
+        w = h0.shape[0]
+        left, right = self.bounds(steps)
+        z, z_start = h0, start  # Z(l - 1) and the position of its column 0
+        for step in range(1, steps + 1):
+            seed, end = left[step - 1], right[steps - step + 1]
+            if step < steps:
+                at = slice(left[step] - start, right[steps - step] - start)
+                low = int(lo[at.start])
+            else:
+                at, low = rows, left[0]
+            ends, starts = hi[at], lo[at]
+            base = min(seed, low)
+            # C(l - 1) at base .. end: the stored run's up to the seed
+            c = np.empty((w, end - base + 1))
+            kept = seed - base
+            c[:, :kept + 1] = prefixes[step - 1][:, base:seed + 1]
+            np.multiply(d[seed - start:end - start],
+                        z[:, seed - z_start:end - z_start],
+                        out=c[:, kept + 1:])
+            if seed:
+                c[:, kept:].cumsum(axis=1, out=c[:, kept:])
+            else:  # a prefix sum from 0 starts at its first term
+                c[:, 1:].cumsum(axis=1, out=c[:, 1:])
+            z = c.take(ends - base, axis=1, mode="clip")
+            z -= c.take(starts - base, axis=1, mode="clip")
+            z *= d[at]
+            z *= 1.0 - teleport
+            z += teleport * h0[:, at]
+            z_start = left[step] if step < steps else None
+        return z
+
+
+@dataclass(frozen=True)
 class StoredGraph:
     """One (feature, gamma) graph over stored rows, ready for new rows.
 
-    Holds the stable sort of the stored column and its exact window ends,
-    as ``build_adjacency`` made them; the starts are not kept, as ``join``
-    counts them afresh from the merged ends. ``join(new)`` returns the
-    adjacency that ``build_adjacency`` gives over the stored column with
-    ``new`` appended, bit for bit, in O(N + m log N) rather than the
+    Holds the stable sort of the stored column and its exact window starts
+    and ends, as ``build_adjacency`` made them. ``join(new, k)`` returns
+    the part of the graph that ``build_adjacency`` gives over the stored
+    column with ``new`` appended, bit for bit, that k propagation steps
+    read for the new rows: O(cone + m log m + log N) rather than the
     O((N + m) log(N + m)) of sorting and searching all rows again.
     """
 
     gamma: float
     order: np.ndarray  # int64, stable sort order of the stored column
     v_sorted: np.ndarray  # float64, the stored column in that order
-    hi: np.ndarray  # int64, each stored window's end, in the stored frame
+    lo: np.ndarray  # int64, each stored window's start, in the stored frame
+    hi: np.ndarray  # int64, and its end
 
     @classmethod
     def of(cls, candidate: CandidateGraph, values: np.ndarray) -> "StoredGraph":
         """The stored graph of ``build_adjacency(values, gamma)``."""
         adj = candidate.adjacency
         v = np.asarray(values, dtype=np.float64).ravel()
-        return cls(candidate.gamma, adj.order, v[adj.order], adj.hi)
+        return cls(candidate.gamma, adj.order, v[adj.order], adj.lo, adj.hi)
 
-    def join(self, new_values: np.ndarray) -> SparseAdjacency:
-        """The graph over the stored rows followed by ``new_values``."""
+    def join(self, new_values: np.ndarray, steps: int) -> Cone:
+        """The graph over the stored rows followed by ``new_values`` (at
+        least one), on the cone of ``steps`` propagation steps from them
+        and around the windows that hold a new row."""
         u = _finite_column(new_values)
         n, m, gamma = self.order.size, u.size, self.gamma
-        new_order = np.argsort(u, kind="stable")
+        if m == 0:
+            raise DataError("no new rows to join")
+        lo, hi = self.lo, self.hi
+        new_order = u.argsort(kind="stable")
         u_sorted = u[new_order]
         # A stable sort of the stacked column puts stored rows before equal
         # new ones and keeps each part in its own stable order, so new row
         # j (in u_sorted order) lands after the ins[j] stored values <= it.
-        ins = np.searchsorted(self.v_sorted, u_sorted, side="right")
-        # ahead[p]: new rows merged in ahead of stored position p, for
-        # p = 0..n (all m ahead of the end n).
-        ahead = np.cumsum(np.bincount(ins, minlength=n + 1))
-        at_stored = np.arange(n, dtype=np.int64) + ahead[:-1]
-        at_new = ins + np.arange(m, dtype=np.int64)
-        w = np.empty(n + m)
-        w[at_stored], w[at_new] = self.v_sorted, u_sorted
-        order = np.empty(n + m, dtype=np.int64)
-        order[at_stored], order[at_new] = self.order, n + new_order
+        ins = self.v_sorted.searchsorted(u_sorted, side="right")
+        first, last = int(ins[0]), int(ins[-1])
+        # Every window that holds a new row lies in [a, b + m): a new row's
+        # window starts no earlier than that of the stored row just below
+        # it and ends no later than that of the stored row just above it.
+        # Outside that span the windows are the stored ones, shifted by m
+        # right of the new rows.
+        a = int(lo[first - 1]) if first else 0
+        b = int(hi[last]) if last < n else n
+        span = b + m - a
+        # ahead[s - a]: new rows merged in ahead of stored position s
+        ahead = np.bincount(ins - a, minlength=b - a + 1).cumsum()
+        at_stored = np.arange(b - a) + ahead[:-1]
+        at_new = ins - a + np.arange(m)
+        w = np.empty(span)
+        w[at_stored], w[at_new] = self.v_sorted[a:b], u_sorted
+        order = np.empty(span, dtype=np.int64)
+        order[at_stored], order[at_new] = self.order[a:b], n + new_order
 
         # A stored window keeps its stored rows and takes in the new rows
         # between them. Its merged end lies in the gap of new rows just
         # before the stored row at its old end h: after the merged position
-        # of stored h - 1 and at most that of stored h. _bisect skips every
-        # empty gap.
-        hi = np.empty(n + m, dtype=np.int64)
-        hi[at_stored] = _bisect(w, self.v_sorted, gamma,
-                                self.hi + ahead[self.hi - 1],
-                                self.hi + ahead[self.hi])
-        hi[at_new] = _ends(w, gamma, at_new)
-        return _from_ends(order, hi)
+        # of stored h - 1 and at most that of stored h. A new row's window
+        # ends no earlier than that of the stored row just below it and no
+        # later than that of the stored row just above it. _bisect skips
+        # every empty bracket, which all windows right of the new rows have.
+        h = hi[a:b]
+        gaps = np.minimum(h, b) - a
+        low, high = h - a + ahead[gaps - 1], h - a + ahead[gaps]
+        lower, upper = np.empty((2, span), dtype=np.int64)
+        lower[at_stored], upper[at_stored] = low, high
+        below, above = ins - a - 1, np.minimum(ins - a, b - a - 1)
+        lower[at_new] = np.maximum(at_new + 1, np.where(ins > 0, low[below],
+                                                        0))
+        upper[at_new] = np.where(ins < n, high[above], span)
+        ends = _bisect(w, w, gamma, lower, upper)
+        ends += a
+        before = int(lo[a])
+        starts = _starts(np.concatenate([hi[before:a], ends]), a, span,
+                         before)
+
+        # The cone's bounds (``Cone.bounds``), walked on the merged graph:
+        # left of a it is the stored one, and right of b + m too, shifted
+        # by m.
+        rows = np.empty(m, dtype=np.int64)
+        rows[new_order] = at_new + a
+        left, right = [int(starts[first - a])], [last + m]
+        for _ in range(steps - 1):
+            p = left[-1]
+            left.append(int(lo[p]) if p < a else int(starts[p - a]))
+        for _ in range(steps):
+            q = right[-1]
+            right.append(int(ends[q - 1 - a]) if q <= b + m
+                         else int(hi[q - 1 - m]) + m)
+        p, q = min(left[-1], a), max(right[-1], b + m)
+        order = np.concatenate([self.order[p:a], order, self.order[b:q - m]])
+        starts = np.concatenate([lo[p:a], starts, lo[b:q - m] + m])
+        ends = np.concatenate([hi[p:a], ends, hi[b:q - m] + m])
+        return Cone(n + m, p, order, starts, ends,
+                    1.0 / np.sqrt(ends - starts), rows, tuple(left),
+                    tuple(right))
 
 
 def identity_adjacency(n: int) -> SparseAdjacency:

@@ -24,8 +24,8 @@ from graphboost.appnp import (MAX_PROP_STEPS, AppnpConfig, AppnpModel,
                               loss, predict, propagate, propagation_limit,
                               softmax, train_candidates, train_weak)
 from graphboost.errors import DataError, TrainingDiverged
-from graphboost.graph import (GraphStack, SparseAdjacency, build_adjacency,
-                              identity_adjacency)
+from graphboost.graph import (GraphStack, SparseAdjacency, StoredGraph,
+                              build_adjacency, identity_adjacency)
 from graphboost.rng import substream
 
 
@@ -442,13 +442,11 @@ TRAIN_RTOL = TRAIN_ATOL = 1e-12
 
 def assert_training_labels(model, labels, x, adj):
     """The labels that training returned with ``model``, 1 byte up to 256
-    classes, against its one-model ``graph_labels`` bit for bit, and
-    against the K-line ``predict`` wherever no two logits lie within
-    rounding."""
+    classes, against its one-model ``StoredRun`` bit for bit, and against
+    the K-line ``predict`` wherever no two logits lie within rounding."""
     assert labels.dtype == np.min_scalar_type(model.b2.size - 1)
-    lines = appnp.HeadStack([model]).differences(x)
     np.testing.assert_array_equal(
-        labels, appnp.graph_labels([model], lines.T, adj)[0], strict=True)
+        labels, appnp.StoredRun([model], x, adj).labels[0], strict=True)
     z, _ = forward(model, x, adj)
     clear = np.ones(len(z), dtype=bool)
     if z.shape[1] > 1:
@@ -905,10 +903,8 @@ class TestPredict:
                   for t in range(6)]
         graphs = [build_adjacency(x[:, t % m], 0.3 + 0.2 * t).adjacency
                   for t in range(len(models))]
-        labels = np.concatenate([
-            appnp.graph_labels([model], appnp.HeadStack(
-                [model]).differences(x).T, graph)
-            for model, graph in zip(models, graphs)])
+        labels = np.concatenate([appnp.StoredRun([model], x, graph).labels
+                                 for model, graph in zip(models, graphs)])
         assert labels.shape == (len(models), n)
         assert len(np.unique(labels)) == k
         for model, graph, row in zip(models, graphs, labels):
@@ -916,14 +912,13 @@ class TestPredict:
 
     @settings(max_examples=30, deadline=None)
     @given(k=st.sampled_from([1, 2, 3, 9]), count=st.integers(1, 9),
-           cap=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
-    def test_one_graph_labels_match_stacked_labels(self, k, count, cap,
-                                                   seed):
-        # graph_labels propagates the lines of all models, in blocks of at
-        # most ``cap``, as lines of one graph; each model's labels must
-        # keep the bits of a call on that model alone
+           seed=st.integers(0, 2**32 - 1))
+    def test_one_graph_labels_match_stacked_labels(self, k, count, seed):
+        # a StoredRun propagates the lines of all its models as lines of
+        # one graph; each model's labels, of the stored rows and of new
+        # rows, must keep the bits of a run of that model alone
         rng = np.random.default_rng(seed)
-        n, m = int(rng.integers(1, 50)), int(rng.integers(1, 5))
+        n, m = int(rng.integers(2, 50)), int(rng.integers(1, 5))
         x = rng.normal(size=(n, m))
         cfg = AppnpConfig(prop_steps=int(rng.integers(0, 5)),
                           teleport=float(rng.choice([0.2, 1.0])))
@@ -933,19 +928,18 @@ class TestPredict:
                 cfg, hidden_dim=int(rng.integers(1, 10)), seed=t), m, k)
             model.b2 = rng.normal(size=k)
             models.append(model)
-        graph = build_adjacency(x[:, 0], float(rng.uniform(0.0, 2.0)))
-        differences = appnp.HeadStack(models).differences(x).T
-        assert differences.shape == (n, count * (k - 1))
-        want = np.concatenate([
-            appnp.graph_labels([model], appnp.HeadStack(
-                [model]).differences(x).T, graph.adjacency)
-            for model in models])
-        # all rows, and the rows from ``first`` on, as prediction asks
-        for first in (0, int(rng.integers(0, n + 1))):
-            with mock.patch.object(appnp, "BLOCK_BYTES", cap * n * k * 8):
-                got = appnp.graph_labels(models, differences,
-                                         graph.adjacency, first)
-            np.testing.assert_array_equal(got, want[:, first:])
+        cut = int(rng.integers(1, n))
+        built = build_adjacency(x[:cut, 0], float(rng.uniform(0.0, 2.0)))
+        stored, graph = StoredGraph.of(built, x[:cut, 0]), built.adjacency
+        cone = stored.join(x[cut:, 0], cfg.prop_steps)
+        runs = [appnp.StoredRun([model], x[:cut], graph) for model in models]
+        run = appnp.StoredRun(models, x[:cut], graph)
+        assert run.stored.shape == (count * (k - 1), cut)
+        np.testing.assert_array_equal(
+            run.labels, np.concatenate([r.labels for r in runs]))
+        np.testing.assert_array_equal(
+            run.new_labels(cone, x[cut:]),
+            np.concatenate([r.new_labels(cone, x[cut:]) for r in runs]))
 
     @settings(max_examples=40, deadline=None)
     @given(k=st.sampled_from([1, 2, 3, 5]), count=st.integers(1, 7),
@@ -990,9 +984,8 @@ class TestPredict:
         model, x, adj, *_ = make_instance(14)
         cfg = dataclasses.replace(model.config, teleport=0.5)
         other = init_model(cfg, x.shape[1], 2)
-        lines = appnp.HeadStack([model, other]).differences(x)
         with pytest.raises(DataError, match="share teleport"):
-            appnp.graph_labels([model, other], lines.T, adj)
+            appnp.StoredRun([model, other], x, adj)
 
 
 # The row-major loss helpers that training used before it moved into the
@@ -1147,9 +1140,14 @@ class TestFrameLoss:
         # exactly 0.0 outside the mask, whatever the logits there
         assert not got_grad[:, ~train].view(np.uint64).any()
 
-        labels = appnp._class_argmax(frames)
+        # the argmax takes the K - 1 lines after an implicit zero class 0,
+        # as training's logits have it
+        zeroed = z.copy()
+        zeroed[..., 0] = 0.0
+        labels = appnp._class_argmax(to_frames(zeroed, orders,
+                                               contiguous)[1:])
         assert labels.dtype == np.min_scalar_type(k - 1)
-        want_labels = np.argmax(z, axis=2)
+        want_labels = np.argmax(zeroed, axis=2)
         assert np.array_equal(to_rows(labels[None], orders)[..., 0],
                               want_labels)
         assert_same_bits(appnp._Targets(at, y, w, val).errors(labels),
@@ -1238,7 +1236,7 @@ class TestLogitDifferences:
         dh0 = appnp._frame_head_grad(stack, targets.gradient(logp),
                                      cfg.teleport, cfg.prop_steps)
         grads = appnp._param_grads(p, x, hd, None, dh0, decay)
-        labels = stack.from_frame(appnp._class_argmax(z))
+        labels = stack.from_frame(appnp._class_argmax(z[1:]))
         rows = stack.from_frame(z)
 
         for i, (model, adj) in enumerate(zip(models, graphs)):
@@ -1269,7 +1267,7 @@ class TestLogitDifferences:
         np.testing.assert_array_equal(rows, explicit)
         np.testing.assert_array_equal(np.signbit(rows), np.signbit(explicit))
         np.testing.assert_array_equal(
-            stack.from_frame(appnp._class_argmax(z))[0],
+            stack.from_frame(appnp._class_argmax(z[1:]))[0],
             np.argmax(explicit, axis=1))
 
 

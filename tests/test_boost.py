@@ -534,9 +534,9 @@ class TestEnsemblePrediction:
             built.append(gamma)
             return build_adjacency(values, gamma, **kwargs)
 
-        def counting_join(graph, new_values):
+        def counting_join(graph, new_values, steps):
             joined.append(len(new_values))
-            return join(graph, new_values)
+            return join(graph, new_values, steps)
 
         monkeypatch.setattr(boost, "build_adjacency", counting_build)
         monkeypatch.setattr(StoredGraph, "join", counting_join)
@@ -547,12 +547,14 @@ class TestEnsemblePrediction:
         assert (len(built), joined) == (2, [3, 3])
         predict_ensemble(ens, np.zeros((1, 2)))
         assert (len(built), joined[2:]) == (2, [1, 1])
+        # the stored rows' labels come from the runs made with the ensemble
         transductive_scores(ens)
-        assert (len(built), joined[4:]) == (2, [0, 0])
+        assert (len(built), joined[4:]) == (2, [])
 
     def test_stored_graphs_are_never_saved(self, tmp_path):
-        # nor the stored rows' head differences, nor the stacked head
-        # weights: a load makes them again
+        # nor the stored rows' head differences, their prefix sums and
+        # labels, nor the stacked head weights: a load makes them again,
+        # read-only
         ens = self._shared_graph_ensemble(
             self.SHARED_GRAPH_ENSEMBLES["interleaved"])
         cold, warm = tmp_path / "cold.gbe", tmp_path / "warm.gbe"
@@ -564,13 +566,18 @@ class TestEnsemblePrediction:
             transductive_scores(model)
             save_ensemble(model, str(warm))
             assert warm.read_bytes() == cold.read_bytes()
-            for key, groups in model.stored_lines.items():
-                for (ts, heads, lines), (want_ts, _, want) in zip(
-                        groups, ens.stored_lines[key], strict=True):
+            for key, groups in model.stored_runs.items():
+                for (ts, run), (want_ts, want) in zip(
+                        groups, ens.stored_runs[key], strict=True):
                     assert ts == want_ts
-                    assert lines.tobytes() == want.tobytes()
-                    assert lines.tobytes() not in cold.read_bytes()
-                    for _, w1t, _, w2t, _ in heads._stacks:
+                    for name in ("stored", "prefixes", "labels"):
+                        array = getattr(run, name)
+                        assert not array.flags.writeable
+                        assert array.tobytes() == getattr(
+                            want, name).tobytes()
+                        if array.size:
+                            assert array.tobytes() not in cold.read_bytes()
+                    for _, w1t, _, w2t, _ in run.heads._stacks:
                         assert w1t.tobytes() not in cold.read_bytes()
                         assert w2t.tobytes() not in cold.read_bytes()
 
@@ -598,8 +605,8 @@ class TestEnsemblePrediction:
         n = ens.train_x.shape[0]
         # (0, 1) graph: rounds 0-1 share teleport and steps, 2 and 3-4
         # differ; (1, 0) graph: round 5
-        assert [ts for groups in ens.stored_lines.values()
-                for ts, _, _ in groups] == [(0, 1), (2,), (3, 4), (5,)]
+        assert [ts for groups in ens.stored_runs.values()
+                for ts, _ in groups] == [(0, 1), (2,), (3, 4), (5,)]
         # one difference line per round (K = 2); rounds 0 and 1, and 3 and
         # 4, differ in hidden width, so each of their groups runs two
         # stacks: 6 stacks of 2 layers each

@@ -84,7 +84,25 @@ class TestLoadCsv:
         path = tmp_path / "latin1.csv"
         path.write_bytes("caf\u00e9,label\n1,x\n".encode("latin-1"))
         with pytest.raises(DataError, match=f"cannot read {str(path)!r}: "
-                           "not UTF-8 text at or after line 1$"):
+                           "not UTF-8 text at line 1$"):
+            load_csv(str(path), "label")
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"])
+    @pytest.mark.parametrize("bad", [2, 6, 501, 2000])
+    def test_not_utf8_names_the_line(self, tmp_path, bad, bom, newline):
+        # The text layer decodes ahead of the CSV reader in chunks of about
+        # 8 KB, so the reader's line is not where the bad byte is; the
+        # error names the physical line of the byte, after a byte-order
+        # mark, on a 2001-line file.
+        lines = ["a,b,label"] + [f"{i},{i * 0.5},x" for i in range(2000)]
+        raw = [line.encode("ascii") for line in lines]
+        raw[bad - 1] = raw[bad - 1][:2] + b"\xff" + raw[bad - 1][2:]
+        path = tmp_path / "bad.csv"
+        path.write_bytes(bom + newline.encode("ascii").join(raw)
+                         + newline.encode("ascii"))
+        with pytest.raises(DataError, match=f"not UTF-8 text at line "
+                           f"{bad}$"):
             load_csv(str(path), "label")
 
     def test_field_over_csv_limit(self, tmp_path):

@@ -290,14 +290,13 @@ class TestGraphStack:
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 4), st.integers(0, 5), st.integers(1, 300),
            st.integers(0, 5), st.sampled_from([0.1, 0.35, 1.0]),
-           st.sampled_from(["every", "empty", "single", "all", "subset"]),
            st.integers(0, 2**32 - 1))
     def test_equals_repeated_matmul_bit_for_bit(self, c, w, n, steps,
-                                                teleport, asked, seed):
+                                                teleport, seed):
         # W lines on each of C graphs of one row set, with and without
         # edges, out of row order; W = 0 is the K = 1 case. Each line must
-        # equal k one-graph multiplies on its own graph exactly, in full
-        # and at the flat positions asked for.
+        # equal k one-graph multiplies on its own graph exactly, and the
+        # prefix sums the run leaves must be those of each step's input.
         rng = np.random.default_rng(seed)
         graphs = [build_adjacency(rng.integers(0, 6, size=n) * rng.normal(),
                                   float(rng.uniform(0.0, 1.0))).adjacency
@@ -323,17 +322,16 @@ class TestGraphStack:
         for g, adj in enumerate(graphs):
             assert_same_bits(got[g], matmul_steps(adj, h0[g], teleport,
                                                   steps))
-        at = {"every": None,
-              "empty": np.zeros(0, dtype=np.int64),
-              "single": rng.integers(0, c * n, size=1),
-              "all": np.arange(c * n),
-              "subset": rng.permutation(c * n)[:int(rng.integers(1, c * n
-                                                                 + 1))],
-              }[asked]
-        if at is not None:
-            assert_same_bits(stack.run(frame, teleport, steps, at),
-                             z.reshape(w, c * n)[:, at])
+        if teleport < 1.0:
+            prefixes = np.full((steps, w, c, n + 1), np.nan)
+            assert_same_bits(stack.run(frame, teleport, steps, prefixes), z)
             np.testing.assert_array_equal(frame, kept)
+            dinv = np.stack([adj.values for adj in graphs])
+            for step in range(steps):
+                src = stack.run(frame, teleport, step)
+                want = np.zeros((w, c, n + 1))
+                np.cumsum(dinv * src, axis=2, out=want[..., 1:])
+                assert_same_bits(prefixes[step], want)
         # round trips keep values and dtype, for lines and per-row values
         assert_same_bits(stack.from_frame(frame), h0)
         codes = rng.integers(0, 256, size=(c, n, w)).astype(np.uint8)
@@ -346,7 +344,7 @@ class TestGraphStack:
         for g, adj in enumerate(graphs):
             np.testing.assert_array_equal(per_row[g, adj.order], labels[g])
         with pytest.raises(DataError):
-            stack.run(np.zeros((w, c + 1, n)), teleport, steps, at)
+            stack.run(np.zeros((w, c + 1, n)), teleport, steps)
         with pytest.raises(DataError):
             stack.to_frame(np.zeros((c, n + 1, w)))
         with pytest.raises(DataError):
@@ -410,38 +408,44 @@ class TestGraphStack:
 
 
 class TestRunLines:
-    """``GraphStack.run`` on one graph's lines, cut to asked positions."""
+    """``GraphStack.run`` on one graph's lines, and ``Cone.run`` at the new
+    rows of a graph joined with them, against the full run."""
 
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(1, 6), st.integers(1, 300),
+    @given(st.integers(1, 6), st.integers(1, 300), st.integers(1, 40),
            st.sampled_from([0.1, 0.35, 1.0]), st.integers(0, 4),
-           st.sampled_from(["every", "empty", "single", "all", "subset"]),
+           st.sampled_from(["levels", "spread", "below", "above"]),
            st.integers(0, 2**32 - 1))
     def test_equals_one_graph_stack_at_asked_positions(
-            self, width, n, teleport, steps, asked, seed):
-        # Prediction propagates a group's W lines on one graph and labels
-        # only the new rows; each value asked for must keep the bits of
-        # the full run of the one-graph stack.
+            self, width, n, m, teleport, steps, where, seed):
+        # Prediction propagates a group's W lines on the cone of the new
+        # rows only, seeded from the prefix sums of the stored rows' run;
+        # each value at a new row must keep the bits of the full run of
+        # the one-graph stack over the stored rows and the new ones.
         rng = np.random.default_rng(seed)
-        adj = build_adjacency(rng.integers(0, 6, size=n) * rng.normal(),
-                              float(rng.uniform(0.0, 1.0))).adjacency
-        stack = GraphStack([adj])
-        frame = stack.to_frame(rng.normal(size=(1, n, width)))
-        want = stack.run(frame, teleport, steps)[:, 0]
-        at = {"every": None,
-              "empty": np.zeros(0, dtype=np.int64),
-              "single": rng.integers(0, n, size=1),
-              "all": np.arange(n),
-              "subset": rng.permutation(n)[:int(rng.integers(1, n + 1))],
-              }[asked]
-        kept = frame.copy()
-        got = stack.run(frame, teleport, steps, at)
-        np.testing.assert_array_equal(frame, kept)  # H0 is left alone
-        if at is None:
-            got = got[:, 0]
-        else:
-            want = want[:, at]
-        assert_same_bits(got, want)
+        scale = rng.normal()
+        stored = rng.integers(0, 6, size=n) * scale
+        new = {"levels": rng.integers(-1, 7, size=m) * scale,
+               "spread": rng.normal(size=m) * 4.0,
+               "below": stored.min() - rng.uniform(0.0, 2.0, size=m),
+               "above": stored.max() + rng.uniform(0.0, 2.0, size=m)}[where]
+        gamma = float(rng.uniform(0.0, 1.0))
+        built = build_adjacency(stored, gamma)
+        lines = rng.normal(size=(width, n + m))
+        one = GraphStack([built.adjacency])
+        prefixes = np.empty((steps, width, 1, n + 1))
+        kept = lines.copy()
+        one.run(one.to_frame(lines[:, :n].T[None]), teleport, steps,
+                prefixes)
+        cone = StoredGraph.of(built, stored).join(new, steps)
+        got = cone.run(prefixes.reshape(steps, width, n + 1),
+                       lines.take(cone.order, axis=1), teleport, steps)
+        np.testing.assert_array_equal(lines, kept)  # H0 is left alone
+        full = GraphStack([build_adjacency(np.concatenate([stored, new]),
+                                           gamma).adjacency])
+        want = full.from_frame(full.run(full.to_frame(lines.T[None]),
+                                        teleport, steps))[0].T
+        assert_same_bits(got, want[:, n:])
 
     def test_mismatched_shape_rejected(self):
         stack = GraphStack([identity_adjacency(5)])
@@ -449,25 +453,36 @@ class TestRunLines:
                       np.zeros((2, 2, 5))):
             with pytest.raises(DataError):
                 stack.run(frame, 0.1, 2)
-            with pytest.raises(DataError):
-                stack.run(frame, 0.1, 2, np.arange(4))
 
 
-def assert_same_adjacency(got, want):
-    assert got.n == want.n
+def joined(stored, new, gamma, steps=3):
+    return StoredGraph.of(build_adjacency(stored, gamma), stored).join(
+        new, steps)
+
+
+def assert_same_region(cone, want, steps=3):
+    """The cone's region of the joined graph against ``want``, the
+    adjacency over the stacked column: every field bit for bit, and a
+    region that holds the cone of ``steps`` steps."""
+    assert cone.n == want.n
+    region = slice(cone.start, cone.start + cone.order.size)
     for name in ("order", "lo", "hi", "values"):
-        a, b = getattr(got, name), getattr(want, name)
+        a, b = getattr(cone, name), getattr(want, name)[region]
         assert a.dtype == b.dtype, name
         np.testing.assert_array_equal(a, b, err_msg=name)
-
-
-def joined(stored, new, gamma):
-    return StoredGraph.of(build_adjacency(stored, gamma), stored).join(new)
+    new = np.flatnonzero(want.order >= want.n - cone.rows.size)
+    np.testing.assert_array_equal(np.sort(cone.rows), new)
+    np.testing.assert_array_equal(want.order[cone.rows] - want.n
+                                  + cone.rows.size,
+                                  np.arange(cone.rows.size))
+    left, right = cone.bounds(steps)
+    assert cone.start <= min(left) and max(right) <= region.stop
 
 
 class TestStoredGraph:
     """``join`` against its oracle: ``build_adjacency`` over the stacked
-    column, compared field by field and bit for bit."""
+    column, compared field by field and bit for bit over the join's
+    region."""
 
     @given(st.integers(0, 2**32 - 1),
            st.sampled_from(["normal", "levels", "zscored", "scaled",
@@ -519,8 +534,14 @@ class TestStoredGraph:
         if gamma_kind.startswith("ulp"):
             gamma = float(np.nextafter(
                 gamma, 0.0 if gamma_kind == "ulp_below" else np.inf))
-        assert_same_adjacency(joined(stored, new, gamma),
-                              build_adjacency(stacked, gamma).adjacency)
+        if m == 0:
+            with pytest.raises(DataError, match="no new rows"):
+                joined(stored, new, gamma)
+            return
+        for steps in (0, 1, 3):
+            assert_same_region(joined(stored, new, gamma, steps),
+                               build_adjacency(stacked, gamma).adjacency,
+                               steps)
 
     def test_zscored_levels_at_ulp_adjacent_gammas(self):
         # After z-scoring, integer levels one apart differ by one of a few
@@ -533,17 +554,16 @@ class TestStoredGraph:
         for g in one_level:
             gammas.update((g, np.nextafter(g, 0.0), np.nextafter(g, np.inf)))
         for gamma in sorted(gammas):
-            for cut in (0, 1, 45, 89, 90):
-                assert_same_adjacency(
-                    joined(v[:cut], v[cut:], gamma),
-                    build_adjacency(v, gamma).adjacency)
+            for cut in (1, 45, 89):
+                assert_same_region(joined(v[:cut], v[cut:], gamma),
+                                   build_adjacency(v, gamma).adjacency)
 
     def test_non_finite_new_value_rejected(self):
         graph = StoredGraph.of(build_adjacency(np.arange(5.0), 1.0),
                                np.arange(5.0))
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(DataError, match="non-finite feature values"):
-                graph.join(np.array([0.5, bad]))
+                graph.join(np.array([0.5, bad]), 3)
 
 
 class TestEnumerateCandidates:

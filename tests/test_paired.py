@@ -89,3 +89,52 @@ def test_directions_and_seed_ranges():
     assert better["setup_s"] == "lower" and better["test_auroc"] == "higher"
     assert paired.seed_range("4101-4103") == [4101, 4102, 4103]
     assert paired.seed_range("7") == [7]
+
+
+def test_in_process_calls_on_two_copies_of_one_tree(tmp_path):
+    # a tiny two-round model over 30 stored rows, scored one row at a time
+    # by two copies of this tree imported side by side
+    import shutil
+
+    import numpy as np
+
+    from graphboost.appnp import AppnpConfig, init_model
+    from graphboost.boost import Ensemble, WeakRound
+    from graphboost.data import EncodingMeta, NumericMeta
+    from graphboost.model_io import save_ensemble
+
+    rng = np.random.default_rng(0)
+    meta = EncodingMeta([NumericMeta(f"f{j}", 0.0, 0.0, 1.0)
+                         for j in range(2)], "label", ["c0", "c1"])
+    rounds = [WeakRound(t % 2, f"f{t % 2}", 0.5, init_model(
+        AppnpConfig(hidden_dim=3, prop_steps=2, seed=t), 2, 2), 0.4, 0.3)
+        for t in range(2)]
+    model = tmp_path / "model.gbe"
+    save_ensemble(Ensemble(rounds, 2, meta, meta.feature_names(),
+                           rng.normal(size=(30, 2))), str(model))
+    rows = tmp_path / "rows.csv"
+    rows.write_text("f0,f1\n" + "".join(f"{a},{b}\n" for a, b in
+                                        rng.normal(size=(5, 2))))
+    sources = {}
+    for side in paired.SIDES:
+        sources[side] = str(tmp_path / side)
+        shutil.copytree(os.path.join(ROOT, "src", "graphboost"),
+                        os.path.join(sources[side], "graphboost"))
+    out = paired.in_process(sources, str(model), str(rows), 21)
+    assert (out["calls"], out["rows"]) == (21, 5)
+    assert (out["change_faster_calls"] + out["change_slower_calls"]
+            + out["tied_calls"]) == 21
+    for side in paired.SIDES:
+        summary = out["sides"][side]
+        assert len(summary["values"]) == 21
+        assert summary["q1"] <= summary["median"] <= summary["q3"]
+    # a change that moves a score's last bit is caught
+    boost_py = os.path.join(sources["change"], "graphboost", "boost.py")
+    with open(boost_py, encoding="utf-8") as fh:
+        text = fh.read()
+    vote_sum = "votes / votes.sum(axis=1, keepdims=True)"
+    assert vote_sum in text
+    with open(boost_py, "w", encoding="utf-8") as fh:
+        fh.write(text.replace(vote_sum, f"{vote_sum} * (1.0 + 2**-40)"))
+    with pytest.raises(AssertionError, match="call 0: score bytes"):
+        paired.in_process(sources, str(model), str(rows), 4)
