@@ -823,10 +823,11 @@ def _labels(d: np.ndarray, count: int) -> np.ndarray:
 class StoredRun:
     """Models that share one graph over stored rows and their teleport and
     prop_steps, made once for many calls and never saved: their
-    ``HeadStack``, their K - 1 head differences over the stored rows, the
-    prefix sums that k propagation steps of those lines on the stored
-    graph take (k x C(K - 1) x (N + 1) floats), and the stored rows'
-    labels from that run, all read-only.
+    ``HeadStack`` and their K - 1 head differences over the stored rows,
+    and, made by the first call that needs them, the prefix sums that k
+    propagation steps of those lines on the stored graph alone take
+    (k x C(K - 1) x (N + 1) floats) and the stored rows' labels from that
+    run, all read-only.
 
     ``labels`` equals a one-model ``predict`` of the stored rows except
     where two classes' logits lie within rounding of each other, and a
@@ -834,7 +835,8 @@ class StoredRun:
     training pass, with the same bits (``train_candidates``).
     ``new_labels`` labels new rows on a ``Cone`` of the graph joined with
     them, with the bits of a full run over the stored rows followed by
-    the new rows.
+    the new rows. A cone whose windows reach the first stored row, as a
+    batch's does, reads no prefix sum but 0, so it runs without them.
     """
 
     def __init__(self, models: list, x: np.ndarray,
@@ -853,17 +855,41 @@ class StoredRun:
         # the steps that read the graph
         self.steps = 0 if cfg.teleport == 1.0 else cfg.prop_steps
         self.stored = self.heads.differences(x)
+        self.stored.flags.writeable = False
+        self._adjacency = adjacency
+        self._run = None
+        self._lock = threading.Lock()
+
+    def _stored_run(self) -> tuple:
+        """The prefix sums and labels of the run over the stored rows."""
+        if self._run is None:
+            with self._lock:
+                if self._run is None:
+                    self._run = self._propagate()
+        return self._run
+
+    def _propagate(self) -> tuple:
+        adjacency = self._adjacency
         w, n = self.stored.shape
         stack = GraphStack([adjacency])
         prefixes = np.empty((self.steps, w, 1, n + 1))
         z = stack.run(self.stored.take(adjacency.order, axis=1)[:, None],
                       self.teleport, self.steps, prefixes)
-        self.prefixes = prefixes.reshape(self.steps, w, n + 1)
-        labels = _labels(z[:, 0], self.count)
-        self.labels = np.empty_like(labels)
-        self.labels[:, adjacency.order] = labels
-        for array in (self.stored, self.prefixes, self.labels):
+        prefixes = prefixes.reshape(self.steps, w, n + 1)
+        sorted_labels = _labels(z[:, 0], self.count)
+        labels = np.empty_like(sorted_labels)
+        labels[:, adjacency.order] = sorted_labels
+        for array in (prefixes, labels):
             array.flags.writeable = False
+        return prefixes, labels
+
+    @property
+    def prefixes(self) -> np.ndarray:
+        return self._stored_run()[0]
+
+    @property
+    def labels(self) -> np.ndarray:
+        return self._stored_run()[1]
 
     def new_labels(self, cone, new_x: np.ndarray) -> np.ndarray:
         """Labels of the new rows ``new_x`` of ``cone``, the graph joined
@@ -872,7 +898,8 @@ class StoredRun:
         # the cone's stored rows from the stored lines, then its new rows
         h0 = self.stored.take(np.minimum(cone.order, n - 1), axis=1)
         h0[:, cone.rows - cone.start] = self.heads.differences(new_x)
-        d = cone.run(self.prefixes, h0, self.teleport, self.steps)
+        prefixes = self.prefixes if cone.left[0] else None
+        d = cone.run(prefixes, h0, self.teleport, self.steps)
         return _labels(d, self.count)
 
 

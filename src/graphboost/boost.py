@@ -23,10 +23,10 @@ Prediction labels the rounds that chose one (feature, gamma) graph
 together. When the ensemble is made, fitted or loaded, each such graph is
 built over the stored rows, and its rounds are grouped by shared
 (teleport, prop_steps). Each group gets an ``appnp.StoredRun``: the K - 1
-head differences of its rounds over the stored rows, their propagation on
-the stored graph alone, kept as that run's k prefix sums
-(k x C(K - 1) x (N + 1) floats), and the stored rows' labels from it;
-none of these is saved. A prediction runs each group's MLP heads on its
+head differences of its rounds over the stored rows and, once a call needs
+them, their propagation on the stored graph alone, kept as that run's k
+prefix sums (k x C(K - 1) x (N + 1) floats), and the stored rows' labels
+from it; none of these is saved. A prediction runs each group's MLP heads on its
 new rows alone, one stacked product per layer and hidden width, as in
 APPNP's "predict, then propagate", where a row's head does not depend on
 the graph. It merges the new rows into the stored graph only on their

@@ -397,7 +397,8 @@ class Cone:
         array, new rows in their given order, with the bits of the full
         run. ``prefixes`` holds the k prefix sums (W, N + 1 each) that
         ``GraphStack.run`` leaves for the same lines of the stored rows on
-        the stored graph alone.
+        the stored graph alone; it is read only where left[0] > 0 and may
+        be None elsewhere.
 
         Step l reads Z(l - 1) through the prefix sum C(l - 1). That equals
         the stored run's up to position left[l - 1], and a prefix sum adds
@@ -420,17 +421,19 @@ class Cone:
                 at, low = rows, left[0]
             ends, starts = hi[at], lo[at]
             base = min(seed, low)
-            # C(l - 1) at base .. end: the stored run's up to the seed
+            # C(l - 1) at base .. end: the stored run's up to the seed, then
+            # summed on from it, as a sum from 0 adds; at 0 it is 0 and the
+            # sum starts at its first term
             c = np.empty((w, end - base + 1))
             kept = seed - base
-            c[:, :kept + 1] = prefixes[step - 1][:, base:seed + 1]
-            np.multiply(d[seed - start:end - start],
-                        z[:, seed - z_start:end - z_start],
-                        out=c[:, kept + 1:])
+            y = np.multiply(d[seed - start:end - start],
+                            z[:, seed - z_start:end - z_start])
             if seed:
-                c[:, kept:].cumsum(axis=1, out=c[:, kept:])
-            else:  # a prefix sum from 0 starts at its first term
-                c[:, 1:].cumsum(axis=1, out=c[:, 1:])
+                c[:, :kept + 1] = prefixes[step - 1][:, base:seed + 1]
+                y[:, 0] += c[:, kept]
+            else:
+                c[:, 0] = 0.0
+            y.cumsum(axis=1, out=c[:, kept + 1:])
             z = c.take(ends - base, axis=1, mode="clip")
             z -= c.take(starts - base, axis=1, mode="clip")
             z *= d[at]

@@ -120,3 +120,31 @@ def test_cone_prediction_equals_full_run(n, m, gamma_kind, steps, teleport,
     assert run.prefixes.shape == (run.steps, lines, n + 1)
     for array in (run.stored, run.prefixes, run.labels):
         assert not array.flags.writeable
+
+
+def test_stored_run_is_made_only_when_a_cone_reads_it():
+    # A batch whose windows reach the first stored row reads no prefix sum
+    # of the stored run but 0, so it does not make that run; a row inside
+    # the cohort, or scoring the stored rows, does, once.
+    rng = np.random.default_rng(3)
+    stored, _ = draw_rows(rng, 200, 1)
+    meta = EncodingMeta([NumericMeta(f"f{j}", 0.0, 0.0, 1.0)
+                         for j in range(2)], "label", ["c0", "c1"])
+    cfg = AppnpConfig(hidden_dim=4, prop_steps=3, teleport=0.1)
+    gamma = quantile_thresholds(stored[:, 0]).gammas[1]
+    ens = Ensemble([WeakRound(0, "f0", gamma, init_model(cfg, 2, 2), 0.5,
+                              0.3)], 2, meta, meta.feature_names(), stored)
+    (_, run), = ens.stored_runs[(0, gamma)]
+    batch = stored[rng.permutation(200)[:50]]
+    batch[0, 0] = stored[:, 0].min() - 1.0
+    cone = ens.stored_graphs[(0, gamma)].join(batch[:, 0], 3)
+    assert cone.left[0] == 0
+    predict_ensemble(ens, batch)
+    assert run._run is None
+    row = batch[1:2].copy()
+    row[0, 0] = np.median(stored[:, 0])
+    predict_ensemble(ens, row)
+    made = run._run
+    assert made is not None
+    predict_ensemble(ens, row)
+    assert run._run is made
