@@ -894,9 +894,8 @@ class StoredRun:
     def new_labels(self, cone, new_x: np.ndarray) -> np.ndarray:
         """Labels of the new rows ``new_x`` of ``cone``, the graph joined
         with their column for at least ``steps`` steps: a C x m array."""
-        n = self.stored.shape[1]
         # the cone's stored rows from the stored lines, then its new rows
-        h0 = self.stored.take(np.minimum(cone.order, n - 1), axis=1)
+        h0 = self.stored.take(cone.order, axis=1, mode="clip")
         h0[:, cone.rows - cone.start] = self.heads.differences(new_x)
         prefixes = self.prefixes if cone.left[0] else None
         d = cone.run(prefixes, h0, self.teleport, self.steps)

@@ -347,9 +347,10 @@ def _vote_scores(ensemble: Ensemble,
             round_labels[list(ts)] = (run.new_labels(cone, new_x)
                                       if new_x.shape[0] else run.labels)
     votes = np.zeros((n, ensemble.n_classes), dtype=np.float64)
+    rows = np.arange(n)
     for round_, labels in zip(ensemble.rounds, round_labels):
-        votes[np.arange(n), labels] += round_.alpha
-    labels = np.argmax(votes, axis=1)
+        votes[rows, labels] += round_.alpha
+    labels = votes.argmax(axis=1)
     return labels, votes / votes.sum(axis=1, keepdims=True)
 
 
@@ -376,7 +377,7 @@ def predict_ensemble(ensemble: Ensemble,
     new_x = np.asarray(new_x, dtype=np.float64)
     if new_x.ndim != 2 or new_x.shape[1] != ensemble.train_x.shape[1]:
         raise DataError("new rows have the wrong number of features")
-    if not np.all(np.isfinite(new_x)):
+    if not np.isfinite(new_x).all():
         raise DataError("non-finite feature values")
     n_new = new_x.shape[0]
     if n_new == 0:

@@ -278,11 +278,13 @@ def _bisect(v_sorted: np.ndarray, x: np.ndarray, gamma: float,
     a, b = a.copy(), b.copy()
     active = (a < b).nonzero()[0]
     while active.size:
-        mid = (a[active] + b[active]) // 2
+        low, high = a[active], b[active]
+        mid = (low + high) // 2
         ok = v_sorted[mid] - x[active] > gamma
-        b[active] = np.where(ok, mid, b[active])
-        a[active] = np.where(ok, a[active], mid + 1)
-        active = active[a[active] < b[active]]
+        high = np.where(ok, mid, high)
+        low = np.where(ok, low, mid + 1)
+        a[active], b[active] = low, high
+        active = active[low < high]
     return a
 
 
@@ -405,40 +407,44 @@ class Cone:
         in order, so one seeded there with the stored value has the bits
         of one from position 0. Step l < k runs on [left[l], right[k - l])
         only, and step k at the new rows."""
-        rows = self.rows - self.start
+        start = self.start
+        rows = self.rows - start
         if teleport == 1.0 or steps == 0:
             return h0[:, rows]
-        lo, hi, d, start = self.lo, self.hi, self.values, self.start
-        w = h0.shape[0]
         left, right = self.bounds(steps)
+        # C(l - 1) of every step in one buffer whose column i is sorted
+        # position f + i, f the least window start that a step reads; each
+        # step writes the columns it reads, base .. end, before it reads them
+        f = min(start, int(self.lo[left[-1] - start]))
+        c = np.empty((h0.shape[0], right[-1] - f + 1))
+        lo, hi, d = self.lo - f, self.hi - f, self.values
+        restart = teleport * h0
         z, z_start = h0, start  # Z(l - 1) and the position of its column 0
         for step in range(1, steps + 1):
             seed, end = left[step - 1], right[steps - step + 1]
             if step < steps:
                 at = slice(left[step] - start, right[steps - step] - start)
-                low = int(lo[at.start])
+                base = min(seed, int(lo[at.start]) + f)
             else:
-                at, low = rows, left[0]
-            ends, starts = hi[at], lo[at]
-            base = min(seed, low)
-            # C(l - 1) at base .. end: the stored run's up to the seed, then
-            # summed on from it, as a sum from 0 adds; at 0 it is 0 and the
-            # sum starts at its first term
-            c = np.empty((w, end - base + 1))
-            kept = seed - base
-            y = np.multiply(d[seed - start:end - start],
-                            z[:, seed - z_start:end - z_start])
+                at, base = rows, seed
+            # the stored run's C(l - 1) up to the seed, then summed on from
+            # it, as a sum from 0 adds; at 0 it is 0 and the sum starts at
+            # its first term
             if seed:
-                c[:, :kept + 1] = prefixes[step - 1][:, base:seed + 1]
-                y[:, 0] += c[:, kept]
+                c[:, base - f:seed - f + 1] = prefixes[step - 1][
+                    :, base:seed + 1]
             else:
                 c[:, 0] = 0.0
-            y.cumsum(axis=1, out=c[:, kept + 1:])
-            z = c.take(ends - base, axis=1, mode="clip")
-            z -= c.take(starts - base, axis=1, mode="clip")
+            np.multiply(d[seed - start:end - start],
+                        z[:, seed - z_start:end - z_start],
+                        out=c[:, seed - f + 1:end - f + 1])
+            summed = c[:, seed - f + (seed == 0):end - f + 1]
+            summed.cumsum(axis=1, out=summed)
+            z = c.take(hi[at], axis=1, mode="clip")
+            z -= c.take(lo[at], axis=1, mode="clip")
             z *= d[at]
             z *= 1.0 - teleport
-            z += teleport * h0[:, at]
+            z += restart[:, at]
             z_start = left[step] if step < steps else None
         return z
 
@@ -479,9 +485,8 @@ class StoredGraph:
         lo, hi = self.lo, self.hi
         new_order = u.argsort(kind="stable")
         u_sorted = u[new_order]
-        # A stable sort of the stacked column puts stored rows before equal
-        # new ones and keeps each part in its own stable order, so new row
-        # j (in u_sorted order) lands after the ins[j] stored values <= it.
+        # new row j (in u_sorted order) lands after the ins[j] stored values
+        # <= it
         ins = self.v_sorted.searchsorted(u_sorted, side="right")
         first, last = int(ins[0]), int(ins[-1])
         # Every window that holds a new row lies in [a, b + m): a new row's
@@ -492,33 +497,28 @@ class StoredGraph:
         a = int(lo[first - 1]) if first else 0
         b = int(hi[last]) if last < n else n
         span = b + m - a
-        # ahead[s - a]: new rows merged in ahead of stored position s
-        ahead = np.bincount(ins - a, minlength=b - a + 1).cumsum()
-        at_stored = np.arange(b - a) + ahead[:-1]
-        at_new = ins - a + np.arange(m)
-        w = np.empty(span)
-        w[at_stored], w[at_new] = self.v_sorted[a:b], u_sorted
-        order = np.empty(span, dtype=np.int64)
-        order[at_stored], order[at_new] = self.order[a:b], n + new_order
-
+        # A stable sort of the stacked column puts stored rows before equal
+        # new ones and keeps each part in its own stable order, as does a
+        # stable sort of stored a..b followed by the new rows.
+        stacked = np.concatenate([self.v_sorted[a:b], u_sorted])
+        merge = stacked.argsort(kind="stable")
+        order = np.concatenate([self.order[a:b], n + new_order])[merge]
         # A stored window keeps its stored rows and takes in the new rows
-        # between them. Its merged end lies in the gap of new rows just
-        # before the stored row at its old end h: after the merged position
-        # of stored h - 1 and at most that of stored h. A new row's window
-        # ends no earlier than that of the stored row just below it and no
-        # later than that of the stored row just above it. _bisect skips
-        # every empty bracket, which all windows right of the new rows have.
+        # between them. It ends at its first row past gamma, stored h (its
+        # old end) or a new row in the gap just before h: at h plus the new
+        # rows merged ahead of that row. No new row ahead of the gap is
+        # past gamma and every one after it is, so the search runs over the
+        # gap's new rows alone. ahead[t] counts the new rows ahead of
+        # stored a + t; past b, all are.
         h = hi[a:b]
-        gaps = np.minimum(h, b) - a
-        low, high = h - a + ahead[gaps - 1], h - a + ahead[gaps]
-        lower, upper = np.empty((2, span), dtype=np.int64)
-        lower[at_stored], upper[at_stored] = low, high
-        below, above = ins - a - 1, np.minimum(ins - a, b - a - 1)
-        lower[at_new] = np.maximum(at_new + 1, np.where(ins > 0, low[below],
-                                                        0))
-        upper[at_new] = np.where(ins < n, high[above], span)
-        ends = _bisect(w, w, gamma, lower, upper)
-        ends += a
+        ahead = np.bincount(ins - a, minlength=b - a + 1).cumsum()
+        gap = np.minimum(h, b) - a
+        stored_ends = h + _bisect(u_sorted, self.v_sorted[a:b], gamma,
+                                  ahead[gap - 1], ahead[gap])
+        at_new = ins + np.arange(m)  # the new rows' sorted positions
+        new_ends = _ends(stacked[merge], gamma, at_new - a)
+        new_ends += a
+        ends = np.concatenate([stored_ends, new_ends])[merge]
         before = int(lo[a])
         starts = _starts(np.concatenate([hi[before:a], ends]), a, span,
                          before)
@@ -527,7 +527,7 @@ class StoredGraph:
         # left of a it is the stored one, and right of b + m too, shifted
         # by m.
         rows = np.empty(m, dtype=np.int64)
-        rows[new_order] = at_new + a
+        rows[new_order] = at_new
         left, right = [int(starts[first - a])], [last + m]
         for _ in range(steps - 1):
             p = left[-1]
