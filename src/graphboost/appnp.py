@@ -99,12 +99,12 @@ log = logging.getLogger("graphboost.appnp")
 MAX_PROP_STEPS = 10_000
 
 # Byte budget of a block's largest per-learner buffer, the C x N x H
-# activations in training. It caps the
-# learners per block, at 10 for training at N = 2000 and H = 16, and never
-# below 1. A block runs the per-learner Python loops of every epoch, which
-# hold the interpreter lock, so on two threads two blocks of 10 train a
-# 19-graph round faster than five of 4. Memory grows with the block, and
-# ``train_candidates`` keeps up to ``workers`` blocks live at once.
+# activations in training. It caps the learners per block, at 10 at
+# N = 2000 and H = 16, and never below 1. A block runs the per-learner
+# Python loops of every epoch, which hold the interpreter lock, so on two
+# threads two blocks of 10 train a 19-graph round faster than five of 4.
+# Memory grows with the block, and ``train_candidates`` keeps up to
+# ``workers`` blocks live at once.
 BLOCK_BYTES = 5 * 2**19
 
 _PARAMS = ("w1", "b1", "w2", "b2")
@@ -797,14 +797,12 @@ class HeadStack:
             self._stacks.append((at, _transposed(p["w1"]), p["b1"],
                                  _transposed(p["w2"]), p["b2"]))
 
-    def differences(self, x: np.ndarray, out=None) -> np.ndarray:
+    def differences(self, x: np.ndarray) -> np.ndarray:
         """The K - 1 logit differences of every model's head over the rows
         ``x``: C(K - 1) x N lines, line c(K - 1) + k - 1 being
-        h[:, k] - h[:, 0] of model c, written into ``out`` when one is
-        given."""
+        h[:, k] - h[:, 0] of model c."""
         n = x.shape[0]
-        if out is None:
-            out = np.empty((self.lines, n))
+        out = np.empty((self.lines, n))
         for at, w1t, b1, w2t, b2 in self._stacks:
             hidden = _affine(x, w1t, b1)
             np.maximum(hidden, 0.0, out=hidden)

@@ -26,10 +26,10 @@ built over the stored rows, and its rounds are grouped by shared
 head differences of its rounds over the stored rows and, once a call needs
 them, their propagation on the stored graph alone, kept as that run's k
 prefix sums (k x C(K - 1) x (N + 1) floats), and the stored rows' labels
-from it; none of these is saved. A prediction runs each group's MLP heads on its
-new rows alone, one stacked product per layer and hidden width, as in
-APPNP's "predict, then propagate", where a row's head does not depend on
-the graph. It merges the new rows into the stored graph only on their
+from it; none of these is saved. A prediction runs each group's MLP heads
+on its new rows alone, one stacked product per layer and hidden width, as
+in APPNP's "predict, then propagate", where a row's head does not depend
+on the graph. It merges the new rows into the stored graph only on their
 dependency cone for the graph's largest k, and propagates each group
 there, seeded from its prefix sums, with the bits of a run over all rows.
 ``transductive_scores`` reads the stored rows' labels.

@@ -457,7 +457,7 @@ class StoredGraph:
     and ends, as ``build_adjacency`` made them. ``join(new, k)`` returns
     the part of the graph that ``build_adjacency`` gives over the stored
     column with ``new`` appended, bit for bit, that k propagation steps
-    read for the new rows: O(cone + m log m + log N) rather than the
+    read for the new rows: O(cone + m log(N + m)) rather than the
     O((N + m) log(N + m)) of sorting and searching all rows again.
     """
 
@@ -519,7 +519,7 @@ class StoredGraph:
         new_ends = _ends(stacked[merge], gamma, at_new - a)
         new_ends += a
         ends = np.concatenate([stored_ends, new_ends])[merge]
-        before = int(lo[a])
+        before = int(lo[a]) if n else 0  # the rows that end by a
         starts = _starts(np.concatenate([hi[before:a], ends]), a, span,
                          before)
 

@@ -590,9 +590,9 @@ class TestEnsemblePrediction:
         heads, product_rows = [], []
         differences, affine = appnp.HeadStack.differences, appnp._affine
 
-        def counting_heads(stack, x, out=None):
+        def counting_heads(stack, x):
             heads.append((stack.lines, x.shape[0]))
-            return differences(stack, x, out)
+            return differences(stack, x)
 
         def counting_affine(x, wt, b, out=None):
             product_rows.append(x.shape[-2])

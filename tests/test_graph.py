@@ -554,7 +554,7 @@ class TestStoredGraph:
         for g in one_level:
             gammas.update((g, np.nextafter(g, 0.0), np.nextafter(g, np.inf)))
         for gamma in sorted(gammas):
-            for cut in (1, 45, 89):
+            for cut in (0, 1, 45, 89):
                 assert_same_region(joined(v[:cut], v[cut:], gamma),
                                    build_adjacency(v, gamma).adjacency)
 
