@@ -98,13 +98,14 @@ log = logging.getLogger("graphboost.appnp")
 # model file claiming 2**70 steps would make predict never finish.
 MAX_PROP_STEPS = 10_000
 
-# Byte budget of a block's largest per-learner buffer, the C x N x H
-# activations in training. It caps the learners per block, at 10 at
-# N = 2000 and H = 16, and never below 1. A block runs the per-learner
-# Python loops of every epoch, which hold the interpreter lock, so on two
-# threads two blocks of 10 train a 19-graph round faster than five of 4.
-# Memory grows with the block, and ``train_candidates`` keeps up to
-# ``workers`` blocks live at once.
+# Byte budget of a block's largest per-learner buffer: the C x N x H
+# activations in training, the K lines over a cone in labelling. It caps
+# the learners per block, at 10 for training at N = 2000 and H = 16, and
+# never below 1. A block runs the per-learner Python loops of every epoch,
+# which hold the interpreter lock, so on two threads two blocks of 10
+# train a 19-graph round faster than five of 4. Memory grows with the
+# block, and ``train_candidates`` keeps up to ``workers`` blocks live at
+# once.
 BLOCK_BYTES = 5 * 2**19
 
 _PARAMS = ("w1", "b1", "w2", "b2")
@@ -892,13 +893,27 @@ class StoredRun:
     def new_labels(self, cone, new_x: np.ndarray) -> np.ndarray:
         """Labels of the new rows ``new_x`` of ``cone``, the graph joined
         with their column for at least ``steps`` steps: a C x m array."""
-        # the cone's stored rows from the stored lines, then its new rows
-        h0 = self.stored.take(cone.order, axis=1, mode="clip")
-        h0[:, cone.rows - cone.start] = self.heads.differences(new_x)
         prefixes = self.prefixes if cone.left[0] else None
-        d = cone.run(prefixes, h0, self.teleport, self.steps)
-        return _labels(d, self.count)
-
+        new = self.heads.differences(new_x)
+        rows = cone.rows - cone.start
+        width = len(new) // self.count
+        labels = np.empty((self.count, len(rows)),
+                          dtype=np.min_scalar_type(width))
+        # models in blocks whose K lines over the cone fit BLOCK_BYTES: a
+        # batch over many stored rows would otherwise hold temporaries
+        # large enough to be mapped afresh, page by page, on every call
+        # (one row's cone fits in one block)
+        per = max(1, BLOCK_BYTES // (8 * cone.order.size * (width + 1)))
+        for first in range(0, self.count, per):
+            stop = min(first + per, self.count)
+            lines = slice(first * width, stop * width)
+            # the cone's stored rows from the stored lines, then its new rows
+            h0 = self.stored[lines].take(cone.order, axis=1, mode="clip")
+            h0[:, rows] = new[lines]
+            d = cone.run(None if prefixes is None else prefixes[:, lines],
+                         h0, self.teleport, self.steps)
+            labels[first:stop] = _labels(d, stop - first)
+        return labels
 
 def predict(model: AppnpModel, x: np.ndarray,
             adjacency: SparseAdjacency) -> tuple[np.ndarray, np.ndarray]:

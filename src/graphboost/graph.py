@@ -417,7 +417,9 @@ class Cone:
         # step writes the columns it reads, base .. end, before it reads them
         f = min(start, int(self.lo[left[-1] - start]))
         c = np.empty((h0.shape[0], right[-1] - f + 1))
-        lo, hi, d = self.lo - f, self.hi - f, self.values
+        lo, hi, d = self.lo, self.hi, self.values
+        if f:  # a batch's cone starts at 0 and needs no N-long copies
+            lo, hi = lo - f, hi - f
         restart = teleport * h0
         z, z_start = h0, start  # Z(l - 1) and the position of its column 0
         for step in range(1, steps + 1):

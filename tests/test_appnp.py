@@ -912,11 +912,13 @@ class TestPredict:
 
     @settings(max_examples=30, deadline=None)
     @given(k=st.sampled_from([1, 2, 3, 9]), count=st.integers(1, 9),
-           seed=st.integers(0, 2**32 - 1))
-    def test_one_graph_labels_match_stacked_labels(self, k, count, seed):
+           cap=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+    def test_one_graph_labels_match_stacked_labels(self, k, count, cap,
+                                                   seed):
         # a StoredRun propagates the lines of all its models as lines of
-        # one graph; each model's labels, of the stored rows and of new
-        # rows, must keep the bits of a run of that model alone
+        # one graph, new rows' in blocks of at most ``cap`` models; each
+        # model's labels, of the stored rows and of new rows, must keep
+        # the bits of a run of that model alone
         rng = np.random.default_rng(seed)
         n, m = int(rng.integers(2, 50)), int(rng.integers(1, 5))
         x = rng.normal(size=(n, m))
@@ -937,9 +939,11 @@ class TestPredict:
         assert run.stored.shape == (count * (k - 1), cut)
         np.testing.assert_array_equal(
             run.labels, np.concatenate([r.labels for r in runs]))
+        with mock.patch.object(appnp, "BLOCK_BYTES",
+                               cap * 8 * cone.order.size * k):
+            got = run.new_labels(cone, x[cut:])
         np.testing.assert_array_equal(
-            run.new_labels(cone, x[cut:]),
-            np.concatenate([r.new_labels(cone, x[cut:]) for r in runs]))
+            got, np.concatenate([r.new_labels(cone, x[cut:]) for r in runs]))
 
     @settings(max_examples=40, deadline=None)
     @given(k=st.sampled_from([1, 2, 3, 5]), count=st.integers(1, 7),
