@@ -47,7 +47,8 @@ sums of that run. New rows are labelled on the ``graph.Cone`` of the
 stored graph joined with them: their differences, computed for the new
 rows only, join the stored ones at the cone's positions, and ``Cone.run``
 propagates only the cone, seeded from those prefix sums, with the bits of
-a full run over all rows.
+a full run over all rows, in blocks of learners whose lines over the cone
+fit ``BLOCK_BYTES``.
 
 Training and prediction propagate K - 1 logit differences, not K
 logits. Softmax, cross-entropy and argmax do not change when one value is
