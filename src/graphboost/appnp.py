@@ -916,6 +916,7 @@ class StoredRun:
             labels[first:stop] = _labels(d, stop - first)
         return labels
 
+
 def predict(model: AppnpModel, x: np.ndarray,
             adjacency: SparseAdjacency) -> tuple[np.ndarray, np.ndarray]:
     """Hard labels (argmax, lowest index on ties) and softmax probabilities.
