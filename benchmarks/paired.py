@@ -10,6 +10,10 @@ calls of both in one process, summarised into one BENCH file.
         --scratch /tmp/paired --name cone_calls \\
         --in-process model.gbe rows.csv --calls 3000
 
+    python benchmarks/paired.py --parent HEAD~1 --change HEAD \\
+        --scratch /tmp/paired --name predict_csv \\
+        --in-process model.gbe rows.csv --command --calls 3000
+
 Each commit is exported with ``git archive`` into its own directory under
 ``--scratch`` (a plain checkout, so the repository's ``.git`` gains
 nothing), because ``perfbench/run.py`` writes into its checkout's
@@ -29,9 +33,13 @@ checkout under its own name, loads the model in each and encodes the CSV
 rows once. It then alternates single-row ``predict_ensemble`` calls of the
 two packages on the same rows, one row after another, with the side that
 goes first alternating from one call to the next, and asserts that both
-give equal labels and score bytes on every call. The BENCH file then holds
-each side's per-call milliseconds (median and quartiles) and the calls in
-which the change was faster, slower or as fast.
+give equal labels and score bytes on every call. With ``--command`` a call
+is instead a whole ``pipeline.run_predict`` of the model on the CSV, as
+``graphboost predict`` runs it (model load, ingest, labelling and the
+predictions CSV), and the two sides' CSV files must be equal byte for byte
+after every call. The BENCH file then holds each side's per-call
+milliseconds (median and quartiles) and the calls in which the change was
+faster, slower or as fast.
 """
 
 import argparse
@@ -43,6 +51,7 @@ import os
 import subprocess
 import sys
 import tarfile
+import tempfile
 import time
 
 import numpy as np
@@ -201,17 +210,41 @@ def _alternate(packages: dict, model: str, rows: str,
     return times, len(x)
 
 
-def in_process(sources: dict, model: str, rows: str, calls: int) -> dict:
+def _alternate_commands(packages: dict, model: str, rows: str,
+                        calls: int) -> tuple[dict, int]:
+    """Per side, the milliseconds of each of ``calls`` alternating
+    ``run_predict`` calls, and the number of rows each call predicts."""
+    predict = {side: importlib.import_module(
+        f"{packages[side].__name__}.pipeline").run_predict for side in SIDES}
+    times = {side: [] for side in SIDES}
+    with tempfile.TemporaryDirectory() as out:
+        paths = {side: os.path.join(out, f"{side}.csv") for side in SIDES}
+        for call in range(calls):
+            order = SIDES if call % 2 == 0 else SIDES[::-1]
+            for side in order:
+                start = time.perf_counter()
+                count = predict[side](model, rows, paths[side])
+                times[side].append(1e3 * (time.perf_counter() - start))
+            with open(paths["parent"], "rb") as want, \
+                    open(paths["change"], "rb") as got:
+                assert got.read() == want.read(), f"call {call}: CSV bytes"
+    return times, count
+
+
+def in_process(sources: dict, model: str, rows: str, calls: int,
+               command: bool = False) -> dict:
     """Alternating single-row calls of the ``graphboost`` trees under
     ``sources`` (``{"parent": dir, "change": dir}``) on ``model`` and the
-    rows of the CSV ``rows``: each side's per-call milliseconds and the
-    calls each side won. Raises AssertionError when the two sides label or
-    score a row differently."""
+    rows of the CSV ``rows``, or with ``command`` alternating whole
+    ``run_predict`` calls on that CSV: each side's per-call milliseconds
+    and the calls each side won. Raises AssertionError when the two sides
+    label or score a row differently, or write different CSV bytes."""
     names = {side: f"graphboost_{side}" for side in SIDES}
+    alternate = _alternate_commands if command else _alternate
     try:
         packages = {side: import_tree(sources[side], names[side])
                     for side in SIDES}
-        times, count = _alternate(packages, model, rows, calls)
+        times, count = alternate(packages, model, rows, calls)
     finally:
         for name in [name for name in sys.modules
                      if name.split(".")[0] in names.values()]:
@@ -243,6 +276,9 @@ def main(argv=None) -> int:
     mode.add_argument("--in-process", nargs=2, metavar=("MODEL", "ROWS"),
                       help="a .gbe model and a CSV of rows to score one "
                            "at a time")
+    parser.add_argument("--command", action="store_true",
+                        help="with --in-process, time whole run_predict "
+                             "calls on all the rows")
     parser.add_argument("--calls", type=int, default=3000,
                         help="calls per side with --in-process")
     parser.add_argument("--out", default=ROOT, help="directory of the file")
@@ -253,21 +289,26 @@ def main(argv=None) -> int:
     os.makedirs(args.scratch, exist_ok=True)
     checkouts = dict(parent=_export(args.parent, args.scratch),
                      change=_export(args.change, args.scratch))
+    if args.command and not args.in_process:
+        parser.error("--command needs --in-process")
     if args.in_process:
+        call = ("whole run_predict calls (model load, ingest, labelling, "
+                "predictions CSV) of both packages in one process on the "
+                "same CSV, asserting equal CSV bytes after each call"
+                if args.command else "single-row predict_ensemble calls "
+                "of both packages in one process on the same rows")
         return _write(args, checkouts, {
-            "what": "single-row predict_ensemble calls of both packages in "
-                    "one process on the same rows, the first side "
-                    "alternating per call; per side the median and "
-                    "quartiles (numpy percentile, linear) of the call's "
-                    "milliseconds, and the calls in which the change was "
-                    "faster, slower or as fast",
+            "what": f"{call}, the first side alternating per call; per "
+                    "side the median and quartiles (numpy percentile, "
+                    "linear) of the call's milliseconds, and the calls in "
+                    "which the change was faster, slower or as fast",
             "model": args.in_process[0], "rows": args.in_process[1],
             "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
             "numpy": np.__version__, "python": sys.version.split()[0],
             "loadavg_1m_before": os.getloadavg()[0],
             **in_process({side: os.path.join(checkouts[side][1], "src")
                           for side in SIDES}, *args.in_process,
-                         args.calls)})
+                         args.calls, args.command)})
     runs = []
     for spec in args.run:
         workload, _, seeds = spec.partition(":")

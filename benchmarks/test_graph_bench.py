@@ -31,7 +31,12 @@ that a window holds about 125 rows at every n. Ingest
 reads that cohort back from a CSV file, continuous as written or mixed:
 its noise columns cut into integer scores, one of them into text levels,
 with 5% of their cells ``NA``; the encode benchmark fits and applies the
-encoding of the mixed table.
+encoding of the mixed table. ``graphboost predict`` reads new rows without
+a label, 2,000 x 4 continuous cells (the shape of the predict benchmark in
+``perfbench/``) or 20,000 x 10, and writes one prediction per row with 4
+or 10 class scores: the normalised votes of 3 rounds, so that at most K^3
+score rows are distinct, or scores drawn at random, so that every row is
+distinct and no row's cells can be reused.
 """
 
 from dataclasses import replace
@@ -48,6 +53,7 @@ from graphboost.data import (CATEGORICAL, NUMERIC, TRAIN, VAL, Column,
                              load_csv, split_rows, write_csv)
 from graphboost.graph import (StoredGraph, build_adjacency,
                               enumerate_candidates, quantile_thresholds)
+from graphboost.pipeline import _write_predictions
 
 SIZES = (2_000, 100_000)
 
@@ -118,6 +124,39 @@ def test_load_csv(benchmark, tmp_path, cohort):
     write_csv(table, labels, path)
     loaded, _ = benchmark(load_csv, path, "label")
     assert [c.kind for c in loaded.columns] == [c.kind for c in table.columns]
+
+
+PREDICT_SHAPES = ((2_000, 4), (20_000, 10))
+
+
+@pytest.mark.parametrize("n, m", PREDICT_SHAPES)
+def test_load_csv_new_rows(benchmark, tmp_path, n, m):
+    path = str(tmp_path / "rows.csv")
+    write_csv(gen_synthetic(n, m, 2, 0.9, 0)[0], None, path)
+    table, labels = benchmark(load_csv, path, None)
+    assert (table.n_rows, len(table.columns), labels) == (n, m, None)
+
+
+def _predictions(n, k, distinct):
+    rng = np.random.default_rng(n + k)
+    if distinct:
+        scores = rng.random((n, k))
+    else:
+        scores = np.zeros((n, k))
+        for alpha in (0.5, 0.3, 0.2):
+            scores[np.arange(n), rng.integers(k, size=n)] += alpha
+    scores /= scores.sum(axis=1, keepdims=True)
+    meta = EncodingMeta([], "label", [f"c{j}" for j in range(k)])
+    return meta, scores.argmax(axis=1), scores
+
+
+@pytest.mark.parametrize("rows", ("votes", "distinct"))
+@pytest.mark.parametrize("n, k", PREDICT_SHAPES)
+def test_write_predictions(benchmark, tmp_path, n, k, rows):
+    meta, labels, scores = _predictions(n, k, rows == "distinct")
+    path = tmp_path / "predictions.csv"
+    benchmark(_write_predictions, str(path), meta, labels, scores)
+    assert len(path.read_bytes().splitlines()) == n + 1
 
 
 def test_encode(benchmark):

@@ -65,9 +65,10 @@ references, and a model keeps its K heads.
 Training works in the propagation frame of ``GraphStack``: line-major
 (K, C, N), class k of learner c at the rows in its graph's sorted order.
 The differences of the MLP head's output H0 (C x N x K, row order) are
-gathered into it, and the K x C x N training and validation logits, their
-log-softmax, the logit gradient dZ and the validation labels never leave
-it. Over K classes, the class maximum, softmax sum and argmax are then
+gathered into it, and the K x C x N training logits, their log-softmax,
+the logit gradient dZ, the (K - 1) x C x N validation differences and the
+validation labels never leave it; only log-softmax needs the zero line of
+class 0. Over K classes, the class maximum, softmax sum and argmax are then
 elementwise operations between K whole lines of C x N values instead of
 reductions along a short last axis, which cost far more per element; the
 softmax sum adds the K lines in class order. Labels take the smallest
@@ -347,14 +348,21 @@ def _with_zero_line(d: np.ndarray) -> np.ndarray:
     return np.concatenate([np.zeros((1,) + d.shape[1:]), d])
 
 
+def _frame_differences(stack: GraphStack, h0: np.ndarray, teleport: float,
+                       steps: int) -> np.ndarray:
+    """The propagated differences h0[..., k] - h0[..., 0], k >= 1, of the
+    C x N x K head outputs ``h0``, as a (K - 1, C, N) frame of ``stack``:
+    what ``_class_argmax`` labels from."""
+    return stack.run(stack.to_frame(_differences(h0)), teleport, steps)
+
+
 def _frame_logits(stack: GraphStack, h0: np.ndarray, teleport: float,
                   steps: int) -> np.ndarray:
     """The propagated logits of the C x N x K head outputs ``h0``, as a
     (K, C, N) frame of ``stack``, up to one shift per row: class 0 is a
     line of zeros, and class k >= 1 is the propagated difference
     h0[..., k] - h0[..., 0]."""
-    return _with_zero_line(stack.run(stack.to_frame(_differences(h0)),
-                                     teleport, steps))
+    return _with_zero_line(_frame_differences(stack, h0, teleport, steps))
 
 
 def _frame_head_grad(stack: GraphStack, dz: np.ndarray, teleport: float,
@@ -741,7 +749,8 @@ def _train_block(config: AppnpConfig, x: np.ndarray, adjacencies: list,
             param -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
         r = _hidden(p, x, out=r)
-        labels = _class_argmax(logits(_head(p, r))[1:])
+        labels = _class_argmax(_frame_differences(
+            stack, _head(p, r), config.teleport, config.prop_steps))
         for i, err in enumerate(val.errors(labels)):
             if done[i]:
                 continue

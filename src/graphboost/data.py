@@ -102,6 +102,10 @@ class EncodingMeta:
     def feature_names(self) -> list[str]:
         return [c.name for c in self.columns]
 
+    def kinds(self) -> dict:
+        """``{name: kind}`` of the fitted columns."""
+        return {c.name: c.kind for c in self.columns}
+
     def feature_scales(self) -> np.ndarray:
         """Per-feature divisor taking raw-unit thresholds to encoded units.
 
@@ -131,7 +135,19 @@ class Dataset:
 
 def _numeric_column(cells: list[str]) -> np.ndarray | None:
     """The float64 column of ``cells`` with NaN for a missing cell, or None
-    if some other cell is not a finite number."""
+    if some other cell is not a finite number.
+
+    A column with no missing cell converts in one pass of ``float``, which
+    gives the same bits as converting cell by cell; as ``float`` rejects
+    both missing markers, a non-finite value there came from a cell such as
+    ``inf``. At the first cell that ``float`` rejects, the column is
+    converted again with the markers read as NaN."""
+    try:
+        vals = np.fromiter(map(float, cells), np.float64, count=len(cells))
+    except ValueError:
+        pass
+    else:
+        return vals if np.isfinite(vals).all() else None
     try:
         vals = np.array([np.nan if c in MISSING_MARKERS else float(c)
                          for c in cells], dtype=np.float64)
@@ -145,6 +161,13 @@ def _numeric_column(cells: list[str]) -> np.ndarray | None:
 
 
 def _read_rows(path: str) -> tuple[list[str], list[list[str]]]:
+    """The header and the records of the CSV file ``path``, each record as
+    wide as the header.
+
+    The records are read in one ``extend`` and their widths checked after,
+    so the first fault in the file is the one reported: ``extend`` keeps
+    the records read before a decoding or CSV error, and a ragged record
+    among them is reported instead of that error."""
     # utf-8-sig skips a leading byte-order mark, which would otherwise
     # become part of the first column's name
     try:
@@ -154,26 +177,32 @@ def _read_rows(path: str) -> tuple[list[str], list[list[str]]]:
     except OSError as exc:
         raise DataError(f"cannot read {path!r}: "
                         f"{exc.strerror or exc}") from exc
+    header: list[str] = []
+    rows: list[list[str]] = []
+    fault = None
     with fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
             if header is None:
                 raise DataError("empty table: file has no header row")
-            rows = []
-            for lineno, row in enumerate(reader, start=2):
-                if len(row) != len(header):
-                    raise DataError(f"ragged row at line {lineno}: expected "
-                                    f"{len(header)} cells, got {len(row)}")
-                rows.append(row)
+            rows.extend(reader)
         except UnicodeDecodeError:
             # the file is decoded in chunks, ahead of the line being read,
             # so the line is found in its bytes
-            raise DataError(f"cannot read {path!r}: not UTF-8 text at line "
-                            f"{_first_bad_line(path)}") from None
+            fault = DataError(f"cannot read {path!r}: not UTF-8 text at "
+                              f"line {_first_bad_line(path)}")
         except csv.Error as exc:
-            raise DataError(f"cannot read {path!r} at line "
-                            f"{reader.line_num}: {exc}") from None
+            fault = DataError(f"cannot read {path!r} at line "
+                              f"{reader.line_num}: {exc}")
+    width = len(header)
+    widths = list(map(len, rows))
+    if widths.count(width) != len(widths):
+        at = next(i for i, w in enumerate(widths) if w != width)
+        raise DataError(f"ragged row at line {at + 2}: expected {width} "
+                        f"cells, got {widths[at]}")
+    if fault is not None:
+        raise fault
     if len(set(header)) != len(header):
         raise DataError("duplicate column names in header")
     return header, rows
@@ -195,12 +224,16 @@ def _first_bad_line(path: str) -> int:
 
 
 def load_csv(path: str, label_column: str | None, schema_hints: dict | None = None,
-             allow_empty: bool = False) -> tuple[RawTable, list[str] | None]:
+             allow_empty: bool = False, fitted_kinds: dict | None = None
+             ) -> tuple[RawTable, list[str] | None]:
     """Parse a CSV file into a RawTable, separating the label column.
 
     A column is numeric iff every non-missing cell parses as a finite real
     number; ``schema_hints`` ({name: "numeric"|"categorical"}) overrides the
-    inference. With ``label_column=None`` all columns are features and the
+    inference. ``fitted_kinds`` (``EncodingMeta.kinds()`` of a fitted
+    model) hints each of its columns that the file has to the kind the
+    model was fitted on; one the file lacks is left for ``apply_encoder``
+    to report. With ``label_column=None`` all columns are features and the
     returned labels are None.
     """
     header, rows = _read_rows(path)
@@ -208,10 +241,13 @@ def load_csv(path: str, label_column: str | None, schema_hints: dict | None = No
         raise DataError("empty table: no data rows")
     if label_column is not None and label_column not in header:
         raise DataError(f"label column absent: {label_column!r}")
-    hints = schema_hints or {}
+    hints = dict(schema_hints or {})
     for name in hints:
         if name not in header:
             raise DataError(f"schema hint for unknown column {name!r}")
+    if fitted_kinds is not None:
+        hints.update((name, kind) for name, kind in fitted_kinds.items()
+                     if name in header)
 
     labels: list[str] | None = None
     if label_column is not None:

@@ -6,6 +6,7 @@ directly.
 """
 
 import csv
+import io
 import json
 import logging
 from contextlib import contextmanager
@@ -122,7 +123,8 @@ def run_train(cfg: RunConfig) -> TrainOutcome:
 def run_predict(model_path: str, data_path: str, out_path: str) -> int:
     """Write per-row predicted label and class scores; returns row count."""
     ensemble = load_ensemble(model_path)
-    table, _ = load_csv(data_path, label_column=None, allow_empty=True)
+    table, _ = load_csv(data_path, label_column=None, allow_empty=True,
+                        fitted_kinds=ensemble.encoder.kinds())
     x_new = apply_encoder(table, ensemble.encoder)
     labels, scores = boost.predict_ensemble(ensemble, x_new)
     _write_predictions(out_path, ensemble.encoder, labels, scores)
@@ -130,20 +132,42 @@ def run_predict(model_path: str, data_path: str, out_path: str) -> int:
     return len(labels)
 
 
+def _after_comma(value: str) -> str:
+    """``value`` as a CSV cell that follows another in a row, with that
+    comma in front, quoted as the ``csv`` module quotes it."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow(["", value])
+    return buf.getvalue()[:-2]
+
+
 def _write_predictions(out_path: str, encoder, labels: np.ndarray,
                        scores: np.ndarray) -> None:
     """The predictions CSV: row number, label value and one score per
-    class, each score the ``repr`` of its float. Cells are made a column at
-    a time, as a cell per row costs a numpy scalar and a call."""
+    class, each score the ``repr`` of its float.
+
+    Scores are normalised votes, so few rows differ: a T-round, K-class
+    ensemble has at most K^T distinct score rows. Each row is keyed by its
+    bytes, the label code and the K float64 scores, so that rows that
+    print differently (a -0.0 against a 0.0) never share a key, and the
+    cells after the row number are made once per key. Lines are streamed,
+    so memory grows by one key per row."""
     label_values = encoder.label_values
-    names = [label_values[i] for i in labels.tolist()]
+    n, k = scores.shape
+    rows = np.column_stack((labels.astype(np.float64), scores))
+    keys = rows.view(np.dtype((np.void, rows.itemsize * (k + 1))))
+    keys = keys.ravel().tolist()
+    cells = [_after_comma(v) for v in label_values]
+    tails = dict(zip(keys, range(n)))  # each key and a row that has it
+    at = list(tails.values())
+    for key, label, row in zip(tails, labels[at].tolist(),
+                               scores[at].tolist()):
+        tails[key] = ",".join([cells[label], *map(repr, row)]) + "\r\n"
     with _writing(out_path), \
             open(out_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", encoder.label_column]
-                        + [f"score_{v}" for v in label_values])
-        writer.writerows(zip(range(len(names)), names,
-                             *(map(repr, col) for col in scores.T.tolist())))
+        csv.writer(fh).writerow(["row", encoder.label_column]
+                                + [f"score_{v}" for v in label_values])
+        fh.writelines(f"{i}{tail}" for i, tail in
+                      enumerate(map(tails.__getitem__, keys)))
 
 
 def run_evaluate(model_path: str, data_path: str,
@@ -151,7 +175,8 @@ def run_evaluate(model_path: str, data_path: str,
     """Score a labeled file with a saved model."""
     ensemble = load_ensemble(model_path)
     label_column = ensemble.encoder.label_column
-    table, labels_text = load_csv(data_path, label_column)
+    table, labels_text = load_csv(data_path, label_column,
+                                  fitted_kinds=ensemble.encoder.kinds())
     x_new = apply_encoder(table, ensemble.encoder)
     code = {v: i for i, v in enumerate(ensemble.encoder.label_values)}
     unknown = sorted(set(labels_text) - set(code))

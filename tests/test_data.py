@@ -112,6 +112,26 @@ class TestLoadCsv:
                            r"3: field larger than field limit \(131072\)"):
             load_csv(path, "label")
 
+    @pytest.mark.parametrize("faults, message", [
+        # the text layer decodes about 8 KB ahead of the reader, so a bad
+        # byte 2,000 lines on is decoded after the ragged row is read
+        ({3: b"1,x", 2000: b"\xff,1,x"}, "ragged row at line 3"),
+        ({2: b"\xff,1,x", 2000: b"1,x"}, "not UTF-8 text at line 2$"),
+        ({600: b"\xff,1,x", 2000: b"1,x"}, "not UTF-8 text at line 600$"),
+        ({3: b"1,x", 5: b"9" * 200_000 + b",1,x"}, "ragged row at line 3"),
+        ({3: b"9" * 200_000 + b",1,x", 5: b"1,x"},
+         "at line 3: field larger than field limit"),
+    ])
+    def test_first_fault_in_the_file_is_reported(self, tmp_path, faults,
+                                                 message):
+        lines = [b"a,b,label"] + [b"%d,%d,x" % (i, i) for i in range(2000)]
+        for line, text in faults.items():
+            lines[line - 1] = text
+        path = tmp_path / "faults.csv"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(DataError, match=message):
+            load_csv(str(path), "label")
+
 
 class TestFitEncoder:
     def _table(self, tmp_path, text):

@@ -91,9 +91,11 @@ def test_directions_and_seed_ranges():
     assert paired.seed_range("7") == [7]
 
 
-def test_in_process_calls_on_two_copies_of_one_tree(tmp_path):
-    # a tiny two-round model over 30 stored rows, scored one row at a time
-    # by two copies of this tree imported side by side
+@pytest.fixture
+def two_copies(tmp_path):
+    """A tiny two-round model over 30 stored rows, a CSV of 5 new rows, and
+    two copies of this tree to import side by side; with a function that
+    moves the last bit of every score in the change's copy."""
     import shutil
 
     import numpy as np
@@ -120,21 +122,45 @@ def test_in_process_calls_on_two_copies_of_one_tree(tmp_path):
         sources[side] = str(tmp_path / side)
         shutil.copytree(os.path.join(ROOT, "src", "graphboost"),
                         os.path.join(sources[side], "graphboost"))
-    out = paired.in_process(sources, str(model), str(rows), 21)
-    assert (out["calls"], out["rows"]) == (21, 5)
+
+    def move_last_bit():
+        boost_py = os.path.join(sources["change"], "graphboost", "boost.py")
+        with open(boost_py, encoding="utf-8") as fh:
+            text = fh.read()
+        vote_sum = "votes / votes.sum(axis=1, keepdims=True)"
+        assert vote_sum in text
+        with open(boost_py, "w", encoding="utf-8") as fh:
+            fh.write(text.replace(vote_sum, f"{vote_sum} * (1.0 + 2**-40)"))
+
+    return sources, str(model), str(rows), move_last_bit
+
+
+def _check_summary(out, calls, rows):
+    assert (out["calls"], out["rows"]) == (calls, rows)
     assert (out["change_faster_calls"] + out["change_slower_calls"]
-            + out["tied_calls"]) == 21
+            + out["tied_calls"]) == calls
     for side in paired.SIDES:
         summary = out["sides"][side]
-        assert len(summary["values"]) == 21
+        assert len(summary["values"]) == calls
         assert summary["q1"] <= summary["median"] <= summary["q3"]
+
+
+def test_in_process_calls_on_two_copies_of_one_tree(two_copies):
+    # the rows are scored one at a time
+    sources, model, rows, move_last_bit = two_copies
+    _check_summary(paired.in_process(sources, model, rows, 21), 21, 5)
     # a change that moves a score's last bit is caught
-    boost_py = os.path.join(sources["change"], "graphboost", "boost.py")
-    with open(boost_py, encoding="utf-8") as fh:
-        text = fh.read()
-    vote_sum = "votes / votes.sum(axis=1, keepdims=True)"
-    assert vote_sum in text
-    with open(boost_py, "w", encoding="utf-8") as fh:
-        fh.write(text.replace(vote_sum, f"{vote_sum} * (1.0 + 2**-40)"))
+    move_last_bit()
     with pytest.raises(AssertionError, match="call 0: score bytes"):
-        paired.in_process(sources, str(model), str(rows), 4)
+        paired.in_process(sources, model, rows, 4)
+
+
+def test_in_process_commands_on_two_copies_of_one_tree(two_copies):
+    # each call is a whole run_predict of all the rows
+    sources, model, rows, move_last_bit = two_copies
+    out = paired.in_process(sources, model, rows, 6, command=True)
+    _check_summary(out, 6, 5)
+    assert out.keys() == paired.in_process(sources, model, rows, 2).keys()
+    move_last_bit()
+    with pytest.raises(AssertionError, match="call 0: CSV bytes"):
+        paired.in_process(sources, model, rows, 4, command=True)

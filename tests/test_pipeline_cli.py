@@ -2,16 +2,18 @@
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from graphboost import boost, pipeline
 from graphboost.cli import main
 from graphboost.config import parse_config
-from graphboost.data import EncodingMeta, load_csv
+from graphboost.data import (CATEGORICAL, EncodingMeta, apply_encoder,
+                             load_csv)
 from graphboost.graph import quantile_thresholds
 from graphboost.model_io import load_ensemble
 from graphboost.pipeline import (run_evaluate, run_predict, run_sweep,
@@ -138,17 +140,34 @@ LABEL_TEXT = st.text(st.one_of(st.sampled_from(',"\'\r\n; é日\U0001F600'),
                      max_size=6)
 
 
+# Scores that print in their own way: both zeros, NaN, the infinities and
+# the smallest subnormal.
+SCORE = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 5e-324, math.nan,
+                                   math.inf, -math.inf]),
+                  st.floats(0.0, 1.0))
+
+
 @st.composite
 def _predictions(draw):
+    """An encoder, labels and scores: either up to 8 rows drawn one by
+    one, or up to 60 rows drawn from 1-4 row patterns, so that rows
+    repeat, now and then with a 0.0 row and a -0.0 row of one label."""
     k = draw(st.integers(2, 4))
     values = draw(st.lists(LABEL_TEXT, min_size=k, max_size=k, unique=True))
-    n = draw(st.integers(0, 8))
-    labels = np.array(draw(st.lists(st.integers(0, k - 1), min_size=n,
-                                    max_size=n)), dtype=np.int64)
-    scores = np.array(draw(st.lists(
-        st.one_of(st.sampled_from([0.0, 1.0, 5e-324]),
-                  st.floats(0.0, 1.0)), min_size=n * k, max_size=n * k)),
-        dtype=np.float64).reshape(n, k)
+    row = st.tuples(st.integers(0, k - 1),
+                    st.lists(SCORE, min_size=k, max_size=k))
+    if draw(st.booleans()):
+        rows = draw(st.lists(row, max_size=8))
+    else:
+        patterns = draw(st.lists(row, min_size=1, max_size=4))
+        if draw(st.booleans()):
+            label = draw(st.integers(0, k - 1))
+            patterns[:0] = [(label, [0.0] * k), (label, [-0.0] * k)]
+        rows = [patterns[i] for i in draw(st.lists(
+            st.integers(0, len(patterns) - 1), max_size=60))]
+    labels = np.array([label for label, _ in rows], dtype=np.int64)
+    scores = np.array([s for _, s in rows],
+                      dtype=np.float64).reshape(len(rows), k)
     return EncodingMeta([], draw(LABEL_TEXT), values), labels, scores
 
 
@@ -159,6 +178,11 @@ def predictions_dir(tmp_path_factory):
 
 class TestPredict:
     @given(_predictions())
+    @example((EncodingMeta([], "", ["", 'a,"b"', "c\r\nd"]),
+              np.array([0, 0, 1, 2, 0, 1]),
+              np.array([[0.0] * 3, [-0.0] * 3, [math.nan, math.inf, -math.inf],
+                        [5e-324, 0.5, 0.5], [0.0] * 3,
+                        [math.nan, math.inf, -math.inf]])))
     @settings(max_examples=300, deadline=None)
     def test_csv_bytes_match_row_by_row_writer(self, predictions_dir,
                                                drawn):
@@ -250,6 +274,122 @@ class TestEvaluate:
         from graphboost.errors import DataError
         with pytest.raises(DataError, match="not seen at training"):
             run_evaluate(outcome.model_path, str(data))
+
+
+KINDS_CONFIG = """
+data = {data}
+label = label
+split_fractions = 0.6, 0.2, 0.2
+seed = 3
+rounds = 2
+hidden_dim = 4
+prop_steps = 2
+dropout = 0.0
+weak_learning_rate = 0.05
+max_epochs = 40
+patience = 40
+model_out = {model}
+report_out = {report}
+"""
+
+
+@pytest.fixture(scope="module")
+def kinds_models(tmp_path_factory):
+    """Two models trained through the CLI on 30-row cohorts whose label
+    follows a categorical column: ``code``, made categorical by the config
+    though its cells 1/2/3 look numeric, and ``category_1``, text cells.
+    Each is returned with the path of its cohort."""
+    root = tmp_path_factory.mktemp("kinds")
+    rng = np.random.default_rng(7)
+    models = {}
+    for name, levels, extra in (("code", ("1", "2", "3"), "categorical = code"),
+                                ("category_1", ("low", "mid", "high"), "")):
+        rows = [f"{levels[i % 3]},{rng.normal():.3f},{'ab'[i % 3 > 0]}"
+                for i in range(30)]
+        data = root / f"{name}.csv"
+        data.write_text("\n".join([f"{name},x,label"] + rows) + "\n")
+        cfg = root / f"{name}.cfg"
+        cfg.write_text(KINDS_CONFIG.format(
+            data=data, model=root / f"{name}.gbe",
+            report=root / f"{name}.json") + extra + "\n")
+        assert main(["train", "--config", str(cfg)]) == 0
+        models[name] = str(root / f"{name}.gbe"), data
+    return models
+
+
+class TestFittedColumnKinds:
+    """``predict`` and ``evaluate`` read new rows with the column kinds of
+    the model: a categorical column whose new cells all look numeric, or
+    are all missing, used to be read as numeric and fail (exit 2)."""
+
+    @staticmethod
+    def _want_labels(model, data, name):
+        ensemble = load_ensemble(model)
+        table, _ = load_csv(str(data), "label", {name: CATEGORICAL})
+        labels, _ = boost.predict_ensemble(
+            ensemble, apply_encoder(table, ensemble.encoder))
+        return [ensemble.encoder.label_values[i] for i in labels]
+
+    @staticmethod
+    def _new_rows(path, name, cells):
+        path.write_text("".join([f"label,x,{name}\n"] + [
+            f"{'ab'[i % 2]},{0.1 * i},{c}\n" for i, c in enumerate(cells)]))
+        return str(path)
+
+    @pytest.mark.parametrize("name, cells", [
+        ("code", ["1", "3", "2", "NA"]), ("code", ["2"]), ("code", ["NA"]),
+        ("category_1", ["NA"]), ("category_1", ["", "low", "NA"])])
+    def test_predict_exits_zero(self, kinds_models, tmp_path, capsys, name,
+                                cells):
+        model, _ = kinds_models[name]
+        data = self._new_rows(tmp_path / "new.csv", name, cells)
+        out = tmp_path / "p.csv"
+        assert main(["predict", "--model", model, "--data", data,
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        with open(out, newline="", encoding="utf-8") as fh:
+            got = [row["label"] for row in csv.DictReader(fh)]
+        assert got == self._want_labels(model, data, name)
+
+    @pytest.mark.parametrize("name, cells", [
+        ("code", ["2", "2"]), ("code", ["NA", "3"]),
+        ("category_1", ["NA", ""])])
+    def test_evaluate_exits_zero(self, kinds_models, tmp_path, capsys, name,
+                                 cells):
+        model, _ = kinds_models[name]
+        data = self._new_rows(tmp_path / "new.csv", name, cells)
+        out = tmp_path / "e.json"
+        assert main(["evaluate", "--model", model, "--data", data,
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert json.loads(out.read_text())["n"] == len(cells)
+
+    def test_training_file_fed_back(self, kinds_models, tmp_path):
+        model, data = kinds_models["code"]
+        out = tmp_path / "p.csv"
+        assert run_predict(model, str(data), str(out)) == 30
+        with open(out, newline="", encoding="utf-8") as fh:
+            got = [row["label"] for row in csv.DictReader(fh)]
+        assert got == self._want_labels(model, data, "code")
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_text_in_a_numeric_column_is_two(self, kinds_models, tmp_path,
+                                             capsys, command):
+        model, _ = kinds_models["code"]
+        data = tmp_path / "new.csv"
+        data.write_text("code,x,label\n1,0.5,a\n2,oops,b\n")
+        assert main([command, "--model", model, "--data", str(data),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "column 'x'" in capsys.readouterr().err
+
+    def test_missing_model_column_is_named(self, kinds_models, tmp_path,
+                                           capsys):
+        model, _ = kinds_models["code"]
+        data = tmp_path / "new.csv"
+        data.write_text("x\n0.5\n")
+        assert main(["predict", "--model", model, "--data", str(data),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "column missing from data: 'code'" in capsys.readouterr().err
 
 
 class TestSweep:
