@@ -302,8 +302,9 @@ def kinds_models(tmp_path_factory):
     root = tmp_path_factory.mktemp("kinds")
     rng = np.random.default_rng(7)
     models = {}
-    for name, levels, extra in (("code", ("1", "2", "3"), "categorical = code"),
-                                ("category_1", ("low", "mid", "high"), "")):
+    for name, levels, extra in (
+            ("code", ("1", "2", "3"), "categorical = code"),
+            ("category_1", ("low", "mid", "high"), "")):
         rows = [f"{levels[i % 3]},{rng.normal():.3f},{'ab'[i % 3 > 0]}"
                 for i in range(30)]
         data = root / f"{name}.csv"
