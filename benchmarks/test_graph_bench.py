@@ -51,8 +51,8 @@ from graphboost.data import (CATEGORICAL, NUMERIC, TRAIN, VAL, Column,
                              EncodingMeta, NumericMeta, RawTable,
                              apply_encoder, fit_encoder, gen_synthetic,
                              load_csv, split_rows, write_csv)
-from graphboost.graph import (StoredGraph, build_adjacency,
-                              enumerate_candidates, quantile_thresholds)
+from graphboost.graph import (build_adjacency, enumerate_candidates,
+                              quantile_thresholds)
 from graphboost.pipeline import _write_predictions
 
 SIZES = (2_000, 100_000)
@@ -76,7 +76,7 @@ def test_build_adjacency(benchmark, n):
 @pytest.mark.parametrize("n", SIZES)
 def test_join(benchmark, n, m):
     v, gamma, _ = _inputs(n)
-    stored = StoredGraph.of(build_adjacency(v, gamma), v)
+    stored = build_adjacency(v, gamma)
     new = np.random.default_rng(m).normal(size=m)
     cone = benchmark(stored.join, new, 3)
     assert cone.n == n + m
@@ -250,7 +250,7 @@ def _windowed_ensemble(n):
                                                       4, 2), 1.0 / (t + 1),
                         0.3) for t in range(3)]
     ensemble = Ensemble(rounds, 2, meta, meta.feature_names(), x)
-    graph = ensemble.stored_graphs[(0, 62.0 / n)]
+    graph = ensemble.stored_graphs[(0, 62.0 / n)].adjacency
     assert 110 < np.mean(graph.hi - graph.lo) < 140
     return ensemble, rng
 

@@ -21,7 +21,9 @@ from the labels that its training pass gave every row at the learner's
 best-validation epoch; no candidate is labelled again after training.
 Prediction labels the rounds that chose one (feature, gamma) graph
 together. When the ensemble is made, fitted or loaded, each such graph is
-built over the stored rows, and its rounds are grouped by shared
+built over the stored rows, one sort per feature shared by its graphs
+(``graph.graphs_of``, as for the candidates of a fit), and is the graph
+that new rows join; its rounds are grouped by shared
 (teleport, prop_steps). Each group gets an ``appnp.StoredRun``: the K - 1
 head differences of its rounds over the stored rows and, once a call needs
 them, their propagation on the stored graph alone, kept as that run's k
@@ -49,7 +51,11 @@ from .appnp import (AppnpConfig, AppnpModel, StoredRun, TrainReport,
 from .appnp import train_weak  # noqa: F401
 from .data import Dataset, EncodingMeta, TRAIN, VAL
 from .errors import DataError, NoWeakLearnability, TrainingDiverged
-from .graph import StoredGraph, build_adjacency, enumerate_candidates
+# Unused here; kept only because perfbench/tracing.py wraps
+# boost.build_adjacency. Every build goes through graph.build_adjacency,
+# which the tracer wraps too.
+from .graph import build_adjacency  # noqa: F401
+from .graph import enumerate_candidates, graphs_of
 from .rng import derive_seed
 
 log = logging.getLogger("graphboost.boost")
@@ -108,7 +114,7 @@ class Ensemble:
     stop_reason: str | None = None
     stop_error: float | None = None
     # Each distinct round (feature, gamma) graph over train_x, built here
-    # and never saved. Graphs on one feature share its stored sort.
+    # and never saved. Graphs on one feature share its sorted column.
     stored_graphs: dict = field(init=False, repr=False, compare=False)
     # Per (feature, gamma), its rounds grouped by (teleport, prop_steps):
     # a list of (round indices, their read-only StoredRun over train_x),
@@ -119,21 +125,9 @@ class Ensemble:
         if not self.rounds:
             raise DataError("empty ensemble")
         object.__setattr__(self, "rounds", tuple(self.rounds))
-        graphs: dict = {}
-        adjacencies: dict = {}
-        for r in self.rounds:
-            if (r.feature, r.gamma) in graphs:
-                continue
-            column = self.train_x[:, r.feature]
-            built = build_adjacency(column, r.gamma, feature=r.feature)
-            graph = StoredGraph.of(built, column)
-            twin = next((g for (f, _), g in graphs.items()
-                         if f == r.feature), None)
-            if twin is not None:
-                graph = replace(graph, order=twin.order,
-                                v_sorted=twin.v_sorted)
-            graphs[(r.feature, r.gamma)] = graph
-            adjacencies[(r.feature, r.gamma)] = built.adjacency
+        graph = graphs_of(self.train_x)
+        graphs = {(r.feature, r.gamma): graph(r.feature, r.gamma)
+                  for r in self.rounds}
         object.__setattr__(self, "stored_graphs", graphs)
         groups: dict = {}
         for t, r in enumerate(self.rounds):
@@ -142,7 +136,7 @@ class Ensemble:
                 (cfg.teleport, cfg.prop_steps), []).append(t)
         runs = {key: [(tuple(ts), StoredRun(
                     [self.rounds[t].model for t in ts], self.train_x,
-                    adjacencies[key])) for ts in by_config.values()]
+                    graphs[key].adjacency)) for ts in by_config.values()]
                 for key, by_config in groups.items()}
         object.__setattr__(self, "stored_runs", runs)
 

@@ -23,19 +23,23 @@ one engine of training, of prediction and of ``appnp.propagate``. Its
 frame is line-major, so its window indices are C * N long and shared by
 every line, and for one graph they are the graph's own arrays.
 
-``StoredGraph`` keeps one graph over stored rows as its sort and window
-bounds, and ``join`` merges new rows into it only where k propagation
-steps from the new rows read it: their dependency cone, about 2k + 1
-half-windows around them. Left of the first window that holds a new row
-the merged graph is the stored one, so the merged run's prefix sums equal
-those of a run over the stored rows alone up to a position that moves one
-window left per step; ``Cone.run`` seeds each step's prefix sum there from
-the stored run's, which ``GraphStack.run`` leaves when asked, and
-propagates the cone only, with the bits of the full run. A batch whose
-cone spans the sort does the full run's work.
+A column is sorted once, by ``SortedColumn.of``, and every graph on it
+shares that sort: ``graphs_of`` builds each distinct (feature, gamma)
+graph of a matrix once over one sort per feature, for the candidates of a
+fit and for the stored graphs of an ensemble alike. A ``CandidateGraph``
+over stored rows keeps its column, and ``join`` merges new rows into it
+only where k propagation steps from the new rows read it: their
+dependency cone, about 2k + 1 half-windows around them. Left of the first
+window that holds a new row the merged graph is the stored one, so the
+merged run's prefix sums equal those of a run over the stored rows alone
+up to a position that moves one window left per step; ``Cone.run`` seeds
+each step's prefix sum there from the stored run's, which
+``GraphStack.run`` leaves when asked, and propagates the cone only, with
+the bits of the full run. A batch whose cone spans the sort does the full
+run's work.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -226,15 +230,6 @@ class GraphStack:
         return out.reshape(self.shape + frame.shape[:-2])
 
 
-@dataclass
-class CandidateGraph:
-    feature: int
-    gamma: float
-    adjacency: SparseAdjacency
-    edge_count: int  # undirected, self-loops not counted
-    expert: bool = False
-
-
 def quantile_thresholds(values: np.ndarray, seed: int = 0,
                         feature: int = 0) -> ThresholdSet:
     """Nearest-rank (lower) quantiles of the pairwise absolute differences.
@@ -332,9 +327,27 @@ def _finite_column(values: np.ndarray) -> np.ndarray:
     return v
 
 
-def build_adjacency(values: np.ndarray, gamma: float,
-                    feature: int = 0) -> CandidateGraph:
-    """Graph with an edge wherever |v_i - v_j| <= gamma, i != j.
+@dataclass(frozen=True)
+class SortedColumn:
+    """One feature column in stable sort order, shared by every graph on
+    it: ``order[p]`` is the row at sorted position p and ``values[p]`` its
+    value."""
+
+    order: np.ndarray  # int64
+    values: np.ndarray  # float64
+
+    @classmethod
+    def of(cls, values: np.ndarray) -> "SortedColumn":
+        """The only sort of a stored or cohort column."""
+        v = _finite_column(values)
+        order = np.argsort(v, kind="stable").astype(np.int64)
+        return cls(order, v[order])
+
+
+def build_adjacency(values, gamma: float,
+                    feature: int = 0) -> "CandidateGraph":
+    """Graph with an edge wherever |v_i - v_j| <= gamma, i != j, over raw
+    ``values`` or a ``SortedColumn`` of them.
 
     The predicate compares the rounded difference fl(|v_i - v_j|), which
     is monotone along sorted order on each side of a row. So each window
@@ -345,15 +358,14 @@ def build_adjacency(values: np.ndarray, gamma: float,
     """
     if not gamma >= 0:
         raise DataError(f"gamma must be a non-negative number, got {gamma!r}")
-    v = _finite_column(values)
-    n = v.size
-
-    order = np.argsort(v, kind="stable").astype(np.int64)
-    v_sorted = v[order]
-    adjacency = _from_ends(order, _ends(v_sorted, gamma,
-                                        np.arange(n, dtype=np.int64)))
+    column = (values if isinstance(values, SortedColumn)
+              else SortedColumn.of(values))
+    n = column.order.size
+    adjacency = _from_ends(column.order, _ends(column.values, gamma,
+                                               np.arange(n, dtype=np.int64)))
     edge_count = int(np.sum(adjacency.hi - adjacency.lo - 1)) // 2
-    return CandidateGraph(feature, float(gamma), adjacency, edge_count)
+    return CandidateGraph(feature, float(gamma), adjacency, edge_count,
+                          column)
 
 
 @dataclass(frozen=True)
@@ -452,44 +464,38 @@ class Cone:
 
 
 @dataclass(frozen=True)
-class StoredGraph:
-    """One (feature, gamma) graph over stored rows, ready for new rows.
+class CandidateGraph:
+    """One (feature, gamma) graph over the rows of ``column``, as
+    ``build_adjacency`` made it.
 
-    Holds the stable sort of the stored column and its exact window starts
-    and ends, as ``build_adjacency`` made them. ``join(new, k)`` returns
-    the part of the graph that ``build_adjacency`` gives over the stored
-    column with ``new`` appended, bit for bit, that k propagation steps
-    read for the new rows: O(cone + m log(N + m)) rather than the
-    O((N + m) log(N + m)) of sorting and searching all rows again.
+    ``join(new, k)`` returns the part of the graph that ``build_adjacency``
+    gives over the column with ``new`` appended, bit for bit, that k
+    propagation steps read for the new rows: O(cone + m log(N + m)) rather
+    than the O((N + m) log(N + m)) of sorting and searching all rows again.
     """
 
+    feature: int
     gamma: float
-    order: np.ndarray  # int64, stable sort order of the stored column
-    v_sorted: np.ndarray  # float64, the stored column in that order
-    lo: np.ndarray  # int64, each stored window's start, in the stored frame
-    hi: np.ndarray  # int64, and its end
-
-    @classmethod
-    def of(cls, candidate: CandidateGraph, values: np.ndarray) -> "StoredGraph":
-        """The stored graph of ``build_adjacency(values, gamma)``."""
-        adj = candidate.adjacency
-        v = np.asarray(values, dtype=np.float64).ravel()
-        return cls(candidate.gamma, adj.order, v[adj.order], adj.lo, adj.hi)
+    adjacency: SparseAdjacency
+    edge_count: int  # undirected, self-loops not counted
+    column: SortedColumn
+    expert: bool = False
 
     def join(self, new_values: np.ndarray, steps: int) -> Cone:
         """The graph over the stored rows followed by ``new_values`` (at
         least one), on the cone of ``steps`` propagation steps from them
         and around the windows that hold a new row."""
         u = _finite_column(new_values)
-        n, m, gamma = self.order.size, u.size, self.gamma
+        stored, v_sorted = self.column.order, self.column.values
+        n, m, gamma = stored.size, u.size, self.gamma
         if m == 0:
             raise DataError("no new rows to join")
-        lo, hi = self.lo, self.hi
+        lo, hi = self.adjacency.lo, self.adjacency.hi
         new_order = u.argsort(kind="stable")
         u_sorted = u[new_order]
         # new row j (in u_sorted order) lands after the ins[j] stored values
         # <= it
-        ins = self.v_sorted.searchsorted(u_sorted, side="right")
+        ins = v_sorted.searchsorted(u_sorted, side="right")
         first, last = int(ins[0]), int(ins[-1])
         # Every window that holds a new row lies in [a, b + m): a new row's
         # window starts no earlier than that of the stored row just below
@@ -502,9 +508,9 @@ class StoredGraph:
         # A stable sort of the stacked column puts stored rows before equal
         # new ones and keeps each part in its own stable order, as does a
         # stable sort of stored a..b followed by the new rows.
-        stacked = np.concatenate([self.v_sorted[a:b], u_sorted])
+        stacked = np.concatenate([v_sorted[a:b], u_sorted])
         merge = stacked.argsort(kind="stable")
-        order = np.concatenate([self.order[a:b], n + new_order])[merge]
+        order = np.concatenate([stored[a:b], n + new_order])[merge]
         # A stored window keeps its stored rows and takes in the new rows
         # between them. It ends at its first row past gamma, stored h (its
         # old end) or a new row in the gap just before h: at h plus the new
@@ -515,7 +521,7 @@ class StoredGraph:
         h = hi[a:b]
         ahead = np.bincount(ins - a, minlength=b - a + 1).cumsum()
         gap = np.minimum(h, b) - a
-        stored_ends = h + _bisect(u_sorted, self.v_sorted[a:b], gamma,
+        stored_ends = h + _bisect(u_sorted, v_sorted[a:b], gamma,
                                   ahead[gap - 1], ahead[gap])
         at_new = ins + np.arange(m)  # the new rows' sorted positions
         new_ends = _ends(stacked[merge], gamma, at_new - a)
@@ -539,7 +545,7 @@ class StoredGraph:
             right.append(int(ends[q - 1 - a]) if q <= b + m
                          else int(hi[q - 1 - m]) + m)
         p, q = min(left[-1], a), max(right[-1], b + m)
-        order = np.concatenate([self.order[p:a], order, self.order[b:q - m]])
+        order = np.concatenate([stored[p:a], order, stored[b:q - m]])
         starts = np.concatenate([lo[p:a], starts, lo[b:q - m] + m])
         ends = np.concatenate([hi[p:a], ends, hi[b:q - m] + m])
         return Cone(n + m, p, order, starts, ends,
@@ -553,6 +559,24 @@ def identity_adjacency(n: int) -> SparseAdjacency:
     return SparseAdjacency(n, pos, pos, pos + 1, np.ones(n))
 
 
+def graphs_of(X: np.ndarray):
+    """``graph(j, gamma)``: ``build_adjacency`` of column j of X at gamma,
+    built once per distinct (j, gamma) over one ``SortedColumn`` of
+    column j, made on first use."""
+    columns: dict = {}
+    graphs: dict = {}
+
+    def graph(j: int, gamma: float) -> CandidateGraph:
+        if (j, gamma) not in graphs:
+            if j not in columns:
+                columns[j] = SortedColumn.of(X[:, j])
+            graphs[(j, gamma)] = build_adjacency(columns[j], gamma,
+                                                 feature=j)
+        return graphs[(j, gamma)]
+
+    return graph
+
+
 def enumerate_candidates(X: np.ndarray,
                          expert_edges: list | tuple = (),
                          feature_names: list[str] | None = None,
@@ -564,28 +588,19 @@ def enumerate_candidates(X: np.ndarray,
     kept), expert candidates appended last. Expert thresholds are given in
     raw feature units, must be non-negative (``inf`` links every pair) and
     are divided by ``feature_scales`` before use. Each distinct
-    (feature, gamma) graph is built once; its repeats share the adjacency.
+    (feature, gamma) graph is built once; its repeats are that graph.
     """
     X = np.asarray(X, dtype=np.float64)
     n, m = X.shape
     if m < 1:
         raise DataError("need at least one feature")
-    built: dict = {}
-
-    def candidate(j: int, gamma: float, expert: bool) -> CandidateGraph:
-        first = built.get((j, gamma))
-        if first is None:
-            first = built[(j, gamma)] = build_adjacency(X[:, j], gamma,
-                                                        feature=j)
-        return CandidateGraph(j, float(gamma), first.adjacency,
-                              first.edge_count, expert)
-
+    graph = graphs_of(X)
     candidates = []
     for j in range(m):
         ts = quantile_thresholds(X[:, j], seed=derive_seed(seed, "pairs", j),
                                  feature=j)
         for gamma in ts.gammas:
-            candidates.append(candidate(j, gamma, False))
+            candidates.append(graph(j, gamma))
     for spec in expert_edges:
         name, threshold = spec
         if isinstance(name, str):
@@ -602,5 +617,5 @@ def enumerate_candidates(X: np.ndarray,
                             f"be a non-negative number, got {threshold!r}")
         scale = 1.0 if feature_scales is None else float(feature_scales[j])
         gamma = threshold / (scale if scale > 0 else 1.0)
-        candidates.append(candidate(j, gamma, True))
+        candidates.append(replace(graph(j, gamma), expert=True))
     return candidates

@@ -66,15 +66,17 @@ def _read_tensor(fh, shape_want: tuple, what: str) -> np.ndarray:
 
 # Metadata schema: a type or tuple of types, a one-item list for a list of
 # that schema, or a dict of required keys. A JSON true is not an int here,
-# and floats must be finite.
+# and floats must be finite, or inf where the schema lists it: a round's
+# gamma, which an expert edge ``name:inf`` makes inf.
 _NUM = (int, float)
+_GAMMA = (int, float, math.inf)
 _SCHEMA = {
     "n_stored_rows": int, "n_features": int, "n_classes": int,
     "feature_names": [str], "stop_reason": (str, type(None)),
     "stop_error": (int, float, type(None)),
     "encoder": {"label_column": str, "label_values": [str],
                 "columns": [dict]},
-    "rounds": [{"feature": int, "feature_name": str, "gamma": _NUM,
+    "rounds": [{"feature": int, "feature_name": str, "gamma": _GAMMA,
                 "alpha": _NUM, "error": _NUM, "expert": bool,
                 "config": {f.name: int if f.type is int else _NUM
                            for f in fields(AppnpConfig)}}],
@@ -103,7 +105,8 @@ def _check(value, schema, where: str) -> None:
     else:
         _require(type(value) in (schema if isinstance(schema, tuple)
                                  else (schema,))
-                 and (type(value) is not float or math.isfinite(value)),
+                 and (type(value) is not float or math.isfinite(value)
+                      or (isinstance(schema, tuple) and value in schema)),
                  f"bad {where}: {value!r:.40}")
 
 

@@ -24,8 +24,8 @@ from graphboost.appnp import (MAX_PROP_STEPS, AppnpConfig, AppnpModel,
                               loss, predict, propagate, propagation_limit,
                               softmax, train_candidates, train_weak)
 from graphboost.errors import DataError, TrainingDiverged
-from graphboost.graph import (GraphStack, SparseAdjacency, StoredGraph,
-                              build_adjacency, identity_adjacency)
+from graphboost.graph import (GraphStack, SparseAdjacency, build_adjacency,
+                              identity_adjacency)
 from graphboost.rng import substream
 
 
@@ -932,8 +932,8 @@ class TestPredict:
             models.append(model)
         cut = int(rng.integers(1, n))
         built = build_adjacency(x[:cut, 0], float(rng.uniform(0.0, 2.0)))
-        stored, graph = StoredGraph.of(built, x[:cut, 0]), built.adjacency
-        cone = stored.join(x[cut:, 0], cfg.prop_steps)
+        graph = built.adjacency
+        cone = built.join(x[cut:, 0], cfg.prop_steps)
         runs = [appnp.StoredRun([model], x[:cut], graph) for model in models]
         run = appnp.StoredRun(models, x[:cut], graph)
         assert run.stored.shape == (count * (k - 1), cut)

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import graphboost
-from graphboost import appnp, boost
+from graphboost import appnp, boost, graph
 from graphboost.appnp import AppnpConfig, AppnpModel, init_model
 from graphboost.boost import (BoostConfig, Ensemble, WeakRound,
                               compute_alpha, fit, predict_ensemble, run_round,
@@ -28,7 +28,7 @@ from graphboost.config import parse_config
 from graphboost.data import TEST, TRAIN, VAL, Dataset, EncodingMeta, \
     NumericMeta, fit_encoder, gen_synthetic, split_rows
 from graphboost.errors import DataError, NoWeakLearnability
-from graphboost.graph import (StoredGraph, build_adjacency,
+from graphboost.graph import (CandidateGraph, build_adjacency,
                               enumerate_candidates, quantile_thresholds)
 from graphboost.model_io import load_ensemble, save_ensemble
 from graphboost.pipeline import run_train
@@ -528,18 +528,18 @@ class TestEnsemblePrediction:
         # Making the ensemble builds each distinct graph over the stored
         # rows; every call merges its rows into each once and builds none.
         built, joined = [], []
-        join = StoredGraph.join
+        join = CandidateGraph.join
 
         def counting_build(values, gamma, **kwargs):
             built.append(gamma)
             return build_adjacency(values, gamma, **kwargs)
 
-        def counting_join(graph, new_values, steps):
+        def counting_join(stored, new_values, steps):
             joined.append(len(new_values))
-            return join(graph, new_values, steps)
+            return join(stored, new_values, steps)
 
-        monkeypatch.setattr(boost, "build_adjacency", counting_build)
-        monkeypatch.setattr(StoredGraph, "join", counting_join)
+        monkeypatch.setattr(graph, "build_adjacency", counting_build)
+        monkeypatch.setattr(CandidateGraph, "join", counting_join)
         ens = self._shared_graph_ensemble(
             self.SHARED_GRAPH_ENSEMBLES["mixed_learners"])
         assert (len(built), joined) == (2, [])
@@ -686,8 +686,29 @@ class TestEnsemblePrediction:
         g0, g2 = ens.rounds[0].gamma, ens.rounds[1].gamma
         assert g0 != g2
         a, b = (ens.stored_graphs[(0, g)] for g in (g0, g2))
-        assert a.order is b.order and a.v_sorted is b.v_sorted
-        assert not np.array_equal(a.hi, b.hi)
+        assert a.column is b.column
+        assert a.adjacency.order is b.adjacency.order is a.column.order
+        assert not np.array_equal(a.adjacency.hi, b.adjacency.hi)
+        # and so do a fit's candidates on one feature
+        cands = enumerate_candidates(ens.train_x, [(0, 0.5)])
+        for c in cands:
+            assert c.column is cands[3 * c.feature].column
+
+    def test_stored_graph_bytes_per_row(self):
+        # README: 16 B per stored row per round feature (its sort order and
+        # sorted values) plus 24 B per stored row per round (feature, gamma)
+        # (window starts, ends and dinv), counting each array once.
+        ens = self._shared_graph_ensemble(
+            [(0, 0, {}), (0, 2, {}), (1, 1, {}), (1, 0, {}), (0, 2, {})])
+        graphs = ens.stored_graphs.values()
+        arrays = {id(a): a for g in graphs
+                  for a in (g.column.order, g.column.values,
+                            g.adjacency.order, g.adjacency.lo,
+                            g.adjacency.hi, g.adjacency.values)}
+        features = {g.feature for g in graphs}
+        assert (len(features), len(graphs)) == (2, 4)
+        assert sum(a.nbytes for a in arrays.values()) == (
+            (16 * len(features) + 24 * len(graphs)) * ens.train_x.shape[0])
 
     def test_threads_share_the_stored_graphs(self, monkeypatch):
         # More threads than cores, switching often: the calls only read
@@ -703,7 +724,7 @@ class TestEnsemblePrediction:
             built.append(gamma)
             return build_adjacency(values, gamma, **kwargs)
 
-        monkeypatch.setattr(boost, "build_adjacency", counting_build)
+        monkeypatch.setattr(graph, "build_adjacency", counting_build)
         # and no head runs on the stored rows: each call's on its one row
         product_rows = []
         affine = appnp._affine

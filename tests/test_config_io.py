@@ -1,6 +1,7 @@
 """Config text format and the binary model container."""
 
 import json
+import math
 import struct
 from dataclasses import fields, replace
 
@@ -307,6 +308,46 @@ class TestModelFile:
             assert _cli_scores(command, path, tmp_path) == 2
             assert "alpha" in capsys.readouterr().err
 
+
+    def test_infinite_round_gamma_loads(self, small_ensemble, tmp_path,
+                                        capsys):
+        # An expert edge ``name:inf`` can win a round, and the model file
+        # then holds "gamma":Infinity. Such files used to fail every load,
+        # so predict and evaluate exited 2 on a model that train wrote.
+        path = tmp_path / "m.gbe"
+        save_ensemble(small_ensemble, str(path))
+
+        def widen(meta):
+            meta["rounds"][1].update(gamma=math.inf, expert=True)
+        path.write_bytes(_edit_meta(path.read_bytes(), widen))
+        assert b'"gamma":Infinity' in path.read_bytes()
+        for command in ("predict", "evaluate"):
+            capsys.readouterr()
+            assert _cli_scores(command, path, tmp_path) == 0, \
+                capsys.readouterr().err
+        loaded = load_ensemble(str(path))
+        assert loaded.rounds[1].gamma == math.inf
+        n = loaded.train_x.shape[0]
+        graph = loaded.stored_graphs[(loaded.rounds[1].feature, math.inf)]
+        assert graph.edge_count == n * (n - 1) // 2
+        again = tmp_path / "again.gbe"
+        save_ensemble(loaded, str(again))
+        assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("gamma", [math.nan, -math.inf, -1.0])
+    def test_other_non_finite_or_negative_gamma_rejected(
+            self, small_ensemble, tmp_path, capsys, gamma):
+        path = tmp_path / "m.gbe"
+        save_ensemble(small_ensemble, str(path))
+        path.write_bytes(_edit_meta(
+            path.read_bytes(),
+            lambda meta: meta["rounds"][0].update(gamma=gamma)))
+        with pytest.raises(ModelFormatError, match="gamma"):
+            load_ensemble(str(path))
+        for command in ("predict", "evaluate"):
+            capsys.readouterr()
+            assert _cli_scores(command, path, tmp_path) == 2
+            assert "gamma" in capsys.readouterr().err
 
 def _without_rounds(blob: bytes, n_rows: int, n_features: int) -> bytes:
     """A model file with its rounds and their tensors cut out."""

@@ -13,9 +13,9 @@ from hypothesis import given, settings, strategies as st
 from graphboost import graph
 from graphboost.appnp import propagate
 from graphboost.errors import DataError
-from graphboost.graph import (GraphStack, StoredGraph, build_adjacency,
-                              enumerate_candidates, identity_adjacency,
-                              quantile_thresholds)
+from graphboost.graph import (GraphStack, SortedColumn, build_adjacency,
+                              enumerate_candidates, graphs_of,
+                              identity_adjacency, quantile_thresholds)
 
 
 def brute_force_edges(values, gamma):
@@ -437,7 +437,7 @@ class TestRunLines:
         kept = lines.copy()
         one.run(one.to_frame(lines[:, :n].T[None]), teleport, steps,
                 prefixes)
-        cone = StoredGraph.of(built, stored).join(new, steps)
+        cone = built.join(new, steps)
         got = cone.run(prefixes.reshape(steps, width, n + 1),
                        lines.take(cone.order, axis=1), teleport, steps)
         np.testing.assert_array_equal(lines, kept)  # H0 is left alone
@@ -456,8 +456,7 @@ class TestRunLines:
 
 
 def joined(stored, new, gamma, steps=3):
-    return StoredGraph.of(build_adjacency(stored, gamma), stored).join(
-        new, steps)
+    return build_adjacency(stored, gamma).join(new, steps)
 
 
 def assert_same_region(cone, want, steps=3):
@@ -480,9 +479,9 @@ def assert_same_region(cone, want, steps=3):
 
 
 class TestStoredGraph:
-    """``join`` against its oracle: ``build_adjacency`` over the stacked
-    column, compared field by field and bit for bit over the join's
-    region."""
+    """``CandidateGraph.join`` against its oracle: ``build_adjacency`` over
+    the stacked column, compared field by field and bit for bit over the
+    join's region."""
 
     @given(st.integers(0, 2**32 - 1),
            st.sampled_from(["normal", "levels", "zscored", "scaled",
@@ -559,11 +558,80 @@ class TestStoredGraph:
                                    build_adjacency(v, gamma).adjacency)
 
     def test_non_finite_new_value_rejected(self):
-        graph = StoredGraph.of(build_adjacency(np.arange(5.0), 1.0),
-                               np.arange(5.0))
+        graph = build_adjacency(np.arange(5.0), 1.0)
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(DataError, match="non-finite feature values"):
                 graph.join(np.array([0.5, bad]), 3)
+
+
+class TestSortedColumn:
+    """``graphs_of`` builds over one ``SortedColumn`` per feature; its
+    graphs must equal ``build_adjacency`` on the raw column, which sorts
+    the column itself."""
+
+    @staticmethod
+    def _matrix():
+        rng = np.random.default_rng(11)
+        levels = rng.integers(0, 12, size=120).astype(float)
+        return np.column_stack([
+            levels,  # heavy ties
+            (levels - levels.mean()) / levels.std(),  # z-scored levels
+            rng.normal(size=120)])
+
+    @staticmethod
+    def _gammas(column):
+        gaps = np.unique(np.abs(np.diff(np.unique(column))))
+        gammas = {0.0, np.inf, *quantile_thresholds(column).gammas}
+        for g in gaps[:3]:  # one-level gaps an ulp or two apart, z-scored
+            gammas.update((g, np.nextafter(g, 0.0), np.nextafter(g, np.inf)))
+        return sorted(float(g) for g in gammas)
+
+    def test_graphs_equal_build_on_the_raw_column(self):
+        x = self._matrix()
+        graph_of = graphs_of(x)
+        for j in range(x.shape[1]):
+            for gamma in self._gammas(x[:, j]):
+                got = graph_of(j, gamma)
+                want = build_adjacency(x[:, j], gamma, feature=j)
+                assert (got.feature, got.gamma, got.edge_count,
+                        got.expert) == (want.feature, want.gamma,
+                                        want.edge_count, want.expert)
+                for name in ("order", "values"):
+                    a, b = (getattr(g.column, name) for g in (got, want))
+                    assert a.dtype == b.dtype, name
+                    np.testing.assert_array_equal(a, b, err_msg=name)
+                assert got.adjacency.n == want.adjacency.n
+                for name in ("order", "lo", "hi", "values"):
+                    a, b = (getattr(g.adjacency, name) for g in (got, want))
+                    assert a.dtype == b.dtype, name
+                    np.testing.assert_array_equal(a, b, err_msg=name)
+                assert got.adjacency.order is got.column.order
+                assert graph_of(j, gamma) is got
+
+    def test_one_sort_per_feature_per_call(self, monkeypatch):
+        x = self._matrix()
+        sorted_columns = []
+        of = SortedColumn.of
+
+        def counting(values):
+            sorted_columns.append(np.array(values))
+            return of(values)
+
+        monkeypatch.setattr(SortedColumn, "of", counting)
+        for _ in range(2):
+            sorted_columns.clear()
+            cands = enumerate_candidates(x, expert_edges=[(1, 0.0),
+                                                          (2, np.inf)])
+            assert len(sorted_columns) == x.shape[1]
+            for j, column in enumerate(sorted_columns):
+                np.testing.assert_array_equal(column, x[:, j])
+            for c in cands:
+                assert c.column is cands[3 * c.feature].column
+
+    def test_non_finite_column_rejected(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(DataError, match="non-finite feature values"):
+                SortedColumn.of(np.array([0.0, bad, 1.0]))
 
 
 class TestEnumerateCandidates:
