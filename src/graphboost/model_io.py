@@ -103,10 +103,10 @@ def _check(value, schema, where: str) -> None:
         for i, item in enumerate(value):
             _check(item, schema[0], f"{where}[{i}]")
     else:
-        _require(type(value) in (schema if isinstance(schema, tuple)
-                                 else (schema,))
+        allowed = schema if isinstance(schema, tuple) else (schema,)
+        _require(type(value) in allowed
                  and (type(value) is not float or math.isfinite(value)
-                      or (isinstance(schema, tuple) and value in schema)),
+                      or value in allowed),
                  f"bad {where}: {value!r:.40}")
 
 

@@ -689,10 +689,6 @@ class TestEnsemblePrediction:
         assert a.column is b.column
         assert a.adjacency.order is b.adjacency.order is a.column.order
         assert not np.array_equal(a.adjacency.hi, b.adjacency.hi)
-        # and so do a fit's candidates on one feature
-        cands = enumerate_candidates(ens.train_x, [(0, 0.5)])
-        for c in cands:
-            assert c.column is cands[3 * c.feature].column
 
     def test_stored_graph_bytes_per_row(self):
         # README: 16 B per stored row per round feature (its sort order and
