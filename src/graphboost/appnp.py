@@ -34,21 +34,22 @@ same code. Each epoch's validation forward pass labels every row; a
 learner keeps the labels of the epoch whose parameters it keeps, so a
 round's candidates need no labelling pass after training.
 
-Prediction labels learners that share one graph and their teleport and
-prop_steps with a ``StoredRun``, made once per group and never saved. A
+Prediction labels learners that share one graph, their teleport,
+prop_steps and hidden width with a ``StoredRun``, made once per group and
+never saved; it rejects learners that differ in any of the three. A
 stored row's head does not depend on the graph, so it computes the K - 1
 head differences of its learners over the stored rows once, with a
-``HeadStack``: their weights stacked per hidden width, transposed and
-contiguous, so that each layer of a stack is one ``np.matmul`` with the
-bits of a one-learner product. It propagates those C(K - 1) lines on the
-stored graph alone, as the lines of a one-graph ``GraphStack``, the engine
-that training runs too, and keeps the stored rows' labels and the k prefix
-sums of that run. New rows are labelled on the ``graph.Cone`` of the
-stored graph joined with them: their differences, computed for the new
-rows only, join the stored ones at the cone's positions, and ``Cone.run``
-propagates only the cone, seeded from those prefix sums, with the bits of
-a full run over all rows, in blocks of learners whose lines over the cone
-fit ``BLOCK_BYTES``.
+``HeadStack``: their weights in one stack, transposed and contiguous, so
+that each layer is one ``np.matmul`` with the bits of a one-learner
+product. It propagates those C(K - 1) lines on the stored graph alone,
+as the lines of a one-graph ``GraphStack``, the engine that training runs
+too, and keeps the stored rows' labels and the k prefix sums of that run.
+New rows are labelled on the ``graph.Cone`` of the stored graph joined
+with them for the group's k steps: their differences, computed for the
+new rows only, join the stored ones at the cone's positions, and
+``Cone.run`` propagates only the cone, seeded from those prefix sums, with
+the bits of a full run over all rows, in blocks of learners whose lines
+over the cone fit ``BLOCK_BYTES``.
 
 Training and prediction propagate K - 1 logit differences, not K
 logits. Softmax, cross-entropy and argmax do not change when one value is
@@ -649,10 +650,9 @@ def _diverged(config: AppnpConfig, p: dict, row: int, x: np.ndarray,
 def _train_block(config: AppnpConfig, x: np.ndarray, adjacencies: list,
                  y: np.ndarray, w: np.ndarray, train_mask: np.ndarray,
                  val_mask: np.ndarray, n_classes: int,
-                 masks: _DropoutMasks | None = None) -> list:
+                 masks: _DropoutMasks) -> list:
     """Train one learner per graph, all at once, with the dropout masks
-    ``masks`` (by default drawn for this block alone); see
-    ``train_candidates``.
+    ``masks``; see ``train_candidates``.
 
     Every learner keeps its row of the stacks until the block ends. A
     learner that stops early or diverges is marked done: it still computes,
@@ -692,8 +692,6 @@ def _train_block(config: AppnpConfig, x: np.ndarray, adjacencies: list,
     adam_m = {name: np.zeros_like(v) for name, v in p.items()}
     adam_v = {name: np.zeros_like(v) for name, v in p.items()}
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    if masks is None:
-        masks = _DropoutMasks(config, r.shape[1:])
 
     best = {name: v.copy() for name, v in p.items()}
     # the labels of the best parameters, in the frame
@@ -781,45 +779,33 @@ def _train_block(config: AppnpConfig, x: np.ndarray, adjacencies: list,
 
 
 class HeadStack:
-    """The MLP heads of ``models``, which share their features and K
-    classes, made once for many calls: one stack per hidden width, of the
-    first- and second-layer weights transposed and contiguous, and the
-    biases. ``differences`` runs each layer of a stack as one
-    ``np.matmul``, which calls BLAS once per model with the shapes of a
-    one-model call, and every other operation is elementwise, so each
-    model's lines have the bits of its own head, ``_head(_hidden(.))``,
-    over the same rows. A row's bits can depend on the other rows of
-    ``x``, as BLAS blocks the product by its shape."""
+    """The MLP heads of ``models``, which share their features, K classes
+    and hidden width, made once for many calls: their first- and
+    second-layer weights stacked, transposed and contiguous, and their
+    biases. ``differences`` runs each layer as one ``np.matmul``, which
+    calls BLAS once per model with the shapes of a one-model call, and
+    every other operation is elementwise, so each model's lines have the
+    bits of its own head, ``_head(_hidden(.))``, over the same rows. A
+    row's bits can depend on the other rows of ``x``, as BLAS blocks the
+    product by its shape."""
 
     def __init__(self, models: list):
         if not models:
             raise DataError("a head stack needs at least one model")
-        width = models[0].b2.size - 1
-        self.lines = len(models) * width
-        by_hidden: dict = {}
-        for c, model in enumerate(models):
-            by_hidden.setdefault(model.b1.size, []).append(c)
-        self._stacks = []
-        for cs in by_hidden.values():
-            p = {name: np.stack([getattr(models[c], name) for c in cs])
-                 for name in _PARAMS}
-            # the lines of models cs in the (C(K - 1), N) result
-            at = (np.array(cs)[:, None] * width + np.arange(width)).ravel()
-            self._stacks.append((at, _transposed(p["w1"]), p["b1"],
-                                 _transposed(p["w2"]), p["b2"]))
+        p = {name: np.stack([getattr(m, name) for m in models])
+             for name in _PARAMS}
+        self.lines = len(models) * (models[0].b2.size - 1)
+        self._w1t, self._b1 = _transposed(p["w1"]), p["b1"]
+        self._w2t, self._b2 = _transposed(p["w2"]), p["b2"]
 
     def differences(self, x: np.ndarray) -> np.ndarray:
         """The K - 1 logit differences of every model's head over the rows
         ``x``: C(K - 1) x N lines, line c(K - 1) + k - 1 being
         h[:, k] - h[:, 0] of model c."""
-        n = x.shape[0]
-        out = np.empty((self.lines, n))
-        for at, w1t, b1, w2t, b2 in self._stacks:
-            hidden = _affine(x, w1t, b1)
-            np.maximum(hidden, 0.0, out=hidden)
-            d = _differences(_affine(hidden, w2t, b2))
-            out[at] = d.transpose(0, 2, 1).reshape(at.size, n)
-        return out
+        hidden = _affine(x, self._w1t, self._b1)
+        np.maximum(hidden, 0.0, out=hidden)
+        d = _differences(_affine(hidden, self._w2t, self._b2))
+        return d.transpose(0, 2, 1).reshape(self.lines, x.shape[0])
 
 
 def _labels(d: np.ndarray, count: int) -> np.ndarray:
@@ -830,10 +816,10 @@ def _labels(d: np.ndarray, count: int) -> np.ndarray:
 
 
 class StoredRun:
-    """Models that share one graph over stored rows and their teleport and
-    prop_steps, made once for many calls and never saved: their
-    ``HeadStack`` and their K - 1 head differences over the stored rows,
-    and, made by the first call that needs them, the prefix sums that k
+    """Models that share one graph over stored rows, their teleport,
+    prop_steps and hidden width, made once for many calls and never saved:
+    their ``HeadStack`` and their K - 1 head differences over the stored
+    rows, and, made by the first call that needs them, the prefix sums that k
     propagation steps of those lines on the stored graph alone take
     (k x C(K - 1) x (N + 1) floats) and the stored rows' labels from that
     run, all read-only.
@@ -853,10 +839,10 @@ class StoredRun:
         if adjacency.n != x.shape[0]:
             raise DataError("adjacency and stored rows disagree on node "
                             "count")
-        if len({(m.config.teleport, m.config.prop_steps)
+        if len({(m.config.teleport, m.config.prop_steps, m.b1.size)
                 for m in models}) > 1:
-            raise DataError("stacked models must share teleport and "
-                            "prop_steps")
+            raise DataError("stacked models must share teleport, "
+                            "prop_steps and hidden width")
         self.heads = HeadStack(models)
         self.count = len(models)
         cfg = models[0].config
@@ -902,7 +888,7 @@ class StoredRun:
 
     def new_labels(self, cone, new_x: np.ndarray) -> np.ndarray:
         """Labels of the new rows ``new_x`` of ``cone``, the graph joined
-        with their column for at least ``steps`` steps: a C x m array."""
+        with their column for ``steps`` steps: a C x m array."""
         prefixes = self.prefixes if cone.left[0] else None
         new = self.heads.differences(new_x)
         rows = cone.rows - cone.start
@@ -921,7 +907,7 @@ class StoredRun:
             h0 = self.stored[lines].take(cone.order, axis=1, mode="clip")
             h0[:, rows] = new[lines]
             d = cone.run(None if prefixes is None else prefixes[:, lines],
-                         h0, self.teleport, self.steps)
+                         h0, self.teleport)
             labels[first:stop] = _labels(d, stop - first)
         return labels
 

@@ -19,22 +19,25 @@ edge equal to a quantile, so each distinct graph trains once per round.
 A candidate's weighted train error, and the round's predictions, come
 from the labels that its training pass gave every row at the learner's
 best-validation epoch; no candidate is labelled again after training.
-Prediction labels the rounds that chose one (feature, gamma) graph
-together. When the ensemble is made, fitted or loaded, each such graph is
-built over the stored rows, one sort per feature shared by its graphs
-(``graph.graphs_of``, as for the candidates of a fit), and is the graph
-that new rows join; its rounds are grouped by shared
-(teleport, prop_steps). Each group gets an ``appnp.StoredRun``: the K - 1
-head differences of its rounds over the stored rows and, once a call needs
-them, their propagation on the stored graph alone, kept as that run's k
-prefix sums (k x C(K - 1) x (N + 1) floats), and the stored rows' labels
-from it; none of these is saved. A prediction runs each group's MLP heads
-on its new rows alone, one stacked product per layer and hidden width, as
-in APPNP's "predict, then propagate", where a row's head does not depend
-on the graph. It merges the new rows into the stored graph only on their
-dependency cone for the graph's largest k, and propagates each group
-there, seeded from its prefix sums, with the bits of a run over all rows.
-``transductive_scores`` reads the stored rows' labels.
+Prediction labels rounds in groups, made once when the ensemble is made,
+fitted or loaded, and only there: one group per distinct
+(feature, gamma, teleport, prop_steps, hidden width), the rounds that can
+share one graph, one propagation and one stack of head weights. A fit
+varies only the seed between rounds, so its groups are its distinct
+(feature, gamma) graphs. Each group's graph is built over the stored rows,
+one sort per feature shared by its graphs (``graph.graphs_of``, as for the
+candidates of a fit), and is the graph that new rows join. Each group gets
+an ``appnp.StoredRun``: the K - 1 head differences of its rounds over the
+stored rows and, once a call needs them, their propagation on the stored
+graph alone, kept as that run's k prefix sums (k x C(K - 1) x (N + 1)
+floats), and the stored rows' labels from it; none of these is saved. A
+prediction runs each group's MLP heads on its new rows alone, one stacked
+product per layer, as in APPNP's "predict, then propagate", where a row's
+head does not depend on the graph. It merges the new rows into the group's
+stored graph only on their dependency cone for the group's k, and
+propagates the group there for those k steps, seeded from its prefix sums,
+with the bits of a run over all rows. ``transductive_scores`` reads the
+stored rows' labels.
 """
 
 import logging
@@ -113,32 +116,30 @@ class Ensemble:
     train_x: np.ndarray  # encoded rows seen at fit time, for the graphs
     stop_reason: str | None = None
     stop_error: float | None = None
-    # Each distinct round (feature, gamma) graph over train_x, built here
-    # and never saved. Graphs on one feature share its sorted column.
-    stored_graphs: dict = field(init=False, repr=False, compare=False)
-    # Per (feature, gamma), its rounds grouped by (teleport, prop_steps):
-    # a list of (round indices, their read-only StoredRun over train_x),
-    # made here and never saved.
-    stored_runs: dict = field(init=False, repr=False, compare=False)
+    # One (round indices, graph, StoredRun) per distinct (feature, gamma,
+    # teleport, prop_steps, hidden width), in the order of their first
+    # rounds: the round graph over train_x, which shares its feature's
+    # sorted column with the other graphs on it, and the read-only run of
+    # the group's rounds on it. Made here and never saved.
+    groups: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.rounds:
             raise DataError("empty ensemble")
         object.__setattr__(self, "rounds", tuple(self.rounds))
         graph = graphs_of(self.train_x)
-        graphs = {(r.feature, r.gamma): graph(r.feature, r.gamma)
-                  for r in self.rounds}
-        object.__setattr__(self, "stored_graphs", graphs)
-        groups: dict = {}
+        by_key: dict = {}
         for t, r in enumerate(self.rounds):
             cfg = r.model.config
-            groups.setdefault((r.feature, r.gamma), {}).setdefault(
-                (cfg.teleport, cfg.prop_steps), []).append(t)
-        runs = {key: [(tuple(ts), StoredRun(
-                    [self.rounds[t].model for t in ts], self.train_x,
-                    graphs[key].adjacency)) for ts in by_config.values()]
-                for key, by_config in groups.items()}
-        object.__setattr__(self, "stored_runs", runs)
+            by_key.setdefault((r.feature, r.gamma, cfg.teleport,
+                               cfg.prop_steps, r.model.b1.size), []).append(t)
+        groups = []
+        for (feature, gamma, *_), ts in by_key.items():
+            stored = graph(feature, gamma)
+            groups.append((tuple(ts), stored, StoredRun(
+                [self.rounds[t].model for t in ts], self.train_x,
+                stored.adjacency)))
+        object.__setattr__(self, "groups", tuple(groups))
 
 
 def weighted_error(predictions: np.ndarray, y: np.ndarray, w: np.ndarray,
@@ -323,23 +324,15 @@ def fit(config: BoostConfig, dataset: Dataset) -> Ensemble:
 
 
 def _vote_scores(ensemble: Ensemble,
-                 new_x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Votes of every round for the stored rows followed by ``new_x``,
-    returned for the new rows only, or for the stored rows when ``new_x``
-    has none. Each group of rounds on one (feature, gamma) graph with
-    shared (teleport, prop_steps) labels the new rows on the cone of the
-    stored graph joined with them, seeded from its ``StoredRun``; the
-    stored rows' labels are read from that run. Votes are added in round
-    order, so the sums equal a round-by-round loop bit for bit."""
-    n = new_x.shape[0] or ensemble.train_x.shape[0]
+                 group_labels: list) -> tuple[np.ndarray, np.ndarray]:
+    """Ensemble labels and normalized vote scores of n rows from the labels
+    that each of ``ensemble.groups`` gives them (C x n per group of C
+    rounds). Votes are added in round order, so the sums equal a
+    round-by-round loop bit for bit."""
+    n = group_labels[0].shape[1]
     round_labels = np.empty((len(ensemble.rounds), n), dtype=np.int64)
-    for (feature, gamma), groups in ensemble.stored_runs.items():
-        if new_x.shape[0]:
-            cone = ensemble.stored_graphs[(feature, gamma)].join(
-                new_x[:, feature], max(run.steps for _, run in groups))
-        for ts, run in groups:
-            round_labels[list(ts)] = (run.new_labels(cone, new_x)
-                                      if new_x.shape[0] else run.labels)
+    for (ts, _, _), labels in zip(ensemble.groups, group_labels):
+        round_labels[list(ts)] = labels
     votes = np.zeros((n, ensemble.n_classes), dtype=np.float64)
     rows = np.arange(n)
     for round_, labels in zip(ensemble.rounds, round_labels):
@@ -350,8 +343,10 @@ def _vote_scores(ensemble: Ensemble,
 
 def transductive_scores(ensemble: Ensemble) -> tuple[np.ndarray, np.ndarray]:
     """Ensemble labels and normalized vote scores for the rows seen at fit
-    time, using graphs over those rows alone."""
-    return _vote_scores(ensemble, ensemble.train_x[:0])
+    time, using graphs over those rows alone: each group's ``StoredRun``
+    labels."""
+    return _vote_scores(ensemble, [run.labels
+                                   for _, _, run in ensemble.groups])
 
 
 def predict_ensemble(ensemble: Ensemble,
@@ -362,11 +357,11 @@ def predict_ensemble(ensemble: Ensemble,
     so new samples propagate from the cohort the model was trained on. The
     new rows join the graphs together and link to each other too, so a
     row's scores depend on the other rows of ``new_x``; a single row is
-    scored against the stored rows alone. Rounds that chose the same
-    (feature, gamma) share one graph, which merges the new rows into the
-    stored graph built with the ensemble on their k-step cone only, and the
-    MLP heads run on the new rows only. Returns hard labels and vote scores
-    normalized to sum 1 per row.
+    scored against the stored rows alone. Each of ``ensemble.groups``
+    merges the new rows into its stored graph, built with the ensemble, on
+    their cone for the group's k steps only, and runs its MLP heads on the
+    new rows only. Returns hard labels and vote scores normalized to sum 1
+    per row.
     """
     new_x = np.asarray(new_x, dtype=np.float64)
     if new_x.ndim != 2 or new_x.shape[1] != ensemble.train_x.shape[1]:
@@ -377,4 +372,6 @@ def predict_ensemble(ensemble: Ensemble,
     if n_new == 0:
         return (np.zeros(0, dtype=np.int64),
                 np.zeros((0, ensemble.n_classes), dtype=np.float64))
-    return _vote_scores(ensemble, new_x)
+    return _vote_scores(ensemble, [
+        run.new_labels(graph.join(new_x[:, graph.feature], run.steps), new_x)
+        for _, graph, run in ensemble.groups])

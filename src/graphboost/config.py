@@ -174,6 +174,10 @@ def parse_config(text: str) -> RunConfig:
     cfg = RunConfig(grid=grid, **values)
     if len(cfg.split_fractions) != 3:
         raise ConfigError("split_fractions needs exactly three values")
+    both = [name for name in cfg.categorical if name in cfg.numeric]
+    if both:
+        raise ConfigError(f"column {both[0]!r} is listed under both "
+                          f"categorical and numeric")
     return cfg
 
 

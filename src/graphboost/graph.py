@@ -32,11 +32,11 @@ only where k propagation steps from the new rows read it: their
 dependency cone, about 2k + 1 half-windows around them. Left of the first
 window that holds a new row the merged graph is the stored one, so the
 merged run's prefix sums equal those of a run over the stored rows alone
-up to a position that moves one window left per step; ``Cone.run`` seeds
-each step's prefix sum there from the stored run's, which
-``GraphStack.run`` leaves when asked, and propagates the cone only, with
-the bits of the full run. A batch whose cone spans the sort does the full
-run's work.
+up to a position that moves one window left per step; ``Cone.run`` takes
+exactly the k steps that the cone was joined for, seeds each step's prefix
+sum there from the stored run's, which ``GraphStack.run`` leaves when
+asked, and propagates the cone only, with the bits of the full run. A
+batch whose cone spans the sort does the full run's work.
 """
 
 from dataclasses import dataclass, replace
@@ -388,42 +388,36 @@ class Cone:
     hi: np.ndarray
     values: np.ndarray  # float64
     rows: np.ndarray  # int64, sorted position of each new row
-    left: tuple  # the cone's bounds for the steps it was joined for
+    # The cone of the k steps it was joined for, as sorted positions:
+    # left[l], l < max(k, 1), up to which Z(l) of the merged run equals
+    # that of the stored run, and with it their prefix sums, and right[i],
+    # i <= k, from which on Z(k - i) is not read. left[0] starts the first
+    # new row's window and left[l + 1] that of the row at left[l]; right[0]
+    # follows the last new row and right[i + 1] ends the window of the row
+    # before right[i].
+    left: tuple
     right: tuple
 
-    def bounds(self, steps: int) -> tuple[tuple, tuple]:
-        """The cone of ``steps`` steps, at most those joined for, as sorted
-        positions: ``left[l]``, l < k, up to which Z(l) of the merged run
-        equals that of the stored run, and with it their prefix sums, and
-        ``right[i]``, from which on Z(k - i) is not read. left[0] starts
-        the first new row's window and left[l + 1] that of the row at
-        left[l]; right[0] follows the last new row and right[i + 1] ends
-        the window of the row before right[i]."""
-        if steps >= len(self.right):
-            raise DataError(f"a cone joined for {len(self.right) - 1} "
-                            f"steps cannot run {steps}")
-        return self.left[:max(steps, 1)], self.right[:steps + 1]
-
-    def run(self, prefixes: np.ndarray, h0: np.ndarray, teleport: float,
-            steps: int) -> np.ndarray:
+    def run(self, prefixes: np.ndarray, h0: np.ndarray,
+            teleport: float) -> np.ndarray:
         """``GraphStack.run`` of the W lines ``h0`` (W x the cone's
-        positions) on the merged graph, at the new rows only: a (W, m)
-        array, new rows in their given order, with the bits of the full
-        run. ``prefixes`` holds the k prefix sums (W, N + 1 each) that
-        ``GraphStack.run`` leaves for the same lines of the stored rows on
-        the stored graph alone; it is read only where left[0] > 0 and may
-        be None elsewhere.
+        positions) on the merged graph, for the k steps that the cone was
+        joined for, at the new rows only: a (W, m) array, new rows in their
+        given order, with the bits of the full run. ``prefixes`` holds the
+        k prefix sums (W, N + 1 each) that ``GraphStack.run`` leaves for
+        the same lines of the stored rows on the stored graph alone; it is
+        read only where left[0] > 0 and may be None elsewhere.
 
         Step l reads Z(l - 1) through the prefix sum C(l - 1). That equals
         the stored run's up to position left[l - 1], and a prefix sum adds
         in order, so one seeded there with the stored value has the bits
         of one from position 0. Step l < k runs on [left[l], right[k - l])
         only, and step k at the new rows."""
-        start = self.start
+        start, left, right = self.start, self.left, self.right
         rows = self.rows - start
+        steps = len(right) - 1
         if teleport == 1.0 or steps == 0:
             return h0[:, rows]
-        left, right = self.bounds(steps)
         # C(l - 1) of every step in one buffer whose column i is sorted
         # position f + i, f the least window start that a step reads; each
         # step writes the columns it reads, base .. end, before it reads them
@@ -531,9 +525,9 @@ class CandidateGraph:
         starts = _starts(np.concatenate([hi[before:a], ends]), a, span,
                          before)
 
-        # The cone's bounds (``Cone.bounds``), walked on the merged graph:
-        # left of a it is the stored one, and right of b + m too, shifted
-        # by m.
+        # The cone's bounds (``Cone.left`` and ``Cone.right``), walked on
+        # the merged graph: left of a it is the stored one, and right of
+        # b + m too, shifted by m.
         rows = np.empty(m, dtype=np.int64)
         rows[new_order] = at_new
         left, right = [int(starts[first - a])], [last + m]

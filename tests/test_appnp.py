@@ -747,7 +747,8 @@ class TestTrainCandidates:
                           seed=1)
         tracemalloc.start()
         try:
-            appnp._train_block(cfg, x, graphs, y, w, train, val, k)
+            appnp._train_block(cfg, x, graphs, y, w, train, val, k,
+                               appnp._DropoutMasks(cfg, (n, h)))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -769,7 +770,8 @@ class TestTrainCandidates:
                           seed=1)
         tracemalloc.start()
         try:
-            appnp._train_block(cfg, x, graphs, y, w, train, val, k)
+            appnp._train_block(cfg, x, graphs, y, w, train, val, k,
+                               appnp._DropoutMasks(cfg, (n, h)))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -922,12 +924,12 @@ class TestPredict:
         rng = np.random.default_rng(seed)
         n, m = int(rng.integers(2, 50)), int(rng.integers(1, 5))
         x = rng.normal(size=(n, m))
-        cfg = AppnpConfig(prop_steps=int(rng.integers(0, 5)),
+        cfg = AppnpConfig(hidden_dim=int(rng.integers(1, 10)),
+                          prop_steps=int(rng.integers(0, 5)),
                           teleport=float(rng.choice([0.2, 1.0])))
         models = []
         for t in range(count):
-            model = init_model(dataclasses.replace(
-                cfg, hidden_dim=int(rng.integers(1, 10)), seed=t), m, k)
+            model = init_model(dataclasses.replace(cfg, seed=t), m, k)
             model.b2 = rng.normal(size=k)
             models.append(model)
         cut = int(rng.integers(1, n))
@@ -949,16 +951,16 @@ class TestPredict:
     @given(k=st.sampled_from([1, 2, 3, 5]), count=st.integers(1, 7),
            seed=st.integers(0, 2**32 - 1))
     def test_stacked_heads_match_one_model_heads(self, k, count, seed):
-        # HeadStack runs each hidden width's heads as one product per
+        # HeadStack runs the heads of one hidden width as one product per
         # layer; every model's lines must keep the bits of its own
         # _head(_hidden(.)) over the same rows, at any row count.
         rng = np.random.default_rng(seed)
         n, m = int(rng.integers(1, 400)), int(rng.integers(1, 12))
         x = rng.normal(size=(n, m))
+        hidden = int(rng.choice([1, 3, 8, 16, 33]))
         models = []
         for t in range(count):
-            cfg = AppnpConfig(hidden_dim=int(rng.choice([1, 3, 8, 16, 33])),
-                              seed=t)
+            cfg = AppnpConfig(hidden_dim=hidden, seed=t)
             model = init_model(cfg, m, k)
             model.b1 = rng.normal(size=model.b1.shape)
             model.b2 = rng.normal(size=k)
@@ -979,11 +981,18 @@ class TestPredict:
             appnp.HeadStack([])
 
     def test_stacked_labels_need_shared_propagation(self):
+        # the one stackability check: a StoredRun's models share teleport,
+        # prop_steps and hidden width
         model, x, adj, *_ = make_instance(14)
-        cfg = dataclasses.replace(model.config, teleport=0.5)
-        other = init_model(cfg, x.shape[1], 2)
-        with pytest.raises(DataError, match="share teleport"):
-            appnp.StoredRun([model, other], x, adj)
+        for change in ({"teleport": 0.5}, {"prop_steps": 1},
+                       {"hidden_dim": model.b1.size + 1}):
+            cfg = dataclasses.replace(model.config, **change)
+            other = init_model(cfg, x.shape[1], 2)
+            with pytest.raises(DataError, match="share teleport, prop_steps "
+                               "and hidden width"):
+                appnp.StoredRun([model, other], x, adj)
+        appnp.StoredRun([model, init_model(model.config, x.shape[1], 2)],
+                        x, adj)
 
 
 # The row-major loss helpers that training used before it moved into the

@@ -526,7 +526,9 @@ class TestEnsemblePrediction:
 
     def test_each_distinct_graph_built_once_per_call(self, monkeypatch):
         # Making the ensemble builds each distinct graph over the stored
-        # rows; every call merges its rows into each once and builds none.
+        # rows; every call builds none and merges its rows into each
+        # group's graph once, at the group's own steps, for a cone of
+        # exactly those steps.
         built, joined = [], []
         join = CandidateGraph.join
 
@@ -535,21 +537,48 @@ class TestEnsemblePrediction:
             return build_adjacency(values, gamma, **kwargs)
 
         def counting_join(stored, new_values, steps):
-            joined.append(len(new_values))
-            return join(stored, new_values, steps)
+            cone = join(stored, new_values, steps)
+            joined.append((stored.feature, len(new_values), steps,
+                           len(cone.right) - 1))
+            return cone
 
         monkeypatch.setattr(graph, "build_adjacency", counting_build)
         monkeypatch.setattr(CandidateGraph, "join", counting_join)
         ens = self._shared_graph_ensemble(
             self.SHARED_GRAPH_ENSEMBLES["mixed_learners"])
         assert (len(built), joined) == (2, [])
-        predict_ensemble(ens, np.zeros((3, 2)))
-        assert (len(built), joined) == (2, [3, 3])
-        predict_ensemble(ens, np.zeros((1, 2)))
-        assert (len(built), joined[2:]) == (2, [1, 1])
+        steps = [run.steps for _, _, run in ens.groups]
+        assert steps == [3, 3, 3, 1, 1, 3]
+        features = [g.feature for _, g, _ in ens.groups]
+        for rows in (3, 1):
+            joined.clear()
+            predict_ensemble(ens, np.zeros((rows, 2)))
+            assert len(built) == 2
+            assert joined == [(f, rows, k, k)
+                              for f, k in zip(features, steps)]
         # the stored rows' labels come from the runs made with the ensemble
+        joined.clear()
         transductive_scores(ens)
-        assert (len(built), joined[4:]) == (2, [])
+        assert (len(built), joined) == (2, [])
+
+    @pytest.mark.parametrize("kind, groups", [
+        ("mixed_learners", [(0,), (1,), (2,), (3,), (4,), (5,)]),
+        ("interleaved", [(0, 1, 3), (2,)]),
+        ("one_graph_past_a_block", [(0, 1, 2, 3, 4, 5)])])
+    def test_rounds_group_by_graph_and_learner_shape(self, kind, groups):
+        # one group per distinct (feature, gamma, teleport, prop_steps,
+        # hidden width), in the order of their first rounds; rounds that
+        # share a graph share its one build whatever their learners
+        ens = self._shared_graph_ensemble(self.SHARED_GRAPH_ENSEMBLES[kind])
+        assert [ts for ts, _, _ in ens.groups] == groups
+        for ts, graph_, run in ens.groups:
+            assert {(ens.rounds[t].feature, ens.rounds[t].gamma)
+                    for t in ts} == {(graph_.feature, graph_.gamma)}
+            assert run.count == len(ts)
+        by_graph = {}
+        for _, graph_, _ in ens.groups:
+            assert by_graph.setdefault((graph_.feature, graph_.gamma),
+                                       graph_) is graph_
 
     def test_stored_graphs_are_never_saved(self, tmp_path):
         # nor the stored rows' head differences, their prefix sums and
@@ -566,27 +595,24 @@ class TestEnsemblePrediction:
             transductive_scores(model)
             save_ensemble(model, str(warm))
             assert warm.read_bytes() == cold.read_bytes()
-            for key, groups in model.stored_runs.items():
-                for (ts, run), (want_ts, want) in zip(
-                        groups, ens.stored_runs[key], strict=True):
-                    assert ts == want_ts
-                    for name in ("stored", "prefixes", "labels"):
-                        array = getattr(run, name)
-                        assert not array.flags.writeable
-                        assert array.tobytes() == getattr(
-                            want, name).tobytes()
-                        if array.size:
-                            assert array.tobytes() not in cold.read_bytes()
-                    for _, w1t, _, w2t, _ in run.heads._stacks:
-                        assert w1t.tobytes() not in cold.read_bytes()
-                        assert w2t.tobytes() not in cold.read_bytes()
+            for (ts, _, run), (want_ts, _, want) in zip(
+                    model.groups, ens.groups, strict=True):
+                assert ts == want_ts
+                for name in ("stored", "prefixes", "labels"):
+                    array = getattr(run, name)
+                    assert not array.flags.writeable
+                    assert array.tobytes() == getattr(want, name).tobytes()
+                    if array.size:
+                        assert array.tobytes() not in cold.read_bytes()
+                for wt in (run.heads._w1t, run.heads._w2t):
+                    assert wt.tobytes() not in cold.read_bytes()
 
     def test_heads_run_once_on_stored_rows_then_on_new_rows_only(
             self, monkeypatch, tmp_path):
         # Making or loading an ensemble computes the stored rows' head
-        # differences once per (feature, gamma, teleport, prop_steps)
-        # group; a call runs every head on its own rows alone. A group's
-        # heads run as one product per layer and hidden width.
+        # differences once per (feature, gamma, teleport, prop_steps,
+        # hidden width) group; a call runs every head on its own rows
+        # alone. A group's heads run as one product per layer.
         heads, product_rows = [], []
         differences, affine = appnp.HeadStack.differences, appnp._affine
 
@@ -603,15 +629,11 @@ class TestEnsemblePrediction:
         ens = self._shared_graph_ensemble(
             self.SHARED_GRAPH_ENSEMBLES["mixed_learners"])
         n = ens.train_x.shape[0]
-        # (0, 1) graph: rounds 0-1 share teleport and steps, 2 and 3-4
-        # differ; (1, 0) graph: round 5
-        assert [ts for groups in ens.stored_runs.values()
-                for ts, _ in groups] == [(0, 1), (2,), (3, 4), (5,)]
-        # one difference line per round (K = 2); rounds 0 and 1, and 3 and
-        # 4, differ in hidden width, so each of their groups runs two
-        # stacks: 6 stacks of 2 layers each
-        sizes = [2, 1, 2, 1]
-        assert (heads, product_rows) == ([(c, n) for c in sizes], [n] * 12)
+        # (0, 1) graph: rounds 0-4 each differ in teleport, steps or
+        # hidden width; (1, 0) graph: round 5. One difference line per
+        # round (K = 2): 6 stacks of 2 layers each
+        assert [ts for ts, _, _ in ens.groups] == [(t,) for t in range(6)]
+        assert (heads, product_rows) == ([(1, n)] * 6, [n] * 12)
 
         def calls(run):
             heads.clear()
@@ -622,12 +644,12 @@ class TestEnsemblePrediction:
         path = tmp_path / "model.gbe"
         save_ensemble(ens, str(path))
         loaded = calls(lambda: load_ensemble(str(path)))
-        assert loaded[:2] == ([(c, n) for c in sizes], [n] * 12)
+        assert loaded[:2] == ([(1, n)] * 6, [n] * 12)
         for model in (ens, loaded[2]):
             for rows in (3, 1):
                 got = calls(lambda: predict_ensemble(model,
                                                      np.zeros((rows, 2))))
-                assert got[:2] == ([(c, rows) for c in sizes], [rows] * 12)
+                assert got[:2] == ([(1, rows)] * 6, [rows] * 12)
             assert calls(lambda: transductive_scores(model))[:2] == ([], [])
 
     def test_loaded_model_predicts_like_the_ensemble_in_memory(
@@ -685,7 +707,8 @@ class TestEnsemblePrediction:
             np.testing.assert_array_equal(got[1], want[1])
         g0, g2 = ens.rounds[0].gamma, ens.rounds[1].gamma
         assert g0 != g2
-        a, b = (ens.stored_graphs[(0, g)] for g in (g0, g2))
+        a, b = (graph_ for _, graph_, _ in ens.groups[:2])
+        assert (a.gamma, b.gamma) == (g0, g2)
         assert a.column is b.column
         assert a.adjacency.order is b.adjacency.order is a.column.order
         assert not np.array_equal(a.adjacency.hi, b.adjacency.hi)
@@ -696,7 +719,7 @@ class TestEnsemblePrediction:
         # (window starts, ends and dinv), counting each array once.
         ens = self._shared_graph_ensemble(
             [(0, 0, {}), (0, 2, {}), (1, 1, {}), (1, 0, {}), (0, 2, {})])
-        graphs = ens.stored_graphs.values()
+        graphs = {id(g): g for _, g, _ in ens.groups}.values()
         arrays = {id(a): a for g in graphs
                   for a in (g.column.order, g.column.values,
                             g.adjacency.order, g.adjacency.lo,

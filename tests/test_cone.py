@@ -44,8 +44,7 @@ def reference(ensemble, new_x):
     """Labels per round, labels, scores and propagated differences of the
     new rows from full runs over the stored rows followed by them."""
     n = ensemble.train_x.shape[0]
-    (key, groups), = ensemble.stored_runs.items()
-    feature, gamma = key
+    (feature, gamma), = {(g.feature, g.gamma) for _, g, _ in ensemble.groups}
     column = np.concatenate([ensemble.train_x[:, feature],
                              new_x[:, feature]])
     adj = build_adjacency(column, gamma).adjacency
@@ -53,7 +52,7 @@ def reference(ensemble, new_x):
     round_labels = np.empty((len(ensemble.rounds), new_x.shape[0]),
                             dtype=np.int64)
     values = []
-    for ts, run in groups:
+    for ts, _, _ in ensemble.groups:
         models = [ensemble.rounds[t].model for t in ts]
         heads = appnp.HeadStack(models)
         lines = np.concatenate([heads.differences(ensemble.train_x),
@@ -101,25 +100,27 @@ def test_cone_prediction_equals_full_run(n, m, gamma_kind, steps, teleport,
     np.testing.assert_array_equal(got_labels, labels)
     assert got_scores.tobytes() == scores.tobytes()
 
-    # the cone's propagated values and labels, group by group
-    graph = ens.stored_graphs[(0, gamma)]
-    (ts, run), = ens.stored_runs[(0, gamma)]
-    cone = graph.join(new_x[:, 0], run.steps)
-    region = slice(cone.start, cone.start + cone.order.size)
-    for name in ("order", "lo", "hi", "values"):
-        np.testing.assert_array_equal(getattr(cone, name),
-                                      getattr(adj, name)[region])
-    h0 = run.stored.take(np.minimum(cone.order, n - 1), axis=1)
-    h0[:, cone.rows - cone.start] = run.heads.differences(new_x)
-    got = cone.run(run.prefixes, h0, run.teleport, run.steps)
-    assert got.tobytes() == values[0].tobytes()
-    np.testing.assert_array_equal(run.new_labels(cone, new_x),
-                                  round_labels[list(ts)])
-    # the caches are read-only and hold k prefix sums of every line
-    lines = rounds * (k - 1)
-    assert run.prefixes.shape == (run.steps, lines, n + 1)
-    for array in (run.stored, run.prefixes, run.labels):
-        assert not array.flags.writeable
+    # the cone's propagated values and labels, group by group: rounds of
+    # one hidden width share a group
+    widths = [r.model.b1.size for r in ens.rounds]
+    assert len(ens.groups) == len(set(widths))
+    for (ts, graph, run), want in zip(ens.groups, values, strict=True):
+        cone = graph.join(new_x[:, 0], run.steps)
+        assert len(cone.right) == run.steps + 1
+        region = slice(cone.start, cone.start + cone.order.size)
+        for name in ("order", "lo", "hi", "values"):
+            np.testing.assert_array_equal(getattr(cone, name),
+                                          getattr(adj, name)[region])
+        h0 = run.stored.take(np.minimum(cone.order, n - 1), axis=1)
+        h0[:, cone.rows - cone.start] = run.heads.differences(new_x)
+        got = cone.run(run.prefixes, h0, run.teleport)
+        assert got.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(run.new_labels(cone, new_x),
+                                      round_labels[list(ts)])
+        # the caches are read-only and hold k prefix sums of every line
+        assert run.prefixes.shape == (run.steps, len(ts) * (k - 1), n + 1)
+        for array in (run.stored, run.prefixes, run.labels):
+            assert not array.flags.writeable
 
 
 def test_stored_run_is_made_only_when_a_cone_reads_it():
@@ -134,10 +135,10 @@ def test_stored_run_is_made_only_when_a_cone_reads_it():
     gamma = quantile_thresholds(stored[:, 0]).gammas[1]
     ens = Ensemble([WeakRound(0, "f0", gamma, init_model(cfg, 2, 2), 0.5,
                               0.3)], 2, meta, meta.feature_names(), stored)
-    (_, run), = ens.stored_runs[(0, gamma)]
+    (_, graph, run), = ens.groups
     batch = stored[rng.permutation(200)[:50]]
     batch[0, 0] = stored[:, 0].min() - 1.0
-    cone = ens.stored_graphs[(0, gamma)].join(batch[:, 0], 3)
+    cone = graph.join(batch[:, 0], 3)
     assert cone.left[0] == 0
     predict_ensemble(ens, batch)
     assert run._run is None

@@ -113,6 +113,17 @@ class TestConfigParse:
         cfg = parse_config("expert_edges = age:inf, bmi:0\n")
         assert cfg.expert_edges == (("age", float("inf")), ("bmi", 0.0))
 
+    def test_column_under_both_hints_rejected(self):
+        # the later key used to win, so the column was silently numeric
+        for text in ("categorical = a, c\nnumeric = b, c\n",
+                     "numeric = c\ncategorical = c\n"):
+            with pytest.raises(ConfigError, match="column 'c' is listed "
+                               "under both categorical and numeric"):
+                parse_config(text)
+        cfg = parse_config("categorical = a, c\nnumeric = b\n")
+        assert cfg.schema_hints() == {"a": "categorical", "c": "categorical",
+                                      "b": "numeric"}
+
     def test_split_fraction_arity(self):
         with pytest.raises(ConfigError, match="three values"):
             parse_config("split_fractions = 0.5, 0.5\n")
@@ -328,7 +339,9 @@ class TestModelFile:
         loaded = load_ensemble(str(path))
         assert loaded.rounds[1].gamma == math.inf
         n = loaded.train_x.shape[0]
-        graph = loaded.stored_graphs[(loaded.rounds[1].feature, math.inf)]
+        graph = next(g for ts, g, _ in loaded.groups if 1 in ts)
+        assert (graph.feature, graph.gamma) == (loaded.rounds[1].feature,
+                                                math.inf)
         assert graph.edge_count == n * (n - 1) // 2
         again = tmp_path / "again.gbe"
         save_ensemble(loaded, str(again))

@@ -439,7 +439,7 @@ class TestRunLines:
                 prefixes)
         cone = built.join(new, steps)
         got = cone.run(prefixes.reshape(steps, width, n + 1),
-                       lines.take(cone.order, axis=1), teleport, steps)
+                       lines.take(cone.order, axis=1), teleport)
         np.testing.assert_array_equal(lines, kept)  # H0 is left alone
         full = GraphStack([build_adjacency(np.concatenate([stored, new]),
                                            gamma).adjacency])
@@ -474,8 +474,9 @@ def assert_same_region(cone, want, steps=3):
     np.testing.assert_array_equal(want.order[cone.rows] - want.n
                                   + cone.rows.size,
                                   np.arange(cone.rows.size))
-    left, right = cone.bounds(steps)
-    assert cone.start <= min(left) and max(right) <= region.stop
+    assert len(cone.right) == steps + 1
+    assert len(cone.left) == max(steps, 1)
+    assert cone.start <= min(cone.left) and max(cone.right) <= region.stop
 
 
 class TestStoredGraph:

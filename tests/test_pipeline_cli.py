@@ -665,6 +665,30 @@ class TestCliExitCodes:
             f"non-negative number, got {written}\n" in err
         assert not (tmp_path / "m.gbe").exists()
 
+    def test_column_both_categorical_and_numeric_is_two(self, tmp_path,
+                                                        capsys,
+                                                        monkeypatch):
+        # used to train with the column silently numeric (exit 0)
+        rng = np.random.default_rng(2)
+        data = tmp_path / "d.csv"
+        data.write_text("x,c,label\n" + "".join(
+            f"{rng.normal():.6f},{rng.integers(0, 3)},{rng.integers(0, 2)}\n"
+            for _ in range(200)))
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("reached with a contradictory hint")
+
+        monkeypatch.setattr(pipeline, "load_csv", unreachable)
+        text = BASE_CONFIG.format(data=data, rounds=1,
+                                  model=tmp_path / "m.gbe",
+                                  report=tmp_path / "r.json")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(text + "categorical = c\nnumeric = x, c\n")
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert "column 'c' is listed under both categorical and numeric" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "m.gbe").exists()
+
     def test_negative_workers_flag_is_two(self, cohort, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
         cfg.write_text(BASE_CONFIG.format(data=cohort[0], rounds=1,
