@@ -79,7 +79,8 @@ def test_join(benchmark, n, m):
     stored = build_adjacency(v, gamma)
     new = np.random.default_rng(m).normal(size=m)
     cone = benchmark(stored.join, new, 3)
-    assert cone.n == n + m
+    assert cone.rows.size == m
+    assert cone.start + cone.order.size <= n + m
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -252,8 +253,8 @@ def _windowed_ensemble(n):
                                                       4, 2), 1.0 / (t + 1),
                         0.3) for t in range(3)]
     ensemble = Ensemble(rounds, 2, meta, meta.feature_names(), x)
-    (_, stored, _), = ensemble.groups
-    graph = stored.adjacency
+    (_, run), = ensemble.groups
+    graph = run.graph.adjacency
     assert 110 < np.mean(graph.hi - graph.lo) < 140
     return ensemble, rng
 

@@ -34,22 +34,23 @@ same code. Each epoch's validation forward pass labels every row; a
 learner keeps the labels of the epoch whose parameters it keeps, so a
 round's candidates need no labelling pass after training.
 
-Prediction labels learners that share one graph, their teleport,
-prop_steps and hidden width with a ``StoredRun``, made once per group and
-never saved; it rejects learners that differ in any of the three. A
+A prediction group is one ``StoredRun``: learners that share one
+``graph.CandidateGraph`` over the stored rows, their teleport, prop_steps
+and hidden width, made once and never saved; it rejects learners that
+differ in any of the three. It keeps the graph and the learners' weights
+in one stack, transposed and contiguous, so that each layer of their
+heads is one ``np.matmul`` with the bits of a one-learner product. A
 stored row's head does not depend on the graph, so it computes the K - 1
-head differences of its learners over the stored rows once, with a
-``HeadStack``: their weights in one stack, transposed and contiguous, so
-that each layer is one ``np.matmul`` with the bits of a one-learner
-product. It propagates those C(K - 1) lines on the stored graph alone,
-as the lines of a one-graph ``GraphStack``, the engine that training runs
-too, and keeps the stored rows' labels and the k prefix sums of that run.
-New rows are labelled on the ``graph.Cone`` of the stored graph joined
-with them for the group's k steps: their differences, computed for the
-new rows only, join the stored ones at the cone's positions, and
-``Cone.run`` propagates only the cone, seeded from those prefix sums, with
-the bits of a full run over all rows, in blocks of learners whose lines
-over the cone fit ``BLOCK_BYTES``.
+head differences of its learners over the stored rows once. It
+propagates those C(K - 1) lines on the stored graph alone, as the lines
+of a one-graph ``GraphStack``, the engine that training runs too, and
+keeps the stored rows' labels and the k prefix sums of that run.
+``new_labels`` joins new rows into its graph for the group's k steps, a
+``graph.Cone``, and computes their differences for the new rows only;
+``Cone.run`` places the stored and new lines on the cone and propagates
+only the cone, seeded from those prefix sums, with the bits of a full run
+over all rows, in blocks of learners whose lines over the cone fit
+``BLOCK_BYTES``.
 
 Training and prediction propagate K - 1 logit differences, not K
 logits. Softmax, cross-entropy and argmax do not change when one value is
@@ -92,7 +93,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, TrainingDiverged
-from .graph import GraphStack, SparseAdjacency
+from .graph import CandidateGraph, GraphStack, SparseAdjacency
 from .rng import substream
 
 log = logging.getLogger("graphboost.appnp")
@@ -100,6 +101,11 @@ log = logging.getLogger("graphboost.appnp")
 # Each propagation step costs one multiply per pass; without a bound, a
 # model file claiming 2**70 steps would make predict never finish.
 MAX_PROP_STEPS = 10_000
+
+# The weights and every N x H activation grow with the hidden width; without
+# a bound, a config or model file claiming 10**15 units fails in numpy's
+# allocator, or before it, instead of as bad input.
+MAX_HIDDEN_DIM = 10_000
 
 # Byte budget of a block's largest per-learner buffer: the C x N x H
 # activations in training, the K lines over a cone in labelling. It caps
@@ -127,8 +133,8 @@ class AppnpConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.hidden_dim < 1:
-            raise DataError("hidden_dim must be at least 1")
+        if not 1 <= self.hidden_dim <= MAX_HIDDEN_DIM:
+            raise DataError(f"hidden_dim must be in [1, {MAX_HIDDEN_DIM}]")
         if self.max_epochs < 0:
             raise DataError("max_epochs must be at least 0")
         if not 0.0 < self.teleport <= 1.0:
@@ -778,36 +784,6 @@ def _train_block(config: AppnpConfig, x: np.ndarray, adjacencies: list,
     return outcomes
 
 
-class HeadStack:
-    """The MLP heads of ``models``, which share their features, K classes
-    and hidden width, made once for many calls: their first- and
-    second-layer weights stacked, transposed and contiguous, and their
-    biases. ``differences`` runs each layer as one ``np.matmul``, which
-    calls BLAS once per model with the shapes of a one-model call, and
-    every other operation is elementwise, so each model's lines have the
-    bits of its own head, ``_head(_hidden(.))``, over the same rows. A
-    row's bits can depend on the other rows of ``x``, as BLAS blocks the
-    product by its shape."""
-
-    def __init__(self, models: list):
-        if not models:
-            raise DataError("a head stack needs at least one model")
-        p = {name: np.stack([getattr(m, name) for m in models])
-             for name in _PARAMS}
-        self.lines = len(models) * (models[0].b2.size - 1)
-        self._w1t, self._b1 = _transposed(p["w1"]), p["b1"]
-        self._w2t, self._b2 = _transposed(p["w2"]), p["b2"]
-
-    def differences(self, x: np.ndarray) -> np.ndarray:
-        """The K - 1 logit differences of every model's head over the rows
-        ``x``: C(K - 1) x N lines, line c(K - 1) + k - 1 being
-        h[:, k] - h[:, 0] of model c."""
-        hidden = _affine(x, self._w1t, self._b1)
-        np.maximum(hidden, 0.0, out=hidden)
-        d = _differences(_affine(hidden, self._w2t, self._b2))
-        return d.transpose(0, 2, 1).reshape(self.lines, x.shape[0])
-
-
 def _labels(d: np.ndarray, count: int) -> np.ndarray:
     """Labels of ``count`` models from their C(K - 1) propagated difference
     lines, model by model: a (C, n) array."""
@@ -816,44 +792,67 @@ def _labels(d: np.ndarray, count: int) -> np.ndarray:
 
 
 class StoredRun:
-    """Models that share one graph over stored rows, their teleport,
-    prop_steps and hidden width, made once for many calls and never saved:
-    their ``HeadStack`` and their K - 1 head differences over the stored
-    rows, and, made by the first call that needs them, the prefix sums that k
+    """One prediction group: models that share one ``CandidateGraph`` over
+    stored rows, their teleport, prop_steps and hidden width, made once
+    for many calls and never saved. It keeps the graph, the models'
+    first- and second-layer weights stacked, transposed and contiguous,
+    and their biases, and their K - 1 head differences over the stored
+    rows; the first call that needs them makes the prefix sums that k
     propagation steps of those lines on the stored graph alone take
     (k x C(K - 1) x (N + 1) floats) and the stored rows' labels from that
-    run, all read-only.
+    run. All of these are read-only.
+
+    ``differences`` runs each layer as one ``np.matmul``, which calls
+    BLAS once per model with the shapes of a one-model call, and every
+    other operation is elementwise, so each model's lines have the bits
+    of its own head, ``_head(_hidden(.))``, over the same rows. A row's
+    bits can depend on the other rows of ``x``, as BLAS blocks the
+    product by its shape.
 
     ``labels`` equals a one-model ``predict`` of the stored rows except
     where two classes' logits lie within rounding of each other, and a
     one-model run bit for bit; training labels its learners in the
     training pass, with the same bits (``train_candidates``).
-    ``new_labels`` labels new rows on a ``Cone`` of the graph joined with
-    them, with the bits of a full run over the stored rows followed by
-    the new rows. A cone whose windows reach the first stored row, as a
-    batch's does, reads no prefix sum but 0, so it runs without them.
+    ``new_labels`` joins new rows into the graph for the group's k steps
+    and labels them on that ``Cone``, with the bits of a full run over the
+    stored rows followed by the new rows. A cone whose windows reach the
+    first stored row, as a batch's does, reads no prefix sum but 0, so it
+    runs without them.
     """
 
-    def __init__(self, models: list, x: np.ndarray,
-                 adjacency: SparseAdjacency):
-        if adjacency.n != x.shape[0]:
-            raise DataError("adjacency and stored rows disagree on node "
-                            "count")
+    def __init__(self, models: list, x: np.ndarray, graph: CandidateGraph):
+        if not models:
+            raise DataError("a stored run needs at least one model")
+        if graph.adjacency.n != x.shape[0]:
+            raise DataError("graph and stored rows disagree on node count")
         if len({(m.config.teleport, m.config.prop_steps, m.b1.size)
                 for m in models}) > 1:
             raise DataError("stacked models must share teleport, "
                             "prop_steps and hidden width")
-        self.heads = HeadStack(models)
+        p = {name: np.stack([getattr(m, name) for m in models])
+             for name in _PARAMS}
+        self._w1t, self._b1 = _transposed(p["w1"]), p["b1"]
+        self._w2t, self._b2 = _transposed(p["w2"]), p["b2"]
+        self.graph = graph
         self.count = len(models)
         cfg = models[0].config
         self.teleport = cfg.teleport
         # the steps that read the graph
         self.steps = 0 if cfg.teleport == 1.0 else cfg.prop_steps
-        self.stored = self.heads.differences(x)
+        self.stored = self.differences(x)
         self.stored.flags.writeable = False
-        self._adjacency = adjacency
         self._run = None
         self._lock = threading.Lock()
+
+    def differences(self, x: np.ndarray) -> np.ndarray:
+        """The K - 1 logit differences of every model's head over the rows
+        ``x``: C(K - 1) x N lines, line c(K - 1) + k - 1 being
+        h[:, k] - h[:, 0] of model c."""
+        hidden = _affine(x, self._w1t, self._b1)
+        np.maximum(hidden, 0.0, out=hidden)
+        d = _differences(_affine(hidden, self._w2t, self._b2))
+        c, n, width = d.shape
+        return d.transpose(0, 2, 1).reshape(c * width, n)
 
     def _stored_run(self) -> tuple:
         """The prefix sums and labels of the run over the stored rows."""
@@ -864,7 +863,7 @@ class StoredRun:
         return self._run
 
     def _propagate(self) -> tuple:
-        adjacency = self._adjacency
+        adjacency = self.graph.adjacency
         w, n = self.stored.shape
         stack = GraphStack([adjacency])
         prefixes = np.empty((self.steps, w, 1, n + 1))
@@ -886,14 +885,15 @@ class StoredRun:
     def labels(self) -> np.ndarray:
         return self._stored_run()[1]
 
-    def new_labels(self, cone, new_x: np.ndarray) -> np.ndarray:
-        """Labels of the new rows ``new_x`` of ``cone``, the graph joined
-        with their column for ``steps`` steps: a C x m array."""
+    def new_labels(self, new_x: np.ndarray) -> np.ndarray:
+        """Labels of the new rows ``new_x`` (at least one), joined into the
+        graph by their column of its feature for ``steps`` steps: a C x m
+        array."""
+        cone = self.graph.join(new_x[:, self.graph.feature], self.steps)
         prefixes = self.prefixes if cone.left[0] else None
-        new = self.heads.differences(new_x)
-        rows = cone.rows - cone.start
+        new = self.differences(new_x)
         width = len(new) // self.count
-        labels = np.empty((self.count, len(rows)),
+        labels = np.empty((self.count, len(new_x)),
                           dtype=np.min_scalar_type(width))
         # models in blocks whose K lines over the cone fit BLOCK_BYTES: a
         # batch over many stored rows would otherwise hold temporaries
@@ -903,11 +903,8 @@ class StoredRun:
         for first in range(0, self.count, per):
             stop = min(first + per, self.count)
             lines = slice(first * width, stop * width)
-            # the cone's stored rows from the stored lines, then its new rows
-            h0 = self.stored[lines].take(cone.order, axis=1, mode="clip")
-            h0[:, rows] = new[lines]
             d = cone.run(None if prefixes is None else prefixes[:, lines],
-                         h0, self.teleport)
+                         self.stored[lines], new[lines], self.teleport)
             labels[first:stop] = _labels(d, stop - first)
         return labels
 

@@ -26,18 +26,18 @@ share one graph, one propagation and one stack of head weights. A fit
 varies only the seed between rounds, so its groups are its distinct
 (feature, gamma) graphs. Each group's graph is built over the stored rows,
 one sort per feature shared by its graphs (``graph.graphs_of``, as for the
-candidates of a fit), and is the graph that new rows join. Each group gets
-an ``appnp.StoredRun``: the K - 1 head differences of its rounds over the
-stored rows and, once a call needs them, their propagation on the stored
-graph alone, kept as that run's k prefix sums (k x C(K - 1) x (N + 1)
-floats), and the stored rows' labels from it; none of these is saved. A
-prediction runs each group's MLP heads on its new rows alone, one stacked
-product per layer, as in APPNP's "predict, then propagate", where a row's
-head does not depend on the graph. It merges the new rows into the group's
-stored graph only on their dependency cone for the group's k, and
-propagates the group there for those k steps, seeded from its prefix sums,
-with the bits of a run over all rows. ``transductive_scores`` reads the
-stored rows' labels.
+candidates of a fit). Each group is one ``appnp.StoredRun``, which owns
+that graph, its rounds' stacked head weights, their K - 1 head
+differences over the stored rows and, once a call needs them, their
+propagation on the stored graph alone, kept as that run's k prefix sums
+(k x C(K - 1) x (N + 1) floats), and the stored rows' labels from it; none
+of these is saved. A prediction makes one ``new_labels`` call per group.
+It runs the group's MLP heads on the new rows alone, one stacked product
+per layer, as in APPNP's "predict, then propagate", where a row's head
+does not depend on the graph, merges the new rows into the group's graph
+only on their dependency cone for the group's k, and propagates the group
+there for those k steps, seeded from its prefix sums, with the bits of a
+run over all rows. ``transductive_scores`` reads the stored rows' labels.
 """
 
 import logging
@@ -116,11 +116,11 @@ class Ensemble:
     train_x: np.ndarray  # encoded rows seen at fit time, for the graphs
     stop_reason: str | None = None
     stop_error: float | None = None
-    # One (round indices, graph, StoredRun) per distinct (feature, gamma,
+    # One (round indices, StoredRun) per distinct (feature, gamma,
     # teleport, prop_steps, hidden width), in the order of their first
-    # rounds: the round graph over train_x, which shares its feature's
-    # sorted column with the other graphs on it, and the read-only run of
-    # the group's rounds on it. Made here and never saved.
+    # rounds: the read-only run of the group's rounds on their graph over
+    # train_x, which shares its feature's sorted column with the other
+    # graphs on it. Made here and never saved.
     groups: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -135,10 +135,9 @@ class Ensemble:
                                cfg.prop_steps, r.model.b1.size), []).append(t)
         groups = []
         for (feature, gamma, *_), ts in by_key.items():
-            stored = graph(feature, gamma)
-            groups.append((tuple(ts), stored, StoredRun(
+            groups.append((tuple(ts), StoredRun(
                 [self.rounds[t].model for t in ts], self.train_x,
-                stored.adjacency)))
+                graph(feature, gamma))))
         object.__setattr__(self, "groups", tuple(groups))
 
 
@@ -331,7 +330,7 @@ def _vote_scores(ensemble: Ensemble,
     round-by-round loop bit for bit."""
     n = group_labels[0].shape[1]
     round_labels = np.empty((len(ensemble.rounds), n), dtype=np.int64)
-    for (ts, _, _), labels in zip(ensemble.groups, group_labels):
+    for (ts, _), labels in zip(ensemble.groups, group_labels):
         round_labels[list(ts)] = labels
     votes = np.zeros((n, ensemble.n_classes), dtype=np.float64)
     rows = np.arange(n)
@@ -345,8 +344,7 @@ def transductive_scores(ensemble: Ensemble) -> tuple[np.ndarray, np.ndarray]:
     """Ensemble labels and normalized vote scores for the rows seen at fit
     time, using graphs over those rows alone: each group's ``StoredRun``
     labels."""
-    return _vote_scores(ensemble, [run.labels
-                                   for _, _, run in ensemble.groups])
+    return _vote_scores(ensemble, [run.labels for _, run in ensemble.groups])
 
 
 def predict_ensemble(ensemble: Ensemble,
@@ -358,10 +356,8 @@ def predict_ensemble(ensemble: Ensemble,
     new rows join the graphs together and link to each other too, so a
     row's scores depend on the other rows of ``new_x``; a single row is
     scored against the stored rows alone. Each of ``ensemble.groups``
-    merges the new rows into its stored graph, built with the ensemble, on
-    their cone for the group's k steps only, and runs its MLP heads on the
-    new rows only. Returns hard labels and vote scores normalized to sum 1
-    per row.
+    labels them with one ``StoredRun.new_labels`` call. Returns hard labels
+    and vote scores normalized to sum 1 per row.
     """
     new_x = np.asarray(new_x, dtype=np.float64)
     if new_x.ndim != 2 or new_x.shape[1] != ensemble.train_x.shape[1]:
@@ -372,6 +368,5 @@ def predict_ensemble(ensemble: Ensemble,
     if n_new == 0:
         return (np.zeros(0, dtype=np.int64),
                 np.zeros((0, ensemble.n_classes), dtype=np.float64))
-    return _vote_scores(ensemble, [
-        run.new_labels(graph.join(new_x[:, graph.feature], run.steps), new_x)
-        for _, graph, run in ensemble.groups])
+    return _vote_scores(ensemble, [run.new_labels(new_x)
+                                   for _, run in ensemble.groups])

@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 on success, 1 on usage errors, 2 on data/model/config errors.
+Exit codes: 0 on success, 1 on usage errors, 2 on data/model/config errors
+and on sizes that cannot be allocated.
 """
 
 import argparse
@@ -113,6 +114,10 @@ def main(argv=None) -> int:
                   f"{outcome['final_report']['weighted_auroc']:.4f}")
     except GraphBoostError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # numpy's message names the size that it could not allocate
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     return 0
 

@@ -32,11 +32,14 @@ only where k propagation steps from the new rows read it: their
 dependency cone, about 2k + 1 half-windows around them. Left of the first
 window that holds a new row the merged graph is the stored one, so the
 merged run's prefix sums equal those of a run over the stored rows alone
-up to a position that moves one window left per step; ``Cone.run`` takes
-exactly the k steps that the cone was joined for, seeds each step's prefix
-sum there from the stored run's, which ``GraphStack.run`` leaves when
-asked, and propagates the cone only, with the bits of the full run. A
-batch whose cone spans the sort does the full run's work.
+up to a position that moves one window left per step. ``Cone.run`` takes
+the lines of the stored rows and of the new rows, each in their own row
+order, and places them on the cone itself, so no other module knows how a
+cone numbers its positions. It takes exactly the k steps that the cone
+was joined for, seeds each step's prefix sum from the stored run's, which
+``GraphStack.run`` leaves when asked, and propagates the cone only, with
+the bits of the full run. A batch whose cone spans the sort does the full
+run's work.
 """
 
 from dataclasses import dataclass, replace
@@ -374,14 +377,15 @@ class Cone:
     merged sort that k propagation steps read for the new rows.
 
     ``order``, ``lo``, ``hi`` and ``values`` are those of
-    ``build_adjacency`` over the stacked column (n rows) at the sorted
-    positions from ``start`` on, and ``rows[j]`` is the sorted position of
-    new row j. Left of the first new row's window the merged graph is the
-    stored one, so ``run`` takes the prefix sums of the stored rows' run
-    there and propagates only the cone.
+    ``build_adjacency`` over the stacked column at the sorted positions
+    from ``start`` on, and ``rows[j]`` is the sorted position of new row
+    j. Left of the first new row's window the merged graph is the stored
+    one, so ``run`` takes the prefix sums of the stored rows' run there
+    and propagates only the cone. Only this class reads that numbering:
+    ``run`` takes lines of the stored rows and of the new rows in their
+    own orders and places them itself.
     """
 
-    n: int
     start: int
     order: np.ndarray  # int64, row at each position; new rows from N on
     lo: np.ndarray  # int64, sorted positions of the whole merged graph
@@ -398,15 +402,16 @@ class Cone:
     left: tuple
     right: tuple
 
-    def run(self, prefixes: np.ndarray, h0: np.ndarray,
-            teleport: float) -> np.ndarray:
-        """``GraphStack.run`` of the W lines ``h0`` (W x the cone's
-        positions) on the merged graph, for the k steps that the cone was
-        joined for, at the new rows only: a (W, m) array, new rows in their
-        given order, with the bits of the full run. ``prefixes`` holds the
-        k prefix sums (W, N + 1 each) that ``GraphStack.run`` leaves for
-        the same lines of the stored rows on the stored graph alone; it is
-        read only where left[0] > 0 and may be None elsewhere.
+    def run(self, prefixes: np.ndarray | None, stored: np.ndarray,
+            new: np.ndarray, teleport: float) -> np.ndarray:
+        """``GraphStack.run`` of W lines on the merged graph, for the k
+        steps that the cone was joined for, at the new rows only: a (W, m)
+        array, new rows in their given order, with the bits of the full
+        run. The lines are ``stored`` (W x N, the stored rows in row order)
+        followed by ``new`` (W x m, the new rows in their given order).
+        ``prefixes`` holds the k prefix sums (W, N + 1 each) that
+        ``GraphStack.run`` leaves for the stored lines on the stored graph
+        alone; it is read only where left[0] > 0 and may be None elsewhere.
 
         Step l reads Z(l - 1) through the prefix sum C(l - 1). That equals
         the stored run's up to position left[l - 1], and a prefix sum adds
@@ -414,10 +419,14 @@ class Cone:
         of one from position 0. Step l < k runs on [left[l], right[k - l])
         only, and step k at the new rows."""
         start, left, right = self.start, self.left, self.right
-        rows = self.rows - start
         steps = len(right) - 1
         if teleport == 1.0 or steps == 0:
-            return h0[:, rows]
+            return new.copy()
+        rows = self.rows - start
+        # the cone's stored rows from the stored lines, then its new rows;
+        # "clip" maps the new rows' numbers, N and up, to a stored row
+        h0 = stored.take(self.order, axis=1, mode="clip")
+        h0[:, rows] = new
         # C(l - 1) of every step in one buffer whose column i is sorted
         # position f + i, f the least window start that a step reads; each
         # step writes the columns it reads, base .. end, before it reads them
@@ -542,7 +551,7 @@ class CandidateGraph:
         order = np.concatenate([stored[p:a], order, stored[b:q - m]])
         starts = np.concatenate([lo[p:a], starts, lo[b:q - m] + m])
         ends = np.concatenate([hi[p:a], ends, hi[b:q - m] + m])
-        return Cone(n + m, p, order, starts, ends,
+        return Cone(p, order, starts, ends,
                     1.0 / np.sqrt(ends - starts), rows, tuple(left),
                     tuple(right))
 

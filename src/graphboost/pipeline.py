@@ -93,6 +93,14 @@ def _prepare_dataset(cfg: RunConfig):
     return dataset
 
 
+def _split_report(ensemble, dataset: Dataset, mask: np.ndarray):
+    """``evaluate_scores`` of the ensemble's transductive labels and scores
+    on the rows of ``mask``."""
+    labels, scores = boost.transductive_scores(ensemble)
+    return evaluate_scores(scores[mask], labels[mask], dataset.y[mask],
+                           dataset.n_classes)
+
+
 def run_train(cfg: RunConfig) -> TrainOutcome:
     """Load, encode, split, fit, evaluate on the test split, persist."""
     boost_cfg = cfg.boost_config()
@@ -102,10 +110,7 @@ def run_train(cfg: RunConfig) -> TrainOutcome:
         raise DataError("test split is empty; training evaluates on it")
 
     ensemble = boost.fit(boost_cfg, dataset)
-    labels_pred, scores = boost.transductive_scores(ensemble)
-    eval_report = evaluate_scores(scores[test_mask], labels_pred[test_mask],
-                                  dataset.y[test_mask], dataset.n_classes)
-    report = eval_report.to_dict()
+    report = _split_report(ensemble, dataset, test_mask).to_dict()
     report["rounds"] = _round_records(ensemble)
     report["stop_reason"] = ensemble.stop_reason
     report["stop_error"] = ensemble.stop_error
@@ -208,9 +213,7 @@ def run_sweep(cfg: RunConfig) -> dict:
     best_idx = None
     for i, (point, boost_cfg) in enumerate(zip(points, boost_cfgs)):
         ensemble = boost.fit(boost_cfg, dataset)
-        labels_pred, scores = boost.transductive_scores(ensemble)
-        val_report = evaluate_scores(scores[val_mask], labels_pred[val_mask],
-                                     dataset.y[val_mask], dataset.n_classes)
+        val_report = _split_report(ensemble, dataset, val_mask)
         results.append({"point": point,
                         "val_weighted_auroc": val_report.weighted_auroc,
                         "rounds_used": len(ensemble.rounds)})
@@ -239,10 +242,7 @@ def run_sweep(cfg: RunConfig) -> dict:
     test_mask = dataset.mask(TEST)
     if not test_mask.any():
         raise DataError("test split is empty; sweep reports on it")
-    labels_pred, scores = boost.transductive_scores(ensemble)
-    final_report = evaluate_scores(scores[test_mask], labels_pred[test_mask],
-                                   dataset.y[test_mask],
-                                   dataset.n_classes).to_dict()
+    final_report = _split_report(ensemble, dataset, test_mask).to_dict()
     final_report["rounds"] = _round_records(ensemble)
 
     outcome = {"points": results, "best": best_point,

@@ -19,10 +19,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphboost import appnp
-from graphboost.appnp import (MAX_PROP_STEPS, AppnpConfig, AppnpModel,
-                              TrainReport, backward, forward, init_model,
-                              loss, predict, propagate, propagation_limit,
-                              softmax, train_candidates, train_weak)
+from graphboost.appnp import (MAX_HIDDEN_DIM, MAX_PROP_STEPS, AppnpConfig,
+                              AppnpModel, TrainReport, backward, forward,
+                              init_model, loss, predict, propagate,
+                              propagation_limit, softmax, train_candidates,
+                              train_weak)
 from graphboost.errors import DataError, TrainingDiverged
 from graphboost.graph import (GraphStack, SparseAdjacency, build_adjacency,
                               identity_adjacency)
@@ -440,14 +441,15 @@ def reference_train_weak(config, x, adjacency, y, w, train, val, k):
 TRAIN_RTOL = TRAIN_ATOL = 1e-12
 
 
-def assert_training_labels(model, labels, x, adj):
-    """The labels that training returned with ``model``, 1 byte up to 256
-    classes, against its one-model ``StoredRun`` bit for bit, and against
-    the K-line ``predict`` wherever no two logits lie within rounding."""
+def assert_training_labels(model, labels, x, graph):
+    """The labels that training returned with ``model`` on ``graph``, 1
+    byte up to 256 classes, against its one-model ``StoredRun`` bit for
+    bit, and against the K-line ``predict`` wherever no two logits lie
+    within rounding."""
     assert labels.dtype == np.min_scalar_type(model.b2.size - 1)
     np.testing.assert_array_equal(
-        labels, appnp.StoredRun([model], x, adj).labels[0], strict=True)
-    z, _ = forward(model, x, adj)
+        labels, appnp.StoredRun([model], x, graph).labels[0], strict=True)
+    z, _ = forward(model, x, graph.adjacency)
     clear = np.ones(len(z), dtype=bool)
     if z.shape[1] > 1:
         top = np.sort(z, axis=1)
@@ -470,17 +472,19 @@ class TestTrainCandidates:
         split = rng.permutation(n)
         train = np.isin(np.arange(n), split[:45])
         val = np.isin(np.arange(n), split[45:60])
-        graphs = [build_adjacency(x[:, j], g).adjacency
+        # the last graph is edgeless: identity_adjacency(n), bit for bit
+        graphs = [build_adjacency(x[:, j], g)
                   for j, g in ((0, 0.2), (1, 0.5), (2, 0.0), (0, 1.0),
                                (1, 0.1), (2, 1.0))]
-        graphs.append(identity_adjacency(n))
+        graphs.append(build_adjacency(np.arange(n, dtype=float), 0.0))
         return x, y, w, train, val, graphs
 
     def _check(self, config, x, y, w, train, val, graphs, k=2):
-        got = train_candidates(config, x, graphs, y, w, train, val,
-                               n_classes=k)
+        got = train_candidates(config, x, [g.adjacency for g in graphs], y,
+                               w, train, val, n_classes=k)
         assert len(got) == len(graphs)
-        for adj, outcome in zip(graphs, got):
+        for graph, outcome in zip(graphs, got):
+            adj = graph.adjacency
             try:
                 want = reference_train_weak(config, x, adj, y, w, train, val,
                                             k)
@@ -491,7 +495,7 @@ class TestTrainCandidates:
                     train_weak(config, x, adj, y, w, train, val, n_classes=k)
                 continue
             model, report, labels = outcome
-            assert_training_labels(model, labels, x, adj)
+            assert_training_labels(model, labels, x, graph)
             solo = train_weak(config, x, adj, y, w, train, val, n_classes=k)
             assert report == solo[1]
             for a, b in zip(model.copy_weights(), solo[0].copy_weights()):
@@ -528,7 +532,8 @@ class TestTrainCandidates:
         n = len(y)
         pos = np.arange(n)
         blowup = SparseAdjacency(n, pos, pos, pos + 1, np.full(n, 1e200))
-        graphs.insert(1, blowup)
+        # the edgeless graph's windows, with the blown-up factors
+        graphs.insert(1, dataclasses.replace(graphs[-1], adjacency=blowup))
         cfg = AppnpConfig(hidden_dim=5, prop_steps=2, teleport=0.1,
                           dropout=0.2, learning_rate=0.03, max_epochs=15,
                           patience=15, seed=4)
@@ -597,6 +602,7 @@ class TestTrainCandidates:
         pos = np.arange(n)
         blowup = SparseAdjacency(n, pos, pos, pos + 1, np.full(n, 1e200))
         # at 3 graphs a block on 3 threads, the middle of the second block
+        graphs = [g.adjacency for g in graphs]
         graphs.insert(4, blowup)
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         cfg = AppnpConfig(hidden_dim=5, prop_steps=2, teleport=0.1,
@@ -650,7 +656,7 @@ class TestTrainCandidates:
         split = rng.permutation(n)
         train = np.isin(np.arange(n), split[:n // 2])
         val = np.isin(np.arange(n), split[n // 2:])
-        graphs = [build_adjacency(x[:, j % 3], g).adjacency
+        graphs = [build_adjacency(x[:, j % 3], g)
                   for j, g in enumerate(rng.uniform(0.0, 1.5, size=count))]
         cfg = AppnpConfig(hidden_dim=hidden, prop_steps=int(rng.integers(4)),
                           teleport=0.2, dropout=dropout, learning_rate=0.05,
@@ -658,15 +664,16 @@ class TestTrainCandidates:
                           seed=int(rng.integers(100)))
         # blocks of at most ``cap`` graphs
         with mock.patch.object(appnp, "BLOCK_BYTES", cap * n * hidden * 8):
-            got = train_candidates(cfg, x, graphs, y, w, train, val,
-                                   n_classes=k, workers=workers)
-        for adj, (model, report, labels) in zip(graphs, got):
-            solo_model, solo_report = train_weak(cfg, x, adj, y, w, train,
-                                                 val, n_classes=k)
+            got = train_candidates(cfg, x, [g.adjacency for g in graphs], y,
+                                   w, train, val, n_classes=k,
+                                   workers=workers)
+        for graph, (model, report, labels) in zip(graphs, got):
+            solo_model, solo_report = train_weak(cfg, x, graph.adjacency, y,
+                                                 w, train, val, n_classes=k)
             assert report == solo_report
             for a, b in zip(model.copy_weights(), solo_model.copy_weights()):
                 assert_same_bits(a, b)
-            assert_training_labels(model, labels, x, adj)
+            assert_training_labels(model, labels, x, graph)
 
     def test_first_error_in_block_order_surfaces_unchanged(self,
                                                            monkeypatch):
@@ -796,8 +803,8 @@ class TestTrainCandidates:
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(appnp, "BLOCK_BYTES",
                             2 * len(y) * cfg.hidden_dim * 8)
-        got = train_candidates(cfg, x, graphs, y, w, train, val,
-                               n_classes=2, workers=workers)
+        got = train_candidates(cfg, x, [g.adjacency for g in graphs], y, w,
+                               train, val, n_classes=2, workers=workers)
         (holder,) = holders
         epochs = [r.epochs_run for _, r, _ in got]
         assert len(set(epochs)) > 1
@@ -815,8 +822,8 @@ class TestTrainCandidates:
         monkeypatch.setattr(appnp, "BLOCK_BYTES",
                             3 * len(y) * cfg.hidden_dim * 8)
         with caplog.at_level("DEBUG", logger="graphboost.appnp"):
-            train_candidates(cfg, x, graphs, y, w, train, val, n_classes=2,
-                             workers=2)
+            train_candidates(cfg, x, [g.adjacency for g in graphs], y, w,
+                             train, val, n_classes=2, workers=2)
         assert caplog.messages == [
             "training 7 graphs in blocks of [2, 2, 2, 1] on 2 thread(s)"]
 
@@ -903,14 +910,15 @@ class TestPredict:
         models = [init_model(AppnpConfig(hidden_dim=2 + t % 3, prop_steps=4,
                                          teleport=0.15, seed=t), m, k)
                   for t in range(6)]
-        graphs = [build_adjacency(x[:, t % m], 0.3 + 0.2 * t).adjacency
+        graphs = [build_adjacency(x[:, t % m], 0.3 + 0.2 * t)
                   for t in range(len(models))]
         labels = np.concatenate([appnp.StoredRun([model], x, graph).labels
                                  for model, graph in zip(models, graphs)])
         assert labels.shape == (len(models), n)
         assert len(np.unique(labels)) == k
         for model, graph, row in zip(models, graphs, labels):
-            np.testing.assert_array_equal(row, predict(model, x, graph)[0])
+            np.testing.assert_array_equal(
+                row, predict(model, x, graph.adjacency)[0])
 
     @settings(max_examples=30, deadline=None)
     @given(k=st.sampled_from([1, 2, 3, 9]), count=st.integers(1, 9),
@@ -933,27 +941,27 @@ class TestPredict:
             model.b2 = rng.normal(size=k)
             models.append(model)
         cut = int(rng.integers(1, n))
-        built = build_adjacency(x[:cut, 0], float(rng.uniform(0.0, 2.0)))
-        graph = built.adjacency
-        cone = built.join(x[cut:, 0], cfg.prop_steps)
+        graph = build_adjacency(x[:cut, 0], float(rng.uniform(0.0, 2.0)))
         runs = [appnp.StoredRun([model], x[:cut], graph) for model in models]
         run = appnp.StoredRun(models, x[:cut], graph)
         assert run.stored.shape == (count * (k - 1), cut)
         np.testing.assert_array_equal(
             run.labels, np.concatenate([r.labels for r in runs]))
+        cone = graph.join(x[cut:, 0], run.steps)
         with mock.patch.object(appnp, "BLOCK_BYTES",
                                cap * 8 * cone.order.size * k):
-            got = run.new_labels(cone, x[cut:])
+            got = run.new_labels(x[cut:])
         np.testing.assert_array_equal(
-            got, np.concatenate([r.new_labels(cone, x[cut:]) for r in runs]))
+            got, np.concatenate([r.new_labels(x[cut:]) for r in runs]))
 
     @settings(max_examples=40, deadline=None)
     @given(k=st.sampled_from([1, 2, 3, 5]), count=st.integers(1, 7),
            seed=st.integers(0, 2**32 - 1))
     def test_stacked_heads_match_one_model_heads(self, k, count, seed):
-        # HeadStack runs the heads of one hidden width as one product per
+        # A StoredRun runs the heads of one hidden width as one product per
         # layer; every model's lines must keep the bits of its own
-        # _head(_hidden(.)) over the same rows, at any row count.
+        # _head(_hidden(.)) over the same rows, at any row count, the
+        # stored rows' lines too.
         rng = np.random.default_rng(seed)
         n, m = int(rng.integers(1, 400)), int(rng.integers(1, 12))
         x = rng.normal(size=(n, m))
@@ -965,34 +973,38 @@ class TestPredict:
             model.b1 = rng.normal(size=model.b1.shape)
             model.b2 = rng.normal(size=k)
             models.append(model)
-        heads = appnp.HeadStack(models)
-        assert heads.lines == count * (k - 1)
+        run = appnp.StoredRun(models, x, build_adjacency(x[:, 0], 0.5))
+        assert run.stored.shape == (count * (k - 1), n)
         for rows in sorted({1, int(rng.integers(1, n + 1)), n}):
             xs = x[:rows]
             want = np.concatenate(
                 [appnp._differences(appnp._head(p, appnp._hidden(p, xs))[0])
                  for p in map(appnp._stacked, models)], axis=1).T
-            got = heads.differences(xs)
+            got = run.differences(xs)
             assert got.shape == want.shape
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            if rows == n:
+                assert run.stored.tobytes() == want.tobytes()
 
-    def test_head_stack_needs_a_model(self):
-        with pytest.raises(DataError):
-            appnp.HeadStack([])
+    def test_stored_run_needs_a_model(self):
+        x = np.zeros((3, 2))
+        with pytest.raises(DataError, match="at least one model"):
+            appnp.StoredRun([], x, build_adjacency(x[:, 0], 0.0))
 
     def test_stacked_labels_need_shared_propagation(self):
         # the one stackability check: a StoredRun's models share teleport,
         # prop_steps and hidden width
-        model, x, adj, *_ = make_instance(14)
+        model, x, *_ = make_instance(14)
+        graph = build_adjacency(x[:, 0], 0.5)
         for change in ({"teleport": 0.5}, {"prop_steps": 1},
                        {"hidden_dim": model.b1.size + 1}):
             cfg = dataclasses.replace(model.config, **change)
             other = init_model(cfg, x.shape[1], 2)
             with pytest.raises(DataError, match="share teleport, prop_steps "
                                "and hidden width"):
-                appnp.StoredRun([model, other], x, adj)
+                appnp.StoredRun([model, other], x, graph)
         appnp.StoredRun([model, init_model(model.config, x.shape[1], 2)],
-                        x, adj)
+                        x, graph)
 
 
 # The row-major loss helpers that training used before it moved into the
@@ -1295,10 +1307,11 @@ class TestConfigValidation:
             AppnpConfig(prop_steps=MAX_PROP_STEPS + 1)
 
     def test_bad_hidden_dim(self):
-        for bad in (0, -1):
+        for bad in (0, -1, MAX_HIDDEN_DIM + 1, 10**20):
             with pytest.raises(DataError, match="hidden_dim"):
                 AppnpConfig(hidden_dim=bad)
         AppnpConfig(hidden_dim=1)
+        AppnpConfig(hidden_dim=MAX_HIDDEN_DIM)
 
     def test_bad_max_epochs(self):
         with pytest.raises(DataError, match="max_epochs"):

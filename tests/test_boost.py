@@ -526,9 +526,9 @@ class TestEnsemblePrediction:
 
     def test_each_distinct_graph_built_once_per_call(self, monkeypatch):
         # Making the ensemble builds each distinct graph over the stored
-        # rows; every call builds none and merges its rows into each
-        # group's graph once, at the group's own steps, for a cone of
-        # exactly those steps.
+        # rows; every call builds none, and each group's new_labels merges
+        # the rows' column of its graph's feature into that graph once, at
+        # the group's own steps, for a cone of exactly those steps.
         built, joined = [], []
         join = CandidateGraph.join
 
@@ -538,7 +538,7 @@ class TestEnsemblePrediction:
 
         def counting_join(stored, new_values, steps):
             cone = join(stored, new_values, steps)
-            joined.append((stored.feature, len(new_values), steps,
+            joined.append((stored, new_values.copy(), steps,
                            len(cone.right) - 1))
             return cone
 
@@ -547,15 +547,20 @@ class TestEnsemblePrediction:
         ens = self._shared_graph_ensemble(
             self.SHARED_GRAPH_ENSEMBLES["mixed_learners"])
         assert (len(built), joined) == (2, [])
-        steps = [run.steps for _, _, run in ens.groups]
-        assert steps == [3, 3, 3, 1, 1, 3]
-        features = [g.feature for _, g, _ in ens.groups]
-        for rows in (3, 1):
+        runs = [run for _, run in ens.groups]
+        assert [run.steps for run in runs] == [3, 3, 3, 1, 1, 3]
+        new_x = np.random.default_rng(10).normal(size=(3, 2))
+        for rows in (new_x, new_x[:1]):
             joined.clear()
-            predict_ensemble(ens, np.zeros((rows, 2)))
+            predict_ensemble(ens, rows)
             assert len(built) == 2
-            assert joined == [(f, rows, k, k)
-                              for f, k in zip(features, steps)]
+            assert len(joined) == len(runs) == 6
+            for run, (stored, values, steps, cone_steps) in zip(runs,
+                                                                joined):
+                assert stored is run.graph
+                assert values.tobytes() == \
+                    rows[:, run.graph.feature].tobytes()
+                assert steps == cone_steps == run.steps
         # the stored rows' labels come from the runs made with the ensemble
         joined.clear()
         transductive_scores(ens)
@@ -570,13 +575,14 @@ class TestEnsemblePrediction:
         # hidden width), in the order of their first rounds; rounds that
         # share a graph share its one build whatever their learners
         ens = self._shared_graph_ensemble(self.SHARED_GRAPH_ENSEMBLES[kind])
-        assert [ts for ts, _, _ in ens.groups] == groups
-        for ts, graph_, run in ens.groups:
+        assert [ts for ts, _ in ens.groups] == groups
+        for ts, run in ens.groups:
+            graph_ = run.graph
             assert {(ens.rounds[t].feature, ens.rounds[t].gamma)
                     for t in ts} == {(graph_.feature, graph_.gamma)}
             assert run.count == len(ts)
         by_graph = {}
-        for _, graph_, _ in ens.groups:
+        for graph_ in (run.graph for _, run in ens.groups):
             assert by_graph.setdefault((graph_.feature, graph_.gamma),
                                        graph_) is graph_
 
@@ -595,7 +601,7 @@ class TestEnsemblePrediction:
             transductive_scores(model)
             save_ensemble(model, str(warm))
             assert warm.read_bytes() == cold.read_bytes()
-            for (ts, _, run), (want_ts, _, want) in zip(
+            for (ts, run), (want_ts, want) in zip(
                     model.groups, ens.groups, strict=True):
                 assert ts == want_ts
                 for name in ("stored", "prefixes", "labels"):
@@ -604,7 +610,7 @@ class TestEnsemblePrediction:
                     assert array.tobytes() == getattr(want, name).tobytes()
                     if array.size:
                         assert array.tobytes() not in cold.read_bytes()
-                for wt in (run.heads._w1t, run.heads._w2t):
+                for wt in (run._w1t, run._w2t):
                     assert wt.tobytes() not in cold.read_bytes()
 
     def test_heads_run_once_on_stored_rows_then_on_new_rows_only(
@@ -614,17 +620,18 @@ class TestEnsemblePrediction:
         # hidden width) group; a call runs every head on its own rows
         # alone. A group's heads run as one product per layer.
         heads, product_rows = [], []
-        differences, affine = appnp.HeadStack.differences, appnp._affine
+        differences, affine = appnp.StoredRun.differences, appnp._affine
 
-        def counting_heads(stack, x):
-            heads.append((stack.lines, x.shape[0]))
-            return differences(stack, x)
+        def counting_heads(run, x):
+            d = differences(run, x)
+            heads.append(d.shape)
+            return d
 
         def counting_affine(x, wt, b, out=None):
             product_rows.append(x.shape[-2])
             return affine(x, wt, b, out)
 
-        monkeypatch.setattr(appnp.HeadStack, "differences", counting_heads)
+        monkeypatch.setattr(appnp.StoredRun, "differences", counting_heads)
         monkeypatch.setattr(appnp, "_affine", counting_affine)
         ens = self._shared_graph_ensemble(
             self.SHARED_GRAPH_ENSEMBLES["mixed_learners"])
@@ -632,7 +639,7 @@ class TestEnsemblePrediction:
         # (0, 1) graph: rounds 0-4 each differ in teleport, steps or
         # hidden width; (1, 0) graph: round 5. One difference line per
         # round (K = 2): 6 stacks of 2 layers each
-        assert [ts for ts, _, _ in ens.groups] == [(t,) for t in range(6)]
+        assert [ts for ts, _ in ens.groups] == [(t,) for t in range(6)]
         assert (heads, product_rows) == ([(1, n)] * 6, [n] * 12)
 
         def calls(run):
@@ -707,7 +714,7 @@ class TestEnsemblePrediction:
             np.testing.assert_array_equal(got[1], want[1])
         g0, g2 = ens.rounds[0].gamma, ens.rounds[1].gamma
         assert g0 != g2
-        a, b = (graph_ for _, graph_, _ in ens.groups[:2])
+        a, b = (run.graph for _, run in ens.groups[:2])
         assert (a.gamma, b.gamma) == (g0, g2)
         assert a.column is b.column
         assert a.adjacency.order is b.adjacency.order is a.column.order
@@ -719,7 +726,7 @@ class TestEnsemblePrediction:
         # (window starts, ends and dinv), counting each array once.
         ens = self._shared_graph_ensemble(
             [(0, 0, {}), (0, 2, {}), (1, 1, {}), (1, 0, {}), (0, 2, {})])
-        graphs = {id(g): g for _, g, _ in ens.groups}.values()
+        graphs = {id(run.graph): run.graph for _, run in ens.groups}.values()
         arrays = {id(a): a for g in graphs
                   for a in (g.column.order, g.column.values,
                             g.adjacency.order, g.adjacency.lo,

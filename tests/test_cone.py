@@ -2,7 +2,7 @@
 
 The reference builds ``build_adjacency`` over the stored column followed
 by the new rows, takes the stored rows' head differences followed by the
-new rows' (``HeadStack.differences`` of each part, as prediction computes
+new rows' (``StoredRun.differences`` of each part, as prediction computes
 them), runs every line through a full one-graph ``GraphStack.run`` and
 labels the new rows by the argmax of their propagated differences. The
 labels, vote scores and propagated values of ``predict_ensemble`` must
@@ -44,7 +44,8 @@ def reference(ensemble, new_x):
     """Labels per round, labels, scores and propagated differences of the
     new rows from full runs over the stored rows followed by them."""
     n = ensemble.train_x.shape[0]
-    (feature, gamma), = {(g.feature, g.gamma) for _, g, _ in ensemble.groups}
+    (feature, gamma), = {(run.graph.feature, run.graph.gamma)
+                         for _, run in ensemble.groups}
     column = np.concatenate([ensemble.train_x[:, feature],
                              new_x[:, feature]])
     adj = build_adjacency(column, gamma).adjacency
@@ -52,11 +53,10 @@ def reference(ensemble, new_x):
     round_labels = np.empty((len(ensemble.rounds), new_x.shape[0]),
                             dtype=np.int64)
     values = []
-    for ts, _, _ in ensemble.groups:
+    for ts, run in ensemble.groups:
         models = [ensemble.rounds[t].model for t in ts]
-        heads = appnp.HeadStack(models)
-        lines = np.concatenate([heads.differences(ensemble.train_x),
-                                heads.differences(new_x)], axis=1)
+        lines = np.concatenate([run.differences(ensemble.train_x),
+                                run.differences(new_x)], axis=1)
         cfg = models[0].config
         z = stack.from_frame(stack.run(stack.to_frame(lines.T[None]),
                                        cfg.teleport, cfg.prop_steps))[0].T
@@ -104,18 +104,17 @@ def test_cone_prediction_equals_full_run(n, m, gamma_kind, steps, teleport,
     # one hidden width share a group
     widths = [r.model.b1.size for r in ens.rounds]
     assert len(ens.groups) == len(set(widths))
-    for (ts, graph, run), want in zip(ens.groups, values, strict=True):
-        cone = graph.join(new_x[:, 0], run.steps)
+    for (ts, run), want in zip(ens.groups, values, strict=True):
+        cone = run.graph.join(new_x[:, 0], run.steps)
         assert len(cone.right) == run.steps + 1
         region = slice(cone.start, cone.start + cone.order.size)
         for name in ("order", "lo", "hi", "values"):
             np.testing.assert_array_equal(getattr(cone, name),
                                           getattr(adj, name)[region])
-        h0 = run.stored.take(np.minimum(cone.order, n - 1), axis=1)
-        h0[:, cone.rows - cone.start] = run.heads.differences(new_x)
-        got = cone.run(run.prefixes, h0, run.teleport)
+        got = cone.run(run.prefixes, run.stored, run.differences(new_x),
+                       run.teleport)
         assert got.tobytes() == want.tobytes()
-        np.testing.assert_array_equal(run.new_labels(cone, new_x),
+        np.testing.assert_array_equal(run.new_labels(new_x),
                                       round_labels[list(ts)])
         # the caches are read-only and hold k prefix sums of every line
         assert run.prefixes.shape == (run.steps, len(ts) * (k - 1), n + 1)
@@ -135,10 +134,10 @@ def test_stored_run_is_made_only_when_a_cone_reads_it():
     gamma = quantile_thresholds(stored[:, 0]).gammas[1]
     ens = Ensemble([WeakRound(0, "f0", gamma, init_model(cfg, 2, 2), 0.5,
                               0.3)], 2, meta, meta.feature_names(), stored)
-    (_, graph, run), = ens.groups
+    (_, run), = ens.groups
     batch = stored[rng.permutation(200)[:50]]
     batch[0, 0] = stored[:, 0].min() - 1.0
-    cone = graph.join(batch[:, 0], 3)
+    cone = run.graph.join(batch[:, 0], 3)
     assert cone.left[0] == 0
     predict_ensemble(ens, batch)
     assert run._run is None

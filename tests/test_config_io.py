@@ -250,6 +250,18 @@ class TestModelFile:
             load_ensemble(str(path))
         assert _cli_scores("predict", path, tmp_path) == 2
 
+    def test_absurd_hidden_dim(self, small_ensemble, tmp_path):
+        # used to fail only once the weights were read, on their shape
+        path = tmp_path / "m.gbe"
+        save_ensemble(small_ensemble, str(path))
+
+        def widen(meta):
+            meta["rounds"][0]["config"]["hidden_dim"] = 10**15
+        path.write_bytes(_edit_meta(path.read_bytes(), widen))
+        with pytest.raises(ModelFormatError, match="hidden_dim"):
+            load_ensemble(str(path))
+        assert _cli_scores("predict", path, tmp_path) == 2
+
     @pytest.mark.parametrize("key", ["hidden_dim", "max_epochs", "patience",
                                      "weight_decay", "learning_rate"])
     def test_negative_learner_size(self, small_ensemble, tmp_path, key):
@@ -339,7 +351,7 @@ class TestModelFile:
         loaded = load_ensemble(str(path))
         assert loaded.rounds[1].gamma == math.inf
         n = loaded.train_x.shape[0]
-        graph = next(g for ts, g, _ in loaded.groups if 1 in ts)
+        graph = next(run.graph for ts, run in loaded.groups if 1 in ts)
         assert (graph.feature, graph.gamma) == (loaded.rounds[1].feature,
                                                 math.inf)
         assert graph.edge_count == n * (n - 1) // 2

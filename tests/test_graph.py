@@ -438,8 +438,8 @@ class TestRunLines:
         one.run(one.to_frame(lines[:, :n].T[None]), teleport, steps,
                 prefixes)
         cone = built.join(new, steps)
-        got = cone.run(prefixes.reshape(steps, width, n + 1),
-                       lines.take(cone.order, axis=1), teleport)
+        got = cone.run(prefixes.reshape(steps, width, n + 1), lines[:, :n],
+                       lines[:, n:], teleport)
         np.testing.assert_array_equal(lines, kept)  # H0 is left alone
         full = GraphStack([build_adjacency(np.concatenate([stored, new]),
                                            gamma).adjacency])
@@ -463,8 +463,8 @@ def assert_same_region(cone, want, steps=3):
     """The cone's region of the joined graph against ``want``, the
     adjacency over the stacked column: every field bit for bit, and a
     region that holds the cone of ``steps`` steps."""
-    assert cone.n == want.n
     region = slice(cone.start, cone.start + cone.order.size)
+    assert region.stop <= want.n
     for name in ("order", "lo", "hi", "values"):
         a, b = getattr(cone, name), getattr(want, name)[region]
         assert a.dtype == b.dtype, name

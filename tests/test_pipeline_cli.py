@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from graphboost import boost, pipeline
+from graphboost.appnp import MAX_HIDDEN_DIM
 from graphboost.cli import main
 from graphboost.config import parse_config
 from graphboost.data import (CATEGORICAL, EncodingMeta, apply_encoder,
@@ -697,6 +698,44 @@ class TestCliExitCodes:
         assert main(["train", "--config", str(cfg), "--workers", "-3"]) == 2
         assert "workers" in capsys.readouterr().err
         assert not (tmp_path / "m.gbe").exists()
+
+    @pytest.mark.parametrize("command, line", [
+        ("train", "hidden_dim = 100000000000000000000"),
+        ("train", "hidden_dim = 1000000000000000"),
+        ("sweep", "hidden_dim = 4, 100000000000000000000")])
+    def test_oversized_hidden_dim_is_two(self, cohort, tmp_path, capsys,
+                                         monkeypatch, command, line):
+        # used to end in a traceback, past the data read: numpy's "Maximum
+        # allowed dimension exceeded" or a failed 28.4 PiB allocation; the
+        # sweep fitted its first point first
+        reads = []
+
+        def recording_load_csv(*args, **kwargs):
+            reads.append(args)
+            return load_csv(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "load_csv", recording_load_csv)
+        text = "\n".join(row for row in BASE_CONFIG.format(
+            data=cohort[0], rounds=1, model=tmp_path / "m.gbe",
+            report=tmp_path / "r.json").splitlines()
+            if not row.startswith("hidden_dim "))
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(text + f"\n{line}\n")
+        assert main([command, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: hidden_dim must be in [1, {MAX_HIDDEN_DIM}]\n"
+        assert reads == []
+        assert not (tmp_path / "m.gbe").exists()
+
+    def test_unallocatable_synth_size_is_two(self, tmp_path, capsys):
+        # used to end in a traceback: numpy failed to allocate 7.11 PiB
+        prefix = tmp_path / "s"
+        assert main(["synth", "--out", str(prefix), "--n",
+                     "1000000000000000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate 7.11 PiB")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_synth_output_in_missing_directory_is_two(self, tmp_path,
                                                       capsys):
