@@ -14,6 +14,10 @@ calls of both in one process, summarised into one BENCH file.
         --scratch /tmp/paired --name predict_csv \\
         --in-process model.gbe rows.csv --command --calls 3000
 
+    python benchmarks/paired.py --parent HEAD~1 --change HEAD \\
+        --scratch /tmp/paired --name synthetic_calls \\
+        --synth 2000,10,2,0.9,0 --calls 300
+
 Each commit is exported with ``git archive`` into its own directory under
 ``--scratch`` (a plain checkout, so the repository's ``.git`` gains
 nothing), because ``perfbench/run.py`` writes into its checkout's
@@ -37,9 +41,12 @@ give equal labels and score bytes on every call. With ``--command`` a call
 is instead a whole ``pipeline.run_predict`` of the model on the CSV, as
 ``graphboost predict`` runs it (model load, ingest, labelling and the
 predictions CSV), and the two sides' CSV files must be equal byte for byte
-after every call. The BENCH file then holds each side's per-call
-milliseconds (median and quartiles) and the calls in which the change was
-faster, slower or as fast.
+after every call. ``--synth N,M,K,RHO,SEED`` instead alternates
+``data.gen_synthetic(N, M, K, RHO, SEED)`` calls of the two packages and
+asserts that both give equal labels and equal column names and bytes on
+every call. The BENCH file then holds each side's per-call milliseconds
+(median and quartiles) and the calls in which the change was faster,
+slower or as fast.
 """
 
 import argparse
@@ -231,24 +238,50 @@ def _alternate_commands(packages: dict, model: str, rows: str,
     return times, count
 
 
-def in_process(sources: dict, model: str, rows: str, calls: int,
-               command: bool = False) -> dict:
-    """Alternating single-row calls of the ``graphboost`` trees under
-    ``sources`` (``{"parent": dir, "change": dir}``) on ``model`` and the
-    rows of the CSV ``rows``, or with ``command`` alternating whole
-    ``run_predict`` calls on that CSV: each side's per-call milliseconds
-    and the calls each side won. Raises AssertionError when the two sides
-    label or score a row differently, or write different CSV bytes."""
+def _alternate_synth(packages: dict, shape: tuple,
+                     calls: int) -> tuple[dict, int]:
+    """Per side, the milliseconds of each of ``calls`` alternating
+    ``gen_synthetic(*shape)`` calls, and the cohort's number of rows."""
+    generate = {side: importlib.import_module(
+        f"{packages[side].__name__}.data").gen_synthetic for side in SIDES}
+    times = {side: [] for side in SIDES}
+    for call in range(calls):
+        order = SIDES if call % 2 == 0 else SIDES[::-1]
+        out = {}
+        for side in order:
+            start = time.perf_counter()
+            out[side] = generate[side](*shape)
+            times[side].append(1e3 * (time.perf_counter() - start))
+        (table, labels), (want_table, want_labels) = (out[s] for s in
+                                                      SIDES[::-1])
+        assert labels == want_labels, f"call {call}: labels"
+        assert [(c.name, c.numeric.tobytes()) for c in table.columns] == [
+            (c.name, c.numeric.tobytes()) for c in want_table.columns], \
+            f"call {call}: column bytes"
+    return times, shape[0]
+
+
+def synth_shape(text: str) -> tuple:
+    """``"2000,10,2,0.9,0"`` as ``gen_synthetic``'s (n, m, k, rho, seed)."""
+    n, m, k, rho, seed = text.split(",")
+    return int(n), int(m), int(k), float(rho), int(seed)
+
+
+def _paired_calls(sources: dict, alternate) -> dict:
+    """``alternate(packages)`` on the ``graphboost`` trees under
+    ``sources`` (``{"parent": dir, "change": dir}``), each imported under
+    its own name: each side's per-call milliseconds and the calls each
+    side won."""
     names = {side: f"graphboost_{side}" for side in SIDES}
-    alternate = _alternate_commands if command else _alternate
     try:
         packages = {side: import_tree(sources[side], names[side])
                     for side in SIDES}
-        times, count = alternate(packages, model, rows, calls)
+        times, count = alternate(packages)
     finally:
         for name in [name for name in sys.modules
                      if name.split(".")[0] in names.values()]:
             del sys.modules[name]
+    calls = len(times["parent"])
     faster = [c < p for p, c in zip(times["parent"], times["change"])]
     slower = [c > p for p, c in zip(times["parent"], times["change"])]
     return {"calls": calls, "rows": count,
@@ -259,6 +292,26 @@ def in_process(sources: dict, model: str, rows: str, calls: int,
             "median_change_pct": 100.0 * (
                 float(np.median(times["change"]))
                 / float(np.median(times["parent"])) - 1.0)}
+
+
+def in_process(sources: dict, model: str, rows: str, calls: int,
+               command: bool = False) -> dict:
+    """Alternating single-row calls of the ``graphboost`` trees under
+    ``sources`` on ``model`` and the rows of the CSV ``rows``, or with
+    ``command`` alternating whole ``run_predict`` calls on that CSV, summed
+    up by ``_paired_calls``. Raises AssertionError when the two sides
+    label or score a row differently, or write different CSV bytes."""
+    alternate = _alternate_commands if command else _alternate
+    return _paired_calls(sources, lambda packages: alternate(
+        packages, model, rows, calls))
+
+
+def synth_calls(sources: dict, shape: tuple, calls: int) -> dict:
+    """Alternating ``gen_synthetic(*shape)`` calls of the ``graphboost``
+    trees under ``sources``, summed up by ``_paired_calls``. Raises
+    AssertionError when the two sides' labels or column bytes differ."""
+    return _paired_calls(sources, lambda packages: _alternate_synth(
+        packages, shape, calls))
 
 
 def main(argv=None) -> int:
@@ -276,11 +329,16 @@ def main(argv=None) -> int:
     mode.add_argument("--in-process", nargs=2, metavar=("MODEL", "ROWS"),
                       help="a .gbe model and a CSV of rows to score one "
                            "at a time")
+    mode.add_argument("--synth", type=synth_shape,
+                      metavar="N,M,K,RHO,SEED",
+                      help="a gen_synthetic cohort to generate again and "
+                           "again")
     parser.add_argument("--command", action="store_true",
                         help="with --in-process, time whole run_predict "
                              "calls on all the rows")
     parser.add_argument("--calls", type=int, default=3000,
-                        help="calls per side with --in-process")
+                        help="calls per side with --in-process or "
+                             "--synth")
     parser.add_argument("--out", default=ROOT, help="directory of the file")
     args = parser.parse_args(argv)
 
@@ -291,24 +349,35 @@ def main(argv=None) -> int:
                      change=_export(args.change, args.scratch))
     if args.command and not args.in_process:
         parser.error("--command needs --in-process")
-    if args.in_process:
-        call = ("whole run_predict calls (model load, ingest, labelling, "
-                "predictions CSV) of both packages in one process on the "
-                "same CSV, asserting equal CSV bytes after each call"
-                if args.command else "single-row predict_ensemble calls "
-                "of both packages in one process on the same rows")
+    if args.in_process or args.synth:
+        sources = {side: os.path.join(checkouts[side][1], "src")
+                   for side in SIDES}
+        load = os.getloadavg()[0]
+        if args.synth:
+            call = ("gen_synthetic calls of both packages in one process on "
+                    "the same arguments, asserting equal labels and column "
+                    "bytes after each call")
+            inputs = {"synth": dict(zip(("n", "m", "k", "rho", "seed"),
+                                        args.synth))}
+            calls = synth_calls(sources, args.synth, args.calls)
+        else:
+            call = ("whole run_predict calls (model load, ingest, labelling, "
+                    "predictions CSV) of both packages in one process on the "
+                    "same CSV, asserting equal CSV bytes after each call"
+                    if args.command else "single-row predict_ensemble calls "
+                    "of both packages in one process on the same rows")
+            inputs = {"model": args.in_process[0], "rows": args.in_process[1]}
+            calls = in_process(sources, *args.in_process, args.calls,
+                               args.command)
         return _write(args, checkouts, {
             "what": f"{call}, the first side alternating per call; per "
                     "side the median and quartiles (numpy percentile, "
                     "linear) of the call's milliseconds, and the calls in "
                     "which the change was faster, slower or as fast",
-            "model": args.in_process[0], "rows": args.in_process[1],
+            **inputs,
             "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
             "numpy": np.__version__, "python": sys.version.split()[0],
-            "loadavg_1m_before": os.getloadavg()[0],
-            **in_process({side: os.path.join(checkouts[side][1], "src")
-                          for side in SIDES}, *args.in_process,
-                         args.calls, args.command)})
+            "loadavg_1m_before": load, **calls})
     runs = []
     for spec in args.run:
         workload, _, seeds = spec.partition(":")

@@ -36,7 +36,8 @@ a label, 2,000 x 4 continuous cells (the shape of the predict benchmark in
 ``perfbench/``) or 20,000 x 10, and writes one prediction per row with 4
 or 10 class scores: the normalised votes of 3 rounds, so that at most K^3
 score rows are distinct, or scores drawn at random, so that every row is
-distinct and no row's cells can be reused.
+distinct and no row's cells can be reused. The synthetic cohort
+generator draws the n = 2000 and n = 100000, m = 10 cohorts.
 """
 
 from dataclasses import replace
@@ -115,6 +116,12 @@ def _mixed_table(n=2000):
         else:
             columns.append(Column(col.name, NUMERIC, numeric=levels))
     return RawTable(columns, n), labels
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_gen_synthetic(benchmark, n):
+    table, labels = benchmark(gen_synthetic, n, 10, 2, 0.9, 0)
+    assert (table.n_rows, len(labels)) == (n, n)
 
 
 @pytest.mark.parametrize("cohort", ("continuous", "mixed"))

@@ -21,6 +21,10 @@ MISSING_MARKERS = ("", "NA")
 # stays wider than the planted neighborhood (n/20 of a uniform draw).
 EDGE_SEGMENTS = 12
 
+# Most cells (rows times columns) of a synthetic cohort: the float64 cells
+# that numpy can address in one array.
+MAX_SYNTH_CELLS = np.iinfo(np.intp).max // 8
+
 # Split tags used throughout the package.
 TRAIN, VAL, TEST = 0, 1, 2
 
@@ -413,6 +417,47 @@ def split_rows(n: int, fractions: tuple[float, float, float], seed: int,
     return tags
 
 
+def _window_majority(e_sorted: np.ndarray, base_sorted: np.ndarray,
+                     q: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's window of the ``q`` rows nearest it on the sorted column
+    ``e_sorted``, and the majority of ``base_sorted`` (labels in [0, k))
+    over that window: ``(starts, labels)``, row ``p``'s window being rows
+    ``starts[p]`` to ``starts[p] + q - 1``.
+
+    A window moves one row on while it can and the row it would gain is
+    nearer than the row it would lose: at start ``l``, while ``l + q < n``
+    and ``e[l + q] - e[p] < e[p] - e[l]``, float64 differences as
+    computed. Rounding is monotone, so this test is true and then false as
+    ``l`` grows, and its first false ``l`` never falls as ``p`` grows:
+    the start is that first false ``l`` in [0, n - q], the start that a
+    two-pointer walk of the rows in order reaches, and one binary search
+    over all rows at once finds it. The majority is the first class of
+    greatest count, as ``np.argmax(np.bincount(window))`` picks it,
+    counted from per-class prefix sums. Cost: O(n log n + n k) time,
+    O(n) memory.
+    """
+    n = e_sorted.size
+    last = n - q
+    starts = np.zeros(n, dtype=np.int64)
+    for bit in reversed(range(last.bit_length())):
+        # would the window still move at starts + 2**bit - 1?
+        at = starts + ((1 << bit) - 1)
+        inside = at < last
+        np.minimum(at, last - 1, out=at)
+        inside &= e_sorted[at + q] - e_sorted < e_sorted - e_sorted[at]
+        starts[inside] += 1 << bit
+    labels = np.zeros(n, dtype=np.int64)
+    best = np.full(n, -1, dtype=np.int64)
+    prefix = np.zeros(n + 1, dtype=np.int64)
+    for c in range(k):
+        np.cumsum(base_sorted == c, out=prefix[1:])
+        count = prefix[starts + q] - prefix[starts]
+        wins = count > best
+        labels[wins] = c
+        best[wins] = count[wins]
+    return starts, labels
+
+
 def gen_synthetic(n: int, m: int, k: int, rho: float,
                   seed: int) -> tuple[RawTable, list[str]]:
     """Synthetic cohort with planted inter-sample relational structure.
@@ -426,6 +471,12 @@ def gen_synthetic(n: int, m: int, k: int, rho: float,
     columns are Gaussians whose class means (under the signal label, not
     the noisy one) are 0.5 sigma apart, so at rho=0 no feature carries any
     information about the observed labels.
+
+    The nearest rows are a window of the column's stable sort, found for
+    every row at once by a binary search on where the window stops moving
+    (``_window_majority``), so the cost is O(n log n + n k) plus the
+    O(n m) draws. A cohort of more than ``MAX_SYNTH_CELLS`` cells (n * m),
+    more than numpy can address as float64, is a ``DataError``.
     """
     if k < 2:
         raise DataError("need at least 2 classes")
@@ -435,30 +486,22 @@ def gen_synthetic(n: int, m: int, k: int, rho: float,
         raise DataError("need at least 3 feature columns")
     if not 0.0 <= rho <= 1.0:
         raise DataError("rho must be in [0, 1]")
+    if int(n) * int(m) > MAX_SYNTH_CELLS:
+        raise DataError(f"n={n} rows by m={m} columns too large: need "
+                        f"n*m <= {MAX_SYNTH_CELLS} cells")
 
     rng = substream(seed, "synth")
     e = rng.uniform(0.0, 1.0, size=n)
     planted_at = int(rng.integers(m))
 
     n_segments = max(k, EDGE_SEGMENTS)
-    seg_labels = np.array([i % k for i in range(n_segments)], dtype=np.int64)
+    seg_labels = np.arange(n_segments, dtype=np.int64) % k
     rng.shuffle(seg_labels)
     base = seg_labels[np.minimum((e * n_segments).astype(np.int64), n_segments - 1)]
 
-    # Majority of base labels over the q nearest rows in e (two-pointer
-    # window over the sorted column).
-    q = math.ceil(n / 20)
     order = np.argsort(e, kind="stable")
-    e_sorted = e[order]
-    base_sorted = base[order]
-    signal_sorted = np.empty(n, dtype=np.int64)
-    lo = 0
-    for p in range(n):
-        hi = lo + q
-        while hi < n and (e_sorted[hi] - e_sorted[p]) < (e_sorted[p] - e_sorted[lo]):
-            lo += 1
-            hi += 1
-        signal_sorted[p] = np.argmax(np.bincount(base_sorted[lo:hi], minlength=k))
+    _, signal_sorted = _window_majority(e[order], base[order],
+                                        math.ceil(n / 20), k)
     signal = np.empty(n, dtype=np.int64)
     signal[order] = signal_sorted
 
@@ -476,7 +519,7 @@ def gen_synthetic(n: int, m: int, k: int, rho: float,
             columns.append(Column(f"noise_{gj:02d}", NUMERIC,
                                   numeric=gauss[:, gj].copy()))
             gj += 1
-    labels = [f"c{v}" for v in y]
+    labels = [f"c{v}" for v in y.tolist()]
     return RawTable(columns, n), labels
 
 

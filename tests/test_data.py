@@ -1,6 +1,7 @@
 """Data module: CSV parsing, encoding, splits, synthetic cohorts."""
 
 import csv
+import hashlib
 import json
 import math
 
@@ -8,9 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphboost.data import (CATEGORICAL, MISSING_MARKERS, NUMERIC, TEST,
-                             TRAIN, VAL, CategoricalMeta, Column, EncodingMeta,
-                             NumericMeta, RawTable, apply_encoder, fit_encoder,
+from graphboost.data import (CATEGORICAL, MAX_SYNTH_CELLS, MISSING_MARKERS,
+                             NUMERIC, TEST, TRAIN, VAL, CategoricalMeta,
+                             Column, EncodingMeta, NumericMeta, RawTable,
+                             _window_majority, apply_encoder, fit_encoder,
                              gen_synthetic, load_csv, split_rows, subset_table,
                              write_csv)
 from graphboost.errors import DataError
@@ -585,6 +587,128 @@ class TestGenSynthetic:
             gen_synthetic(15, 10, 2, 0.5, seed=0)
         with pytest.raises(DataError):
             gen_synthetic(100, 2, 2, 0.5, seed=0)
+
+    @pytest.mark.parametrize("n, m", [(10**20, 3), (100, 10**20),
+                                      (MAX_SYNTH_CELLS // 3 + 1, 3)])
+    def test_unindexable_size(self, n, m, monkeypatch):
+        # rejected before any draw, naming both sizes
+        monkeypatch.setattr("graphboost.data.substream", None)
+        with pytest.raises(DataError, match=f"n={n} rows by m={m} columns"):
+            gen_synthetic(n, m, 2, 0.5, seed=0)
+
+    # One SHA-256 over each cohort's column names, column bytes and labels,
+    # recorded before the two-pointer window walk became a binary search:
+    # criteria 07-11's cohorts, criterion 10's synth cohort, perfbench's
+    # predict pool and fit cohort, and the smallest legal cohort.
+    PINNED = [
+        ((2000, 10, 3, 1.0, 0), "e1b907fbe635cdb1cb88cf38a2a3db27"
+                                "f99c2a09c25f925e2aa1c18e77770a85"),
+        ((2000, 10, 3, 1.0, 1), "b752cad7b3242f246774d8af5ebd7291"
+                                "93c83631ad36cca48aabb93b48f94845"),
+        ((2000, 10, 3, 1.0, 2), "4d07cd7f35aba73f4923e0ca9f4348e2"
+                                "87d5215f62b8462bcc818bbb05fc787d"),
+        ((2000, 10, 3, 1.0, 3), "0e1a81b657a119d8b3007d603f075de4"
+                                "c8ac2a9c688ba8ec8ce917853af4143a"),
+        ((2000, 10, 3, 1.0, 4), "7fa6f9ff323fe0d6584102bec05f8497"
+                                "08aa4c09ee90707eb639e9fb535b0af6"),
+        ((2000, 10, 2, 0.9, 0), "aa4ab43419e8c91f47cf00c05ca052f2"
+                                "5de204b7b05bf806c35b71bc3c590901"),
+        ((2000, 10, 2, 0.9, 1), "639ee2e62d6b61cf6b406d5d38725b79"
+                                "5ac412ef82833f2d8309030cc85fa3d7"),
+        ((2000, 10, 2, 0.9, 2), "7116b8383d5d3d6d7a04c464f8f1866c"
+                                "bc0ed1623efba1c0d7526fd86d36657c"),
+        ((2000, 10, 2, 0.0, 0), "e7131204b3e9ac19c372073857acc88c"
+                                "ee08ce41e58894a49c8f6ad16d98951b"),
+        ((2000, 10, 2, 0.0, 1), "7c2dc3015341d0b896fdfff0154b2cae"
+                                "1c8fc5985d1a22daaccb8f1e059da147"),
+        ((2000, 10, 2, 0.0, 2), "ca6480da043e2fdc39e54313702c8ae4"
+                                "4f6ddb4bab1c0915d8c692736ac673bb"),
+        ((2000, 10, 2, 0.0, 3), "23d9de23b13d14cb1774f6a5074a1287"
+                                "74eec64edb02886e0d636442d47e00dd"),
+        ((2000, 10, 2, 0.0, 4), "bd5efc36c3d9b25b294420a0d045b90c"
+                                "1c4935a356417e2d4bcd3cbf3e9aaf44"),
+        ((600, 6, 2, 0.9, 41), "f1ada2900f091849ade9b5aaf19e31f5"
+                               "a22606db5a63460cee2eae4aad86ed85"),
+        ((6000, 4, 2, 0.9, 2311), "61688eafdbee9a8a13d007db0d79635c"
+                                  "5f5ec83b32becc3a2670f6c55ca8e7e5"),
+        ((20, 3, 2, 0.5, 0), "6dbec905d6da3fbed81a53f44394112e"
+                             "8bdc23b34738d3ba386876f7962c1522"),
+    ]
+
+    @pytest.mark.parametrize("args, digest", PINNED)
+    def test_pinned_cohort_bits(self, args, digest):
+        table, labels = gen_synthetic(*args)
+        h = hashlib.sha256()
+        for col in table.columns:
+            h.update(col.name.encode() + b"\0")
+            h.update(np.asarray(col.numeric, dtype="<f8").tobytes())
+        h.update("\n".join(labels).encode())
+        assert h.hexdigest() == digest
+
+
+def _two_pointer_windows(e_sorted, base_sorted, q, k):
+    """The per-row window walk that ``_window_majority`` replaced, frozen
+    as its reference."""
+    n = e_sorted.size
+    starts = np.empty(n, dtype=np.int64)
+    signal_sorted = np.empty(n, dtype=np.int64)
+    lo = 0
+    for p in range(n):
+        hi = lo + q
+        while hi < n and (e_sorted[hi] - e_sorted[p]) < (e_sorted[p] - e_sorted[lo]):
+            lo += 1
+            hi += 1
+        starts[p] = lo
+        signal_sorted[p] = np.argmax(np.bincount(base_sorted[lo:hi], minlength=k))
+    return starts, signal_sorted
+
+
+@st.composite
+def _sorted_columns(draw):
+    """A sorted float64 column with ties, a window size in [1, n] and
+    labels in [0, k) for k up to 8."""
+    n = draw(st.integers(1, 60))
+    kind = draw(st.sampled_from(["floats", "unit", "integers", "few",
+                                 "equal"]))
+    if kind == "floats":
+        values = draw(st.lists(st.floats(-1e300, 1e300), min_size=n,
+                               max_size=n))
+    elif kind == "unit":
+        values = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True),
+                               min_size=n, max_size=n))
+    elif kind == "integers":
+        values = draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
+    elif kind == "few":
+        levels = draw(st.lists(st.floats(-10.0, 10.0), min_size=1,
+                               max_size=3))
+        values = draw(st.lists(st.sampled_from(levels), min_size=n,
+                               max_size=n))
+    else:
+        values = [draw(st.floats(-10.0, 10.0))] * n
+    e_sorted = np.sort(np.array(values, dtype=np.float64), kind="stable")
+    k = draw(st.integers(1, 8))
+    base = np.array(draw(st.lists(st.integers(0, k - 1), min_size=n,
+                                  max_size=n)), dtype=np.int64)
+    return e_sorted, base, draw(st.integers(1, n)), k
+
+
+class TestWindowMajority:
+    @given(_sorted_columns())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_two_pointer_walk(self, drawn):
+        e_sorted, base_sorted, q, k = drawn
+        starts, signal = _window_majority(e_sorted, base_sorted, q, k)
+        want_starts, want_signal = _two_pointer_windows(e_sorted,
+                                                        base_sorted, q, k)
+        np.testing.assert_array_equal(starts, want_starts)
+        np.testing.assert_array_equal(signal, want_signal)
+
+    def test_ties_go_to_the_first_class(self):
+        # every window holds one row of each class: class 0 wins
+        starts, signal = _window_majority(np.zeros(6), np.array(
+            [2, 1, 0, 2, 1, 0]), 3, 3)
+        np.testing.assert_array_equal(starts, [0, 0, 0, 0, 0, 0])
+        np.testing.assert_array_equal(signal, [0, 0, 0, 0, 0, 0])
 
 
 def _ref_write_csv(table, labels, path, label_column="label"):

@@ -92,12 +92,33 @@ def test_directions_and_seed_ranges():
 
 
 @pytest.fixture
-def two_copies(tmp_path):
+def two_trees(tmp_path):
+    """Two copies of this tree's package to import side by side."""
+    import shutil
+
+    sources = {}
+    for side in paired.SIDES:
+        sources[side] = str(tmp_path / side)
+        shutil.copytree(os.path.join(ROOT, "src", "graphboost"),
+                        os.path.join(sources[side], "graphboost"))
+    return sources
+
+
+def _edit(sources, module, old, new):
+    """Replace ``old`` by ``new`` in a module of the change's copy."""
+    path = os.path.join(sources["change"], "graphboost", module)
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    assert old in text
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text.replace(old, new))
+
+
+@pytest.fixture
+def two_copies(tmp_path, two_trees):
     """A tiny two-round model over 30 stored rows, a CSV of 5 new rows, and
     two copies of this tree to import side by side; with a function that
     moves the last bit of every score in the change's copy."""
-    import shutil
-
     import numpy as np
 
     from graphboost.appnp import AppnpConfig, init_model
@@ -117,22 +138,9 @@ def two_copies(tmp_path):
     rows = tmp_path / "rows.csv"
     rows.write_text("f0,f1\n" + "".join(f"{a},{b}\n" for a, b in
                                         rng.normal(size=(5, 2))))
-    sources = {}
-    for side in paired.SIDES:
-        sources[side] = str(tmp_path / side)
-        shutil.copytree(os.path.join(ROOT, "src", "graphboost"),
-                        os.path.join(sources[side], "graphboost"))
-
-    def move_last_bit():
-        boost_py = os.path.join(sources["change"], "graphboost", "boost.py")
-        with open(boost_py, encoding="utf-8") as fh:
-            text = fh.read()
-        vote_sum = "votes / votes.sum(axis=1, keepdims=True)"
-        assert vote_sum in text
-        with open(boost_py, "w", encoding="utf-8") as fh:
-            fh.write(text.replace(vote_sum, f"{vote_sum} * (1.0 + 2**-40)"))
-
-    return sources, str(model), str(rows), move_last_bit
+    vote_sum = "votes / votes.sum(axis=1, keepdims=True)"
+    return two_trees, str(model), str(rows), lambda: _edit(
+        two_trees, "boost.py", vote_sum, f"{vote_sum} * (1.0 + 2**-40)")
 
 
 def _check_summary(out, calls, rows):
@@ -164,3 +172,18 @@ def test_in_process_commands_on_two_copies_of_one_tree(two_copies):
     move_last_bit()
     with pytest.raises(AssertionError, match="call 0: CSV bytes"):
         paired.in_process(sources, model, rows, 4, command=True)
+
+
+def test_synth_calls_on_two_copies_of_one_tree(two_trees):
+    shape = paired.synth_shape("40,3,2,0.9,1")
+    assert shape == (40, 3, 2, 0.9, 1)
+    _check_summary(paired.synth_calls(two_trees, shape, 5), 5, 40)
+    # a change that moves the last bits of a noise column is caught
+    _edit(two_trees, "data.py", "gauss[:, gj].copy()",
+          "gauss[:, gj] * (1.0 + 2**-40)")
+    with pytest.raises(AssertionError, match="call 0: column bytes"):
+        paired.synth_calls(two_trees, shape, 2)
+    # and one that renames the labels
+    _edit(two_trees, "data.py", 'f"c{v}"', 'f"class{v}"')
+    with pytest.raises(AssertionError, match="call 0: labels"):
+        paired.synth_calls(two_trees, shape, 2)

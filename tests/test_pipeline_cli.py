@@ -13,8 +13,8 @@ from graphboost import boost, pipeline
 from graphboost.appnp import MAX_HIDDEN_DIM
 from graphboost.cli import main
 from graphboost.config import parse_config
-from graphboost.data import (CATEGORICAL, EncodingMeta, apply_encoder,
-                             load_csv)
+from graphboost.data import (CATEGORICAL, MAX_SYNTH_CELLS, EncodingMeta,
+                             apply_encoder, load_csv)
 from graphboost.graph import quantile_thresholds
 from graphboost.model_io import load_ensemble
 from graphboost.pipeline import (run_evaluate, run_predict, run_sweep,
@@ -735,6 +735,18 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: Unable to allocate 7.11 PiB")
         assert err.count("\n") == 1 and err.endswith("\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag", ["--n", "--m"])
+    def test_unindexable_synth_size_is_two(self, tmp_path, capsys, flag):
+        # used to end in a traceback: numpy's "Maximum allowed dimension
+        # exceeded" for --n, "high is out of bounds for int64" for --m
+        sizes = {"--n": 2000, "--m": 10, flag: 10**20}
+        assert main(["synth", "--out", str(tmp_path / "s"), flag,
+                     str(10**20)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: n={sizes['--n']} rows by m={sizes['--m']} columns too "
+            f"large: need n*m <= {MAX_SYNTH_CELLS} cells\n")
         assert list(tmp_path.iterdir()) == []
 
     def test_synth_output_in_missing_directory_is_two(self, tmp_path,
