@@ -359,7 +359,7 @@ def main(argv=None) -> int:
                     "bytes after each call")
             inputs = {"synth": dict(zip(("n", "m", "k", "rho", "seed"),
                                         args.synth))}
-            calls = synth_calls(sources, args.synth, args.calls)
+            summary = synth_calls(sources, args.synth, args.calls)
         else:
             call = ("whole run_predict calls (model load, ingest, labelling, "
                     "predictions CSV) of both packages in one process on the "
@@ -367,8 +367,8 @@ def main(argv=None) -> int:
                     if args.command else "single-row predict_ensemble calls "
                     "of both packages in one process on the same rows")
             inputs = {"model": args.in_process[0], "rows": args.in_process[1]}
-            calls = in_process(sources, *args.in_process, args.calls,
-                               args.command)
+            summary = in_process(sources, *args.in_process, args.calls,
+                                 args.command)
         return _write(args, checkouts, {
             "what": f"{call}, the first side alternating per call; per "
                     "side the median and quartiles (numpy percentile, "
@@ -377,7 +377,7 @@ def main(argv=None) -> int:
             **inputs,
             "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
             "numpy": np.__version__, "python": sys.version.split()[0],
-            "loadavg_1m_before": load, **calls})
+            "loadavg_1m_before": load, **summary})
     runs = []
     for spec in args.run:
         workload, _, seeds = spec.partition(":")
