@@ -1,5 +1,6 @@
-"""Paired perfbench runs of two commits, or paired single-row prediction
-calls of both in one process, summarised into one BENCH file.
+"""Paired perfbench runs of two commits, or paired calls of both in one
+process (prediction, data generation or training), summarised into one
+BENCH file.
 
     python benchmarks/paired.py --parent HEAD~1 --change HEAD \\
         --scratch /tmp/paired --name one_engine \\
@@ -17,6 +18,10 @@ calls of both in one process, summarised into one BENCH file.
     python benchmarks/paired.py --parent HEAD~1 --change HEAD \\
         --scratch /tmp/paired --name synthetic_calls \\
         --synth 2000,10,2,0.9,0 --calls 300
+
+    python benchmarks/paired.py --parent HEAD~1 --change HEAD \\
+        --scratch /tmp/paired --name fit_mixed_calls \\
+        --train fit.cfg --calls 60
 
 Each commit is exported with ``git archive`` into its own directory under
 ``--scratch`` (a plain checkout, so the repository's ``.git`` gains
@@ -44,12 +49,18 @@ predictions CSV), and the two sides' CSV files must be equal byte for byte
 after every call. ``--synth N,M,K,RHO,SEED`` instead alternates
 ``data.gen_synthetic(N, M, K, RHO, SEED)`` calls of the two packages and
 asserts that both give equal labels and equal column names and bytes on
-every call. The BENCH file then holds each side's per-call milliseconds
+every call. ``--train CONFIG`` instead alternates whole
+``pipeline.run_train`` calls of the two packages on one fit config, as
+``graphboost train`` runs it (ingest, encoding, fit, test report and
+``.gbe``), each side writing its model and report into its own temporary
+directory, and asserts that the two ``.gbe`` files are equal byte for
+byte after every call. The BENCH file then holds each side's per-call milliseconds
 (median and quartiles) and the calls in which the change was faster,
 slower or as fast.
 """
 
 import argparse
+import dataclasses
 import importlib
 import importlib.util
 import io
@@ -261,6 +272,33 @@ def _alternate_synth(packages: dict, shape: tuple,
     return times, shape[0]
 
 
+def _alternate_train(packages: dict, config: str,
+                     calls: int) -> tuple[dict, int]:
+    """Per side, the milliseconds of each of ``calls`` alternating
+    ``run_train`` calls on the fit config ``config``, and the cohort's
+    number of rows."""
+    modules = {side: {name: importlib.import_module(
+        f"{packages[side].__name__}.{name}") for name in ("config",
+                                                          "pipeline")}
+        for side in SIDES}
+    times = {side: [] for side in SIDES}
+    with tempfile.TemporaryDirectory() as out:
+        configs = {side: dataclasses.replace(
+            modules[side]["config"].load_config(config),
+            model_out=os.path.join(out, f"{side}.gbe"),
+            report_out=os.path.join(out, f"{side}.json")) for side in SIDES}
+        for call in range(calls):
+            order = SIDES if call % 2 == 0 else SIDES[::-1]
+            for side in order:
+                start = time.perf_counter()
+                outcome = modules[side]["pipeline"].run_train(configs[side])
+                times[side].append(1e3 * (time.perf_counter() - start))
+            with open(configs["parent"].model_out, "rb") as want, \
+                    open(configs["change"].model_out, "rb") as got:
+                assert got.read() == want.read(), f"call {call}: model bytes"
+    return times, outcome.ensemble.train_x.shape[0]
+
+
 def synth_shape(text: str) -> tuple:
     """``"2000,10,2,0.9,0"`` as ``gen_synthetic``'s (n, m, k, rho, seed)."""
     n, m, k, rho, seed = text.split(",")
@@ -314,6 +352,15 @@ def synth_calls(sources: dict, shape: tuple, calls: int) -> dict:
         packages, shape, calls))
 
 
+def train_calls(sources: dict, config: str, calls: int) -> dict:
+    """Alternating ``run_train`` calls of the ``graphboost`` trees under
+    ``sources`` on the fit config ``config``, summed up by
+    ``_paired_calls``. Raises AssertionError when the two sides write
+    different model bytes."""
+    return _paired_calls(sources, lambda packages: _alternate_train(
+        packages, config, calls))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", required=True, help="git revision")
@@ -333,12 +380,14 @@ def main(argv=None) -> int:
                       metavar="N,M,K,RHO,SEED",
                       help="a gen_synthetic cohort to generate again and "
                            "again")
+    mode.add_argument("--train", metavar="CONFIG",
+                      help="a fit config to train again and again")
     parser.add_argument("--command", action="store_true",
                         help="with --in-process, time whole run_predict "
                              "calls on all the rows")
     parser.add_argument("--calls", type=int, default=3000,
-                        help="calls per side with --in-process or "
-                             "--synth")
+                        help="calls per side with --in-process, --synth "
+                             "or --train")
     parser.add_argument("--out", default=ROOT, help="directory of the file")
     args = parser.parse_args(argv)
 
@@ -349,11 +398,18 @@ def main(argv=None) -> int:
                      change=_export(args.change, args.scratch))
     if args.command and not args.in_process:
         parser.error("--command needs --in-process")
-    if args.in_process or args.synth:
+    if args.in_process or args.synth or args.train:
         sources = {side: os.path.join(checkouts[side][1], "src")
                    for side in SIDES}
         load = os.getloadavg()[0]
-        if args.synth:
+        if args.train:
+            call = ("whole run_train calls (ingest, encoding, fit, test "
+                    "report, .gbe) of both packages in one process on the "
+                    "same fit config, asserting equal model bytes after "
+                    "each call")
+            inputs = {"config": args.train}
+            summary = train_calls(sources, args.train, args.calls)
+        elif args.synth:
             call = ("gen_synthetic calls of both packages in one process on "
                     "the same arguments, asserting equal labels and column "
                     "bytes after each call")

@@ -28,7 +28,12 @@ which hold the interpreter lock, so ``_block_plan`` makes as few blocks as
 the byte budget ``BLOCK_BYTES`` on that buffer allows, rounds their number
 up to a multiple of the threads, and splits the graphs evenly among them.
 The round's dropout masks are drawn once, by the first block to reach each
-epoch, and shared by all blocks (``_DropoutMasks``). ``forward``,
+epoch, and shared by all blocks (``_DropoutMasks``), unpacked once for the
+blocks that threads run side by side. A block keeps its learners'
+parameters as one C x P slab, a row per learner with named views of its
+weights and biases, and its Adam moments, gradients and best parameters
+as slabs of that shape, so that each Adam update is one pass over each
+quantity. ``forward``,
 ``backward``, ``propagate`` and ``train_weak`` are the C = 1 case of the
 same code. Each epoch's validation forward pass labels every row; a
 learner keeps the labels of the epoch whose parameters it keeps, so a
@@ -86,14 +91,14 @@ order.
 
 import logging
 import math
-import os
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, TrainingDiverged
-from .graph import CandidateGraph, GraphStack, SparseAdjacency
+from .graph import (CandidateGraph, GraphStack, SparseAdjacency, _map_threads,
+                    _thread_count)
 from .rng import substream
 
 log = logging.getLogger("graphboost.appnp")
@@ -198,6 +203,18 @@ def init_model(config: AppnpConfig, n_features: int, n_classes: int) -> AppnpMod
 def _stacked(model: AppnpModel) -> dict:
     """The model's parameters as stacks of one learner (views)."""
     return {name: getattr(model, name)[None] for name in _PARAMS}
+
+
+def _views(slab: np.ndarray, shapes: list) -> dict:
+    """The stacked (w1, b1, w2, b2) of C learners as views of a (C, P)
+    slab whose row c holds learner c's parameters flat, in that order,
+    with the one-learner ``shapes``."""
+    views, start = {}, 0
+    for name, shape in zip(_PARAMS, shapes):
+        stop = start + math.prod(shape)
+        views[name] = slab[:, start:stop].reshape((len(slab),) + shape)
+        start = stop
+    return views
 
 
 def _transposed(w: np.ndarray) -> np.ndarray:
@@ -307,10 +324,12 @@ class _Targets:
         """``loss`` of every learner of the stack ``p``, from the
         log-softmax of its logits."""
         ce = -np.take(logp, self._true)
-        # one dot and one decay term per learner, as in a one-graph run
-        return [float(np.dot(self._w, ce[c]) / self._total + weight_decay * (
-            np.sum(p["w1"][c] ** 2) + np.sum(p["w2"][c] ** 2)))
-            for c in range(ce.shape[0])]
+        # one dot per learner and one decay sum per layer, each learner's
+        # with the bits of a one-graph run
+        decay = weight_decay * (np.sum(p["w1"] ** 2, axis=(1, 2))
+                                + np.sum(p["w2"] ** 2, axis=(1, 2)))
+        return [float(np.dot(self._w, ce[c]) / self._total + decay[c])
+                for c in range(ce.shape[0])]
 
     def gradient(self, logp: np.ndarray) -> np.ndarray:
         """d(loss)/dZ of the cross-entropy term, in the frame, from the
@@ -526,10 +545,10 @@ def train_candidates(config: AppnpConfig, x: np.ndarray, adjacencies: list,
     shape = (x.shape[0], config.hidden_dim)
     blocks = [adjacencies[s] for s in _block_plan(
         len(adjacencies), 8 * math.prod(shape), workers)]
+    threads = _thread_count(workers, len(blocks))
     log.debug("training %d graphs in blocks of %s on %d thread(s)",
-              len(adjacencies), [len(b) for b in blocks],
-              _thread_count(workers, len(blocks)))
-    masks = _DropoutMasks(config, shape)
+              len(adjacencies), [len(b) for b in blocks], threads)
+    masks = _DropoutMasks(config, shape, threads)
 
     def train(block):
         return _train_block(config, x, block, y, w, train_mask, val_mask,
@@ -537,15 +556,6 @@ def train_candidates(config: AppnpConfig, x: np.ndarray, adjacencies: list,
 
     return [outcome for outcomes in _map_threads(train, blocks, workers)
             for outcome in outcomes]
-
-
-def _thread_count(workers: int, items: int) -> int:
-    """The threads, the calling one included, that ``_map_threads`` runs
-    ``items`` items on: ``min(workers, items, os.cpu_count())``, at least
-    1."""
-    if workers <= 1:  # os.cpu_count reads a file
-        return 1
-    return max(1, min(workers, items, os.cpu_count() or 1))
 
 
 def _block_plan(count: int, item_bytes: int, workers: int) -> list:
@@ -570,13 +580,21 @@ class _DropoutMasks:
     shared by all its blocks. Epoch e's mask is the (e + 1)-th
     ``_dropout_mask`` draw from the seed's "dropout" stream: the first
     block to reach epoch e draws it, and it is kept as packed bits,
-    N x H / 8 bytes. ``bits / keep`` has the bits of ``_dropout_mask``."""
+    N x H / 8 bytes. ``bits / keep`` has the bits of ``_dropout_mask``.
 
-    def __init__(self, config: AppnpConfig, shape: tuple):
+    The float masks of the latest epochs stay unpacked, read-only, for
+    the blocks that reach them later: one per thread that runs the
+    round's blocks, which move through the epochs side by side, as many
+    as ``BLOCK_BYTES`` holds and at least one."""
+
+    def __init__(self, config: AppnpConfig, shape: tuple, threads: int = 1):
         self._rng = substream(config.seed, "dropout")
         self._shape = shape
         self._keep = 1.0 - config.dropout
         self._packed: list = []
+        self._unpacked: dict = {}
+        self._slots = max(1, min(threads,
+                                 BLOCK_BYTES // (8 * math.prod(shape))))
         self._lock = threading.Lock()
 
     def __call__(self, epoch: int) -> np.ndarray:
@@ -584,52 +602,16 @@ class _DropoutMasks:
             while len(self._packed) <= epoch:
                 self._packed.append(np.packbits(
                     self._rng.random(self._shape) < self._keep))
-            packed = self._packed[epoch]
-        bits = np.unpackbits(packed, count=math.prod(self._shape))
-        return bits.reshape(self._shape) / self._keep
-
-
-def _map_threads(fn, items: list, workers: int) -> list:
-    """``[fn(item) for item in items]`` on up to ``workers`` threads.
-
-    Items are handed out in order, one at a time, to whichever thread is
-    free; the calling thread works too, so ``_thread_count`` - 1 threads
-    start, none for ``workers`` 0 or 1. If a call raises, no further item
-    is handed out; once every thread has finished, the error of the first
-    failed item is raised. Every earlier item was handed out before it and
-    has run to the end, so that is the error a serial loop raises.
-    """
-    threads = _thread_count(workers, len(items))
-    if threads == 1:
-        return [fn(item) for item in items]
-    results: list = [None] * len(items)
-    errors: dict = {}
-    todo = iter(enumerate(items))
-    lock = threading.Lock()
-
-    def work():
-        while True:
-            with lock:
-                i, item = (None, None) if errors else next(todo, (None, None))
-            if i is None:
-                return
-            try:
-                results[i] = fn(item)
-            except BaseException as exc:  # re-raised by the calling thread
-                with lock:
-                    errors[i] = exc
-                return
-
-    helpers = [threading.Thread(target=work, name=f"graphboost-block-{n}")
-               for n in range(1, threads)]
-    for helper in helpers:
-        helper.start()
-    work()
-    for helper in helpers:
-        helper.join()
-    if errors:
-        raise errors[min(errors)]
-    return results
+            mask = self._unpacked.get(epoch)
+            if mask is None:
+                bits = np.unpackbits(self._packed[epoch],
+                                     count=math.prod(self._shape))
+                mask = bits.reshape(self._shape) / self._keep
+                mask.flags.writeable = False
+                self._unpacked[epoch] = mask
+                if len(self._unpacked) > self._slots:
+                    del self._unpacked[min(self._unpacked)]
+            return mask
 
 
 def _diverged(config: AppnpConfig, p: dict, row: int, x: np.ndarray,
@@ -667,8 +649,15 @@ def _train_block(config: AppnpConfig, x: np.ndarray, adjacencies: list,
     """
     size = len(adjacencies)
     init = init_model(config, x.shape[1], n_classes)
-    p = {name: np.repeat(getattr(init, name)[None], size, axis=0)
-         for name in _PARAMS}
+    shapes = [getattr(init, name).shape for name in _PARAMS]
+    # Row c of the slab holds learner c's parameters, flat; the Adam
+    # moments, the gradients and the best parameters are slabs of the same
+    # layout, so Adam makes one pass per quantity and one assignment keeps
+    # the best.
+    slab = np.repeat(np.concatenate(
+        [getattr(init, name).ravel() for name in _PARAMS])[None], size,
+        axis=0)
+    p = _views(slab, shapes)
     n = x.shape[0]
     stack = GraphStack(adjacencies)
     # Logits stay in the graphs' frames; only dH0 goes back to row order.
@@ -695,11 +684,11 @@ def _train_block(config: AppnpConfig, x: np.ndarray, adjacencies: list,
                  TrainReport(0, errors[i], losses[i], False), labels[i])
                 for i in range(size)]
 
-    adam_m = {name: np.zeros_like(v) for name, v in p.items()}
-    adam_v = {name: np.zeros_like(v) for name, v in p.items()}
+    adam_m = np.zeros_like(slab)
+    adam_v = np.zeros_like(slab)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
-    best = {name: v.copy() for name, v in p.items()}
+    best = slab.copy()
     # the labels of the best parameters, in the frame
     best_labels = np.zeros((size, n),
                            dtype=np.min_scalar_type(n_classes - 1))
@@ -742,19 +731,20 @@ def _train_block(config: AppnpConfig, x: np.ndarray, adjacencies: list,
         del dz
         grads = _param_grads(p, x, hd, dmask, dh0, config.weight_decay,
                              scratch=hd)
+        grads = np.concatenate([grads[name].reshape(size, -1)
+                                for name in _PARAMS], axis=1)
         del dh0
         t = epoch + 1
-        for name, param in p.items():
-            adam_m[name] = beta1 * adam_m[name] + (1 - beta1) * grads[name]
-            adam_v[name] = (beta2 * adam_v[name]
-                            + (1 - beta2) * grads[name] ** 2)
-            m_hat = adam_m[name] / (1 - beta1 ** t)
-            v_hat = adam_v[name] / (1 - beta2 ** t)
-            param -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        adam_m = beta1 * adam_m + (1 - beta1) * grads
+        adam_v = beta2 * adam_v + (1 - beta2) * grads ** 2
+        m_hat = adam_m / (1 - beta1 ** t)
+        v_hat = adam_v / (1 - beta2 ** t)
+        slab -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
         r = _hidden(p, x, out=r)
         labels = _class_argmax(_frame_differences(
             stack, _head(p, r), config.teleport, config.prop_steps))
+        kept = []
         for i, err in enumerate(val.errors(labels)):
             if done[i]:
                 continue
@@ -762,18 +752,20 @@ def _train_block(config: AppnpConfig, x: np.ndarray, adjacencies: list,
             if err <= best_err[i]:
                 # a tie keeps the later, more-converged parameters and
                 # their labels but does not reset the patience clock
-                for name in _PARAMS:
-                    best[name][i] = p[name][i]
-                best_labels[i] = labels[i]
+                kept.append(i)
             if err < best_err[i]:
                 best_err[i], best_epoch[i] = err, epoch
             elif epoch - best_epoch[i] >= config.patience:
                 early_stopped[i] = done[i] = True
+        if kept:
+            best[kept] = slab[kept]
+            best_labels[kept] = labels[kept]
         del labels
         if all(done):
             break
 
     best_labels = stack.from_frame(best_labels)
+    best = _views(best, shapes)
     for i in range(size):
         if outcomes[i] is None:
             weights = (best[name][i].copy() for name in _PARAMS)

@@ -73,8 +73,9 @@ class BoostConfig:
     learning_rate: float = 1.0  # shrinkage on alpha
     weak: AppnpConfig = field(default_factory=AppnpConfig)
     expert_edges: tuple = ()  # (feature name or index, raw threshold)
-    # threads training candidate blocks; 0 and 1 train in the calling
-    # thread. The fitted model is the same bits at any value.
+    # threads enumerating the candidate graphs and training their blocks;
+    # 0 and 1 work in the calling thread. The fitted model is the same
+    # bits at any value.
     workers: int = 0
     seed: int = 0
 
@@ -275,7 +276,8 @@ def fit(config: BoostConfig, dataset: Dataset) -> Ensemble:
     names = dataset.encoder.feature_names()
     scales = dataset.encoder.feature_scales()
     candidates = enumerate_candidates(x, config.expert_edges, names, scales,
-                                      seed=derive_seed(config.seed, "graphs"))
+                                      seed=derive_seed(config.seed, "graphs"),
+                                      workers=config.workers)
     weights = np.zeros(len(y), dtype=np.float64)
     weights[train_mask] = 1.0 / train_mask.sum()
 

@@ -291,7 +291,8 @@ def fit_encoder(table: RawTable, labels: list[str], split: np.ndarray,
 
     Numeric columns are median-imputed and z-scored with train-split
     statistics only (sample sd, denominator N-1); constant columns map to
-    all zeros. Categorical columns are integer-coded by first appearance in
+    all zeros, and a column whose train median, mean or sd is not finite
+    (values near the float range) is a DataError. Categorical columns are integer-coded by first appearance in
     the train split, with missing as its own category. Labels are coded by
     sorted distinct value.
     """
@@ -307,10 +308,20 @@ def fit_encoder(table: RawTable, labels: list[str], split: np.ndarray,
             train_vals = col.numeric[train_rows]
             if np.all(np.isnan(train_vals)):
                 raise DataError(f"column {col.name!r}: all train values missing")
-            impute = float(np.nanmedian(train_vals))
-            filled = np.where(np.isnan(train_vals), impute, train_vals)
-            mean = float(np.mean(filled))
-            sd = float(np.std(filled, ddof=1)) if filled.size > 1 else 0.0
+            # Values near the float range overflow these sums and squares;
+            # that is reported below, not warned about.
+            with np.errstate(over="ignore", invalid="ignore"):
+                impute = float(np.nanmedian(train_vals))
+                filled = np.where(np.isnan(train_vals), impute, train_vals)
+                mean = float(np.mean(filled))
+                sd = (float(np.std(filled, ddof=1)) if filled.size > 1
+                      else 0.0)
+            for stat, value in (("median", impute), ("mean", mean),
+                                ("sd", sd)):
+                if not math.isfinite(value):
+                    raise DataError(
+                        f"column {col.name!r}: the train {stat} is {value}, "
+                        "so its values are too large to standardize")
             metas.append(NumericMeta(col.name, impute, mean, sd))
         else:
             # Missing (None) is its own category; codes follow first

@@ -2,7 +2,8 @@
 
 Each candidate links samples whose values in one feature differ by at most
 a threshold gamma, with gamma taken from the 1/16, 1/8, and 1/4 quantiles
-of the pairwise absolute differences of that feature. Adjacency matrices
+of the pairwise absolute differences of that feature, each snapped to the
+widest realized difference within rounding of it. Adjacency matrices
 are symmetrically normalized with self-loops:
 (D+I)^{-1/2} (A+I) (D+I)^{-1/2}.
 
@@ -26,11 +27,13 @@ every line, and for one graph they are the graph's own arrays.
 A column is sorted once, by ``SortedColumn.of``, and every graph on it
 shares that sort: ``graphs_of`` builds each distinct (feature, gamma)
 graph of a matrix once over one sort per feature, for the candidates of a
-fit and for the stored graphs of an ensemble alike. A ``CandidateGraph``
-over stored rows keeps its column, and ``join`` merges new rows into it
-only where k propagation steps from the new rows read it: their
-dependency cone, about 2k + 1 half-windows around them. Left of the first
-window that holds a new row the merged graph is the stored one, so the
+fit and for the stored graphs of an ensemble alike, and the thresholds are
+taken from that sort too. ``enumerate_candidates`` hands the features to
+up to ``workers`` threads. A ``CandidateGraph`` over stored rows keeps its
+column, and ``join`` merges new rows into it only where k propagation
+steps from the new rows read it: their dependency cone, about 2k + 1
+half-windows around them. Left of the first window that holds a new row
+the merged graph is the stored one, so the
 merged run's prefix sums equal those of a run over the stored rows alone
 up to a position that moves one window left per step. ``Cone.run`` takes
 the lines of the stored rows and of the new rows, each in their own row
@@ -42,7 +45,9 @@ the bits of the full run. A batch whose cone spans the sort does the full
 run's work.
 """
 
-from dataclasses import dataclass, replace
+import os
+import threading
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -51,6 +56,12 @@ from .rng import derive_seed, substream
 
 QUANTILE_PS = (1 / 16, 1 / 8, 1 / 4)
 DEFAULT_PAIR_CAP = 100_000
+# Quantile thresholds snap to the widest realized gap within
+# tau = SNAP_ULPS * eps * max|v| of them. Z-scoring moves two pairs at one
+# raw gap at most 6 eps max|v| apart, rounding gamma + tau costs 1 more,
+# and a decimal CSV cell's own rounding at most 4 more when the raw range
+# holds 0 (README); 16, a power of two, keeps tau exact.
+SNAP_ULPS = 16
 
 
 @dataclass(frozen=True)
@@ -233,27 +244,25 @@ class GraphStack:
         return out.reshape(self.shape + frame.shape[:-2])
 
 
-def quantile_thresholds(values: np.ndarray, seed: int = 0,
-                        feature: int = 0) -> ThresholdSet:
-    """Nearest-rank (lower) quantiles of the pairwise absolute differences.
-
-    The p-quantile is the element at 1-based index ceil(p*L) of the
-    ascending-sorted difference multiset. When the number of pairs exceeds
-    ``DEFAULT_PAIR_CAP`` the multiset is estimated from that many uniformly
-    sampled index pairs, deterministically under ``seed``.
-    """
-    v = np.asarray(values, dtype=np.float64).ravel()
-    n = v.size
+def _pair_quantiles(column: "SortedColumn", seed: int,
+                    feature: int) -> list[float]:
+    """Nearest-rank (lower) quantiles of the pairwise absolute differences
+    of the column, before snapping: the element at 1-based index
+    ceil(p*L) of the ascending-sorted difference multiset, estimated from
+    ``DEFAULT_PAIR_CAP`` pairs of rows drawn under ``seed`` when there are
+    more pairs than that."""
+    v_sorted = column.values
+    n = v_sorted.size
     if n < 2:
         raise DataError("need at least 2 values for quantile thresholds")
-    if not np.all(np.isfinite(v)):
-        raise DataError("non-finite feature values")
-
     n_pairs = n * (n - 1) // 2
     if n_pairs <= DEFAULT_PAIR_CAP:
+        # the multiset of |v_i - v_j| does not depend on the row order
         iu = np.triu_indices(n, k=1)
-        diffs = np.abs(v[iu[0]] - v[iu[1]])
+        diffs = v_sorted[iu[1]] - v_sorted[iu[0]]
     else:
+        v = np.empty_like(v_sorted)  # the pairs are drawn by row
+        v[column.order] = v_sorted
         rng = substream(seed, "pairs", feature)
         i = rng.integers(0, n, size=DEFAULT_PAIR_CAP)
         j = rng.integers(0, n - 1, size=DEFAULT_PAIR_CAP)
@@ -261,11 +270,44 @@ def quantile_thresholds(values: np.ndarray, seed: int = 0,
         diffs = np.abs(v[i] - v[j])
     diffs.sort()
     L = diffs.size
-    gammas = []
-    for p in QUANTILE_PS:
-        rank = min(max(int(np.ceil(p * L)), 1), L)
-        gammas.append(float(diffs[rank - 1]))
-    return ThresholdSet(feature, tuple(gammas))
+    return [float(diffs[min(max(int(np.ceil(p * L)), 1), L) - 1])
+            for p in QUANTILE_PS]
+
+
+def _snap(column: "SortedColumn", gamma: float) -> float:
+    """The widest realized gap fl(v_q - v_p) of the column that is at most
+    gamma + tau, tau = ``SNAP_ULPS`` * eps * max|v|: gamma itself where no
+    pair reads a gap in (gamma, gamma + tau], as on continuous columns.
+    Each row's widest such partner ends its window at gamma + tau, which
+    ``_ends`` finds with the exact predicate. No pair reads a gap between
+    the snapped threshold and gamma + tau, so those are the windows of the
+    snapped threshold too, and the column keeps them for its graph."""
+    v = column.values
+    tau = SNAP_ULPS * np.finfo(np.float64).eps * max(-v[0], v[-1])
+    ends = _ends(v, gamma + tau, np.arange(v.size, dtype=np.int64))
+    snapped = float((v[ends - 1] - v).max())
+    column.ends[snapped] = ends
+    return snapped
+
+
+def quantile_thresholds(values, seed: int = 0,
+                        feature: int = 0) -> ThresholdSet:
+    """The snapped quantile thresholds of a ``SortedColumn``, or of raw
+    ``values``, which it sorts.
+
+    Each threshold starts as a nearest-rank (lower) quantile of the
+    pairwise absolute differences (``_pair_quantiles``), a gap that some
+    pair of rows realizes, and is snapped up to the widest realized gap
+    within tau of it (``_snap``). On a column of discrete levels,
+    z-scoring makes equal raw gaps differ in their last bits, and the
+    snap puts every pair at the quantile's raw gap inside the graph, as
+    real arithmetic would; elsewhere it changes nothing.
+    """
+    column = (values if isinstance(values, SortedColumn)
+              else SortedColumn.of(values))
+    gammas = _pair_quantiles(column, seed, feature)
+    snapped = {g: _snap(column, g) for g in dict.fromkeys(gammas)}
+    return ThresholdSet(feature, tuple(snapped[g] for g in gammas))
 
 
 def _bisect(v_sorted: np.ndarray, x: np.ndarray, gamma: float,
@@ -338,6 +380,10 @@ class SortedColumn:
 
     order: np.ndarray  # int64
     values: np.ndarray  # float64
+    # The exact window ends of the thresholds that ``_snap`` searched, for
+    # ``build_adjacency`` to take; written by the one thread that takes
+    # the column's thresholds.
+    ends: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
     def of(cls, values: np.ndarray) -> "SortedColumn":
@@ -363,9 +409,11 @@ def build_adjacency(values, gamma: float,
         raise DataError(f"gamma must be a non-negative number, got {gamma!r}")
     column = (values if isinstance(values, SortedColumn)
               else SortedColumn.of(values))
-    n = column.order.size
-    adjacency = _from_ends(column.order, _ends(column.values, gamma,
-                                               np.arange(n, dtype=np.int64)))
+    hi = column.ends.get(gamma)
+    if hi is None:
+        hi = _ends(column.values, gamma,
+                   np.arange(column.order.size, dtype=np.int64))
+    adjacency = _from_ends(column.order, hi)
     edge_count = int(np.sum(adjacency.hi - adjacency.lo - 1)) // 2
     return CandidateGraph(feature, float(gamma), adjacency, edge_count,
                           column)
@@ -565,45 +613,107 @@ def identity_adjacency(n: int) -> SparseAdjacency:
 def graphs_of(X: np.ndarray):
     """``graph(j, gamma)``: ``build_adjacency`` of column j of X at gamma,
     built once per distinct (j, gamma) over one ``SortedColumn`` of
-    column j, made on first use."""
+    column j, made on first use and also returned by ``graph.column(j)``.
+    Threads may share it while no two of them ask for the same column."""
     columns: dict = {}
     graphs: dict = {}
 
+    def column(j: int) -> SortedColumn:
+        if j not in columns:
+            columns[j] = SortedColumn.of(X[:, j])
+        return columns[j]
+
     def graph(j: int, gamma: float) -> CandidateGraph:
         if (j, gamma) not in graphs:
-            if j not in columns:
-                columns[j] = SortedColumn.of(X[:, j])
-            graphs[(j, gamma)] = build_adjacency(columns[j], gamma,
-                                                 feature=j)
+            graphs[(j, gamma)] = build_adjacency(column(j), gamma, feature=j)
         return graphs[(j, gamma)]
 
+    graph.column = column
     return graph
+
+
+def _thread_count(workers: int, items: int) -> int:
+    """The threads, the calling one included, that ``_map_threads`` runs
+    ``items`` items on: ``min(workers, items, os.cpu_count())``, at least
+    1."""
+    if workers <= 1:  # os.cpu_count reads a file
+        return 1
+    return max(1, min(workers, items, os.cpu_count() or 1))
+
+
+def _map_threads(fn, items: list, workers: int) -> list:
+    """``[fn(item) for item in items]`` on up to ``workers`` threads.
+
+    Items are handed out in order, one at a time, to whichever thread is
+    free; the calling thread works too, so ``_thread_count`` - 1 threads
+    start, none for ``workers`` 0 or 1. If a call raises, no further item
+    is handed out; once every thread has finished, the error of the first
+    failed item is raised. Every earlier item was handed out before it and
+    has run to the end, so that is the error a serial loop raises.
+    """
+    threads = _thread_count(workers, len(items))
+    if threads == 1:
+        return [fn(item) for item in items]
+    results: list = [None] * len(items)
+    errors: dict = {}
+    todo = iter(enumerate(items))
+    lock = threading.Lock()
+
+    def work():
+        while True:
+            with lock:
+                i, item = (None, None) if errors else next(todo, (None, None))
+            if i is None:
+                return
+            try:
+                results[i] = fn(item)
+            except BaseException as exc:  # re-raised by the calling thread
+                with lock:
+                    errors[i] = exc
+                return
+
+    helpers = [threading.Thread(target=work, name=f"graphboost-worker-{n}")
+               for n in range(1, threads)]
+    for helper in helpers:
+        helper.start()
+    work()
+    for helper in helpers:
+        helper.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def enumerate_candidates(X: np.ndarray,
                          expert_edges: list | tuple = (),
                          feature_names: list[str] | None = None,
                          feature_scales: np.ndarray | None = None,
-                         seed: int = 0) -> list[CandidateGraph]:
+                         seed: int = 0, workers: int = 0) -> list[CandidateGraph]:
     """All 3M quantile candidates plus one per expert edge spec.
 
     Ordering: feature index ascending, then gamma ascending (duplicates
     kept), expert candidates appended last. Expert thresholds are given in
     raw feature units, must be non-negative (``inf`` links every pair) and
-    are divided by ``feature_scales`` before use. Each distinct
-    (feature, gamma) graph is built once; its repeats are that graph.
+    are divided by ``feature_scales`` before use, unsnapped. Each distinct
+    (feature, gamma) graph is built once; its repeats are that graph. Up
+    to ``workers`` threads sort, threshold and build the features'
+    quantile graphs, one feature at a time each; the list is the same at
+    any value.
     """
     X = np.asarray(X, dtype=np.float64)
     n, m = X.shape
     if m < 1:
         raise DataError("need at least one feature")
     graph = graphs_of(X)
-    candidates = []
-    for j in range(m):
-        ts = quantile_thresholds(X[:, j], seed=derive_seed(seed, "pairs", j),
+
+    def quantile_graphs(j: int) -> list:
+        ts = quantile_thresholds(graph.column(j),
+                                 seed=derive_seed(seed, "pairs", j),
                                  feature=j)
-        for gamma in ts.gammas:
-            candidates.append(graph(j, gamma))
+        return [graph(j, gamma) for gamma in ts.gammas]
+
+    candidates = [c for graphs in _map_threads(quantile_graphs, range(m),
+                                               workers) for c in graphs]
     for spec in expert_edges:
         name, threshold = spec
         if isinstance(name, str):

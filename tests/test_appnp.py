@@ -638,6 +638,82 @@ class TestTrainCandidates:
                     np.testing.assert_array_equal(a, b)
                 np.testing.assert_array_equal(got[2], want[2])
 
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_blocks_match_solo_runs_that_stop_and_diverge_apart(
+            self, workers, monkeypatch):
+        # A column near the float range makes four learners' hidden
+        # activations overflow at epoch 1, a blown-up graph diverges at
+        # epoch 0, and the rest stop early at different epochs. Blocks of
+        # 3 learners share the round's unpacked dropout masks.
+        x, y, w, train, val, graphs = self._problem(seed=1)
+        n = len(y)
+        x = np.column_stack([x, 1e306 * (x[:, 1] > 0.5)])
+        pos = np.arange(n)
+        blowup = SparseAdjacency(n, pos, pos, pos + 1, np.full(n, 1e200))
+        graphs.insert(2, dataclasses.replace(graphs[-1], adjacency=blowup))
+        cfg = AppnpConfig(hidden_dim=6, prop_steps=3, teleport=0.2,
+                          dropout=0.3, learning_rate=3.0, max_epochs=40,
+                          patience=8, seed=2)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(appnp, "BLOCK_BYTES", 3 * n * cfg.hidden_dim * 8)
+        got = train_candidates(cfg, x, [g.adjacency for g in graphs], y, w,
+                               train, val, n_classes=2, workers=workers)
+        diverged, stopped = set(), set()
+        for graph, outcome in zip(graphs, got):
+            try:
+                model, report = train_weak(cfg, x, graph.adjacency, y, w,
+                                           train, val, n_classes=2)
+            except TrainingDiverged as exc:
+                assert isinstance(outcome, TrainingDiverged)
+                assert (str(outcome), outcome.epoch) == (str(exc), exc.epoch)
+                diverged.add(exc.epoch)
+                continue
+            assert outcome[1] == report and report.early_stopped
+            stopped.add(report.epochs_run)
+            for a, b in zip(outcome[0].copy_weights(), model.copy_weights()):
+                assert_same_bits(a, b)
+            assert_training_labels(model, outcome[2], x, graph)
+        assert diverged == {0, 1} and len(stopped) > 1
+
+    def test_decay_sums_per_layer_match_per_learner_sums(self):
+        # the block sums each layer's squares over axes (1, 2) of a slab
+        # view at once; each learner's sum keeps the bits of its own
+        rng = np.random.default_rng(17)
+        for _ in range(2000):
+            c, h = (int(v) for v in rng.integers(1, [12, 80]))
+            m, k = (int(v) for v in rng.integers(1, [300, 10]))
+            shapes = [(h, m), (h,), (k, h), (k,)]
+            slab = rng.normal(size=(c, h * m + h + k * h + k))
+            p = appnp._views(slab, shapes)
+            for name in ("w1", "w2"):
+                got = np.sum(p[name] ** 2, axis=(1, 2))
+                want = [np.sum(np.ascontiguousarray(p[name][i]) ** 2)
+                        for i in range(c)]
+                assert_same_bits(got, want)
+
+    def test_masks_unpacked_once_per_epoch_for_side_by_side_blocks(
+            self, monkeypatch):
+        # a holder keeps one unpacked mask per thread, read-only, and the
+        # latest epochs'; an evicted one is unpacked again, same bits
+        n, h = 50, 4
+        cfg = AppnpConfig(hidden_dim=h, dropout=0.3, seed=5)
+        monkeypatch.setattr(appnp, "BLOCK_BYTES", 10 * n * h * 8)
+        holder = appnp._DropoutMasks(cfg, (n, h), threads=2)
+        first = holder(0)
+        assert holder(1) is not first and holder(0) is first
+        assert not first.flags.writeable
+        holder(2)  # drops epoch 0's
+        again = holder(0)
+        assert again is not first
+        assert_same_bits(again, first)
+        # never more than BLOCK_BYTES of unpacked masks, nor fewer than 1
+        monkeypatch.setattr(appnp, "BLOCK_BYTES", 1)
+        holder = appnp._DropoutMasks(cfg, (n, h), threads=2)
+        mask = holder(0)
+        assert holder(0) is mask and holder(1) is not holder(0)
+
     @settings(max_examples=50, deadline=None)
     @given(k=st.sampled_from([1, 2, 3, 9]), hidden=st.integers(1, 12),
            count=st.integers(1, 9), cap=st.integers(1, 5),

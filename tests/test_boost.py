@@ -342,7 +342,8 @@ class TestFit:
             helpers.append(len(started))
             started.clear()
         assert len(outputs) == 1
-        assert helpers == [0, 0, 2, 4]  # workers - 1 per round, 2 rounds
+        # workers - 1 for the candidate enumeration and per round, 2 rounds
+        assert helpers == [0, 0, 3, 6]
 
     def test_repeated_candidates_train_once_and_pick_the_same_round(
             self, monkeypatch):

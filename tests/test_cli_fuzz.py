@@ -1,6 +1,7 @@
 """Byte-mutated CSVs and configs through the command line, in process:
 every ``train``, ``predict`` and ``evaluate`` run ends with exit code 0 or
-2, never with an uncaught exception."""
+2, never with an uncaught exception. And every model that ``train``
+writes predicts and evaluates its own training file."""
 
 import contextlib
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from graphboost.cli import main
+from graphboost.model_io import load_ensemble, save_ensemble
 from graphboost.pipeline import run_synth
 
 # Small enough that a one-byte change to a number (rounds 91, max_epochs
@@ -93,3 +95,65 @@ def test_mutated_input_exits_0_or_2(workdir, target, edits):
             argv = [target, "--model", "good.gbe", "--data", "fuzz.csv",
                     "--out", "fuzz.out"]
         assert main(argv) in (0, 2)
+
+
+# Cells that stress the encoder and the model file: magnitudes near the
+# float range, subnormals, ties, and numeric-looking text in a column that
+# one non-number makes categorical.
+CELLS = st.one_of(
+    st.sampled_from([1e154, 1e200, 1e300, 1.7e308, -1e308, 1e-300, 5e-324,
+                     0.0, 1.0]).map(repr),
+    st.floats(-1e6, 1e6).map(repr), st.sampled_from(["NA", "1", "2"]))
+
+
+@st.composite
+def _cohorts(draw):
+    """A small CSV's text and the split fractions to train on it: up to 5
+    classes, a column of a few levels at some scale plus noise, and two
+    columns whose cells come from a few drawn ones (heavy ties)."""
+    n = draw(st.integers(12, 40))
+    k = draw(st.integers(2, 5))
+    scale = draw(st.sampled_from([1.0, 1e-300, 1e100, 1e154, 1e300]))
+    x = [repr(scale * draw(st.sampled_from([0.0, 1.0, 2.0, -1.0]))
+              + draw(st.floats(-1.0, 1.0))) for _ in range(n)]
+    y, code = ([draw(st.sampled_from(pool)) for _ in range(n)] for pool in (
+        draw(st.lists(CELLS, min_size=1, max_size=4)),
+        draw(st.lists(st.sampled_from(["1", "2", "3", "NA", "x"]),
+                      min_size=1, max_size=4))))
+    lines = ["x,y,code,label"] + [f"{a},{b},{c},c{i % k}" for i, (a, b, c)
+                                  in enumerate(zip(x, y, code))]
+    split = draw(st.sampled_from(["0.6, 0.2, 0.2", "0.34, 0.33, 0.33",
+                                  "0.8, 0.1, 0.1"]))
+    return "\n".join(lines) + "\n", split
+
+
+@pytest.fixture(scope="module")
+def own_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("own")
+
+
+@settings(max_examples=150, deadline=None)
+@given(cohort=_cohorts())
+# x = 1e200 * i: the squares in the sd overflowed, the column encoded as
+# all zeros, and train wrote a model with sd inf that predict rejected
+@example(cohort=("x,y,code,label\n" + "".join(
+    f"{1e200 * i!r},{i % 3},1,c{i % 2}\n" for i in range(30)),
+    "0.6, 0.2, 0.2"))
+def test_every_trained_model_scores_its_own_file(own_dir, cohort):
+    # whenever train exits 0, its model predicts and evaluates the file it
+    # was trained on, and loads and saves again byte for byte
+    text, split = cohort
+    with contextlib.chdir(own_dir):
+        Path("own.csv").write_text(text)
+        Path("own.cfg").write_bytes(
+            CONFIG.replace(b"s_train.csv", b"own.csv")
+            .replace(b"0.6, 0.2, 0.2", split.encode())
+            .replace(b"rounds = 1", b"rounds = 2"))
+        if main(["train", "--config", "own.cfg"]) != 0:
+            return
+        for command in ("predict", "evaluate"):
+            assert main([command, "--model", "fuzz.gbe", "--data",
+                         "own.csv", "--out", "own.out"]) == 0, command
+        save_ensemble(load_ensemble("fuzz.gbe"), "again.gbe")
+        assert Path("again.gbe").read_bytes() == \
+            Path("fuzz.gbe").read_bytes()

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -192,6 +193,25 @@ class TestFitEncoder:
         table, labels = self._table(tmp_path, "v,label\nNA,a\nNA,b\n")
         with pytest.raises(DataError, match="all train values missing"):
             fit_encoder(table, labels, np.array([TRAIN, TRAIN]))
+
+    @pytest.mark.parametrize("values, stat", [
+        (["1e308", "1.7e308"], "median"),  # the two middle values' mean
+        (["1e308"] * 3, "mean"),
+        ([repr(1e200 * i) for i in range(60)], "sd"),  # the squares
+        (["1e308", "-1e308"] * 3, "sd")])
+    def test_overflowing_statistics_rejected(self, tmp_path, values, stat):
+        # used to encode the column as all zeros, without an error, and
+        # to write a model that no command loads; numpy's overflow
+        # warnings stay quiet (the filter turns one into an error)
+        text = "v,label\n" + "".join(f"{v},{'ab'[i % 2]}\n"
+                                      for i, v in enumerate(values))
+        table, labels = self._table(tmp_path, text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=(
+                    f"^column 'v': the train {stat} is (-)?inf, so its "
+                    "values are too large to standardize$")):
+                fit_encoder(table, labels, np.full(len(values), TRAIN))
 
     def test_standardization_invariant(self, tmp_path):
         rng = np.random.default_rng(0)

@@ -5,6 +5,12 @@ oracle, the normalized matrix against dense computation, and the
 prefix-sum multiply against a scipy.sparse matrix built from the windows.
 """
 
+import importlib.util
+import math
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -12,10 +18,17 @@ from hypothesis import given, settings, strategies as st
 
 from graphboost import graph
 from graphboost.appnp import propagate
+from graphboost.config import load_config
+from graphboost.data import fit_encoder, gen_synthetic, split_rows
 from graphboost.errors import DataError
-from graphboost.graph import (GraphStack, SortedColumn, build_adjacency,
-                              enumerate_candidates, graphs_of,
-                              identity_adjacency, quantile_thresholds)
+from graphboost.graph import (QUANTILE_PS, GraphStack, SortedColumn,
+                              build_adjacency, enumerate_candidates,
+                              graphs_of, identity_adjacency,
+                              quantile_thresholds)
+from graphboost.pipeline import _prepare_dataset
+from graphboost.rng import derive_seed, substream
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def brute_force_edges(values, gamma):
@@ -121,6 +134,154 @@ class TestQuantileThresholds:
     def test_too_few_values(self):
         with pytest.raises(DataError):
             quantile_thresholds(np.array([1.0]))
+
+
+def _sampled_quantiles(values, seed, feature):
+    """The unsnapped thresholds of a column with more than
+    ``DEFAULT_PAIR_CAP`` pairs, as they were drawn before thresholds took
+    a sorted column: pairs of row indices of the raw column."""
+    v = np.asarray(values, dtype=np.float64)
+    rng = substream(seed, "pairs", feature)
+    i = rng.integers(0, v.size, size=graph.DEFAULT_PAIR_CAP)
+    j = rng.integers(0, v.size - 1, size=graph.DEFAULT_PAIR_CAP)
+    diffs = np.sort(np.abs(v[i] - v[j + (j >= i)]))
+    return [float(diffs[math.ceil(p * diffs.size) - 1]) for p in QUANTILE_PS]
+
+
+@st.composite
+def _level_columns(draw):
+    """Integer levels k and the raw values of a CSV column of them: k
+    itself, at an offset, or k / 10 written with one decimal, over a raw
+    range that holds 0; with the values z-scored as the encoder does."""
+    n = draw(st.integers(2, 60))
+    decimal = draw(st.booleans())
+    if decimal:
+        low, high = draw(st.integers(-400, 0)), draw(st.integers(0, 400))
+    else:
+        low = draw(st.sampled_from([0, -7, 1000, -10**6, 2**40]))
+        low += draw(st.integers(-30, 30))
+        high = low + draw(st.integers(0, 40))
+    levels = [low, high] + draw(st.lists(st.integers(low, high),
+                                         min_size=n - 2, max_size=n - 2))
+    levels = draw(st.permutations(levels))
+    raw = np.array([float(f"{k}e-1") if decimal else float(k)
+                    for k in levels])
+    mean, sd = float(np.mean(raw)), float(np.std(raw, ddof=1))
+    v = (raw - mean) / sd if sd > 0.0 else np.zeros(n)
+    return np.array(levels), v
+
+
+class TestSnappedThresholds:
+    """A quantile threshold snaps to the widest realized gap within tau of
+    it. On z-scored discrete columns its graph is then the graph of real
+    arithmetic on the raw levels; on continuous columns it does not
+    move."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_level_columns())
+    def test_snapped_graph_is_the_real_arithmetic_graph(self, column):
+        levels, v = column
+        n = levels.size
+        gaps = sorted(abs(int(a) - int(b)) for i, a in enumerate(levels)
+                      for b in levels[i + 1:])
+        column = SortedColumn.of(v)
+        ts = quantile_thresholds(column)
+        for gamma, p in zip(ts.gammas, QUANTILE_PS):
+            real = gaps[max(math.ceil(p * len(gaps)), 1) - 1]
+            want = {(i, j) for i in range(n) for j in range(i + 1, n)
+                    if abs(int(levels[i]) - int(levels[j])) <= real}
+            # the windows that the snap searched are those of a new search
+            got, fresh = build_adjacency(column, gamma), build_adjacency(v,
+                                                                         gamma)
+            assert got.adjacency.hi is column.ends[gamma]
+            for name in ("order", "lo", "hi", "values"):
+                assert_same_bits(getattr(got.adjacency, name),
+                                 getattr(fresh.adjacency, name))
+            assert edges_of(got) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(_level_columns())
+    def test_snap_is_idempotent_and_monotone_in_p(self, column):
+        _, v = column
+        column = SortedColumn.of(v)
+        iu = np.triu_indices(v.size, k=1)
+        diffs = np.sort(column.values[iu[1]] - column.values[iu[0]])
+        snapped = []
+        for p in (1 / 64, *QUANTILE_PS, 1 / 2, 3 / 4, 1.0):
+            gamma = float(diffs[max(math.ceil(p * diffs.size), 1) - 1])
+            snapped.append(graph._snap(column, gamma))
+            assert snapped[-1] >= gamma
+            assert graph._snap(column, snapped[-1]) == snapped[-1]
+        assert snapped == sorted(snapped)
+
+    def test_wide_levels_one_ulp_apart_merge(self):
+        # 16 levels z-scored: the 1/8 and 1/4 quantiles are both "one
+        # level" but read different gaps, so their graphs differed
+        rng = np.random.default_rng(0)
+        raw = rng.integers(0, 16, size=400).astype(float)
+        v = (raw - raw.mean()) / raw.std(ddof=1)
+        column = SortedColumn.of(v)
+        iu = np.triu_indices(v.size, k=1)
+        one_level = np.abs(raw[iu[0]] - raw[iu[1]]) == 1.0
+        realized = np.unique(np.abs(v[iu[0]] - v[iu[1]])[one_level])
+        assert realized.size > 1
+        for gamma in realized:
+            snapped = graph._snap(column, float(gamma))
+            assert snapped == realized[-1]
+            assert build_adjacency(column, snapped).edge_count == np.sum(
+                np.abs(raw[iu[0]] - raw[iu[1]]) <= 1.0)
+
+    def test_sampled_pairs_are_drawn_by_row(self):
+        # the sorted column's sampled quantiles are those of the raw one
+        rng = np.random.default_rng(2)
+        for n in (448, 800, 2000):
+            v = rng.normal(size=n)
+            for seed in (0, 7):
+                assert graph._pair_quantiles(SortedColumn.of(v), seed, 3) \
+                    == _sampled_quantiles(v, seed, 3)
+
+    @staticmethod
+    def _unmoved(x, seed):
+        """Per feature of x, its snapped and unsnapped gammas under the
+        fit seed ``seed``, as ``enumerate_candidates`` draws them."""
+        for j in range(x.shape[1]):
+            column = SortedColumn.of(x[:, j])
+            draw = derive_seed(derive_seed(seed, "graphs"), "pairs", j)
+            yield (quantile_thresholds(column, draw, j).gammas,
+                   tuple(graph._pair_quantiles(column, draw, j)))
+
+    def test_criterion_09_gammas_do_not_move(self):
+        pairs = []
+        for seed in range(5):
+            table, labels = gen_synthetic(2000, 10, 2, 0.0, seed=seed)
+            tags = split_rows(2000, (0.7, 0.15, 0.15), seed, labels)
+            ds, _ = fit_encoder(table, labels, tags)
+            pairs += self._unmoved(ds.X, seed)
+        assert len(pairs) * 3 == 150
+        for snapped, unsnapped in pairs:
+            assert snapped == unsnapped
+
+    @pytest.mark.parametrize("workload", ["fit-continuous", "predict"])
+    def test_benchmark_cohort_gammas_do_not_move(self, workload, tmp_path):
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_cohorts", os.path.join(ROOT, "perfbench",
+                                              "cohorts.py"))
+        cohorts = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(cohorts)
+        if workload == "predict":
+            seed = cohorts.PREDICT_COHORT_SEED
+            header, rows, labels, _, _ = cohorts.predict_rows(1, 0)
+        else:
+            seed = cohorts.FIT_COHORT_SEED
+            header, rows, labels = cohorts.continuous_rows(
+                cohorts.N_COHORT, cohorts.N_FEATURES, seed)
+        data, config = tmp_path / "cohort.csv", tmp_path / "fit.cfg"
+        cohorts.write_csv(str(data), header, rows, labels)
+        cohorts.write_config(str(config), str(data), seed, {}, 1, 0, None,
+                             "m.gbe", "r.json")
+        x = _prepare_dataset(load_config(str(config))).X
+        for snapped, unsnapped in self._unmoved(x, seed):
+            assert snapped == unsnapped
 
 
 class TestBuildAdjacency:
@@ -633,6 +794,58 @@ class TestSortedColumn:
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(DataError, match="non-finite feature values"):
                 SortedColumn.of(np.array([0.0, bad, 1.0]))
+
+    @pytest.mark.parametrize("workers", [0, 1, 2, 3, 8])
+    def test_threads_enumerate_as_one_thread(self, workers, monkeypatch):
+        # 600 rows sample their pairs; each of the 4 features is sorted
+        # once, on whichever thread takes it, and the list is the serial
+        # one
+        rng = np.random.default_rng(12)
+        levels = rng.integers(0, 16, size=600).astype(float)
+        x = np.column_stack([levels, (levels - levels.mean()) / levels.std(),
+                             rng.normal(size=600), np.zeros(600)])
+        experts = [(1, 0.0), (2, np.inf), (0, 1.0)]
+        serial = enumerate_candidates(x, expert_edges=experts, seed=4)
+        sorted_columns, started = [], []
+        of = SortedColumn.of
+
+        def counting(values):
+            sorted_columns.append(np.array(values))
+            return of(values)
+
+        class Counting(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(SortedColumn, "of", counting)
+        monkeypatch.setattr(threading, "Thread", Counting)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        # threads that switch as often as they can would expose a graph
+        # lost from the shared cache or put in the wrong place
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = enumerate_candidates(x, expert_edges=experts, seed=4,
+                                       workers=workers)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(started) == min(max(workers, 1), x.shape[1]) - 1
+        assert len(sorted_columns) == x.shape[1]
+        for j in range(x.shape[1]):
+            assert sum(np.array_equal(c, x[:, j]) for c in sorted_columns) \
+                == 1
+        assert [(c.feature, c.gamma, c.expert, c.edge_count) for c in got] \
+            == [(c.feature, c.gamma, c.expert, c.edge_count) for c in serial]
+        pairs = [(c.feature, c.gamma) for c in got]
+        for c, want in zip(got, serial):
+            for name in ("order", "lo", "hi", "values"):
+                assert_same_bits(getattr(c.adjacency, name),
+                                 getattr(want.adjacency, name))
+            assert_same_bits(c.column.values, want.column.values)
+            first = got[pairs.index((c.feature, c.gamma))]
+            assert c.adjacency is first.adjacency
+            assert c.column is got[3 * c.feature].column
 
 
 class TestEnumerateCandidates:

@@ -187,3 +187,25 @@ def test_synth_calls_on_two_copies_of_one_tree(two_trees):
     _edit(two_trees, "data.py", 'f"c{v}"', 'f"class{v}"')
     with pytest.raises(AssertionError, match="call 0: labels"):
         paired.synth_calls(two_trees, shape, 2)
+
+
+def test_train_calls_on_two_copies_of_one_tree(two_trees, tmp_path):
+    # each call is a whole run_train of a 60-row cohort
+    import numpy as np
+
+    rng = np.random.default_rng(3)
+    rows = tmp_path / "cohort.csv"
+    rows.write_text("a,b,label\n" + "".join(
+        f"{a!r},{int(b)},{'yes' if a + 0.2 * b > 0.5 else 'no'}\n"
+        for a, b in zip(rng.normal(size=60).tolist(),
+                        rng.integers(0, 4, size=60))))
+    config = tmp_path / "fit.cfg"
+    config.write_text(f"data = {rows}\nrounds = 2\nhidden_dim = 3\n"
+                      "prop_steps = 1\nmax_epochs = 2\npatience = 2\n"
+                      f"model_out = {tmp_path / 'unused.gbe'}\n")
+    _check_summary(paired.train_calls(two_trees, str(config), 3), 3, 60)
+    assert not (tmp_path / "unused.gbe").exists()
+    # a change that moves every round's alpha is caught
+    _edit(two_trees, "boost.py", "(0.5 * math.log(", "(0.5000001 * math.log(")
+    with pytest.raises(AssertionError, match="call 0: model bytes"):
+        paired.train_calls(two_trees, str(config), 2)
