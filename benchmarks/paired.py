@@ -54,9 +54,9 @@ every call. ``--train CONFIG`` instead alternates whole
 ``graphboost train`` runs it (ingest, encoding, fit, test report and
 ``.gbe``), each side writing its model and report into its own temporary
 directory, and asserts that the two ``.gbe`` files are equal byte for
-byte after every call. The BENCH file then holds each side's per-call milliseconds
-(median and quartiles) and the calls in which the change was faster,
-slower or as fast.
+byte after every call. The BENCH file then holds each side's per-call
+milliseconds (median and quartiles) and the calls in which the change was
+faster, slower or as fast.
 """
 
 import argparse
@@ -277,21 +277,20 @@ def _alternate_train(packages: dict, config: str,
     """Per side, the milliseconds of each of ``calls`` alternating
     ``run_train`` calls on the fit config ``config``, and the cohort's
     number of rows."""
-    modules = {side: {name: importlib.import_module(
-        f"{packages[side].__name__}.{name}") for name in ("config",
-                                                          "pipeline")}
-        for side in SIDES}
+    load = {side: importlib.import_module(
+        f"{packages[side].__name__}.config").load_config for side in SIDES}
+    train = {side: importlib.import_module(
+        f"{packages[side].__name__}.pipeline").run_train for side in SIDES}
     times = {side: [] for side in SIDES}
     with tempfile.TemporaryDirectory() as out:
         configs = {side: dataclasses.replace(
-            modules[side]["config"].load_config(config),
-            model_out=os.path.join(out, f"{side}.gbe"),
+            load[side](config), model_out=os.path.join(out, f"{side}.gbe"),
             report_out=os.path.join(out, f"{side}.json")) for side in SIDES}
         for call in range(calls):
             order = SIDES if call % 2 == 0 else SIDES[::-1]
             for side in order:
                 start = time.perf_counter()
-                outcome = modules[side]["pipeline"].run_train(configs[side])
+                outcome = train[side](configs[side])
                 times[side].append(1e3 * (time.perf_counter() - start))
             with open(configs["parent"].model_out, "rb") as want, \
                     open(configs["change"].model_out, "rb") as got:

@@ -292,9 +292,9 @@ def fit_encoder(table: RawTable, labels: list[str], split: np.ndarray,
     Numeric columns are median-imputed and z-scored with train-split
     statistics only (sample sd, denominator N-1); constant columns map to
     all zeros, and a column whose train median, mean or sd is not finite
-    (values near the float range) is a DataError. Categorical columns are integer-coded by first appearance in
-    the train split, with missing as its own category. Labels are coded by
-    sorted distinct value.
+    (values near the float range) is a DataError. Categorical columns are
+    integer-coded by first appearance in the train split, with missing as
+    its own category. Labels are coded by sorted distinct value.
     """
     if len(labels) != table.n_rows or len(split) != table.n_rows:
         raise DataError("labels/split length does not match table")

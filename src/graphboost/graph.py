@@ -688,7 +688,8 @@ def enumerate_candidates(X: np.ndarray,
                          expert_edges: list | tuple = (),
                          feature_names: list[str] | None = None,
                          feature_scales: np.ndarray | None = None,
-                         seed: int = 0, workers: int = 0) -> list[CandidateGraph]:
+                         seed: int = 0,
+                         workers: int = 0) -> list[CandidateGraph]:
     """All 3M quantile candidates plus one per expert edge spec.
 
     Ordering: feature index ascending, then gamma ascending (duplicates
