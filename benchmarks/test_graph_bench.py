@@ -15,7 +15,8 @@ column on their 3-step cone, the work a prediction call does per distinct
 round graph. The round
 trains all 30 candidates of an n=2000, m=10 synthetic cohort with the
 learner shape of the fit benchmark in ``perfbench/``, on the calling
-thread (``workers`` 0) and on two threads (``workers`` 2); the block
+thread (``workers`` 0) and on two threads (``workers`` 2), and with the
+package's default learner, whose learners stop early; the block
 trains the first 10 of them together, as one of the round's blocks, and
 the first 10 of a three-class cohort built the same way, which propagate
 two logit differences instead of one. Prediction scores one new row, or a
@@ -207,6 +208,19 @@ def test_round_of_30_candidates(benchmark, workers):
     weights = np.where(train, 1.0 / train.sum(), 0.0)
     round_, _ = benchmark(run_round, weights, candidates, ds.X, ds.y, train,
                           ds.mask(VAL), 2, WEAK, workers=workers)
+    assert 0.0 <= round_.error < 0.5
+
+
+def test_round_of_30_candidates_at_the_defaults(benchmark):
+    # the package's default learner (H = 64, k = 10, 100 epochs, patience
+    # 10), whose learners stop early at different epochs
+    ds = _cohort()
+    candidates = enumerate_candidates(ds.X)
+    train = ds.mask(TRAIN)
+    weights = np.where(train, 1.0 / train.sum(), 0.0)
+    round_, _ = benchmark.pedantic(
+        run_round, (weights, candidates, ds.X, ds.y, train, ds.mask(VAL), 2,
+                    AppnpConfig()), rounds=3)
     assert 0.0 <= round_.error < 0.5
 
 

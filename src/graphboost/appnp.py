@@ -33,11 +33,15 @@ blocks that threads run side by side. A block keeps its learners'
 parameters as one C x P slab, a row per learner with named views of its
 weights and biases, and its Adam moments, gradients and best parameters
 as slabs of that shape, so that each Adam update is one pass over each
-quantity. ``forward``,
-``backward``, ``propagate`` and ``train_weak`` are the C = 1 case of the
-same code. Each epoch's validation forward pass labels every row; a
-learner keeps the labels of the epoch whose parameters it keeps, so a
-round's candidates need no labelling pass after training.
+quantity. A learner stays in its block only while it trains: at the end of
+the epoch in which it diverges, stops early or reaches ``max_epochs``, its
+outcome is recorded and it leaves, and the block keeps only the other
+learners' rows of every stack, with its graph stack and targets rebuilt
+over their graphs, so no learner is computed after its last epoch.
+``forward``, ``backward``, ``propagate`` and ``train_weak`` are the C = 1
+case of the same code. Each epoch's validation forward pass labels every
+row; a learner keeps the labels of the epoch whose parameters it keeps, so
+a round's candidates need no labelling pass after training.
 
 A prediction group is one ``StoredRun``: learners that share one
 ``graph.CandidateGraph`` over the stored rows, their teleport, prop_steps
@@ -84,7 +88,7 @@ rows are read back in row order through flat indices made once per block,
 and every weighted sum adds them in that order. Each epoch, only dH0
 leaves the frame, back to row order, because the parameter gradients
 multiply it with the row-ordered activations; the labels of each learner's
-best epoch go back once, when the block ends.
+best epoch go back once, when it leaves the block.
 ``loss`` and ``backward`` use the same code on a one-learner frame in row
 order.
 """
@@ -642,12 +646,12 @@ def _train_block(config: AppnpConfig, x: np.ndarray, adjacencies: list,
     """Train one learner per graph, all at once, with the dropout masks
     ``masks``; see ``train_candidates``.
 
-    Every learner keeps its row of the stacks until the block ends. A
-    learner that stops early or diverges is marked done: it still computes,
-    but nothing of it is recorded any more. Slices are independent, so the
-    other rows get the same bits as without it.
+    A learner stays in the block only while it trains. At the end of the
+    epoch in which it diverges, stops early or reaches ``max_epochs``, it
+    leaves: ``leave`` records its outcome, the other learners' rows of
+    every stack move up, and the graph stack and targets are rebuilt over
+    their graphs. Slices are independent, so they keep their bits.
     """
-    size = len(adjacencies)
     init = init_model(config, x.shape[1], n_classes)
     shapes = [getattr(init, name).shape for name in _PARAMS]
     # Row c of the slab holds learner c's parameters, flat; the Adam
@@ -655,50 +659,61 @@ def _train_block(config: AppnpConfig, x: np.ndarray, adjacencies: list,
     # layout, so Adam makes one pass per quantity and one assignment keeps
     # the best.
     slab = np.repeat(np.concatenate(
-        [getattr(init, name).ravel() for name in _PARAMS])[None], size,
-        axis=0)
+        [getattr(init, name).ravel() for name in _PARAMS])[None],
+        len(adjacencies), axis=0)
     p = _views(slab, shapes)
     n = x.shape[0]
-    stack = GraphStack(adjacencies)
-    # Logits stay in the graphs' frames; only dH0 goes back to row order.
-    # at[c, i] = c * N + the position of row i in graph c's frame.
-    at = stack.from_frame(np.arange(size * n).reshape(size, n))
-    targets = _Targets(at, y, w, train_mask, errors=False)
-    val = _Targets(at, y, w, val_mask, loss=False)
-    del at
-    # The only C x N x H buffer. Each epoch it holds r = relu(a1) for the
-    # current parameters, then the dropped-out hd (in place), then dA1;
-    # the validation forward leaves r in it for the next epoch.
-    r = _hidden(p, x, out=np.empty((size, n, config.hidden_dim)))
+    # the index in ``adjacencies`` of the learner at each row of the stacks
+    ids = list(range(len(adjacencies)))
+    outcomes: list = [None] * len(ids)
+
+    def frames():
+        # Logits stay in the graphs' frames; only dH0 goes back to row
+        # order. at[c, i] = c * N + the position of row i in graph c's frame.
+        stack = GraphStack([adjacencies[i] for i in ids])
+        at = stack.from_frame(np.arange(len(ids) * n).reshape(len(ids), n))
+        return (stack, _Targets(at, y, w, train_mask, errors=False),
+                _Targets(at, y, w, val_mask, loss=False))
 
     def logits(h0):
         return _frame_logits(stack, h0, config.teleport, config.prop_steps)
 
-    if config.max_epochs == 0:
-        z = logits(_head(p, r))
-        losses = targets.losses(_log_softmax(z), p, config.weight_decay)
-        labels = _class_argmax(z[1:])
-        errors = val.errors(labels)
-        labels = stack.from_frame(labels)
-        return [(AppnpModel(*init.copy_weights(), config),
-                 TrainReport(0, errors[i], losses[i], False), labels[i])
-                for i in range(size)]
+    def leave(rows, epochs, stopped=()):
+        """Record the outcomes of the learners at ``rows`` of the stacks:
+        the error of one that diverged, else its best parameters, a report
+        after ``epochs`` epochs and its labels in row order."""
+        params = _views(best, shapes)
+        labels = stack.from_frame(best_labels)
+        for i in rows:
+            outcomes[ids[i]] = failed.get(i) or (
+                AppnpModel(*(params[name][i].copy() for name in _PARAMS),
+                           config),
+                TrainReport(epochs, float(best_err[i]), losses[i],
+                            i in stopped),
+                labels[i])
 
+    stack, targets, val = frames()
+    # The only C x N x H buffer. Each epoch it holds r = relu(a1) for the
+    # current parameters, then the dropped-out hd (in place), then dA1;
+    # the validation forward leaves r in it for the next epoch.
+    r = _hidden(p, x, out=np.empty((len(ids), n, config.hidden_dim)))
     adam_m = np.zeros_like(slab)
     adam_v = np.zeros_like(slab)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-
     best = slab.copy()
     # the labels of the best parameters, in the frame
-    best_labels = np.zeros((size, n),
+    best_labels = np.zeros((len(ids), n),
                            dtype=np.min_scalar_type(n_classes - 1))
-    best_err = [float("inf")] * size
-    best_epoch = [-1] * size
-    final_loss = [float("nan")] * size
-    epochs_run = [0] * size
-    early_stopped = [False] * size
-    outcomes: list = [None] * size
-    done = [False] * size
+    best_err = np.full(len(ids), np.inf)
+    best_epoch = np.full(len(ids), -1)
+    failed: dict = {}  # the errors of the learners that diverged
+    if config.max_epochs == 0:
+        z = logits(_head(p, r))
+        losses = targets.losses(_log_softmax(z), p, config.weight_decay)
+        best_labels = _class_argmax(z[1:])
+        best_err = val.errors(best_labels)
+        leave(range(len(ids)), 0)
+        return outcomes
 
     for epoch in range(config.max_epochs):
         lr = config.learning_rate * 0.5 * (1.0 + math.cos(
@@ -712,16 +727,11 @@ def _train_block(config: AppnpConfig, x: np.ndarray, adjacencies: list,
         # adds its size to the block's peak.
         logp = _log_softmax(logits(_head(p, hd)))
         losses = targets.losses(logp, p, config.weight_decay)
-        for i, v in enumerate(losses):
-            if done[i]:
-                continue
-            if math.isfinite(v):
-                final_loss[i] = v
-            else:
-                outcomes[i] = _diverged(config, p, i, x, hd, adjacencies[i],
-                                        epoch)
-                done[i] = True
-        if all(done):
+        failed = {i: _diverged(config, p, i, x, hd, adjacencies[ids[i]],
+                               epoch)
+                  for i, v in enumerate(losses) if not math.isfinite(v)}
+        if len(failed) == len(ids):
+            leave(failed, epoch)
             break
 
         dz = targets.gradient(logp)
@@ -731,48 +741,52 @@ def _train_block(config: AppnpConfig, x: np.ndarray, adjacencies: list,
         del dz
         grads = _param_grads(p, x, hd, dmask, dh0, config.weight_decay,
                              scratch=hd)
-        grads = np.concatenate([grads[name].reshape(size, -1)
+        grads = np.concatenate([grads[name].reshape(len(ids), -1)
                                 for name in _PARAMS], axis=1)
         del dh0
         t = epoch + 1
-        adam_m = beta1 * adam_m + (1 - beta1) * grads
-        adam_v = beta2 * adam_v + (1 - beta2) * grads ** 2
-        m_hat = adam_m / (1 - beta1 ** t)
-        v_hat = adam_v / (1 - beta2 ** t)
-        slab -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        # a square that overflows makes that parameter's second moment
+        # inf, which only zeroes its step
+        with np.errstate(over="ignore"):
+            adam_m = beta1 * adam_m + (1 - beta1) * grads
+            adam_v = beta2 * adam_v + (1 - beta2) * grads ** 2
+            m_hat = adam_m / (1 - beta1 ** t)
+            v_hat = adam_v / (1 - beta2 ** t)
+            slab -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
         r = _hidden(p, x, out=r)
         labels = _class_argmax(_frame_differences(
             stack, _head(p, r), config.teleport, config.prop_steps))
-        kept = []
-        for i, err in enumerate(val.errors(labels)):
-            if done[i]:
-                continue
-            epochs_run[i] = t
-            if err <= best_err[i]:
-                # a tie keeps the later, more-converged parameters and
-                # their labels but does not reset the patience clock
-                kept.append(i)
-            if err < best_err[i]:
-                best_err[i], best_epoch[i] = err, epoch
-            elif epoch - best_epoch[i] >= config.patience:
-                early_stopped[i] = done[i] = True
-        if kept:
-            best[kept] = slab[kept]
-            best_labels[kept] = labels[kept]
+        err = np.array(val.errors(labels))
+        # a tie keeps the later, more-converged parameters and their labels
+        # but does not reset the patience clock
+        kept, better = err <= best_err, err < best_err
+        best[kept] = slab[kept]
+        best_labels[kept] = labels[kept]
         del labels
-        if all(done):
-            break
+        best_err[better], best_epoch[better] = err[better], epoch
+        stopped = np.flatnonzero(
+            ~better & (epoch - best_epoch >= config.patience)).tolist()
 
-    best_labels = stack.from_frame(best_labels)
-    best = _views(best, shapes)
-    for i in range(size):
-        if outcomes[i] is None:
-            weights = (best[name][i].copy() for name in _PARAMS)
-            outcomes[i] = (AppnpModel(*weights, config),
-                           TrainReport(epochs_run[i], best_err[i],
-                                       final_loss[i], early_stopped[i]),
-                           best_labels[i])
+        stay = [] if t == config.max_epochs else [
+            i for i in range(len(ids)) if i not in failed and i not in stopped]
+        if len(stay) == len(ids):
+            continue
+        leave([i for i in range(len(ids)) if i not in stay], t, stopped)
+        if not stay:
+            break
+        # The survivors' activations move up in place, a row at a time (a
+        # row onto itself copies nothing): a gathered copy would add up to
+        # a whole buffer to the block's peak.
+        for row, i in enumerate(stay):
+            r[row] = r[i]
+        r = r[:len(stay)]
+        slab, adam_m, adam_v, best, best_labels, best_err, best_epoch = (
+            a[stay] for a in (slab, adam_m, adam_v, best, best_labels,
+                              best_err, best_epoch))
+        p = _views(slab, shapes)
+        ids = [ids[i] for i in stay]
+        stack, targets, val = frames()
     return outcomes
 
 

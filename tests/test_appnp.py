@@ -4,6 +4,7 @@ Gradients are verified against central finite differences; propagation is
 verified against the dense closed-form PageRank limit.
 """
 
+import contextlib
 import dataclasses
 import itertools
 import math
@@ -457,6 +458,43 @@ def assert_training_labels(model, labels, x, graph):
     np.testing.assert_array_equal(labels[clear], np.argmax(z, axis=1)[clear])
 
 
+@contextlib.contextmanager
+def losses_turn_inf(epochs):
+    """Within the block, make the training loss of the learner on each
+    adjacency of the (adjacency, epoch) pairs ``epochs`` inf at that epoch,
+    in a block or alone: the learner diverges there. A learner is told by
+    its graph's frame positions, which ``_Targets`` receives as ``at``, so
+    a graph of ``epochs`` needs a row order that no other graph of the run
+    has; its epoch is the count of its losses since the last call of the
+    yielded ``reset``.
+    Yields ``reset`` and the learner counts of the ``losses`` calls."""
+    chosen = {np.argsort(a.order).tobytes(): e for a, e in epochs}
+    seen, counts = {}, []
+    init, losses = appnp._Targets.__init__, appnp._Targets.losses
+
+    def tagged_init(self, at, *args, **kwargs):
+        init(self, at, *args, **kwargs)
+        self.keys = [(row - c * at.shape[1]).tobytes()
+                     for c, row in enumerate(at)]
+
+    def poisoned_losses(self, *args):
+        values = losses(self, *args)
+        counts.append(len(values))
+        for c, key in enumerate(self.keys):
+            seen[key] = seen.get(key, -1) + 1
+            if chosen.get(key) == seen[key]:
+                values[c] = math.inf
+        return values
+
+    def reset():
+        seen.clear()
+        counts.clear()
+
+    with mock.patch.object(appnp._Targets, "__init__", tagged_init), \
+            mock.patch.object(appnp._Targets, "losses", poisoned_losses):
+        yield reset, counts
+
+
 class TestTrainCandidates:
     """The block trainer against one-graph ``train_weak`` runs, weights and
     every report field equal bit for bit, and against the plain-loop
@@ -677,6 +715,107 @@ class TestTrainCandidates:
             assert_training_labels(model, outcome[2], x, graph)
         assert diverged == {0, 1} and len(stopped) > 1
 
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_no_learner_computes_after_it_leaves(self):
+        # One block of 9: a blown-up graph diverges at epoch 0, the loss
+        # of the learner on a column of its own turns inf at epoch 5, and
+        # the rest stop early at different epochs. Each epoch's forward and
+        # backward pass take exactly the learners that have not left at an
+        # earlier epoch.
+        x, y, w, train, val, graphs = self._problem(seed=1)
+        n = len(y)
+        pos = np.arange(n)
+        blowup = SparseAdjacency(n, pos, pos, pos + 1, np.full(n, 1e200))
+        graphs.insert(2, dataclasses.replace(graphs[-1], adjacency=blowup))
+        graphs.insert(4, build_adjacency(
+            np.random.default_rng(5).normal(size=n), 0.3))
+        cfg = AppnpConfig(hidden_dim=6, prop_steps=3, teleport=0.2,
+                          dropout=0.3, learning_rate=0.05, max_epochs=60,
+                          patience=4, seed=2)
+        grads, param_grads = [], appnp._param_grads
+
+        def counted_grads(p, *args, **kwargs):
+            grads.append(len(p["w1"]))
+            return param_grads(p, *args, **kwargs)
+
+        with losses_turn_inf([(graphs[4].adjacency, 5)]) as (_, counts), \
+                mock.patch.object(appnp, "_param_grads", counted_grads):
+            got = train_candidates(cfg, x, [g.adjacency for g in graphs],
+                                   y, w, train, val, n_classes=2)
+        last = [o.epoch if isinstance(o, TrainingDiverged)
+                else o[1].epochs_run - 1 for o in got]
+        assert [isinstance(o, TrainingDiverged) for o in got] == \
+            [i in (2, 4) for i in range(len(graphs))]
+        assert (last[2], last[4]) == (0, 5) and len(set(last)) > 3
+        present = [sum(e >= epoch for e in last)
+                   for epoch in range(max(last) + 1)]
+        assert counts == present and grads == present
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    @settings(max_examples=100, deadline=None)
+    @given(patience=st.integers(0, 5), epochs=st.integers(1, 30),
+           count=st.integers(1, 8), cap=st.integers(1, 9),
+           workers=st.sampled_from([0, 2]),
+           diverge=st.lists(st.one_of(st.none(), st.integers(0, 5),
+                                      st.integers(0, 29)),
+                            min_size=9, max_size=9),
+           blowup=st.one_of(st.none(), st.integers(0, 8)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_blocks_match_solo_runs_as_learners_leave(
+            self, patience, epochs, count, cap, workers, diverge, blowup,
+            seed):
+        # Learners stop early, reach max_epochs, diverge at epoch 0 on a
+        # blown-up graph, or diverge at chosen epochs, in blocks of up to
+        # ``cap``: each outcome equals its solo run bit for bit.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(12, 50))
+        y = rng.integers(0, 2, size=n)
+        y[:2] = [0, 1]
+        x = np.column_stack([y + rng.normal(0, 1.0, n),
+                             rng.normal(size=(n, 2))])
+        w = rng.uniform(0.5, 1.5, size=n)
+        split = rng.permutation(n)
+        train = np.isin(np.arange(n), split[:n // 2])
+        val = np.isin(np.arange(n), split[n // 2:])
+        # each graph on a column of its own, so that row orders differ
+        graphs = [build_adjacency(rng.normal(size=n), g)
+                  for g in rng.uniform(0.0, 1.5, size=count)]
+        if blowup is not None:
+            pos = np.arange(n)
+            graphs.insert(min(blowup, count), dataclasses.replace(
+                graphs[0], adjacency=SparseAdjacency(
+                    n, pos, pos, pos + 1, np.full(n, 1e200))))
+        cfg = AppnpConfig(hidden_dim=int(rng.integers(1, 8)),
+                          prop_steps=int(rng.integers(4)), teleport=0.2,
+                          dropout=0.2, learning_rate=0.05, max_epochs=epochs,
+                          patience=patience, seed=int(rng.integers(100)))
+        poisoned = [(g.adjacency, e) for g, e in zip(graphs, diverge)
+                    if e is not None]
+        with losses_turn_inf(poisoned) as (reset, _), mock.patch.object(
+                appnp, "BLOCK_BYTES", cap * n * cfg.hidden_dim * 8):
+            got = train_candidates(cfg, x, [g.adjacency for g in graphs], y,
+                                   w, train, val, n_classes=2,
+                                   workers=workers)
+            for graph, outcome in zip(graphs, got):
+                reset()
+                try:
+                    model, report = train_weak(cfg, x, graph.adjacency, y,
+                                               w, train, val, n_classes=2)
+                except TrainingDiverged as exc:
+                    assert isinstance(outcome, TrainingDiverged)
+                    assert (str(outcome), outcome.epoch) == (str(exc),
+                                                             exc.epoch)
+                    continue
+                assert outcome[1] == report
+                assert [type(v) for v in dataclasses.astuple(report)] == \
+                    [int, float, float, bool]
+                for a, b in zip(outcome[0].copy_weights(),
+                                model.copy_weights()):
+                    assert_same_bits(a, b)
+                assert_training_labels(model, outcome[2], x, graph)
+
     def test_decay_sums_per_layer_match_per_learner_sums(self):
         # the block sums each layer's squares over axes (1, 2) of a slab
         # view at once; each learner's sum keeps the bits of its own
@@ -858,6 +997,31 @@ class TestTrainCandidates:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert peak <= 2.1 * c * n * h * 8
+
+    def test_block_peak_as_learners_leave(self):
+        # Learners of a block of 10 stop at different epochs; moving the
+        # survivors' activations up in place keeps the block's peak within
+        # 2.1 C x N x H float64 buffers.
+        n, m, h, k, c = 2000, 10, 16, 2, 10
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(n, m))
+        y = rng.integers(0, k, size=n)
+        w = np.full(n, 1.0 / n)
+        train, val = np.arange(n) < 1400, np.arange(n) >= 1700
+        graphs = [build_adjacency(x[:, j], 0.1).adjacency for j in range(c)]
+        cfg = AppnpConfig(hidden_dim=h, prop_steps=3, dropout=0.1,
+                          learning_rate=0.05, max_epochs=40, patience=2,
+                          seed=1)
+        tracemalloc.start()
+        try:
+            got = appnp._train_block(cfg, x, graphs, y, w, train, val, k,
+                                     appnp._DropoutMasks(cfg, (n, h)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        epochs = sorted(report.epochs_run for _, report, _ in got)
+        assert len(set(epochs)) > 2 and epochs[-1] < cfg.max_epochs
         assert peak <= 2.1 * c * n * h * 8
 
     @pytest.mark.parametrize("workers", [0, 2])

@@ -6,6 +6,7 @@ writes predicts and evaluates its own training file."""
 import contextlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -157,3 +158,35 @@ def test_every_trained_model_scores_its_own_file(own_dir, cohort):
         save_ensemble(load_ensemble("fuzz.gbe"), "again.gbe")
         assert Path("again.gbe").read_bytes() == \
             Path("fuzz.gbe").read_bytes()
+
+
+def _overflow_cohort(seed: int) -> str:
+    """13 rows whose column ``y`` holds one 1.7e308 among small levels:
+    training squares gradients beyond the float range."""
+    rng = np.random.default_rng(seed)
+    big = rng.integers(0, 13)
+    lines = ["x,y,label"]
+    for i in range(13):
+        y = 1.7e308 if i == big else float(rng.choice([0, 1, 2, 3, 2e5]))
+        lines.append(f"{rng.normal() + i % 2!r},{y!r},{'ab'[i % 2]}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("seed", [6, 7, 10, 12, 18])
+def test_gradients_beyond_the_float_range_train_quietly(tmp_path, seed):
+    # An Adam second moment that overflows to inf only zeroes that
+    # parameter's step; train, predict and evaluate exit 0 without a
+    # warning (numpy's overflow warning used to reach the terminal).
+    with contextlib.chdir(tmp_path):
+        Path("big.csv").write_text(_overflow_cohort(seed))
+        Path("big.cfg").write_text(
+            "data = big.csv\nlabel = label\n"
+            "split_fractions = 0.6, 0.2, 0.2\n"
+            f"seed = {seed}\nrounds = 2\nhidden_dim = 8\nprop_steps = 2\n"
+            "max_epochs = 10\npatience = 10\n"
+            "model_out = big.gbe\nreport_out = big.json\n")
+        assert main(["train", "--config", "big.cfg"]) == 0
+        for command in ("predict", "evaluate"):
+            assert main([command, "--model", "big.gbe", "--data",
+                         "big.csv", "--out", "big.out"]) == 0, command
