@@ -685,7 +685,7 @@ def _train_block(config: AppnpConfig, x: np.ndarray, adjacencies: list,
         params = _views(best, shapes)
         labels = stack.from_frame(best_labels)
         for i in rows:
-            outcomes[ids[i]] = failed.get(i) or (
+            outcomes[ids[i]] = failed[i] if i in failed else (
                 AppnpModel(*(params[name][i].copy() for name in _PARAMS),
                            config),
                 TrainReport(epochs, float(best_err[i]), losses[i],
@@ -706,7 +706,7 @@ def _train_block(config: AppnpConfig, x: np.ndarray, adjacencies: list,
                            dtype=np.min_scalar_type(n_classes - 1))
     best_err = np.full(len(ids), np.inf)
     best_epoch = np.full(len(ids), -1)
-    failed: dict = {}  # the errors of the learners that diverged
+    failed: dict = {}  # row of the stacks: the error of its divergence
     if config.max_epochs == 0:
         z = logits(_head(p, r))
         losses = targets.losses(_log_softmax(z), p, config.weight_decay)
