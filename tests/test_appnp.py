@@ -460,14 +460,14 @@ def assert_training_labels(model, labels, x, graph):
 
 @contextlib.contextmanager
 def losses_turn_inf(epochs):
-    """Within the block, make the training loss of the learner on each
-    adjacency of the (adjacency, epoch) pairs ``epochs`` inf at that epoch,
-    in a block or alone: the learner diverges there. A learner is told by
-    its graph's frame positions, which ``_Targets`` receives as ``at``, so
-    a graph of ``epochs`` needs a row order that no other graph of the run
-    has; its epoch is the count of its losses since the last call of the
-    yielded ``reset``.
-    Yields ``reset`` and the learner counts of the ``losses`` calls."""
+    """While open, make the training loss of the learner on each adjacency
+    of the (adjacency, epoch) pairs ``epochs`` inf at that epoch, whether
+    it trains in a block or alone: the learner diverges there. A learner
+    is told by its graph's frame positions, which ``_Targets`` receives as
+    ``at``, so a graph of ``epochs`` needs a row order that no other graph
+    of the run has; its epoch is the count of its losses since the last
+    call of ``reset``. Yields ``reset`` and the list of the learner counts
+    of the ``losses`` calls."""
     chosen = {np.argsort(a.order).tobytes(): e for a, e in epochs}
     seen, counts = {}, []
     init, losses = appnp._Targets.__init__, appnp._Targets.losses
