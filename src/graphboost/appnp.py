@@ -28,8 +28,11 @@ which hold the interpreter lock, so ``_block_plan`` makes as few blocks as
 the byte budget ``BLOCK_BYTES`` on that buffer allows, rounds their number
 up to a multiple of the threads, and splits the graphs evenly among them.
 The round's dropout masks are drawn once, by the first block to reach each
-epoch, and shared by all blocks (``_DropoutMasks``), unpacked once for the
-blocks that threads run side by side. A block keeps its learners'
+epoch, and shared by all blocks as packed bits (``_DropoutMasks``); each
+block unpacks the masks it uses. A learner that diverges overflows, and
+its NaNs spread through its slices only, so each block runs under one
+``np.errstate`` that keeps numpy's overflow and invalid-value warnings
+quiet, and its non-finite loss reports it. A block keeps its learners'
 parameters as one C x P slab, a row per learner with named views of its
 weights and biases, and its Adam moments, gradients and best parameters
 as slabs of that shape, so that each Adam update is one pass over each
@@ -59,7 +62,9 @@ keeps the stored rows' labels and the k prefix sums of that run.
 ``Cone.run`` places the stored and new lines on the cone and propagates
 only the cone, seeded from those prefix sums, with the bits of a full run
 over all rows, in blocks of learners whose lines over the cone fit
-``BLOCK_BYTES``.
+``BLOCK_BYTES``. New rows whose values overflow a model's head make its
+propagated differences non-finite, inf - inf in the prefix sums, and
+``new_labels`` raises ``DataError`` then, without numpy's warnings.
 
 Training and prediction propagate K - 1 logit differences, not K
 logits. Softmax, cross-entropy and argmax do not change when one value is
@@ -120,8 +125,9 @@ MAX_HIDDEN_DIM = 10_000
 # activations in training, the K lines over a cone in labelling. It caps
 # the learners per block, at 10 for training at N = 2000 and H = 16, and
 # never below 1. A block runs the per-learner Python loops of every epoch,
-# which hold the interpreter lock, so on two threads two blocks of 10
-# train a 19-graph round faster than five of 4. Memory grows with the
+# which hold the interpreter lock, so a few large blocks train a round
+# faster than many small ones: on two threads the 16 distinct candidates
+# of a ``fit-mixed`` round train in two blocks of 8. Memory grows with the
 # block, and ``train_candidates`` keeps up to ``workers`` blocks live at
 # once.
 BLOCK_BYTES = 5 * 2**19
@@ -549,14 +555,17 @@ def train_candidates(config: AppnpConfig, x: np.ndarray, adjacencies: list,
     shape = (x.shape[0], config.hidden_dim)
     blocks = [adjacencies[s] for s in _block_plan(
         len(adjacencies), 8 * math.prod(shape), workers)]
-    threads = _thread_count(workers, len(blocks))
     log.debug("training %d graphs in blocks of %s on %d thread(s)",
-              len(adjacencies), [len(b) for b in blocks], threads)
-    masks = _DropoutMasks(config, shape, threads)
+              len(adjacencies), [len(b) for b in blocks],
+              _thread_count(workers, len(blocks)))
+    masks = _DropoutMasks(config, shape)
 
     def train(block):
-        return _train_block(config, x, block, y, w, train_mask, val_mask,
-                            n_classes, masks)
+        # numpy's error state does not pass to the threads that run the
+        # blocks, so each block enters its own scope
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _train_block(config, x, block, y, w, train_mask,
+                                val_mask, n_classes, masks)
 
     return [outcome for outcomes in _map_threads(train, blocks, workers)
             for outcome in outcomes]
@@ -583,22 +592,16 @@ class _DropoutMasks:
     """The dropout multipliers of a round, one N x H mask per epoch,
     shared by all its blocks. Epoch e's mask is the (e + 1)-th
     ``_dropout_mask`` draw from the seed's "dropout" stream: the first
-    block to reach epoch e draws it, and it is kept as packed bits,
-    N x H / 8 bytes. ``bits / keep`` has the bits of ``_dropout_mask``.
+    block to reach epoch e draws it, under a lock, and it is kept as
+    packed bits, N x H / 8 bytes. Every call unpacks its epoch's bits
+    afresh, outside the lock; ``bits / keep`` has the bits of
+    ``_dropout_mask``."""
 
-    The float masks of the latest epochs stay unpacked, read-only, for
-    the blocks that reach them later: one per thread that runs the
-    round's blocks, which move through the epochs side by side, as many
-    as ``BLOCK_BYTES`` holds and at least one."""
-
-    def __init__(self, config: AppnpConfig, shape: tuple, threads: int = 1):
+    def __init__(self, config: AppnpConfig, shape: tuple):
         self._rng = substream(config.seed, "dropout")
         self._shape = shape
         self._keep = 1.0 - config.dropout
         self._packed: list = []
-        self._unpacked: dict = {}
-        self._slots = max(1, min(threads,
-                                 BLOCK_BYTES // (8 * math.prod(shape))))
         self._lock = threading.Lock()
 
     def __call__(self, epoch: int) -> np.ndarray:
@@ -606,16 +609,9 @@ class _DropoutMasks:
             while len(self._packed) <= epoch:
                 self._packed.append(np.packbits(
                     self._rng.random(self._shape) < self._keep))
-            mask = self._unpacked.get(epoch)
-            if mask is None:
-                bits = np.unpackbits(self._packed[epoch],
-                                     count=math.prod(self._shape))
-                mask = bits.reshape(self._shape) / self._keep
-                mask.flags.writeable = False
-                self._unpacked[epoch] = mask
-                if len(self._unpacked) > self._slots:
-                    del self._unpacked[min(self._unpacked)]
-            return mask
+            packed = self._packed[epoch]
+        bits = np.unpackbits(packed, count=math.prod(self._shape))
+        return bits.reshape(self._shape) / self._keep
 
 
 def _diverged(config: AppnpConfig, p: dict, row: int, x: np.ndarray,
@@ -747,12 +743,11 @@ def _train_block(config: AppnpConfig, x: np.ndarray, adjacencies: list,
         t = epoch + 1
         # a square that overflows makes that parameter's second moment
         # inf, which only zeroes its step
-        with np.errstate(over="ignore"):
-            adam_m = beta1 * adam_m + (1 - beta1) * grads
-            adam_v = beta2 * adam_v + (1 - beta2) * grads ** 2
-            m_hat = adam_m / (1 - beta1 ** t)
-            v_hat = adam_v / (1 - beta2 ** t)
-            slab -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        adam_m = beta1 * adam_m + (1 - beta1) * grads
+        adam_v = beta2 * adam_v + (1 - beta2) * grads ** 2
+        m_hat = adam_m / (1 - beta1 ** t)
+        v_hat = adam_v / (1 - beta2 ** t)
+        slab -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
         r = _hidden(p, x, out=r)
         labels = _class_argmax(_frame_differences(
@@ -894,11 +889,13 @@ class StoredRun:
     def new_labels(self, new_x: np.ndarray) -> np.ndarray:
         """Labels of the new rows ``new_x`` (at least one), joined into the
         graph by their column of its feature for ``steps`` steps: a C x m
-        array."""
+        array. Raises DataError, naming the first new row whose propagated
+        differences are not finite, where the new rows' values overflow a
+        model: an inf head makes inf - inf in the prefix sums, which turns
+        the later rows of the cone NaN."""
         cone = self.graph.join(new_x[:, self.graph.feature], self.steps)
         prefixes = self.prefixes if cone.left[0] else None
-        new = self.differences(new_x)
-        width = len(new) // self.count
+        width = self.stored.shape[0] // self.count
         labels = np.empty((self.count, len(new_x)),
                           dtype=np.min_scalar_type(width))
         # models in blocks whose K lines over the cone fit BLOCK_BYTES: a
@@ -906,12 +903,21 @@ class StoredRun:
         # large enough to be mapped afresh, page by page, on every call
         # (one row's cone fits in one block)
         per = max(1, BLOCK_BYTES // (8 * cone.order.size * (width + 1)))
-        for first in range(0, self.count, per):
-            stop = min(first + per, self.count)
-            lines = slice(first * width, stop * width)
-            d = cone.run(None if prefixes is None else prefixes[:, lines],
-                         self.stored[lines], new[lines], self.teleport)
-            labels[first:stop] = _labels(d, stop - first)
+        finite = np.ones(len(new_x), dtype=bool)
+        with np.errstate(over="ignore", invalid="ignore"):
+            new = self.differences(new_x)
+            for first in range(0, self.count, per):
+                stop = min(first + per, self.count)
+                lines = slice(first * width, stop * width)
+                d = cone.run(None if prefixes is None
+                             else prefixes[:, lines], self.stored[lines],
+                             new[lines], self.teleport)
+                finite &= np.isfinite(d).all(axis=0)
+                labels[first:stop] = _labels(d, stop - first)
+        if not finite.all():
+            raise DataError(f"new row {int(np.argmin(finite))}: propagated "
+                            "logits are not finite; the new rows' values "
+                            "overflow the model")
         return labels
 
 

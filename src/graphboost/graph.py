@@ -22,7 +22,7 @@ O(N K) per multiply instead of O(E K). ``GraphStack`` runs k such steps
 for any number of lines on several graphs over the same rows at once, the
 one engine of training, of prediction and of ``appnp.propagate``. Its
 frame is line-major, so its window indices are C * N long and shared by
-every line, and for one graph they are the graph's own arrays.
+every line.
 
 A column is sorted once, by ``SortedColumn.of``, and every graph on it
 shares that sort: ``graphs_of`` builds each distinct (feature, gamma)
@@ -131,8 +131,7 @@ class GraphStack:
     with ``frame[w, c, p]`` line w of graph c at the row at sorted
     position p of graph c, so that every window is a contiguous run of
     every line. The window indices are C * N flat positions into a
-    (C, N + 1) prefix sum, shared by every line whatever W is; for one
-    graph they are the adjacency's own arrays, not copies. ``to_frame``
+    (C, N + 1) prefix sum, shared by every line whatever W is. ``to_frame``
     gathers an operand into the frame, ``run`` takes the k steps there
     (per step one prefix sum along N and two takes, each a single numpy
     call over all W * C lines) and ``from_frame`` scatters a frame back to
@@ -149,13 +148,8 @@ class GraphStack:
     """
 
     def __init__(self, adjacencies: list):
-        first = adjacencies[0]
-        c, n = len(adjacencies), first.n
+        c, n = len(adjacencies), adjacencies[0].n
         self.shape = (c, n)
-        if c == 1:
-            self._rows, self._lo, self._hi, self._dinv = (
-                first.order, first.lo, first.hi, first.values)
-            return
         if any(a.n != n for a in adjacencies):
             raise DataError("stacked graphs disagree on node count")
         graph = np.arange(c)[:, None]
@@ -480,9 +474,7 @@ class Cone:
         # step writes the columns it reads, base .. end, before it reads them
         f = min(start, int(self.lo[left[-1] - start]))
         c = np.empty((h0.shape[0], right[-1] - f + 1))
-        lo, hi, d = self.lo, self.hi, self.values
-        if f:  # a batch's cone starts at 0 and needs no N-long copies
-            lo, hi = lo - f, hi - f
+        lo, hi, d = self.lo - f, self.hi - f, self.values
         restart = teleport * h0
         z, z_start = h0, start  # Z(l - 1) and the position of its column 0
         for step in range(1, steps + 1):

@@ -320,7 +320,6 @@ class TestTrainWeak:
         assert report.early_stopped
         assert report.epochs_run <= 50
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_divergence_detected(self):
         x, y, train, val = self._toy(seed=7)
         w = np.full(len(y), 1.0 / len(y))
@@ -631,8 +630,6 @@ class TestTrainCandidates:
                             block * len(y) * cfg.hidden_dim * 8)
         self._check(cfg, x, y, w, train, val, graphs)
 
-    @pytest.mark.filterwarnings("ignore:overflow")
-    @pytest.mark.filterwarnings("ignore:invalid value")
     def test_threads_match_serial_with_a_diverging_candidate(self,
                                                              monkeypatch):
         x, y, w, train, val, graphs = self._problem(seed=3)
@@ -676,15 +673,13 @@ class TestTrainCandidates:
                     np.testing.assert_array_equal(a, b)
                 np.testing.assert_array_equal(got[2], want[2])
 
-    @pytest.mark.filterwarnings("ignore:overflow")
-    @pytest.mark.filterwarnings("ignore:invalid value")
     @pytest.mark.parametrize("workers", [0, 2])
     def test_blocks_match_solo_runs_that_stop_and_diverge_apart(
             self, workers, monkeypatch):
         # A column near the float range makes four learners' hidden
         # activations overflow at epoch 1, a blown-up graph diverges at
         # epoch 0, and the rest stop early at different epochs. Blocks of
-        # 3 learners share the round's unpacked dropout masks.
+        # 3 learners share the round's dropout masks.
         x, y, w, train, val, graphs = self._problem(seed=1)
         n = len(y)
         x = np.column_stack([x, 1e306 * (x[:, 1] > 0.5)])
@@ -715,8 +710,6 @@ class TestTrainCandidates:
             assert_training_labels(model, outcome[2], x, graph)
         assert diverged == {0, 1} and len(stopped) > 1
 
-    @pytest.mark.filterwarnings("ignore:overflow")
-    @pytest.mark.filterwarnings("ignore:invalid value")
     def test_no_learner_computes_after_it_leaves(self):
         # One block of 9: a blown-up graph diverges at epoch 0, the loss
         # of the learner on a column of its own turns inf at epoch 5, and
@@ -752,8 +745,6 @@ class TestTrainCandidates:
                    for epoch in range(max(last) + 1)]
         assert counts == present and grads == present
 
-    @pytest.mark.filterwarnings("ignore:overflow")
-    @pytest.mark.filterwarnings("ignore:invalid value")
     @settings(max_examples=100, deadline=None)
     @given(patience=st.integers(0, 5), epochs=st.integers(1, 30),
            count=st.integers(1, 8), cap=st.integers(1, 9),
@@ -832,26 +823,57 @@ class TestTrainCandidates:
                         for i in range(c)]
                 assert_same_bits(got, want)
 
-    def test_masks_unpacked_once_per_epoch_for_side_by_side_blocks(
-            self, monkeypatch):
-        # a holder keeps one unpacked mask per thread, read-only, and the
-        # latest epochs'; an evicted one is unpacked again, same bits
-        n, h = 50, 4
-        cfg = AppnpConfig(hidden_dim=h, dropout=0.3, seed=5)
-        monkeypatch.setattr(appnp, "BLOCK_BYTES", 10 * n * h * 8)
-        holder = appnp._DropoutMasks(cfg, (n, h), threads=2)
-        first = holder(0)
-        assert holder(1) is not first and holder(0) is first
-        assert not first.flags.writeable
-        holder(2)  # drops epoch 0's
-        again = holder(0)
-        assert again is not first
-        assert_same_bits(again, first)
-        # never more than BLOCK_BYTES of unpacked masks, nor fewer than 1
-        monkeypatch.setattr(appnp, "BLOCK_BYTES", 1)
-        holder = appnp._DropoutMasks(cfg, (n, h), threads=2)
-        mask = holder(0)
-        assert holder(0) is mask and holder(1) is not holder(0)
+    @settings(max_examples=60, deadline=None)
+    @given(epochs=st.integers(0, 6), n=st.integers(1, 30),
+           h=st.integers(1, 9), dropout=st.sampled_from([0.1, 0.5, 0.9]),
+           seed=st.integers(0, 2**32 - 1), overlap=st.booleans(),
+           data=st.data())
+    def test_two_threads_draw_each_epochs_mask_once(self, epochs, n, h,
+                                                    dropout, seed, overlap,
+                                                    data):
+        # Two threads call one holder for epochs 0 to E, as two blocks do,
+        # in an interleaving drawn below; with ``overlap`` a thread lets
+        # the other go on as it enters its call, else once it returns.
+        # Each epoch's mask is the (e + 1)-th _dropout_mask draw, drawn once.
+        turns = data.draw(st.permutations([0, 1] * (epochs + 1)))
+        cfg = AppnpConfig(hidden_dim=h, dropout=dropout, seed=seed)
+        holder = appnp._DropoutMasks(cfg, (n, h))
+        holder._rng = mock.Mock(wraps=holder._rng)
+        cond = threading.Condition()
+        at, got, errors = [0], {0: [], 1: []}, []
+
+        def advance():
+            with cond:
+                at[0] += 1
+                cond.notify_all()
+
+        def run(me):
+            try:
+                for epoch in range(epochs + 1):
+                    with cond:
+                        assert cond.wait_for(lambda: turns[at[0]] == me, 10)
+                    if overlap:
+                        advance()
+                    got[me].append(holder(epoch))
+                    if not overlap:
+                        advance()
+            except BaseException as exc:  # re-raised below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=run, args=(me,)) for me in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert not errors, errors
+        rng = substream(seed, "dropout")
+        want = [appnp._dropout_mask(rng, (n, h), dropout)
+                for _ in range(epochs + 1)]
+        for masks in got.values():
+            assert len(masks) == len(want)
+            for mask, ref in zip(masks, want):
+                assert_same_bits(mask, ref)
+        assert holder._rng.random.call_count == epochs + 1
 
     @settings(max_examples=50, deadline=None)
     @given(k=st.sampled_from([1, 2, 3, 9]), hidden=st.integers(1, 12),

@@ -190,3 +190,65 @@ def test_gradients_beyond_the_float_range_train_quietly(tmp_path, seed):
         for command in ("predict", "evaluate"):
             assert main([command, "--model", "big.gbe", "--data",
                          "big.csv", "--out", "big.out"]) == 0, command
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("workers", [0, 2])
+@pytest.mark.parametrize("seed, error", [
+    (17, "all candidates diverged"),
+    (24, "first round weak error 0.5000 >= 0.5000")],
+    ids=["all-diverge", "none-beats-chance"])
+def test_diverging_candidates_fail_quietly(tmp_path, capsys, seed, error,
+                                           workers):
+    # The same cohorts at seeds where training cannot go on: every
+    # candidate diverges at 17, and none beats chance at 24. train exits 2
+    # with that error, and the diverging learners' overflow and invalid
+    # values raise no numpy warning on any thread.
+    with contextlib.chdir(tmp_path):
+        Path("big.csv").write_text(_overflow_cohort(seed))
+        Path("big.cfg").write_text(
+            "data = big.csv\nlabel = label\n"
+            "split_fractions = 0.6, 0.2, 0.2\n"
+            f"seed = {seed}\nrounds = 2\nhidden_dim = 8\nprop_steps = 2\n"
+            f"max_epochs = 10\npatience = 10\nworkers = {workers}\n"
+            "model_out = big.gbe\nreport_out = big.json\n")
+        assert main(["train", "--config", "big.cfg"]) == 2
+        assert f"error: {error}" in capsys.readouterr().err
+
+
+def _two_clusters(rng, n: int) -> list:
+    """n CSV rows ``x,y,label``: x splits the labels, y is noise."""
+    return [f"{rng.normal() + 3 * (i % 2)!r},{rng.normal()!r},{'ab'[i % 2]}"
+            for i in range(n)]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_new_row_that_overflows_the_model_is_a_data_error(tmp_path, capsys):
+    # y = 1.7e308 is finite, so it encodes, but it overflows the heads to
+    # inf, and inf - inf in the prefix sums turned the propagated values of
+    # the rows after it in the sort NaN: row 6 read b instead of a, and
+    # predict exited 0 with numpy's warnings.
+    rng = np.random.default_rng(0)
+    train, new = _two_clusters(rng, 120), _two_clusters(rng, 8)
+    with contextlib.chdir(tmp_path):
+        for name, rows in (("train.csv", train), ("new.csv", new),
+                           ("new9.csv", new + ["0.5,1.7e308,a"])):
+            Path(name).write_text("\n".join(["x,y,label"] + rows) + "\n")
+        Path("m.cfg").write_text(
+            "data = train.csv\nlabel = label\n"
+            "split_fractions = 0.6, 0.2, 0.2\nseed = 1\nrounds = 2\n"
+            "hidden_dim = 8\nprop_steps = 2\nmax_epochs = 30\n"
+            "patience = 30\nweak_learning_rate = 0.05\n"
+            "model_out = m.gbe\nreport_out = m.json\n")
+        assert main(["train", "--config", "m.cfg"]) == 0
+        assert main(["predict", "--model", "m.gbe", "--data", "new.csv",
+                     "--out", "new.out"]) == 0
+        assert [line.split(",")[1] for line in
+                Path("new.out").read_text().splitlines()[1:]] == \
+            list("bbbbabab")
+        for command in ("predict", "evaluate"):
+            capsys.readouterr()
+            assert main([command, "--model", "m.gbe", "--data", "new9.csv",
+                         "--out", "new9.out"]) == 2, command
+            assert "error: new row 0: propagated logits are not finite" \
+                in capsys.readouterr().err
