@@ -915,9 +915,8 @@ class StoredRun:
                 finite &= np.isfinite(d).all(axis=0)
                 labels[first:stop] = _labels(d, stop - first)
         if not finite.all():
-            raise DataError(f"new row {int(np.argmin(finite))}: propagated "
-                            "logits are not finite; the new rows' values "
-                            "overflow the model")
+            raise DataError(f"new row {np.argmin(finite)}: its propagated "
+                            "logits overflow the model")
         return labels
 
 

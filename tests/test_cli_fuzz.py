@@ -250,5 +250,5 @@ def test_new_row_that_overflows_the_model_is_a_data_error(tmp_path, capsys):
             capsys.readouterr()
             assert main([command, "--model", "m.gbe", "--data", "new9.csv",
                          "--out", "new9.out"]) == 2, command
-            assert "error: new row 0: propagated logits are not finite" \
-                in capsys.readouterr().err
+            assert "error: new row 0: its propagated logits overflow the " \
+                "model" in capsys.readouterr().err
