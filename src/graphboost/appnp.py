@@ -889,10 +889,11 @@ class StoredRun:
     def new_labels(self, new_x: np.ndarray) -> np.ndarray:
         """Labels of the new rows ``new_x`` (at least one), joined into the
         graph by their column of its feature for ``steps`` steps: a C x m
-        array. Raises DataError, naming the first new row whose propagated
-        differences are not finite, where the new rows' values overflow a
+        array. Raises DataError where the new rows' values overflow a
         model: an inf head makes inf - inf in the prefix sums, which turns
-        the later rows of the cone NaN."""
+        the later rows of the cone NaN. It names the first new row whose
+        propagated differences are not finite, in the first block of
+        models that has one."""
         cone = self.graph.join(new_x[:, self.graph.feature], self.steps)
         prefixes = self.prefixes if cone.left[0] else None
         width = self.stored.shape[0] // self.count
@@ -903,7 +904,6 @@ class StoredRun:
         # large enough to be mapped afresh, page by page, on every call
         # (one row's cone fits in one block)
         per = max(1, BLOCK_BYTES // (8 * cone.order.size * (width + 1)))
-        finite = np.ones(len(new_x), dtype=bool)
         with np.errstate(over="ignore", invalid="ignore"):
             new = self.differences(new_x)
             for first in range(0, self.count, per):
@@ -912,11 +912,11 @@ class StoredRun:
                 d = cone.run(None if prefixes is None
                              else prefixes[:, lines], self.stored[lines],
                              new[lines], self.teleport)
-                finite &= np.isfinite(d).all(axis=0)
+                if not np.isfinite(d).all():
+                    row = np.isfinite(d).all(axis=0).argmin()
+                    raise DataError(f"new row {row}: its propagated logits "
+                                    "overflow the model")
                 labels[first:stop] = _labels(d, stop - first)
-        if not finite.all():
-            raise DataError(f"new row {np.argmin(finite)}: its propagated "
-                            "logits overflow the model")
         return labels
 
 
