@@ -37,35 +37,44 @@ settings, and per workload and metric each side's median and quartiles
 better, worse or the same, by the metric's direction in
 ``BENCHMARK.json``.
 
-``--in-process MODEL ROWS`` imports the ``graphboost`` package of each
-checkout under its own name, loads the model in each and encodes the CSV
-rows once. It then alternates single-row ``predict_ensemble`` calls of the
-two packages on the same rows, one row after another, with the side that
-goes first alternating from one call to the next, and asserts that both
-give equal labels and score bytes on every call. With ``--command`` a call
-is instead a whole ``pipeline.run_predict`` of the model on the CSV, as
-``graphboost predict`` runs it (model load, ingest, labelling and the
-predictions CSV), and the two sides' CSV files must be equal byte for byte
-after every call. ``--synth N,M,K,RHO,SEED`` instead alternates
-``data.gen_synthetic(N, M, K, RHO, SEED)`` calls of the two packages and
-asserts that both give equal labels and equal column names and bytes on
-every call. ``--train CONFIG`` instead alternates whole
-``pipeline.run_train`` calls of the two packages on one fit config, as
-``graphboost train`` runs it (ingest, encoding, fit, test report and
-``.gbe``), each side writing its model and report into its own temporary
-directory, and asserts that the two ``.gbe`` files are equal byte for
-byte after every call. The BENCH file then holds each side's per-call
-milliseconds (median and quartiles) and the calls in which the change was
-faster, slower or as fast.
+The other modes run in one process: they import the ``graphboost``
+package of each checkout under its own name and alternate calls of the
+two, the side that goes first alternating from one call to the next, one
+loop for every mode (``paired_calls``). After each call they assert that
+both sides' outputs are equal, and a failed check names the call and the
+part that differs. A mode sets up each side once, outside the timing:
+- ``--in-process MODEL ROWS`` (``row_mode``): each side loads the model
+  and reads and encodes the CSV rows; a call is one single-row
+  ``predict_ensemble``, one row after another. Labels and score bytes must
+  be equal.
+- with ``--command`` (``command_mode``): a call is a whole
+  ``pipeline.run_predict`` of the model on the CSV, as ``graphboost
+  predict`` runs it (model load, ingest, labelling and the predictions
+  CSV). The CSV files must be equal byte for byte.
+- ``--synth N,M,K,RHO,SEED`` (``synth_mode``): a call is
+  ``data.gen_synthetic(N, M, K, RHO, SEED)``. Labels and column names and
+  bytes must be equal.
+- ``--train CONFIG`` (``train_mode``): a call is a whole
+  ``pipeline.run_train`` on the fit config, as ``graphboost train`` runs it
+  (ingest, encoding, fit, test report and ``.gbe``), each side writing its
+  model and report into its own temporary directory. The ``.gbe`` files
+  must be equal byte for byte.
+
+The BENCH file then holds each side's per-call milliseconds (median and
+quartiles) and the calls in which the change was faster, slower or as
+fast. ``--command`` without ``--in-process``, and ``--calls`` below 1, are
+usage errors, found before any checkout is exported.
 """
 
 import argparse
+import collections
 import dataclasses
 import importlib
 import importlib.util
 import io
 import json
 import os
+import pathlib
 import subprocess
 import sys
 import tarfile
@@ -201,127 +210,100 @@ def import_tree(src: str, name: str):
     return module
 
 
-def _alternate(packages: dict, model: str, rows: str,
-               calls: int) -> tuple[dict, int]:
-    """Per side, the milliseconds of each of ``calls`` alternating
-    single-row calls, and the number of rows, read and encoded once."""
-    ensembles = {side: importlib.import_module(
-        f"{packages[side].__name__}.model_io").load_ensemble(model)
-        for side in SIDES}
-    data = importlib.import_module(f"{packages['change'].__name__}.data")
+def order(i: int) -> tuple:
+    """The sides in the order they run at call or seed ``i``: the side that
+    goes first alternates."""
+    return SIDES if i % 2 == 0 else SIDES[::-1]
+
+
+def _module(package, name: str):
+    return importlib.import_module(f"{package.__name__}.{name}")
+
+
+# One side of an in-process mode, as the mode sets it up from the side's
+# package, a path prefix for the side's files and the mode's inputs: the
+# side's call, of the call's index; the parts of a call's output that must
+# be equal on both sides, each with the name that a failed check reports;
+# and the rows of a call's output.
+Side = collections.namedtuple("Side", "call parts rows")
+
+
+def row_mode(package, prefix: str, model: str, rows: str) -> Side:
+    """Single-row ``predict_ensemble`` calls on the CSV's rows, read and
+    encoded once, one row after another."""
+    ensemble = _module(package, "model_io").load_ensemble(model)
+    data = _module(package, "data")
     table, _ = data.load_csv(rows, label_column=None)
-    x = data.apply_encoder(table, ensembles["change"].encoder)
-    times = {side: [] for side in SIDES}
-    for call in range(calls):
-        row = x[call % len(x)][None]
-        order = SIDES if call % 2 == 0 else SIDES[::-1]
-        out = {}
-        for side in order:
-            start = time.perf_counter()
-            out[side] = packages[side].predict_ensemble(ensembles[side], row)
-            times[side].append(1e3 * (time.perf_counter() - start))
-        (labels, scores), (want_labels, want_scores) = (out[s] for s in
-                                                        SIDES[::-1])
-        assert np.array_equal(labels, want_labels), f"call {call}: labels"
-        assert scores.tobytes() == want_scores.tobytes(), \
-            f"call {call}: score bytes"
-    return times, len(x)
+    x = data.apply_encoder(table, ensemble.encoder)
+    return Side(lambda i: package.predict_ensemble(ensemble,
+                                                   x[i % len(x)][None]),
+                lambda out: [("labels", out[0].tolist()),
+                             ("score bytes", out[1].tobytes())],
+                lambda out: len(x))
 
 
-def _alternate_commands(packages: dict, model: str, rows: str,
-                        calls: int) -> tuple[dict, int]:
-    """Per side, the milliseconds of each of ``calls`` alternating
-    ``run_predict`` calls, and the number of rows each call predicts."""
-    predict = {side: importlib.import_module(
-        f"{packages[side].__name__}.pipeline").run_predict for side in SIDES}
-    times = {side: [] for side in SIDES}
-    with tempfile.TemporaryDirectory() as out:
-        paths = {side: os.path.join(out, f"{side}.csv") for side in SIDES}
-        for call in range(calls):
-            order = SIDES if call % 2 == 0 else SIDES[::-1]
-            for side in order:
-                start = time.perf_counter()
-                count = predict[side](model, rows, paths[side])
-                times[side].append(1e3 * (time.perf_counter() - start))
-            with open(paths["parent"], "rb") as want, \
-                    open(paths["change"], "rb") as got:
-                assert got.read() == want.read(), f"call {call}: CSV bytes"
-    return times, count
+def command_mode(package, prefix: str, model: str, rows: str) -> Side:
+    """Whole ``run_predict`` calls of the model on the CSV."""
+    predict = _module(package, "pipeline").run_predict
+    csv = f"{prefix}.csv"
+    return Side(lambda i: predict(model, rows, csv),
+                lambda out: [("CSV bytes", pathlib.Path(csv).read_bytes())],
+                lambda count: count)
 
 
-def _alternate_synth(packages: dict, shape: tuple,
-                     calls: int) -> tuple[dict, int]:
-    """Per side, the milliseconds of each of ``calls`` alternating
-    ``gen_synthetic(*shape)`` calls, and the cohort's number of rows."""
-    generate = {side: importlib.import_module(
-        f"{packages[side].__name__}.data").gen_synthetic for side in SIDES}
-    times = {side: [] for side in SIDES}
-    for call in range(calls):
-        order = SIDES if call % 2 == 0 else SIDES[::-1]
-        out = {}
-        for side in order:
-            start = time.perf_counter()
-            out[side] = generate[side](*shape)
-            times[side].append(1e3 * (time.perf_counter() - start))
-        (table, labels), (want_table, want_labels) = (out[s] for s in
-                                                      SIDES[::-1])
-        assert labels == want_labels, f"call {call}: labels"
-        assert [(c.name, c.numeric.tobytes()) for c in table.columns] == [
-            (c.name, c.numeric.tobytes()) for c in want_table.columns], \
-            f"call {call}: column bytes"
-    return times, shape[0]
+def synth_mode(package, prefix: str, shape: tuple) -> Side:
+    """``gen_synthetic(*shape)`` calls."""
+    generate = _module(package, "data").gen_synthetic
+    return Side(lambda i: generate(*shape),
+                lambda out: [("labels", out[1]), ("column bytes", [
+                    (c.name, c.numeric.tobytes()) for c in out[0].columns])],
+                lambda out: shape[0])
 
 
-def _alternate_train(packages: dict, config: str,
-                     calls: int) -> tuple[dict, int]:
-    """Per side, the milliseconds of each of ``calls`` alternating
-    ``run_train`` calls on the fit config ``config``, and the cohort's
-    number of rows."""
-    load = {side: importlib.import_module(
-        f"{packages[side].__name__}.config").load_config for side in SIDES}
-    train = {side: importlib.import_module(
-        f"{packages[side].__name__}.pipeline").run_train for side in SIDES}
-    times = {side: [] for side in SIDES}
-    with tempfile.TemporaryDirectory() as out:
-        configs = {side: dataclasses.replace(
-            load[side](config), model_out=os.path.join(out, f"{side}.gbe"),
-            report_out=os.path.join(out, f"{side}.json")) for side in SIDES}
-        for call in range(calls):
-            order = SIDES if call % 2 == 0 else SIDES[::-1]
-            for side in order:
-                start = time.perf_counter()
-                outcome = train[side](configs[side])
-                times[side].append(1e3 * (time.perf_counter() - start))
-            with open(configs["parent"].model_out, "rb") as want, \
-                    open(configs["change"].model_out, "rb") as got:
-                assert got.read() == want.read(), f"call {call}: model bytes"
-    return times, outcome.ensemble.train_x.shape[0]
+def train_mode(package, prefix: str, config: str) -> Side:
+    """Whole ``run_train`` calls on the fit config ``config``, writing the
+    model and report under ``prefix``."""
+    cfg = dataclasses.replace(
+        _module(package, "config").load_config(config),
+        model_out=f"{prefix}.gbe", report_out=f"{prefix}.json")
+    train = _module(package, "pipeline").run_train
+    return Side(lambda i: train(cfg),
+                lambda out: [("model bytes",
+                              pathlib.Path(cfg.model_out).read_bytes())],
+                lambda outcome: outcome.ensemble.train_x.shape[0])
 
 
-def synth_shape(text: str) -> tuple:
-    """``"2000,10,2,0.9,0"`` as ``gen_synthetic``'s (n, m, k, rho, seed)."""
-    n, m, k, rho, seed = text.split(",")
-    return int(n), int(m), int(k), float(rho), int(seed)
-
-
-def _paired_calls(sources: dict, alternate) -> dict:
-    """``alternate(packages)`` on the ``graphboost`` trees under
-    ``sources`` (``{"parent": dir, "change": dir}``), each imported under
-    its own name: each side's per-call milliseconds and the calls each
-    side won."""
+def paired_calls(sources: dict, mode, *inputs, calls: int) -> dict:
+    """``calls`` alternating calls of ``mode`` on ``inputs`` by the
+    ``graphboost`` trees under ``sources`` (``{"parent": dir, "change":
+    dir}``), each imported under its own name: the calls, the rows, each
+    side's per-call milliseconds and the calls each side won. Raises
+    AssertionError, naming the call and the part, when a call's outputs
+    differ."""
     names = {side: f"graphboost_{side}" for side in SIDES}
+    times = {side: [] for side in SIDES}
     try:
-        packages = {side: import_tree(sources[side], names[side])
-                    for side in SIDES}
-        times, count = alternate(packages)
+        with tempfile.TemporaryDirectory() as tmp:
+            sides = {side: mode(import_tree(sources[side], names[side]),
+                                os.path.join(tmp, side), *inputs)
+                     for side in SIDES}
+            for i in range(calls):
+                out = {}
+                for side in order(i):
+                    start = time.perf_counter()
+                    out[side] = sides[side].call(i)
+                    times[side].append(1e3 * (time.perf_counter() - start))
+                want, got = (sides[side].parts(out[side]) for side in SIDES)
+                for (part, a), (_, b) in zip(want, got):
+                    assert a == b, f"call {i}: {part}"
+            rows = sides["change"].rows(out["change"])
     finally:
         for name in [name for name in sys.modules
                      if name.split(".")[0] in names.values()]:
             del sys.modules[name]
-    calls = len(times["parent"])
     faster = [c < p for p, c in zip(times["parent"], times["change"])]
     slower = [c > p for p, c in zip(times["parent"], times["change"])]
-    return {"calls": calls, "rows": count,
+    return {"calls": calls, "rows": rows,
             "sides": {side: _quartiles(times[side]) for side in SIDES},
             "change_faster_calls": sum(faster),
             "change_slower_calls": sum(slower),
@@ -331,33 +313,25 @@ def _paired_calls(sources: dict, alternate) -> dict:
                 / float(np.median(times["parent"])) - 1.0)}
 
 
-def in_process(sources: dict, model: str, rows: str, calls: int,
-               command: bool = False) -> dict:
-    """Alternating single-row calls of the ``graphboost`` trees under
-    ``sources`` on ``model`` and the rows of the CSV ``rows``, or with
-    ``command`` alternating whole ``run_predict`` calls on that CSV, summed
-    up by ``_paired_calls``. Raises AssertionError when the two sides
-    label or score a row differently, or write different CSV bytes."""
-    alternate = _alternate_commands if command else _alternate
-    return _paired_calls(sources, lambda packages: alternate(
-        packages, model, rows, calls))
+def synth_shape(text: str) -> tuple:
+    """``"2000,10,2,0.9,0"`` as ``gen_synthetic``'s (n, m, k, rho, seed)."""
+    n, m, k, rho, seed = text.split(",")
+    return int(n), int(m), int(k), float(rho), int(seed)
 
 
-def synth_calls(sources: dict, shape: tuple, calls: int) -> dict:
-    """Alternating ``gen_synthetic(*shape)`` calls of the ``graphboost``
-    trees under ``sources``, summed up by ``_paired_calls``. Raises
-    AssertionError when the two sides' labels or column bytes differ."""
-    return _paired_calls(sources, lambda packages: _alternate_synth(
-        packages, shape, calls))
-
-
-def train_calls(sources: dict, config: str, calls: int) -> dict:
-    """Alternating ``run_train`` calls of the ``graphboost`` trees under
-    ``sources`` on the fit config ``config``, summed up by
-    ``_paired_calls``. Raises AssertionError when the two sides write
-    different model bytes."""
-    return _paired_calls(sources, lambda packages: _alternate_train(
-        packages, config, calls))
+# what one call of each in-process mode is, as the BENCH file says it
+WHAT = {
+    row_mode: "single-row predict_ensemble calls of both packages in one "
+              "process on the same rows",
+    command_mode: "whole run_predict calls (model load, ingest, labelling, "
+                  "predictions CSV) of both packages in one process on the "
+                  "same CSV, asserting equal CSV bytes after each call",
+    synth_mode: "gen_synthetic calls of both packages in one process on the "
+                "same arguments, asserting equal labels and column bytes "
+                "after each call",
+    train_mode: "whole run_train calls (ingest, encoding, fit, test report, "
+                ".gbe) of both packages in one process on the same fit "
+                "config, asserting equal model bytes after each call"}
 
 
 def main(argv=None) -> int:
@@ -368,19 +342,19 @@ def main(argv=None) -> int:
                         help="directory for the two checkouts")
     parser.add_argument("--name", required=True,
                         help="writes BENCH_<name>.json")
-    mode = parser.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--run", action="append",
-                      metavar="WORKLOAD:FIRST-LAST",
-                      help="a workload and its seeds; may repeat")
-    mode.add_argument("--in-process", nargs=2, metavar=("MODEL", "ROWS"),
-                      help="a .gbe model and a CSV of rows to score one "
-                           "at a time")
-    mode.add_argument("--synth", type=synth_shape,
-                      metavar="N,M,K,RHO,SEED",
-                      help="a gen_synthetic cohort to generate again and "
-                           "again")
-    mode.add_argument("--train", metavar="CONFIG",
-                      help="a fit config to train again and again")
+    modes = parser.add_mutually_exclusive_group(required=True)
+    modes.add_argument("--run", action="append",
+                       metavar="WORKLOAD:FIRST-LAST",
+                       help="a workload and its seeds; may repeat")
+    modes.add_argument("--in-process", nargs=2, metavar=("MODEL", "ROWS"),
+                       help="a .gbe model and a CSV of rows to score one "
+                            "at a time")
+    modes.add_argument("--synth", type=synth_shape,
+                       metavar="N,M,K,RHO,SEED",
+                       help="a gen_synthetic cohort to generate again and "
+                            "again")
+    modes.add_argument("--train", metavar="CONFIG",
+                       help="a fit config to train again and again")
     parser.add_argument("--command", action="store_true",
                         help="with --in-process, time whole run_predict "
                              "calls on all the rows")
@@ -389,65 +363,60 @@ def main(argv=None) -> int:
                              "or --train")
     parser.add_argument("--out", default=ROOT, help="directory of the file")
     args = parser.parse_args(argv)
+    if args.command and not args.in_process:
+        parser.error("--command needs --in-process")
+    if args.calls < 1:
+        parser.error("--calls must be at least 1")
 
-    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
-        better = directions(json.load(fh))
     os.makedirs(args.scratch, exist_ok=True)
     checkouts = dict(parent=_export(args.parent, args.scratch),
                      change=_export(args.change, args.scratch))
-    if args.command and not args.in_process:
-        parser.error("--command needs --in-process")
-    if args.in_process or args.synth or args.train:
-        sources = {side: os.path.join(checkouts[side][1], "src")
-                   for side in SIDES}
-        load = os.getloadavg()[0]
-        if args.train:
-            call = ("whole run_train calls (ingest, encoding, fit, test "
-                    "report, .gbe) of both packages in one process on the "
-                    "same fit config, asserting equal model bytes after "
-                    "each call")
-            inputs = {"config": args.train}
-            summary = train_calls(sources, args.train, args.calls)
-        elif args.synth:
-            call = ("gen_synthetic calls of both packages in one process on "
-                    "the same arguments, asserting equal labels and column "
-                    "bytes after each call")
-            inputs = {"synth": dict(zip(("n", "m", "k", "rho", "seed"),
-                                        args.synth))}
-            summary = synth_calls(sources, args.synth, args.calls)
-        else:
-            call = ("whole run_predict calls (model load, ingest, labelling, "
-                    "predictions CSV) of both packages in one process on the "
-                    "same CSV, asserting equal CSV bytes after each call"
-                    if args.command else "single-row predict_ensemble calls "
-                    "of both packages in one process on the same rows")
-            inputs = {"model": args.in_process[0], "rows": args.in_process[1]}
-            summary = in_process(sources, *args.in_process, args.calls,
-                                 args.command)
-        return _write(args, checkouts, {
-            "what": f"{call}, the first side alternating per call; per "
-                    "side the median and quartiles (numpy percentile, "
-                    "linear) of the call's milliseconds, and the calls in "
-                    "which the change was faster, slower or as fast",
-            **inputs,
-            "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
-            "numpy": np.__version__, "python": sys.version.split()[0],
-            "loadavg_1m_before": load, **summary})
+    if args.train:
+        mode, inputs, named = train_mode, [args.train], {"config": args.train}
+    elif args.synth:
+        mode, inputs = synth_mode, [args.synth]
+        named = {"synth": dict(zip(("n", "m", "k", "rho", "seed"),
+                                   args.synth))}
+    elif args.in_process:
+        mode = command_mode if args.command else row_mode
+        inputs = args.in_process
+        named = {"model": args.in_process[0], "rows": args.in_process[1]}
+    else:
+        return _write(args, checkouts, _paired_runs(args.run, checkouts))
+    sources = {side: os.path.join(checkouts[side][1], "src")
+               for side in SIDES}
+    load = os.getloadavg()[0]
+    summary = paired_calls(sources, mode, *inputs, calls=args.calls)
+    return _write(args, checkouts, {
+        "what": f"{WHAT[mode]}, the first side alternating per call; per "
+                "side the median and quartiles (numpy percentile, linear) "
+                "of the call's milliseconds, and the calls in which the "
+                "change was faster, slower or as fast",
+        **named,
+        "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "numpy": np.__version__, "python": sys.version.split()[0],
+        "loadavg_1m_before": load, **summary})
+
+
+def _paired_runs(specs: list, checkouts: dict) -> dict:
+    """The report of one perfbench run per side for each workload and seed
+    of ``specs``, the side that goes first alternating."""
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        better = directions(json.load(fh))
     runs = []
-    for spec in args.run:
+    for spec in specs:
         workload, _, seeds = spec.partition(":")
         for i, seed in enumerate(seed_range(seeds)):
-            order = SIDES if i % 2 == 0 else SIDES[::-1]
-            for side in order:
+            for side in order(i):
                 run = {"workload": workload, "seed": seed, "side": side,
-                       "first": order[0],
+                       "first": order(i)[0],
                        **_run(checkouts[side][1], workload, seed)}
                 runs.append(run)
                 print(f"{workload} seed {seed} {side}: "
                       f"returncode {run['returncode']}, correct "
                       f"{run['correct']}", file=sys.stderr, flush=True)
     settings = next((r["settings"] for r in runs if "settings" in r), {})
-    return _write(args, checkouts, {
+    return {
         "what": f"perfbench/run.py --workload W --seed S --seconds {SECONDS} "
                 "--trace 0, one run per side per seed, the first side "
                 "alternating; per side the median and quartiles (numpy "
@@ -457,7 +426,7 @@ def main(argv=None) -> int:
         "nproc": settings.get("nproc", os.cpu_count()),
         "blas_threads": settings.get("blas_threads"),
         "numpy": settings.get("numpy"), "python": settings.get("python"),
-        "runs": runs, "workloads": summarize(runs, better)})
+        "runs": runs, "workloads": summarize(runs, better)}
 
 
 def _write(args, checkouts: dict, report: dict) -> int:

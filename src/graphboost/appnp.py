@@ -726,9 +726,6 @@ def _train_block(config: AppnpConfig, x: np.ndarray, adjacencies: list,
         failed = {i: _diverged(config, p, i, x, hd, adjacencies[ids[i]],
                                epoch)
                   for i, v in enumerate(losses) if not math.isfinite(v)}
-        if len(failed) == len(ids):
-            leave(failed, epoch)
-            break
 
         dz = targets.gradient(logp)
         del logp
@@ -891,9 +888,10 @@ class StoredRun:
         graph by their column of its feature for ``steps`` steps: a C x m
         array. Raises DataError where the new rows' values overflow a
         model: an inf head makes inf - inf in the prefix sums, which turns
-        the later rows of the cone NaN. It names the first new row whose
-        propagated differences are not finite, in the first block of
-        models that has one."""
+        the later rows of the cone NaN. In the first block of models whose
+        propagated differences are not all finite, it names the first new
+        row whose own head differences are not finite, or else the first
+        whose propagated differences are not."""
         cone = self.graph.join(new_x[:, self.graph.feature], self.steps)
         prefixes = self.prefixes if cone.left[0] else None
         width = self.stored.shape[0] // self.count
@@ -913,9 +911,11 @@ class StoredRun:
                              else prefixes[:, lines], self.stored[lines],
                              new[lines], self.teleport)
                 if not np.isfinite(d).all():
-                    row = np.isfinite(d).all(axis=0).argmin()
-                    raise DataError(f"new row {row}: its propagated logits "
-                                    "overflow the model")
+                    finite = np.isfinite(new[lines]).all(axis=0)
+                    if finite.all():
+                        finite = np.isfinite(d).all(axis=0)
+                    raise DataError(f"new row {finite.argmin()}: its "
+                                    "propagated logits overflow the model")
                 labels[first:stop] = _labels(d, stop - first)
         return labels
 

@@ -1253,6 +1253,27 @@ class TestPredict:
         with pytest.raises(DataError, match="at least one model"):
             appnp.StoredRun([], x, build_adjacency(x[:, 0], 0.0))
 
+    @pytest.mark.parametrize("scale, row", [(2.0, 2), (1.0, 1)])
+    def test_overflow_names_the_row_whose_own_heads_overflow(self, scale,
+                                                              row):
+        # The head difference is -scale * x[:, 1]. New rows 1-3 share a
+        # window on feature 0, and rows 2 and 3 hold 1.7e308: at scale 2
+        # their own heads overflow, and the error names row 2, not row 1,
+        # whose window sums they turn non-finite. At scale 1 every head is
+        # finite and only the sums overflow, so it names the first row
+        # whose propagated logits do. Row 0 sorts before them and stays
+        # finite.
+        model = init_model(AppnpConfig(hidden_dim=1, prop_steps=2), 2, 2)
+        model.w1, model.b1 = np.array([[0.0, 1.0]]), np.zeros(1)
+        model.w2, model.b2 = np.array([[scale], [0.0]]), np.zeros(2)
+        x = np.array([[0.0, 1.0], [0.1, 2.0], [0.2, 3.0]])
+        run = appnp.StoredRun([model], x, build_adjacency(x[:, 0], 0.5))
+        new = np.array([[-100.0, 1.0], [5.0, 1.0], [5.0, 1.7e308],
+                        [5.0, 1.7e308]])
+        with pytest.raises(DataError, match=f"^new row {row}: its "
+                           "propagated logits overflow the model$"):
+            run.new_labels(new)
+
     def test_stacked_labels_need_shared_propagation(self):
         # the one stackability check: a StoredRun's models share teleport,
         # prop_steps and hidden width

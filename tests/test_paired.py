@@ -156,37 +156,42 @@ def _check_summary(out, calls, rows):
 def test_in_process_calls_on_two_copies_of_one_tree(two_copies):
     # the rows are scored one at a time
     sources, model, rows, move_last_bit = two_copies
-    _check_summary(paired.in_process(sources, model, rows, 21), 21, 5)
+    _check_summary(paired.paired_calls(sources, paired.row_mode, model, rows,
+                                       calls=21), 21, 5)
     # a change that moves a score's last bit is caught
     move_last_bit()
     with pytest.raises(AssertionError, match="call 0: score bytes"):
-        paired.in_process(sources, model, rows, 4)
+        paired.paired_calls(sources, paired.row_mode, model, rows, calls=4)
 
 
 def test_in_process_commands_on_two_copies_of_one_tree(two_copies):
     # each call is a whole run_predict of all the rows
     sources, model, rows, move_last_bit = two_copies
-    out = paired.in_process(sources, model, rows, 6, command=True)
+    out = paired.paired_calls(sources, paired.command_mode, model, rows,
+                              calls=6)
     _check_summary(out, 6, 5)
-    assert out.keys() == paired.in_process(sources, model, rows, 2).keys()
+    assert out.keys() == paired.paired_calls(sources, paired.row_mode, model,
+                                             rows, calls=2).keys()
     move_last_bit()
     with pytest.raises(AssertionError, match="call 0: CSV bytes"):
-        paired.in_process(sources, model, rows, 4, command=True)
+        paired.paired_calls(sources, paired.command_mode, model, rows,
+                            calls=4)
 
 
 def test_synth_calls_on_two_copies_of_one_tree(two_trees):
     shape = paired.synth_shape("40,3,2,0.9,1")
     assert shape == (40, 3, 2, 0.9, 1)
-    _check_summary(paired.synth_calls(two_trees, shape, 5), 5, 40)
+    _check_summary(paired.paired_calls(two_trees, paired.synth_mode, shape,
+                                       calls=5), 5, 40)
     # a change that moves the last bits of a noise column is caught
     _edit(two_trees, "data.py", "gauss[:, gj].copy()",
           "gauss[:, gj] * (1.0 + 2**-40)")
     with pytest.raises(AssertionError, match="call 0: column bytes"):
-        paired.synth_calls(two_trees, shape, 2)
+        paired.paired_calls(two_trees, paired.synth_mode, shape, calls=2)
     # and one that renames the labels
     _edit(two_trees, "data.py", 'f"c{v}"', 'f"class{v}"')
     with pytest.raises(AssertionError, match="call 0: labels"):
-        paired.synth_calls(two_trees, shape, 2)
+        paired.paired_calls(two_trees, paired.synth_mode, shape, calls=2)
 
 
 def test_train_calls_on_two_copies_of_one_tree(two_trees, tmp_path):
@@ -203,9 +208,29 @@ def test_train_calls_on_two_copies_of_one_tree(two_trees, tmp_path):
     config.write_text(f"data = {rows}\nrounds = 2\nhidden_dim = 3\n"
                       "prop_steps = 1\nmax_epochs = 2\npatience = 2\n"
                       f"model_out = {tmp_path / 'unused.gbe'}\n")
-    _check_summary(paired.train_calls(two_trees, str(config), 3), 3, 60)
+    _check_summary(paired.paired_calls(two_trees, paired.train_mode,
+                                       str(config), calls=3), 3, 60)
     assert not (tmp_path / "unused.gbe").exists()
     # a change that moves every round's alpha is caught
     _edit(two_trees, "boost.py", "(0.5 * math.log(", "(0.5000001 * math.log(")
     with pytest.raises(AssertionError, match="call 0: model bytes"):
-        paired.train_calls(two_trees, str(config), 2)
+        paired.paired_calls(two_trees, paired.train_mode, str(config),
+                            calls=2)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (["--command", "--run", "predict:1"], "--command needs --in-process"),
+    (["--synth", "40,3,2,0.9,1", "--calls", "0"], "--calls must be at least"),
+    (["--train", "fit.cfg", "--calls", "-3"], "--calls must be at least")])
+def test_bad_arguments_are_a_usage_error_before_any_export(
+        monkeypatch, capsys, tmp_path, bad, message):
+    def export(rev, scratch):
+        raise AssertionError("exported a checkout")
+
+    monkeypatch.setattr(paired, "_export", export)
+    with pytest.raises(SystemExit) as exit_:
+        paired.main(["--parent", "HEAD", "--change", "HEAD", "--scratch",
+                     str(tmp_path), "--name", "bad", *bad])
+    assert exit_.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
