@@ -82,7 +82,10 @@ def run_synth(n: int, m: int, k: int, rho: float, seed: int,
     return paths
 
 
-def _prepare_dataset(cfg: RunConfig):
+def _prepare_dataset(cfg: RunConfig, *needed: tuple) -> Dataset:
+    """Load, split and encode ``cfg``'s data. Each ``(tag, message)`` of
+    ``needed`` names a split that must hold a row, so that a command
+    raises ``message`` before its first fit rather than after it."""
     if cfg.data is None:
         raise DataError("no data path configured")
     table, labels = load_csv(cfg.data, cfg.label, cfg.schema_hints())
@@ -90,48 +93,74 @@ def _prepare_dataset(cfg: RunConfig):
         else derive_seed(cfg.seed, "split")
     tags = split_rows(table.n_rows, cfg.split_fractions, split_seed, labels)
     dataset, _ = fit_encoder(table, labels, tags, label_column=cfg.label)
+    for tag, message in needed:
+        if not dataset.mask(tag).any():
+            raise DataError(message)
     return dataset
 
 
-def _split_report(ensemble, dataset: Dataset, mask: np.ndarray):
-    """``evaluate_scores`` of the ensemble's transductive labels and scores
-    on the rows of ``mask``."""
+def _fit(boost_cfg, dataset: Dataset, tag: int,
+         model_path: str | None = None) -> tuple:
+    """Fit ``dataset``, report on the rows of split ``tag`` (the metrics of
+    the ensemble's transductive labels and scores, ``rounds``,
+    ``stop_reason`` and ``stop_error``), and save the model to
+    ``model_path`` when one is given. Returns the ensemble and the
+    report."""
+    ensemble = boost.fit(boost_cfg, dataset)
     labels, scores = boost.transductive_scores(ensemble)
-    return evaluate_scores(scores[mask], labels[mask], dataset.y[mask],
-                           dataset.n_classes)
+    mask = dataset.mask(tag)
+    report = evaluate_scores(scores[mask], labels[mask], dataset.y[mask],
+                             dataset.n_classes).to_dict()
+    report["rounds"] = _round_records(ensemble)
+    report["stop_reason"] = ensemble.stop_reason
+    report["stop_error"] = ensemble.stop_error
+    if model_path:
+        with _writing(model_path):
+            save_ensemble(ensemble, model_path)
+    return ensemble, report
 
 
 def run_train(cfg: RunConfig) -> TrainOutcome:
     """Load, encode, split, fit, evaluate on the test split, persist."""
     boost_cfg = cfg.boost_config()
-    dataset = _prepare_dataset(cfg)
-    test_mask = dataset.mask(TEST)
-    if not test_mask.any():
-        raise DataError("test split is empty; training evaluates on it")
-
-    ensemble = boost.fit(boost_cfg, dataset)
-    report = _split_report(ensemble, dataset, test_mask).to_dict()
-    report["rounds"] = _round_records(ensemble)
-    report["stop_reason"] = ensemble.stop_reason
-    report["stop_error"] = ensemble.stop_error
-
+    dataset = _prepare_dataset(
+        cfg, (TEST, "test split is empty; training evaluates on it"))
     model_path = cfg.model_out or "model.gbe"
     report_path = cfg.report_out or "report.json"
-    with _writing(model_path):
-        save_ensemble(ensemble, model_path)
+    ensemble, report = _fit(boost_cfg, dataset, TEST, model_path)
     _write_json(report, report_path)
     log.info("test weighted AUROC %.4f over %d rounds; model at %s",
              report["weighted_auroc"], len(ensemble.rounds), model_path)
     return TrainOutcome(model_path, report_path, report, ensemble)
 
 
+def _score_csv(model_path: str, data_path: str, labeled: bool) -> tuple:
+    """Load the model at ``model_path``, read and encode the CSV at
+    ``data_path`` with the column kinds it was fitted on, and predict every
+    row. A ``labeled`` file must hold the model's label column, with no
+    value that training did not see, and may not be empty. Returns the
+    ensemble, the codes of the file's labels (None unless ``labeled``) and
+    the predicted labels and scores."""
+    ensemble = load_ensemble(model_path)
+    encoder = ensemble.encoder
+    table, labels_text = load_csv(
+        data_path, encoder.label_column if labeled else None,
+        allow_empty=not labeled, fitted_kinds=encoder.kinds())
+    x_new = apply_encoder(table, encoder)
+    y = None
+    if labeled:
+        code = {v: i for i, v in enumerate(encoder.label_values)}
+        unknown = sorted(set(labels_text) - set(code))
+        if unknown:
+            raise DataError(f"labels not seen at training time: {unknown}")
+        y = np.array([code[v] for v in labels_text], dtype=np.int64)
+    labels, scores = boost.predict_ensemble(ensemble, x_new)
+    return ensemble, y, labels, scores
+
+
 def run_predict(model_path: str, data_path: str, out_path: str) -> int:
     """Write per-row predicted label and class scores; returns row count."""
-    ensemble = load_ensemble(model_path)
-    table, _ = load_csv(data_path, label_column=None, allow_empty=True,
-                        fitted_kinds=ensemble.encoder.kinds())
-    x_new = apply_encoder(table, ensemble.encoder)
-    labels, scores = boost.predict_ensemble(ensemble, x_new)
+    ensemble, _, labels, scores = _score_csv(model_path, data_path, False)
     _write_predictions(out_path, ensemble.encoder, labels, scores)
     log.info("wrote %d predictions to %s", len(labels), out_path)
     return len(labels)
@@ -178,17 +207,7 @@ def _write_predictions(out_path: str, encoder, labels: np.ndarray,
 def run_evaluate(model_path: str, data_path: str,
                  out_path: str | None = None) -> dict:
     """Score a labeled file with a saved model."""
-    ensemble = load_ensemble(model_path)
-    label_column = ensemble.encoder.label_column
-    table, labels_text = load_csv(data_path, label_column,
-                                  fitted_kinds=ensemble.encoder.kinds())
-    x_new = apply_encoder(table, ensemble.encoder)
-    code = {v: i for i, v in enumerate(ensemble.encoder.label_values)}
-    unknown = sorted(set(labels_text) - set(code))
-    if unknown:
-        raise DataError(f"labels not seen at training time: {unknown}")
-    y = np.array([code[v] for v in labels_text], dtype=np.int64)
-    labels, scores = boost.predict_ensemble(ensemble, x_new)
+    ensemble, y, labels, scores = _score_csv(model_path, data_path, True)
     report = evaluate_scores(scores, labels, y, ensemble.n_classes).to_dict()
     if out_path:
         _write_json(report, out_path)
@@ -204,31 +223,26 @@ def run_sweep(cfg: RunConfig) -> dict:
                         f"{cfg.sweep_cap}")
     # Every point's settings are checked before any data is read.
     boost_cfgs = [cfg.with_point(point).boost_config() for point in points]
-    dataset = _prepare_dataset(cfg)
-    val_mask = dataset.mask(VAL)
-    if not val_mask.any():
-        raise DataError("sweep selection needs a validation split")
+    dataset = _prepare_dataset(
+        cfg, (VAL, "sweep selection needs a validation split"),
+        (TEST, "test split is empty; sweep reports on it"))
 
     results = []
-    best_idx = None
-    for i, (point, boost_cfg) in enumerate(zip(points, boost_cfgs)):
-        ensemble = boost.fit(boost_cfg, dataset)
-        val_report = _split_report(ensemble, dataset, val_mask)
+    for i, (point, boost_cfg) in enumerate(zip(points, boost_cfgs), start=1):
+        ensemble, report = _fit(boost_cfg, dataset, VAL)
         results.append({"point": point,
-                        "val_weighted_auroc": val_report.weighted_auroc,
+                        "val_weighted_auroc": report["weighted_auroc"],
                         "rounds_used": len(ensemble.rounds)})
         log.info("sweep point %d/%d %s -> val weighted AUROC %.4f",
-                 i + 1, len(points), point, val_report.weighted_auroc)
-        if best_idx is None or val_report.weighted_auroc > \
-                results[best_idx]["val_weighted_auroc"]:
-            best_idx = i
-
+                 i, len(points), point, report["weighted_auroc"])
+    # the first of the points with the highest validation AUROC
+    best_idx = max(range(len(points)),
+                   key=lambda j: results[j]["val_weighted_auroc"])
     best_point = points[best_idx]
 
     # Retrain on train+val. The weak learners still need an early-stop
     # validation set, so carve a fresh 20% out of the merged rows.
-    merged = dataset.mask(TRAIN) | val_mask
-    merged_rows = np.flatnonzero(merged)
+    merged_rows = np.flatnonzero(dataset.mask(TRAIN) | dataset.mask(VAL))
     sub_labels = [str(dataset.y[i]) for i in merged_rows]
     sub_tags = split_rows(merged_rows.size, (0.8, 0.2, 0.0),
                           derive_seed(cfg.seed, "sweep-final"), sub_labels)
@@ -238,18 +252,11 @@ def run_sweep(cfg: RunConfig) -> dict:
     final_dataset = Dataset(dataset.X, dataset.y, dataset.n_classes,
                             final_split, dataset.encoder)
 
-    ensemble = boost.fit(boost_cfgs[best_idx], final_dataset)
-    test_mask = dataset.mask(TEST)
-    if not test_mask.any():
-        raise DataError("test split is empty; sweep reports on it")
-    final_report = _split_report(ensemble, dataset, test_mask).to_dict()
-    final_report["rounds"] = _round_records(ensemble)
-
+    # The test rows keep their tag, so the report is on the same rows.
+    _, final_report = _fit(boost_cfgs[best_idx], final_dataset, TEST,
+                           cfg.model_out)
     outcome = {"points": results, "best": best_point,
                "final_report": final_report}
-    if cfg.model_out:
-        with _writing(cfg.model_out):
-            save_ensemble(ensemble, cfg.model_out)
     if cfg.report_out:
         _write_json(outcome, cfg.report_out)
     log.info("sweep best %s -> test weighted AUROC %.4f", best_point,

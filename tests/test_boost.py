@@ -268,6 +268,27 @@ class TestRunRound:
         assert f"err={round_.error:.4f}" in lines[0]
         assert all("epochs=15 (max epochs)" in line for line in lines)
 
+    def test_diverged_candidate_logged_last(self, caplog):
+        # One candidate on each feature, so that each graph has a row order
+        # of its own; the learner on feature 1 diverges at its first epoch.
+        from test_appnp import losses_turn_inf
+        ds, w, cfg = self._setup(seed=4)
+        cands = [next(c for c in enumerate_candidates(ds.X) if c.feature == j)
+                 for j in range(3)]
+        with losses_turn_inf([(cands[1].adjacency, 0)]), \
+                caplog.at_level(logging.DEBUG, logger="graphboost.boost"):
+            round_, _ = run_round(w, cands, ds.X, ds.y, ds.mask(TRAIN),
+                                  ds.mask(VAL), 2, cfg,
+                                  feature_names=["a", "b", "c"])
+        assert round_.feature != 1
+        (text,) = [r.getMessage() for r in caplog.records
+                   if r.levelno == logging.DEBUG]
+        header, *lines = text.split("\n")
+        assert header == "round 1 leaderboard, top 3 of 3:"
+        assert lines[-1] == \
+            f"  3. feature 1 (b) gamma={cands[1].gamma:.6g} diverged"
+        assert all("err=" in line for line in lines[:-1])
+
 
 class TestFit:
     def _config(self, n_rounds=1, seed=0, **weak_overrides):

@@ -3,12 +3,16 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import graphboost
 from graphboost import boost, pipeline
 from graphboost.appnp import MAX_HIDDEN_DIM
 from graphboost.cli import main
@@ -16,7 +20,7 @@ from graphboost.config import parse_config
 from graphboost.data import (CATEGORICAL, MAX_SYNTH_CELLS, EncodingMeta,
                              apply_encoder, load_csv)
 from graphboost.graph import quantile_thresholds
-from graphboost.model_io import load_ensemble
+from graphboost.model_io import load_ensemble, save_ensemble
 from graphboost.pipeline import (run_evaluate, run_predict, run_sweep,
                                  run_synth, run_train)
 from graphboost.rng import derive_seed
@@ -119,6 +123,29 @@ class TestTrain:
         from graphboost.errors import DataError
         with pytest.raises(DataError, match="label column absent"):
             run_train(cfg)
+
+    def test_cli_overrides_land_where_they_say(self, cohort, tmp_path,
+                                               capsys):
+        # --seed replaces the config's seed, and --model and --out its
+        # output paths, which stay unwritten
+        config = BASE_CONFIG.format(data=cohort[0], rounds=1,
+                                    model=tmp_path / "cfg.gbe",
+                                    report=tmp_path / "cfg.json")
+        (tmp_path / "c.cfg").write_text(config)
+        model, report = tmp_path / "flag.gbe", tmp_path / "flag.json"
+        assert main(["train", "--config", str(tmp_path / "c.cfg"),
+                     "--seed", "5", "--model", str(model),
+                     "--out", str(report)]) == 0
+        assert capsys.readouterr().out.startswith(
+            f"model: {model}\nreport: {report}\n")
+        assert not (tmp_path / "cfg.gbe").exists()
+        assert not (tmp_path / "cfg.json").exists()
+        seeded = run_train(parse_config(config.replace("seed = 13",
+                                                       "seed = 5")))
+        assert model.read_bytes() == Path(seeded.model_path).read_bytes()
+        assert report.read_text() == Path(seeded.report_path).read_text()
+        unseeded = run_train(parse_config(config))
+        assert model.read_bytes() != Path(unseeded.model_path).read_bytes()
 
 
 def _ref_write_predictions(out_path, encoder, labels, scores):
@@ -450,6 +477,68 @@ report_out = {report}
         from graphboost.errors import DataError
         with pytest.raises(DataError, match="cap"):
             run_sweep(cfg)
+
+    def test_report_has_points_best_and_a_train_report(self, cohort,
+                                                        trained, tmp_path):
+        cfg = parse_config(self.SWEEP_CONFIG.format(
+            data=cohort[0], teleports="0.2, 1.0",
+            report=tmp_path / "sweep.json"))
+        outcome = run_sweep(cfg)
+        assert set(outcome) == {"points", "best", "final_report"}
+        assert [set(p) for p in outcome["points"]] == \
+            [{"point", "val_weighted_auroc", "rounds_used"}] * 2
+        assert outcome["best"] in [p["point"] for p in outcome["points"]]
+        assert set(outcome["final_report"]) == set(trained[0].report)
+
+    def test_cli_sweep_with_overrides(self, cohort, tmp_path, capsys):
+        # exits 0, prints the best point and its test AUROC, and writes a
+        # model that evaluate loads and that saves again byte for byte
+        config = self.SWEEP_CONFIG.format(data=cohort[0],
+                                          teleports="0.2, 1.0",
+                                          report=tmp_path / "cfg.json")
+        (tmp_path / "s.cfg").write_text(config)
+        model, report = tmp_path / "final.gbe", tmp_path / "sweep.json"
+        assert main(["sweep", "--config", str(tmp_path / "s.cfg"),
+                     "--seed", "5", "--model", str(model),
+                     "--out", str(report)]) == 0
+        printed = capsys.readouterr().out
+        assert not (tmp_path / "cfg.json").exists()
+
+        seeded = parse_config(config.replace("seed = 17", "seed = 5"))
+        seeded.model_out = str(tmp_path / "seeded.gbe")
+        outcome = run_sweep(seeded)
+        assert printed == (
+            f"best point: {outcome['best']}\ntest weighted AUROC: "
+            f"{outcome['final_report']['weighted_auroc']:.4f}\n")
+        assert json.loads(report.read_text()) == outcome
+        assert model.read_bytes() == (tmp_path / "seeded.gbe").read_bytes()
+
+        assert main(["evaluate", "--model", str(model),
+                     "--data", cohort[1]]) == 0
+        save_ensemble(load_ensemble(str(model)), str(tmp_path / "again.gbe"))
+        assert (tmp_path / "again.gbe").read_bytes() == model.read_bytes()
+
+    @pytest.mark.parametrize("command, fractions, error", [
+        ("train", "0.8, 0.2, 0.0", "test split is empty"),
+        ("sweep", "0.8, 0.2, 0.0", "test split is empty"),
+        ("sweep", "0.8, 0.0, 0.2", "sweep selection needs a validation "
+                                   "split")])
+    def test_empty_split_is_two_before_any_fit(self, cohort, tmp_path,
+                                               capsys, monkeypatch, command,
+                                               fractions, error):
+        fits = []
+        monkeypatch.setattr(boost, "fit", lambda *args: fits.append(args))
+        config = self.SWEEP_CONFIG.format(
+            data=cohort[0], report=tmp_path / "r.json",
+            teleports="0.1, 0.2, 0.3, 0.5, 0.7, 1.0" if command == "sweep"
+            else "0.2")
+        (tmp_path / "c.cfg").write_text(
+            config.replace("0.6, 0.2, 0.2", fractions))
+        assert main([command, "--config", str(tmp_path / "c.cfg"),
+                     "--model", str(tmp_path / "m.gbe")]) == 2
+        assert f"error: {error}" in capsys.readouterr().err
+        assert fits == []
+        assert not (tmp_path / "m.gbe").exists()
 
 
 class TestEndToEndQuality:
@@ -796,6 +885,61 @@ class TestCliExitCodes:
         assert main(["predict", "--model", str(bad), "--data", str(data),
                      "--out", str(tmp_path / "o.csv")]) == 2
         assert "version" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_non_finite_model_weight_is_two(self, trained, cohort, tmp_path,
+                                            capsys, command):
+        outcome, _ = trained
+        ensemble = load_ensemble(outcome.model_path)
+        ensemble.rounds[0].model.w1[0, 0] = np.nan
+        bad = tmp_path / "nan.gbe"
+        save_ensemble(ensemble, str(bad))
+        assert main([command, "--model", str(bad), "--data", cohort[1],
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "error: non-finite values in round 0 w1" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    @pytest.mark.parametrize("text, error", [
+        ("edge,edge,label\n1,2,0\n3,4,1\n",
+         "duplicate column names in header"),
+        ("label\n0\n1\n", "no feature columns")],
+        ids=["repeated-name", "label-only"])
+    def test_csv_without_distinct_features_is_two(self, trained, tmp_path,
+                                                  capsys, command, text,
+                                                  error):
+        (tmp_path / "d.csv").write_text(text)
+        (tmp_path / "c.cfg").write_text(BASE_CONFIG.format(
+            data=tmp_path / "d.csv", rounds=1, model=tmp_path / "m.gbe",
+            report=tmp_path / "r.json"))
+        argv = (["train", "--config", str(tmp_path / "c.cfg")]
+                if command == "train" else
+                ["evaluate", "--model", trained[0].model_path,
+                 "--data", str(tmp_path / "d.csv")])
+        assert main(argv) == 2
+        assert f"error: {error}" in capsys.readouterr().err
+
+    def test_closed_stdout_is_one_without_a_traceback(self, trained, cohort):
+        # graphboost evaluate ... | head -1: the reader is gone before the
+        # report is printed
+        read, write = os.pipe()
+        os.close(read)
+        src = str(Path(graphboost.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "graphboost.cli", "evaluate",
+                 "--model", trained[0].model_path, "--data", cohort[1]],
+                stdout=write, stderr=subprocess.PIPE, env=env, text=True,
+                timeout=120)
+        finally:
+            os.close(write)
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert "Exception ignored" not in done.stderr
+        assert "BrokenPipeError" not in done.stderr
 
     @pytest.mark.parametrize("command", ["predict", "evaluate"])
     def test_missing_model_file_is_two(self, cohort, tmp_path, capsys,
