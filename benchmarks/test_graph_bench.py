@@ -28,7 +28,9 @@ alone, the shape of a one-round fit with its one difference line. The
 scaling cases score one row, and a batch of 2000, against 3 rounds on one
 graph over n = 2000, 20000 or 100000 stored rows, with the benchmark
 model's learner shape (k = 3): a uniform column with gamma = 62 / n, so
-that a window holds about 125 rows at every n. Ingest
+that a window holds about 125 rows at every n; the first-call cases score
+one row on such an ensemble made afresh, outside the timing, before each
+call, at n = 2000 and 100000. Ingest
 reads that cohort back from a CSV file, continuous as written or mixed:
 its noise columns cut into integer scores, one of them into text levels,
 with 5% of their cells ``NA``; the encode benchmark fits and applies the
@@ -296,3 +298,16 @@ def test_predict_batch_scaling(benchmark, n):
     rows[:, 0] = rng.uniform(size=2_000)
     labels, scores = benchmark(predict_ensemble, ensemble, rows)
     assert labels.shape == (2_000,) and scores.shape == (2_000, 2)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_predict_first_row(benchmark, n):
+    def fresh():
+        ensemble, rng = _windowed_ensemble(n)
+        row = rng.normal(size=(1, 4))
+        row[0, 0] = 0.5
+        return (ensemble, row), {}
+
+    labels, scores = benchmark.pedantic(predict_ensemble, setup=fresh,
+                                        rounds=10)
+    assert labels.shape == (1,) and scores.shape == (1, 2)

@@ -53,18 +53,20 @@ differ in any of the three. It keeps the graph and the learners' weights
 in one stack, transposed and contiguous, so that each layer of their
 heads is one ``np.matmul`` with the bits of a one-learner product. A
 stored row's head does not depend on the graph, so it computes the K - 1
-head differences of its learners over the stored rows once. It
-propagates those C(K - 1) lines on the stored graph alone, as the lines
-of a one-graph ``GraphStack``, the engine that training runs too, and
-keeps the stored rows' labels and the k prefix sums of that run.
+head differences of its learners over the stored rows once, and keeps
+nothing else of the stored rows until their labels are asked for: then
+it propagates those C(K - 1) lines on the stored graph alone, as the
+lines of a one-graph ``GraphStack``, the engine that training runs too.
 ``new_labels`` joins new rows into its graph for the group's k steps, a
 ``graph.Cone``, and computes their differences for the new rows only;
 ``Cone.run`` places the stored and new lines on the cone and propagates
-only the cone, seeded from those prefix sums, with the bits of a full run
-over all rows, in blocks of learners whose lines over the cone fit
-``BLOCK_BYTES``. New rows whose values overflow a model's head make its
-propagated differences non-finite, inf - inf in the prefix sums, and
-``new_labels`` raises ``DataError`` then, without numpy's warnings.
+only the cone, from nothing but those lines, in blocks of learners whose
+lines over the cone fit ``BLOCK_BYTES``. Its values have the bits of a
+full run over all rows where the cone reaches the first stored row, as a
+batch's does, and agree with it to within rounding elsewhere. New rows
+whose values overflow a model's head make its propagated differences
+non-finite, inf - inf in the prefix sums, and ``new_labels`` raises
+``DataError`` then, without numpy's warnings.
 
 Training and prediction propagate K - 1 logit differences, not K
 logits. Softmax, cross-entropy and argmax do not change when one value is
@@ -98,6 +100,7 @@ best epoch go back once, when it leaves the block.
 order.
 """
 
+import functools
 import logging
 import math
 import threading
@@ -539,8 +542,8 @@ def train_candidates(config: AppnpConfig, x: np.ndarray, adjacencies: list,
     bit, whatever ``workers`` is. ``labels`` are the learner's hard labels
     of all N rows, in row order, from the validation forward pass that
     chose ``model``'s parameters (at ``max_epochs`` 0, the initial ones):
-    ``StoredRun([model], ...).labels`` on that graph, bit for bit and of its
-    type, 1 byte up to 256 classes.
+    the labels of ``StoredRun([model], x, graph).labels``, its run on that
+    graph alone, bit for bit and of their type, 1 byte up to 256 classes.
     """
     train_mask = np.asarray(train_mask, dtype=bool)
     val_mask = np.asarray(val_mask, dtype=bool)
@@ -795,10 +798,9 @@ class StoredRun:
     for many calls and never saved. It keeps the graph, the models'
     first- and second-layer weights stacked, transposed and contiguous,
     and their biases, and their K - 1 head differences over the stored
-    rows; the first call that needs them makes the prefix sums that k
-    propagation steps of those lines on the stored graph alone take
-    (k x C(K - 1) x (N + 1) floats) and the stored rows' labels from that
-    run. All of these are read-only.
+    rows, computed without numpy's warnings and kept whether finite or
+    not (``boost.Ensemble`` rejects a model that overflows there). All of
+    these are read-only.
 
     ``differences`` runs each layer as one ``np.matmul``, which calls
     BLAS once per model with the shapes of a one-model call, and every
@@ -807,15 +809,15 @@ class StoredRun:
     bits can depend on the other rows of ``x``, as BLAS blocks the
     product by its shape.
 
-    ``labels`` equals a one-model ``predict`` of the stored rows except
-    where two classes' logits lie within rounding of each other, and a
-    one-model run bit for bit; training labels its learners in the
-    training pass, with the same bits (``train_candidates``).
-    ``new_labels`` joins new rows into the graph for the group's k steps
-    and labels them on that ``Cone``, with the bits of a full run over the
-    stored rows followed by the new rows. A cone whose windows reach the
-    first stored row, as a batch's does, reads no prefix sum but 0, so it
-    runs without them.
+    ``labels``, made by the first read, equals a one-model ``predict`` of
+    the stored rows except where two classes' logits lie within rounding
+    of each other, and a one-model run bit for bit; training labels its
+    learners in the training pass, with the same bits
+    (``train_candidates``). ``new_labels`` joins new rows into the graph
+    for the group's k steps and labels them on that ``Cone``, with the
+    bits of a full run over the stored rows followed by the new rows where
+    the cone reaches the first stored row, as a batch's does, and to
+    within rounding of them elsewhere, and keeps nothing between calls.
     """
 
     def __init__(self, models: list, x: np.ndarray, graph: CandidateGraph):
@@ -837,10 +839,9 @@ class StoredRun:
         self.teleport = cfg.teleport
         # the steps that read the graph
         self.steps = 0 if cfg.teleport == 1.0 else cfg.prop_steps
-        self.stored = self.differences(x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.stored = self.differences(x)
         self.stored.flags.writeable = False
-        self._run = None
-        self._lock = threading.Lock()
 
     def differences(self, x: np.ndarray) -> np.ndarray:
         """The K - 1 logit differences of every model's head over the rows
@@ -852,36 +853,19 @@ class StoredRun:
         c, n, width = d.shape
         return d.transpose(0, 2, 1).reshape(c * width, n)
 
-    def _stored_run(self) -> tuple:
-        """The prefix sums and labels of the run over the stored rows."""
-        if self._run is None:
-            with self._lock:
-                if self._run is None:
-                    self._run = self._propagate()
-        return self._run
-
-    def _propagate(self) -> tuple:
-        adjacency = self.graph.adjacency
-        w, n = self.stored.shape
-        stack = GraphStack([adjacency])
-        prefixes = np.empty((self.steps, w, 1, n + 1))
-        z = stack.run(self.stored.take(adjacency.order, axis=1)[:, None],
-                      self.teleport, self.steps, prefixes)
-        prefixes = prefixes.reshape(self.steps, w, n + 1)
-        sorted_labels = _labels(z[:, 0], self.count)
-        labels = np.empty_like(sorted_labels)
-        labels[:, adjacency.order] = sorted_labels
-        for array in (prefixes, labels):
-            array.flags.writeable = False
-        return prefixes, labels
-
-    @property
-    def prefixes(self) -> np.ndarray:
-        return self._stored_run()[0]
-
-    @property
+    @functools.cached_property
     def labels(self) -> np.ndarray:
-        return self._stored_run()[1]
+        """The stored rows' labels from a run on the stored graph alone: a
+        C x N array in row order. Threads that read it at once may each
+        compute it, with equal results."""
+        adjacency = self.graph.adjacency
+        stack = GraphStack([adjacency])
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = stack.run(self.stored.take(adjacency.order, axis=1)[:, None],
+                          self.teleport, self.steps)
+        labels = adjacency.from_sorted(_labels(z[:, 0], self.count).T).T
+        labels.flags.writeable = False
+        return labels
 
     def new_labels(self, new_x: np.ndarray) -> np.ndarray:
         """Labels of the new rows ``new_x`` (at least one), joined into the
@@ -893,7 +877,6 @@ class StoredRun:
         row whose own head differences are not finite, or else the first
         whose propagated differences are not."""
         cone = self.graph.join(new_x[:, self.graph.feature], self.steps)
-        prefixes = self.prefixes if cone.left[0] else None
         width = self.stored.shape[0] // self.count
         labels = np.empty((self.count, len(new_x)),
                           dtype=np.min_scalar_type(width))
@@ -907,9 +890,7 @@ class StoredRun:
             for first in range(0, self.count, per):
                 stop = min(first + per, self.count)
                 lines = slice(first * width, stop * width)
-                d = cone.run(None if prefixes is None
-                             else prefixes[:, lines], self.stored[lines],
-                             new[lines], self.teleport)
+                d = cone.run(self.stored[lines], new[lines], self.teleport)
                 if not np.isfinite(d).all():
                     finite = np.isfinite(new[lines]).all(axis=0)
                     if finite.all():

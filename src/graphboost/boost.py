@@ -27,17 +27,19 @@ varies only the seed between rounds, so its groups are its distinct
 (feature, gamma) graphs. Each group's graph is built over the stored rows,
 one sort per feature shared by its graphs (``graph.graphs_of``, as for the
 candidates of a fit). Each group is one ``appnp.StoredRun``, which owns
-that graph, its rounds' stacked head weights, their K - 1 head
-differences over the stored rows and, once a call needs them, their
-propagation on the stored graph alone, kept as that run's k prefix sums
-(k x C(K - 1) x (N + 1) floats), and the stored rows' labels from it; none
-of these is saved. A prediction makes one ``new_labels`` call per group.
-It runs the group's MLP heads on the new rows alone, one stacked product
-per layer, as in APPNP's "predict, then propagate", where a row's head
-does not depend on the graph, merges the new rows into the group's graph
-only on their dependency cone for the group's k, and propagates the group
-there for those k steps, seeded from its prefix sums, with the bits of a
-run over all rows. ``transductive_scores`` reads the stored rows' labels.
+that graph, its rounds' stacked head weights and their K - 1 head
+differences over the stored rows, and, once ``transductive_scores`` asks
+for them, the stored rows' labels from a run on the stored graph alone;
+none of these is saved. ``Ensemble`` rejects a round whose head
+overflows float64 on the stored rows, naming it. A prediction makes one
+``new_labels`` call per group. It runs the group's MLP heads on the new
+rows alone, one stacked product per layer, as in APPNP's "predict, then
+propagate", where a row's head does not depend on the graph, merges the
+new rows into the group's graph only on their dependency cone for the
+group's k, and propagates the group there for those k steps, from the
+stored and new rows' head differences alone: with the bits of a run over
+all rows where the cone reaches the first stored row, as a batch's does,
+and to within rounding of them elsewhere.
 """
 
 import logging
@@ -136,9 +138,13 @@ class Ensemble:
                                cfg.prop_steps, r.model.b1.size), []).append(t)
         groups = []
         for (feature, gamma, *_), ts in by_key.items():
-            groups.append((tuple(ts), StoredRun(
-                [self.rounds[t].model for t in ts], self.train_x,
-                graph(feature, gamma))))
+            run = StoredRun([self.rounds[t].model for t in ts],
+                            self.train_x, graph(feature, gamma))
+            finite = np.isfinite(run.stored).reshape(run.count, -1).all(1)
+            if not finite.all():
+                raise DataError(f"round {ts[finite.argmin()]} overflows on "
+                                "the stored rows")
+            groups.append((tuple(ts), run))
         object.__setattr__(self, "groups", tuple(groups))
 
 

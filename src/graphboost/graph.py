@@ -32,17 +32,18 @@ taken from that sort too. ``enumerate_candidates`` hands the features to
 up to ``workers`` threads. A ``CandidateGraph`` over stored rows keeps its
 column, and ``join`` merges new rows into it only where k propagation
 steps from the new rows read it: their dependency cone, about 2k + 1
-half-windows around them. Left of the first window that holds a new row
-the merged graph is the stored one, so the
-merged run's prefix sums equal those of a run over the stored rows alone
-up to a position that moves one window left per step. ``Cone.run`` takes
-the lines of the stored rows and of the new rows, each in their own row
-order, and places them on the cone itself, so no other module knows how a
-cone numbers its positions. It takes exactly the k steps that the cone
-was joined for, seeds each step's prefix sum from the stored run's, which
-``GraphStack.run`` leaves when asked, and propagates the cone only, with
-the bits of the full run. A batch whose cone spans the sort does the full
-run's work.
+half-windows around them. ``Cone.run`` takes the lines of the stored rows
+and of the new rows, each in their own row order, and places them on the
+cone itself, so no other module knows how a cone numbers its positions.
+It takes exactly the k steps that the cone was joined for, each on the
+part of the cone that the later steps read, one window narrower per step
+on each side, and starts each step's prefix sum from 0 at the first
+position that the step reads. It keeps nothing between calls and reads
+nothing of a run over the stored rows. Where the cone reaches the first
+sorted position, as a batch's does, every sum adds the terms of the full
+run over stored and new rows in its order, and the values have its bits;
+elsewhere they agree with it to within rounding. A batch whose cone spans
+the sort does the full run's work.
 """
 
 import os
@@ -179,14 +180,11 @@ class GraphStack:
         return np.take(operand.reshape(c * n, w).T, self._rows,
                        axis=1).reshape(w, c, n)
 
-    def run(self, frame: np.ndarray, teleport: float, steps: int,
-            prefixes: np.ndarray | None = None) -> np.ndarray:
+    def run(self, frame: np.ndarray, teleport: float,
+            steps: int) -> np.ndarray:
         """k steps of Z <- (1 - a) Ahat_c @ Z + a H0 for every line of every
         graph c, with H0 = ``frame``. Returns the (W, C, N) result in the
-        frame, a new array. Given ``prefixes``, a (k, W, C, N + 1) array,
-        step l leaves there the prefix sums of dinv * Z(l) that it
-        multiplies with, from 0 at column 0 on; ``Cone.run`` seeds its
-        steps from those of a run over the stored rows alone."""
+        frame, a new array."""
         self._check(frame, (3,))
         c, n = self.shape
         w = frame.shape[0]
@@ -195,11 +193,9 @@ class GraphStack:
             return frame.copy()
         hi, lo, d = self._hi, self._lo, self._dinv
         restart = teleport * lines
-        if prefixes is None:  # one buffer for every step
-            prefixes = np.zeros((1, w, c, n + 1))
-        else:
-            prefixes[..., 0] = 0.0
-        flats = prefixes.reshape(len(prefixes), w, c * (n + 1))
+        # the prefix sums of dinv * Z of every step, 0 at column 0
+        prefix = np.zeros((w, c, n + 1))
+        flat = prefix.reshape(w, c * (n + 1))
         # dinv * Z, then, once the prefix sum has read it, the lower bounds
         scaled = np.empty((w, c * n))
         by_graph = scaled.reshape(w, c, n)
@@ -208,10 +204,8 @@ class GraphStack:
         # ndarray methods rather than np.cumsum and np.take, whose wrappers
         # cost about a microsecond a call
         for step in range(steps):
-            keep = min(step, len(prefixes) - 1)
-            flat = flats[keep]
             np.multiply(d, src, out=scaled)
-            by_graph.cumsum(axis=2, out=prefixes[keep, :, :, 1:])
+            by_graph.cumsum(axis=2, out=prefix[:, :, 1:])
             # the indices are in range by construction; "clip" skips the
             # bounds check and the buffering that the default mode adds
             flat.take(hi, axis=1, out=z, mode="clip")
@@ -421,11 +415,10 @@ class Cone:
     ``order``, ``lo``, ``hi`` and ``values`` are those of
     ``build_adjacency`` over the stacked column at the sorted positions
     from ``start`` on, and ``rows[j]`` is the sorted position of new row
-    j. Left of the first new row's window the merged graph is the stored
-    one, so ``run`` takes the prefix sums of the stored rows' run there
-    and propagates only the cone. Only this class reads that numbering:
-    ``run`` takes lines of the stored rows and of the new rows in their
-    own orders and places them itself.
+    j. ``run`` propagates only the cone, and nothing of a run over the
+    stored rows. Only this class reads that numbering: ``run`` takes lines
+    of the stored rows and of the new rows in their own orders and places
+    them itself.
     """
 
     start: int
@@ -435,31 +428,28 @@ class Cone:
     values: np.ndarray  # float64
     rows: np.ndarray  # int64, sorted position of each new row
     # The cone of the k steps it was joined for, as sorted positions:
-    # left[l], l < max(k, 1), up to which Z(l) of the merged run equals
-    # that of the stored run, and with it their prefix sums, and right[i],
-    # i <= k, from which on Z(k - i) is not read. left[0] starts the first
-    # new row's window and left[l + 1] that of the row at left[l]; right[0]
-    # follows the last new row and right[i + 1] ends the window of the row
-    # before right[i].
+    # Z(k - i) is read on [left[i - 1], right[i]) only, 1 <= i <= k.
+    # left[0] starts the first new row's window and left[l + 1] that of
+    # the row at left[l], l + 1 < max(k, 1); right[0] follows the last new
+    # row and right[i + 1] ends the window of the row before right[i].
     left: tuple
     right: tuple
 
-    def run(self, prefixes: np.ndarray | None, stored: np.ndarray,
-            new: np.ndarray, teleport: float) -> np.ndarray:
+    def run(self, stored: np.ndarray, new: np.ndarray,
+            teleport: float) -> np.ndarray:
         """``GraphStack.run`` of W lines on the merged graph, for the k
         steps that the cone was joined for, at the new rows only: a (W, m)
-        array, new rows in their given order, with the bits of the full
-        run. The lines are ``stored`` (W x N, the stored rows in row order)
-        followed by ``new`` (W x m, the new rows in their given order).
-        ``prefixes`` holds the k prefix sums (W, N + 1 each) that
-        ``GraphStack.run`` leaves for the stored lines on the stored graph
-        alone; it is read only where left[0] > 0 and may be None elsewhere.
+        array, new rows in their given order. The lines are ``stored``
+        (W x N, the stored rows in row order) followed by ``new`` (W x m,
+        the new rows in their given order).
 
-        Step l reads Z(l - 1) through the prefix sum C(l - 1). That equals
-        the stored run's up to position left[l - 1], and a prefix sum adds
-        in order, so one seeded there with the stored value has the bits
-        of one from position 0. Step l < k runs on [left[l], right[k - l])
-        only, and step k at the new rows."""
+        Step l < k runs on [left[k - l - 1], right[k - l]) only, and step k
+        at the new rows; each step reads exactly what the one before it
+        wrote, and its prefix sum starts from 0 at the first position it
+        reads, left[k - l]. Where that is the first position of the merged
+        sort, as it is for every step once left[0] is, the sum adds the
+        terms of the full run in its order, and the values have its bits;
+        elsewhere they agree with it to within rounding."""
         start, left, right = self.start, self.left, self.right
         steps = len(right) - 1
         if teleport == 1.0 or steps == 0:
@@ -470,39 +460,27 @@ class Cone:
         h0 = stored.take(self.order, axis=1, mode="clip")
         h0[:, rows] = new
         # C(l - 1) of every step in one buffer whose column i is sorted
-        # position f + i, f the least window start that a step reads; each
-        # step writes the columns it reads, base .. end, before it reads them
-        f = min(start, int(self.lo[left[-1] - start]))
+        # position f + i, f = left[k - 1] the first position that step 1
+        # reads; each step writes the columns it reads before it reads them
+        f = left[-1]
         c = np.empty((h0.shape[0], right[-1] - f + 1))
         lo, hi, d = self.lo - f, self.hi - f, self.values
         restart = teleport * h0
-        z, z_start = h0, start  # Z(l - 1) and the position of its column 0
+        z = h0[:, f - start:right[-1] - start]  # Z(0) where step 1 reads it
         for step in range(1, steps + 1):
-            seed, end = left[step - 1], right[steps - step + 1]
-            if step < steps:
-                at = slice(left[step] - start, right[steps - step] - start)
-                base = min(seed, int(lo[at.start]) + f)
-            else:
-                at, base = rows, seed
-            # the stored run's C(l - 1) up to the seed, then summed on from
-            # it, as a sum from 0 adds; at 0 it is 0 and the sum starts at
-            # its first term
-            if seed:
-                c[:, base - f:seed - f + 1] = prefixes[step - 1][
-                    :, base:seed + 1]
-            else:
-                c[:, 0] = 0.0
-            np.multiply(d[seed - start:end - start],
-                        z[:, seed - z_start:end - z_start],
-                        out=c[:, seed - f + 1:end - f + 1])
-            summed = c[:, seed - f + (seed == 0):end - f + 1]
+            first, end = left[steps - step], right[steps - step + 1]
+            at = (slice(left[steps - step - 1] - start,
+                        right[steps - step] - start) if step < steps
+                  else rows)
+            c[:, first - f] = 0.0
+            summed = c[:, first - f + 1:end - f + 1]
+            np.multiply(d[first - start:end - start], z, out=summed)
             summed.cumsum(axis=1, out=summed)
             z = c.take(hi[at], axis=1, mode="clip")
             z -= c.take(lo[at], axis=1, mode="clip")
             z *= d[at]
             z *= 1.0 - teleport
             z += restart[:, at]
-            z_start = left[step] if step < steps else None
         return z
 
 

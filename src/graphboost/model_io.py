@@ -213,5 +213,8 @@ def load_ensemble(path: str) -> Ensemble:
             raise ModelFormatError("trailing bytes after model payload")
 
     encoder = EncodingMeta.from_dict(meta["encoder"])
-    return Ensemble(rounds, k, encoder, meta["feature_names"], train_x,
-                    meta["stop_reason"], meta["stop_error"])
+    try:
+        return Ensemble(rounds, k, encoder, meta["feature_names"], train_x,
+                        meta["stop_reason"], meta["stop_error"])
+    except DataError as exc:
+        raise ModelFormatError(str(exc)) from exc

@@ -609,9 +609,8 @@ class TestEnsemblePrediction:
                                        graph_) is graph_
 
     def test_stored_graphs_are_never_saved(self, tmp_path):
-        # nor the stored rows' head differences, their prefix sums and
-        # labels, nor the stacked head weights: a load makes them again,
-        # read-only
+        # nor the stored rows' head differences and labels, nor the
+        # stacked head weights: a load makes them again, read-only
         ens = self._shared_graph_ensemble(
             self.SHARED_GRAPH_ENSEMBLES["interleaved"])
         cold, warm = tmp_path / "cold.gbe", tmp_path / "warm.gbe"
@@ -626,7 +625,7 @@ class TestEnsemblePrediction:
             for (ts, run), (want_ts, want) in zip(
                     model.groups, ens.groups, strict=True):
                 assert ts == want_ts
-                for name in ("stored", "prefixes", "labels"):
+                for name in ("stored", "labels"):
                     array = getattr(run, name)
                     assert not array.flags.writeable
                     assert array.tobytes() == getattr(want, name).tobytes()

@@ -456,8 +456,7 @@ class TestGraphStack:
                                                 teleport, seed):
         # W lines on each of C graphs of one row set, with and without
         # edges, out of row order; W = 0 is the K = 1 case. Each line must
-        # equal k one-graph multiplies on its own graph exactly, and the
-        # prefix sums the run leaves must be those of each step's input.
+        # equal k one-graph multiplies on its own graph exactly.
         rng = np.random.default_rng(seed)
         graphs = [build_adjacency(rng.integers(0, 6, size=n) * rng.normal(),
                                   float(rng.uniform(0.0, 1.0))).adjacency
@@ -481,16 +480,6 @@ class TestGraphStack:
         for g, adj in enumerate(graphs):
             assert_same_bits(got[g], matmul_steps(adj, h0[g], teleport,
                                                   steps))
-        if teleport < 1.0:
-            prefixes = np.full((steps, w, c, n + 1), np.nan)
-            assert_same_bits(stack.run(frame, teleport, steps, prefixes), z)
-            np.testing.assert_array_equal(frame, kept)
-            dinv = np.stack([adj.values for adj in graphs])
-            for step in range(steps):
-                src = stack.run(frame, teleport, step)
-                want = np.zeros((w, c, n + 1))
-                np.cumsum(dinv * src, axis=2, out=want[..., 1:])
-                assert_same_bits(prefixes[step], want)
         # round trips keep values and dtype, for lines and per-row values
         assert_same_bits(stack.from_frame(frame), h0)
         codes = rng.integers(0, 256, size=(c, n, w)).astype(np.uint8)
@@ -578,9 +567,11 @@ class TestRunLines:
     def test_equals_one_graph_stack_at_asked_positions(
             self, width, n, m, teleport, steps, where, seed):
         # Prediction propagates a group's W lines on the cone of the new
-        # rows only, seeded from the prefix sums of the stored rows' run;
-        # each value at a new row must keep the bits of the full run of
-        # the one-graph stack over the stored rows and the new ones.
+        # rows only, from nothing but the stored and new lines; each value
+        # at a new row must keep the bits of the full run of the one-graph
+        # stack over the stored rows and the new ones where the cone
+        # reaches the first sorted position, and agree with it to within
+        # rounding elsewhere.
         rng = np.random.default_rng(seed)
         scale = rng.normal()
         stored = rng.integers(0, 6, size=n) * scale
@@ -591,20 +582,19 @@ class TestRunLines:
         gamma = float(rng.uniform(0.0, 1.0))
         built = build_adjacency(stored, gamma)
         lines = rng.normal(size=(width, n + m))
-        one = GraphStack([built.adjacency])
-        prefixes = np.empty((steps, width, 1, n + 1))
         kept = lines.copy()
-        one.run(one.to_frame(lines[:, :n].T[None]), teleport, steps,
-                prefixes)
         cone = built.join(new, steps)
-        got = cone.run(prefixes.reshape(steps, width, n + 1), lines[:, :n],
-                       lines[:, n:], teleport)
+        got = cone.run(lines[:, :n], lines[:, n:], teleport)
         np.testing.assert_array_equal(lines, kept)  # H0 is left alone
         full = GraphStack([build_adjacency(np.concatenate([stored, new]),
                                            gamma).adjacency])
         want = full.from_frame(full.run(full.to_frame(lines.T[None]),
                                         teleport, steps))[0].T
-        assert_same_bits(got, want[:, n:])
+        if cone.left[0] == 0:
+            assert_same_bits(got, want[:, n:])
+        else:
+            np.testing.assert_allclose(got, want[:, n:], rtol=1e-12,
+                                       atol=1e-12 * np.abs(lines).max())
 
     def test_mismatched_shape_rejected(self):
         stack = GraphStack([identity_adjacency(5)])

@@ -900,6 +900,31 @@ class TestCliExitCodes:
             capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_weights_that_overflow_on_the_stored_rows_are_two(
+            self, trained, cohort, tmp_path, command):
+        # finite weights whose head overflows float64 on the stored rows:
+        # the load names the round, with one error line and no numpy
+        # warning, even where warnings are errors (it used to warn at load
+        # and then blame new row 0, or end in a traceback)
+        outcome, _ = trained
+        ensemble = load_ensemble(outcome.model_path)
+        ensemble.rounds[0].model.w2[1] = 1e308
+        bad = tmp_path / "big.gbe"
+        save_ensemble(ensemble, str(bad))
+        src = str(Path(graphboost.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "graphboost.cli", command,
+             "--model", str(bad), "--data", cohort[1],
+             "--out", str(tmp_path / "o")],
+            capture_output=True, env=env, text=True, timeout=120)
+        assert done.returncode == 2
+        assert done.stderr.splitlines() == [
+            "error: round 0 overflows on the stored rows"]
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command", ["train", "evaluate"])
     @pytest.mark.parametrize("text, error", [
         ("edge,edge,label\n1,2,0\n3,4,1\n",
