@@ -125,7 +125,7 @@ def test_cone_prediction_equals_full_run(n, m, gamma_kind, steps, teleport,
     # one hidden width share a group
     widths = [r.model.b1.size for r in ens.rounds]
     assert len(ens.groups) == len(set(widths))
-    got_labels = np.empty_like(round_labels)
+    got_rounds = np.empty_like(round_labels)
     for (ts, run), want in zip(ens.groups, values, strict=True):
         cone = run.graph.join(new_x[:, 0], run.steps)
         assert len(cone.right) == run.steps + 1
@@ -144,14 +144,14 @@ def test_cone_prediction_equals_full_run(n, m, gamma_kind, steps, teleport,
         dense = dense_run(adj, np.concatenate([run.stored, new], axis=1),
                           run.teleport, run.steps)[:, n:]
         np.testing.assert_allclose(got, dense, rtol=1e-9, atol=1e-9 * scale)
-        got_labels[list(ts)] = run.new_labels(new_x)
+        got_rounds[list(ts)] = run.new_labels(new_x)
         for array in (run.stored, run.labels):
             assert not array.flags.writeable
 
     # a round's label may differ only on a row within TIE_GAP of a tie, and
     # the ensemble's labels and scores are the reference's on every row
     # where no round's does
-    flipped = got_labels != round_labels
+    flipped = got_rounds != round_labels
     assert not (flipped & ~ties).any()
     same = ~flipped.any(axis=0)
     got_labels, got_scores = predict_ensemble(ens, new_x)
