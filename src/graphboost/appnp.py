@@ -63,7 +63,7 @@ lines of a one-graph ``GraphStack``, the engine that training runs too.
 only the cone, from nothing but those lines, in blocks of learners whose
 lines over the cone fit ``BLOCK_BYTES``. Its values have the bits of a
 full run over all rows where the cone reaches the first stored row, as a
-batch's does, and agree with it to within rounding elsewhere. New rows
+wide batch's does, and agree with it to within rounding elsewhere. New rows
 whose values overflow a model's head make its propagated differences
 non-finite, inf - inf in the prefix sums, and ``new_labels`` raises
 ``DataError`` then, without numpy's warnings.
@@ -816,7 +816,7 @@ class StoredRun:
     (``train_candidates``). ``new_labels`` joins new rows into the graph
     for the group's k steps and labels them on that ``Cone``, with the
     bits of a full run over the stored rows followed by the new rows where
-    the cone reaches the first stored row, as a batch's does, and to
+    the cone reaches the first stored row, as a wide batch's does, and to
     within rounding of them elsewhere, and keeps nothing between calls.
     """
 

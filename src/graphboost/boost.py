@@ -38,7 +38,7 @@ propagate", where a row's head does not depend on the graph, merges the
 new rows into the group's graph only on their dependency cone for the
 group's k, and propagates the group there for those k steps, from the
 stored and new rows' head differences alone: with the bits of a run over
-all rows where the cone reaches the first stored row, as a batch's does,
+all rows where the cone reaches the first stored row, as a wide batch's does,
 and to within rounding of them elsewhere.
 """
 

@@ -40,7 +40,7 @@ part of the cone that the later steps read, one window narrower per step
 on each side, and starts each step's prefix sum from 0 at the first
 position that the step reads. It keeps nothing between calls and reads
 nothing of a run over the stored rows. Where the cone reaches the first
-sorted position, as a batch's does, every sum adds the terms of the full
+sorted position, as a wide batch's does, every sum adds the terms of the full
 run over stored and new rows in its order, and the values have its bits;
 elsewhere they agree with it to within rounding. A batch whose cone spans
 the sort does the full run's work.
