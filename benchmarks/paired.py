@@ -57,10 +57,11 @@ part that differs. A mode sets up each side once, outside the timing:
 - ``--train CONFIG`` (``train_mode``): a call is a whole
   ``pipeline.run_train`` on the fit config, as ``graphboost train`` runs it
   (ingest, encoding, fit, test report and ``.gbe``), each side writing its
-  model and report into its own temporary directory. The ``.gbe`` files
-  must be equal byte for byte.
+  model and report into its own temporary directory. The ``.gbe`` and
+  report files must be equal byte for byte.
 
-The BENCH file then holds each side's per-call milliseconds (median and
+The BENCH file then holds the file names of the mode's inputs, without
+their directories, each side's per-call milliseconds (median and
 quartiles) and the calls in which the change was faster, slower or as
 fast. ``--command`` without ``--in-process``, and ``--calls`` below 1, are
 usage errors, found before any checkout is exported.
@@ -269,7 +270,9 @@ def train_mode(package, prefix: str, config: str) -> Side:
     train = _module(package, "pipeline").run_train
     return Side(lambda i: train(cfg),
                 lambda out: [("model bytes",
-                              pathlib.Path(cfg.model_out).read_bytes())],
+                              pathlib.Path(cfg.model_out).read_bytes()),
+                             ("report bytes",
+                              pathlib.Path(cfg.report_out).read_bytes())],
                 lambda outcome: outcome.ensemble.train_x.shape[0])
 
 
@@ -331,7 +334,8 @@ WHAT = {
                 "after each call",
     train_mode: "whole run_train calls (ingest, encoding, fit, test report, "
                 ".gbe) of both packages in one process on the same fit "
-                "config, asserting equal model bytes after each call"}
+                "config, asserting equal model and report bytes after each "
+                "call"}
 
 
 def main(argv=None) -> int:
@@ -372,7 +376,8 @@ def main(argv=None) -> int:
     checkouts = dict(parent=_export(args.parent, args.scratch),
                      change=_export(args.change, args.scratch))
     if args.train:
-        mode, inputs, named = train_mode, [args.train], {"config": args.train}
+        mode, inputs = train_mode, [args.train]
+        named = {"config": os.path.basename(args.train)}
     elif args.synth:
         mode, inputs = synth_mode, [args.synth]
         named = {"synth": dict(zip(("n", "m", "k", "rho", "seed"),
@@ -380,7 +385,8 @@ def main(argv=None) -> int:
     elif args.in_process:
         mode = command_mode if args.command else row_mode
         inputs = args.in_process
-        named = {"model": args.in_process[0], "rows": args.in_process[1]}
+        named = {"model": os.path.basename(args.in_process[0]),
+                 "rows": os.path.basename(args.in_process[1])}
     else:
         return _write(args, checkouts, _paired_runs(args.run, checkouts))
     sources = {side: os.path.join(checkouts[side][1], "src")

@@ -48,15 +48,16 @@ a round's candidates need no labelling pass after training.
 
 A prediction group is one ``StoredRun``: learners that share one
 ``graph.CandidateGraph`` over the stored rows, their teleport, prop_steps
-and hidden width, made once and never saved; it rejects learners that
-differ in any of the three. It keeps the graph and the learners' weights
+and hidden width, made once and never saved; ``boost.Ensemble`` groups
+its rounds by all of these. It keeps the graph and the learners' weights
 in one stack, transposed and contiguous, so that each layer of their
 heads is one ``np.matmul`` with the bits of a one-learner product. A
 stored row's head does not depend on the graph, so it computes the K - 1
 head differences of its learners over the stored rows once, and keeps
 nothing else of the stored rows until their labels are asked for: then
-it propagates those C(K - 1) lines on the stored graph alone, as the
-lines of a one-graph ``GraphStack``, the engine that training runs too.
+it propagates those C(K - 1) lines on the stored graph alone through
+``propagate``, the engine that training runs too, and raises
+``DataError`` where they overflow there.
 ``new_labels`` joins new rows into its graph for the group's k steps, a
 ``graph.Cone``, and computes their differences for the new rows only;
 ``Cone.run`` places the stored and new lines on the cone and propagates
@@ -795,11 +796,14 @@ def _labels(d: np.ndarray, count: int) -> np.ndarray:
 class StoredRun:
     """One prediction group: models that share one ``CandidateGraph`` over
     stored rows, their teleport, prop_steps and hidden width, made once
-    for many calls and never saved. It keeps the graph, the models'
-    first- and second-layer weights stacked, transposed and contiguous,
-    and their biases, and their K - 1 head differences over the stored
-    rows, computed without numpy's warnings and kept whether finite or
-    not (``boost.Ensemble`` rejects a model that overflows there). All of
+    for many calls and never saved. It checks none of that: its caller,
+    ``boost.Ensemble``, passes at least one model, groups the models by
+    graph, teleport, prop_steps and hidden width, and builds the graph
+    over the rows ``x``. It keeps the graph, the models' first- and
+    second-layer weights stacked, transposed and contiguous, and their
+    biases, and their K - 1 head differences over the stored rows,
+    computed without numpy's warnings and kept whether finite or not
+    (``boost.Ensemble`` rejects a model that overflows there). All of
     these are read-only.
 
     ``differences`` runs each layer as one ``np.matmul``, which calls
@@ -821,14 +825,6 @@ class StoredRun:
     """
 
     def __init__(self, models: list, x: np.ndarray, graph: CandidateGraph):
-        if not models:
-            raise DataError("a stored run needs at least one model")
-        if graph.adjacency.n != x.shape[0]:
-            raise DataError("graph and stored rows disagree on node count")
-        if len({(m.config.teleport, m.config.prop_steps, m.b1.size)
-                for m in models}) > 1:
-            raise DataError("stacked models must share teleport, "
-                            "prop_steps and hidden width")
         p = {name: np.stack([getattr(m, name) for m in models])
              for name in _PARAMS}
         self._w1t, self._b1 = _transposed(p["w1"]), p["b1"]
@@ -857,13 +853,17 @@ class StoredRun:
     def labels(self) -> np.ndarray:
         """The stored rows' labels from a run on the stored graph alone: a
         C x N array in row order. Threads that read it at once may each
-        compute it, with equal results."""
-        adjacency = self.graph.adjacency
-        stack = GraphStack([adjacency])
+        compute it, with equal results. Raises DataError, naming the first
+        stored row, where finite heads overflow in the prefix sums and
+        make the propagated differences non-finite."""
         with np.errstate(over="ignore", invalid="ignore"):
-            z = stack.run(self.stored.take(adjacency.order, axis=1)[:, None],
-                          self.teleport, self.steps)
-        labels = adjacency.from_sorted(_labels(z[:, 0], self.count).T).T
+            d = propagate(self.stored.T, self.graph.adjacency, self.teleport,
+                          self.steps).T
+        finite = np.isfinite(d).all(axis=0)
+        if not finite.all():
+            raise DataError(f"stored row {finite.argmin()}: its propagated "
+                            "logits overflow the model")
+        labels = _labels(d, self.count)
         labels.flags.writeable = False
         return labels
 

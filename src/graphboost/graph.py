@@ -81,7 +81,7 @@ class SparseAdjacency:
     included, are the rows at sorted positions ``lo[p]`` to ``hi[p] - 1``,
     and ``values[p]`` is 1 / sqrt(hi[p] - lo[p]), so that
     Ahat[order[p], order[q]] = values[p] * values[q] inside the window.
-    Immutable after construction; safe to share across threads/processes.
+    Immutable after construction; safe to share across threads.
     """
 
     n: int
@@ -146,13 +146,18 @@ class GraphStack:
     only what needs row order leaves it. ``from_frame`` also scatters
     (C, N) per-row values, such as each learner's labels at its best
     epoch.
+
+    Only ``to_frame`` checks its operand, since ``appnp.propagate`` passes
+    it arrays from outside the package. The stack trusts the rest: its
+    graphs share N because ``train_candidates`` checks the node counts of
+    the graphs it stacks, and every other stack holds one graph; and
+    ``run`` and ``from_frame`` take only frames that the engine made, of
+    trailing shape (C, N).
     """
 
     def __init__(self, adjacencies: list):
         c, n = len(adjacencies), adjacencies[0].n
         self.shape = (c, n)
-        if any(a.n != n for a in adjacencies):
-            raise DataError("stacked graphs disagree on node count")
         graph = np.arange(c)[:, None]
 
         def per_graph(field):  # C x N
@@ -164,11 +169,6 @@ class GraphStack:
         self._lo = (graph * (n + 1) + per_graph("lo")).ravel()
         self._hi = (graph * (n + 1) + per_graph("hi")).ravel()
         self._dinv = per_graph("values").ravel()
-
-    def _check(self, frame: np.ndarray, ndims: tuple) -> None:
-        if frame.ndim not in ndims or frame.shape[-2:] != self.shape:
-            raise DataError(f"frame of shape {frame.shape} does not fit "
-                            f"the stack's {self.shape}")
 
     def to_frame(self, operand: np.ndarray) -> np.ndarray:
         """A (C, N, W) operand in row order, gathered into the frame."""
@@ -185,7 +185,6 @@ class GraphStack:
         """k steps of Z <- (1 - a) Ahat_c @ Z + a H0 for every line of every
         graph c, with H0 = ``frame``. Returns the (W, C, N) result in the
         frame, a new array."""
-        self._check(frame, (3,))
         c, n = self.shape
         w = frame.shape[0]
         lines = frame.reshape(w, c * n)
@@ -221,7 +220,6 @@ class GraphStack:
         """A (W, C, N) frame scattered back to a contiguous (C, N, W) array
         in row order, or (C, N) per-row values to (C, N); the dtype is
         kept."""
-        self._check(frame, (2, 3))
         c, n = self.shape
         w = 1 if frame.ndim == 2 else frame.shape[0]
         out = np.empty((c * n, w), dtype=frame.dtype)
@@ -449,10 +447,11 @@ class Cone:
         reads, left[k - l]. Where that is the first position of the merged
         sort, as it is for every step once left[0] is, the sum adds the
         terms of the full run in its order, and the values have its bits;
-        elsewhere they agree with it to within rounding."""
+        elsewhere they agree with it to within rounding. Its one caller,
+        ``StoredRun.new_labels``, joins for 0 steps where teleport is 1."""
         start, left, right = self.start, self.left, self.right
         steps = len(right) - 1
-        if teleport == 1.0 or steps == 0:
+        if steps == 0:
             return new.copy()
         rows = self.rows - start
         # the cone's stored rows from the stored lines, then its new rows;

@@ -134,6 +134,16 @@ def _check_meta(meta) -> list[AppnpConfig]:
     _require(all(0 <= r["feature"] < m and r["gamma"] >= 0 and r["alpha"] > 0
                  for r in meta["rounds"]),
              "round feature, gamma or alpha invalid")
+    for t, r in enumerate(meta["rounds"]):
+        _require(r["feature_name"] == meta["feature_names"][r["feature"]],
+                 f"rounds[{t}].feature_name is not "
+                 f"feature_names[{r['feature']}]")
+    # fit writes a reason and the error of the round that stopped it, or
+    # neither
+    _require(meta["stop_reason"] in (None, "weak_error", "ensemble_error"),
+             f"bad stop_reason: {meta['stop_reason']!r:.40}")
+    _require((meta["stop_reason"] is None) == (meta["stop_error"] is None),
+             "stop_error and stop_reason must both be null or neither")
     try:
         return [AppnpConfig(**r["config"]) for r in meta["rounds"]]
     except (TypeError, DataError) as exc:

@@ -1248,11 +1248,6 @@ class TestPredict:
             if rows == n:
                 assert run.stored.tobytes() == want.tobytes()
 
-    def test_stored_run_needs_a_model(self):
-        x = np.zeros((3, 2))
-        with pytest.raises(DataError, match="at least one model"):
-            appnp.StoredRun([], x, build_adjacency(x[:, 0], 0.0))
-
     @pytest.mark.parametrize("scale, row", [(2.0, 2), (1.0, 1)])
     def test_overflow_names_the_row_whose_own_heads_overflow(self, scale,
                                                               row):
@@ -1273,21 +1268,6 @@ class TestPredict:
         with pytest.raises(DataError, match=f"^new row {row}: its "
                            "propagated logits overflow the model$"):
             run.new_labels(new)
-
-    def test_stacked_labels_need_shared_propagation(self):
-        # the one stackability check: a StoredRun's models share teleport,
-        # prop_steps and hidden width
-        model, x, *_ = make_instance(14)
-        graph = build_adjacency(x[:, 0], 0.5)
-        for change in ({"teleport": 0.5}, {"prop_steps": 1},
-                       {"hidden_dim": model.b1.size + 1}):
-            cfg = dataclasses.replace(model.config, **change)
-            other = init_model(cfg, x.shape[1], 2)
-            with pytest.raises(DataError, match="share teleport, prop_steps "
-                               "and hidden width"):
-                appnp.StoredRun([model, other], x, graph)
-        appnp.StoredRun([model, init_model(model.config, x.shape[1], 2)],
-                        x, graph)
 
 
 # The row-major loss helpers that training used before it moved into the

@@ -608,6 +608,101 @@ class TestEnsemblePrediction:
             assert by_graph.setdefault((graph_.feature, graph_.gamma),
                                        graph_) is graph_
 
+    @staticmethod
+    def _contract_calls(monkeypatch) -> dict:
+        """Wrap ``GraphStack`` and ``StoredRun``, which check nothing that
+        their callers guarantee, so that every call asserts what they
+        trust; returns the calls made, by name."""
+        calls = {"stack": 0, "run": 0, "from_frame": 0, "stored": 0}
+        stack_init = graph.GraphStack.__init__
+        run, from_frame = graph.GraphStack.run, graph.GraphStack.from_frame
+        stored_init = appnp.StoredRun.__init__
+
+        def checked_stack(self, adjacencies):
+            assert len({a.n for a in adjacencies}) == 1
+            stack_init(self, adjacencies)
+            calls["stack"] += 1
+
+        def checked_run(self, frame, teleport, steps):
+            assert frame.ndim == 3 and frame.shape[1:] == self.shape
+            calls["run"] += 1
+            return run(self, frame, teleport, steps)
+
+        def checked_from_frame(self, frame):
+            assert frame.ndim in (2, 3) and frame.shape[-2:] == self.shape
+            calls["from_frame"] += 1
+            return from_frame(self, frame)
+
+        def checked_stored(self, models, x, graph_):
+            assert models and graph_.adjacency.n == x.shape[0]
+            assert len({(m.config.teleport, m.config.prop_steps, m.b1.size)
+                        for m in models}) == 1
+            stored_init(self, models, x, graph_)
+            calls["stored"] += 1
+
+        monkeypatch.setattr(graph.GraphStack, "__init__", checked_stack)
+        monkeypatch.setattr(graph.GraphStack, "run", checked_run)
+        monkeypatch.setattr(graph.GraphStack, "from_frame",
+                            checked_from_frame)
+        monkeypatch.setattr(appnp.StoredRun, "__init__", checked_stored)
+        return calls
+
+    @staticmethod
+    def _score_every_way(ens, new_x, tmp_path):
+        """The ensemble and its saved and loaded copy: stored-row scores,
+        a batch and a single row."""
+        path = tmp_path / "model.gbe"
+        save_ensemble(ens, str(path))
+        for model in (ens, load_ensemble(str(path))):
+            transductive_scores(model)
+            predict_ensemble(model, new_x)
+            predict_ensemble(model, new_x[:1])
+
+    @pytest.mark.parametrize("k, workers", [(2, 0), (2, 2), (3, 0), (3, 2)])
+    def test_fits_meet_what_the_engine_trusts(self, monkeypatch, tmp_path,
+                                              k, workers):
+        calls = self._contract_calls(monkeypatch)
+        ds, _ = make_dataset(n=90, m=3, k=k, seed=k)
+        ens = fit(BoostConfig(n_rounds=2, workers=workers, weak=AppnpConfig(
+            hidden_dim=4, prop_steps=2, max_epochs=4, patience=2)), ds)
+        self._score_every_way(ens, ds.X[:7] + 0.01, tmp_path)
+        assert all(calls.values()), calls
+
+    def test_hand_built_groups_meet_what_the_engine_trusts(
+            self, monkeypatch, tmp_path):
+        calls = self._contract_calls(monkeypatch)
+        ens = self._shared_graph_ensemble(
+            self.SHARED_GRAPH_ENSEMBLES["mixed_learners"])
+        self._score_every_way(
+            ens, np.random.default_rng(11).normal(size=(5, 2)), tmp_path)
+        assert calls["stored"] == 2 * len(ens.groups)
+        assert all(calls.values()), calls
+
+    def test_stored_rows_whose_propagation_overflows_are_rejected(
+            self, tmp_path):
+        # Head difference 1.5e307 * relu(x[:, 1]): finite on every stored
+        # row, so the model loads, but the rows near x1 = 10 sum past
+        # float64 in the prefix sums of their windows on feature 1, and
+        # those of the rows near 0, which come first in the sort, do not.
+        # The first overflowing stored row in row order is row 3.
+        x = np.zeros((40, 2))
+        high = np.arange(40) % 4 == 3
+        x[:, 1] = np.where(high, 10.0, 0.0) + np.linspace(0.0, 0.5, 40)
+        model = AppnpModel(np.array([[0.0, 1.0]]), np.zeros(1),
+                           np.array([[0.0], [1.5e307]]), np.zeros(2),
+                           AppnpConfig(hidden_dim=1, prop_steps=2,
+                                       teleport=0.2))
+        meta = EncodingMeta([NumericMeta(f"f{j}", 0.0, 0.0, 1.0)
+                             for j in range(2)], "label", ["c0", "c1"])
+        ens = Ensemble([WeakRound(1, "f1", 1.0, model, 0.5, 0.3)], 2, meta,
+                       meta.feature_names(), x)
+        path = tmp_path / "model.gbe"
+        save_ensemble(ens, str(path))
+        for loaded in (ens, load_ensemble(str(path))):
+            with pytest.raises(DataError, match="^stored row 3: its "
+                               "propagated logits overflow the model$"):
+                transductive_scores(loaded)
+
     def test_stored_graphs_are_never_saved(self, tmp_path):
         # nor the stored rows' head differences and labels, nor the
         # stacked head weights: a load makes them again, read-only

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from graphboost.boost import BoostConfig, fit, predict_ensemble
+from graphboost.boost import (BoostConfig, fit, predict_ensemble,
+                             transductive_scores)
 from graphboost.cli import main
 from graphboost.config import (GRID_KEYS, RunConfig, load_config,
                                parse_config)
@@ -374,6 +375,41 @@ class TestModelFile:
             assert _cli_scores(command, path, tmp_path) == 2
             assert "gamma" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, edit", [
+        ("feature_name", lambda meta: meta["rounds"][0].update(
+            feature_name="not_a_column")),
+        ("stop_reason", lambda meta: meta.update(stop_reason="tired",
+                                                 stop_error=0.5)),
+        ("stop_error", lambda meta: meta.update(stop_reason="weak_error",
+                                                stop_error=None)),
+        ("stop_error", lambda meta: meta.update(stop_reason=None,
+                                                stop_error=0.5))],
+        ids=["feature_name", "stop_reason", "reason_without_error",
+             "error_without_reason"])
+    def test_metadata_that_contradicts_itself(self, small_ensemble, tmp_path,
+                                              capsys, key, edit):
+        # such files used to load, and a save wrote the contradiction back
+        path = tmp_path / "m.gbe"
+        save_ensemble(small_ensemble, str(path))
+        assert _cli_scores("predict", path, tmp_path) == 0
+        path.write_bytes(_edit_meta(path.read_bytes(), edit))
+        with pytest.raises(ModelFormatError, match=key):
+            load_ensemble(str(path))
+        capsys.readouterr()
+        assert _cli_scores("predict", path, tmp_path) == 2
+        assert key in capsys.readouterr().err
+
+    def test_stop_reasons_that_fit_writes_load(self, small_ensemble,
+                                               tmp_path):
+        path = tmp_path / "m.gbe"
+        for reason, error in ((None, None), ("weak_error", 0.5),
+                              ("ensemble_error", 0.25)):
+            save_ensemble(replace(small_ensemble, stop_reason=reason,
+                                  stop_error=error), str(path))
+            loaded = load_ensemble(str(path))
+            assert (loaded.stop_reason, loaded.stop_error) == (reason, error)
+
+
 def _without_rounds(blob: bytes, n_rows: int, n_features: int) -> bytes:
     """A model file with its rounds and their tensors cut out."""
     blob = _edit_meta(blob, lambda meta: meta.update(rounds=[]))
@@ -449,10 +485,12 @@ class TestModelFileFuzz:
             ens = load_ensemble(str(path))
         except ModelFormatError:
             return False
-        try:
-            predict_ensemble(ens, x)
-        except GraphBoostError:
-            pass
+        for score in (lambda: predict_ensemble(ens, x),
+                      lambda: transductive_scores(ens)):
+            try:
+                score()
+            except GraphBoostError:
+                pass
         return True
 
     @given(st.data())

@@ -216,6 +216,37 @@ def test_train_calls_on_two_copies_of_one_tree(two_trees, tmp_path):
     with pytest.raises(AssertionError, match="call 0: model bytes"):
         paired.paired_calls(two_trees, paired.train_mode, str(config),
                             calls=2)
+    # and one that changes only the report
+    _edit(two_trees, "boost.py", "(0.5000001 * math.log(", "(0.5 * math.log(")
+    _edit(two_trees, "pipeline.py", 'report["stop_error"] = ',
+          'report["stop_error"] = "moved" or ')
+    with pytest.raises(AssertionError, match="call 0: report bytes"):
+        paired.paired_calls(two_trees, paired.train_mode, str(config),
+                            calls=2)
+
+
+@pytest.mark.parametrize("mode, named", [
+    (["--in-process", "model.gbe", "rows.csv"],
+     {"model": "model.gbe", "rows": "rows.csv"}),
+    (["--in-process", "model.gbe", "rows.csv", "--command"],
+     {"model": "model.gbe", "rows": "rows.csv"}),
+    (["--train", "fit.cfg"], {"config": "fit.cfg"})],
+    ids=["rows", "command", "train"])
+def test_inputs_are_recorded_by_file_name(monkeypatch, tmp_path, mode,
+                                          named):
+    # the directories of the measuring machine stay out of the BENCH file
+    monkeypatch.setattr(paired, "_export",
+                        lambda rev, scratch: (rev, str(tmp_path)))
+    monkeypatch.setattr(paired, "paired_calls",
+                        lambda sources, mode, *inputs, calls: {})
+    where = str(tmp_path / "inputs") + os.sep
+    paired.main(["--parent", "p", "--change", "c", "--scratch",
+                 str(tmp_path), "--name", "names", "--out", str(tmp_path)]
+                + [where + arg if "." in arg else arg for arg in mode])
+    with open(tmp_path / "BENCH_names.json", encoding="utf-8") as fh:
+        report = json.load(fh)
+    assert {key: report[key] for key in named} == named
+    assert where not in json.dumps(report)
 
 
 @pytest.mark.parametrize("bad, message", [
